@@ -1,8 +1,9 @@
-"""The benchmark's own arithmetic: percentiles, span self times, failure counts
-and the read/write op stream.
+"""The benchmark's own arithmetic: percentiles, host-speed scaling, span self
+times, failure counts and the read/write op stream.
 
-Everything here is pure and deterministic, so ``tests/test_perfbench_harness.py``
-pins it down without running a workload.
+Everything here except the kernel timing in :meth:`HostClock.probe` is pure and
+deterministic, so ``tests/test_perfbench_harness.py`` pins it down without
+running a workload.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import hashlib
 import json
 import math
 import random
+import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 # ---------------------------------------------------------------- percentiles
@@ -48,6 +50,105 @@ def samples_beyond(n: int, q: float) -> int:
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean (``nan`` when empty)."""
     return sum(values) / len(values) if values else math.nan
+
+
+# ---------------------------------------------------------------- host speed
+REFERENCE_KERNEL_MS = 1.3
+"""What :func:`reference_kernel` takes on a quiet 2-vCPU x86-64 cloud host
+under CPython 3.11; every reported time is scaled to a host that fast."""
+
+
+def reference_kernel() -> int:
+    """A fixed pure-Python loop of about a millisecond, independent of ``repro``."""
+    acc = 0
+    for i in range(20_000):
+        acc += i * i % 7
+    return acc
+
+
+def speed_factor(before_ms: float, after_ms: float) -> float:
+    """Scale for a time taken between two kernel probes of the given lengths."""
+    return REFERENCE_KERNEL_MS / ((before_ms + after_ms) / 2.0)
+
+
+class HostClock:
+    """Wall time scaled to a fixed host speed.
+
+    A shared cloud host changes speed by up to 1.5x from one second to the
+    next, and process CPU time moves with wall time (the vCPU itself runs
+    slower; little of the time is stolen), so raw times from two runs compare
+    the host as much as the program. The clock therefore runs
+    :func:`reference_kernel` between operations, at least every ``interval``
+    seconds of work, and cuts the timeline into segments at those probes.
+    Time spent in segment ``i`` is scaled by :func:`speed_factor` of the two
+    probes around it: it becomes the time the work would have taken on a host
+    where the kernel takes ``REFERENCE_KERNEL_MS``.
+
+    Call :meth:`start`, then :meth:`tick` before every operation (only where
+    no operation is in flight), then :meth:`stop`.
+    """
+
+    def __init__(self, interval: float = 0.025,
+                 kernel: Callable[[], object] = reference_kernel) -> None:
+        self.interval = interval
+        self.kernel = kernel
+        self.probes_ms: List[float] = []
+        self.walls: List[float] = []
+        self._opened = 0.0
+
+    @property
+    def segment(self) -> int:
+        """Index of the segment now open."""
+        return len(self.probes_ms) - 1
+
+    def probe(self) -> None:
+        """Run the kernel once and open a new segment after it."""
+        start = time.perf_counter()
+        self.kernel()
+        self._opened = time.perf_counter()
+        self.probes_ms.append((self._opened - start) * 1000.0)
+
+    def _close(self) -> None:
+        self.walls.append(time.perf_counter() - self._opened)
+
+    def start(self) -> None:
+        self.probe()
+
+    def tick(self) -> None:
+        """Probe when the open segment has run for ``interval`` seconds."""
+        if time.perf_counter() - self._opened >= self.interval:
+            self._close()
+            self.probe()
+
+    def untimed(self, fn: Callable, *args):
+        """Run ``fn`` between two segments, so its time counts in none."""
+        self._close()
+        try:
+            return fn(*args)
+        finally:
+            self.probe()
+
+    def stop(self) -> None:
+        self._close()
+        self.probe()
+
+    def factor(self, segment: int) -> float:
+        return speed_factor(self.probes_ms[segment], self.probes_ms[segment + 1])
+
+    def scaled_wall(self) -> float:
+        """Seconds of all closed segments, each scaled to the reference speed."""
+        return sum(wall * self.factor(i) for i, wall in enumerate(self.walls))
+
+
+@dataclass
+class Sample:
+    """One timed operation: its type, raw duration, clock segment and query."""
+
+    kind: str
+    ms: float
+    segment: int
+    traced: bool = False
+    key: int = -1
 
 
 # ---------------------------------------------------------------- failures
@@ -156,10 +257,17 @@ def layer_totals(spans: Sequence[Span], root: str) -> Tuple[Dict[str, float], fl
     return per_layer, root_total
 
 
-def coverage(spans: Sequence[Span], root: str) -> float:
-    """Summed layer self time under ``root`` spans divided by their wall time."""
+def coverage(spans: Sequence[Span], root: str, leave_out: Sequence[str] = ()) -> float:
+    """Summed layer self time under ``root`` spans divided by their wall time.
+
+    A layer span that wraps a whole operation takes, as its self time, every
+    cost no narrower span claims, so with it coverage is near 1 by
+    construction. Naming such layers in ``leave_out`` gives the share of time
+    that the narrower layers account for.
+    """
     per_layer, root_total = layer_totals(spans, root)
-    return sum(per_layer.values()) / root_total if root_total > 0 else math.nan
+    claimed = sum(t for name, t in per_layer.items() if name not in leave_out)
+    return claimed / root_total if root_total > 0 else math.nan
 
 
 # ---------------------------------------------------------------- op streams

@@ -8,7 +8,8 @@ missing fixture (cached under ``.perfbench_cache/``), runs the workload in a
 fresh subprocess (``serve.py``), prints the answer digest and, as the last
 line of standard output, one JSON object with ``correct``, ``attempted``,
 ``failed`` and ``metrics``: the end-to-end metrics with ``--trace 0``, the
-per-layer ones with ``--trace 1``. A traced run also writes its spans to
+per-layer ones with ``--trace 1``. Times are scaled to a reference host speed
+(``harness.HostClock``). A traced run also writes its spans to
 ``.perfbench_out/spans-<workload>-<seed>.json``.
 """
 
@@ -92,8 +93,10 @@ def main(argv=None) -> int:
 
     wanted = spec["per_layer"] if args.trace else spec["end_to_end"]
     source = result["layers"] if args.trace else result["metrics"]
-    values = {m["name"]: source.get(m["name"], math.nan) for m in wanted}
-    # End-to-end metrics are never 0; a per-layer 0 means "not in this workload".
+    # serve.py leaves out the layers a workload does not reach; they read 0.
+    # End-to-end metrics are never 0.
+    values = {m["name"]: source.get(m["name"], 0.0 if args.trace else math.nan)
+              for m in wanted}
     bad = [name for name, value in values.items()
            if not math.isfinite(value) or (not args.trace and value <= 0)]
     if bad:

@@ -6,6 +6,10 @@ cached artifact and nothing else; dataset generation and artifact builds
 happened earlier, elsewhere. It writes its measurements as one JSON object to
 ``--out``.
 
+Set-up means the same on every workload: open the artifact and answer one
+read, after which the server is ready. It is repeated and the median is
+reported.
+
 Every load is closed-loop from one client. In-process workloads run one
 request at a time on the calling thread; the gateway keeps two requests in
 flight (the host has two CPUs). Ops run in rounds, and the timed phase stops
@@ -13,6 +17,10 @@ at the first round boundary after ``--seconds``: a round is one pass over a
 fixed query set (``tgen-paper``), one compaction cycle of 50 × (19 reads and
 a write) (``serve-rw``) or a fixed number of draws, so every run measures
 whole units of the same mix.
+
+Every reported time is scaled to a reference host speed by a
+:class:`harness.HostClock`, which runs a fixed kernel between ops; the raw
+figures go to the diagnostics.
 
 Each latency percentile is taken over one op type. On ``serve-rw`` that is a
 read the engine answers; a result-cache hit is a dictionary lookup, counted in
@@ -44,7 +52,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 import harness  # noqa: E402
 import layertrace as tracing  # noqa: E402
-from harness import Outcomes, mean, median, percentile  # noqa: E402
+from harness import HostClock, Outcomes, Sample, mean, median, percentile  # noqa: E402
 
 from repro import IndexBundle, LCMSREngine, QueryPolicy, QueryRequest, QueryService  # noqa: E402
 from repro.core.query import LCMSRQuery  # noqa: E402
@@ -54,14 +62,9 @@ from repro.service import generations  # noqa: E402
 
 MIB = 1024.0 * 1024.0
 
-
-def host_probe() -> float:
-    """Milliseconds for a fixed pure-Python reference kernel (host speed now)."""
-    start = time.perf_counter()
-    acc = 0
-    for i in range(200_000):
-        acc += i * i % 7
-    return (time.perf_counter() - start) * 1000.0
+# Spans that wrap a whole operation: their self time is whatever no narrower
+# span claims, so trace.attributed_share leaves them out.
+CATCH_ALL = ("query_service", "engine.build_instance")
 
 
 def signature(result) -> list:
@@ -82,36 +85,26 @@ def request_of(query: dict, algorithm: str, policy: Optional[QueryPolicy] = None
     )
 
 
-def measured(value: float) -> float:
-    """A per-layer number, 0.0 where the workload has nothing to measure."""
-    return 0.0 if math.isnan(value) else value
-
-
 def dir_mb(path: Path) -> float:
     return sum(p.stat().st_size for p in path.rglob("*") if p.is_file()) / MIB
 
 
 class Recorder:
-    """Latencies per op type, op counts and outcomes of one run."""
+    """The timed samples and the outcomes of one run."""
 
-    def __init__(self) -> None:
-        self.latency: Dict[str, List[float]] = {}
-        self.traced_primary: List[float] = []
-        self.untraced_primary: List[float] = []
-        self.ops = 0
-        self.wall = 0.0
+    def __init__(self, clock: HostClock) -> None:
+        self.clock = clock
+        self.samples: List[Sample] = []
         self.outcomes = Outcomes()
 
-    def add(self, kind: str, seconds: float, traced: bool = False) -> None:
-        self.latency.setdefault(kind, []).append(seconds * 1000.0)
-        self.ops += 1
+    def add(self, sample: Sample) -> None:
+        self.samples.append(sample)
         self.outcomes.record_ok()
-        if kind == "primary":
-            (self.traced_primary if traced else self.untraced_primary).append(seconds * 1000.0)
 
-    def fail(self) -> None:
-        self.ops += 1
-        self.outcomes.record_error()
+    def scaled(self, kind: str, traced: Optional[bool] = None) -> List[float]:
+        """Milliseconds of the ``kind`` ops, scaled to the reference host speed."""
+        return [s.ms * self.clock.factor(s.segment) for s in self.samples
+                if s.kind == kind and traced in (None, s.traced)]
 
 
 class Workload:
@@ -124,17 +117,26 @@ class Workload:
         self.pool = json.loads((fixture / "fixture.json").read_text())["queries"]
         self.rng = random.Random(seed)
         self.tracer: Optional[tracing.Tracer] = None
+        self.service = None
         self.answers: Dict[int, list] = {}
         self.extra: Dict[str, float] = {}
 
-    def open(self) -> None:
+    def serve(self):
+        """Open the artifact and return the service that answers reads."""
         raise NotImplementedError
+
+    def open(self) -> None:
+        """Open the artifact and answer one read; the server is then ready."""
+        self.service = self.serve()
+        self.service.execute(request_of(self.pool[0], "greedy"))
 
     def close(self) -> None:
-        raise NotImplementedError
+        self.service.close()
+        self.service = None
 
     def warm(self) -> None:
-        raise NotImplementedError
+        """Forget the counts the set-up read left behind."""
+        self.service.reset_stats()
 
     def round(self, rec: Recorder, traced: bool) -> None:
         raise NotImplementedError
@@ -142,21 +144,34 @@ class Workload:
     def check(self, rec: Recorder) -> None:
         raise NotImplementedError
 
-    def layer_counts(self) -> Dict[str, float]:
+    def layer_counts(self, rec: Recorder, scale: float) -> Dict[str, float]:
         return {}
 
     def primary_latencies(self, rec: Recorder) -> List[float]:
-        """The samples the latency percentiles are taken over."""
-        return rec.latency.get("primary", [])
+        """One value per primary op: its query's median latency over the run.
+
+        A query's own median keeps what the query costs and drops the moments
+        when a burst on the host hit one of its ops; the percentiles still
+        weigh each query by how often it ran. The per-op tail is reported as
+        ``workload.latency_p99_ms``.
+        """
+        by_query: Dict[int, List[float]] = {}
+        for sample in rec.samples:
+            if sample.kind == "primary":
+                by_query.setdefault(sample.key, []).append(
+                    sample.ms * rec.clock.factor(sample.segment))
+        return [median(ms) for ms in by_query.values() for _ in ms]
 
     # -- helpers
-    def timed(self, rec: Recorder, kind, traced: bool, request_id: int, fn, *args):
+    def timed(self, rec: Recorder, kind, traced: bool, key: int, fn, *args):
         """Run one op and record its latency; ``None`` on failure.
 
         ``kind`` names the op type, or is a function of the op's result that
-        names it.
+        names it; ``key`` is the query the op answers (-1 for none).
         """
-        span = self.tracer.begin(tracing.ROOT, request_id) if traced else None
+        rec.clock.tick()
+        segment = rec.clock.segment
+        span = self.tracer.begin(tracing.ROOT, rec.outcomes.attempted) if traced else None
         start = time.perf_counter()
         try:
             result = fn(*args)
@@ -164,12 +179,13 @@ class Workload:
             if span is not None:
                 self.tracer.end(span)
             print(f"op failed: {exc!r}", file=sys.stderr)
-            rec.fail()
+            rec.outcomes.record_error()
             return None
         elapsed = time.perf_counter() - start
         if span is not None:
             self.tracer.end(span)
-        rec.add(kind(result) if callable(kind) else kind, elapsed, traced)
+        rec.add(Sample(kind(result) if callable(kind) else kind, elapsed * 1000.0,
+                       segment, traced, key))
         return result
 
     def remember(self, rec: Recorder, index: int, result) -> None:
@@ -186,33 +202,31 @@ class InProcess(Workload):
     algorithm = "greedy"
     cache_sizes = (0, 0)
 
-    def open(self) -> None:
+    def serve(self):
         self.engine = LCMSREngine.from_artifact(self.artifact)
-        self.service = QueryService(self.engine, max_workers=1,
-                                    result_cache_size=self.cache_sizes[0],
-                                    instance_cache_size=self.cache_sizes[1])
+        return QueryService(self.engine, max_workers=1,
+                            result_cache_size=self.cache_sizes[0],
+                            instance_cache_size=self.cache_sizes[1])
 
     def close(self) -> None:
-        self.service.close()
-        self.service = self.engine = None
+        super().close()
+        self.engine = None
 
     def warm(self) -> None:
-        """One untimed read so lazily built state is in place before timing."""
-        self.service.execute(request_of(self.pool[0], "greedy"))
         self.service.clear_caches()
-        self.service.reset_stats()
+        super().warm()
 
     def read(self, index: int, policy: Optional[QueryPolicy] = None):
         result, _ = self.service.execute_timed(
             request_of(self.pool[index], self.algorithm, policy))
         return result
 
-    def layer_counts(self) -> Dict[str, float]:
+    def layer_counts(self, rec: Recorder, scale: float) -> Dict[str, float]:
         stats = self.service.stats()
         rc, ic = stats.result_cache, stats.instance_cache
         return {
-            "cache.result_hit_rate": rc.hits / rc.lookups if rc.lookups else 0.0,
-            "cache.instance_hit_rate": ic.hits / ic.lookups if ic.lookups else 0.0,
+            "cache.result_hit_rate": rc.hits / rc.lookups if rc.lookups else math.nan,
+            "cache.instance_hit_rate": ic.hits / ic.lookups if ic.lookups else math.nan,
             "cache.evictions": float(rc.evictions + ic.evictions),
         }
 
@@ -232,27 +246,13 @@ class TgenPaper(InProcess):
     setups = 9
     checked = 4
 
-    def __init__(self, fixture: Path, seed: int) -> None:
-        super().__init__(fixture, seed)
-        self.samples: Dict[int, List[float]] = {}
-
     def round(self, rec: Recorder, traced: bool) -> None:
         order = list(range(len(self.pool)))
         self.rng.shuffle(order)
         for index in order:
-            result = self.timed(rec, "primary", traced, rec.ops, self.read, index)
+            result = self.timed(rec, "primary", traced, index, self.read, index)
             if result is not None:
                 self.remember(rec, index, result)
-                self.samples.setdefault(index, []).append(rec.latency["primary"][-1])
-
-    def primary_latencies(self, rec: Recorder) -> List[float]:
-        """Each query's median over the passes.
-
-        Every pass repeats the same queries, so a percentile over these
-        per-query medians describes the query set, while each value averages
-        the host's speed over the run instead of catching one moment of it.
-        """
-        return [median(samples) for samples in self.samples.values()]
 
     def check(self, rec: Recorder) -> None:
         sample = sorted(self.answers)
@@ -263,7 +263,7 @@ class TgenPaper(InProcess):
 class Greedy200k(InProcess):
     """Greedy on 200,000 objects, caches off: window/σ/dense-build-bound."""
 
-    setups = 3
+    setups = 5
     reads_per_round = 40
     epsilon = 0.1
 
@@ -275,13 +275,13 @@ class Greedy200k(InProcess):
     def round(self, rec: Recorder, traced: bool) -> None:
         for _ in range(self.reads_per_round):
             index = self.rng.randrange(len(self.pool))
-            result = self.timed(rec, "primary", traced, rec.ops, self.read, index)
+            result = self.timed(rec, "primary", traced, index, self.read, index)
             if result is not None:
                 self.remember(rec, index, result)
             self.reads += 1
             if self.reads % 4 == 0:  # every 4th read also runs sampled
                 policy = QueryPolicy.sampled(self.epsilon, self.rng.randrange(2**31))
-                result = self.timed(rec, "sampled", traced, rec.ops, self.read, index, policy)
+                result = self.timed(rec, "sampled", traced, index, self.read, index, policy)
                 if result is not None:
                     self.sampled.append((index, policy, signature(result)))
 
@@ -310,28 +310,38 @@ class ServeRW(InProcess):
     reads_per_write = 19
     writes_per_cycle = 50
     zipf_exponent = 1.1
+    checked = 20
 
-    def open(self) -> None:
-        super().open()
+    def serve(self):
+        service = super().serve()
         self.engine.attach_overlay(generations.DeltaOverlay(self.engine.bundle))
+        return service
 
     def warm(self) -> None:
         super().warm()
         corpus = self.engine.bundle.corpus
+        self.base_count = len(corpus)
         self.base_ids = [obj.object_id for obj in corpus]
         self.points = [(obj.x, obj.y) for obj in corpus]
         self.terms = sorted({t for q in self.pool for t in q["keywords"]})
         self.next_id = max(self.base_ids) + 1
         self.cum = harness.zipf_cum_weights(len(self.pool), self.zipf_exponent)
         self.pending: List[float] = []
+        self.added: List[int] = []
+        self.rated: Dict[int, float] = {}
+        self.snapshot = None
 
     def write_op(self, kind: int) -> dict:
+        """A seeded write; it is also noted, so check() can find it applied."""
         rng = self.rng
         if kind == 0:
-            return {"op": "rate", "id": rng.choice(self.base_ids),
-                    "rating": round(rng.uniform(1.0, 5.0), 2)}
+            op = {"op": "rate", "id": rng.choice(self.base_ids),
+                  "rating": round(rng.uniform(1.0, 5.0), 2)}
+            self.rated[op["id"]] = op["rating"]
+            return op
         x, y = rng.choice(self.points)
         self.next_id += 1
+        self.added.append(self.next_id)
         return {"op": "add", "id": self.next_id,
                 "x": x + rng.uniform(-30.0, 30.0), "y": y + rng.uniform(-30.0, 30.0),
                 "keywords": rng.sample(self.terms, 2), "rating": 1.0}
@@ -351,61 +361,59 @@ class ServeRW(InProcess):
         for kind, arg in cycle:
             if kind == "read":
                 self.pending.append(self.engine.overlay.pending_count)
-                self.timed(rec, self.read_kind, traced, rec.ops,
+                self.timed(rec, self.read_kind, traced, arg,
                            self.service.execute_timed, request_of(self.pool[arg], "greedy"))
             elif kind == "write":
                 op = self.write_op(arg)
-                self.timed(rec, "write", traced, rec.ops,
+                self.timed(rec, "write", traced, -1,
                            generations.apply_op, self.engine.overlay, op)
             else:
-                self.timed(rec, "compact", traced, rec.ops, self.compact)
+                # The corpus as the writes left it, for check(); kept out of
+                # every timed segment.
+                self.snapshot = rec.clock.untimed(self.engine.overlay.materialize_corpus)
+                self.timed(rec, "compact", traced, -1, self.compact)
 
     def check(self, rec: Recorder) -> None:
-        """Reads now, with the writes since the last compaction pending, equal a
-        cold rebuild of the mutated corpus."""
-        overlay = self.engine.overlay
+        """The last compaction's input holds every write issued, and reads
+        served after it equal a cold rebuild of that corpus."""
+        snapshot = self.snapshot
+        outcomes = rec.outcomes
+        outcomes.record_check(len(snapshot) == self.base_count + len(self.added))
+        outcomes.record_check(all(object_id in snapshot for object_id in self.added))
+        outcomes.record_check(all(snapshot.get(object_id).rating == rating
+                                  for object_id, rating in self.rated.items()))
         bundle = self.engine.bundle
-        corpus = overlay.materialize_corpus() if overlay.has_pending else bundle.corpus
         cold = LCMSREngine.from_bundle(IndexBundle.build(
-            bundle.road_network(), corpus, grid_resolution=bundle.grid_resolution,
+            bundle.road_network(), snapshot, grid_resolution=bundle.grid_resolution,
             scoring_mode=bundle.scoring_mode))
-        for index in self.rng.sample(range(len(self.pool)), 20):
+        for index in self.rng.sample(range(len(self.pool)), self.checked):
             q = self.pool[index]
             served = signature(self.service.execute(request_of(q, "greedy")))
             expected = cold.query(q["keywords"], delta=q["delta"],
                                   region=Rectangle(*q["region"]), algorithm="greedy")
-            rec.outcomes.record_check(served == signature(expected))
+            outcomes.record_check(served == signature(expected))
             self.answers[index] = served
 
-    def layer_counts(self) -> Dict[str, float]:
-        return {**super().layer_counts(),
+    def layer_counts(self, rec: Recorder, scale: float) -> Dict[str, float]:
+        return {**super().layer_counts(rec, scale),
                 "generations.pending_at_read": mean(self.pending)}
 
 
 class GatewayGreedy(Workload):
     """Greedy through the 2-process sharded gateway, 2 requests in flight."""
 
+    setups = 9
     in_flight = 2
-    requests_per_round = 100
-    warm_requests = 16
+    requests_per_round = 16
 
-    def open(self) -> None:
-        self.service = ShardedQueryService(
+    def serve(self):
+        return ShardedQueryService(
             self.artifact, num_workers=2, result_cache_size=0, instance_cache_size=0,
             preload_base=True)
-        # Ready means the workers are up and have opened the shards.
-        for index in range(self.warm_requests):
-            self.service.execute(request_of(self.pool[index], "greedy"))
-
-    def warm(self) -> None:
-        self.service.reset_stats()
-        self.client: List[float] = []
-
-    def close(self) -> None:
-        self.service.close()
-        self.service = None
 
     def round(self, rec: Recorder, traced: bool) -> None:
+        rec.clock.tick()  # between rounds no request is in flight
+        segment = rec.clock.segment
         done_at: Dict[object, float] = {}
         lock = threading.Lock()
 
@@ -431,24 +439,24 @@ class GatewayGreedy(Workload):
                     result = future.result()
                 except Exception as exc:
                     print(f"op failed: {exc!r}", file=sys.stderr)
-                    rec.fail()
+                    rec.outcomes.record_error()
                     continue
                 # wait() may return before the completion callback has run.
                 now = time.perf_counter()
                 with lock:
                     ended = done_at.pop(future, now)
-                rec.add("primary", ended - started, traced)
-                self.client.append((ended - started) * 1000.0)
+                rec.add(Sample("primary", (ended - started) * 1000.0, segment, traced, index))
                 self.remember(rec, index, result)
 
-    def layer_counts(self) -> Dict[str, float]:
+    def layer_counts(self, rec: Recorder, scale: float) -> Dict[str, float]:
         worker = [t.total_seconds * 1000.0 for t in self.service.stats().timings]
+        client = [s.ms for s in rec.samples]
         # No client-side span wraps a gateway request (the work happens in
         # the workers), so coverage is the worker share of client latency.
         return {
-            "trace.coverage": mean(worker) / mean(self.client),
-            "sharding.worker_ms": mean(worker),
-            "sharding.gateway_overhead_ms": mean(self.client) - mean(worker),
+            "trace.coverage": mean(worker) / mean(client),
+            "sharding.worker_ms": mean(worker) * scale,
+            "sharding.gateway_overhead_ms": (mean(client) - mean(worker)) * scale,
             "sharding.rejected": float(self.service.rejected),
             "sharding.shed": float(self.service.shed),
         }
@@ -469,72 +477,62 @@ WORKLOADS = {
     "gateway-greedy": GatewayGreedy,
 }
 
-# Counts only some workloads produce; the others report zero.
-NOT_APPLICABLE = {
-    "cache.result_hit_rate": 0.0,
-    "cache.instance_hit_rate": 0.0,
-    "cache.evictions": 0.0,
-    "generations.pending_at_read": 0.0,
-    "sharding.worker_ms": 0.0,
-    "sharding.gateway_overhead_ms": 0.0,
-    "sharding.rejected": 0.0,
-    "sharding.shed": 0.0,
-}
 
+def span_layers(spans, scale: float) -> Dict[str, float]:
+    """Per-layer numbers from the traced rounds' spans (means per call).
 
-def span_layers(spans) -> Dict[str, float]:
-    """Per-layer numbers from the traced rounds' spans (means per call)."""
+    Times are scaled to the reference host speed by ``scale``. A number the
+    workload gives nothing to measure is ``nan``.
+    """
     selfs = harness.self_times(spans)
     by_name: Dict[str, List] = {}
     for span in spans:
         by_name.setdefault(span.name, []).append(span)
 
     def self_ms(name: str) -> float:
-        return measured(mean([selfs[s.span_id] * 1000.0 for s in by_name.get(name, [])]))
+        return mean([selfs[s.span_id] for s in by_name.get(name, [])]) * 1000.0 * scale
 
     def dur_ms(name: str) -> float:
-        return measured(mean([s.duration * 1000.0 for s in by_name.get(name, [])]))
+        return mean([s.duration for s in by_name.get(name, [])]) * 1000.0 * scale
 
-    def count_sum(name: str, key: str) -> float:
-        return sum((s.counts or {}).get(key, 0.0) for s in by_name.get(name, []))
+    def counts(name: str, key: str) -> List[float]:
+        return [(s.counts or {}).get(key, 0.0) for s in by_name.get(name, [])]
 
-    def count_mean(name: str, key: str) -> float:
-        calls = len(by_name.get(name, []))
-        return count_sum(name, key) / calls if calls else 0.0
+    def ratio(part: float, whole: float) -> float:
+        return part / whole if whole else math.nan
 
     builds = by_name.get("engine.build_instance", [])
     sigma_names = ("textindex.sigma", "textindex.sigma_sampled", "generations.overlay_sigma")
     with_sigma = {s.parent for s in spans if s.name in sigma_names}
-    window_nodes = count_sum("network.window", "nodes")
-    positive = sum(count_sum(name, "positive") for name in sigma_names)
-    processed = count_sum("tgen.solve", "edges_processed")
-    skipped = count_sum("tgen.solve", "edges_skipped")
+    positive = sum(sum(counts(name, "positive")) for name in sigma_names)
+    processed = sum(counts("tgen.solve", "edges_processed"))
+    skipped = sum(counts("tgen.solve", "edges_skipped"))
     compactions = [s.duration for s in by_name.get("generations.compact", [])]
     return {
         "network.window_ms": self_ms("network.window"),
-        "network.window_nodes": count_mean("network.window", "nodes"),
+        "network.window_nodes": mean(counts("network.window", "nodes")),
         "textindex.sigma_ms": self_ms("textindex.sigma"),
         "textindex.sigma_sampled_ms": self_ms("textindex.sigma_sampled"),
-        "textindex.zero_mass_skip_ratio": (
-            sum(1 for b in builds if b.span_id not in with_sigma) / len(builds)
-            if builds else 0.0),
-        "textindex.relevant_ratio": positive / window_nodes if window_nodes else 0.0,
+        "textindex.zero_mass_skip_ratio": ratio(
+            sum(1 for b in builds if b.span_id not in with_sigma), len(builds)),
+        "textindex.relevant_ratio": ratio(positive, sum(counts("network.window", "nodes"))),
         "dense.build_ms": self_ms("dense.build"),
         "tgen.solve_ms": self_ms("tgen.solve"),
-        "tgen.tuples_generated": count_mean("tgen.solve", "tuples_generated"),
-        "tgen.edges_processed": count_mean("tgen.solve", "edges_processed"),
-        "tgen.edges_skipped": count_mean("tgen.solve", "edges_skipped"),
-        "tgen.edge_skip_ratio": skipped / (processed + skipped) if processed + skipped else 0.0,
+        "tgen.tuples_generated": mean(counts("tgen.solve", "tuples_generated")),
+        "tgen.edges_processed": mean(counts("tgen.solve", "edges_processed")),
+        "tgen.edges_skipped": mean(counts("tgen.solve", "edges_skipped")),
+        "tgen.edge_skip_ratio": ratio(skipped, processed + skipped),
         "greedy.solve_ms": self_ms("greedy.solve"),
-        "greedy.candidates_scanned": count_mean("greedy.solve", "greedy_candidates_scanned"),
+        "greedy.candidates_scanned": mean(counts("greedy.solve", "greedy_candidates_scanned")),
         "engine.build_instance_ms": dur_ms("engine.build_instance"),
         "engine.unattributed_ms": self_ms("engine.build_instance"),
         "query_service.overhead_ms": self_ms("query_service"),
         "generations.apply_op_ms": dur_ms("generations.apply_op"),
         "generations.overlay_sigma_ms": self_ms("generations.overlay_sigma"),
-        "generations.compact_s": measured(median(compactions)),
-        "sharding.single_shard_ratio": count_mean("sharding.route", "single_shard"),
+        "generations.compact_s": median(compactions) * scale,
+        "sharding.single_shard_ratio": mean(counts("sharding.route", "single_shard")),
         "trace.coverage": harness.coverage(spans, tracing.ROOT),
+        "trace.attributed_share": harness.coverage(spans, tracing.ROOT, CATCH_ALL),
     }
 
 
@@ -550,89 +548,98 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     traced_run = bool(args.trace)
-    probes = [host_probe() for _ in range(5)]
     workload = WORKLOADS[args.workload](args.fixture, args.seed)
     tracer = tracing.Tracer()
     workload.tracer = tracer
     in_process = isinstance(workload, InProcess)
 
-    # Set-up: open the artifact several times, keep the last server.
-    setup: List[float] = []
+    # Set-up: open the artifact several times, keep the last server. The
+    # clock probes before and after every open.
+    setup_clock = HostClock(interval=0.0)
+    setup_clock.start()
+    setups: List[Sample] = []
     for attempt in range(workload.setups):
         gc.collect()
         # Gateway workers fork from this process, so they must not inherit
         # the wrappers; in-process set-up is traced for persist.load.
         installation = tracing.install(tracer) if traced_run and in_process else None
+        setup_clock.tick()
         start = time.perf_counter()
         workload.open()
-        setup.append(time.perf_counter() - start)
+        setups.append(Sample("setup", (time.perf_counter() - start) * 1000.0,
+                             setup_clock.segment))
         if installation is not None:
             installation.uninstall()
         if attempt < workload.setups - 1:
             workload.close()
-    load_spans = [s.duration for s in tracer.spans if s.name == "persist.load"]
+    setup_clock.stop()
+    setup_s = [s.ms * setup_clock.factor(s.segment) / 1000.0 for s in setups]
+    load_s = [s.duration for s in tracer.spans if s.name == "persist.load"]
     tracer.spans.clear()
     workload.warm()
 
-    rec = Recorder()
+    clock = HostClock()
+    rec = Recorder(clock)
     rounds = 0
     deadline = time.perf_counter() + args.seconds
+    clock.start()
     while True:
         traced = traced_run and rounds % 2 == 1
         installation = tracing.install(tracer) if traced else None
-        start = time.perf_counter()
         workload.round(rec, traced)
-        rec.wall += time.perf_counter() - start
         if installation is not None:
             installation.uninstall()
         rounds += 1
         if time.perf_counter() >= deadline and (not traced_run or rounds >= 2):
             break
+    clock.stop()
+    ops = rec.outcomes.attempted
 
     peak_self = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    layer_counts = workload.layer_counts()
+    scale = harness.REFERENCE_KERNEL_MS / median(clock.probes_ms)
+    layer_counts = workload.layer_counts(rec, scale)
     if not in_process:
         workload.close()  # joins the workers, so their peak RSS is known
     peak_workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     workload.check(rec)
     if in_process:
         workload.close()
-    probes += [host_probe() for _ in range(5)]
 
     latencies = workload.primary_latencies(rec)
     p50, n = percentile(latencies, 50)
     p90, _ = percentile(latencies, 90)
-    p99, _ = percentile(latencies, 99)
+    p99, _ = percentile(rec.scaled("primary"), 99)
     metrics = {
         "latency_p50_ms": p50,
         "latency_p90_ms": p90,
-        "throughput_qps": rec.ops / rec.wall,
-        "setup_s": median(setup),
+        "throughput_qps": ops / clock.scaled_wall(),
+        "setup_s": median(setup_s),
         "peak_rss_mb": max(peak_self, peak_workers),
         "artifact_mb": dir_mb(workload.artifact),
     }
     layers: Dict[str, float] = {}
     if traced_run:
         layers = {
-            **NOT_APPLICABLE,
-            **span_layers(tracer.spans),
+            **span_layers(tracer.spans, scale),
             **layer_counts,
-            "persist.load_s": measured(median(load_spans)),
+            "persist.load_s": median(load_s) * scale,
             "persist.index_pkl_mb": (workload.artifact / "index.pkl").stat().st_size / MIB,
             "persist.network_npz_mb": (workload.artifact / "network.npz").stat().st_size / MIB,
             "persist.scoring_npz_mb": (workload.artifact / "scoring.npz").stat().st_size / MIB,
-            "trace.overhead_pct": (mean(rec.traced_primary) / mean(rec.untraced_primary) - 1.0)
-            * 100.0,
-            "host.probe_ms": median(probes),
-            "workload.latency_p99_ms": p99 if harness.samples_beyond(n, 99) >= 10 else 0.0,
-            "workload.sampled_p50_ms": measured(median(rec.latency.get("sampled", []))),
-            "workload.sampled_weight_ratio": workload.extra.get("sampled_weight_ratio", 0.0),
-            "workload.write_p50_ms": measured(median(rec.latency.get("write", []))),
-            "workload.compact_s": measured(median(rec.latency.get("compact", []))) / 1000.0,
+            "trace.overhead_pct": (mean(rec.scaled("primary", True))
+                                   / mean(rec.scaled("primary", False)) - 1.0) * 100.0,
+            "host.probe_ms": median(clock.probes_ms),
+            "workload.latency_p99_ms": p99 if harness.samples_beyond(n, 99) >= 10 else math.nan,
+            "workload.sampled_p50_ms": median(rec.scaled("sampled")),
+            "workload.sampled_weight_ratio": workload.extra.get("sampled_weight_ratio", math.nan),
+            "workload.write_p50_ms": median(rec.scaled("write")),
+            "workload.compact_s": median(rec.scaled("compact")) / 1000.0,
         }
+        # What this workload does not reach is left out; run.py reports it as 0.
+        layers = {name: value for name, value in layers.items() if math.isfinite(value)}
         if args.spans is not None:
             tracer.write(args.spans)
-    pooled = rec.latency.get("primary", [])
+    kinds = sorted({s.kind for s in rec.samples})
     out = {
         "metrics": metrics,
         "layers": layers,
@@ -641,16 +648,17 @@ def main(argv=None) -> int:
         "digest": harness.digest([[k, workload.answers[k]] for k in sorted(workload.answers)]),
         "diag": {
             "latency_samples": n,
-            "pooled_p50_ms": median(pooled),
-            "pooled_p90_ms": percentile(pooled, 90)[0],
+            "raw_primary_p50_ms": median([s.ms for s in rec.samples if s.kind == "primary"]),
             "rounds": rounds,
-            "ops": rec.ops,
+            "ops": ops,
             "wrong_answers": rec.outcomes.wrong,
-            "setup_samples_s": setup,
-            "probe_before_ms": median(probes[:5]),
-            "probe_after_ms": median(probes[5:]),
-            "op_p50_ms": {k: median(v) for k, v in rec.latency.items()},
-            "op_counts": {k: len(v) for k, v in rec.latency.items()},
+            "setup_samples_s": setup_s,
+            "probe_first_ms": setup_clock.probes_ms[0],
+            "probe_median_ms": median(clock.probes_ms),
+            "probe_last_ms": clock.probes_ms[-1],
+            "probes": len(clock.probes_ms),
+            "op_p50_ms": {kind: median(rec.scaled(kind)) for kind in kinds},
+            "op_counts": {kind: len(rec.scaled(kind)) for kind in kinds},
             "extra": workload.extra,
         },
     }

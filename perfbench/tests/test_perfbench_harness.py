@@ -8,6 +8,7 @@ import json
 import math
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,45 @@ def test_samples_beyond_gates_the_tail():
     assert harness.samples_beyond(36, 90) == 4
 
 
+# ---------------------------------------------------------------- host speed
+def test_speed_factor_scales_to_the_reference_kernel_time():
+    ref = harness.REFERENCE_KERNEL_MS
+    assert harness.speed_factor(ref, ref) == pytest.approx(1.0)
+    # On a host at half speed everything, the kernel included, takes twice as long.
+    assert harness.speed_factor(2 * ref, 2 * ref) == pytest.approx(0.5)
+    assert harness.speed_factor(ref, 3 * ref) == pytest.approx(0.5)
+
+
+def test_host_clock_scales_each_segment_by_the_probes_around_it():
+    clock = harness.HostClock()
+    clock.probes_ms = [1.3, 2.6, 2.6]
+    clock.walls = [1.0, 2.0]
+    assert clock.factor(0) == pytest.approx(1.3 / 1.95)
+    assert clock.factor(1) == pytest.approx(0.5)
+    assert clock.scaled_wall() == pytest.approx(1.3 / 1.95 + 1.0)
+
+
+def test_host_clock_probes_per_interval_and_leaves_untimed_work_out():
+    calls = []
+    every_op = harness.HostClock(interval=0.0, kernel=lambda: calls.append(1))
+    every_op.start()
+    for _ in range(3):
+        every_op.tick()
+    every_op.stop()
+    assert len(calls) == len(every_op.probes_ms) == 5
+    assert len(every_op.walls) == 4
+
+    seldom = harness.HostClock(interval=3600.0, kernel=lambda: None)
+    seldom.start()
+    seldom.tick()
+    assert seldom.segment == 0
+    seldom.untimed(time.sleep, 0.05)
+    seldom.stop()
+    # The sleep falls between segments 0 and 1, so no wall time holds it.
+    assert seldom.segment == 2 and len(seldom.walls) == 2
+    assert sum(seldom.walls) < 0.05
+
+
 # ---------------------------------------------------------------- self time
 def _span(i, name, start, end, parent=None):
     return Span(span_id=i, name=name, start=start, end=end, parent=parent, request=0)
@@ -77,6 +117,16 @@ def test_coverage_is_layer_self_time_over_root_wall_time():
     assert root_total == pytest.approx(8.0)
     assert per_layer == {"solve": pytest.approx(7.0)}
     assert harness.coverage(spans, "op") == pytest.approx(7.0 / 8.0)
+
+
+def test_coverage_can_leave_out_a_layer_that_wraps_the_whole_op():
+    spans = [
+        _span(0, "op", 0.0, 10.0),
+        _span(1, "service", 0.0, 10.0, parent=0),
+        _span(2, "solve", 2.0, 8.0, parent=1),
+    ]
+    assert harness.coverage(spans, "op") == pytest.approx(1.0)
+    assert harness.coverage(spans, "op", leave_out=("service",)) == pytest.approx(0.6)
 
 
 def test_covered_length_merges_touching_and_nested_intervals():
