@@ -29,6 +29,7 @@ from repro.core.kmst import CandidateTree, QuotaTreeSolver
 from repro.core.region import Region
 from repro.core.result import RegionResult, TopKResult
 from repro.core.scaling import ScalingContext
+from repro.core.topk import resolve_k
 from repro.core.tuples import RegionTuple, TupleArray
 from repro.exceptions import SolverError
 from repro.network.compact import GraphView
@@ -175,9 +176,12 @@ class APPSolver:
         Returns:
             Up to ``k`` distinct regions in decreasing score order (fewer when the
             window does not hold ``k`` distinct feasible regions).
+
+        Raises:
+            SolverError: If ``k`` is smaller than 1.
         """
         start = time.perf_counter()
-        k = k or instance.query.k
+        k = resolve_k(instance, k)
         prepared = self._prepare(instance)
         if prepared is None:
             return TopKResult([], self.name, time.perf_counter() - start)

@@ -35,6 +35,7 @@ from repro.core.anytime import annotate_anytime_stats
 from repro.core.instance import ProblemInstance
 from repro.core.region import Region
 from repro.core.result import RegionResult, TopKResult
+from repro.core.topk import resolve_k
 from repro.exceptions import SolverError
 from repro.network.compact import GraphView
 from repro.network.graph import edge_key
@@ -98,10 +99,11 @@ class ExactSolver:
             Up to ``k`` distinct regions in decreasing score order.
 
         Raises:
-            SolverError: If the window exceeds ``max_nodes``.
+            SolverError: If ``k`` is smaller than 1 or the window exceeds
+                ``max_nodes``.
         """
         start = time.perf_counter()
-        k = k or instance.query.k
+        k = resolve_k(instance, k)
         graph = instance.graph
         if graph.num_nodes > self.max_nodes:
             raise SolverError(

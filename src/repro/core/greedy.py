@@ -38,6 +38,7 @@ from repro.core.dense import DenseInstance
 from repro.core.instance import ProblemInstance
 from repro.core.region import Region
 from repro.core.result import RegionResult, TopKResult
+from repro.core.topk import resolve_k
 from repro.exceptions import SolverError
 from repro.network.graph import edge_key
 
@@ -100,9 +101,12 @@ class GreedySolver:
 
         Returns:
             Up to ``k`` node-disjoint regions in the order they were grown.
+
+        Raises:
+            SolverError: If ``k`` is smaller than 1.
         """
         start = time.perf_counter()
-        k = k or instance.query.k
+        k = resolve_k(instance, k)
         dense = instance.dense_view()
         results: List[RegionResult] = []
         prune_stats: Dict[str, float] = {}

@@ -15,7 +15,8 @@ the paper (and our benchmarks) find it the most accurate of the three algorithms
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -25,9 +26,17 @@ from repro.core.instance import ProblemInstance
 from repro.core.region import Region
 from repro.core.result import RegionResult, TopKResult
 from repro.core.scaling import ScalingContext
-from repro.core.tuples import EPS, RegionTuple, TupleArray, make_region_tuple
+from repro.core.topk import resolve_k
+from repro.core.tuples import EPS, RegionTuple, TupleArray
 from repro.exceptions import SolverError
 from repro.network.graph import edge_key
+
+#: A region tuple of the dense loop: ``(length, weight, scaled, mask, left,
+#: right, u, v)``. ``mask`` is the node set as a bitmask over window positions;
+#: a combined tuple links its two parents (``left`` from the array of ``u``,
+#: ``right`` from the array of ``v``) and joins them through the edge
+#: ``(u, v)``; a singleton has no parents and ``u == v`` is its position.
+DenseTuple = Tuple[Any, ...]
 
 
 class TGENSolver:
@@ -85,7 +94,7 @@ class TGENSolver:
             an empty result when no node in the window is relevant.
         """
         start = time.perf_counter()
-        best, _, stats = self._run(instance, collect_pool=False)
+        best, _, stats = self._run(instance)
         runtime = time.perf_counter() - start
         annotate_anytime_stats(instance, best.weight if best else 0.0, stats)
         if best is None:
@@ -108,19 +117,19 @@ class TGENSolver:
 
         Returns:
             Up to ``k`` distinct regions in decreasing score order.
+
+        Raises:
+            SolverError: If ``k`` is smaller than 1.
         """
         start = time.perf_counter()
-        k = k or instance.query.k
-        best, pool, stats = self._run(
-            instance, collect_pool=True, pool_size=max(64, 16 * k)
-        )
+        k = resolve_k(instance, k)
+        best, ranked, stats = self._run(instance, top_k=k)
         runtime = time.perf_counter() - start
         annotate_anytime_stats(instance, best.weight if best else 0.0, stats)
         quality = {key: value for key, value in stats.items()
                    if key.startswith("quality_") or key == "budget_expired"}
         if best is None:
             return TopKResult([], self.name, runtime, stats=quality)
-        ranked = _rank_distinct(pool, k)
         results = [
             RegionResult(t.to_region(), self.name, runtime, scaled_weight=t.scaled_weight)
             for t in ranked
@@ -129,17 +138,19 @@ class TGENSolver:
 
     # ------------------------------------------------------------------ core loop
     def _run(
-        self,
-        instance: ProblemInstance,
-        collect_pool: bool,
-        pool_size: int = 0,
+        self, instance: ProblemInstance, top_k: int = 0
     ) -> Tuple[Optional[RegionTuple], List[RegionTuple], Dict[str, float]]:
+        """Run the traversal; return the best tuple, the best ``top_k`` distinct
+        tuples (none when ``top_k`` is 0, which collects no pool) and the
+        solver counters."""
         stats: Dict[str, float] = {"tuples_generated": 0.0, "edges_processed": 0.0}
         if not instance.has_relevant_nodes or instance.num_candidate_nodes == 0:
             return None, [], stats
         dense = instance.dense_view()
         if dense is not None:
-            return self._run_dense(instance, dense, collect_pool, pool_size)
+            return self._run_dense(instance, dense, top_k)
+        collect_pool = top_k > 0
+        pool_size = max(64, 16 * top_k)
         graph = instance.graph
         delta = instance.query.delta
         scaling = ScalingContext.build(
@@ -161,7 +172,7 @@ class TGENSolver:
             if singleton.better_than(best):
                 best = singleton
             if collect_pool and singleton.scaled_weight > 0:
-                _pool_add(pool, pool_keys, singleton, pool_size)
+                _pool_add(pool, pool_keys, singleton, pool_size, _region_nodes, _region_rank)
 
         processed_nodes: Set[int] = set()
         visited_edges: Set[Tuple[int, int]] = set()
@@ -211,7 +222,9 @@ class TGENSolver:
                         if combined.better_than(best):
                             best = combined
                         if collect_pool:
-                            _pool_add(pool, pool_keys, combined, pool_size)
+                            _pool_add(
+                                pool, pool_keys, combined, pool_size, _region_nodes, _region_rank
+                            )
                         for member in combined.nodes:
                             if member in processed_nodes:
                                 continue
@@ -223,7 +236,7 @@ class TGENSolver:
                             ):
                                 _evict_worst(array, self.max_tuples_per_node)
                 processed_nodes.add(vi)
-        return best, pool, stats
+        return best, _rank_distinct(pool, top_k, _region_nodes, _region_rank), stats
 
     # ------------------------------------------------------------------ dense hot loop
     #: Pair-count threshold above which per-edge feasibility is prefiltered with a
@@ -231,21 +244,26 @@ class TGENSolver:
     _PREFILTER_PAIRS = 32
 
     def _run_dense(
-        self,
-        instance: ProblemInstance,
-        dense: DenseInstance,
-        collect_pool: bool,
-        pool_size: int = 0,
+        self, instance: ProblemInstance, dense: DenseInstance, top_k: int
     ) -> Tuple[Optional[RegionTuple], List[RegionTuple], Dict[str, float]]:
         """Array-first twin of :meth:`_run` over local node positions.
 
-        The region/tuple logic (Definition 6 arrays, Lemma 9 disjointness, the
-        combine rule) is byte-for-byte the reference code; what is arrayified is
-        the scaffolding around it: scaled weights come from one vectorised pass,
-        the BFS runs over CSR positions with flat visited tables and packed edge
-        keys instead of id-keyed sets, and per-edge tuple combinations are
-        prefiltered by a vectorised feasibility mask ``(l_i + l_j) + τ ≤ Q.∆``
-        that enumerates surviving pairs in the reference (i-major) order.
+        The traversal order, the budget poll points, the ``(length, weight,
+        scaled)`` arithmetic and the order of array updates are the
+        reference's, so regions, floats and counters come out identical. What
+        differs is the representation. Scaled weights come from one vectorised
+        pass, the BFS runs over CSR positions with flat visited tables and
+        packed edge keys, and a region tuple is a flat :data:`DenseTuple`: its
+        node set is an int bitmask over positions, so the Lemma 9 test is
+        ``mask_i & mask_j`` and the union ``mask_i | mask_j``, and instead of
+        an edge set it links its two parents and the joining edge. Node and
+        edge sets are rebuilt from those links (:func:`_materialise`) only for
+        the regions returned. A node's tuple array is a plain ``{scaled weight:
+        tuple}`` dict, and the processed nodes are one mask, so an update
+        visits only the members in ``mask & ~processed``. Per-edge tuple
+        combinations are prefiltered by a vectorised feasibility mask
+        ``(l_i + l_j) + τ ≤ Q.∆`` that enumerates surviving pairs in the
+        reference (i-major) order.
 
         When the instance allows pruning (and no top-k pool is collected — the
         pool deliberately admits zero-scaled tuples), an edge is skipped whole
@@ -269,29 +287,26 @@ class TGENSolver:
         )
         scaled_list = scaling.scale_array(dense.sigma).tolist()
         sigma_list = dense.sigma_list()
-        ids_list = dense.ids_list()
         # Shared cached list mirrors of the window CSR (built once per window,
         # reused across solves of the same cached substrate).
         indptr, columns, _, lengths, _ = dense.graph_view().adjacency_arrays()
+        collect_pool = top_k > 0
+        pool_size = max(64, 16 * top_k)
 
-        arrays_by_pos: List[TupleArray] = []
-        arrays: Dict[int, TupleArray] = {}
-        best: Optional[RegionTuple] = None
-        pool: List[RegionTuple] = []
-        pool_keys: Set[frozenset] = set()
+        arrays: List[Dict[int, DenseTuple]] = []
+        best: Optional[DenseTuple] = None
+        pool: List[DenseTuple] = []
+        pool_keys: Set[int] = set()
         for pos in range(n):
-            node_id = ids_list[pos]
-            array = TupleArray()
-            singleton = RegionTuple.singleton(node_id, sigma_list[pos], scaled_list[pos])
-            array.update(singleton)
-            arrays_by_pos.append(array)
-            arrays[node_id] = array
-            if singleton.better_than(best):
+            singleton = (0.0, sigma_list[pos], scaled_list[pos], 1 << pos, None, None, pos, pos)
+            arrays.append({singleton[2]: singleton})
+            if best is None or _beats(singleton, best):
                 best = singleton
-            if collect_pool and singleton.scaled_weight > 0:
-                _pool_add(pool, pool_keys, singleton, pool_size)
+            if collect_pool and singleton[2] > 0:
+                _pool_add(pool, pool_keys, singleton, pool_size, _dense_mask, _dense_rank)
+        best_length, best_weight, best_scaled = best[0], best[1], best[2]
 
-        processed_nodes: Set[int] = set()
+        unprocessed = (1 << n) - 1
         visited_edges: Set[int] = set()
         visited = bytearray(n)
         edges_processed = 0
@@ -301,7 +316,6 @@ class TGENSolver:
         budget = instance.budget
         expired = False
         prune = instance.pruning_enabled and not collect_pool
-        position_of = dense.position_of() if prune else None
         # Per-position upper bound on the largest scaled key stored in the
         # node's array (exact until an eviction, stale-high after — safe).
         max_scaled: List[int] = list(scaled_list) if prune else []
@@ -320,8 +334,7 @@ class TGENSolver:
             while head < len(queue) and not expired:
                 vi = queue[head]
                 head += 1
-                vi_id = ids_list[vi]
-                array_i = arrays_by_pos[vi]
+                array_i = arrays[vi]
                 slots = range(indptr[vi], indptr[vi + 1])
                 if self.edge_order == "length":
                     slots = sorted(slots, key=lambda slot: lengths[slot])
@@ -343,24 +356,21 @@ class TGENSolver:
                         continue
                     if (
                         prune
-                        and best is not None
-                        and best.scaled_weight > 0
+                        and best_scaled > 0
                         and max_scaled[vi] == 0
                         and max_scaled[vj] == 0
                     ):
                         edges_skipped += 1
                         continue
                     edges_processed += 1
-                    vj_id = ids_list[vj]
-                    edge_pair = edge_key(vi_id, vj_id)
-                    tuples_i = array_i.tuples()
-                    tuples_j = arrays_by_pos[vj].tuples()
+                    tuples_i = list(array_i.values())
+                    tuples_j = list(arrays[vj].values())
                     if len(tuples_i) * len(tuples_j) >= self._PREFILTER_PAIRS:
                         lengths_i = np.fromiter(
-                            (t.length for t in tuples_i), np.float64, len(tuples_i)
+                            (t[0] for t in tuples_i), np.float64, len(tuples_i)
                         )
                         lengths_j = np.fromiter(
-                            (t.length for t in tuples_j), np.float64, len(tuples_j)
+                            (t[0] for t in tuples_j), np.float64, len(tuples_j)
                         )
                         rows, cols = np.nonzero(
                             (lengths_i[:, None] + lengths_j[None, :]) + edge_length
@@ -372,80 +382,75 @@ class TGENSolver:
                             (a, b)
                             for a, tuple_a in enumerate(tuples_i)
                             for b, tuple_b in enumerate(tuples_j)
-                            if tuple_a.length + tuple_b.length + edge_length
-                            <= delta_eps
+                            if tuple_a[0] + tuple_b[0] + edge_length <= delta_eps
                         )
                     # Fused generate/apply loop. The reference collects the
                     # feasible combinations first and then applies them in
                     # generation order; collection is side-effect free, so the
                     # fused loop performs the identical update sequence. A
-                    # combined tuple is only *materialised* (frozenset unions)
-                    # when something actually keeps it — the incumbent check,
-                    # the top-k pool, or a dominance slot it wins; dominated
-                    # combinations cost two scalar adds and a few dict probes.
+                    # combined tuple is only built when something keeps it —
+                    # the incumbent check, the top-k pool, or a dominance slot
+                    # it wins; dominated combinations cost three scalar adds,
+                    # two mask operations and a few dict probes.
                     for a, b in pairs:
                         tuple_i = tuples_i[a]
                         tuple_j = tuples_j[b]
-                        nodes_i = tuple_i.nodes
-                        nodes_j = tuple_j.nodes
-                        if not nodes_i.isdisjoint(nodes_j):
+                        mask_i = tuple_i[3]
+                        mask_j = tuple_j[3]
+                        if mask_i & mask_j:
                             continue
                         tuples_generated += 1
-                        scaled = tuple_i.scaled_weight + tuple_j.scaled_weight
-                        weight = tuple_i.weight + tuple_j.weight
-                        length = tuple_i.length + tuple_j.length + edge_length
+                        scaled = tuple_i[2] + tuple_j[2]
+                        weight = tuple_i[1] + tuple_j[1]
+                        length = tuple_i[0] + tuple_j[0] + edge_length
+                        mask = mask_i | mask_j
                         # Inline RegionTuple.better_than on the scalar triple
                         # (tolerance shared with tuples.py via EPS).
-                        if best is None:
-                            better = True
-                        elif scaled != best.scaled_weight:
-                            better = scaled > best.scaled_weight
-                        elif abs(weight - best.weight) > EPS:
-                            better = weight > best.weight
+                        if scaled != best_scaled:
+                            better = scaled > best_scaled
+                        elif abs(weight - best_weight) > EPS:
+                            better = weight > best_weight
                         else:
-                            better = length < best.length - EPS
-                        combined: Optional[RegionTuple] = None
+                            better = length < best_length - EPS
+                        combined: Optional[DenseTuple] = None
                         if better or collect_pool:
-                            combined = make_region_tuple(
-                                length,
-                                weight,
-                                scaled,
-                                nodes_i | nodes_j,
-                                (tuple_i.edges | tuple_j.edges) | {edge_pair},
-                            )
+                            combined = (length, weight, scaled, mask, tuple_i, tuple_j, vi, vj)
                             if better:
                                 best = combined
+                                best_length, best_weight, best_scaled = length, weight, scaled
                             if collect_pool:
-                                _pool_add(pool, pool_keys, combined, pool_size)
-                        for members in (nodes_i, nodes_j):
-                            for member in members:
-                                if member in processed_nodes:
-                                    continue
-                                array = arrays[member]
-                                entries = array._entries  # noqa: SLF001 - inlined update
-                                stored = entries.get(scaled)
-                                if stored is None or length < stored.length - EPS:
-                                    if combined is None:
-                                        combined = make_region_tuple(
-                                            length,
-                                            weight,
-                                            scaled,
-                                            nodes_i | nodes_j,
-                                            (tuple_i.edges | tuple_j.edges)
-                                            | {edge_pair},
-                                        )
-                                    entries[scaled] = combined
-                                    if prune:
-                                        p = position_of[member]
-                                        if scaled > max_scaled[p]:
-                                            max_scaled[p] = scaled
-                                    if max_tuples is not None and len(entries) > max_tuples:
-                                        _evict_worst(array, max_tuples)
-                processed_nodes.add(vi_id)
+                                _pool_add(
+                                    pool, pool_keys, combined, pool_size, _dense_mask, _dense_rank
+                                )
+                        # Members update independent arrays, so the walk order
+                        # (highest position first) does not matter.
+                        members = mask & unprocessed
+                        while members:
+                            member = members.bit_length() - 1
+                            members ^= 1 << member
+                            entries = arrays[member]
+                            stored = entries.get(scaled)
+                            if stored is None or length < stored[0] - EPS:
+                                if combined is None:
+                                    combined = (
+                                        length, weight, scaled, mask, tuple_i, tuple_j, vi, vj
+                                    )
+                                entries[scaled] = combined
+                                if prune and scaled > max_scaled[member]:
+                                    max_scaled[member] = scaled
+                                if max_tuples is not None and len(entries) > max_tuples:
+                                    _keep_best(entries, max_tuples)
+                unprocessed &= ~(1 << vi)
         stats["tuples_generated"] = float(tuples_generated)
         stats["edges_processed"] = float(edges_processed)
         stats["edges_skipped"] = float(edges_skipped)
-        return best, pool, stats
+        ids_list = dense.ids_list()
+        ranked = _rank_distinct(pool, top_k, _dense_mask, _dense_rank)
+        return (
+            _materialise(best, ids_list),
+            [_materialise(t, ids_list) for t in ranked],
+            stats,
+        )
 
     # ------------------------------------------------------------------ helpers
     def _start_nodes(self, instance: ProblemInstance) -> List[int]:
@@ -469,22 +474,69 @@ class TGENSolver:
         return items
 
 
+# Identity and rank keys of the two tuple representations: the top-k pool is
+# deduplicated on the node set (a frozenset or a mask) and ranked by larger
+# scaled weight, then larger weight, then shorter length.
+_region_nodes = attrgetter("nodes")
+_dense_mask = itemgetter(3)
+
+
+def _region_rank(t: RegionTuple) -> Tuple[int, float, float]:
+    return (-t.scaled_weight, -t.weight, t.length)
+
+
+def _dense_rank(t: DenseTuple) -> Tuple[int, float, float]:
+    return (-t[2], -t[1], t[0])
+
+
+def _beats(candidate: DenseTuple, incumbent: DenseTuple) -> bool:
+    """:meth:`RegionTuple.better_than` on two dense tuples."""
+    if candidate[2] != incumbent[2]:
+        return candidate[2] > incumbent[2]
+    if abs(candidate[1] - incumbent[1]) > EPS:
+        return candidate[1] > incumbent[1]
+    return candidate[0] < incumbent[0] - EPS
+
+
 def _pool_add(
-    pool: List[RegionTuple],
-    pool_keys: Set[frozenset],
-    candidate: RegionTuple,
+    pool: List[Any],
+    pool_keys: Set[Any],
+    candidate: Any,
     pool_size: int,
+    identity: Callable[[Any], Any],
+    rank: Callable[[Any], Tuple[int, float, float]],
 ) -> None:
     """Keep a bounded pool of the best distinct tuples seen (top-k support)."""
-    if candidate.nodes in pool_keys:
+    key = identity(candidate)
+    if key in pool_keys:
         return
     pool.append(candidate)
-    pool_keys.add(candidate.nodes)
+    pool_keys.add(key)
     if pool_size and len(pool) > 2 * pool_size:
-        pool.sort(key=lambda t: (-t.scaled_weight, -t.weight, t.length))
+        pool.sort(key=rank)
         del pool[pool_size:]
         pool_keys.clear()
-        pool_keys.update(t.nodes for t in pool)
+        pool_keys.update(identity(t) for t in pool)
+
+
+def _rank_distinct(
+    pool: Sequence[Any],
+    k: int,
+    identity: Callable[[Any], Any],
+    rank: Callable[[Any], Tuple[int, float, float]],
+) -> List[Any]:
+    """Return the best ``k`` distinct (by node set) tuples of the pool."""
+    seen: Set[Any] = set()
+    ranked: List[Any] = []
+    for candidate in sorted(pool, key=rank):
+        key = identity(candidate)
+        if key in seen:
+            continue
+        seen.add(key)
+        ranked.append(candidate)
+        if len(ranked) >= k:
+            break
+    return ranked
 
 
 def _evict_worst(array: TupleArray, keep: int) -> None:
@@ -497,15 +549,44 @@ def _evict_worst(array: TupleArray, keep: int) -> None:
         array.update(entry)
 
 
-def _rank_distinct(pool: Sequence[RegionTuple], k: int) -> List[RegionTuple]:
-    """Return the best ``k`` distinct (by node set) tuples of the pool."""
-    seen: Set[frozenset] = set()
-    ranked: List[RegionTuple] = []
-    for candidate in sorted(pool, key=lambda t: (-t.scaled_weight, -t.weight, t.length)):
-        if candidate.nodes in seen:
-            continue
-        seen.add(candidate.nodes)
-        ranked.append(candidate)
-        if len(ranked) >= k:
-            break
-    return ranked
+def _keep_best(entries: Dict[int, DenseTuple], keep: int) -> None:
+    """:func:`_evict_worst` on a dense array: keep the ``keep`` largest keys.
+
+    The survivors are re-inserted in descending key order, the order the
+    reference rebuild leaves behind.
+    """
+    survivors = sorted(entries.items(), reverse=True)[:keep]
+    entries.clear()
+    entries.update(survivors)
+
+
+def _materialise(root: DenseTuple, ids: List[int]) -> RegionTuple:
+    """Rebuild the :class:`RegionTuple` of a dense tuple from its parent links.
+
+    An explicit stack lists the derivation tree parents-first; walking that
+    list backwards replays the reference's unions (``nodes_i | nodes_j`` and
+    ``(edges_i | edges_j) | {edge}``) children-first, so the node and edge
+    sets are the ones :meth:`RegionTuple.combine` builds, down to their
+    iteration order. The parents of a tuple are node-disjoint, so every tuple
+    occurs once in the tree.
+    """
+    order: List[DenseTuple] = []
+    stack = [root]
+    while stack:
+        current = stack.pop()
+        order.append(current)
+        if current[4] is not None:
+            stack.append(current[4])
+            stack.append(current[5])
+    built: Dict[int, Tuple[frozenset, frozenset]] = {}
+    for current in reversed(order):
+        if current[4] is None:
+            sets = (frozenset({ids[current[6]]}), frozenset())
+        else:
+            nodes_i, edges_i = built.pop(id(current[4]))
+            nodes_j, edges_j = built.pop(id(current[5]))
+            edge = edge_key(ids[current[6]], ids[current[7]])
+            sets = (nodes_i | nodes_j, (edges_i | edges_j) | {edge})
+        built[id(current)] = sets
+    nodes, edges = built[id(root)]
+    return RegionTuple(root[0], root[1], root[2], nodes, edges)

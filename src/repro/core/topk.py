@@ -18,6 +18,7 @@ from typing import Iterable, List, Optional, Protocol, Sequence
 
 from repro.core.instance import ProblemInstance
 from repro.core.result import RegionResult, TopKResult
+from repro.exceptions import SolverError
 
 
 class SupportsTopK(Protocol):
@@ -42,6 +43,19 @@ def solve_topk(
 ) -> TopKResult:
     """Dispatch a top-k query to ``solver`` (thin convenience wrapper)."""
     return solver.solve_topk(instance, k)
+
+
+def resolve_k(instance: ProblemInstance, k: Optional[int]) -> int:
+    """The ``k`` a ``solve_topk`` call answers: ``instance.query.k`` when omitted.
+
+    Raises:
+        SolverError: If ``k`` is given and smaller than 1.
+    """
+    if k is None:
+        return instance.query.k
+    if k < 1:
+        raise SolverError(f"k must be at least 1, got {k}")
+    return k
 
 
 def total_weight(result: TopKResult) -> float:

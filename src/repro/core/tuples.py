@@ -18,37 +18,10 @@ from repro.core.region import Region
 from repro.network.graph import edge_key
 
 #: Float tolerance shared by the dominance rule (:meth:`TupleArray.update`) and
-#: the result-preference order (:meth:`RegionTuple.better_than`). The dense
-#: solver backends inline those two predicates in their hot loops — they import
-#: this constant so the tolerance cannot drift between the copies.
+#: the result-preference order (:meth:`RegionTuple.better_than`). TGEN's dense
+#: loop applies both predicates to its own flat tuples (an inlined copy of each)
+#: and imports this constant so the tolerance cannot drift between the copies.
 EPS = 1e-12
-
-
-def make_region_tuple(
-    length: float,
-    weight: float,
-    scaled_weight: int,
-    nodes: FrozenSet[int],
-    edges: FrozenSet[Tuple[int, int]],
-) -> "RegionTuple":
-    """Hot-path constructor for :class:`RegionTuple`.
-
-    Identical to calling the dataclass, but writes the five fields straight
-    into ``__dict__`` instead of routing each one through the frozen-dataclass
-    ``object.__setattr__`` guard — the solvers' dense backends build tens of
-    thousands of tuples per query, and the guard is pure per-field overhead
-    once the values are final. The resulting instance is indistinguishable
-    from a normally constructed one (same type, same frozen behaviour).
-    """
-    region_tuple = RegionTuple.__new__(RegionTuple)
-    region_tuple.__dict__.update(
-        length=length,
-        weight=weight,
-        scaled_weight=scaled_weight,
-        nodes=nodes,
-        edges=edges,
-    )
-    return region_tuple
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,36 @@ def _assert_identical(result_a, result_b, context):
     assert result_a.scaled_weight == result_b.scaled_weight, context
 
 
+def _assert_topk_identical(topk_a, topk_b, context):
+    assert len(topk_a.results) == len(topk_b.results), context
+    for a, b in zip(topk_a.results, topk_b.results):
+        _assert_identical(a, b, context)
+
+
+def _assert_same_work(result_a, result_b, context):
+    """Equal TGEN counters: the backends combined exactly the same tuples."""
+    for key in ("tuples_generated", "edges_processed"):
+        assert result_a.stats[key] == result_b.stats[key], (key, context)
+
+
+class _PollBudget:
+    """A solve budget that expires after a fixed number of ``expired()`` polls.
+
+    Unlike a deadline it truncates a run at the same point on every machine,
+    so both backends must stop after exactly the same edge.
+    """
+
+    def __init__(self, polls: int) -> None:
+        self.remaining = polls
+
+    def expired(self) -> bool:
+        self.remaining -= 1
+        return self.remaining < 0
+
+    def expired_now(self) -> bool:
+        return self.remaining < 0
+
+
 class TestHeuristicSolverParity:
     @pytest.mark.parametrize(
         "make_solver",
@@ -97,6 +127,103 @@ class TestHeuristicSolverParity:
             assert len(topk_dict.results) == len(topk_dense.results)
             for a, b in zip(topk_dict.results, topk_dense.results):
                 _assert_identical(a, b, (solver.name, query.keywords))
+
+
+TGEN_SETTINGS = {
+    "cap2": {"max_tuples_per_node": 2},
+    "cap5": {"max_tuples_per_node": 5},
+    "length-order": {"edge_order": "length"},
+}
+
+
+class TestTGENParity:
+    """The TGEN settings and paths that the dense loop's tuple representation
+    touches: per-node eviction, edge order, the top-k pool and truncation."""
+
+    @pytest.mark.parametrize(
+        "settings", list(TGEN_SETTINGS.values()), ids=list(TGEN_SETTINGS)
+    )
+    def test_settings_are_byte_identical(self, engine, workload, settings):
+        solver = TGENSolver(**settings)
+        for query in workload:
+            instance = engine.build_instance(query)
+            for pruning in ("auto", "off"):
+                pinned = instance.with_pruning(pruning)
+                a = solver.solve(pinned.with_backend("dict"))
+                b = solver.solve(pinned.with_backend("dense"))
+                context = (settings, pruning, query.keywords, query.region)
+                _assert_identical(a, b, context)
+                if pruning == "off":
+                    _assert_same_work(a, b, context)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{}] + list(TGEN_SETTINGS.values()),
+        ids=["default"] + list(TGEN_SETTINGS),
+    )
+    def test_topk_is_byte_identical(self, engine, workload, settings):
+        solver = TGENSolver(**settings)
+        for query in workload:
+            instance = engine.build_instance(query)
+            _assert_topk_identical(
+                solver.solve_topk(instance.with_backend("dict"), k=3),
+                solver.solve_topk(instance.with_backend("dense"), k=3),
+                (settings, query.keywords, query.region),
+            )
+
+    @pytest.mark.parametrize("polls", [5, 40, 150])
+    def test_truncated_runs_are_identical(self, engine, workload, polls):
+        solver = TGENSolver()
+        truncated = 0
+        for query in workload:
+            instance = engine.build_instance(query).with_pruning("off")
+            a = solver.solve(instance.with_backend("dict").with_budget(_PollBudget(polls)))
+            b = solver.solve(instance.with_backend("dense").with_budget(_PollBudget(polls)))
+            context = (polls, query.keywords, query.region)
+            _assert_identical(a, b, context)
+            # Dense stats also carry edges_skipped; compare what both report.
+            shared = a.stats.keys() & b.stats.keys()
+            assert {"tuples_generated", "edges_processed", "quality_regret_bound"} <= shared
+            assert {key: a.stats[key] for key in shared} == {
+                key: b.stats[key] for key in shared
+            }, context
+            truncated += a.stats.get("budget_expired", 0.0) > 0.0
+        assert truncated, "the poll budget must cut some runs short"
+
+
+class TestWideWindowParity:
+    """A window-less 34×34 grid: 1,156 positions, so a node mask spans many
+    machine words."""
+
+    @pytest.fixture(scope="class")
+    def wide_instance(self):
+        dataset = build_ny_like(
+            rows=34, cols=34, block_size=120.0, num_objects=800, num_clusters=8, seed=SEED
+        )
+        engine = LCMSREngine.from_bundle(
+            IndexBundle.build(dataset.network, dataset.corpus, grid_resolution=16)
+        )
+        query = generate_workload(
+            dataset, num_queries=3, num_keywords=3, delta=700.0, area_km2=0.5, seed=SEED
+        )[1].with_region(None)
+        instance = engine.build_instance(query)
+        assert instance.num_candidate_nodes == 34 * 34
+        return instance.with_pruning("off")
+
+    def test_solve_is_byte_identical(self, wide_instance):
+        solver = TGENSolver()
+        a = solver.solve(wide_instance.with_backend("dict"))
+        b = solver.solve(wide_instance.with_backend("dense"))
+        _assert_identical(a, b, "wide")
+        _assert_same_work(a, b, "wide")
+
+    def test_topk_is_byte_identical(self, wide_instance):
+        solver = TGENSolver()
+        _assert_topk_identical(
+            solver.solve_topk(wide_instance.with_backend("dict"), k=3),
+            solver.solve_topk(wide_instance.with_backend("dense"), k=3),
+            "wide-topk",
+        )
 
 
 class TestExactParity:

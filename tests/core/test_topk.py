@@ -10,6 +10,7 @@ from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
 from repro.core.tgen import TGENSolver
 from repro.core.topk import node_overlap_fraction, solve_topk, total_weight, weights_are_sorted
+from repro.exceptions import SolverError
 from repro.network.builders import grid_network
 
 from tests.conftest import PAPER_EXAMPLE_WEIGHTS
@@ -38,6 +39,17 @@ class TestSolvers:
         for entry in result:
             assert entry.region.satisfies(grid_instance.query.delta)
             entry.region.validate(grid_instance.graph)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize(
+        "solver",
+        [TGENSolver(alpha=0.2), APPSolver(alpha=0.3, beta=0.1), GreedySolver(0.2), ExactSolver()],
+        ids=["tgen", "app", "greedy", "exact"],
+    )
+    def test_k_below_one_is_rejected(self, grid_instance, solver, k):
+        # An explicit k < 1 is an error, not a silent fallback to query.k.
+        with pytest.raises(SolverError, match="k must be at least 1"):
+            solver.solve_topk(grid_instance, k=k)
 
     def test_best_of_topk_matches_single_query(self, grid_instance):
         solver = TGENSolver(alpha=0.2)
