@@ -7,12 +7,15 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Just the byte-identity parity suites: solver backend (dict vs dense) and
-# bound-based pruning (on vs off). The fast gate to run after touching a
-# solver hot loop or a skip branch.
+# Just the byte-identity parity suites: solver backend (dict vs dense),
+# bound-based pruning (on vs off), graph backend (dict vs CSR) and σ_v (the
+# columnar pipeline, the only σ_v path queries take, vs the object-loop
+# reference scorer). The fast gate to run after touching a solver hot loop, a
+# skip branch or a scoring kernel.
 test-parity:
 	$(PYTHON) -m pytest tests/core/test_solver_backend_parity.py \
-		tests/core/test_pruning_parity.py tests/core/test_backend_parity.py -q
+		tests/core/test_pruning_parity.py tests/core/test_backend_parity.py \
+		tests/textindex/test_columnar.py -q
 
 # The mutable-world gate: the mutation-parity suite (overlay serving and
 # post-compaction results byte-identical to a cold rebuild of the mutated

@@ -1,18 +1,18 @@
 """Continental-scale artifacts: streaming-build memory, compression, cold load.
 
-Not a paper figure — this benchmarks the format-v5 artifact pipeline
+Not a paper figure — this benchmarks the chunk-compressed artifact pipeline
 (:mod:`repro.service.persist` + :mod:`repro.service.chunked`) on the growth
 trajectory toward the paper's real datasets (NY: 0.5 M objects, USANW: 1.2 M
-nodes). Three claims:
+nodes). It records the peak RSS of a streaming build
+(``IndexBundle.build_streaming`` over the object generator) beside the eager
+baseline (``build_ny_like`` + ``IndexBundle.from_dataset``); both run the same
+mapping / columnar / CSR pipeline, so neither is asserted below the other.
+Two claims:
 
-1. **Streaming builds are bounded-memory** — ``IndexBundle.build_streaming``
-   consumes the object generator without materialising eager scoring tables,
-   so its peak RSS stays below the full-materialisation baseline
-   (``build_ny_like`` + ``IndexBundle.from_dataset``) at every scale.
-2. **Chunk compression pays for itself** — the compressed artifact is a
+1. **Chunk compression pays for itself** — the compressed artifact is a
    multiple smaller on disk (≥ 3x at the largest config) while every query
    result stays byte-identical to the raw-memmap artifact.
-3. **Cold starts stay cheap** — engine-ready time from a compressed artifact
+2. **Cold starts stay cheap** — engine-ready time from a compressed artifact
    is within 1.5x of the raw-memmap load, because the hot offset/bound
    columns are stored raw and payload chunks decode lazily.
 
@@ -62,7 +62,7 @@ def _peak_rss_mb() -> float:
 
 
 def child_eager_build() -> None:
-    """Full-materialisation baseline: eager dataset, eager tables, no save."""
+    """Eager baseline: the assembled dataset indexed in one go, no save."""
     from repro.datasets.ny import build_ny_like
     from repro.service.bundle import IndexBundle
 
@@ -91,7 +91,7 @@ def child_stream_build(out_raw: str, out_compressed: str) -> None:
     build_seconds = time.perf_counter() - start
     # ru_maxrss is monotonic: sampling here isolates the *build* peak from the
     # save phase (the lzma encoder allocates ~100 MB of fixed buffers, which
-    # would otherwise mask the bounded-memory claim at small scales).
+    # would otherwise dominate the build peak at small scales).
     build_peak_rss_mb = _peak_rss_mb()
     start = time.perf_counter()
     bundle.save(out_raw)
@@ -244,7 +244,7 @@ def test_bench_artifact_scale(tmp_path):
             handle.write("\n")
         print(f"wrote {json_path}")
 
-    # Claim 3: the compressed cold start stays close to the raw-memmap load
+    # Claim 2: the compressed cold start stays close to the raw-memmap load
     # (small epsilon so millisecond-scale smoke loads don't flake on noise).
     assert cold_compressed["ready_seconds"] <= \
         1.5 * cold_raw["ready_seconds"] + 0.25, (
@@ -252,11 +252,6 @@ def test_bench_artifact_scale(tmp_path):
             f"raw {cold_raw['ready_seconds']:.2f}s"
         )
     if not SMOKE_SCALE:
-        # Claim 1: bounded-memory streaming build.
-        assert stream["peak_rss_mb"] < eager["peak_rss_mb"], (
-            f"streaming build peaked at {stream['peak_rss_mb']:.0f} MB, above "
-            f"the full-materialisation baseline {eager['peak_rss_mb']:.0f} MB"
-        )
-        # Claim 2: the compression floor (the acceptance bar is the FULL
+        # Claim 1: the compression floor (the acceptance bar is the FULL
         # config; the default config must not regress below it either).
         assert ratio >= 3.0, f"compression ratio {ratio:.2f}x fell below 3x"

@@ -11,14 +11,14 @@ property (the region is a tree along the streets, not a filled block) hold.
 
 from __future__ import annotations
 
-from repro.core import APPSolver, GreedySolver, LCMSRQuery, TGENSolver, build_instance
+from repro.core import APPSolver, GreedySolver, LCMSRQuery, TGENSolver
 from repro.evaluation.reporting import format_table
 from repro.network.subgraph import Rectangle
 
 from benchmarks.conftest import NY_PARAMS, paper_km_to_bench_meters
 
 
-def test_fig17_19_example_regions(benchmark, ny_dataset):
+def test_fig17_19_example_regions(benchmark, ny_dataset, ny_runner):
     # A neighbourhood-scale window and the paper's "cafe restaurant" query with an
     # 8 km budget (scaled).
     extent = ny_dataset.extent
@@ -27,9 +27,7 @@ def test_fig17_19_example_regions(benchmark, ny_dataset):
     query = LCMSRQuery.create(
         ["cafe", "restaurant"], delta=paper_km_to_bench_meters(8.0), region=window
     )
-    instance = build_instance(
-        ny_dataset.network, query, grid_index=ny_dataset.grid, mapping=ny_dataset.mapping
-    )
+    instance = ny_runner.build(query)
 
     solvers = {
         "TGEN": TGENSolver(),

@@ -11,19 +11,24 @@ scaled like the other spatial parameters.
 from __future__ import annotations
 
 from repro.baselines.maxrs import MaxRSSolver
-from repro.core import LCMSRQuery, TGENSolver, build_instance
+from repro.core import LCMSRQuery, TGENSolver
 from repro.datasets.queries import generate_workload
 from repro.evaluation.reporting import format_table
 from repro.evaluation.survey import RegionJudgement, run_survey
 from repro.network.shortest_path import steiner_tree_length
 
-from benchmarks.conftest import NY_DEFAULTS, QUERIES_PER_SETTING, SPATIAL_SCALE
+from benchmarks.conftest import (
+    NY_DEFAULTS,
+    QUERIES_PER_SETTING,
+    SPATIAL_SCALE,
+    window_object_scores,
+)
 
 NUM_COMPARISON_QUERIES = max(8, 3 * QUERIES_PER_SETTING)
 RECTANGLE_SIDE = 500.0 * SPATIAL_SCALE * 5  # paper: 500 m; kept neighbourhood-sized here
 
 
-def test_fig20_lcmsr_vs_maxrs(benchmark, ny_dataset):
+def test_fig20_lcmsr_vs_maxrs(benchmark, ny_dataset, ny_runner):
     workload = generate_workload(
         ny_dataset,
         num_queries=NUM_COMPARISON_QUERIES,
@@ -39,7 +44,7 @@ def test_fig20_lcmsr_vs_maxrs(benchmark, ny_dataset):
     pairs = []
     rows = []
     for query in workload:
-        scores = ny_dataset.grid.score_objects(query.keywords, query.region)
+        scores = window_object_scores(ny_dataset, query.keywords, query.region)
         if not scores:
             continue
         points = {oid: corpus.get(oid).location() for oid in scores}
@@ -49,10 +54,7 @@ def test_fig20_lcmsr_vs_maxrs(benchmark, ny_dataset):
         terminals = [mapping.node_of(oid) for oid in maxrs.covered_ids]
         budget = max(steiner_tree_length(network, terminals), RECTANGLE_SIDE)
         lcmsr_query = LCMSRQuery.create(query.keywords, delta=budget, region=query.region)
-        instance = build_instance(
-            network, lcmsr_query, grid_index=ny_dataset.grid, mapping=mapping
-        )
-        lcmsr = tgen.solve(instance)
+        lcmsr = tgen.solve(ny_runner.build(lcmsr_query))
         lcmsr_objects = sum(
             1
             for node_id in lcmsr.region.nodes

@@ -125,7 +125,7 @@ def test_bench_overlay_overhead_and_compaction(tmp_path):
     # broken world).
     cold = LCMSREngine.from_bundle(IndexBundle.build(
         dataset.network, overlay.materialize_corpus(),
-        grid_resolution=bundle.grid_resolution, scoring_mode=bundle.scoring_mode))
+        scoring_mode=bundle.scoring_mode))
     for query in queries:
         hot = engine.solver("tgen").solve(engine.build_instance(query))
         ref = cold.solver("tgen").solve(cold.build_instance(query))

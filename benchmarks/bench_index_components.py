@@ -1,41 +1,16 @@
-"""Micro-benchmarks of the substrates: B+-tree, grid index scoring, Dijkstra, MaxRS.
+"""Micro-benchmarks of the substrates: Dijkstra and MaxRS.
 
-These are not paper figures; they document the cost of the indexing layer (the paper's
-Section 3 structures) and of the main graph primitives the algorithms are built on, so
-regressions in the substrates are visible separately from the solver benchmarks.
+These are not paper figures; they document the cost of the main graph primitive
+the algorithms are built on and of the MaxRS baseline, so regressions in the
+substrates are visible separately from the solver benchmarks.
 """
 
 from __future__ import annotations
 
-import random
-
 from repro.baselines.maxrs import MaxRSSolver
-from repro.index.bptree import BPlusTree
 from repro.network.shortest_path import dijkstra
 
-
-def test_bench_bptree_insert_and_scan(benchmark):
-    rng = random.Random(7)
-    keys = [rng.randrange(1_000_000) for _ in range(20_000)]
-
-    def build_and_scan():
-        tree = BPlusTree(order=64)
-        for key in keys:
-            tree.insert(key, key)
-        return sum(1 for _ in tree.range_scan(100_000, 900_000))
-
-    count = benchmark(build_and_scan)
-    assert count > 0
-
-
-def test_bench_grid_scoring(benchmark, ny_dataset, ny_default_workload):
-    query = ny_default_workload[0]
-
-    def score():
-        return ny_dataset.grid.score_objects(query.keywords, query.region)
-
-    scores = benchmark(score)
-    assert scores
+from benchmarks.conftest import window_object_scores
 
 
 def test_bench_dijkstra(benchmark, ny_dataset):
@@ -52,7 +27,7 @@ def test_bench_dijkstra(benchmark, ny_dataset):
 
 def test_bench_maxrs(benchmark, ny_dataset, ny_default_workload):
     query = ny_default_workload[0]
-    scores = ny_dataset.grid.score_objects(query.keywords, query.region)
+    scores = window_object_scores(ny_dataset, query.keywords, query.region)
     points = {oid: ny_dataset.corpus.get(oid).location() for oid in scores}
     solver = MaxRSSolver(width=500.0, height=500.0)
 

@@ -10,8 +10,9 @@ Three claims are exercised:
    rebuilding node and adjacency dicts per query window.
 2. **Fidelity**: Dijkstra returns identical ``(dist, parent)`` mappings on both
    backends, and every solver (Greedy, TGEN, APP) answers identically over
-   dict-backed and CSR-backed engines.
-3. **End-to-end cold queries** are measurably faster through a frozen bundle.
+   instances built on the dict-backed network and on the CSR snapshot.
+3. **End-to-end cold queries** (instance build + solve) are measurably faster
+   on the CSR snapshot.
 
 Run with::
 
@@ -23,10 +24,12 @@ from __future__ import annotations
 import time
 from typing import List
 
+from repro.core.app import APPSolver
+from repro.core.greedy import GreedySolver
 from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
+from repro.core.tgen import TGENSolver
 from repro.datasets.queries import generate_workload
-from repro.engine import LCMSREngine
 from repro.evaluation.reporting import format_table
 from repro.network.builders import manhattan_network
 from repro.network.compact import CompactNetwork
@@ -173,23 +176,22 @@ def test_bench_dijkstra_parity_and_cost():
 
 
 def test_bench_end_to_end_cold_queries(ny_dataset):
-    dict_bundle = IndexBundle.build(ny_dataset.network, ny_dataset.corpus,
-                                    freeze_network=False)
-    csr_bundle = IndexBundle.build(ny_dataset.network, ny_dataset.corpus)
-    dict_engine = LCMSREngine.from_bundle(dict_bundle)
-    csr_engine = LCMSREngine.from_bundle(csr_bundle)
+    bundle = IndexBundle.build(ny_dataset.network, ny_dataset.corpus)
+    pipeline = bundle.weight_pipeline()
+    dict_graph, csr_graph = ny_dataset.network, bundle.graph_view()
     workload = generate_workload(
         ny_dataset, num_queries=8, num_keywords=3, delta=2000.0, area_km2=4.0, seed=7
     )
 
+    def solve(graph, query, solver):
+        return solver.solve(build_instance(graph, query, pipeline=pipeline))
+
     # Fidelity first: every solver answers identically on both backends.
-    for algorithm in ("greedy", "tgen", "app"):
+    for solver in (GreedySolver(), TGENSolver(), APPSolver()):
         for query in workload:
-            a = dict_engine.query(query.keywords, query.delta, region=query.region,
-                                  algorithm=algorithm)
-            b = csr_engine.query(query.keywords, query.delta, region=query.region,
-                                 algorithm=algorithm)
-            assert a.region.nodes == b.region.nodes, (algorithm, query.keywords)
+            a = solve(dict_graph, query, solver)
+            b = solve(csr_graph, query, solver)
+            assert a.region.nodes == b.region.nodes, (solver.name, query.keywords)
             assert a.region.edges == b.region.edges
             assert abs(a.weight - b.weight) < 1e-9
             assert abs(a.length - b.length) < 1e-9
@@ -197,19 +199,19 @@ def test_bench_end_to_end_cold_queries(ny_dataset):
     # Cold end-to-end cost on the build-dominated path (greedy): every query
     # rebuilds its window instance, which is exactly what the snapshot speeds up.
     passes = 2 if SMOKE_SCALE else 4
+    greedy = GreedySolver()
 
-    def run_cold(engine) -> float:
+    def run_cold(graph) -> float:
         start = time.perf_counter()
         for _ in range(passes):
             for query in workload:
-                engine.query(query.keywords, query.delta, region=query.region,
-                             algorithm="greedy")
+                solve(graph, query, greedy)
         return time.perf_counter() - start
 
-    run_cold(dict_engine)  # warm code paths / caches that are not per-query
-    run_cold(csr_engine)
-    dict_seconds = run_cold(dict_engine)
-    csr_seconds = run_cold(csr_engine)
+    run_cold(dict_graph)  # warm code paths / caches that are not per-query
+    run_cold(csr_graph)
+    dict_seconds = run_cold(dict_graph)
+    csr_seconds = run_cold(csr_graph)
     total = passes * len(workload)
     print()
     print(format_table(
@@ -221,6 +223,6 @@ def test_bench_end_to_end_cold_queries(ny_dataset):
         title=f"end-to-end cold queries, greedy (speedup {dict_seconds / csr_seconds:.2f}x)",
     ))
     assert csr_seconds < dict_seconds, (
-        f"frozen bundle must serve cold queries faster: "
+        f"the CSR snapshot must serve cold queries faster: "
         f"dict {dict_seconds:.4f}s vs csr {csr_seconds:.4f}s"
     )

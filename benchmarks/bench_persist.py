@@ -5,7 +5,7 @@ Not a paper figure — this benchmarks the persistence layer
 (``IndexBundle.load`` / ``LCMSREngine.from_artifact``) makes an engine
 query-ready **at least 10x faster** than the status-quo cold start, which pays
 dataset assembly plus the full offline indexing pipeline (object → node mapping,
-vector-space model, grid + inverted lists, CSR freeze) on every process start.
+columnar scoring index, CSR freeze) on every process start.
 
 Three checks:
 

@@ -104,7 +104,7 @@ def test_bench_solver_backend_dense_2x():
             num_objects=objects, num_clusters=clusters, seed=SEED,
         )
         bundle = IndexBundle.from_dataset(dataset)
-        runner = ExperimentRunner.from_bundle(bundle, weight_backend="columnar")
+        runner = ExperimentRunner.from_bundle(bundle)
         num_queries = 2 if SMOKE_SCALE else 4
         queries = _build_workload(dataset, num_queries, delta, area)
         built = [runner.build(query) for query in queries]

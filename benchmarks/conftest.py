@@ -33,6 +33,7 @@ from repro.datasets.queries import generate_workload
 from repro.datasets.synthetic import SyntheticDataset
 from repro.datasets.usanw import build_usanw_like
 from repro.evaluation.runner import ExperimentRunner
+from repro.textindex.relevance import RelevanceScorer
 
 SPATIAL_SCALE = 0.2
 """Kilometre-scale factor between the paper's workloads and the bench workloads."""
@@ -69,6 +70,18 @@ USANW_DEFAULTS = {
 # Solver parameter defaults the paper settles on after tuning (Sections 7.2.1 / 7.3).
 NY_PARAMS = {"app_alpha": 0.5, "app_beta": 0.1, "greedy_mu": 0.2, "tgen_buckets": 32}
 USANW_PARAMS = {"app_alpha": 0.1, "app_beta": 0.1, "greedy_mu": 0.4, "tgen_buckets": 32}
+
+
+def window_object_scores(dataset: SyntheticDataset, keywords, window) -> Dict[int, float]:
+    """Positive text-relevance scores of the objects inside ``window`` (MaxRS input)."""
+    scorer = RelevanceScorer(dataset.corpus, dataset.mapping)
+    scores = {}
+    for obj in dataset.corpus:
+        if window.contains(obj.x, obj.y):
+            score = scorer.object_score(obj, keywords)
+            if score > 0.0:
+                scores[obj.object_id] = score
+    return scores
 
 
 def default_solvers(params: Dict[str, float]) -> list:

@@ -16,15 +16,17 @@ Run with:  python examples/compare_with_maxrs.py
 from __future__ import annotations
 
 from repro import LCMSREngine, MaxRSSolver, build_ny_like
-from repro.core import LCMSRQuery, TGENSolver, build_instance
+from repro.core import LCMSRQuery, TGENSolver
 from repro.datasets.queries import generate_workload
 from repro.evaluation.survey import RegionJudgement, run_survey
 from repro.network.shortest_path import steiner_tree_length
+from repro.textindex.relevance import RelevanceScorer
 
 
 def main() -> None:
     dataset = build_ny_like()
     engine = LCMSREngine(dataset.network, dataset.corpus)
+    scorer = RelevanceScorer(dataset.corpus, dataset.mapping)
     maxrs = MaxRSSolver(width=500.0, height=500.0)
     tgen = TGENSolver()
 
@@ -34,8 +36,13 @@ def main() -> None:
 
     pairs = []
     for query in queries:
-        # Score the relevant objects inside the query window through the grid index.
-        scores = dataset.grid.score_objects(query.keywords, query.region)
+        # Score the relevant objects inside the query window.
+        scores = {}
+        for obj in dataset.corpus:
+            if query.region.contains(obj.x, obj.y):
+                score = scorer.object_score(obj, query.keywords)
+                if score > 0.0:
+                    scores[obj.object_id] = score
         if not scores:
             continue
         points = {oid: dataset.corpus.get(oid).location() for oid in scores}
@@ -48,10 +55,7 @@ def main() -> None:
         budget = max(steiner_tree_length(dataset.network, terminals), 500.0)
 
         lcmsr_query = LCMSRQuery.create(query.keywords, delta=budget, region=query.region)
-        instance = build_instance(
-            dataset.network, lcmsr_query, grid_index=dataset.grid, mapping=dataset.mapping
-        )
-        lcmsr_answer = tgen.solve(instance)
+        lcmsr_answer = tgen.solve(engine.build_instance(lcmsr_query))
         lcmsr_objects = sum(
             1
             for node_id in lcmsr_answer.region.nodes

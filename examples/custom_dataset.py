@@ -57,7 +57,7 @@ def main() -> None:
     corpus = build_corpus()
 
     # Text-relevance scoring (the paper's default weight definition).
-    engine = LCMSREngine(network, corpus, grid_resolution=8)
+    engine = LCMSREngine(network, corpus)
     result = engine.query(["cafe", "coffee"], delta=450.0, algorithm="tgen")
     print("text-relevance scoring, keywords ['cafe', 'coffee'], budget 450 m:")
     print(f"  region nodes {sorted(result.region.nodes)}  weight={result.weight:.3f} "
@@ -71,7 +71,7 @@ def main() -> None:
 
     # Rating-based scoring: an object's weight is its rating if it matches the query.
     rated_engine = LCMSREngine(
-        network, corpus, grid_resolution=8, scoring_mode=ScoringMode.RATING_IF_MATCH
+        network, corpus, scoring_mode=ScoringMode.RATING_IF_MATCH
     )
     rated = rated_engine.query(["cafe", "coffee"], delta=450.0, algorithm="tgen")
     print("\nrating-based scoring for the same query:")

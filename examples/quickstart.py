@@ -49,8 +49,8 @@ def ensure_artifact() -> None:
 def main() -> None:
     ensure_artifact()
 
-    # Engine-ready straight from disk: the offline build (object mapping, TF-IDF
-    # model, grid + inverted lists, CSR freeze) is NOT repeated here.
+    # Engine-ready straight from disk: the offline build (object mapping,
+    # columnar scoring index, CSR freeze) is NOT repeated here.
     engine = LCMSREngine.from_artifact(ARTIFACT)
     print(f"engine ready from artifact in "
           f"{engine.bundle.build_seconds['load'] * 1000:.0f} ms: "

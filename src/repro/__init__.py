@@ -3,7 +3,7 @@
 The library implements the length-constrained maximum-sum region (LCMSR) query of
 Cao, Cong, Jensen and Yiu (PVLDB 7(9), 2014) together with every substrate the paper
 depends on: the road-network graph model, geo-textual objects, TF-IDF text relevance,
-the grid + inverted-list (+ B+-tree) index, the node-weight scaling technique, a
+a columnar TF-IDF scoring index, the node-weight scaling technique, a
 GW-based node-weighted k-MST solver, the APP / TGEN / Greedy algorithms, the top-k
 extension, an exact oracle for small inputs and the MaxRS / clustering baselines.
 
@@ -70,7 +70,6 @@ from repro.core import (
 )
 from repro.network import CompactNetwork, GraphView, Rectangle, RoadNetwork
 from repro.objects import GeoTextualObject, ObjectCorpus, map_objects_to_network
-from repro.index import GridIndex
 from repro.baselines import MaxRSSolver
 from repro.datasets import build_ny_like, build_usanw_like, generate_workload
 
@@ -106,7 +105,6 @@ __all__ = [
     "GeoTextualObject",
     "ObjectCorpus",
     "map_objects_to_network",
-    "GridIndex",
     "build_ny_like",
     "build_usanw_like",
     "generate_workload",

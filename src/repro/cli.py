@@ -94,9 +94,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
                 num_clusters=args.clusters,
                 seed=args.seed,
             )
-        bundle = IndexBundle.build_streaming(
-            network, objects, grid_resolution=args.grid_resolution
-        )
+        bundle = IndexBundle.build_streaming(network, objects)
     else:
         from repro.datasets.ny import build_ny_like
         from repro.datasets.usanw import build_usanw_like
@@ -117,21 +115,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
                 num_objects=args.objects,
                 num_clusters=args.clusters,
                 seed=args.seed,
-            )
-        if args.grid_resolution != dataset.grid.resolution:
-            # Only the grid depends on the resolution: rebuild it over the shared
-            # VSM and keep the (resolution-independent) mapping and scorer.
-            from dataclasses import replace
-
-            from repro.index.grid import GridIndex
-
-            dataset = replace(
-                dataset,
-                grid=GridIndex(
-                    dataset.corpus,
-                    resolution=args.grid_resolution,
-                    vsm=dataset.grid.vector_space_model,
-                ),
             )
         dataset_name = dataset.name
         bundle = IndexBundle.from_dataset(dataset)
@@ -181,7 +164,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"artifact {args.artifact}")
     print(f"  format version : {manifest.format_version}")
     print(f"  fingerprint    : {manifest.fingerprint}")
-    print(f"  grid           : {manifest.grid_resolution}x{manifest.grid_resolution}")
     print(f"  scoring mode   : {manifest.scoring_mode}")
     if manifest.shard is not None:
         print(
@@ -505,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--dataset", choices=("ny", "usanw"), default="ny")
     build.add_argument("--out", required=True, help="artifact directory to write")
     build.add_argument("--seed", type=int, default=42, help="dataset seed (deterministic)")
-    build.add_argument("--grid-resolution", type=int, default=48)
     build.add_argument("--force", action="store_true", help="overwrite an existing artifact")
     build.add_argument("--rows", type=int, default=50, help="[ny] street-grid rows")
     build.add_argument("--cols", type=int, default=50, help="[ny] street-grid columns")
@@ -523,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--stream", action="store_true",
         help="build through the streaming indexer: objects are generated and "
-        "consumed one at a time in bounded memory (same artifact columns, "
+        "consumed one at a time in bounded memory (the same artifact, "
         "byte for byte)",
     )
     build.add_argument(

@@ -3,9 +3,9 @@
 Every LCMSR algorithm in the paper works on the same derived input: the sub-network
 induced by the nodes inside ``Q.Λ`` (``VQ``/``EQ``) together with the per-node query
 weights σ_v obtained from the index layer. :class:`ProblemInstance` packages exactly
-that, and :func:`build_instance` produces it either from the full indexing stack
-(grid index + object mapping) or from explicit node weights (unit tests, the paper's
-Figure 2 example).
+that, and :func:`build_instance` produces it either from the columnar σ_v pipeline
+(the serving path), from the object-loop reference scorer, or from explicit node
+weights (unit tests, the paper's Figure 2 example).
 
 Since the dense-substrate refactor an instance carries *two* coupled views of the
 same input:
@@ -31,10 +31,8 @@ from typing import Dict, Iterable, Mapping, Optional, Set
 from repro.core.dense import DenseInstance
 from repro.core.query import LCMSRQuery
 from repro.exceptions import QueryError
-from repro.index.grid import GridIndex
 from repro.network.compact import CompactNetwork, GraphView
 from repro.network.subgraph import Rectangle, induced_subgraph
-from repro.objects.mapping import NodeObjectMap
 from repro.textindex.columnar import WeightPipeline
 from repro.textindex.relevance import RelevanceScorer
 
@@ -292,8 +290,6 @@ class ProblemInstance:
 def build_instance(
     network: GraphView,
     query: LCMSRQuery,
-    grid_index: Optional[GridIndex] = None,
-    mapping: Optional[NodeObjectMap] = None,
     scorer: Optional[RelevanceScorer] = None,
     node_weights: Optional[Mapping[int, float]] = None,
     pipeline: Optional[WeightPipeline] = None,
@@ -312,12 +308,8 @@ def build_instance(
       is a frozen CSR view, the instance additionally carries an attached
       :class:`~repro.core.dense.DenseInstance` so the solvers' array-first hot
       loops run without any dict re-keying; or
-    * ``grid_index`` + ``mapping`` — the paper's per-cell indexing path: the grid
-      scores the relevant objects inside ``Q.Λ`` via its inverted lists and the
-      scores are aggregated per mapped node; or
-    * ``scorer`` — score objects directly through a :class:`RelevanceScorer`
-      (bypasses the spatial index; the reference backend for correctness
-      cross-checks); or
+    * ``scorer`` — score objects one by one through a :class:`RelevanceScorer`
+      (the reference the pipeline is checked against); or
     * ``node_weights`` — explicit per-node weights (unit tests, Figure 2 example,
       rating-based scoring computed by the caller).
 
@@ -350,17 +342,12 @@ def build_instance(
             ``overlay`` is passed without ``pipeline``.
     """
     sources = sum(
-        1
-        for source in ((grid_index, mapping), scorer, node_weights, pipeline)
-        if (source[0] is not None if isinstance(source, tuple) else source is not None)
+        1 for source in (scorer, node_weights, pipeline) if source is not None
     )
     if sources != 1:
         raise QueryError(
-            "exactly one of pipeline, (grid_index + mapping), scorer, or "
-            "node_weights must be provided"
+            "exactly one of pipeline, scorer, or node_weights must be provided"
         )
-    if (grid_index is None) != (mapping is None):
-        raise QueryError("grid_index and mapping must be provided together")
     if overlay is not None and pipeline is None:
         raise QueryError("overlay merging requires the pipeline weight source")
 
@@ -435,26 +422,10 @@ def build_instance(
             for node_id, weight in node_weights.items()
             if node_id in window_nodes and weight > 0
         }
-    elif scorer is not None:
-        # The scorer source explicitly means the object-loop reference backend:
-        # callers wanting the vectorised path pass `pipeline` instead. Without
-        # the pin, a scorer with an attached columnar index would silently
-        # dispatch to the pipeline and every cross-check against it would
-        # compare the pipeline with itself.
-        weights = scorer.node_weights(
-            query.keywords,
-            candidate_nodes=window_nodes,
-            window=query.region,
-            backend="reference",
-        )
     else:
-        assert grid_index is not None and mapping is not None
-        # A window-less query imposes no spatial restriction on the objects, so the
-        # probe window is the index's own extent (the corpus bounding box) rather than
-        # the network bounding box — objects can sit slightly off the road graph.
-        window = query.region or grid_index.extent
-        weights = grid_index.node_weights(
-            query.keywords, window, mapping, candidate_nodes=window_nodes
+        assert scorer is not None
+        weights = scorer.node_weights(
+            query.keywords, candidate_nodes=window_nodes, window=query.region
         )
     build_seconds = time.perf_counter() - start
     return ProblemInstance(

@@ -1,7 +1,7 @@
 """Synthetic geo-textual datasets over synthetic road networks.
 
 :class:`SyntheticDataset` bundles everything one experiment needs: the road network,
-the object corpus, the object → node mapping, the grid index and the relevance scorer.
+the object corpus and the object → node mapping.
 The object generator places PoIs on (or jittered around) road-network nodes with a
 configurable degree of *co-location*: a fraction of objects is placed inside a small
 number of hot-spot clusters whose members share category terms, reproducing the
@@ -37,29 +37,23 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import DatasetError
-from repro.index.grid import GridIndex
 from repro.network.graph import RoadNetwork
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
 from repro.objects.mapping import NodeObjectMap, map_objects_to_network
-from repro.textindex.relevance import RelevanceScorer, ScoringMode
-from repro.textindex.vector_space import VectorSpaceModel
 from repro.datasets.vocab import Vocabulary, PLACES_VOCABULARY
 
 
 @dataclass
 class SyntheticDataset:
-    """A ready-to-query dataset: network + objects + index + scorer.
+    """A dataset ready to index: network + objects + their node mapping.
 
     Attributes:
         name: Human-readable dataset name ("NY-like", "USANW-like", ...).
         network: The road network.
         corpus: The geo-textual objects.
         mapping: Object → nearest-node assignment.
-        grid: The grid + inverted-list index over the corpus.
-        scorer: A direct relevance scorer over the same corpus (index-free scoring
-            path, used for cross-checks).
         vocabulary: The vocabulary objects were generated from.
     """
 
@@ -67,8 +61,6 @@ class SyntheticDataset:
     network: RoadNetwork
     corpus: ObjectCorpus
     mapping: NodeObjectMap
-    grid: GridIndex
-    scorer: RelevanceScorer
     vocabulary: Vocabulary
 
     @property
@@ -298,21 +290,12 @@ def assemble_dataset(
     network: RoadNetwork,
     corpus: ObjectCorpus,
     vocabulary: Vocabulary,
-    grid_resolution: int = 48,
 ) -> SyntheticDataset:
-    """Wire a network and corpus into a ready-to-query :class:`SyntheticDataset`."""
-    mapping = map_objects_to_network(network, corpus)
-    vsm = VectorSpaceModel(corpus)
-    grid = GridIndex(corpus, resolution=grid_resolution, vsm=vsm)
-    # The scorer shares the grid's VSM: one model in memory, and one model in a
-    # persisted artifact (IndexBundle.from_dataset wraps these structures as-is).
-    scorer = RelevanceScorer(corpus, mapping, mode=ScoringMode.TEXT_RELEVANCE, vsm=vsm)
+    """Wire a network and corpus into a :class:`SyntheticDataset` (maps the objects)."""
     return SyntheticDataset(
         name=name,
         network=network,
         corpus=corpus,
-        mapping=mapping,
-        grid=grid,
-        scorer=scorer,
+        mapping=map_objects_to_network(network, corpus),
         vocabulary=vocabulary,
     )

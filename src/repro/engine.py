@@ -1,9 +1,9 @@
 """High-level facade: build the indexes once, then ask LCMSR queries by name.
 
 :class:`LCMSREngine` is the entry point application code (and the examples) should
-use. It owns an :class:`~repro.service.bundle.IndexBundle` — the road network, the
-object corpus, the object → node mapping, the grid + inverted-list index and the
-relevance scorer — and exposes ``query`` / ``query_topk`` calls that accept plain
+use. It owns an :class:`~repro.service.bundle.IndexBundle` — the frozen road
+network, the object corpus, the object → node mapping and the columnar scoring
+index — and exposes ``query`` / ``query_topk`` calls that accept plain
 keywords and return :class:`~repro.core.region.Region` results, dispatching to APP,
 TGEN or Greedy by name. For batched / concurrent serving over the same indexes, wrap
 an engine in :class:`repro.service.QueryService`.
@@ -28,7 +28,6 @@ from repro.core.query import LCMSRQuery
 from repro.core.result import RegionResult, TopKResult
 from repro.core.tgen import TGENSolver
 from repro.exceptions import QueryError
-from repro.index.grid import GridIndex
 from repro.network.compact import GraphView
 from repro.network.graph import RoadNetwork
 from repro.network.subgraph import Rectangle
@@ -55,24 +54,18 @@ class LCMSREngine:
 
     Construction validates its configuration *before* any index is built, so a
     misconfigured engine fails in microseconds instead of after a multi-second
-    offline build:
-
-    * ``grid_resolution`` must be a positive integer;
-    * ``default_algorithm`` must name a registered solver.
+    offline build: ``scoring_mode`` must name a scoring mode and
+    ``default_algorithm`` a registered solver.
 
     Args:
         network: The road network.
         corpus: The geo-textual objects.
-        grid_resolution: Resolution of the spatial grid index (cells per axis);
-            must be a positive integer.
         scoring_mode: Per-object weight definition (see
-            :class:`~repro.textindex.relevance.ScoringMode`):
-            ``TEXT_RELEVANCE`` (the paper's default) scores objects by TF-IDF
-            vector-space relevance through the grid's inverted lists;
-            ``RATING_IF_MATCH`` uses the object's rating when it contains any
-            query keyword; ``LANGUAGE_MODEL`` uses a Jelinek–Mercer smoothed
-            query likelihood. The last two bypass the TF-IDF postings and score
-            through the direct :class:`~repro.textindex.relevance.RelevanceScorer`.
+            :class:`~repro.textindex.relevance.ScoringMode`), as the enum or its
+            value string: ``TEXT_RELEVANCE`` (the paper's default) scores
+            objects by TF-IDF vector-space relevance; ``RATING_IF_MATCH`` uses
+            the object's rating when it contains any query keyword;
+            ``LANGUAGE_MODEL`` uses a Jelinek–Mercer smoothed query likelihood.
         default_algorithm: Algorithm used when a query does not name one. One of
             ``"tgen"`` (the paper's accuracy recommendation and the default),
             ``"app"`` (the (5 + ε)-approximation with a quality guarantee),
@@ -83,33 +76,29 @@ class LCMSREngine:
             results are byte-identical under every policy.
 
     Raises:
-        QueryError: If ``grid_resolution`` is not a positive integer,
-            ``default_algorithm`` is unknown, or ``pruning`` is unknown.
+        QueryError: If ``scoring_mode``, ``default_algorithm`` or ``pruning``
+            is unknown.
     """
 
     def __init__(
         self,
         network: RoadNetwork,
         corpus: ObjectCorpus,
-        grid_resolution: int = 48,
-        scoring_mode: ScoringMode = ScoringMode.TEXT_RELEVANCE,
+        scoring_mode: Union[ScoringMode, str] = ScoringMode.TEXT_RELEVANCE,
         default_algorithm: str = "tgen",
         pruning: str = "auto",
     ) -> None:
         # Fail fast on configuration errors before paying for the index build:
         # the solver registry is cheap, so it is built (and the default name
         # validated against it) first; IndexBundle.build validates
-        # grid_resolution before any index work.
+        # scoring_mode before any index work.
         solvers = _default_solvers()
         if default_algorithm.lower() not in solvers:
             raise QueryError(
                 f"unknown default algorithm {default_algorithm!r}; "
                 f"known: {sorted(solvers)}"
             )
-        # grid_resolution is validated by IndexBundle.build, first thing.
-        bundle = IndexBundle.build(
-            network, corpus, grid_resolution=grid_resolution, scoring_mode=scoring_mode
-        )
+        bundle = IndexBundle.build(network, corpus, scoring_mode=scoring_mode)
         self._attach(bundle, solvers, default_algorithm, pruning)
 
     def _attach(
@@ -245,12 +234,7 @@ class LCMSREngine:
 
     @property
     def graph_view(self) -> "GraphView":
-        """The network representation queries traverse.
-
-        The bundle's frozen CSR snapshot when available (the default), the
-        dict-backed network otherwise; see :meth:`IndexBundle.graph_view
-        <repro.service.bundle.IndexBundle.graph_view>`.
-        """
+        """The network representation queries traverse: the bundle's CSR snapshot."""
         return self._bundle.graph_view()
 
     @property
@@ -262,11 +246,6 @@ class LCMSREngine:
     def mapping(self) -> NodeObjectMap:
         """The object → node mapping."""
         return self._bundle.mapping
-
-    @property
-    def grid(self) -> GridIndex:
-        """The grid + inverted-list index."""
-        return self._bundle.grid
 
     @property
     def scoring_mode(self) -> ScoringMode:
@@ -405,29 +384,22 @@ class LCMSREngine:
     ) -> ProblemInstance:
         """Build the solver input for a query (exposed for advanced callers).
 
-        The window subgraph is extracted from the bundle's frozen CSR snapshot
-        when one exists — the vectorised path — and from the dict-backed network
-        otherwise. Node weights σ_v come from the bundle's columnar
-        :class:`~repro.textindex.columnar.WeightPipeline` (vectorised, all
-        scoring modes) when available; otherwise from the grid postings
-        (``TEXT_RELEVANCE``) or the object-loop scorer (the other modes) —
-        the pipeline is bit-identical to the scorer reference backend.
+        The window subgraph is extracted from the bundle's frozen CSR snapshot,
+        and the node weights σ_v come from the bundle's columnar
+        :class:`~repro.textindex.columnar.WeightPipeline` — or, while an
+        attached overlay holds pending mutations, from the overlay's merge of
+        the pipeline with those mutations.
 
         Args:
             query: The LCMSR query to derive the instance from.
             policy: Optional :class:`~repro.core.anytime.QueryPolicy`. A
                 ``sampled`` policy switches σ_v to the seeded Horvitz–Thompson
-                estimator (columnar pipeline only); ``exact`` / ``anytime`` /
-                ``None`` leave instance building untouched (the anytime budget
-                is attached at solve time, not here, so cached instances stay
-                deadline-free).
+                estimator; ``exact`` / ``anytime`` / ``None`` leave instance
+                building untouched (the anytime budget is attached at solve
+                time, not here, so cached instances stay deadline-free).
 
         Returns:
             The windowed, weighted :class:`~repro.core.instance.ProblemInstance`.
-
-        Raises:
-            QueryError: If a sampled policy is requested but the bundle has no
-                columnar pipeline to sample from.
         """
         sample_epsilon: Optional[float] = None
         sample_seed = 0
@@ -435,38 +407,15 @@ class LCMSREngine:
             sample_epsilon = policy.epsilon
             sample_seed = policy.seed
         bundle = self._bundle
-        graph = bundle.graph_view()
-        pipeline = bundle.weight_pipeline()
         overlay = self._overlay
-        if overlay is not None and overlay.has_pending:
-            if overlay.bundle is not bundle:
-                # A swap landed between reads; the overlay's mutations are in
-                # the new bundle already, so serve it frozen.
-                overlay = None
-            elif pipeline is None:
-                raise QueryError(
-                    "overlay serving needs the bundle's columnar weight pipeline"
-                )
-        else:
+        if overlay is not None and overlay.bundle is not bundle:
+            # A swap landed between reads; the overlay's mutations are in the
+            # new bundle already, so serve it frozen.
             overlay = None
-        if pipeline is not None:
-            return build_instance(
-                graph, query, pipeline=pipeline, overlay=overlay,
-                pruning=self._pruning,
-                sample_epsilon=sample_epsilon, sample_seed=sample_seed,
-            )
-        if sample_epsilon is not None:
-            raise QueryError(
-                "sampled policy requires the bundle's columnar weight pipeline"
-            )
-        if self.scoring_mode is ScoringMode.TEXT_RELEVANCE:
-            return build_instance(
-                graph, query, grid_index=self.grid, mapping=self.mapping,
-                pruning=self._pruning,
-            )
-        # Rating / language-model scoring bypasses the TF-IDF postings.
         return build_instance(
-            graph, query, scorer=self._bundle.scorer, pruning=self._pruning
+            bundle.graph_view(), query, pipeline=bundle.weight_pipeline(),
+            overlay=overlay, pruning=self._pruning,
+            sample_epsilon=sample_epsilon, sample_seed=sample_seed,
         )
 
     @staticmethod

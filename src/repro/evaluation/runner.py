@@ -92,29 +92,17 @@ class AlgorithmRun:
 class ExperimentRunner:
     """Builds instances once per query and runs any number of solvers over them.
 
+    Instances take σ_v from the bundle's columnar weight pipeline over its frozen
+    CSR network.
+
     Args:
         dataset: The dataset to query.
-        use_grid_index: When ``True`` (default) node weights come from the indexed
-            hot path; when ``False`` the direct object-loop scorer is used
-            (useful for cross-checking the index).
-        weight_backend: Which σ_v implementation instance builds use.
-            ``None`` (default) resolves to ``"columnar"`` when the bundle carries
-            a columnar pipeline, else to the legacy resolution through
-            ``use_grid_index``. Explicit values: ``"columnar"`` (vectorised
-            pipeline, required present), ``"grid"`` (per-cell postings walk, the
-            scalar indexed path), ``"scorer"`` (object-loop reference). The
-            columnar and scorer backends produce bit-identical weights; the
-            grid backend agrees up to float summation order.
-        solver_backend: Which solver substrate the built instances request
-            (mirrors ``weight_backend`` one layer down). ``None`` (default)
-            leaves instances on ``"auto"``: solvers take the dense
-            position-indexed hot loops exactly when the instance builder
-            attached a :class:`~repro.core.dense.DenseInstance` (the columnar
-            path over a frozen network), the dict reference loops otherwise.
-            Explicit values: ``"dense"`` (force the substrate — built on demand
-            even for scalar weight backends) and ``"dict"`` (force the
-            reference loops). Both backends return byte-identical results; only
-            the solver runtime differs.
+        solver_backend: Which solver substrate the built instances request.
+            ``None`` (default) leaves instances on ``"auto"``: solvers take the
+            dense position-indexed hot loops the instance builder attached.
+            Explicit values: ``"dense"`` (force the substrate) and ``"dict"``
+            (force the reference loops). Both backends return byte-identical
+            results; only the solver runtime differs.
         pruning: Bound-based pruning policy the built instances carry. ``None``
             (default) resolves to ``"auto"``; see
             :data:`~repro.core.instance.PRUNING_POLICIES`. Results are
@@ -134,50 +122,23 @@ class ExperimentRunner:
     def __init__(
         self,
         dataset: SyntheticDataset,
-        use_grid_index: bool = True,
         artifact_cache_dir: Optional[Union[str, Path]] = None,
-        weight_backend: Optional[str] = None,
         solver_backend: Optional[str] = None,
         pruning: Optional[str] = None,
     ) -> None:
-        self._use_grid_index = use_grid_index
-        self._weight_backend = weight_backend
         self._solver_backend = _validated_solver_backend(solver_backend)
         self._pruning = _validated_pruning(pruning)
         if artifact_cache_dir is not None:
             from repro.service.persist import cached_dataset_bundle
 
-            bundle = cached_dataset_bundle(dataset, artifact_cache_dir)
+            self._bundle = cached_dataset_bundle(dataset, artifact_cache_dir)
         else:
-            # Freeze the network once: every instance build then windows the CSR
-            # snapshot instead of rebuilding dict subgraphs (results are identical
-            # on both backends; see tests/core/test_backend_parity.py).
-            bundle = IndexBundle.from_dataset(dataset)
-        self._attach(bundle)
-
-    def _attach(self, bundle: IndexBundle) -> None:
-        self._bundle = bundle
-        self._graph = bundle.graph_view()
-        backend = self._weight_backend
-        if backend is None:
-            if not self._use_grid_index:
-                backend = "scorer"  # explicit index-free cross-check request
-            elif bundle.weight_pipeline() is not None:
-                backend = "columnar"
-            else:
-                backend = "grid"
-        if backend not in ("columnar", "grid", "scorer"):
-            raise ValueError(f"unknown weight backend {backend!r}")
-        if backend == "columnar" and bundle.weight_pipeline() is None:
-            raise ValueError("the bundle carries no columnar weight pipeline")
-        self._resolved_backend = backend
+            self._bundle = IndexBundle.from_dataset(dataset)
 
     @classmethod
     def from_bundle(
         cls,
         bundle: IndexBundle,
-        use_grid_index: bool = True,
-        weight_backend: Optional[str] = None,
         solver_backend: Optional[str] = None,
         pruning: Optional[str] = None,
     ) -> "ExperimentRunner":
@@ -185,8 +146,6 @@ class ExperimentRunner:
 
         Args:
             bundle: The prebuilt (or artifact-loaded) index state.
-            use_grid_index: As in the constructor.
-            weight_backend: As in the constructor.
             solver_backend: As in the constructor.
             pruning: As in the constructor.
 
@@ -194,22 +153,15 @@ class ExperimentRunner:
             A runner that shares the bundle's indexes without any build work.
         """
         runner = cls.__new__(cls)
-        runner._use_grid_index = use_grid_index
-        runner._weight_backend = weight_backend
         runner._solver_backend = _validated_solver_backend(solver_backend)
         runner._pruning = _validated_pruning(pruning)
-        runner._attach(bundle)
+        runner._bundle = bundle
         return runner
 
     @property
     def bundle(self) -> IndexBundle:
         """The index state the runner executes against."""
         return self._bundle
-
-    @property
-    def weight_backend(self) -> str:
-        """The resolved σ_v backend instance builds use."""
-        return self._resolved_backend
 
     @property
     def solver_backend(self) -> str:
@@ -223,25 +175,12 @@ class ExperimentRunner:
 
     def build(self, query: LCMSRQuery) -> ProblemInstance:
         """Build the solver input for one query."""
-        if self._resolved_backend == "columnar":
-            instance = build_instance(
-                self._graph,
-                query,
-                pipeline=self._bundle.weight_pipeline(),
-                pruning=self._pruning,
-            )
-        elif self._resolved_backend == "grid":
-            instance = build_instance(
-                self._graph,
-                query,
-                grid_index=self._bundle.grid,
-                mapping=self._bundle.mapping,
-                pruning=self._pruning,
-            )
-        else:
-            instance = build_instance(
-                self._graph, query, scorer=self._bundle.scorer, pruning=self._pruning
-            )
+        instance = build_instance(
+            self._bundle.graph_view(),
+            query,
+            pipeline=self._bundle.weight_pipeline(),
+            pruning=self._pruning,
+        )
         if self._solver_backend != "auto":
             instance = instance.with_backend(self._solver_backend)
         return instance

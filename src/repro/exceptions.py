@@ -50,7 +50,7 @@ class QueryError(ReproError):
 
 
 class IndexError_(ReproError):
-    """Raised for index-structure failures (grid, inverted lists, B+-tree).
+    """Raised for index-structure failures (the columnar scoring index).
 
     Named with a trailing underscore to avoid shadowing the built-in ``IndexError``.
     """

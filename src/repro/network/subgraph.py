@@ -2,7 +2,7 @@
 
 Every LCMSR algorithm works on the sub-network induced by the nodes that fall inside
 the query's rectangular region of interest. :class:`Rectangle` is the axis-aligned
-window type used throughout the library (queries, the grid index, MaxRS), and
+window type used throughout the library (queries, MaxRS), and
 :func:`induced_subgraph` extracts the windowed network.
 
 The helpers are backend-polymorphic: handed a dict-backed
@@ -30,8 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Rectangle:
     """An axis-aligned rectangle ``[min_x, max_x] x [min_y, max_y]`` in meters.
 
-    Used for the query region of interest ``Q.Λ``, for grid-index cells, and for the
-    MaxRS baseline's result rectangles.
+    Used for the query region of interest ``Q.Λ`` and for the MaxRS baseline's
+    result rectangles.
     """
 
     min_x: float

@@ -3,9 +3,9 @@
 This subpackage turns the one-query-at-a-time :class:`~repro.engine.LCMSREngine`
 into a high-throughput service:
 
-* :class:`IndexBundle` — the engine's query-independent index state (network,
-  object mapping, vector-space model, grid + inverted lists, scorer), built once
-  and shared immutably across engines and worker threads.
+* :class:`IndexBundle` — the engine's query-independent index state (CSR
+  network, corpus, object mapping, columnar scoring index), built once and
+  shared immutably across engines and worker threads.
 * :class:`QueryService` — the batch front end: ``submit`` / ``submit_many`` /
   ``run_batch`` over a worker pool, an LRU result cache keyed on normalized query
   parameters, and an LRU instance cache that lets repeated keyword sets skip

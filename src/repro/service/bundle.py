@@ -1,19 +1,17 @@
 """The shared, immutable index state behind an engine: one build, many queries.
 
-Historically :class:`~repro.engine.LCMSREngine` built the object → node mapping, the
-vector-space model, the grid + inverted-list index and the relevance scorer inline in
-its constructor, which made the index state impossible to share: every engine (and
-every worker that wanted its own engine) paid the full offline build again.
-:class:`IndexBundle` extracts that construction into a standalone, reusable value
-object. A bundle is built once — :meth:`IndexBundle.build` — and can then back any
-number of engines and any number of :class:`~repro.service.query_service.QueryService`
-workers concurrently: after construction the bundle is never mutated, so sharing it
+:class:`IndexBundle` holds everything the serving path reads that does not depend
+on the query: the frozen CSR road network, the object corpus, the object → node
+mapping, the columnar scoring index and the scoring mode. A bundle is built once
+— :meth:`IndexBundle.build` — and can then back any number of engines and any
+number of :class:`~repro.service.query_service.QueryService` workers
+concurrently: after construction the bundle is never mutated, so sharing it
 across threads is safe.
 
 Bundles also persist: :meth:`IndexBundle.save` writes a versioned on-disk artifact
-(manifest + mmap-able CSR arrays + pickled index structures, see
-:mod:`repro.service.persist`) and :meth:`IndexBundle.load` restores it without
-re-running any of the offline build — the path behind
+(manifest + mmap-able CSR and scoring columns + the pickled corpus and mapping,
+see :mod:`repro.service.persist`) and :meth:`IndexBundle.load` restores it
+without re-running any of the offline build — the path behind
 :meth:`LCMSREngine.from_artifact <repro.engine.LCMSREngine.from_artifact>` and the
 ``python -m repro`` CLI.
 """
@@ -22,21 +20,35 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Union
 
 from repro.exceptions import QueryError
-from repro.index.grid import GridIndex
 from repro.network.compact import CompactNetwork, GraphView
 from repro.network.graph import RoadNetwork
 from repro.objects.corpus import ObjectCorpus
+from repro.objects.geoobject import GeoTextualObject
 from repro.objects.mapping import NodeObjectMap, map_objects_to_network
 from repro.textindex.columnar import ColumnarScoringIndex, WeightPipeline
-from repro.textindex.relevance import RelevanceScorer, ScoringMode
-from repro.textindex.vector_space import VectorSpaceModel
+from repro.textindex.relevance import ScoringMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (persist imports the bundle)
     from repro.datasets.synthetic import SyntheticDataset
     from repro.service.persist import ArtifactManifest, PathLike
+
+
+def scoring_mode_of(value: Union[ScoringMode, str]) -> ScoringMode:
+    """Return ``value`` as a :class:`ScoringMode` (the enum or its value string).
+
+    Raises:
+        QueryError: If ``value`` names no scoring mode.
+    """
+    try:
+        return ScoringMode(value)
+    except ValueError:
+        raise QueryError(
+            f"unknown scoring mode {value!r}; "
+            f"known: {[mode.value for mode in ScoringMode]}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -52,288 +64,179 @@ class IndexBundle:
         corpus: The geo-textual objects ``O``.
         mapping: The object → nearest-node mapping that turns object scores into the
             node weights σ_v.
-        vsm: The corpus-wide TF-IDF vector-space model (Section 3, Equation 2).
-        grid: The grid + inverted-list index probed on the hot path.
-        scorer: The direct relevance scorer (used when ``scoring_mode`` is not
-            ``TEXT_RELEVANCE``, and for index cross-checks).
-        scoring_mode: Which per-object weight definition the bundle scores with.
-        grid_resolution: The resolution the grid was built with (kept for reporting).
-        build_seconds: Wall-clock time of each offline build step plus a ``"total"``
-            entry; mirrors the paper's offline / online cost split.
         compact: The frozen CSR snapshot of ``network``
             (:class:`~repro.network.compact.CompactNetwork`), built once here and
             shared read-only by every engine / service query — the per-query
             window extraction runs on this snapshot, not on the dict-backed
-            graph. ``None`` only when the bundle was built with
-            ``freeze_network=False`` (benchmark comparisons, legacy callers).
+            graph.
         columnar: The frozen columnar scoring index
             (:class:`~repro.textindex.columnar.ColumnarScoringIndex`) — CSR
-            term → object postings plus object/node tables — built once here
-            and used by every query to compute σ_v with vectorised array
-            kernels (:meth:`weight_pipeline`). ``None`` only for legacy
-            construction paths that skip it; queries then fall back to the
-            grid-postings / object-loop paths.
+            term → object postings plus object/node tables — from which every
+            query computes σ_v with vectorised array kernels
+            (:meth:`weight_pipeline`).
+        scoring_mode: Which per-object weight definition the bundle scores with.
+            Construction accepts the enum or its value string and stores the enum.
+        build_seconds: Wall-clock time of each offline build step plus a ``"total"``
+            entry; mirrors the paper's offline / online cost split.
+        grid_resolution: Sizes nothing. It is kept only because
+            ``perfbench/serve.py`` passes ``bundle.grid_resolution`` back into
+            :meth:`build`.
+
+    Raises:
+        QueryError: If ``scoring_mode`` names no
+            :class:`~repro.textindex.relevance.ScoringMode`.
     """
 
     network: Optional[RoadNetwork]
     corpus: ObjectCorpus
     mapping: NodeObjectMap
-    vsm: VectorSpaceModel
-    grid: GridIndex
-    scorer: RelevanceScorer
+    compact: CompactNetwork
+    columnar: ColumnarScoringIndex
     scoring_mode: ScoringMode
-    grid_resolution: int
     build_seconds: Dict[str, float]
-    compact: Optional[CompactNetwork] = None
-    columnar: Optional[ColumnarScoringIndex] = None
+    grid_resolution: int = 48
+
+    def __post_init__(self) -> None:
+        mode = scoring_mode_of(self.scoring_mode)
+        object.__setattr__(self, "scoring_mode", mode)
+        # One pipeline per bundle: it owns the lazily built cell bounds and the
+        # sampling frame, which a per-query pipeline would rebuild every time.
+        object.__setattr__(self, "_pipeline", WeightPipeline(self.columnar, mode))
 
     @classmethod
     def build(
         cls,
         network: RoadNetwork,
         corpus: ObjectCorpus,
+        scoring_mode: Union[ScoringMode, str] = ScoringMode.TEXT_RELEVANCE,
         grid_resolution: int = 48,
-        scoring_mode: ScoringMode = ScoringMode.TEXT_RELEVANCE,
-        freeze_network: bool = True,
     ) -> "IndexBundle":
-        """Run the full offline indexing pipeline once.
+        """Run the offline indexing pipeline once: mapping, columnar index, CSR freeze.
 
         Args:
             network: The road network to index.
             corpus: The geo-textual objects to index.
-            grid_resolution: Cells per axis of the spatial grid; must be positive.
             scoring_mode: Per-object weight definition (see
-                :class:`~repro.textindex.relevance.ScoringMode`).
-            freeze_network: When ``True`` (default), also freeze ``network`` into
-                a CSR :class:`~repro.network.compact.CompactNetwork` snapshot that
-                every query reuses for window extraction and traversal. ``False``
-                keeps the dict backend on the hot path (used by the backend
-                benchmark to compare the two).
+                :class:`~repro.textindex.relevance.ScoringMode`), as the enum or
+                its value string.
+            grid_resolution: Stored on the bundle and otherwise unused (see the
+                class docstring).
 
         Returns:
             The immutable bundle holding every index structure.
 
         Raises:
-            QueryError: If ``grid_resolution`` is not a positive integer — raised
-                before any expensive build work starts so misconfiguration fails
-                fast.
+            QueryError: If ``scoring_mode`` names no scoring mode — raised before
+                any build work starts.
         """
-        if not isinstance(grid_resolution, int) or grid_resolution <= 0:
-            raise QueryError(
-                f"grid_resolution must be a positive integer, got {grid_resolution!r}"
-            )
-        timings: Dict[str, float] = {}
-        total_start = time.perf_counter()
+        return cls._build(
+            network, corpus, scoring_mode_of(scoring_mode), {},
+            grid_resolution=grid_resolution,
+        )
+
+    @classmethod
+    def _build(
+        cls,
+        network: RoadNetwork,
+        corpus: ObjectCorpus,
+        scoring_mode: ScoringMode,
+        timings: Dict[str, float],
+        mapping: Optional[NodeObjectMap] = None,
+        compact: Optional[CompactNetwork] = None,
+        grid_resolution: int = 48,
+    ) -> "IndexBundle":
+        """The one build behind :meth:`build`, :meth:`build_streaming` and
+        :meth:`from_dataset`; ``mapping`` / ``compact`` are reused when given."""
+        if mapping is None:
+            start = time.perf_counter()
+            mapping = map_objects_to_network(network, corpus)
+            timings["mapping"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        mapping = map_objects_to_network(network, corpus)
-        timings["mapping"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        vsm = VectorSpaceModel(corpus)
-        timings["vsm"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        grid = GridIndex(corpus, resolution=grid_resolution, vsm=vsm)
-        timings["grid"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        # Freeze the corpus + mapping into the columnar scoring index once: the
-        # per-query σ_v computation then runs as vectorised array kernels.
-        columnar = ColumnarScoringIndex.build(corpus, mapping, network.coords, vsm=vsm)
-        vsm.attach_columnar(columnar)
+        columnar = ColumnarScoringIndex.build(corpus, mapping, network.coords)
         timings["columnar"] = time.perf_counter() - start
 
-        start = time.perf_counter()
-        # Share the bundle's VSM instead of letting the scorer build an identical
-        # second model: halves the text-model build time and, when the bundle is
-        # persisted, stores the model once instead of twice.
-        scorer = RelevanceScorer(
-            corpus, mapping, mode=scoring_mode, vsm=vsm, columnar=columnar
-        )
-        timings["scorer"] = time.perf_counter() - start
-
-        compact: Optional[CompactNetwork] = None
-        if freeze_network:
+        if compact is None:
             start = time.perf_counter()
             compact = CompactNetwork.from_network(network)
             timings["freeze"] = time.perf_counter() - start
 
-        timings["total"] = time.perf_counter() - total_start
+        timings["total"] = sum(timings.values())
         return cls(
             network=network,
-            compact=compact,
             corpus=corpus,
             mapping=mapping,
-            vsm=vsm,
-            grid=grid,
-            scorer=scorer,
-            scoring_mode=scoring_mode,
-            grid_resolution=grid_resolution,
-            build_seconds=timings,
+            compact=compact,
             columnar=columnar,
+            scoring_mode=scoring_mode,
+            build_seconds=timings,
+            grid_resolution=grid_resolution,
         )
 
     @classmethod
     def build_streaming(
         cls,
         network: RoadNetwork,
-        objects,
-        grid_resolution: int = 48,
-        scoring_mode: ScoringMode = ScoringMode.TEXT_RELEVANCE,
+        objects: Iterable[GeoTextualObject],
+        scoring_mode: Union[ScoringMode, str] = ScoringMode.TEXT_RELEVANCE,
     ) -> "IndexBundle":
-        """Index an object *iterator* in bounded memory (the 1M-object path).
+        """Index an object *iterator* (the 1M-object path).
 
-        Where :meth:`build` materialises every derived structure eagerly — the
-        vector-space model's corpus-sized weight tables, the grid's
-        ``resolution²`` inverted lists — this path consumes ``objects`` one at
-        a time and defers everything the serving hot path doesn't need:
-
-        1. **Accumulate pass.** Objects stream into the corpus (incremental
-           document frequencies / collection statistics) and are mapped to
-           their nearest network nodes. Nothing object-count-sized beyond the
-           corpus itself is resident.
-        2. **Column emission pass.** The columnar scoring index is built with
-           per-object inline ``wto`` arithmetic (see
-           :meth:`ColumnarScoringIndex.build
-           <repro.textindex.columnar.ColumnarScoringIndex.build>` with
-           ``vsm=None``) — bit-identical columns to an eager build, no weight
-           tables.
-        3. **Lazy shells.** The vector-space model and the grid are created in
-           lazy mode: they answer exactly like their eager counterparts but
-           compute on first use, and they pickle without their caches — so a
-           streamed artifact's ``index.pkl`` stays small.
-
-        Query results are byte-identical to :meth:`build` of the same
-        (network, objects): the deferred structures replay the same arithmetic
-        on demand, and the columnar columns — which every hot-path query reads
-        — are bit-equal. Only the artifact's ``index.pkl`` bytes differ (no
-        precomputed tables inside).
+        Objects stream into the corpus one at a time (incremental document
+        frequencies / collection statistics), so no object list exists beside
+        the corpus; the corpus then goes through :meth:`build`'s pipeline. The
+        bundle — and its saved artifact, byte for byte — equals :meth:`build`
+        of the same (network, objects).
 
         Args:
             network: The road network to index.
             objects: An iterable/generator of
                 :class:`~repro.objects.geoobject.GeoTextualObject`; consumed
                 once, never materialised as a list.
-            grid_resolution: Cells per axis of the (lazy) spatial grid.
             scoring_mode: Per-object weight definition.
 
         Returns:
-            The immutable bundle, with a frozen CSR network snapshot.
+            The immutable bundle.
 
         Raises:
-            QueryError: If ``grid_resolution`` is not a positive integer.
+            QueryError: If ``scoring_mode`` names no scoring mode.
         """
-        if not isinstance(grid_resolution, int) or grid_resolution <= 0:
-            raise QueryError(
-                f"grid_resolution must be a positive integer, got {grid_resolution!r}"
-            )
-        timings: Dict[str, float] = {}
-        total_start = time.perf_counter()
-
+        mode = scoring_mode_of(scoring_mode)
         start = time.perf_counter()
         corpus = ObjectCorpus()
         for obj in objects:
             corpus.add(obj)
-        timings["accumulate"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        mapping = map_objects_to_network(network, corpus)
-        timings["mapping"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        vsm = VectorSpaceModel(corpus, lazy=True)
-        grid = GridIndex(corpus, resolution=grid_resolution, vsm=vsm, lazy=True)
-        timings["lazy_shells"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        columnar = ColumnarScoringIndex.build(corpus, mapping, network.coords)
-        vsm.attach_columnar(columnar)
-        timings["columnar"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        scorer = RelevanceScorer(
-            corpus, mapping, mode=scoring_mode, vsm=vsm, columnar=columnar
-        )
-        timings["scorer"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        compact = CompactNetwork.from_network(network)
-        timings["freeze"] = time.perf_counter() - start
-
-        timings["total"] = time.perf_counter() - total_start
-        return cls(
-            network=network,
-            compact=compact,
-            corpus=corpus,
-            mapping=mapping,
-            vsm=vsm,
-            grid=grid,
-            scorer=scorer,
-            scoring_mode=scoring_mode,
-            grid_resolution=grid_resolution,
-            build_seconds=timings,
-            columnar=columnar,
+        return cls._build(
+            network, corpus, mode, {"accumulate": time.perf_counter() - start}
         )
 
     @classmethod
     def from_dataset(
         cls,
         dataset: "SyntheticDataset",
-        freeze_network: bool = True,
         compact: Optional[CompactNetwork] = None,
     ) -> "IndexBundle":
-        """Wrap an already-assembled dataset into a bundle without rebuilding.
+        """Index an assembled dataset, reusing the mapping it already computed.
 
-        :func:`repro.datasets.synthetic.assemble_dataset` has already paid for the
-        mapping, the vector-space model and the grid; this constructor reuses
-        those structures directly (the only new work is the optional CSR freeze).
-        It is the cheap path behind the ``python -m repro build`` CLI and the
-        evaluation runner's artifact cache — by contrast :meth:`build` re-derives
-        everything from the raw network + corpus.
+        The path behind the ``python -m repro build`` CLI and the evaluation
+        runner's artifact cache.
 
         Args:
             dataset: The assembled dataset to wrap.
-            freeze_network: Also freeze the network into a CSR snapshot (default).
             compact: Optional pre-frozen snapshot of ``dataset.network`` to reuse
                 instead of freezing again (the artifact cache freezes early for
                 fingerprinting).
 
         Returns:
-            A bundle sharing the dataset's index structures.
+            A text-relevance bundle over the dataset's network and corpus.
         """
-        timings: Dict[str, float] = {}
-        start = time.perf_counter()
-        if freeze_network and compact is None:
-            compact = CompactNetwork.from_network(dataset.network)
-        elif not freeze_network:
-            compact = None
-        timings["freeze"] = time.perf_counter() - start
-
-        vsm = dataset.grid.vector_space_model
-        scorer = dataset.scorer
-        start = time.perf_counter()
-        columnar = scorer.columnar
-        if columnar is None:
-            columnar = ColumnarScoringIndex.build(
-                dataset.corpus, dataset.mapping, dataset.network.coords, vsm=vsm
-            )
-            scorer.attach_columnar(columnar)
-        vsm.attach_columnar(columnar)
-        timings["columnar"] = time.perf_counter() - start
-        timings["total"] = timings["freeze"] + timings["columnar"]
-        return cls(
-            network=dataset.network,
-            corpus=dataset.corpus,
+        return cls._build(
+            dataset.network,
+            dataset.corpus,
+            ScoringMode.TEXT_RELEVANCE,
+            {},
             mapping=dataset.mapping,
-            vsm=vsm,
-            grid=dataset.grid,
-            scorer=scorer,
-            scoring_mode=scorer.mode,
-            grid_resolution=dataset.grid.resolution,
-            build_seconds=timings,
             compact=compact,
-            columnar=columnar,
         )
 
     # ------------------------------------------------------------------ persistence
@@ -406,7 +309,6 @@ class IndexBundle:
         want to mutate or re-index the graph.
         """
         if self.network is None:
-            assert self.compact is not None
             thawed = self.compact.to_network()
             # Lock-free single-assignment: a racing thread may thaw its own copy,
             # but whichever assignment lands is what every caller returns (the
@@ -432,45 +334,31 @@ class IndexBundle:
         if cached is None:
             from repro.service.persist import dataset_fingerprint
 
-            source = self.compact if self.compact is not None else self.network
-            cached = dataset_fingerprint(source, self.corpus)
+            cached = dataset_fingerprint(self.compact, self.corpus)
             # Lock-free single-assignment, same pattern as road_network().
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 
-    def weight_pipeline(self) -> Optional[WeightPipeline]:
-        """The vectorised σ_v pipeline queries should take, or ``None``.
+    def weight_pipeline(self) -> WeightPipeline:
+        """The vectorised σ_v pipeline every query takes.
 
-        The pipeline lives on the scorer (which owns the smoothing-compatibility
-        check for language-model bundles); it is ``None`` when the bundle has no
-        columnar index or the scorer's LM smoothing differs from the index's
-        precomputed columns — queries then fall back to the scalar paths.
+        The same :class:`~repro.textindex.columnar.WeightPipeline` object on
+        every call, created with the bundle: it lazily builds and then keeps
+        the cell upper bounds and the sampling frame.
         """
-        return self.scorer.pipeline
+        return self._pipeline
 
     def graph_view(self) -> GraphView:
-        """The network representation the query hot path should traverse.
-
-        Returns the frozen CSR snapshot when the bundle was built with
-        ``freeze_network=True`` (the default), the dict-backed network otherwise.
-        Query results are identical on either backend; only the cost differs.
-        """
-        return self.compact if self.compact is not None else self.network
+        """The network representation the query hot path traverses: the CSR snapshot."""
+        return self.compact
 
     def describe(self) -> str:
         """One-line summary of the indexed dataset (used in logs and reports)."""
-        backend = "csr" if self.compact is not None else "dict"
-        view = self.graph_view()
-        # Don't force a lazy grid to materialise its cells just for a log line.
-        if getattr(self.grid, "cells_built", True):
-            cells = f"{self.grid.num_nonempty_cells} non-empty cells"
-        else:
-            cells = "cells deferred"
         return (
-            f"{view.num_nodes} nodes / {view.num_edges} edges "
-            f"({backend} backend), "
-            f"{len(self.corpus)} objects, grid {self.grid_resolution}x{self.grid_resolution} "
-            f"({cells}), "
+            f"{self.compact.num_nodes} nodes / {self.compact.num_edges} edges "
+            f"(csr backend), "
+            f"{len(self.corpus)} objects, "
+            f"{self.columnar.num_postings} postings, "
             f"scoring={self.scoring_mode.value}, "
             f"built in {self.build_seconds.get('total', 0.0):.3f}s"
         )

@@ -74,7 +74,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ArtifactError, DatasetError, QueryError
+from repro.exceptions import ArtifactError, DatasetError
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
@@ -87,7 +87,7 @@ from repro.service.persist import (
     save_bundle,
 )
 from repro.textindex.relevance import LanguageModelScorer, ScoringMode
-from repro.textindex.vector_space import QueryVector, tf_weight
+from repro.textindex.vector_space import tf_weight
 
 GENERATION_PREFIX = "gen-"
 """Directory-name prefix of compacted generations inside an artifact root."""
@@ -120,20 +120,11 @@ class DeltaOverlay:
     mutations so a background re-freeze can never lose writes silently.
 
     Args:
-        bundle: The frozen base bundle.  Must carry the columnar weight
-            pipeline (every built/loaded bundle does).
-
-    Raises:
-        QueryError: If the bundle has no columnar pipeline to merge against.
+        bundle: The frozen base bundle.
     """
 
     def __init__(self, bundle: IndexBundle) -> None:
         pipeline = bundle.weight_pipeline()
-        if pipeline is None:
-            raise QueryError(
-                "a DeltaOverlay merges against the bundle's columnar weight pipeline, "
-                "but this bundle does not carry one"
-            )
         self._bundle = bundle
         self._pipeline = pipeline
         self._index = pipeline.index
@@ -364,29 +355,28 @@ class DeltaOverlay:
         self,
         obj: GeoTextualObject,
         keywords: Sequence[str],
-        query_vector: Optional[QueryVector],
+        query_terms: Sequence[Tuple[str, float]],
+        query_norm: float,
     ) -> float:
         """Scalar reference score of an overlay object under base statistics.
 
-        ``text_relevance`` cannot go through ``VectorSpaceModel.score`` (the
-        model only knows base-snapshot objects), so the object-side weights —
-        which are IDF-free and therefore valid under mutation — are computed
-        here with the identical arithmetic: ``(1 + ln tf)`` weights, L2 norm
-        clamped to 1.0, dot with the base-pinned query vector in query-term
-        order, one final division by the query norm.
+        ``text_relevance`` uses the object-side weights — which are IDF-free
+        and therefore valid under mutation — with the vector-space model's
+        arithmetic: ``(1 + ln tf)`` weights, L2 norm clamped to 1.0, dot with
+        the base-pinned query weights ``query_terms`` in query-term order, one
+        final division by ``query_norm``.
         """
         if self._mode is ScoringMode.TEXT_RELEVANCE:
-            assert query_vector is not None
             weights = {term: tf_weight(freq) for term, freq in obj.keywords.items()}
             norm = math.sqrt(sum(weight * weight for weight in weights.values()))
             if norm <= 0.0:
                 norm = 1.0
             total = 0.0
-            for term in query_vector.terms:
+            for term, query_weight in query_terms:
                 weight = weights.get(term)
                 if weight:
-                    total += query_vector.weights[term] * (weight / norm)
-            return total / query_vector.norm
+                    total += query_weight * (weight / norm)
+            return total / query_norm
         if self._mode is ScoringMode.RATING_IF_MATCH:
             return obj.rating if obj.contains_any(keywords) else 0.0
         assert self._lm is not None
@@ -414,11 +404,12 @@ class DeltaOverlay:
             base_sums = self._pipeline.node_sums(
                 keyword_list, window=window, exclude_rows=self._superseded_rows()
             )
-            query_vector = (
-                self._bundle.vsm.query_vector(keyword_list)
-                if self._mode is ScoringMode.TEXT_RELEVANCE
-                else None
-            )
+            # Base-pinned TF-IDF query weights, bit-equal to
+            # VectorSpaceModel.query_vector over the base corpus. Terms the
+            # base never saw weigh 0 and add nothing to the dot product.
+            weighted, query_norm = self._index.query_weights(keyword_list)
+            terms = self._index.terms
+            query_terms = [(terms[tid], weight) for tid, weight in weighted]
             position_of = self._node_positions()
             # Accumulate overlay contributions onto the base sum of their node,
             # in entry order — the same add sequence the cold bincount applies
@@ -429,7 +420,7 @@ class DeltaOverlay:
                     continue
                 if window is not None and not window.contains(obj.x, obj.y):
                     continue
-                score = self._score_object(obj, keyword_list, query_vector)
+                score = self._score_object(obj, keyword_list, query_terms, query_norm)
                 node = self._nodes[object_id]
                 if node not in totals:
                     pos = position_of.get(node, -1)
@@ -692,13 +683,10 @@ class Compactor:
     """Background re-freeze of base + delta into a new artifact generation.
 
     The compactor freezes the engine's overlay, materialises the canonical
-    mutated corpus, and rebuilds a full bundle through
-    :meth:`IndexBundle.build_streaming` — which persists the *same*
-    scoring / network columns, byte for byte, as the eager
-    :meth:`IndexBundle.build` a cold rebuild of the mutated dataset goes
-    through (the streaming-parity suite pins that equivalence), while keeping
-    the compactor's peak memory bounded for million-object generations.  With
-    an artifact ``root`` it then persists the bundle as ``<root>/gen-NNNN/``
+    mutated corpus, and rebuilds a full bundle from it through
+    :meth:`IndexBundle.build` — the path a cold rebuild of the mutated
+    dataset goes through.  With an artifact ``root`` it then persists the
+    bundle as ``<root>/gen-NNNN/``
     — inheriting the served generation's chunk-compression codec, so a
     compacted compressed artifact stays compressed — mirrors the served
     generation's shard set onto the new generation, flips ``CURRENT``
@@ -737,11 +725,8 @@ class Compactor:
             mutations = overlay.pending_count
             corpus = overlay.materialize_corpus()
             base = engine.bundle
-            new_bundle = IndexBundle.build_streaming(
-                base.road_network(),
-                iter(corpus),
-                grid_resolution=base.grid_resolution,
-                scoring_mode=base.scoring_mode,
+            new_bundle = IndexBundle.build(
+                base.road_network(), corpus, scoring_mode=base.scoring_mode
             )
             generation: Optional[str] = None
             target: Optional[Path] = None

@@ -1,8 +1,8 @@
 """Persistent index-bundle artifacts: build the indexes once, serve from disk forever.
 
 Every process used to pay the full offline pipeline — object → node mapping, the
-TF-IDF vector-space model, the grid + inverted lists and the CSR freeze — before it
-could answer a single query. This module serialises a complete
+columnar scoring index and the CSR freeze — before it could answer a single
+query. This module serialises a complete
 :class:`~repro.service.bundle.IndexBundle` into a **versioned directory artifact**
 and loads it back with the large arrays memory-mapped, separating offline index
 construction (``python -m repro build``) from online serving
@@ -30,13 +30,11 @@ Artifact layout (one directory per artifact)::
                           indptr and bound-aggregate columns stay raw memory
                           maps so pruning and scatter planning never pay a
                           decode (see ``_COMPRESSED_SCORING_COLUMNS``)
-        index.pkl         the derived index structures — object corpus, node ↔
-                          object mapping, vector-space model, grid cells +
-                          inverted lists, relevance-scorer config — pickled as
-                          ONE object graph so shared substructures (the corpus,
-                          the VSM) are stored and restored exactly once (the
-                          columnar arrays are deliberately NOT in this pickle;
-                          they live in scoring.npz and are re-attached on load)
+        index.pkl         the object corpus and the node ↔ object mapping,
+                          pickled together as one ``(corpus, mapping)`` tuple
+                          (the compactor rebuilds from the corpus; the columns
+                          cannot replace it because they drop each object's
+                          keyword order, which the TF-IDF norms sum over)
         vocabulary.json   the sorted corpus term list; doubles as the columnar
                           index's term-id table (term id = list position)
 
@@ -45,9 +43,8 @@ Design notes:
 * **Determinism.** Two builds of the same dataset under the same seed produce
   byte-identical artifacts: the npz member timestamps are pinned to the zip epoch,
   the manifest carries no wall-clock fields, JSON keys are sorted, and the pickle
-  uses a fixed protocol (sets are canonicalised before pickling — see
-  :meth:`InvertedIndex.__getstate__ <repro.index.inverted.InvertedIndex.__getstate__>`).
-  This makes artifacts diffable, checksummable and safe to cache by content.
+  uses a fixed protocol. This makes artifacts diffable, checksummable and safe to
+  cache by content.
 * **mmap loading.** ``network.npz`` is written uncompressed (``ZIP_STORED``), so
   each member's raw ``.npy`` payload sits at a known offset inside the file and can
   be mapped directly with :class:`numpy.memmap` in read-only mode. Loading is
@@ -91,7 +88,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 
 import numpy as np
 
-from repro.exceptions import ArtifactError
+from repro.exceptions import ArtifactError, IndexError_, QueryError
 from repro.network.compact import CompactNetwork, GraphView
 from repro.objects.corpus import ObjectCorpus
 from repro.service.chunked import (
@@ -113,7 +110,7 @@ from repro.textindex.columnar import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bundle imports persist)
     from repro.service.bundle import IndexBundle
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 """Current on-disk artifact format version (see the module docstring).
 
 Version history: 1 — network.npz + index.pkl + vocabulary.json; 2 — adds
@@ -129,9 +126,11 @@ compression inside the ``.npz`` containers (``<column>.chunks.json``
 descriptor + ``<column>.chunkNNNNN`` payload members, decoded lazily behind
 :class:`~repro.service.chunked.ChunkedColumn`), whole-file compression of
 ``index.pkl``, and the manifest's optional ``compression`` block (codec,
-level, chunk size, per-file raw byte counts). Loaders accept exactly the
-current version (no silent migration); older artifacts must be rebuilt with
-``python -m repro build``.
+level, chunk size, per-file raw byte counts); 6 — ``index.pkl`` holds only
+``(corpus, mapping)`` (no vector-space model, grid index or scorer), the
+scoring mode comes from the manifest, and the manifest drops
+``grid_resolution``. Loaders accept exactly the current version (no silent
+migration); older artifacts must be rebuilt with ``python -m repro build``.
 """
 
 MANIFEST_NAME = "manifest.json"
@@ -184,7 +183,6 @@ class ArtifactManifest:
         fingerprint: SHA-256 content fingerprint of the indexed dataset (network
             CSR arrays + object corpus), format-independent — see
             :func:`dataset_fingerprint`.
-        grid_resolution: Grid cells per axis the spatial index was built with.
         scoring_mode: The bundle's :class:`~repro.textindex.relevance.ScoringMode`
             value.
         lm_smoothing: The Jelinek–Mercer λ the columnar language-model columns
@@ -208,7 +206,6 @@ class ArtifactManifest:
 
     format_version: int
     fingerprint: str
-    grid_resolution: int
     scoring_mode: str
     lm_smoothing: float = DEFAULT_LM_SMOOTHING
     stats: Dict[str, int] = field(default_factory=dict)
@@ -228,7 +225,6 @@ class ArtifactManifest:
             return cls(
                 format_version=int(raw["format_version"]),
                 fingerprint=str(raw["fingerprint"]),
-                grid_resolution=int(raw["grid_resolution"]),
                 scoring_mode=str(raw["scoring_mode"]),
                 lm_smoothing=float(raw.get("lm_smoothing", DEFAULT_LM_SMOOTHING)),
                 stats={str(k): int(v) for k, v in raw.get("stats", {}).items()},
@@ -599,9 +595,7 @@ def save_bundle(
     """Serialise ``bundle`` into the artifact directory at ``path``.
 
     Args:
-        bundle: The bundle to persist. It must carry a frozen CSR snapshot
-            (``bundle.compact``); bundles built with ``freeze_network=False`` are
-            frozen on the fly.
+        bundle: The bundle to persist.
         path: Target directory; created (including parents) if missing.
         overwrite: Allow replacing an existing artifact (a directory that already
             holds a manifest). Without it, an existing artifact raises.
@@ -631,11 +625,7 @@ def save_bundle(
         )
     directory.mkdir(parents=True, exist_ok=True)
 
-    compact = (
-        bundle.compact
-        if bundle.compact is not None
-        else CompactNetwork.from_network(bundle.network)
-    )
+    compact = bundle.compact
     ids, xs, ys = compact.csr_node_arrays()
     indptr, indices, lengths = compact.csr_index_arrays()
     arrays = dict(zip(_NETWORK_FIELDS, (ids, xs, ys, indptr, indices, lengths)))
@@ -646,13 +636,7 @@ def save_bundle(
         compressed_columns=_COMPRESSED_NETWORK_COLUMNS,
     )
 
-    # The columnar scoring index persists as raw arrays (mmap-able on load);
-    # bundles from legacy construction paths freeze one on the fly.
     columnar = bundle.columnar
-    if columnar is None:
-        columnar = ColumnarScoringIndex.build(
-            bundle.corpus, bundle.mapping, compact.coords, vsm=bundle.vsm
-        )
     raw_scoring = _write_npz(
         directory / SCORING_NAME,
         columnar.arrays(),
@@ -660,14 +644,9 @@ def save_bundle(
         compressed_columns=_COMPRESSED_SCORING_COLUMNS,
     )
 
-    # One pickle for the whole derived-index object graph: the corpus and the
-    # vector-space model are referenced by the grid and the scorer, and pickling
-    # them together stores each shared structure exactly once (and restores the
-    # sharing on load). The scorer and VSM drop their columnar attachment when
-    # pickled (see their __getstate__), so the columns are stored only once —
-    # in scoring.npz.
-    payload = (bundle.corpus, bundle.mapping, bundle.vsm, bundle.grid, bundle.scorer)
-    raw_index = _write_pickle_atomic(directory / INDEX_NAME, payload, compression)
+    raw_index = _write_pickle_atomic(
+        directory / INDEX_NAME, (bundle.corpus, bundle.mapping), compression
+    )
 
     # The sorted term list IS the columnar term-id table (id = position).
     vocabulary = list(columnar.terms)
@@ -694,7 +673,6 @@ def save_bundle(
     manifest = ArtifactManifest(
         format_version=FORMAT_VERSION,
         fingerprint=fingerprint or dataset_fingerprint(compact, bundle.corpus),
-        grid_resolution=bundle.grid_resolution,
         scoring_mode=bundle.scoring_mode.value,
         lm_smoothing=columnar.lm_smoothing,
         stats={
@@ -765,7 +743,7 @@ def load_bundle(
         ArtifactError: On a missing/malformed artifact, an unsupported format
             version, or (with ``verify``) a checksum mismatch.
     """
-    from repro.service.bundle import IndexBundle  # deferred: bundle imports persist
+    from repro.service.bundle import IndexBundle, scoring_mode_of  # deferred: cycle
 
     directory = Path(path)
     start = time.perf_counter()
@@ -808,9 +786,18 @@ def load_bundle(
         terms = json.loads(vocabulary_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ArtifactError(f"malformed {VOCABULARY_NAME}: {exc}") from exc
-    columnar = ColumnarScoringIndex.from_arrays(
-        terms, scoring_arrays, lm_smoothing=manifest.lm_smoothing
-    )
+    try:
+        columnar = ColumnarScoringIndex.from_arrays(
+            terms, scoring_arrays, lm_smoothing=manifest.lm_smoothing
+        )
+    except IndexError_ as exc:  # vocabulary and scoring.npz disagree
+        raise ArtifactError(
+            f"{VOCABULARY_NAME} does not match {SCORING_NAME}: {exc}"
+        ) from exc
+    try:
+        scoring_mode = scoring_mode_of(manifest.scoring_mode)
+    except QueryError as exc:
+        raise ArtifactError(f"malformed artifact manifest: {exc}") from exc
 
     try:
         index_bytes = index_path.read_bytes()
@@ -820,28 +807,21 @@ def load_bundle(
                 str(manifest.compression.get("codec")),
                 context=INDEX_NAME,
             )
-        corpus, mapping, vsm, grid, scorer = pickle.loads(index_bytes)
+        corpus, mapping = pickle.loads(index_bytes)
     except ArtifactError:
         raise
     except Exception as exc:  # unpicklable / truncated payload
         raise ArtifactError(f"cannot deserialise {INDEX_NAME}: {exc}") from exc
-    # Re-attach the memmapped columns: the pickle deliberately excludes them.
-    vsm.attach_columnar(columnar)
-    scorer.attach_columnar(columnar)
 
     elapsed = time.perf_counter() - start
     bundle = IndexBundle(
         network=None,
         corpus=corpus,
         mapping=mapping,
-        vsm=vsm,
-        grid=grid,
-        scorer=scorer,
-        scoring_mode=scorer.mode,
-        grid_resolution=manifest.grid_resolution,
-        build_seconds={"load": elapsed, "total": elapsed},
         compact=compact,
         columnar=columnar,
+        scoring_mode=scoring_mode,
+        build_seconds={"load": elapsed, "total": elapsed},
     )
     # Seed the lazy fingerprint cache from the manifest: loaded bundles never
     # need to re-hash their own content to identify themselves.
@@ -850,14 +830,12 @@ def load_bundle(
 
 
 # ---------------------------------------------------------------------- caching
-def cached_dataset_bundle(
-    dataset, cache_dir: PathLike, freeze_network: bool = True
-) -> "IndexBundle":
+def cached_dataset_bundle(dataset, cache_dir: PathLike) -> "IndexBundle":
     """Return an :class:`IndexBundle` for ``dataset``, reusing an on-disk artifact.
 
     The cache key is the dataset's content fingerprint, so a stale artifact (same
-    name, different data) is never served: on a miss the bundle is assembled from
-    the dataset's prebuilt structures, saved under
+    name, different data) is never served: on a miss the bundle is built from the
+    dataset (reusing its mapping), saved under
     ``<cache_dir>/<name>-<fingerprint[:12]>``, and returned.
 
     Costing note: computing the fingerprint requires freezing the network and
@@ -877,24 +855,13 @@ def cached_dataset_bundle(
     slug = "".join(
         ch if ch.isalnum() or ch in "-_" else "-" for ch in dataset.name.lower()
     )
-    # The directory name carries the grid resolution and the manifest check
-    # covers every build parameter: the same (network, corpus) content indexed
-    # differently (e.g. a grid-resolution ablation) must never alias.
-    directory = (
-        Path(cache_dir) / f"{slug}-g{dataset.grid.resolution}-{fingerprint[:12]}"
-    )
+    directory = Path(cache_dir) / f"{slug}-{fingerprint[:12]}"
     try:
         manifest = read_manifest(directory)
-        if (
-            manifest.fingerprint == fingerprint
-            and manifest.grid_resolution == dataset.grid.resolution
-            and manifest.scoring_mode == dataset.scorer.mode.value
-        ):
+        if manifest.fingerprint == fingerprint:
             return load_bundle(directory)
     except ArtifactError:
         pass  # absent, stale or unreadable: rebuild below
-    bundle = IndexBundle.from_dataset(
-        dataset, freeze_network=freeze_network, compact=compact if freeze_network else None
-    )
+    bundle = IndexBundle.from_dataset(dataset, compact=compact)
     save_bundle(bundle, directory, overwrite=True, fingerprint=fingerprint)
     return bundle

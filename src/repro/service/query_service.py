@@ -13,7 +13,7 @@ front end:
 * **Instance cache** — an LRU over :class:`~repro.service.keys.InstanceKey`: queries
   that share a keyword set and window (e.g. a ``∆``-sweep, or the same query under
   two algorithms) skip ``build_instance`` — the windowed subgraph extraction and the
-  grid probe — and only pay for solving. When the engine's hot path attaches a
+  σ_v computation — and only pay for solving. When the engine's hot path attaches a
   :class:`~repro.core.dense.DenseInstance` (the columnar-pipeline default), the
   cache stores that substrate instead of the full
   :class:`~repro.core.instance.ProblemInstance`: it is smaller (flat arrays, no

@@ -55,7 +55,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.anytime import QueryPolicy
 from repro.core.result import RegionResult, TopKResult
 from repro.exceptions import ArtifactError, QueryError
-from repro.network.compact import CompactNetwork
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.mapping import NodeObjectMap
@@ -226,11 +225,11 @@ def build_shards(
     full vocabulary and the corpus-global IDF / language-model statistics — see
     :meth:`ColumnarScoringIndex.subset_for_extent
     <repro.textindex.columnar.ColumnarScoringIndex.subset_for_extent>`), and
-    the derived corpus / mapping / grid structures for the extent's objects.
+    the corpus and mapping of the extent's objects.
 
     Args:
         bundle: The built :class:`~repro.service.bundle.IndexBundle` of the base
-            artifact (must carry ``compact`` and ``columnar``).
+            artifact.
         path: The base artifact directory; shards land in ``<path>/shards/``.
         num_shards: ``K ≥ 1``.
         halo_margin: Halo width in meters; choose ``≥`` the largest query ``δ``
@@ -250,22 +249,14 @@ def build_shards(
             ``overwrite``, or a tile whose extent contains no objects (use
             fewer shards or a larger halo).
     """
-    from repro.index.grid import GridIndex
     from repro.service.bundle import IndexBundle
-    from repro.textindex.relevance import RelevanceScorer
 
     if num_shards < 1:
         raise ArtifactError(f"num_shards must be >= 1, got {num_shards}")
     if halo_margin < 0.0:
         raise ArtifactError(f"halo_margin must be >= 0, got {halo_margin}")
     compact = bundle.compact
-    if compact is None:
-        compact = CompactNetwork.from_network(bundle.network)
     columnar = bundle.columnar
-    if columnar is None:
-        columnar = ColumnarScoringIndex.build(
-            bundle.corpus, bundle.mapping, compact.coords, vsm=bundle.vsm
-        )
 
     shards_dir = Path(path) / SHARDS_DIRNAME
     set_path = shards_dir / SHARD_SET_NAME
@@ -310,8 +301,8 @@ def build_shards(
                 f"shard tile {part} of {num_shards} contains no objects; "
                 f"use fewer shards (--shards) or a larger halo (--halo)"
             )
-        # Derive the mapping from the columnar subset so the pickled index
-        # structures agree exactly with the persisted arrays.
+        # Derive the mapping from the columnar subset so the pickled mapping
+        # agrees exactly with the persisted arrays.
         node_to_objects: Dict[int, List[int]] = {}
         for pos in range(sub_columnar.num_nodes):
             rows = sub_columnar.object_rows_at_node(pos)
@@ -329,29 +320,14 @@ def build_shards(
         sub_mapping = NodeObjectMap(
             node_to_objects=node_to_objects, object_to_node=object_to_node
         )
-        sub_grid = GridIndex(
-            sub_corpus, resolution=bundle.grid_resolution, vsm=bundle.vsm
-        )
-        sub_scorer = RelevanceScorer(
-            sub_corpus,
-            sub_mapping,
-            mode=bundle.scoring_mode,
-            language_model_smoothing=sub_columnar.lm_smoothing,
-            vsm=bundle.vsm,
-            columnar=sub_columnar,
-        )
         sub_bundle = IndexBundle(
             network=None,
             corpus=sub_corpus,
             mapping=sub_mapping,
-            vsm=bundle.vsm,
-            grid=sub_grid,
-            scorer=sub_scorer,
-            scoring_mode=bundle.scoring_mode,
-            grid_resolution=bundle.grid_resolution,
-            build_seconds={},
             compact=shard_compact,
             columnar=sub_columnar,
+            scoring_mode=bundle.scoring_mode,
+            build_seconds={},
         )
         fingerprint = dataset_fingerprint(shard_compact, sub_corpus)
         save_bundle(

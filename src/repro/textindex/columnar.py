@@ -3,10 +3,10 @@
 The online cost of an LCMSR query is dominated by turning the query into per-node
 weights σ_v: probe the text index for the relevant objects, score each object,
 mask by the query window and aggregate object scores onto road-network nodes. The
-object-loop implementations (:class:`~repro.textindex.relevance.RelevanceScorer`,
-the grid's per-cell postings walk) pay Python dict and attribute traffic per
-object; this module stores the same information as flat numpy columns so the whole
-path runs as a handful of vectorised kernels:
+object-loop implementation (:class:`~repro.textindex.relevance.RelevanceScorer`)
+pays Python dict and attribute traffic per object; this module stores the same
+information as flat numpy columns so the whole path runs as a handful of
+vectorised kernels:
 
 * **CSR term → object postings** — ``post_indptr`` / ``post_rows`` (int32) with
   parallel value columns: the precomputed normalised TF-IDF weight ``wto(t)``
@@ -21,10 +21,10 @@ path runs as a handful of vectorised kernels:
   coordinates, and ``node_indptr`` / ``node_rows`` giving each node's object rows.
 
 **Exact parity contract.** :class:`WeightPipeline` reproduces the object-loop
-reference backend (:meth:`RelevanceScorer.node_weights
-<repro.textindex.relevance.RelevanceScorer.node_weights>` with
-``backend="reference"``) *bit for bit*, including the iteration order of the
-returned weight dict, for all three scoring modes. That is why the score-bearing
+reference (:meth:`RelevanceScorer.node_weights
+<repro.textindex.relevance.RelevanceScorer.node_weights>`) *bit for bit*,
+including the iteration order of the returned weight dict, for all three scoring
+modes. That is why the score-bearing
 value columns are float64 rather than float32: the reference path computes in
 float64, and a float32 round trip would perturb low-order bits and break the
 byte-identical solver results the refactor guarantees. The vectorised kernels are
@@ -51,7 +51,7 @@ from repro.exceptions import IndexError_
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.mapping import NodeObjectMap
-from repro.textindex.vector_space import VectorSpaceModel, idf_weight, tf_weight
+from repro.textindex.vector_space import idf_weight, tf_weight
 
 DEFAULT_LM_SMOOTHING = 0.2
 """Smoothing λ the language-model columns are precomputed with by default."""
@@ -145,7 +145,6 @@ class ColumnarScoringIndex:
         corpus: ObjectCorpus,
         mapping: NodeObjectMap,
         node_coords,
-        vsm: Optional[VectorSpaceModel] = None,
         lm_smoothing: float = DEFAULT_LM_SMOOTHING,
     ) -> "ColumnarScoringIndex":
         """Freeze ``corpus`` + ``mapping`` into the columnar layout.
@@ -155,15 +154,6 @@ class ColumnarScoringIndex:
             mapping: Object → node assignment; nodes keep its iteration order.
             node_coords: ``node_id → (x, y)`` callable for the mapped nodes —
                 typically ``GraphView.coords`` of the indexed network.
-            vsm: Optional prebuilt vector-space model supplying the precomputed
-                ``wto(t)`` postings weights. When omitted, the weights are
-                computed inline per object with the exact arithmetic of
-                :class:`VectorSpaceModel` (same float operations in the same
-                order, so the columns are bit-identical) — without ever
-                materialising the model's corpus-sized weight tables, which is
-                what keeps :meth:`IndexBundle.build_streaming
-                <repro.service.bundle.IndexBundle.build_streaming>` inside a
-                bounded memory envelope.
             lm_smoothing: λ for the precomputed language-model columns.
 
         Raises:
@@ -172,7 +162,6 @@ class ColumnarScoringIndex:
         """
         if not 0.0 < lm_smoothing < 1.0:
             raise IndexError_(f"lm smoothing must be in (0, 1), got {lm_smoothing}")
-        model = vsm
 
         objects = list(corpus)
         num_objects = len(objects)
@@ -212,20 +201,13 @@ class ColumnarScoringIndex:
         one_minus = 1.0 - lm_smoothing
         for row, obj in enumerate(objects):
             object_total = sum(obj.keywords.values())
-            if model is not None:
-                wto = {
-                    term: model.object_term_weight(obj.object_id, term)
-                    for term in obj.keywords
-                }
-            else:
-                # VectorSpaceModel._compute_object's arithmetic, inlined: same
-                # float operations in the same order ⇒ bit-identical weights.
-                weights = {
-                    term: tf_weight(freq) for term, freq in obj.keywords.items()
-                }
-                norm = math.sqrt(sum(w * w for w in weights.values()))
-                denominator = norm if norm > 0 else 1.0
-                wto = {term: w / denominator for term, w in weights.items()}
+            # VectorSpaceModel's per-object arithmetic, inlined: same float
+            # operations in the same order ⇒ bit-identical weights, without the
+            # model's corpus-sized weight tables.
+            weights = {term: tf_weight(freq) for term, freq in obj.keywords.items()}
+            norm = math.sqrt(sum(w * w for w in weights.values()))
+            denominator = norm if norm > 0 else 1.0
+            wto = {term: w / denominator for term, w in weights.items()}
             for term, tf in obj.keywords.items():
                 tid = term_ids[term]
                 slot = cursor[tid]

@@ -22,17 +22,15 @@ from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
 from repro.objects.mapping import NodeObjectMap
-from repro.textindex.columnar import ColumnarScoringIndex, WeightPipeline
 from repro.textindex.vector_space import VectorSpaceModel
 
 
 class ScoringMode(enum.Enum):
     """Which per-object weight definition a scorer uses.
 
-    The mode also selects the engine's scoring path: ``TEXT_RELEVANCE`` scores
-    through the grid index's TF-IDF postings (the paper's indexed hot path), while
-    ``RATING_IF_MATCH`` and ``LANGUAGE_MODEL`` bypass the postings and score each
-    object directly through :class:`RelevanceScorer`.
+    Queries compute every mode through the columnar
+    :class:`~repro.textindex.columnar.WeightPipeline`; :class:`RelevanceScorer`
+    is the per-object reference the pipeline is tested against.
     """
 
     TEXT_RELEVANCE = "text_relevance"
@@ -104,7 +102,12 @@ class LanguageModelScorer:
 
 
 class RelevanceScorer:
-    """Produces the per-node weights σ_v that every LCMSR solver consumes.
+    """Per-object reference computation of the node weights σ_v.
+
+    Queries compute σ_v through the columnar
+    :class:`~repro.textindex.columnar.WeightPipeline`; this scorer loops over
+    objects with the same arithmetic and is the reference the pipeline is
+    checked against bit for bit (``tests/textindex/test_columnar.py``).
 
     Args:
         corpus: The dataset's object corpus.
@@ -113,14 +116,6 @@ class RelevanceScorer:
         mode: Which per-object weight definition to use.
         language_model_smoothing: Smoothing parameter when ``mode`` is
             ``LANGUAGE_MODEL``.
-        vsm: Optional prebuilt vector-space model over ``corpus``. Passing the
-            bundle's shared model avoids building (and, in persisted artifacts,
-            serialising) a second identical model; one is built when omitted.
-        columnar: Optional frozen :class:`~repro.textindex.columnar.ColumnarScoringIndex`
-            over the same corpus + mapping. When present, :meth:`node_weights`
-            computes σ_v through the vectorised
-            :class:`~repro.textindex.columnar.WeightPipeline` (bit-identical to
-            the object loop); the loop is kept as the reference backend.
     """
 
     def __init__(
@@ -129,67 +124,19 @@ class RelevanceScorer:
         mapping: NodeObjectMap,
         mode: ScoringMode = ScoringMode.TEXT_RELEVANCE,
         language_model_smoothing: float = 0.2,
-        vsm: Optional[VectorSpaceModel] = None,
-        columnar: Optional[ColumnarScoringIndex] = None,
     ) -> None:
         self._corpus = corpus
         self._mapping = mapping
         self._mode = mode
-        self._vsm = vsm if vsm is not None else VectorSpaceModel(corpus)
+        self._vsm = VectorSpaceModel(corpus)
         self._lm: Optional[LanguageModelScorer] = None
         if mode is ScoringMode.LANGUAGE_MODEL:
             self._lm = LanguageModelScorer(corpus, smoothing=language_model_smoothing)
-        self._columnar: Optional[ColumnarScoringIndex] = None
-        self._pipeline: Optional[WeightPipeline] = None
-        if columnar is not None:
-            self.attach_columnar(columnar)
 
     @property
     def mode(self) -> ScoringMode:
         """The active scoring mode."""
         return self._mode
-
-    @property
-    def vector_space_model(self) -> VectorSpaceModel:
-        """The underlying vector-space model (always built; used by the index layer)."""
-        return self._vsm
-
-    @property
-    def columnar(self) -> Optional[ColumnarScoringIndex]:
-        """The attached columnar index (``None`` when only the loop backend exists)."""
-        return self._columnar
-
-    @property
-    def pipeline(self) -> Optional[WeightPipeline]:
-        """The vectorised weight pipeline (``None`` without a compatible columnar index)."""
-        return self._pipeline
-
-    def attach_columnar(self, columnar: ColumnarScoringIndex) -> None:
-        """Attach a columnar index built over this scorer's corpus + mapping.
-
-        Enables the vectorised fast path of :meth:`node_weights`. A
-        language-model scorer whose smoothing differs from the index's
-        precomputed columns keeps the loop backend (the pipeline would answer a
-        different model).
-        """
-        self._columnar = columnar
-        self._pipeline = None
-        if (
-            self._mode is ScoringMode.LANGUAGE_MODEL
-            and self._lm is not None
-            and self._lm.smoothing != columnar.lm_smoothing
-        ):
-            return
-        self._pipeline = WeightPipeline(columnar, self._mode)
-
-    def __getstate__(self):
-        # The columnar index persists as raw arrays next to the pickle (see
-        # repro.service.persist) and is re-attached on load; pickling it here
-        # would duplicate every column inside index.pkl.
-        state = dict(self.__dict__)
-        state["_columnar"] = None
-        state["_pipeline"] = None
-        return state
 
     def object_score(self, obj: GeoTextualObject, keywords: Iterable[str]) -> float:
         """Return the weight of one object for the given query keywords.
@@ -209,7 +156,6 @@ class RelevanceScorer:
         keywords: Iterable[str],
         candidate_nodes: Optional[Iterable[int]] = None,
         window: Optional["Rectangle"] = None,
-        backend: str = "auto",
     ) -> Dict[int, float]:
         """Return σ_v for every node carrying a relevant object.
 
@@ -220,30 +166,13 @@ class RelevanceScorer:
             candidate_nodes: Optional restriction (e.g. the nodes inside ``Q.Λ``);
                 nodes outside it are skipped.
             window: Optional spatial restriction on the *objects* themselves; when
-                given, only objects located inside it contribute (this matches the
-                grid-index query path, which only reads cells overlapping ``Q.Λ``).
-            backend: ``"auto"`` (vectorised pipeline when a columnar index is
-                attached, the loop otherwise), ``"columnar"`` (require the
-                pipeline) or ``"reference"`` (force the object loop — the
-                backend the parity suite checks the pipeline against).
+                given, only objects located inside it contribute.
 
         Returns:
             A mapping from node id to positive weight; nodes with zero weight are
-            omitted (the solvers treat missing nodes as weight 0). Both backends
-            return bit-identical values in identical iteration order.
+            omitted (the solvers treat missing nodes as weight 0).
         """
         keyword_list = list(keywords)
-        if backend not in ("auto", "columnar", "reference"):
-            raise ValueError(f"unknown node-weight backend {backend!r}")
-        if backend != "reference" and self._pipeline is not None:
-            return self._pipeline.node_weights(
-                keyword_list, window=window, candidate_nodes=candidate_nodes
-            )
-        if backend == "columnar":
-            raise ValueError(
-                "no columnar pipeline attached to this scorer "
-                "(build one with ColumnarScoringIndex.build and attach_columnar)"
-            )
         allowed = set(candidate_nodes) if candidate_nodes is not None else None
         weights: Dict[int, float] = {}
         for node_id, object_ids in self._mapping.node_to_objects.items():

@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Sequence
 
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
 from repro.textindex.tokenizer import normalize_keyword_set
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (columnar imports this module)
-    from repro.textindex.columnar import ColumnarScoringIndex
 
 
 def idf_weight(corpus_size: int, document_frequency: int) -> float:
@@ -69,85 +66,33 @@ class VectorSpaceModel:
     """TF-IDF scoring over an :class:`ObjectCorpus` (paper Section 3).
 
     The model precomputes, for every object, the normalised term weights ``wto(t)``
-    used both by the inverted index postings and by direct scoring. The corpus is
-    treated as immutable after the model is built, matching the paper's offline
-    indexing / online querying split.
-
-    With ``lazy=True`` the per-object weight tables are not precomputed: each
-    object's ``wto`` map is derived from its keyword frequencies on first use
-    and memoised. The arithmetic is byte-for-byte the eager constructor's, so
-    scores are bit-identical — what changes is the memory profile (no
-    corpus-sized dict-of-dicts resident up front), which is what lets
-    :meth:`IndexBundle.build_streaming
-    <repro.service.bundle.IndexBundle.build_streaming>` index millions of
-    objects in bounded memory. Lazy models also pickle without their memo
-    caches, so the on-disk ``index.pkl`` stays small and independent of which
-    objects happened to be scored before saving.
+    used for direct scoring. The corpus is treated as immutable after the model is
+    built, matching the paper's offline indexing / online querying split. Queries
+    score through the columnar index
+    (:class:`~repro.textindex.columnar.ColumnarScoringIndex`), which replays this
+    model's arithmetic bit for bit; the model is the scalar reference it is tested
+    against.
     """
 
-    def __init__(self, corpus: ObjectCorpus, lazy: bool = False) -> None:
+    def __init__(self, corpus: ObjectCorpus) -> None:
         self._corpus = corpus
         self._corpus_size = corpus.size
-        self._lazy = lazy
-        # Optional columnar acceleration for batch scoring (attached by the
-        # index bundle after the columnar index is built over this model).
-        self._columnar: Optional["ColumnarScoringIndex"] = None
         # Per-object L2 norm W_{o.ψ} over TF weights, and normalised term weights.
         self._object_norms: Dict[int, float] = {}
         self._object_term_weights: Dict[int, Dict[str, float]] = {}
-        if not lazy:
-            for obj in corpus:
-                self._compute_object(obj)
-
-    def _compute_object(self, obj: GeoTextualObject) -> Dict[str, float]:
-        """Fill the weight tables for one object (the model's core arithmetic)."""
-        weights = {term: tf_weight(freq) for term, freq in obj.keywords.items()}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
-        self._object_norms[obj.object_id] = norm if norm > 0 else 1.0
-        denominator = self._object_norms[obj.object_id]
-        normalised = {term: weight / denominator for term, weight in weights.items()}
-        self._object_term_weights[obj.object_id] = normalised
-        return normalised
-
-    def _weights_of(self, object_id: int) -> Optional[Dict[str, float]]:
-        """Return an object's ``wto`` map, deriving it on demand in lazy mode."""
-        stored = self._object_term_weights.get(object_id)
-        if stored is not None:
-            return stored
-        if self._lazy and object_id in self._corpus:
-            return self._compute_object(self._corpus.get(object_id))
-        return None
+        for obj in corpus:
+            weights = {term: tf_weight(freq) for term, freq in obj.keywords.items()}
+            norm = math.sqrt(sum(w * w for w in weights.values()))
+            denominator = norm if norm > 0 else 1.0
+            self._object_norms[obj.object_id] = denominator
+            self._object_term_weights[obj.object_id] = {
+                term: weight / denominator for term, weight in weights.items()
+            }
 
     @property
     def corpus(self) -> ObjectCorpus:
         """The corpus this model was built over."""
         return self._corpus
-
-    def attach_columnar(self, columnar: "ColumnarScoringIndex") -> None:
-        """Attach a columnar index built over the same corpus.
-
-        :meth:`batch_scores` then runs as vectorised array kernels instead of a
-        per-object loop (bit-identical results — the columnar kernels replay
-        this model's accumulation order exactly).
-        """
-        self._columnar = columnar
-
-    def __getstate__(self):
-        # The columnar arrays persist separately (repro.service.persist) and are
-        # re-attached on load; never duplicate them inside this pickle. Lazy
-        # models additionally drop their memo caches: the pickle must not
-        # depend on which objects happened to be scored before saving (the
-        # byte-determinism contract), and the caches rebuild on demand.
-        state = dict(self.__dict__)
-        state["_columnar"] = None
-        if state.get("_lazy"):
-            state["_object_norms"] = {}
-            state["_object_term_weights"] = {}
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_lazy", False)
 
     @property
     def corpus_size(self) -> int:
@@ -157,20 +102,16 @@ class VectorSpaceModel:
     # ------------------------------------------------------------------ offline
     def object_term_weight(self, object_id: int, term: str) -> float:
         """Return the stored normalised weight ``wto(t)`` (0.0 if term absent)."""
-        weights = self._weights_of(object_id)
+        weights = self._object_term_weights.get(object_id)
         return weights.get(term, 0.0) if weights else 0.0
 
     def object_term_weights(self, object_id: int) -> Dict[str, float]:
         """Return all normalised term weights of an object (copy)."""
-        return dict(self._weights_of(object_id) or {})
+        return dict(self._object_term_weights.get(object_id) or {})
 
     def object_norm(self, object_id: int) -> float:
         """Return the object's L2 TF norm ``W_{o.ψ}``."""
-        norm = self._object_norms.get(object_id)
-        if norm is None and self._lazy and object_id in self._corpus:
-            self._compute_object(self._corpus.get(object_id))
-            norm = self._object_norms.get(object_id)
-        return norm if norm is not None else 1.0
+        return self._object_norms.get(object_id, 1.0)
 
     # ------------------------------------------------------------------ online
     def query_vector(self, keywords: Iterable[str]) -> QueryVector:
@@ -191,7 +132,7 @@ class VectorSpaceModel:
         by the query normaliser.
         """
         object_id = obj.object_id if isinstance(obj, GeoTextualObject) else obj
-        stored = self._weights_of(object_id)
+        stored = self._object_term_weights.get(object_id)
         if not stored:
             return 0.0
         total = 0.0
@@ -208,27 +149,9 @@ class VectorSpaceModel:
     def batch_scores(
         self, objects: Sequence[GeoTextualObject | int], keywords: Iterable[str]
     ) -> Dict[int, float]:
-        """Score many objects against one keyword set; returns only non-zero scores.
-
-        With a columnar index attached (:meth:`attach_columnar`) the whole batch
-        is scored with vectorised kernels; the per-object loop is the reference
-        backend and returns bit-identical values.
-        """
-        if self._columnar is not None:
-            keyword_list = normalize_keyword_set(keywords)
-            column = self._columnar.tfidf_object_scores(keyword_list)
-            scores: Dict[int, float] = {}
-            for obj in objects:
-                object_id = obj.object_id if isinstance(obj, GeoTextualObject) else obj
-                row = self._columnar.object_row(object_id)
-                if row is None:
-                    continue
-                value = float(column[row])
-                if value > 0.0:
-                    scores[object_id] = value
-            return scores
+        """Score many objects against one keyword set; returns only non-zero scores."""
         query = self.query_vector(keywords)
-        scores = {}
+        scores: Dict[int, float] = {}
         for obj in objects:
             object_id = obj.object_id if isinstance(obj, GeoTextualObject) else obj
             value = self.score(object_id, query)

@@ -53,7 +53,7 @@ def dataset():
 @pytest.fixture(scope="module", params=MODES, ids=lambda mode: mode.value)
 def pipeline(request, dataset):
     bundle = IndexBundle.build(
-        dataset.network, dataset.corpus, grid_resolution=16, scoring_mode=request.param
+        dataset.network, dataset.corpus, scoring_mode=request.param
     )
     return bundle.weight_pipeline()
 
@@ -219,7 +219,7 @@ class TestExactZeroLicence:
             ]
         )
         bundle = IndexBundle.build(
-            network, corpus, grid_resolution=4, scoring_mode=ScoringMode.RATING_IF_MATCH
+            network, corpus, scoring_mode=ScoringMode.RATING_IF_MATCH
         )
         bounds = bundle.weight_pipeline().bounds
         everywhere = Rectangle(-50.0, -50.0, 400.0, 400.0)
@@ -252,7 +252,7 @@ class TestDegenerateGeometries:
         corpus = ObjectCorpus(
             [GeoTextualObject.create(0, 105.0, 95.0, ["cafe", "bar"], rating=2.5)]
         )
-        bundle = IndexBundle.build(network, corpus, grid_resolution=4, scoring_mode=mode)
+        bundle = IndexBundle.build(network, corpus, scoring_mode=mode)
         pipeline = bundle.weight_pipeline()
         bounds = pipeline.bounds
         weights = pipeline.node_weights(["cafe"])
@@ -275,7 +275,7 @@ class TestDegenerateGeometries:
                 for i in range(6)
             ]
         )
-        bundle = IndexBundle.build(network, corpus, grid_resolution=4, scoring_mode=mode)
+        bundle = IndexBundle.build(network, corpus, scoring_mode=mode)
         pipeline = bundle.weight_pipeline()
         bounds = pipeline.bounds
         weights = pipeline.node_weights(["cafe"])
@@ -288,7 +288,7 @@ class TestDegenerateGeometries:
         assert bounds.ball_mass_bound(0.0, 0.0, 5.0) >= weight
 
     def test_unknown_scoring_mode_is_rejected(self, dataset):
-        bundle = IndexBundle.build(dataset.network, dataset.corpus, grid_resolution=8)
+        bundle = IndexBundle.build(dataset.network, dataset.corpus)
         with pytest.raises(IndexError_, match="no bound aggregates"):
             UpperBoundIndex.from_columnar(bundle.weight_pipeline().index, "nonsense")
 

@@ -9,8 +9,8 @@ from repro.exceptions import QueryError
 from repro.network.builders import grid_network
 from repro.network.subgraph import Rectangle
 from repro.objects.mapping import map_objects_to_network
-from repro.index.grid import GridIndex
-from repro.textindex.relevance import RelevanceScorer
+from repro.textindex.columnar import ColumnarScoringIndex, WeightPipeline
+from repro.textindex.relevance import RelevanceScorer, ScoringMode
 
 from tests.conftest import make_small_corpus
 
@@ -20,30 +20,20 @@ def indexed_setup():
     network = grid_network(4, 4, spacing=100.0)
     corpus = make_small_corpus()
     mapping = map_objects_to_network(network, corpus)
-    grid = GridIndex(corpus, resolution=4)
+    columnar = ColumnarScoringIndex.build(corpus, mapping, network.coords)
+    pipeline = WeightPipeline(columnar, ScoringMode.TEXT_RELEVANCE)
     scorer = RelevanceScorer(corpus, mapping)
-    return network, corpus, mapping, grid, scorer
+    return network, corpus, mapping, pipeline, scorer
 
 
 class TestWeightSources:
     def test_requires_exactly_one_source(self, indexed_setup):
-        network, _, mapping, grid, scorer = indexed_setup
+        network, _, _, pipeline, scorer = indexed_setup
         query = LCMSRQuery.create(["cafe"], delta=300.0)
         with pytest.raises(QueryError):
             build_instance(network, query)
         with pytest.raises(QueryError):
-            build_instance(network, query, grid_index=grid, mapping=mapping, scorer=scorer)
-        with pytest.raises(QueryError):
-            build_instance(network, query, grid_index=grid)  # mapping missing
-
-    def test_grid_and_scorer_paths_agree(self, indexed_setup):
-        network, _, mapping, grid, scorer = indexed_setup
-        query = LCMSRQuery.create(["cafe", "coffee"], delta=300.0)
-        via_grid = build_instance(network, query, grid_index=grid, mapping=mapping)
-        via_scorer = build_instance(network, query, scorer=scorer)
-        assert set(via_grid.weights) == set(via_scorer.weights)
-        for node_id, weight in via_grid.weights.items():
-            assert weight == pytest.approx(via_scorer.weights[node_id])
+            build_instance(network, query, pipeline=pipeline, scorer=scorer)
 
     def test_explicit_node_weights_filtered_to_window(self, indexed_setup):
         network, *_ = indexed_setup
@@ -58,37 +48,37 @@ class TestWeightSources:
 
 class TestWindowing:
     def test_window_restricts_graph(self, indexed_setup):
-        network, _, mapping, grid, _ = indexed_setup
+        network, _, _, pipeline, _ = indexed_setup
         window = Rectangle(0, 0, 150, 150)
         query = LCMSRQuery.create(["cafe"], delta=300.0, region=window)
-        instance = build_instance(network, query, grid_index=grid, mapping=mapping)
+        instance = build_instance(network, query, pipeline=pipeline)
         assert instance.num_candidate_nodes == 4
         assert instance.num_candidate_edges == 4
         assert all(node_id in instance.graph for node_id in instance.weights)
 
     def test_no_window_uses_whole_network(self, indexed_setup):
-        network, _, mapping, grid, _ = indexed_setup
+        network, _, _, pipeline, _ = indexed_setup
         query = LCMSRQuery.create(["cafe"], delta=300.0)
-        instance = build_instance(network, query, grid_index=grid, mapping=mapping)
+        instance = build_instance(network, query, pipeline=pipeline)
         assert instance.num_candidate_nodes == network.num_nodes
 
     def test_no_window_shares_graph_read_only(self, indexed_setup):
         # A window-less instance must reuse the given graph object, not deep-copy
         # it: solvers treat instance graphs as read-only.
-        network, _, mapping, grid, _ = indexed_setup
+        network, _, _, pipeline, _ = indexed_setup
         query = LCMSRQuery.create(["cafe"], delta=300.0)
-        instance = build_instance(network, query, grid_index=grid, mapping=mapping)
+        instance = build_instance(network, query, pipeline=pipeline)
         assert instance.graph is network
 
     def test_window_on_compact_network_yields_compact_view(self, indexed_setup):
         from repro.network.compact import CompactNetwork
 
-        network, _, mapping, grid, _ = indexed_setup
+        network, _, _, pipeline, _ = indexed_setup
         snapshot = CompactNetwork.from_network(network)
         window = Rectangle(0, 0, 150, 150)
         query = LCMSRQuery.create(["cafe"], delta=300.0, region=window)
-        dict_instance = build_instance(network, query, grid_index=grid, mapping=mapping)
-        csr_instance = build_instance(snapshot, query, grid_index=grid, mapping=mapping)
+        dict_instance = build_instance(network, query, pipeline=pipeline)
+        csr_instance = build_instance(snapshot, query, pipeline=pipeline)
         assert isinstance(csr_instance.graph, CompactNetwork)
         assert csr_instance.weights == dict_instance.weights
         assert set(csr_instance.graph.node_ids()) == set(dict_instance.graph.node_ids())
@@ -96,9 +86,9 @@ class TestWindowing:
 
 class TestDerivedFacts:
     def test_sigma_and_totals(self, indexed_setup):
-        network, _, mapping, grid, _ = indexed_setup
+        network, _, _, pipeline, _ = indexed_setup
         query = LCMSRQuery.create(["cafe"], delta=300.0)
-        instance = build_instance(network, query, grid_index=grid, mapping=mapping)
+        instance = build_instance(network, query, pipeline=pipeline)
         assert instance.has_relevant_nodes
         assert instance.sigma_max() == max(instance.weights.values())
         assert instance.total_weight() == pytest.approx(sum(instance.weights.values()))
@@ -106,9 +96,9 @@ class TestDerivedFacts:
         assert instance.weight_of(-99) == 0.0
 
     def test_restricted_to(self, indexed_setup):
-        network, _, mapping, grid, _ = indexed_setup
+        network, _, _, pipeline, _ = indexed_setup
         query = LCMSRQuery.create(["cafe"], delta=300.0)
-        instance = build_instance(network, query, grid_index=grid, mapping=mapping)
+        instance = build_instance(network, query, pipeline=pipeline)
         some_node = next(iter(instance.weights))
         restricted = instance.restricted_to([some_node])
         assert restricted.num_candidate_nodes == 1

@@ -22,11 +22,11 @@ import pytest
 from repro.core.app import APPSolver
 from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
+from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
 from repro.core.tgen import TGENSolver
 from repro.datasets.ny import build_ny_like
 from repro.datasets.queries import generate_workload
-from repro.engine import LCMSREngine
 from repro.network.subgraph import Rectangle
 from repro.service.bundle import IndexBundle
 from repro.textindex.relevance import ScoringMode
@@ -37,8 +37,8 @@ MODES = [
     ScoringMode.RATING_IF_MATCH,
     ScoringMode.LANGUAGE_MODEL,
 ]
-# (scoring mode, freeze_network): frozen bundles exercise the CSR graph backend
-# (and attach the dense substrate eagerly); unfrozen ones keep the dict-backed
+# (scoring mode, frozen): frozen variants window the bundle's CSR snapshot (and
+# attach the dense substrate eagerly); the other windows the dict-backed
 # network, so with_backend("dense") builds the substrate on demand.
 GRAPH_VARIANTS = [(mode, True) for mode in MODES] + [
     (ScoringMode.TEXT_RELEVANCE, False)
@@ -57,16 +57,18 @@ def dataset():
     params=GRAPH_VARIANTS,
     ids=lambda param: f"{param[0].value}-{'csr' if param[1] else 'dict'}",
 )
-def engine(request, dataset):
-    mode, freeze = request.param
-    bundle = IndexBundle.build(
-        dataset.network,
-        dataset.corpus,
-        grid_resolution=16,
-        scoring_mode=mode,
-        freeze_network=freeze,
-    )
-    return LCMSREngine.from_bundle(bundle)
+def build(request, dataset):
+    """Instance builder over one graph backend, weighted by the bundle's pipeline."""
+    mode, frozen = request.param
+    bundle = IndexBundle.build(dataset.network, dataset.corpus, scoring_mode=mode)
+    graph = bundle.graph_view() if frozen else dataset.network
+
+    def build_for(query, pruning="auto"):
+        return build_instance(
+            graph, query, pipeline=bundle.weight_pipeline(), pruning=pruning
+        )
+
+    return build_for
 
 
 @pytest.fixture(scope="module")
@@ -100,11 +102,11 @@ class TestHeuristicPruningParity:
         [GreedySolver, TGENSolver, APPSolver],
         ids=["greedy", "tgen", "app"],
     )
-    def test_solve_is_byte_identical(self, engine, workload, make_solver):
+    def test_solve_is_byte_identical(self, build, workload, make_solver):
         solver = make_solver()
         for query in workload:
             for backend in ("dict", "dense"):
-                instance = engine.build_instance(query).with_backend(backend)
+                instance = build(query).with_backend(backend)
                 pruned = solver.solve(instance.with_pruning("on"))
                 reference = solver.solve(instance.with_pruning("off"))
                 _assert_identical(
@@ -118,27 +120,27 @@ class TestHeuristicPruningParity:
         [GreedySolver, TGENSolver, APPSolver],
         ids=["greedy", "tgen", "app"],
     )
-    def test_topk_is_byte_identical(self, engine, workload, make_solver):
+    def test_topk_is_byte_identical(self, build, workload, make_solver):
         solver = make_solver()
         for query in workload[:2]:
-            instance = engine.build_instance(query)
+            instance = build(query)
             pruned = solver.solve_topk(instance.with_pruning("on"), k=3)
             reference = solver.solve_topk(instance.with_pruning("off"), k=3)
             _assert_topk_identical(pruned, reference, (solver.name, query.keywords))
 
-    def test_policy_auto_matches_policy_on(self, engine, workload):
+    def test_policy_auto_matches_policy_on(self, build, workload):
         # "auto" currently resolves to enabled; it must stay on the pruned
         # side of the parity contract (and therefore also equal "off").
         solver = TGENSolver()
         query = workload[0]
-        instance = engine.build_instance(query)
+        instance = build(query)
         auto = solver.solve(instance.with_pruning("auto"))
         on = solver.solve(instance.with_pruning("on"))
         _assert_identical(auto, on, "auto-vs-on")
 
 
 class TestExactPruningParity:
-    def _tiny_window_instances(self, engine):
+    def _tiny_window_instances(self, build):
         # Windows of ~2 blocks keep the node count within Exact's reach.
         instances = []
         for anchor in (600.0, 900.0, 1200.0):
@@ -146,16 +148,16 @@ class TestExactPruningParity:
             query = LCMSRQuery.create(
                 ["restaurant", "cafe", "bar"], delta=400.0, region=region
             )
-            instance = engine.build_instance(query)
+            instance = build(query)
             if 0 < instance.num_candidate_nodes <= 16 and instance.has_relevant_nodes:
                 instances.append(instance)
         if not instances:
             pytest.skip("no tiny window with relevant nodes in this dataset")
         return instances
 
-    def test_branch_and_bound_solve_is_byte_identical(self, engine):
+    def test_branch_and_bound_solve_is_byte_identical(self, build):
         solver = ExactSolver(max_nodes=16)
-        for instance in self._tiny_window_instances(engine):
+        for instance in self._tiny_window_instances(build):
             for backend in ("dict", "dense"):
                 bound = instance.with_backend(backend)
                 pruned = solver.solve(bound.with_pruning("on"))
@@ -163,22 +165,22 @@ class TestExactPruningParity:
                 _assert_identical(pruned, reference, ("exact", backend))
 
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_branch_and_bound_topk_matches_exhaustive_enumeration(self, engine, k):
+    def test_branch_and_bound_topk_matches_exhaustive_enumeration(self, build, k):
         # pruning="off" runs the plain exhaustive enumerator, so this asserts
         # the B&B top-k returns the same k results in the same order as full
         # enumeration — the strongest form of the skip-only contract.
         solver = ExactSolver(max_nodes=16)
-        for instance in self._tiny_window_instances(engine):
+        for instance in self._tiny_window_instances(build):
             pruned = solver.solve_topk(instance.with_pruning("on"), k=k)
             exhaustive = solver.solve_topk(instance.with_pruning("off"), k=k)
             _assert_topk_identical(pruned, exhaustive, ("exact-topk", k))
 
-    def test_pruned_runs_report_skip_counters(self, engine):
+    def test_pruned_runs_report_skip_counters(self, build):
         # The counters are the observable difference pruning IS allowed to
         # make: the pruned run must report them, the reference run reports
         # zero skips.
         solver = ExactSolver(max_nodes=16)
-        for instance in self._tiny_window_instances(engine):
+        for instance in self._tiny_window_instances(build):
             pruned = solver.solve_topk(instance.with_pruning("on"), k=3)
             reference = solver.solve_topk(instance.with_pruning("off"), k=3)
             assert "exact_subsets_considered" in pruned.stats
@@ -190,7 +192,7 @@ class TestExactPruningParity:
 
 
 class TestZeroMassWindowSkip:
-    def test_unmatched_keywords_in_a_window_solve_identically(self, engine):
+    def test_unmatched_keywords_in_a_window_solve_identically(self, build):
         # No object matches, so the window's mass bound is exactly 0.0 and the
         # builder skips the σ_v computation entirely under pruning — the
         # solved result must still match the unpruned build bit for bit.
@@ -201,25 +203,22 @@ class TestZeroMassWindowSkip:
         # The skip fires at *build* time, so the reference instance must come
         # from a build with pruning off (sibling views share weights and would
         # compare the skipped build against itself).
-        unpruned_engine = LCMSREngine.from_bundle(engine.bundle, pruning="off")
         for make_solver in (GreedySolver, TGENSolver, APPSolver):
             solver = make_solver()
-            pruned = solver.solve(engine.build_instance(query))
-            reference = solver.solve(unpruned_engine.build_instance(query))
+            pruned = solver.solve(build(query))
+            reference = solver.solve(build(query, pruning="off"))
             _assert_identical(pruned, reference, (solver.name, "zero-mass"))
             assert pruned.region.is_empty
 
-    def test_zero_mass_skip_keeps_the_window_graph_intact(self, engine):
+    def test_zero_mass_skip_keeps_the_window_graph_intact(self, build):
         # The skip must only drop the σ computation, never graph nodes: |V_Q|
         # feeds TGEN's θ scaling, so both builds must agree on it exactly.
         region = Rectangle(600.0, 600.0, 1200.0, 1200.0)
         query = LCMSRQuery.create(
             ["zzz-not-a-term-in-the-vocabulary"], delta=500.0, region=region
         )
-        pruned = engine.build_instance(query)
-        reference = (
-            LCMSREngine.from_bundle(engine.bundle, pruning="off").build_instance(query)
-        )
+        pruned = build(query)
+        reference = build(query, pruning="off")
         assert pruned.num_candidate_nodes == reference.num_candidate_nodes
         assert pruned.weights == {}
 
@@ -228,10 +227,10 @@ class TestDenseFirstRebindParity:
     """The serving layer's substrate-rebind path must preserve the policy."""
 
     def test_rebound_instances_carry_the_policy_and_solve_identically(
-        self, engine, workload
+        self, build, workload
     ):
         query = workload[0]
-        instance = engine.build_instance(query)
+        instance = build(query)
         if instance.dense is None:
             pytest.skip("dict-backed bundle does not attach the substrate eagerly")
         for policy in ("on", "off"):

@@ -48,7 +48,7 @@ def dataset():
 @pytest.fixture(scope="module", params=MODES, ids=lambda mode: mode.value)
 def engine(request, dataset):
     bundle = IndexBundle.build(
-        dataset.network, dataset.corpus, grid_resolution=16, scoring_mode=request.param
+        dataset.network, dataset.corpus, scoring_mode=request.param
     )
     return LCMSREngine.from_bundle(bundle)
 
@@ -201,7 +201,7 @@ class TestWideWindowParity:
             rows=34, cols=34, block_size=120.0, num_objects=800, num_clusters=8, seed=SEED
         )
         engine = LCMSREngine.from_bundle(
-            IndexBundle.build(dataset.network, dataset.corpus, grid_resolution=16)
+            IndexBundle.build(dataset.network, dataset.corpus)
         )
         query = generate_workload(
             dataset, num_queries=3, num_keywords=3, delta=700.0, area_km2=0.5, seed=SEED

@@ -17,7 +17,7 @@ class TestNYLike:
 
     def test_objects_mapped_and_indexed(self, tiny_ny_dataset):
         assert tiny_ny_dataset.mapping.num_mapped == len(tiny_ny_dataset.corpus)
-        assert tiny_ny_dataset.grid.num_nonempty_cells > 10
+        assert len(tiny_ny_dataset.mapping.node_to_objects) > 10
 
     def test_places_vocabulary_used(self, tiny_ny_dataset):
         vocabulary = tiny_ny_dataset.corpus.vocabulary()

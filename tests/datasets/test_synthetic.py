@@ -80,7 +80,6 @@ class TestAssembledDataset:
         assert isinstance(dataset, SyntheticDataset)
         assert dataset.name == "test-ds"
         assert dataset.mapping.num_mapped == 200
-        assert dataset.grid.num_nonempty_cells > 0
         description = dataset.describe()
         assert description["objects"] == 200
         assert description["nodes"] == network.num_nodes

@@ -39,14 +39,6 @@ class TestRunner:
         ratio = runs["Greedy"].relative_ratio_against(runs["TGEN"])
         assert 0.0 <= ratio <= 1.5
 
-    def test_grid_and_scorer_paths_agree_on_weights(self, tiny_ny_dataset, workload):
-        """The grid-index path and the direct-scorer path produce the same instance."""
-        indexed = ExperimentRunner(tiny_ny_dataset, use_grid_index=True).build(workload[0])
-        direct = ExperimentRunner(tiny_ny_dataset, use_grid_index=False).build(workload[0])
-        assert set(indexed.weights) == set(direct.weights)
-        for node_id, weight in indexed.weights.items():
-            assert weight == pytest.approx(direct.weights[node_id])
-
     def test_run_single(self, tiny_ny_dataset, workload):
         runner = ExperimentRunner(tiny_ny_dataset)
         outcome = runner.run_single(workload[0], GreedySolver(0.2))

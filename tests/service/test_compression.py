@@ -248,22 +248,17 @@ class TestCompressedIntegrity:
 
 # ----------------------------------------------------------------- streaming
 class TestStreamingBuildParity:
-    def test_streamed_artifact_columns_byte_identical_to_eager(self, tmp_path):
+    def test_streamed_artifact_byte_identical_to_eager(self, tmp_path):
         dataset = build_ny_like(**_DATASET_PARAMS)
         IndexBundle.from_dataset(dataset).save(tmp_path / "eager")
         network, objects = ny_like_parts(**_DATASET_PARAMS)
         streamed = IndexBundle.build_streaming(network, objects)
         streamed.save(tmp_path / "streamed")
-        for name in (SCORING_NAME, NETWORK_NAME, VOCABULARY_NAME):
+        for name in (SCORING_NAME, NETWORK_NAME, INDEX_NAME, VOCABULARY_NAME):
             assert (tmp_path / "eager" / name).read_bytes() == (
                 tmp_path / "streamed" / name
             ).read_bytes(), name
-        eager_sums = read_manifest(tmp_path / "eager").checksums
-        streamed_sums = read_manifest(tmp_path / "streamed").checksums
-        differing = {n for n in eager_sums if eager_sums[n] != streamed_sums[n]}
-        # The pickled index differs by design (the streamed bundle carries
-        # lazy shells instead of precomputed tables); the columns may not.
-        assert differing <= {INDEX_NAME}
+        assert read_manifest(tmp_path / "eager") == read_manifest(tmp_path / "streamed")
         _assert_same_result(
             LCMSREngine.from_artifact(tmp_path / "eager").query(
                 ["cafe", "restaurant"], delta=700.0

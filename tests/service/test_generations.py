@@ -68,7 +68,7 @@ def base_bundles(dataset):
     """One frozen base bundle per scoring mode."""
     return {
         mode: IndexBundle.build(dataset.network, dataset.corpus,
-                                grid_resolution=16, scoring_mode=mode)
+                                scoring_mode=mode)
         for mode in ScoringMode
     }
 
@@ -191,7 +191,7 @@ def test_post_compaction_byte_identical_to_cold_rebuild(dataset, base_bundles, m
 
     cold_bundle = IndexBundle.build(
         dataset.network, _expected_corpus(dataset.corpus, ops),
-        grid_resolution=16, scoring_mode=mode,
+        scoring_mode=mode,
     )
     cold = LCMSREngine.from_bundle(cold_bundle)
 
@@ -227,7 +227,7 @@ def test_post_compaction_parity_across_solver_backends(dataset, base_bundles,
     Compactor(engine).compact()
     cold = LCMSREngine.from_bundle(IndexBundle.build(
         dataset.network, _expected_corpus(dataset.corpus, ops),
-        grid_resolution=16, scoring_mode=mode,
+        scoring_mode=mode,
     ))
     queries, _ = _queries(dataset)
     from repro.core.query import LCMSRQuery
@@ -412,7 +412,7 @@ def test_disk_mutate_compact_serves_cold_equivalent(dataset, base_bundles, tmp_p
     assert fresh.overlay is None
     cold = LCMSREngine.from_bundle(IndexBundle.build(
         dataset.network, _expected_corpus(dataset.corpus, ops),
-        grid_resolution=16, scoring_mode=ScoringMode.TEXT_RELEVANCE,
+        scoring_mode=ScoringMode.TEXT_RELEVANCE,
     ))
     for keywords, delta, region in queries:
         for name in SOLVERS:
@@ -484,8 +484,7 @@ def test_services_over_different_artifacts_never_cross_pollinate(base_bundles):
                           num_clusters=5, seed=SEED + 1)
     engine_a = LCMSREngine.from_bundle(base_bundles[ScoringMode.TEXT_RELEVANCE])
     engine_b = LCMSREngine.from_bundle(IndexBundle.build(
-        other.network, other.corpus, grid_resolution=16,
-        scoring_mode=ScoringMode.TEXT_RELEVANCE))
+        other.network, other.corpus, scoring_mode=ScoringMode.TEXT_RELEVANCE))
     assert engine_a.bundle_cache_key != engine_b.bundle_cache_key
 
     # A mutation + compaction of the second world keeps the keys apart too

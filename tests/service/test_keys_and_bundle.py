@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import LCMSREngine
+from repro import LCMSREngine, build_ny_like
+from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
 from repro.exceptions import QueryError
 from repro.network.subgraph import Rectangle
@@ -50,31 +51,56 @@ class TestNormalization:
 
 
 class TestIndexBundle:
-    def test_build_validates_resolution(self, tiny_ny_dataset):
-        with pytest.raises(QueryError):
-            IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus,
-                              grid_resolution=0)
-        with pytest.raises(QueryError):
-            IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus,
-                              grid_resolution=-3)
-
     def test_build_populates_every_component(self, tiny_ny_dataset):
-        bundle = IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus,
-                                   grid_resolution=16)
+        bundle = IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
         assert bundle.network is tiny_ny_dataset.network
         assert bundle.corpus is tiny_ny_dataset.corpus
         assert bundle.mapping.num_mapped == len(tiny_ny_dataset.corpus)
-        assert bundle.grid.num_nonempty_cells > 0
-        assert bundle.grid_resolution == 16
+        assert bundle.columnar.num_objects == len(tiny_ny_dataset.corpus)
         assert bundle.build_seconds["total"] > 0
-        assert {"mapping", "vsm", "grid", "scorer"} <= set(bundle.build_seconds)
-        assert "16x16" in bundle.describe()
+        assert {"mapping", "columnar", "freeze"} <= set(bundle.build_seconds)
+        assert f"{bundle.columnar.num_postings} postings" in bundle.describe()
+
+    def test_weight_pipeline_is_one_object_per_bundle(self, tiny_ny_dataset):
+        bundle = IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
+        pipeline = bundle.weight_pipeline()
+        assert pipeline.index is bundle.columnar
+        assert pipeline.mode is bundle.scoring_mode
+        # The pipeline owns the lazily built bounds; every query must reuse them.
+        assert bundle.weight_pipeline() is pipeline
+        assert bundle.weight_pipeline().bounds is pipeline.bounds
+
+    def test_scoring_mode_value_string_scores_like_the_enum(self):
+        dataset = build_ny_like(rows=12, cols=12, block_size=120.0, num_objects=260,
+                                num_clusters=5, seed=3)
+        answers = {}
+        for mode in (ScoringMode.RATING_IF_MATCH, "rating_if_match"):
+            bundle = IndexBundle.build(dataset.network, dataset.corpus, scoring_mode=mode)
+            assert bundle.scoring_mode is ScoringMode.RATING_IF_MATCH
+            engine = LCMSREngine.from_bundle(bundle, default_algorithm="greedy")
+            answers[mode] = engine.query(["cafe", "restaurant"], delta=700.0)
+        by_enum = answers[ScoringMode.RATING_IF_MATCH]
+        by_value = answers["rating_if_match"]
+        assert by_value.weight == by_enum.weight
+        assert by_value.region.nodes == by_enum.region.nodes
+        language_model = LCMSREngine(
+            dataset.network, dataset.corpus, scoring_mode=ScoringMode.LANGUAGE_MODEL,
+            default_algorithm="greedy",
+        ).query(["cafe", "restaurant"], delta=700.0)
+        assert by_value.weight != language_model.weight
+
+    def test_unknown_scoring_mode_rejected(self, tiny_ny_dataset):
+        with pytest.raises(QueryError, match="unknown scoring mode"):
+            IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus,
+                              scoring_mode="bogus")
+        with pytest.raises(QueryError, match="unknown scoring mode"):
+            LCMSREngine(tiny_ny_dataset.network, tiny_ny_dataset.corpus,
+                        scoring_mode="bogus")
 
     def test_engines_share_one_bundle(self, tiny_ny_dataset):
         engine = LCMSREngine(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
         sibling = LCMSREngine.from_bundle(engine.bundle, default_algorithm="greedy")
         assert sibling.bundle is engine.bundle
-        assert sibling.grid is engine.grid
         assert sibling.default_algorithm == "greedy"
         a = engine.query(["restaurant"], delta=1000.0, algorithm="tgen")
         b = sibling.query(["restaurant"], delta=1000.0, algorithm="tgen")
@@ -98,14 +124,6 @@ class TestBundleFreezing:
         assert "freeze" in bundle.build_seconds
         assert "csr backend" in bundle.describe()
 
-    def test_freeze_opt_out_keeps_dict_backend(self, tiny_ny_dataset):
-        bundle = IndexBundle.build(
-            tiny_ny_dataset.network, tiny_ny_dataset.corpus, freeze_network=False
-        )
-        assert bundle.compact is None
-        assert bundle.graph_view() is bundle.network
-        assert "dict backend" in bundle.describe()
-
     def test_engine_queries_traverse_the_snapshot(self, tiny_ny_dataset):
         engine = LCMSREngine(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
         assert engine.graph_view is engine.bundle.compact
@@ -114,17 +132,14 @@ class TestBundleFreezing:
         assert instance.graph is engine.graph_view
 
     def test_backends_answer_identically(self, tiny_ny_dataset):
-        frozen = LCMSREngine.from_bundle(
-            IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
-        )
-        dict_backed = LCMSREngine.from_bundle(
-            IndexBundle.build(
-                tiny_ny_dataset.network, tiny_ny_dataset.corpus, freeze_network=False
-            )
+        engine = LCMSREngine(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
+        query = LCMSRQuery.create(["restaurant"], delta=1000.0)
+        dict_backed = build_instance(
+            tiny_ny_dataset.network, query, pipeline=engine.bundle.weight_pipeline()
         )
         for algorithm in ("greedy", "tgen", "app"):
-            a = frozen.query(["restaurant"], delta=1000.0, algorithm=algorithm)
-            b = dict_backed.query(["restaurant"], delta=1000.0, algorithm=algorithm)
+            a = engine.query(["restaurant"], delta=1000.0, algorithm=algorithm)
+            b = engine.solver(algorithm).solve(dict_backed)
             assert a.region.nodes == b.region.nodes
             assert a.region.edges == b.region.edges
             assert a.weight == pytest.approx(b.weight, abs=1e-12)

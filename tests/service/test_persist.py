@@ -15,6 +15,7 @@ Covers the guarantees :mod:`repro.service.persist` documents:
 from __future__ import annotations
 
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from repro.engine import LCMSREngine
 from repro.evaluation.runner import ExperimentRunner
 from repro.exceptions import ArtifactError
 from repro.network.subgraph import Rectangle
+from repro.objects.corpus import ObjectCorpus
+from repro.objects.mapping import NodeObjectMap
 from repro.service import (
     FORMAT_VERSION,
     IndexBundle,
@@ -36,7 +39,13 @@ from repro.service import (
     read_manifest,
     verify_artifact,
 )
-from repro.service.persist import INDEX_NAME, MANIFEST_NAME, NETWORK_NAME, SCORING_NAME
+from repro.service.persist import (
+    INDEX_NAME,
+    MANIFEST_NAME,
+    NETWORK_NAME,
+    SCORING_NAME,
+    VOCABULARY_NAME,
+)
 
 
 def _tiny_dataset(seed: int = 3):
@@ -154,8 +163,8 @@ class TestIntegrity:
             IndexBundle.load(path)
 
     def test_pre_bump_artifact_is_rejected_with_a_rebuild_hint(self, tmp_path):
-        # Format version 3 added the bound-aggregate columns to scoring.npz;
-        # a version-2 artifact is missing them, so the loader must reject it
+        # Format version 6 shrank index.pkl to (corpus, mapping); a version-5
+        # index.pkl unpickles to five objects, so the loader must reject it
         # outright and tell the operator how to get a current one.
         bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
         path = tmp_path / "pre-bump"
@@ -182,6 +191,36 @@ class TestIntegrity:
             IndexBundle.load(path)
         with pytest.raises(ArtifactError, match="checksum mismatch"):
             verify_artifact(path)
+
+    def test_vocabulary_scoring_mismatch_raises_artifact_error(self, tmp_path):
+        bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
+        path = tmp_path / "mismatched-vocabulary"
+        bundle.save(path)
+        vocabulary_path = path / VOCABULARY_NAME
+        terms = json.loads(vocabulary_path.read_text())
+        vocabulary_path.write_text(json.dumps(terms[:-1]))
+        with pytest.raises(ArtifactError, match="does not match"):
+            IndexBundle.load(path, verify=False)
+
+    def test_unknown_manifest_scoring_mode_raises_artifact_error(self, tmp_path):
+        bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
+        path = tmp_path / "bogus-mode"
+        bundle.save(path)
+        manifest_path = path / MANIFEST_NAME
+        raw = json.loads(manifest_path.read_text())
+        raw["scoring_mode"] = "bogus"
+        manifest_path.write_text(json.dumps(raw))
+        with pytest.raises(ArtifactError, match="unknown scoring mode"):
+            IndexBundle.load(path)
+
+    def test_index_pickle_holds_only_corpus_and_mapping(self, artifact):
+        path, bundle = artifact
+        corpus, mapping = pickle.loads((path / INDEX_NAME).read_bytes())
+        assert isinstance(corpus, ObjectCorpus)
+        assert isinstance(mapping, NodeObjectMap)
+        assert [obj.object_id for obj in corpus] == \
+            [obj.object_id for obj in bundle.corpus]
+        assert mapping.node_to_objects == bundle.mapping.node_to_objects
 
     def test_corrupt_npz_raises_artifact_error_even_without_verify(self, tmp_path):
         bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
@@ -292,13 +331,6 @@ class TestDeterminism:
                 f"{name} differs between two same-seed builds"
             )
 
-    def test_from_dataset_bundle_shares_one_vsm(self):
-        # The scorer must reference the grid's model, not a duplicate — otherwise
-        # every artifact stores (and every load restores) the model twice.
-        bundle = IndexBundle.from_dataset(_tiny_dataset(seed=21))
-        assert bundle.scorer.vector_space_model is bundle.vsm
-        assert bundle.grid.vector_space_model is bundle.vsm
-
     def test_different_seeds_produce_different_fingerprints(self):
         dataset_a = _tiny_dataset(seed=21)
         dataset_b = _tiny_dataset(seed=22)
@@ -327,25 +359,6 @@ class TestArtifactCache:
             runner_first.run_single(query, GreedySolver()).result,
             runner_second.run_single(query, GreedySolver()).result,
         )
-
-    def test_cache_never_aliases_across_grid_resolutions(self, tmp_path):
-        # Same network + corpus content, different index parameters: the cache
-        # must serve a bundle built at the *requested* resolution.
-        from dataclasses import replace
-
-        from repro.index.grid import GridIndex
-
-        dataset_48 = _tiny_dataset(seed=32)
-        dataset_24 = replace(
-            dataset_48,
-            grid=GridIndex(dataset_48.corpus, resolution=24,
-                           vsm=dataset_48.grid.vector_space_model),
-        )
-        cache = tmp_path / "cache"
-        assert cached_dataset_bundle(dataset_48, cache).grid_resolution == 48
-        assert cached_dataset_bundle(dataset_24, cache).grid_resolution == 24
-        # And the original entry still serves the original resolution.
-        assert cached_dataset_bundle(dataset_48, cache).grid_resolution == 48
 
     def test_stale_cache_entry_is_rebuilt(self, tmp_path):
         dataset = _tiny_dataset(seed=31)

@@ -168,8 +168,7 @@ def gateway_artifact(tmp_path_factory):
     dataset = build_ny_like(rows=12, cols=12, block_size=120.0,
                             num_objects=260, num_clusters=5, seed=3)
     path = tmp_path_factory.mktemp("policy-gateway") / "artifact"
-    bundle = IndexBundle.build(dataset.network, dataset.corpus,
-                               grid_resolution=24)
+    bundle = IndexBundle.build(dataset.network, dataset.corpus)
     bundle.save(path)
     build_shards(bundle, path, num_shards=2, halo_margin=700.0)
     return path

@@ -64,7 +64,7 @@ def sharded_artifacts(dataset, tmp_path_factory):
     artifacts = {}
     for mode in ScoringMode:
         bundle = IndexBundle.build(dataset.network, dataset.corpus,
-                                   grid_resolution=24, scoring_mode=mode)
+                                   scoring_mode=mode)
         for num_shards in SHARD_COUNTS:
             path = root / f"{mode.value}-k{num_shards}"
             bundle.save(path)
@@ -223,21 +223,21 @@ def test_foreign_shard_rejected(sharded_artifacts, tmp_path):
 
 
 def test_no_shard_set_is_not_an_error(dataset, tmp_path):
-    bundle = IndexBundle.build(dataset.network, dataset.corpus, grid_resolution=24)
+    bundle = IndexBundle.build(dataset.network, dataset.corpus)
     bundle.save(tmp_path / "plain")
     assert load_shard_set(tmp_path / "plain") is None
 
 
 def test_existing_shard_set_requires_overwrite(sharded_artifacts, dataset):
     path = sharded_artifacts[(ScoringMode.TEXT_RELEVANCE, 1)]
-    bundle = IndexBundle.build(dataset.network, dataset.corpus, grid_resolution=24)
+    bundle = IndexBundle.build(dataset.network, dataset.corpus)
     with pytest.raises(ArtifactError, match="shard set already exists"):
         build_shards(bundle, path, num_shards=1, halo_margin=HALO)
 
 
 def test_empty_tile_rejected_with_actionable_error(dataset, tmp_path):
     """A shard count so high that some halo-expanded tile holds no objects."""
-    bundle = IndexBundle.build(dataset.network, dataset.corpus, grid_resolution=24)
+    bundle = IndexBundle.build(dataset.network, dataset.corpus)
     bundle.save(tmp_path / "art")
     with pytest.raises(ArtifactError, match="no objects.*fewer shards"):
         build_shards(bundle, tmp_path / "art", num_shards=256, halo_margin=0.0)

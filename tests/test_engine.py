@@ -20,24 +20,15 @@ class TestConfiguration:
         with pytest.raises(QueryError):
             LCMSREngine(tiny_ny_dataset.network, tiny_ny_dataset.corpus, default_algorithm="nope")
 
-    @pytest.mark.parametrize("resolution", [0, -1, 2.5, "48"])
-    def test_invalid_grid_resolution_rejected_at_init(self, tiny_ny_dataset, resolution):
-        with pytest.raises(QueryError):
-            LCMSREngine(tiny_ny_dataset.network, tiny_ny_dataset.corpus,
-                        grid_resolution=resolution)
-
     def test_config_errors_raised_before_index_build(self, tiny_ny_dataset):
-        # Fail-fast ordering proof: an empty corpus makes the index build raise
-        # IndexError_, so getting QueryError shows validation ran before any
+        # Fail-fast ordering proof: indexing without a network would raise
+        # AttributeError, so getting QueryError shows validation ran before any
         # build work started.
-        from repro.objects.corpus import ObjectCorpus
-
         with pytest.raises(QueryError):
-            LCMSREngine(tiny_ny_dataset.network, ObjectCorpus(),
-                        grid_resolution=0, default_algorithm="tgen")
+            LCMSREngine(None, tiny_ny_dataset.corpus,
+                        scoring_mode="bogus", default_algorithm="tgen")
         with pytest.raises(QueryError):
-            LCMSREngine(tiny_ny_dataset.network, ObjectCorpus(),
-                        default_algorithm="nope")
+            LCMSREngine(None, tiny_ny_dataset.corpus, default_algorithm="nope")
 
     def test_default_algorithm_property(self, engine):
         assert engine.default_algorithm == "tgen"
@@ -74,7 +65,6 @@ class TestConfiguration:
         assert engine.network is tiny_ny_dataset.network
         assert engine.corpus is tiny_ny_dataset.corpus
         assert engine.mapping.num_mapped == len(tiny_ny_dataset.corpus)
-        assert engine.grid.num_nonempty_cells > 0
 
 
 class TestQuerying:

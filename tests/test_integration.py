@@ -1,8 +1,9 @@
 """End-to-end integration tests across the whole stack.
 
 These tests exercise the full paper pipeline on the small NY-like dataset: index
-construction → query workload → instance building through the grid index → all three
-solvers → metrics, plus the Section 7.5 MaxRS-vs-LCMSR comparison pipeline.
+construction → query workload → instance building through the columnar σ_v pipeline
+→ all three solvers → metrics, plus the Section 7.5 MaxRS-vs-LCMSR comparison
+pipeline.
 """
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.maxrs import MaxRSSolver
-from repro.core import APPSolver, GreedySolver, LCMSRQuery, TGENSolver, build_instance
+from repro.core import APPSolver, GreedySolver, LCMSRQuery, TGENSolver
 from repro.datasets.queries import generate_workload
 from repro.evaluation.runner import ExperimentRunner
 from repro.evaluation.survey import RegionJudgement, run_survey
 from repro.network.shortest_path import steiner_tree_length
 from repro.network.subgraph import Rectangle
+from repro.textindex.relevance import RelevanceScorer
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +76,15 @@ class TestMaxRSComparisonPipeline:
         corpus = tiny_ny_dataset.corpus
         mapping = tiny_ny_dataset.mapping
         network = tiny_ny_dataset.network
+        runner = ExperimentRunner(tiny_ny_dataset)
+        scorer = RelevanceScorer(corpus, mapping)
         for query in workload[:3]:
-            scores = tiny_ny_dataset.grid.score_objects(query.keywords, query.region)
+            scores = {}
+            for obj in corpus:
+                if query.region.contains(obj.x, obj.y):
+                    score = scorer.object_score(obj, query.keywords)
+                    if score > 0.0:
+                        scores[obj.object_id] = score
             if not scores:
                 continue
             points = {oid: corpus.get(oid).location() for oid in scores}
@@ -85,10 +94,7 @@ class TestMaxRSComparisonPipeline:
             terminal_nodes = [mapping.node_of(oid) for oid in maxrs.covered_ids]
             budget = max(steiner_tree_length(network, terminal_nodes), 500.0)
             lcmsr_query = LCMSRQuery.create(query.keywords, delta=budget, region=query.region)
-            instance = build_instance(
-                network, lcmsr_query, grid_index=tiny_ny_dataset.grid, mapping=mapping
-            )
-            lcmsr = TGENSolver(alpha=20.0).solve(instance)
+            lcmsr = TGENSolver(alpha=20.0).solve(runner.build(lcmsr_query))
             lcmsr_objects = sum(
                 1
                 for node_id in lcmsr.region.nodes

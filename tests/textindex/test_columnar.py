@@ -29,6 +29,7 @@ from repro.objects.geoobject import GeoTextualObject
 from repro.objects.mapping import map_objects_to_network
 from repro.textindex.columnar import ColumnarScoringIndex, WeightPipeline
 from repro.textindex.relevance import RelevanceScorer, ScoringMode
+from repro.textindex.tokenizer import normalize_keyword_set
 from repro.textindex.vector_space import VectorSpaceModel
 
 VOCAB = [
@@ -76,40 +77,39 @@ class TestNodeWeightParity:
     @pytest.mark.parametrize("seed", [11, 29, 63])
     def test_bitwise_identity_windowed_and_windowless(self, mode, seed):
         corpus, network, mapping, columnar = random_setup(seed)
-        scorer = RelevanceScorer(corpus, mapping, mode=mode, columnar=columnar)
-        assert scorer.pipeline is not None
+        scorer = RelevanceScorer(corpus, mapping, mode=mode)
+        pipeline = WeightPipeline(columnar, mode)
         rng = random.Random(seed * 7 + 1)
         for trial in range(8):
             keywords = random_keywords(rng)
             window = None if trial % 2 == 0 else random_window(rng)
-            reference = scorer.node_weights(keywords, window=window, backend="reference")
-            columnar_weights = scorer.node_weights(keywords, window=window)
+            reference = scorer.node_weights(keywords, window=window)
+            columnar_weights = pipeline.node_weights(keywords, window=window)
             # Bitwise identity, including the dict iteration order the solvers see.
             assert list(reference.items()) == list(columnar_weights.items())
 
     @pytest.mark.parametrize("mode", list(ScoringMode))
     def test_candidate_node_restriction_matches(self, mode):
         corpus, network, mapping, columnar = random_setup(5)
-        scorer = RelevanceScorer(corpus, mapping, mode=mode, columnar=columnar)
+        scorer = RelevanceScorer(corpus, mapping, mode=mode)
         rng = random.Random(99)
         all_nodes = [node.node_id for node in network.nodes()]
         candidates = set(rng.sample(all_nodes, len(all_nodes) // 2))
         keywords = ("cafe", "bar", "museum")
-        reference = scorer.node_weights(
-            keywords, candidate_nodes=candidates, backend="reference"
+        reference = scorer.node_weights(keywords, candidate_nodes=candidates)
+        fast = WeightPipeline(columnar, mode).node_weights(
+            keywords, candidate_nodes=candidates
         )
-        fast = scorer.node_weights(keywords, candidate_nodes=candidates)
         assert list(reference.items()) == list(fast.items())
 
     def test_instance_node_window_equals_window_graph_restriction(self):
         corpus, network, mapping, columnar = random_setup(17)
-        scorer = RelevanceScorer(corpus, mapping, columnar=columnar)
-        pipeline = scorer.pipeline
+        scorer = RelevanceScorer(corpus, mapping)
+        pipeline = WeightPipeline(columnar, ScoringMode.TEXT_RELEVANCE)
         window = Rectangle(40.0, 40.0, 230.0, 210.0)
         window_nodes = {n.node_id for n in network.nodes() if window.contains(n.x, n.y)}
         reference = scorer.node_weights(
-            ("cafe", "sushi"), candidate_nodes=window_nodes, window=window,
-            backend="reference",
+            ("cafe", "sushi"), candidate_nodes=window_nodes, window=window
         )
         fast = pipeline.node_weights(("cafe", "sushi"), window=window, node_window=window)
         assert list(reference.items()) == list(fast.items())
@@ -120,21 +120,13 @@ class TestNodeWeightParity:
             pipeline = WeightPipeline(columnar, mode)
             assert pipeline.node_weights(("nosuchterm",)) == {}
 
-    def test_reference_backend_forced_without_columnar(self):
-        corpus, network, mapping, _ = random_setup(3)
-        scorer = RelevanceScorer(corpus, mapping)
-        with pytest.raises(ValueError):
-            scorer.node_weights(("cafe",), backend="columnar")
-        with pytest.raises(ValueError):
-            scorer.node_weights(("cafe",), backend="wat")
-
 
 class TestSolverResultParity:
     @pytest.mark.parametrize("mode", list(ScoringMode))
     def test_solver_results_identical_on_both_backends(self, mode):
         corpus, network, mapping, columnar = random_setup(41, num_objects=200)
-        scorer = RelevanceScorer(corpus, mapping, mode=mode, columnar=columnar)
-        pipeline = scorer.pipeline
+        scorer = RelevanceScorer(corpus, mapping, mode=mode)
+        pipeline = WeightPipeline(columnar, mode)
         rng = random.Random(4242)
         solvers = [GreedySolver(), TGENSolver(), APPSolver()]
         for trial in range(4):
@@ -154,10 +146,11 @@ class TestSolverResultParity:
 
     def test_exact_solver_identical_on_small_window(self):
         corpus, network, mapping, columnar = random_setup(13, num_objects=120)
-        scorer = RelevanceScorer(corpus, mapping, columnar=columnar)
+        scorer = RelevanceScorer(corpus, mapping)
+        pipeline = WeightPipeline(columnar, ScoringMode.TEXT_RELEVANCE)
         window = Rectangle(0.0, 0.0, 130.0, 130.0)
         query = LCMSRQuery.create(("cafe", "bar"), delta=120.0, region=window)
-        fast = build_instance(network, query, pipeline=scorer.pipeline)
+        fast = build_instance(network, query, pipeline=pipeline)
         reference = build_instance(network, query, scorer=scorer)
         a = ExactSolver().solve(fast)
         b = ExactSolver().solve(reference)
@@ -166,9 +159,10 @@ class TestSolverResultParity:
 
     def test_topk_identical(self):
         corpus, network, mapping, columnar = random_setup(23, num_objects=180)
-        scorer = RelevanceScorer(corpus, mapping, columnar=columnar)
+        scorer = RelevanceScorer(corpus, mapping)
+        pipeline = WeightPipeline(columnar, ScoringMode.TEXT_RELEVANCE)
         query = LCMSRQuery.create(("cafe", "pizza"), delta=250.0, k=3)
-        fast = build_instance(network, query, pipeline=scorer.pipeline)
+        fast = build_instance(network, query, pipeline=pipeline)
         reference = build_instance(network, query, scorer=scorer)
         a = TGENSolver().solve_topk(fast, 3)
         b = TGENSolver().solve_topk(reference, 3)
@@ -176,17 +170,34 @@ class TestSolverResultParity:
         assert [r.weight for r in a] == [r.weight for r in b]
 
 
-class TestVectorSpaceFastPath:
-    def test_batch_scores_bitwise_identical(self):
+class TestVectorSpaceParity:
+    def test_object_scores_bitwise_identical(self):
         corpus, network, mapping, columnar = random_setup(31)
-        reference_vsm = VectorSpaceModel(corpus)
-        fast_vsm = VectorSpaceModel(corpus)
-        fast_vsm.attach_columnar(columnar)
+        vsm = VectorSpaceModel(corpus)
         ids = list(corpus.object_ids())
         for keywords in (["cafe"], ["BAR", " sushi ", "bar"], ["nosuchterm"]):
-            slow = reference_vsm.batch_scores(ids, keywords)
-            fast = fast_vsm.batch_scores(ids, keywords)
-            assert slow == fast
+            reference = vsm.batch_scores(ids, keywords)
+            column = columnar.tfidf_object_scores(normalize_keyword_set(keywords))
+            fast = {
+                object_id: float(column[columnar.object_row(object_id)])
+                for object_id in ids
+                if column[columnar.object_row(object_id)] > 0.0
+            }
+            assert fast == reference
+
+    def test_query_weights_bitwise_identical(self):
+        # The delta overlay scores mutated objects against these weights.
+        corpus, network, mapping, columnar = random_setup(31)
+        vsm = VectorSpaceModel(corpus)
+        for keywords in (("cafe",), ("bar", "sushi", "nosuchterm"), ("nosuchterm",)):
+            query_vector = vsm.query_vector(keywords)
+            weighted, norm = columnar.query_weights(keywords)
+            assert norm == query_vector.norm
+            assert [(columnar.terms[tid], weight) for tid, weight in weighted] == [
+                (term, query_vector.weights[term])
+                for term in query_vector.terms
+                if query_vector.weights[term] > 0.0
+            ]
 
 
 class TestColumnarStructure:
@@ -221,13 +232,6 @@ class TestColumnarStructure:
         corpus, network, mapping, columnar = random_setup(8)
         with pytest.raises(IndexError_):
             WeightPipeline(columnar, ScoringMode.LANGUAGE_MODEL, lm_smoothing=0.5)
-        # ... and a scorer with a different smoothing keeps the loop backend.
-        scorer = RelevanceScorer(
-            corpus, mapping, mode=ScoringMode.LANGUAGE_MODEL,
-            language_model_smoothing=0.5,
-        )
-        scorer.attach_columnar(columnar)
-        assert scorer.pipeline is None
 
     def test_invalid_smoothing_rejected_at_build(self):
         corpus, network, mapping, _ = random_setup(8)
