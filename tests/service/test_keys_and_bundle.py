@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import LCMSREngine, build_ny_like
@@ -9,7 +10,7 @@ from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
 from repro.exceptions import QueryError
 from repro.network.subgraph import Rectangle
-from repro.service.bundle import IndexBundle
+from repro.service.bundle import IndexBundle, scoring_mode_of
 from repro.service.keys import InstanceKey, ResultKey, normalize_keywords
 from repro.textindex.relevance import ScoringMode
 
@@ -110,6 +111,67 @@ class TestIndexBundle:
         engine = LCMSREngine(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
         with pytest.raises(QueryError):
             LCMSREngine.from_bundle(engine.bundle, default_algorithm="nope")
+
+
+class TestScoringModeOf:
+    @pytest.mark.parametrize("mode", list(ScoringMode))
+    def test_enum_and_value_string_name_the_same_mode(self, mode):
+        assert scoring_mode_of(mode) is mode
+        assert scoring_mode_of(mode.value) is mode
+
+    @pytest.mark.parametrize("value", ["bogus", "TEXT_RELEVANCE", "", None, 1])
+    def test_anything_else_raises_query_error(self, value):
+        with pytest.raises(QueryError, match="unknown scoring mode"):
+            scoring_mode_of(value)
+
+
+class TestBuildPaths:
+    def test_streaming_build_accepts_a_value_string(self, tiny_ny_dataset):
+        eager = IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus,
+                                  scoring_mode=ScoringMode.LANGUAGE_MODEL)
+        streamed = IndexBundle.build_streaming(
+            tiny_ny_dataset.network, iter(tiny_ny_dataset.corpus),
+            scoring_mode="language_model",
+        )
+        assert streamed.scoring_mode is ScoringMode.LANGUAGE_MODEL
+        assert "accumulate" in streamed.build_seconds
+        keywords = ["cafe", "restaurant"]
+        assert list(streamed.weight_pipeline().node_weights(keywords).items()) == \
+            list(eager.weight_pipeline().node_weights(keywords).items())
+
+    def test_streaming_build_rejects_a_bad_mode_before_reading_objects(
+        self, tiny_ny_dataset
+    ):
+        consumed = []
+
+        def objects():
+            for obj in tiny_ny_dataset.corpus:
+                consumed.append(obj.object_id)
+                yield obj
+
+        with pytest.raises(QueryError, match="unknown scoring mode"):
+            IndexBundle.build_streaming(tiny_ny_dataset.network, objects(),
+                                        scoring_mode="bogus")
+        assert consumed == []
+
+    def test_from_dataset_reuses_the_dataset_mapping(self, tiny_ny_dataset):
+        bundle = IndexBundle.from_dataset(tiny_ny_dataset)
+        assert bundle.mapping is tiny_ny_dataset.mapping
+        assert bundle.scoring_mode is ScoringMode.TEXT_RELEVANCE
+        assert "mapping" not in bundle.build_seconds
+        assert {"columnar", "freeze", "total"} <= set(bundle.build_seconds)
+
+    def test_grid_resolution_is_kept_and_sizes_nothing(self, tiny_ny_dataset):
+        coarse = IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus,
+                                   grid_resolution=4)
+        default = IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
+        assert (coarse.grid_resolution, default.grid_resolution) == (4, 48)
+        for name, array in default.columnar.arrays().items():
+            assert np.array_equal(coarse.columnar.arrays()[name], array), name
+        a = LCMSREngine.from_bundle(coarse).query(["restaurant"], delta=1000.0)
+        b = LCMSREngine.from_bundle(default).query(["restaurant"], delta=1000.0)
+        assert a.region.nodes == b.region.nodes
+        assert a.weight == b.weight
 
 
 class TestBundleFreezing:

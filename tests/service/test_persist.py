@@ -46,6 +46,7 @@ from repro.service.persist import (
     SCORING_NAME,
     VOCABULARY_NAME,
 )
+from repro.textindex.relevance import ScoringMode
 
 
 def _tiny_dataset(seed: int = 3):
@@ -212,6 +213,45 @@ class TestIntegrity:
         manifest_path.write_text(json.dumps(raw))
         with pytest.raises(ArtifactError, match="unknown scoring mode"):
             IndexBundle.load(path)
+
+    def test_manifest_without_scoring_mode_is_malformed(self, tmp_path):
+        bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
+        path = tmp_path / "no-mode"
+        bundle.save(path)
+        manifest_path = path / MANIFEST_NAME
+        raw = json.loads(manifest_path.read_text())
+        del raw["scoring_mode"]
+        manifest_path.write_text(json.dumps(raw))
+        with pytest.raises(ArtifactError, match="malformed artifact manifest"):
+            IndexBundle.load(path)
+
+    @pytest.mark.parametrize("mode", list(ScoringMode))
+    def test_scoring_mode_is_read_from_the_manifest(self, tmp_path, mode):
+        dataset = _tiny_dataset(seed=8)
+        bundle = IndexBundle.build(dataset.network, dataset.corpus, scoring_mode=mode)
+        path = tmp_path / mode.value
+        bundle.save(path)
+        assert read_manifest(path).scoring_mode == mode.value
+        loaded = IndexBundle.load(path)
+        assert loaded.scoring_mode is mode
+        assert loaded.weight_pipeline().mode is mode
+        keywords = ["cafe", "restaurant"]
+        assert list(loaded.weight_pipeline().node_weights(keywords).items()) == \
+            list(bundle.weight_pipeline().node_weights(keywords).items())
+
+    def test_grid_resolution_leaves_the_artifact_unchanged(self, tmp_path):
+        dataset = _tiny_dataset(seed=8)
+        for resolution in (4, 48):
+            IndexBundle.build(dataset.network, dataset.corpus,
+                              grid_resolution=resolution).save(tmp_path / str(resolution))
+        assert "grid_resolution" not in json.loads(
+            (tmp_path / "4" / MANIFEST_NAME).read_text()
+        )
+        files = sorted(p.name for p in (tmp_path / "48").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "4").iterdir())
+        for name in files:
+            assert (tmp_path / "4" / name).read_bytes() == \
+                (tmp_path / "48" / name).read_bytes(), name
 
     def test_index_pickle_holds_only_corpus_and_mapping(self, artifact):
         path, bundle = artifact

@@ -24,7 +24,7 @@ from repro.exceptions import ArtifactError, QueryError
 from repro.network.subgraph import Rectangle
 from repro.service.bundle import IndexBundle
 from repro.service.keys import ResultKey
-from repro.service.persist import read_manifest, verify_artifact
+from repro.service.persist import INDEX_NAME, read_manifest, verify_artifact
 from repro.service.query_service import QueryRequest, QueryService
 from repro.service.sharding import (
     SHARD_SET_NAME,
@@ -174,6 +174,26 @@ def test_shard_roundtrip_through_bundle_load(sharded_artifacts):
         assert bundle.columnar is not None
         # Global statistics survive the subset: shard IDF == corpus-global IDF.
         assert bundle.columnar.global_num_objects == 260
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_shard_payload_is_the_extent_corpus_and_mapping(sharded_artifacts, dataset,
+                                                        mode):
+    """Shards carry their own objects only, and the base's scoring mode."""
+    path = sharded_artifacts[(mode, 4)]
+    for info in load_shard_set(path).shards:
+        shard_dir = path / SHARDS_DIRNAME / info.name
+        assert read_manifest(shard_dir).scoring_mode == mode.value
+        corpus, mapping = pickle.loads((shard_dir / INDEX_NAME).read_bytes())
+        bundle = IndexBundle.load(shard_dir)
+        kept = bundle.columnar.object_ids.tolist()
+        assert [obj.object_id for obj in corpus] == kept
+        assert sorted(mapping.object_to_node) == sorted(kept)
+        assert kept
+        assert all(obj == dataset.corpus.get(obj.object_id) for obj in corpus)
+        assert all(mapping.node_of(object_id) == dataset.mapping.node_of(object_id)
+                   for object_id in kept)
+        assert bundle.scoring_mode is mode
 
 
 def test_shard_set_manifest_roundtrip(sharded_artifacts):
