@@ -7,13 +7,15 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Just the byte-identity parity suites: solver backend (dict vs dense),
-# bound-based pruning (on vs off), graph backend (dict vs CSR) and σ_v (the
-# columnar pipeline, the only σ_v path queries take, vs the object-loop
-# reference scorer). The fast gate to run after touching a solver hot loop, a
-# skip branch or a scoring kernel.
+# Just the byte-identity parity suites: each solver vs its dict-loop reference
+# twin (repro.core.reference, also on dict and CSR graphs via the property
+# harness's TestBackendIdentity), bound-based pruning (on vs off), graph backend
+# (dict vs CSR) and σ_v (the columnar pipeline, the only σ_v path queries take,
+# vs the object-loop reference scorer). The fast gate to run after touching a
+# solver hot loop, a skip branch or a scoring kernel.
 test-parity:
 	$(PYTHON) -m pytest tests/core/test_solver_backend_parity.py \
+		tests/core/test_solver_properties.py::TestBackendIdentity \
 		tests/core/test_pruning_parity.py tests/core/test_backend_parity.py \
 		tests/textindex/test_columnar.py -q
 
@@ -53,10 +55,11 @@ bench-smoke: compact-smoke anytime-smoke
 
 # Record the perf numbers of the refactor benchmarks as JSON — the columnar
 # scoring pipeline (BENCH_scoring.json, bench_scoring.py), the dense solver
-# substrate (BENCH_solver.json, bench_solver_backend.py) and the bound-based
-# pruning subsystem (BENCH_pruning.json, bench_pruning.py, including the
-# skip/visit counters) — so the repo's performance trajectory is captured run
-# over run. Runs at the default benchmark scale.
+# substrate against the dict-loop reference twins (BENCH_solver.json,
+# bench_solver_backend.py) and the bound-based pruning subsystem
+# (BENCH_pruning.json, bench_pruning.py, including the skip/visit counters) —
+# so the repo's performance trajectory is captured run over run. Runs at the
+# default benchmark scale.
 bench-json:
 	REPRO_BENCH_JSON=BENCH_scoring.json $(PYTHON) -m pytest \
 		benchmarks/bench_scoring.py -q -s -o python_files="bench_*.py"

@@ -1,27 +1,28 @@
-"""Solver-time: dense position-indexed substrate vs the dict reference loops.
+"""Solver-time: the dense position-indexed solvers vs their dict-loop twins.
 
 Not a paper figure — this benchmarks the dense solver substrate
 (:mod:`repro.core.dense`). The claim: running the paper's online algorithms on
 the position-indexed :class:`~repro.core.dense.DenseInstance` arrays is **at
-least 2x faster** than the dict reference backend for Greedy and TGEN on the
+least 2x faster** than the pre-substrate dict loops, which live on as the
+reference twins of :mod:`repro.core.reference`, for Greedy and TGEN on the
 largest configuration, while producing byte-identical results.
 
 Three checks:
 
 1. **Solver-time throughput** — total ``solve`` time over a mixed windowed /
-   window-less workload, same built instances, backend switched with
-   ``ProblemInstance.with_backend`` — so the comparison isolates the solver
-   hot loops (instance building, measured by ``bench_scoring.py``, is out of
-   the picture). The ≥2x bar is asserted for Greedy and TGEN on the largest
+   window-less workload, each solver and its ``twin(solver)`` timed on the
+   same built instances — so the comparison isolates the solver hot loops
+   (instance building, measured by ``bench_scoring.py``, is out of the
+   picture). The ≥2x bar is asserted for Greedy and TGEN on the largest
    configuration. Greedy solves in well under a millisecond, so its loop runs
    ``GREEDY_INNER`` passes per timing sample to get out of timer jitter.
-2. **Fidelity** — every timed query is first checked byte-identical across the
-   backends (same region node/edge sets, bit-equal weight and length); APP and
-   Exact identity is enforced at tier-1 by
-   ``tests/core/test_solver_backend_parity.py``.
+2. **Fidelity** — every timed query is first checked byte-identical between
+   solver and twin (same region node/edge sets, bit-equal weight and
+   length); APP identity is enforced at tier-1 by the solver parity suite.
 3. **Perf trajectory record** — set ``REPRO_BENCH_JSON=<path>`` (the
    ``make bench-json`` target does) to write the measured numbers as JSON, so
-   the repo's performance history is recorded run over run.
+   the repo's performance history is recorded run over run. The ``dict``
+   fields time the twins, the ``dense`` fields the solvers.
 
 Run with::
 
@@ -36,6 +37,7 @@ import time
 from typing import Dict, List
 
 from repro.core.greedy import GreedySolver
+from repro.core.reference import twin
 from repro.core.tgen import TGENSolver
 from repro.datasets.ny import build_ny_like
 from repro.datasets.queries import generate_workload
@@ -107,20 +109,19 @@ def test_bench_solver_backend_dense_2x():
         runner = ExperimentRunner.from_bundle(bundle)
         num_queries = 2 if SMOKE_SCALE else 4
         queries = _build_workload(dataset, num_queries, delta, area)
-        built = [runner.build(query) for query in queries]
-        dict_instances = [instance.with_backend("dict") for instance in built]
-        dense_instances = [instance.with_backend("dense") for instance in built]
+        instances = [runner.build(query) for query in queries]
 
         # --- fidelity first (also warms every path) ---
         solvers = [(GreedySolver(), GREEDY_INNER), (TGENSolver(), 1)]
         for solver, _ in solvers:
-            for instance_d, instance_n in zip(dict_instances, dense_instances):
-                a = solver.solve(instance_d)
-                b = solver.solve(instance_n)
+            reference = twin(solver)
+            for instance in instances:
+                a = reference.solve(instance)
+                b = solver.solve(instance)
                 assert a.region.nodes == b.region.nodes, (label, solver.name)
                 assert a.region.edges == b.region.edges, (label, solver.name)
                 assert a.weight == b.weight and a.length == b.length, (
-                    "solver results must be byte-identical across backends"
+                    "solver results must be byte-identical to the reference twin"
                 )
 
         config_record: Dict[str, object] = {
@@ -133,8 +134,8 @@ def test_bench_solver_backend_dense_2x():
             "repeats": REPEATS,
         }
         for solver, inner in solvers:
-            dict_seconds = _time_solves(solver, dict_instances, inner)
-            dense_seconds = _time_solves(solver, dense_instances, inner)
+            dict_seconds = _time_solves(twin(solver), instances, inner)
+            dense_seconds = _time_solves(solver, instances, inner)
             speedup = dict_seconds / dense_seconds
             largest_speedups[solver.name] = speedup
             rows_out.append([
@@ -151,9 +152,9 @@ def test_bench_solver_backend_dense_2x():
 
     print()
     print(format_table(
-        ["configuration", "solver", "dict (s)", "dense (s)", "speedup"],
+        ["configuration", "solver", "dict twin (s)", "dense (s)", "speedup"],
         rows_out,
-        title="solver time on shared instances: dict reference vs dense substrate",
+        title="solver time on shared instances: dict reference twin vs dense substrate",
     ))
 
     json_path = os.environ.get("REPRO_BENCH_JSON")
@@ -178,6 +179,6 @@ def test_bench_solver_backend_dense_2x():
     for solver_name, speedup in largest_speedups.items():
         assert speedup >= MIN_SPEEDUP_LARGEST, (
             f"the dense substrate must be >= {MIN_SPEEDUP_LARGEST:.0f}x faster than "
-            f"the dict backend for {solver_name} on the largest configuration, "
+            f"the dict reference twin for {solver_name} on the largest configuration, "
             f"got {speedup:.1f}x"
         )

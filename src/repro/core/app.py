@@ -84,8 +84,9 @@ class APPSolver:
             (paper default for NY experiments: 0.5).
         beta: Binary-search slack β > 0 (paper default 0.1). Smaller β tightens the
             approximation ratio ``(1 - α)/(5 + 5β)`` at the cost of more iterations.
-        max_iterations: Hard cap on binary-search iterations (the paper's analysis
-            bounds them by ``O(log_{1+β} |VQ|)``; the cap is a safety net).
+        max_iterations: Hard cap on binary-search iterations, at least 1 (the
+            paper's analysis bounds them by ``O(log_{1+β} |VQ|)``; the cap is a
+            safety net).
         closure_neighbors / lambda_factors: Forwarded to the
             :class:`~repro.core.kmst.QuotaTreeSolver`.
     """
@@ -104,6 +105,8 @@ class APPSolver:
             raise SolverError(f"alpha must be positive, got {alpha}")
         if beta <= 0:
             raise SolverError(f"beta must be positive, got {beta}")
+        if max_iterations < 1:
+            raise SolverError(f"max_iterations must be at least 1, got {max_iterations}")
         self.alpha = alpha
         self.beta = beta
         self.max_iterations = max_iterations
@@ -219,25 +222,18 @@ class APPSolver:
     ) -> Optional[Tuple[ScalingContext, Dict[int, int], QuotaTreeSolver]]:
         if not instance.has_relevant_nodes or instance.num_candidate_nodes == 0:
             return None
-        dense = instance.dense_view()
-        if dense is not None:
-            # Dense path: θ from the precomputed σmax aggregate, σ̂ in one
-            # vectorised pass; the scaled dict replays the weight-dict order, so
-            # everything downstream (terminal sort, prizes) is bit-identical.
-            scaling = ScalingContext.from_sigma_max(
-                instance.sigma_max(), instance.num_candidate_nodes, self.alpha
-            )
-            scaled_list = scaling.scale_array(dense.sigma).tolist()
-            ids_list = dense.ids_list()
-            scaled_weights = {
-                ids_list[pos]: scaled_list[pos]
-                for pos in dense.relevant_order.tolist()
-            }
-        else:
-            scaling = ScalingContext.build(
-                instance.weights, instance.num_candidate_nodes, self.alpha
-            )
-            scaled_weights = scaling.scale_weights(instance.weights)
+        dense = instance.dense
+        # θ from the precomputed σmax aggregate, σ̂ in one vectorised pass; the
+        # scaled dict replays the weight-dict order, so everything downstream
+        # (terminal sort, prizes) is bit-identical to the reference twin.
+        scaling = ScalingContext.from_sigma_max(
+            instance.sigma_max(), instance.num_candidate_nodes, self.alpha
+        )
+        scaled_list = scaling.scale_array(dense.sigma).tolist()
+        ids_list = dense.ids_list()
+        scaled_weights = {
+            ids_list[pos]: scaled_list[pos] for pos in dense.relevant_order.tolist()
+        }
         kwargs = {}
         if self.lambda_factors is not None:
             kwargs["lambda_factors"] = self.lambda_factors
@@ -245,8 +241,8 @@ class APPSolver:
             instance.graph,
             instance.weights,
             scaled_weights,
+            dense,
             closure_neighbors=self.closure_neighbors,
-            dense=dense,
             **kwargs,
         )
         return scaling, scaled_weights, quota_solver

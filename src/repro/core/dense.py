@@ -1,11 +1,9 @@
 """The dense problem-instance substrate: position-indexed solver input.
 
-PR 2–4 made the *inputs* to the solvers array-first (CSR network snapshots, the
-columnar σ_v pipeline), but the solvers themselves still ran pure-Python loops
-over ``Dict[int, float]`` weights keyed by global node ids — per-hop hashing on
-every neighbour visit. :class:`DenseInstance` closes that gap: it renumbers the
-query window into contiguous *local positions* and stores everything a solver's
-hot loop needs as flat arrays indexed by position:
+The Greedy, TGEN and APP loops run on one input: :class:`DenseInstance`
+renumbers the query window into contiguous *local positions* and stores
+everything a solver's hot loop needs as flat arrays indexed by position — no
+per-hop hashing of global node ids:
 
 * ``ids``            — local position → global node id (int64), in window order;
 * ``xs / ys``        — node coordinates (float64), aligned with ``ids``;
@@ -20,10 +18,11 @@ On top of the arrays the instance precomputes the aggregates every solver used
 to rescan the weight dict for: ``sigma_max``, ``total_weight``, the relevant
 positions, and the window's ``tau_max`` (longest edge).
 
-**Identity contract.** The dense substrate is a *representation* change, not an
+**Identity contract.** The substrate is a *representation* change, not an
 algorithm change: solvers running on it must return byte-identical results to
-the dict reference backend (same regions, same tie-breaks, bit-equal floats).
-Three properties make that possible and are load-bearing:
+their dict-loop twins in :mod:`repro.core.reference` (same regions, same
+tie-breaks, bit-equal floats). Three properties make that possible and are
+load-bearing:
 
 1. **Order preservation** — local positions follow the window graph's node
    iteration order, and per-row neighbour order replicates ``neighbor_items``;
@@ -135,9 +134,8 @@ class DenseInstance:
         The fast path — a :class:`~repro.network.compact.CompactNetwork` window
         view — shares the snapshot's six arrays and maps the weight keys to
         positions with one vectorised searchsorted; any other
-        :class:`~repro.network.compact.GraphView` is frozen first (the fallback
-        used when a dict-backed instance is explicitly switched to the dense
-        backend).
+        :class:`~repro.network.compact.GraphView` is frozen first (the
+        fallback a dict-graph instance takes on its first substrate access).
 
         Raises:
             QueryError: If a weight key is not a node of ``graph`` (instances
@@ -242,7 +240,8 @@ class DenseInstance:
 
         The returned dict iterates exactly like the dict the instance was built
         from (``relevant_order`` recorded it), which is what keeps the dict
-        *reference* backend byte-identical when it runs on a rebuilt view.
+        consumers (Exact, findOptTree, the reference twins) byte-identical
+        when they run on a rebuilt view.
 
         Deliberately NOT memoised on the substrate: substrates sit in the
         serving layer's LRU precisely because they carry no per-entry dict, so
@@ -254,15 +253,17 @@ class DenseInstance:
         return {ids[pos]: sigma[pos] for pos in self.relevant_order.tolist()}
 
     def to_problem_instance(
-        self, query: "LCMSRQuery", pruning: str = "auto"
+        self, query: "LCMSRQuery", pruning: str = "auto", sampling=None
     ) -> "ProblemInstance":
         """Wrap the substrate into a full :class:`ProblemInstance` for ``query``.
 
         The weight dict is materialised lazily on first access; the Greedy and
-        TGEN dense hot loops never touch it, while APP's quota solver and the
-        Exact oracle (deliberate dict-view consumers) rebuild it per wrapper.
-        This is how the serving layer's instance cache re-binds one cached
-        substrate to many queries.
+        TGEN hot loops never touch it, while APP's quota solver and the Exact
+        oracle (deliberate dict-view consumers) rebuild it per wrapper. This is
+        how the serving layer's instance cache re-binds one cached substrate
+        to many queries; ``sampling`` re-attaches the
+        :class:`~repro.textindex.columnar.SampledWeights` record of a sampled
+        build.
         """
         from repro.core.instance import ProblemInstance  # deferred: cycle guard
 
@@ -273,6 +274,7 @@ class DenseInstance:
             build_seconds=0.0,
             dense=self,
             pruning=pruning,
+            sampling=sampling,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -16,14 +16,17 @@ Note on the paper's formula: the paper's text prints the weight term as
 ``σ_{vj}/σmax`` (the weight of the already-included anchor node); ranking candidates
 by the anchor's weight cannot differentiate them, so — consistent with the algorithm's
 stated intent ("the node weight ... of the selecting node") — we use the candidate's
-weight ``σ_{vi}``. This interpretation is recorded here and in DESIGN.md.
+weight ``σ_{vi}``. This interpretation is recorded here and in the "Deviations
+from the paper" section of ``docs/ARCHITECTURE.md``.
 
 Candidate enumeration order is part of the determinism contract: each round scans
 the region's members in *insertion order* and each member's neighbours in graph
-iteration order. The dense backend (:class:`~repro.core.dense.DenseInstance`)
-replays exactly that sequence — members append their CSR rows (with ranks
-precomputed once) to one flat candidate table as they join, so one list-indexed
-scan selects the same attachment, bit for bit, as the dict loops.
+iteration order. The loop runs on the instance's
+:class:`~repro.core.dense.DenseInstance` and replays exactly that sequence —
+members append their CSR rows (with ranks precomputed once) to one flat
+candidate table as they join, so one list-indexed scan selects the same
+attachment, bit for bit, as the dict-keyed loop of
+:class:`~repro.core.reference.ReferenceGreedy`.
 """
 
 from __future__ import annotations
@@ -70,21 +73,10 @@ class GreedySolver:
             node in the window is relevant.
         """
         start = time.perf_counter()
-        dense = instance.dense_view()
         prune_stats: Dict[str, float] = {}
-        if dense is not None:
-            region = self._grow_dense(
-                dense,
-                instance.query.delta,
-                bytearray(dense.num_nodes),
-                pruning=instance.pruning_enabled,
-                stats=prune_stats,
-                budget=instance.budget,
-            )
-        else:
-            region = self._grow(
-                instance, excluded=set(), budget=instance.budget, stats=prune_stats
-            )
+        region = self._grow(
+            instance, excluded=set(), budget=instance.budget, stats=prune_stats
+        )
         runtime = time.perf_counter() - start
         stats = {"nodes_expanded": float(region.num_nodes)} if region else {}
         stats.update(prune_stats)
@@ -107,43 +99,21 @@ class GreedySolver:
         """
         start = time.perf_counter()
         k = resolve_k(instance, k)
-        dense = instance.dense_view()
         results: List[RegionResult] = []
         prune_stats: Dict[str, float] = {}
         budget = instance.budget
-        if dense is not None:
-            excluded_mask = bytearray(dense.num_nodes)
-            position_of = dense.position_of()
-            for _ in range(k):
-                region = self._grow_dense(
-                    dense,
-                    instance.query.delta,
-                    excluded_mask,
-                    pruning=instance.pruning_enabled,
-                    stats=prune_stats,
-                    budget=budget,
-                )
-                if region is None or region.is_empty:
-                    break
-                results.append(RegionResult(region, self.name))
-                for node_id in region.nodes:
-                    excluded_mask[position_of[node_id]] = 1
-                if budget is not None and budget.expired_now():
-                    prune_stats["budget_expired"] = 1.0
-                    break
-        else:
-            excluded: Set[int] = set()
-            for _ in range(k):
-                region = self._grow(
-                    instance, excluded=excluded, budget=budget, stats=prune_stats
-                )
-                if region is None or region.is_empty:
-                    break
-                results.append(RegionResult(region, self.name))
-                excluded |= set(region.nodes)
-                if budget is not None and budget.expired_now():
-                    prune_stats["budget_expired"] = 1.0
-                    break
+        excluded: Set[int] = set()
+        for _ in range(k):
+            region = self._grow(
+                instance, excluded=excluded, budget=budget, stats=prune_stats
+            )
+            if region is None or region.is_empty:
+                break
+            results.append(RegionResult(region, self.name))
+            excluded |= set(region.nodes)
+            if budget is not None and budget.expired_now():
+                prune_stats["budget_expired"] = 1.0
+                break
         runtime = time.perf_counter() - start
         annotate_anytime_stats(
             instance, sum(r.region.weight for r in results), prune_stats
@@ -161,66 +131,20 @@ class GreedySolver:
         budget=None,
         stats: Optional[Dict[str, float]] = None,
     ) -> Optional[Region]:
-        graph = instance.graph
-        weights = instance.weights
-        delta = instance.query.delta
-        seeds = [
-            (weight, node_id)
-            for node_id, weight in weights.items()
-            if node_id not in excluded and node_id in graph
-        ]
-        if not seeds:
-            return None
-        sigma_max = max(weight for weight, _ in seeds)
-        if sigma_max <= 0:
-            return None
-        tau_max = graph.max_edge_length() or 1.0
-        _, seed = max(seeds)
-
-        region_order: List[int] = [seed]
-        region_nodes: Set[int] = {seed}
-        region_edges: Set[Tuple[int, int]] = set()
-        total_length = 0.0
-
-        while True:
-            # Cooperative deadline: stop between expansion rounds and return
-            # the region grown so far (budget=None skips the check entirely).
-            if budget is not None and budget.expired():
-                if stats is not None:
-                    stats["budget_expired"] = 1.0
-                break
-            best_candidate: Optional[Tuple[float, int, int, float]] = None
-            for member in region_order:
-                for neighbor, edge_length in graph.neighbor_items(member):
-                    if neighbor in region_nodes or neighbor in excluded:
-                        continue
-                    if total_length + edge_length > delta + 1e-12:
-                        continue
-                    weight = weights.get(neighbor, 0.0)
-                    rank = (
-                        self.mu * (1.0 - edge_length / tau_max)
-                        + (1.0 - self.mu) * weight / sigma_max
-                    )
-                    candidate = (rank, neighbor, member, edge_length)
-                    if best_candidate is None or candidate[0] > best_candidate[0] or (
-                        abs(candidate[0] - best_candidate[0]) <= 1e-12
-                        and candidate[1] < best_candidate[1]
-                    ):
-                        best_candidate = candidate
-            if best_candidate is None:
-                break
-            _, neighbor, member, edge_length = best_candidate
-            region_order.append(neighbor)
-            region_nodes.add(neighbor)
-            region_edges.add(edge_key(member, neighbor))
-            total_length += edge_length
-
-        weight_total = sum(weights.get(node_id, 0.0) for node_id in region_order)
-        return Region(
-            nodes=frozenset(region_nodes),
-            edges=frozenset(region_edges),
-            length=total_length,
-            weight=weight_total,
+        """Grow one region on the instance's substrate, avoiding ``excluded`` ids."""
+        dense = instance.dense
+        mask = bytearray(dense.num_nodes)
+        if excluded:
+            position_of = dense.position_of()
+            for node_id in excluded:
+                mask[position_of[node_id]] = 1
+        return self._grow_dense(
+            dense,
+            instance.query.delta,
+            mask,
+            pruning=instance.pruning_enabled,
+            stats=stats,
+            budget=budget,
         )
 
     def _grow_dense(
@@ -232,16 +156,16 @@ class GreedySolver:
         stats: Optional[Dict[str, float]] = None,
         budget=None,
     ) -> Optional[Region]:
-        """Array-first twin of :meth:`_grow` over local node positions.
+        """Grow one region over local node positions (``excluded`` is a byte mask).
 
         Candidate ranks are constants per (member, neighbour) edge, so each new
         member appends its CSR row — rank precomputed once — to one flat
         candidate table; per round a single scan over that table applies the
         reference comparison with list indexing only (no per-candidate dict
         hashing, set probing or rank re-derivation). The scan order equals the
-        dict loop's member-insertion × neighbour-row order and the rank
-        arithmetic keeps the reference expression tree, so the selected
-        attachment is identical, bit for bit.
+        reference dict loop's member-insertion × neighbour-row order and the
+        rank arithmetic keeps its expression tree, so the selected attachment
+        is identical, bit for bit.
 
         With ``pruning`` enabled the table is periodically *compacted*: entries
         that are permanently dead — their target already joined the region or is

@@ -7,20 +7,20 @@ that, and :func:`build_instance` produces it either from the columnar σ_v pipel
 (the serving path), from the object-loop reference scorer, or from explicit node
 weights (unit tests, the paper's Figure 2 example).
 
-Since the dense-substrate refactor an instance carries *two* coupled views of the
-same input:
+An instance carries two coupled views of the same input:
 
+* the **dense substrate** — a :class:`~repro.core.dense.DenseInstance` of
+  position-indexed arrays, the one input the Greedy, TGEN and APP loops run
+  on. :func:`build_instance` attaches it on the frozen-CSR path; any other
+  instance builds it once, on first access; and
 * the **dict view** — ``weights: Dict[int, float]`` keyed by global node ids,
-  consumed by the reference solver backend (and by the Exact oracle); and
-* the **dense view** — a :class:`~repro.core.dense.DenseInstance` of
-  position-indexed arrays, consumed by the solvers' array-first hot loops.
+  read by the Exact oracle, APP's quota solver and findOptTree, and the
+  reference twins of :mod:`repro.core.reference`. It is materialised lazily,
+  in the source dict's order, when the instance was created from the
+  substrate alone.
 
-Either view can be materialised from the other (lazily, cached), and solvers
-must return byte-identical results on both — the cross-backend parity suite
-(``tests/core/test_solver_backend_parity.py``) enforces it. ``solver_backend``
-selects which view the solvers take: ``"auto"`` (dense when the builder
-attached one — the pipeline hot path — dict otherwise), ``"dense"`` (force the
-substrate, building it on demand) or ``"dict"`` (force the reference loops).
+The twins run the pre-substrate dict loops on the same instances; the solver
+parity suites hold every solver byte-identical to its twin.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from repro.network.compact import CompactNetwork, GraphView
 from repro.network.subgraph import Rectangle, induced_subgraph
 from repro.textindex.columnar import WeightPipeline
 from repro.textindex.relevance import RelevanceScorer
-
-SOLVER_BACKENDS = ("auto", "dense", "dict")
-"""The valid ``solver_backend`` selectors (shared by every validation site)."""
 
 PRUNING_POLICIES = ("auto", "on", "off")
 """The valid ``pruning`` policy selectors (shared by every validation site).
@@ -64,21 +61,19 @@ class ProblemInstance:
             the mapping have weight 0. Materialised lazily from the dense arrays
             when the instance was created dense-first (e.g. out of the serving
             layer's substrate cache) — the rebuilt dict iterates in the source
-            dict's order, so the reference backend stays byte-identical.
+            dict's order, so the reference twins stay byte-identical.
+        dense: The :class:`~repro.core.dense.DenseInstance` the solvers run on —
+            the attached one, or one built once from ``graph`` + ``weights`` on
+            first access.
         query: The originating LCMSR query.
         build_seconds: Time spent building the instance (index probing + windowing);
             reported separately from solver runtime, mirroring the paper's offline /
             online split.
-        dense: The attached :class:`~repro.core.dense.DenseInstance`, or ``None``
-            when only the dict view exists (use :meth:`ensure_dense` to build it).
-        solver_backend: ``"auto"`` / ``"dense"`` / ``"dict"`` — which view the
-            solvers consume (see the module docstring).
         pruning: ``"auto"`` / ``"on"`` / ``"off"`` — whether solvers may take
             bound-licensed skips (see :data:`PRUNING_POLICIES`); results are
             byte-identical either way.
 
-    Instances are immutable by contract: neither view nor the derived aggregates
-    are ever invalidated.
+    Instances are immutable by contract: neither view is ever invalidated.
     """
 
     def __init__(
@@ -88,7 +83,6 @@ class ProblemInstance:
         query: Optional[LCMSRQuery] = None,
         build_seconds: float = 0.0,
         dense: Optional[DenseInstance] = None,
-        solver_backend: str = "auto",
         pruning: str = "auto",
         budget=None,
         sampling=None,
@@ -97,10 +91,6 @@ class ProblemInstance:
             raise QueryError("a ProblemInstance needs weights, a dense substrate, or both")
         if query is None:
             raise QueryError("a ProblemInstance needs its originating query")
-        if solver_backend not in SOLVER_BACKENDS:
-            raise QueryError(
-                f"solver_backend must be one of {SOLVER_BACKENDS}, got {solver_backend!r}"
-            )
         if pruning not in PRUNING_POLICIES:
             raise QueryError(
                 f"pruning must be one of {PRUNING_POLICIES}, got {pruning!r}"
@@ -108,8 +98,6 @@ class ProblemInstance:
         self.graph = graph
         self.query = query
         self.build_seconds = build_seconds
-        self.dense = dense
-        self.solver_backend = solver_backend
         self.pruning = pruning
         # Anytime tier (repro.core.anytime): an optional cooperative Budget the
         # solvers poll in their hot loops, and optional SampledWeights metadata
@@ -119,83 +107,46 @@ class ProblemInstance:
         self.budget = budget
         self.sampling = sampling
         self._weights = weights
-        # Derived aggregates, computed once on demand (instances are immutable).
-        self._sigma_max: Optional[float] = None
-        self._total_weight: Optional[float] = None
+        self._dense = dense
         self._relevant_nodes: Optional[Set[int]] = None
 
     # ------------------------------------------------------------------ views
     @property
+    def dense(self) -> DenseInstance:
+        """The position-indexed substrate (built once from the dict view if missing)."""
+        if self._dense is None:
+            self._dense = DenseInstance.from_graph(self.graph, self._weights)
+        return self._dense
+
+    @property
     def weights(self) -> Dict[int, float]:
         """The dict view of σ_v (materialised lazily from the dense arrays)."""
         if self._weights is None:
-            assert self.dense is not None
-            self._weights = self.dense.weights_dict()
+            self._weights = self._dense.weights_dict()
         return self._weights
 
-    def dense_view(self) -> Optional[DenseInstance]:
-        """The dense view the solvers should consume, or ``None`` for the dict path.
-
-        Resolution follows :attr:`solver_backend`: ``"dict"`` always returns
-        ``None``; ``"dense"`` builds and caches the substrate on demand; and
-        ``"auto"`` returns whatever the instance builder attached (the columnar
-        pipeline path attaches one, the scalar/test paths do not).
-        """
-        if self.solver_backend == "dict":
-            return None
-        if self.solver_backend == "dense":
-            return self.ensure_dense()
-        return self.dense
-
-    def ensure_dense(self) -> DenseInstance:
-        """Build (and cache) the dense substrate from the dict view if missing."""
-        if self.dense is None:
-            self.dense = DenseInstance.from_graph(self.graph, self.weights)
-        return self.dense
-
-    def with_backend(self, solver_backend: str) -> "ProblemInstance":
-        """Return a sibling instance sharing every view but pinned to a backend.
-
-        The graph, dict weights and dense substrate are shared, not copied —
-        the parity suite and the runner use this to solve one built instance
-        under both backends.
-        """
-        # Validation happens in the constructor below.
-        sibling = ProblemInstance(
+    def _sibling(self, **changes) -> "ProblemInstance":
+        """A copy sharing both views (the substrate is built first, once)."""
+        fields = dict(
             graph=self.graph,
             weights=self._weights,
             query=self.query,
             build_seconds=self.build_seconds,
             dense=self.dense,
-            solver_backend=solver_backend,
             pruning=self.pruning,
             budget=self.budget,
             sampling=self.sampling,
         )
-        if solver_backend == "dense":
-            sibling.ensure_dense()
-            # Share the lazily built substrate back so repeated switches are free.
-            if self.dense is None:
-                self.dense = sibling.dense
-        return sibling
+        fields.update(changes)
+        return ProblemInstance(**fields)
 
     def with_pruning(self, pruning: str) -> "ProblemInstance":
         """Return a sibling instance sharing every view but pinned to a pruning policy.
 
-        Like :meth:`with_backend`, nothing is copied — the benchmark and the
-        parity suite use this to solve one built instance pruned and unpruned.
+        Nothing is copied — the benchmark and the parity suite use this to
+        solve one built instance pruned and unpruned.
         """
-        return ProblemInstance(
-            graph=self.graph,
-            weights=self._weights,
-            query=self.query,
-            build_seconds=self.build_seconds,
-            dense=self.dense,
-            solver_backend=self.solver_backend,
-            pruning=pruning,
-            budget=self.budget,
-            sampling=self.sampling,
-        )
+        return self._sibling(pruning=pruning)
 
     def with_budget(self, budget) -> "ProblemInstance":
         """Return a sibling instance sharing every view but carrying a solve budget.
@@ -205,17 +156,7 @@ class ProblemInstance:
         a deadline never leaks into a cached instance (or into an exact query
         served from the same cache entry).
         """
-        return ProblemInstance(
-            graph=self.graph,
-            weights=self._weights,
-            query=self.query,
-            build_seconds=self.build_seconds,
-            dense=self.dense,
-            solver_backend=self.solver_backend,
-            pruning=self.pruning,
-            budget=budget,
-            sampling=self.sampling,
-        )
+        return self._sibling(budget=budget)
 
     @property
     def pruning_enabled(self) -> bool:
@@ -236,35 +177,27 @@ class ProblemInstance:
     @property
     def has_relevant_nodes(self) -> bool:
         """``True`` if at least one node has positive weight."""
-        if self._weights is None and self.dense is not None:
-            return bool(self.dense.relevant_positions().size)
-        return any(weight > 0 for weight in self.weights.values())
+        return bool(self.dense.relevant_positions().size)
 
     def weight_of(self, node_id: int) -> float:
         """Return σ_v (0.0 for nodes without relevant objects)."""
         return self.weights.get(node_id, 0.0)
 
     def sigma_max(self) -> float:
-        """Return the largest node weight in the instance (0.0 if none; cached)."""
-        if self._sigma_max is None:
-            if self._weights is None and self.dense is not None:
-                self._sigma_max = self.dense.sigma_max
-            else:
-                self._sigma_max = max(self.weights.values(), default=0.0)
-        return self._sigma_max
+        """Return the largest node weight in the instance (0.0 if none).
+
+        Read off the substrate, which computes it once; bit-equal to ``max``
+        over the dict view.
+        """
+        return self.dense.sigma_max
 
     def total_weight(self) -> float:
-        """Return the sum of all node weights in the instance (cached).
+        """Return the sum of all node weights in the instance.
 
-        The dense substrate replays the dict iteration order when summing, so
-        the cached value is bit-equal on both views.
+        Read off the substrate, which sums in the dict's iteration order, so
+        the value is bit-equal to ``sum`` over the dict view.
         """
-        if self._total_weight is None:
-            if self._weights is None and self.dense is not None:
-                self._total_weight = self.dense.total_weight
-            else:
-                self._total_weight = sum(self.weights.values())
-        return self._total_weight
+        return self.dense.total_weight
 
     def relevant_nodes(self) -> Set[int]:
         """Return the ids of nodes with positive weight (cached; treat as read-only)."""
@@ -282,7 +215,6 @@ class ProblemInstance:
             weights={n: w for n, w in self.weights.items() if n in keep},
             query=self.query,
             build_seconds=self.build_seconds,
-            solver_backend=self.solver_backend,
             pruning=self.pruning,
         )
 
@@ -305,9 +237,9 @@ def build_instance(
     * ``pipeline`` — the columnar hot path: σ_v computed with vectorised array
       kernels over the frozen :class:`~repro.textindex.columnar.ColumnarScoringIndex`
       (bit-identical to the ``scorer`` reference backend). When the window graph
-      is a frozen CSR view, the instance additionally carries an attached
-      :class:`~repro.core.dense.DenseInstance` so the solvers' array-first hot
-      loops run without any dict re-keying; or
+      is a frozen CSR view, the :class:`~repro.core.dense.DenseInstance` is
+      built here, sharing the window's arrays; any other instance builds it
+      on first access; or
     * ``scorer`` — score objects one by one through a :class:`RelevanceScorer`
       (the reference the pipeline is checked against); or
     * ``node_weights`` — explicit per-node weights (unit tests, Figure 2 example,

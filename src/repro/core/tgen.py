@@ -15,7 +15,7 @@ the paper (and our benchmarks) find it the most accurate of the three algorithms
 from __future__ import annotations
 
 import time
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -27,7 +27,7 @@ from repro.core.region import Region
 from repro.core.result import RegionResult, TopKResult
 from repro.core.scaling import ScalingContext
 from repro.core.topk import resolve_k
-from repro.core.tuples import EPS, RegionTuple, TupleArray
+from repro.core.tuples import EPS, RegionTuple
 from repro.exceptions import SolverError
 from repro.network.graph import edge_key
 
@@ -46,8 +46,9 @@ class TGENSolver:
         alpha: Scaling parameter α. TGEN uses much larger values than APP (the paper
             sweeps 50–1600 and settles on 400 for NY / 300 for USANW) because every
             node in the window keeps a tuple array, so the arrays must stay small.
-        max_tuples_per_node: Optional hard cap on tuples stored per node (an ablation
-            knob, see ``bench_ablation_tuple_cap``; ``None`` reproduces the paper).
+        max_tuples_per_node: Optional hard cap on tuples stored per node, at least
+            1 (an ablation knob, see ``bench_ablation_tuple_cap``; ``None``
+            reproduces the paper).
         edge_order: ``"bfs"`` (the paper's choice) or ``"length"`` (ascending edge
             length, the alternative the paper reports as no more accurate but slower).
     """
@@ -68,6 +69,10 @@ class TGENSolver:
     ) -> None:
         if alpha is not None and alpha <= 0:
             raise SolverError(f"alpha must be positive, got {alpha}")
+        if max_tuples_per_node is not None and max_tuples_per_node < 1:
+            raise SolverError(
+                f"max_tuples_per_node must be at least 1, got {max_tuples_per_node}"
+            )
         if edge_order not in ("bfs", "length"):
             raise SolverError(f"edge_order must be 'bfs' or 'length', got {edge_order!r}")
         self.alpha = alpha
@@ -143,100 +148,9 @@ class TGENSolver:
         """Run the traversal; return the best tuple, the best ``top_k`` distinct
         tuples (none when ``top_k`` is 0, which collects no pool) and the
         solver counters."""
-        stats: Dict[str, float] = {"tuples_generated": 0.0, "edges_processed": 0.0}
         if not instance.has_relevant_nodes or instance.num_candidate_nodes == 0:
-            return None, [], stats
-        dense = instance.dense_view()
-        if dense is not None:
-            return self._run_dense(instance, dense, top_k)
-        collect_pool = top_k > 0
-        pool_size = max(64, 16 * top_k)
-        graph = instance.graph
-        delta = instance.query.delta
-        scaling = ScalingContext.build(
-            instance.weights, instance.num_candidate_nodes, self._effective_alpha(instance)
-        )
-        scaled = scaling.scale_weights(instance.weights)
-
-        arrays: Dict[int, TupleArray] = {}
-        best: Optional[RegionTuple] = None
-        pool: List[RegionTuple] = []
-        pool_keys: Set[frozenset] = set()
-        for node_id in graph.node_ids():
-            array = TupleArray()
-            singleton = RegionTuple.singleton(
-                node_id, instance.weights.get(node_id, 0.0), scaled.get(node_id, 0)
-            )
-            array.update(singleton)
-            arrays[node_id] = array
-            if singleton.better_than(best):
-                best = singleton
-            if collect_pool and singleton.scaled_weight > 0:
-                _pool_add(pool, pool_keys, singleton, pool_size, _region_nodes, _region_rank)
-
-        processed_nodes: Set[int] = set()
-        visited_edges: Set[Tuple[int, int]] = set()
-        visited_nodes: Set[int] = set()
-        budget = instance.budget
-        expired = False
-
-        for start_node in self._start_nodes(instance):
-            if expired:
-                break
-            if start_node in visited_nodes:
-                continue
-            visited_nodes.add(start_node)
-            queue: List[int] = [start_node]
-            head = 0
-            while head < len(queue) and not expired:
-                vi = queue[head]
-                head += 1
-                for vj, edge_length in self._incident_edges(instance, vi):
-                    # Cooperative deadline, polled once per edge: on expiry the
-                    # traversal stops and the incumbent best-so-far is returned.
-                    if budget is not None and budget.expired():
-                        stats["budget_expired"] = 1.0
-                        expired = True
-                        break
-                    key = (vi, vj) if vi <= vj else (vj, vi)
-                    if key in visited_edges:
-                        continue
-                    visited_edges.add(key)
-                    if vj not in visited_nodes:
-                        visited_nodes.add(vj)
-                        queue.append(vj)
-                    if edge_length > delta:
-                        continue
-                    stats["edges_processed"] += 1
-                    new_tuples: List[RegionTuple] = []
-                    for tuple_i in arrays[vi].tuples():
-                        for tuple_j in arrays[vj].tuples():
-                            if tuple_i.length + tuple_j.length + edge_length > delta + 1e-12:
-                                continue
-                            if tuple_i.shares_nodes_with(tuple_j):
-                                continue
-                            combined = tuple_i.combine(tuple_j, vi, vj, edge_length)
-                            new_tuples.append(combined)
-                    stats["tuples_generated"] += len(new_tuples)
-                    for combined in new_tuples:
-                        if combined.better_than(best):
-                            best = combined
-                        if collect_pool:
-                            _pool_add(
-                                pool, pool_keys, combined, pool_size, _region_nodes, _region_rank
-                            )
-                        for member in combined.nodes:
-                            if member in processed_nodes:
-                                continue
-                            array = arrays[member]
-                            array.update(combined)
-                            if (
-                                self.max_tuples_per_node is not None
-                                and len(array) > self.max_tuples_per_node
-                            ):
-                                _evict_worst(array, self.max_tuples_per_node)
-                processed_nodes.add(vi)
-        return best, _rank_distinct(pool, top_k, _region_nodes, _region_rank), stats
+            return None, [], {"tuples_generated": 0.0, "edges_processed": 0.0}
+        return self._run_dense(instance, instance.dense, top_k)
 
     # ------------------------------------------------------------------ dense hot loop
     #: Pair-count threshold above which per-edge feasibility is prefiltered with a
@@ -246,12 +160,13 @@ class TGENSolver:
     def _run_dense(
         self, instance: ProblemInstance, dense: DenseInstance, top_k: int
     ) -> Tuple[Optional[RegionTuple], List[RegionTuple], Dict[str, float]]:
-        """Array-first twin of :meth:`_run` over local node positions.
+        """The traversal over local node positions.
 
         The traversal order, the budget poll points, the ``(length, weight,
-        scaled)`` arithmetic and the order of array updates are the
-        reference's, so regions, floats and counters come out identical. What
-        differs is the representation. Scaled weights come from one vectorised
+        scaled)`` arithmetic and the order of array updates are those of the
+        dict-keyed loop in :class:`~repro.core.reference.ReferenceTGEN`, so
+        regions, floats and counters come out identical. What differs is the
+        representation. Scaled weights come from one vectorised
         pass, the BFS runs over CSR positions with flat visited tables and
         packed edge keys, and a region tuple is a flat :data:`DenseTuple`: its
         node set is an int bitmask over positions, so the Lemma 9 test is
@@ -320,8 +235,11 @@ class TGENSolver:
         # node's array (exact until an eviction, stale-high after — safe).
         max_scaled: List[int] = list(scaled_list) if prune else []
 
-        # Traversal seeds: every node, relevant (weighted) nodes first — the
-        # position-space equivalent of _start_nodes' sort by (-σ_v, node id).
+        # Traversal seeds: every node, relevant (weighted) nodes first, sorted
+        # by (-σ_v, node id). The paper selects "any unprocessed node";
+        # seeding with relevant nodes first makes the BFS fronts grow out of
+        # the object clusters, which matches the paper's accuracy while being
+        # deterministic for tests.
         start_order = np.lexsort((dense.ids, -dense.sigma)).tolist()
         for start_pos in start_order:
             if expired:
@@ -452,37 +370,10 @@ class TGENSolver:
             stats,
         )
 
-    # ------------------------------------------------------------------ helpers
-    def _start_nodes(self, instance: ProblemInstance) -> List[int]:
-        """Traversal seeds: every node, relevant (weighted) nodes first.
-
-        The paper selects "any unprocessed node"; seeding with relevant nodes first
-        makes the BFS fronts grow out of the object clusters, which we found matches
-        the paper's accuracy while being deterministic for tests.
-        """
-        weights = instance.weights
-        return sorted(
-            instance.graph.node_ids(), key=lambda v: (-weights.get(v, 0.0), v)
-        )
-
-    def _incident_edges(
-        self, instance: ProblemInstance, node_id: int
-    ) -> List[Tuple[int, float]]:
-        items = list(instance.graph.neighbor_items(node_id))
-        if self.edge_order == "length":
-            items.sort(key=lambda pair: pair[1])
-        return items
-
-
-# Identity and rank keys of the two tuple representations: the top-k pool is
-# deduplicated on the node set (a frozenset or a mask) and ranked by larger
-# scaled weight, then larger weight, then shorter length.
-_region_nodes = attrgetter("nodes")
+# Identity and rank keys of a dense tuple: the top-k pool is deduplicated on
+# the node set (the mask) and ranked by larger scaled weight, then larger
+# weight, then shorter length.
 _dense_mask = itemgetter(3)
-
-
-def _region_rank(t: RegionTuple) -> Tuple[int, float, float]:
-    return (-t.scaled_weight, -t.weight, t.length)
 
 
 def _dense_rank(t: DenseTuple) -> Tuple[int, float, float]:
@@ -539,21 +430,11 @@ def _rank_distinct(
     return ranked
 
 
-def _evict_worst(array: TupleArray, keep: int) -> None:
-    """Drop the lowest-scaled-weight tuples so the array holds at most ``keep`` entries."""
-    tuples = sorted(array.tuples(), key=lambda t: (-t.scaled_weight, t.length))
-    survivors = tuples[:keep]
-    # Rebuild in place.
-    array._entries.clear()  # noqa: SLF001 - intentional internal rebuild
-    for entry in survivors:
-        array.update(entry)
-
-
 def _keep_best(entries: Dict[int, DenseTuple], keep: int) -> None:
-    """:func:`_evict_worst` on a dense array: keep the ``keep`` largest keys.
+    """Evict from a dense tuple array: keep the ``keep`` largest keys.
 
     The survivors are re-inserted in descending key order, the order the
-    reference rebuild leaves behind.
+    reference twin's rebuild leaves behind.
     """
     survivors = sorted(entries.items(), reverse=True)[:keep]
     entries.clear()

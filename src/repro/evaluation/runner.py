@@ -7,25 +7,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Union
 
-from repro.core.instance import (
-    PRUNING_POLICIES,
-    SOLVER_BACKENDS,
-    ProblemInstance,
-    build_instance,
-)
+from repro.core.instance import PRUNING_POLICIES, ProblemInstance, build_instance
 from repro.core.query import LCMSRQuery
 from repro.core.result import RegionResult
 from repro.datasets.synthetic import SyntheticDataset
 from repro.evaluation.metrics import average_relative_ratio, mean
 from repro.service.bundle import IndexBundle
-
-
-def _validated_solver_backend(solver_backend: Optional[str]) -> str:
-    """Normalise the runner's solver-backend selector (``None`` → ``"auto"``)."""
-    resolved = "auto" if solver_backend is None else solver_backend
-    if resolved not in SOLVER_BACKENDS:
-        raise ValueError(f"unknown solver backend {solver_backend!r}")
-    return resolved
 
 
 def _validated_pruning(pruning: Optional[str]) -> str:
@@ -97,12 +84,6 @@ class ExperimentRunner:
 
     Args:
         dataset: The dataset to query.
-        solver_backend: Which solver substrate the built instances request.
-            ``None`` (default) leaves instances on ``"auto"``: solvers take the
-            dense position-indexed hot loops the instance builder attached.
-            Explicit values: ``"dense"`` (force the substrate) and ``"dict"``
-            (force the reference loops). Both backends return byte-identical
-            results; only the solver runtime differs.
         pruning: Bound-based pruning policy the built instances carry. ``None``
             (default) resolves to ``"auto"``; see
             :data:`~repro.core.instance.PRUNING_POLICIES`. Results are
@@ -123,10 +104,8 @@ class ExperimentRunner:
         self,
         dataset: SyntheticDataset,
         artifact_cache_dir: Optional[Union[str, Path]] = None,
-        solver_backend: Optional[str] = None,
         pruning: Optional[str] = None,
     ) -> None:
-        self._solver_backend = _validated_solver_backend(solver_backend)
         self._pruning = _validated_pruning(pruning)
         if artifact_cache_dir is not None:
             from repro.service.persist import cached_dataset_bundle
@@ -139,21 +118,18 @@ class ExperimentRunner:
     def from_bundle(
         cls,
         bundle: IndexBundle,
-        solver_backend: Optional[str] = None,
         pruning: Optional[str] = None,
     ) -> "ExperimentRunner":
         """Create a runner over an existing bundle (e.g. one loaded from an artifact).
 
         Args:
             bundle: The prebuilt (or artifact-loaded) index state.
-            solver_backend: As in the constructor.
             pruning: As in the constructor.
 
         Returns:
             A runner that shares the bundle's indexes without any build work.
         """
         runner = cls.__new__(cls)
-        runner._solver_backend = _validated_solver_backend(solver_backend)
         runner._pruning = _validated_pruning(pruning)
         runner._bundle = bundle
         return runner
@@ -164,26 +140,18 @@ class ExperimentRunner:
         return self._bundle
 
     @property
-    def solver_backend(self) -> str:
-        """The solver substrate built instances request (``"auto"`` when unset)."""
-        return self._solver_backend
-
-    @property
     def pruning(self) -> str:
         """The pruning policy built instances carry (``"auto"`` when unset)."""
         return self._pruning
 
     def build(self, query: LCMSRQuery) -> ProblemInstance:
         """Build the solver input for one query."""
-        instance = build_instance(
+        return build_instance(
             self._bundle.graph_view(),
             query,
             pipeline=self._bundle.weight_pipeline(),
             pruning=self._pruning,
         )
-        if self._solver_backend != "auto":
-            instance = instance.with_backend(self._solver_backend)
-        return instance
 
     def run(
         self,

@@ -13,12 +13,14 @@ front end:
 * **Instance cache** — an LRU over :class:`~repro.service.keys.InstanceKey`: queries
   that share a keyword set and window (e.g. a ``∆``-sweep, or the same query under
   two algorithms) skip ``build_instance`` — the windowed subgraph extraction and the
-  σ_v computation — and only pay for solving. When the engine's hot path attaches a
-  :class:`~repro.core.dense.DenseInstance` (the columnar-pipeline default), the
-  cache stores that substrate instead of the full
-  :class:`~repro.core.instance.ProblemInstance`: it is smaller (flat arrays, no
-  per-entry weight dict — the dict view re-materialises lazily in the original
-  order on demand), picklable as-is, and re-binding it to an incoming query is a
+  σ_v computation — and only pay for solving. Every entry is one
+  ``(substrate, sampling record)`` pair: the instance's
+  :class:`~repro.core.dense.DenseInstance` instead of the full
+  :class:`~repro.core.instance.ProblemInstance` — smaller (flat arrays, no
+  per-entry weight dict; the dict view re-materialises lazily in the original
+  order on demand) and picklable as-is — plus the
+  :class:`~repro.textindex.columnar.SampledWeights` record of a sampled build
+  (``None`` otherwise). Re-binding an entry to an incoming query is a
   constant-time wrap.
 
 Sharing built instances across workers is safe because solvers treat instances as
@@ -40,7 +42,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.anytime import QueryPolicy
-from repro.core.dense import DenseInstance
 from repro.core.instance import ProblemInstance
 from repro.core.query import LCMSRQuery
 from repro.core.result import RegionResult, TopKResult
@@ -339,44 +340,26 @@ class QueryService:
         """Fetch or build the problem instance for a query.
 
         Returns:
-            ``(instance, was_cache_hit, build_seconds)``. A cached entry is
-            re-bound to the incoming query (``∆`` / ``k`` differ between queries
-            that legitimately share a window graph and weights). Cache entries
-            are :class:`~repro.core.dense.DenseInstance` substrates whenever the
-            builder attached one (the hot path), full instances otherwise —
-            except sampled builds, which are cached as full instances so the
-            :class:`~repro.textindex.columnar.SampledWeights` record (variance
-            for CI annotation) survives the round trip.
+            ``(instance, was_cache_hit, build_seconds)``. A cached
+            ``(substrate, sampling record)`` entry is re-bound to the incoming
+            query (``∆`` / ``k`` differ between queries that legitimately share
+            a window graph and weights); the sampling record keeps the variances
+            a sampled answer's CI is computed from.
         """
         cached = self._instance_cache.get(key)
         if cached is not None:
+            substrate, sampling = cached
             # Rebound instances carry the engine's pruning policy just like
             # freshly built ones — cache hits and misses must solve identically.
-            if isinstance(cached, DenseInstance):
-                return (
-                    cached.to_problem_instance(query, pruning=self._engine.pruning),
-                    True,
-                    0.0,
-                )
-            rebound = ProblemInstance(
-                graph=cached.graph,
-                weights=cached.weights,
-                query=query,
-                build_seconds=0.0,
-                pruning=self._engine.pruning,
-                sampling=cached.sampling,
+            rebound = substrate.to_problem_instance(
+                query, pruning=self._engine.pruning, sampling=sampling
             )
             return rebound, True, 0.0
         # Window-less instances already share the engine's graph view (the
         # instance builder stopped copying the network), so caching them pins no
         # extra graph memory; windowed instances carry their own (compact) view.
         instance = self._engine.build_instance(query, policy=policy)
-        if instance.sampling is not None:
-            self._instance_cache.put(key, instance)
-        else:
-            self._instance_cache.put(
-                key, instance.dense if instance.dense is not None else instance
-            )
+        self._instance_cache.put(key, (instance.dense, instance.sampling))
         return instance, False, instance.build_seconds
 
     # ------------------------------------------------------------------ batch API

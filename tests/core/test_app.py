@@ -38,6 +38,17 @@ class TestParameterValidation:
         with pytest.raises(SolverError):
             APPSolver(beta=0.0)
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_max_iterations_below_one_rejected(self, iterations):
+        # Fewer than one iteration used to skip the binary search and answer
+        # the single heaviest node.
+        with pytest.raises(SolverError):
+            APPSolver(max_iterations=iterations)
+
+    def test_one_iteration_accepted(self, paper_instance):
+        result = APPSolver(max_iterations=1).solve(paper_instance)
+        assert result.region.nodes == PAPER_EXAMPLE_OPTIMUM_NODES
+
 
 class TestFindOptTree:
     def test_empty_tree(self):

@@ -25,6 +25,7 @@ from repro.core.dense import DenseInstance
 from repro.core.greedy import GreedySolver
 from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
+from repro.core.reference import twin
 from repro.core.tgen import TGENSolver
 from repro.exceptions import QueryError
 from repro.network.builders import random_geometric_network
@@ -116,6 +117,23 @@ class TestRenumbering:
             assert dense.sigma[position_of[node_id]] == weight
 
 
+class TestInstanceSubstrate:
+    def test_dict_graph_instance_builds_its_substrate_once(self, window_setup):
+        # build_instance attaches no substrate over a dict RoadNetwork; the
+        # first access builds it from graph + weights, and every later access
+        # (siblings included) returns that same object.
+        window, weights = window_setup
+        thawed = window.to_network()
+        query = LCMSRQuery.create(["kw"], delta=900.0)
+        instance = build_instance(thawed, query, node_weights=weights)
+        dense = instance.dense
+        assert isinstance(dense, DenseInstance)
+        assert instance.dense is dense
+        assert instance.with_pruning("off").dense is dense
+        assert dense.ids_list() == list(thawed.node_ids())
+        assert list(dense.weights_dict().items()) == list(instance.weights.items())
+
+
 class TestDictOrderReplay:
     def test_weights_dict_replays_items_and_order(self, window_setup):
         window, weights = window_setup
@@ -162,13 +180,12 @@ class TestPickleRoundTrip:
         window, weights = window_setup
         query = LCMSRQuery.create(["kw"], delta=900.0)
         instance = build_instance(window, query, node_weights=weights)
-        dense = instance.with_backend("dense").dense
-        rebuilt = pickle.loads(pickle.dumps(dense))
+        rebuilt = pickle.loads(pickle.dumps(instance.dense))
         rebound = rebuilt.to_problem_instance(query)
         # The rebound instance has no dict yet; solvers and the lazy dict view
-        # must both reproduce the original results bit for bit.
+        # must both reproduce the reference twins' results bit for bit.
         for solver in (GreedySolver(), TGENSolver()):
-            a = solver.solve(instance.with_backend("dict"))
+            a = twin(solver).solve(instance)
             b = solver.solve(rebound)
             assert a.region.nodes == b.region.nodes
             assert a.region.edges == b.region.edges

@@ -4,21 +4,27 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.dense import DenseInstance
 from repro.core.kmst import QuotaTreeSolver
 from repro.network.builders import grid_network, path_network, star_network
+
+
+def quota_solver(network, weights, scaled):
+    dense = DenseInstance.from_graph(network, weights)
+    return QuotaTreeSolver(network, weights, scaled, dense)
 
 
 def solver_on_path(weights=None, scaled=None):
     network = path_network(6, edge_length=2.0)
     weights = weights or {0: 0.5, 2: 0.5, 5: 0.9}
     scaled = scaled or {k: int(v * 10) for k, v in weights.items()}
-    return QuotaTreeSolver(network, weights, scaled), network
+    return quota_solver(network, weights, scaled), network
 
 
 class TestBasics:
     def test_no_terminals_returns_none(self):
         network = path_network(3)
-        solver = QuotaTreeSolver(network, {}, {})
+        solver = quota_solver(network, {}, {})
         assert solver.solve(5) is None
         assert solver.terminals == []
 
@@ -69,7 +75,7 @@ class TestQuality:
         network = grid_network(5, 5, spacing=1.0)
         weights = {0: 1.0, 1: 1.0, 5: 1.0, 24: 1.0}
         scaled = {k: 10 for k in weights}
-        solver = QuotaTreeSolver(network, weights, scaled)
+        solver = quota_solver(network, weights, scaled)
         tree = solver.solve(30)
         assert tree is not None
         # The three co-located corner nodes {0, 1, 5} satisfy the quota with length 2.
@@ -92,7 +98,7 @@ class TestQuality:
         # Leaves 1..5 all weighted equally; centre unweighted.
         weights = {leaf: 1.0 for leaf in range(1, 6)}
         scaled = {leaf: 10 for leaf in range(1, 6)}
-        solver = QuotaTreeSolver(network, weights, scaled)
+        solver = quota_solver(network, weights, scaled)
         tree = solver.solve(20)
         assert tree is not None
         assert tree.scaled_weight >= 20

@@ -4,10 +4,10 @@ Bound-based pruning (:mod:`repro.core.bounds` plus the skip branches in the
 Exact, Greedy and TGEN solvers and the instance builder's zero-mass window
 skip) is required to be *skip-only*: for every solver, every scoring mode,
 windowed as well as window-less queries, both graph backends (frozen CSR and
-dict) and both solver substrates (dense and dict), the results under
-``pruning="on"`` must be **byte-identical** to ``pruning="off"`` — same
-regions, same tie-breaks, bit-equal floats. Only skip counters and runtime may
-differ.
+dict), and both the solvers and their dict-loop reference twins
+(:func:`repro.core.reference.twin`), the results under ``pruning="on"`` must
+be **byte-identical** to ``pruning="off"`` — same regions, same tie-breaks,
+bit-equal floats. Only skip counters and runtime may differ.
 
 This is the pruning counterpart of the dense-substrate suite in
 ``test_solver_backend_parity.py`` (same dataset, seeds and workload shape, so
@@ -24,6 +24,7 @@ from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
 from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
+from repro.core.reference import twin
 from repro.core.tgen import TGENSolver
 from repro.datasets.ny import build_ny_like
 from repro.datasets.queries import generate_workload
@@ -39,7 +40,7 @@ MODES = [
 ]
 # (scoring mode, frozen): frozen variants window the bundle's CSR snapshot (and
 # attach the dense substrate eagerly); the other windows the dict-backed
-# network, so with_backend("dense") builds the substrate on demand.
+# network, so the substrate is built on first access.
 GRAPH_VARIANTS = [(mode, True) for mode in MODES] + [
     (ScoringMode.TEXT_RELEVANCE, False)
 ]
@@ -105,10 +106,10 @@ class TestHeuristicPruningParity:
     def test_solve_is_byte_identical(self, build, workload, make_solver):
         solver = make_solver()
         for query in workload:
-            for backend in ("dict", "dense"):
-                instance = build(query).with_backend(backend)
-                pruned = solver.solve(instance.with_pruning("on"))
-                reference = solver.solve(instance.with_pruning("off"))
+            for backend, run in (("dict", twin(solver)), ("dense", solver)):
+                instance = build(query)
+                pruned = run.solve(instance.with_pruning("on"))
+                reference = run.solve(instance.with_pruning("off"))
                 _assert_identical(
                     pruned,
                     reference,
@@ -158,11 +159,9 @@ class TestExactPruningParity:
     def test_branch_and_bound_solve_is_byte_identical(self, build):
         solver = ExactSolver(max_nodes=16)
         for instance in self._tiny_window_instances(build):
-            for backend in ("dict", "dense"):
-                bound = instance.with_backend(backend)
-                pruned = solver.solve(bound.with_pruning("on"))
-                reference = solver.solve(bound.with_pruning("off"))
-                _assert_identical(pruned, reference, ("exact", backend))
+            pruned = solver.solve(instance.with_pruning("on"))
+            reference = solver.solve(instance.with_pruning("off"))
+            _assert_identical(pruned, reference, "exact")
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_branch_and_bound_topk_matches_exhaustive_enumeration(self, build, k):
@@ -231,8 +230,6 @@ class TestDenseFirstRebindParity:
     ):
         query = workload[0]
         instance = build(query)
-        if instance.dense is None:
-            pytest.skip("dict-backed bundle does not attach the substrate eagerly")
         for policy in ("on", "off"):
             rebound = instance.dense.to_problem_instance(query, pruning=policy)
             assert rebound.pruning == policy

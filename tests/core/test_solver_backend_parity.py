@@ -1,18 +1,19 @@
-"""Seeded cross-backend parity: dense-substrate solvers vs the dict reference.
+"""Seeded parity: the dense-substrate solvers vs their dict-loop reference twins.
 
 The dense solver substrate (:mod:`repro.core.dense`) is required to be a pure
 representation change: for every solver, every scoring mode, and windowed as
-well as window-less queries, the results must be **byte-identical** to the dict
-reference backend — same regions, same tie-breaks, bit-equal floats. This is
-the solver-layer counterpart of PR 2's network-backend and PR 4's
-weight-backend parity suites.
+well as window-less queries, the results must be **byte-identical** to the
+solver's reference twin (:func:`repro.core.reference.twin`), which runs the
+pre-substrate dict loops — same regions, same tie-breaks, bit-equal floats.
+This is the solver-layer counterpart of the network-backend and σ_v parity
+suites.
 
 The suite runs the full indexed path (dataset → ``IndexBundle`` → engine →
 ``build_instance`` with the columnar pipeline, which attaches the dense
-substrate) and compares ``solve`` / ``solve_topk`` under
-``with_backend("dict")`` vs ``with_backend("dense")``. Exact runs on a tiny
-window and additionally exercises the dense-first route (an instance created
-from the substrate alone, with the dict view materialised lazily).
+substrate) and compares ``twin(solver).solve(x)`` / ``solve_topk`` with
+``solver.solve(x)`` on the same built instance. Exact has one path and no twin;
+it runs on a tiny window and exercises the dense-first route (an instance
+created from the substrate alone, with the dict view materialised lazily).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pytest
 from repro.core.app import APPSolver
 from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
+from repro.core.reference import twin
 from repro.core.tgen import TGENSolver
 from repro.datasets.ny import build_ny_like
 from repro.datasets.queries import generate_workload
@@ -76,7 +78,7 @@ def _assert_topk_identical(topk_a, topk_b, context):
 
 
 def _assert_same_work(result_a, result_b, context):
-    """Equal TGEN counters: the backends combined exactly the same tuples."""
+    """Equal TGEN counters: solver and twin combined exactly the same tuples."""
     for key in ("tuples_generated", "edges_processed"):
         assert result_a.stats[key] == result_b.stats[key], (key, context)
 
@@ -85,7 +87,7 @@ class _PollBudget:
     """A solve budget that expires after a fixed number of ``expired()`` polls.
 
     Unlike a deadline it truncates a run at the same point on every machine,
-    so both backends must stop after exactly the same edge.
+    so solver and twin must stop after exactly the same edge.
     """
 
     def __init__(self, polls: int) -> None:
@@ -109,9 +111,11 @@ class TestHeuristicSolverParity:
         solver = make_solver()
         for query in workload:
             instance = engine.build_instance(query)
-            assert instance.dense is not None, "pipeline path must attach the substrate"
-            a = solver.solve(instance.with_backend("dict"))
-            b = solver.solve(instance.with_backend("dense"))
+            assert instance.dense.graph_view() is instance.graph, (
+                "the pipeline path must attach a substrate sharing the window"
+            )
+            a = twin(solver).solve(instance)
+            b = solver.solve(instance)
             _assert_identical(a, b, (solver.name, query.keywords, query.region))
 
     @pytest.mark.parametrize(
@@ -122,8 +126,8 @@ class TestHeuristicSolverParity:
         solver = make_solver()
         for query in workload[:3]:
             instance = engine.build_instance(query)
-            topk_dict = solver.solve_topk(instance.with_backend("dict"), k=3)
-            topk_dense = solver.solve_topk(instance.with_backend("dense"), k=3)
+            topk_dict = twin(solver).solve_topk(instance, k=3)
+            topk_dense = solver.solve_topk(instance, k=3)
             assert len(topk_dict.results) == len(topk_dense.results)
             for a, b in zip(topk_dict.results, topk_dense.results):
                 _assert_identical(a, b, (solver.name, query.keywords))
@@ -149,8 +153,8 @@ class TestTGENParity:
             instance = engine.build_instance(query)
             for pruning in ("auto", "off"):
                 pinned = instance.with_pruning(pruning)
-                a = solver.solve(pinned.with_backend("dict"))
-                b = solver.solve(pinned.with_backend("dense"))
+                a = twin(solver).solve(pinned)
+                b = solver.solve(pinned)
                 context = (settings, pruning, query.keywords, query.region)
                 _assert_identical(a, b, context)
                 if pruning == "off":
@@ -166,8 +170,8 @@ class TestTGENParity:
         for query in workload:
             instance = engine.build_instance(query)
             _assert_topk_identical(
-                solver.solve_topk(instance.with_backend("dict"), k=3),
-                solver.solve_topk(instance.with_backend("dense"), k=3),
+                twin(solver).solve_topk(instance, k=3),
+                solver.solve_topk(instance, k=3),
                 (settings, query.keywords, query.region),
             )
 
@@ -177,11 +181,11 @@ class TestTGENParity:
         truncated = 0
         for query in workload:
             instance = engine.build_instance(query).with_pruning("off")
-            a = solver.solve(instance.with_backend("dict").with_budget(_PollBudget(polls)))
-            b = solver.solve(instance.with_backend("dense").with_budget(_PollBudget(polls)))
+            a = twin(solver).solve(instance.with_budget(_PollBudget(polls)))
+            b = solver.solve(instance.with_budget(_PollBudget(polls)))
             context = (polls, query.keywords, query.region)
             _assert_identical(a, b, context)
-            # Dense stats also carry edges_skipped; compare what both report.
+            # The solver's stats also carry edges_skipped; compare what both report.
             shared = a.stats.keys() & b.stats.keys()
             assert {"tuples_generated", "edges_processed", "quality_regret_bound"} <= shared
             assert {key: a.stats[key] for key in shared} == {
@@ -212,16 +216,16 @@ class TestWideWindowParity:
 
     def test_solve_is_byte_identical(self, wide_instance):
         solver = TGENSolver()
-        a = solver.solve(wide_instance.with_backend("dict"))
-        b = solver.solve(wide_instance.with_backend("dense"))
+        a = twin(solver).solve(wide_instance)
+        b = solver.solve(wide_instance)
         _assert_identical(a, b, "wide")
         _assert_same_work(a, b, "wide")
 
     def test_topk_is_byte_identical(self, wide_instance):
         solver = TGENSolver()
         _assert_topk_identical(
-            solver.solve_topk(wide_instance.with_backend("dict"), k=3),
-            solver.solve_topk(wide_instance.with_backend("dense"), k=3),
+            twin(solver).solve_topk(wide_instance, k=3),
+            solver.solve_topk(wide_instance, k=3),
             "wide-topk",
         )
 
@@ -243,16 +247,14 @@ class TestExactParity:
     def test_exact_is_byte_identical_on_tiny_windows(self, engine, dataset):
         instance = self._tiny_window_instance(engine, dataset)
         solver = ExactSolver(max_nodes=16)
-        a = solver.solve(instance.with_backend("dict"))
-        b = solver.solve(instance.with_backend("dense"))
-        _assert_identical(a, b, "exact")
+        a = solver.solve(instance)
         # Dense-first route: the instance rebuilt from the substrate alone
-        # (lazy dict view) must match too — this is what the serving layer's
+        # (lazy dict view) must match — this is what the serving layer's
         # substrate cache hands to the dict-consuming Exact oracle.
         rebound = instance.dense.to_problem_instance(instance.query)
         c = solver.solve(rebound)
         _assert_identical(a, c, "exact-dense-first")
-        topk_a = solver.solve_topk(instance.with_backend("dict"), k=3)
+        topk_a = solver.solve_topk(instance, k=3)
         topk_c = solver.solve_topk(rebound, k=3)
         assert len(topk_a.results) == len(topk_c.results)
         for ra, rb in zip(topk_a.results, topk_c.results):
@@ -271,7 +273,7 @@ class TestDenseFirstRebindParity:
         for query in workload[:2]:
             instance = engine.build_instance(query)
             rebound = instance.dense.to_problem_instance(query)
-            a = solver.solve(instance.with_backend("dict"))
+            a = twin(solver).solve(instance)
             b = solver.solve(rebound)
             _assert_identical(a, b, (solver.name, query.keywords))
             assert list(rebound.weights.items()) == list(instance.weights.items())

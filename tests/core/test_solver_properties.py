@@ -18,7 +18,8 @@ that must hold *between* solver runs:
   weight equal to the sum of its nodes' weights.
 * **Backend identity** — dict-backed and CSR-backed instances produce identical
   regions under the same seeds (the randomized counterpart of
-  ``test_backend_parity.py``).
+  ``test_backend_parity.py``), and so does each solver's reference twin
+  (:func:`repro.core.reference.twin`, the dict loops) on both graphs.
 
 All randomness is seeded: each failure is reproducible from the test id alone.
 """
@@ -35,6 +36,7 @@ from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
 from repro.core.instance import ProblemInstance, build_instance
 from repro.core.query import LCMSRQuery
+from repro.core.reference import twin
 from repro.core.tgen import TGENSolver
 from repro.network.builders import grid_network, random_geometric_network
 from repro.network.compact import CompactNetwork
@@ -51,14 +53,19 @@ KEYWORD_POOL = ["alpha", "beta", "gamma", "delta_kw", "epsilon"]
 
 
 @pytest.fixture(params=["dict", "dense"])
-def backend(request):
-    """Run the whole harness under both solver substrates.
+def implementation(request):
+    """Run the whole harness on the solvers and on their reference twins.
 
-    The dense backend is a representation change with a byte-identity
-    contract, so every metamorphic property that holds for the dict reference
-    must hold verbatim for it.
+    Returns the function that picks which implementation a test runs: the
+    ``dense`` arm runs each solver as is, the ``dict`` arm its dict-loop twin
+    from :mod:`repro.core.reference`. The solvers' dense substrate is a
+    representation change with a byte-identity contract, so every metamorphic
+    property that holds for the reference must hold verbatim for them. Exact
+    has one path and no twin, so both arms run it as is.
     """
-    return request.param
+    if request.param == "dense":
+        return lambda solver: solver
+    return lambda solver: solver if isinstance(solver, ExactSolver) else twin(solver)
 
 
 @pytest.fixture(params=["on", "off"])
@@ -85,11 +92,10 @@ def _random_weights(network, seed: int, fraction: float = 0.5) -> Dict[int, floa
     }
 
 
-def _instance(network, weights, delta, region=None, backend="dict",
-              pruning="auto") -> ProblemInstance:
+def _instance(network, weights, delta, region=None, pruning="auto") -> ProblemInstance:
     query = LCMSRQuery.create(["kw"], delta=delta, region=region)
     instance = build_instance(network, query, node_weights=weights)
-    return instance.with_backend(backend).with_pruning(pruning)
+    return instance.with_pruning(pruning)
 
 
 def _keyword_assignment(network, seed: int) -> Dict[int, List[str]]:
@@ -121,16 +127,15 @@ def _match_weights(
 
 class TestBudgetMonotonicity:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_exact_is_monotone_in_delta(self, seed, backend, pruning):
+    def test_exact_is_monotone_in_delta(self, seed, implementation, pruning):
         # Tiny instances: Exact enumerates, so the window must stay small.
         network = grid_network(4, 4, spacing=100.0, jitter=15.0,
                                rng=random.Random(seed))
         weights = _random_weights(network, seed, fraction=0.7)
-        solver = ExactSolver(max_nodes=16)
+        solver = implementation(ExactSolver(max_nodes=16))
         previous = -1.0
         for delta in (120.0, 250.0, 450.0, 800.0):
-            score = solver.solve(_instance(network, weights, delta, backend=backend,
-                      pruning=pruning)).weight
+            score = solver.solve(_instance(network, weights, delta, pruning=pruning)).weight
             assert score >= previous - 1e-12, (
                 f"Exact got worse with a larger budget at delta={delta}"
             )
@@ -139,15 +144,14 @@ class TestBudgetMonotonicity:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("make_solver", [GreedySolver, TGENSolver],
                              ids=["greedy", "tgen"])
-    def test_heuristics_are_monotone_in_delta(self, seed, make_solver, backend,
+    def test_heuristics_are_monotone_in_delta(self, seed, make_solver, implementation,
                                                pruning):
         network = _network_for(seed)
         weights = _random_weights(network, seed)
-        solver = make_solver()
+        solver = implementation(make_solver())
         previous = -1.0
         for delta in DELTAS:
-            score = solver.solve(_instance(network, weights, delta, backend=backend,
-                      pruning=pruning)).weight
+            score = solver.solve(_instance(network, weights, delta, pruning=pruning)).weight
             assert score >= previous - 1e-9, (
                 f"{solver.__class__.__name__} got worse with a larger budget "
                 f"at delta={delta} (seed {seed})"
@@ -155,13 +159,12 @@ class TestBudgetMonotonicity:
             previous = score
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_app_is_monotone_up_to_its_guarantee(self, seed, backend, pruning):
+    def test_app_is_monotone_up_to_its_guarantee(self, seed, implementation, pruning):
         network = _network_for(seed)
         weights = _random_weights(network, seed)
-        solver = APPSolver()
+        solver = implementation(APPSolver())
         scores = [
-            solver.solve(_instance(network, weights, delta, backend=backend,
-                      pruning=pruning)).weight
+            solver.solve(_instance(network, weights, delta, pruning=pruning)).weight
             for delta in DELTAS
         ]
         for smaller, larger in zip(scores, scores[1:]):
@@ -172,49 +175,45 @@ class TestBudgetMonotonicity:
 
 class TestKeywordMonotonicity:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_removing_a_keyword_never_increases_the_optimum(self, seed, backend,
+    def test_removing_a_keyword_never_increases_the_optimum(self, seed, implementation,
                                                             pruning):
         network = grid_network(4, 4, spacing=100.0, jitter=10.0,
                                rng=random.Random(seed + 100))
         assignment = _keyword_assignment(network, seed)
-        solver = ExactSolver(max_nodes=16)
+        solver = implementation(ExactSolver(max_nodes=16))
         keywords = list(KEYWORD_POOL)
         full = solver.solve(
             _instance(network, _match_weights(assignment, keywords), 500.0,
-                      backend=backend,
                       pruning=pruning)
         ).weight
         for removed in keywords:
             reduced_keywords = [k for k in keywords if k != removed]
             reduced = solver.solve(
                 _instance(network, _match_weights(assignment, reduced_keywords), 500.0,
-                          backend=backend,
-                      pruning=pruning)
+                          pruning=pruning)
             ).weight
             assert reduced <= full + 1e-12, (
                 f"dropping keyword {removed!r} increased the optimal score"
             )
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_heuristics_never_beat_full_keyword_exact_optimum(self, seed, backend,
+    def test_heuristics_never_beat_full_keyword_exact_optimum(self, seed, implementation,
                                                               pruning):
         # The heuristics run on pointwise-smaller weights, so even they can never
         # exceed the full-keyword-set *exact* optimum.
         network = grid_network(4, 4, spacing=100.0, jitter=10.0,
                                rng=random.Random(seed + 200))
         assignment = _keyword_assignment(network, seed)
-        optimum = ExactSolver(max_nodes=16).solve(
+        optimum = implementation(ExactSolver(max_nodes=16)).solve(
             _instance(network, _match_weights(assignment, KEYWORD_POOL), 500.0,
-                      backend=backend,
                       pruning=pruning)
         ).weight
-        for solver in (GreedySolver(), TGENSolver(), APPSolver()):
+        for solver in map(implementation, (GreedySolver(), TGENSolver(), APPSolver())):
             for removed in KEYWORD_POOL[:2]:
                 reduced_keywords = [k for k in KEYWORD_POOL if k != removed]
                 score = solver.solve(
                     _instance(network, _match_weights(assignment, reduced_keywords),
-                              500.0, backend=backend,
-                      pruning=pruning)
+                              500.0, pruning=pruning)
                 ).weight
                 assert score <= optimum + 1e-9
 
@@ -227,14 +226,13 @@ class TestFeasibilityInvariants:
         ids=["greedy", "tgen", "app"],
     )
     def test_regions_respect_budget_window_and_connectivity(self, seed, make_solver,
-                                                            backend):
+                                                            implementation):
         network = _network_for(seed)
         weights = _random_weights(network, seed)
         window = Rectangle(200.0, 200.0, 1700.0, 1700.0)
         for delta in (400.0, 900.0):
-            instance = _instance(network, weights, delta, region=window,
-                                 backend=backend)
-            result = make_solver().solve(instance)
+            instance = _instance(network, weights, delta, region=window)
+            result = implementation(make_solver()).solve(instance)
             region = result.region
             if region.is_empty:
                 continue
@@ -267,13 +265,13 @@ class TestFeasibilityInvariants:
             assert seen == set(region.nodes), "returned region is not connected"
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_exact_invariants_on_tiny_windows(self, seed, backend):
+    def test_exact_invariants_on_tiny_windows(self, seed, implementation):
         network = grid_network(4, 4, spacing=100.0, jitter=15.0,
                                rng=random.Random(seed + 300))
         weights = _random_weights(network, seed, fraction=0.7)
         delta = 350.0
-        instance = _instance(network, weights, delta, backend=backend)
-        result = ExactSolver(max_nodes=16).solve(instance)
+        instance = _instance(network, weights, delta)
+        result = implementation(ExactSolver(max_nodes=16)).solve(instance)
         if not result.region.is_empty:
             assert result.region.length <= delta + 1e-9
             assert result.region.weight == pytest.approx(
@@ -281,7 +279,7 @@ class TestFeasibilityInvariants:
             )
         # No heuristic may beat the exact optimum on the same instance.
         for solver in (GreedySolver(), TGENSolver(), APPSolver()):
-            assert solver.solve(instance).weight <= result.weight + 1e-9
+            assert implementation(solver).solve(instance).weight <= result.weight + 1e-9
 
 
 class TestBackendIdentity:
@@ -304,15 +302,11 @@ class TestBackendIdentity:
                 dict_instance = build_instance(network, query, node_weights=weights)
                 csr_instance = build_instance(frozen, query, node_weights=weights)
                 for solver in (GreedySolver(), TGENSolver(), APPSolver()):
-                    reference = solver.solve(dict_instance)
+                    reference = twin(solver).solve(dict_instance)
+                    self._assert_same(reference, twin(solver).solve(csr_instance))
+                    # The solver must coincide with its twin on BOTH graph backends.
+                    self._assert_same(reference, solver.solve(dict_instance))
                     self._assert_same(reference, solver.solve(csr_instance))
-                    # The dense substrate must coincide on BOTH graph backends.
-                    self._assert_same(
-                        reference, solver.solve(dict_instance.with_backend("dense"))
-                    )
-                    self._assert_same(
-                        reference, solver.solve(csr_instance.with_backend("dense"))
-                    )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_topk_backend_identity(self, seed):
@@ -323,11 +317,11 @@ class TestBackendIdentity:
         dict_instance = build_instance(network, query, node_weights=weights)
         csr_instance = build_instance(frozen, query, node_weights=weights)
         for solver in (GreedySolver(), TGENSolver()):
-            topk_dict = solver.solve_topk(dict_instance, k=3)
+            topk_dict = twin(solver).solve_topk(dict_instance, k=3)
             for other in (
+                twin(solver).solve_topk(csr_instance, k=3),
+                solver.solve_topk(dict_instance, k=3),
                 solver.solve_topk(csr_instance, k=3),
-                solver.solve_topk(dict_instance.with_backend("dense"), k=3),
-                solver.solve_topk(csr_instance.with_backend("dense"), k=3),
             ):
                 assert len(topk_dict.results) == len(other.results)
                 for result_d, result_c in zip(topk_dict.results, other.results):
@@ -339,15 +333,15 @@ class TestTopKPruningInvariant:
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_pruned_exact_topk_matches_exhaustive_enumeration(self, seed, k, backend):
+    def test_pruned_exact_topk_matches_exhaustive_enumeration(self, seed, k, implementation):
         # pruning="off" makes ExactSolver enumerate every connected subset, so
         # comparing against it pins the branch-and-bound top-k to the full
         # enumeration: same k results, same order, bit-equal scores.
         network = grid_network(4, 4, spacing=100.0, jitter=15.0,
                                rng=random.Random(seed + 400))
         weights = _random_weights(network, seed, fraction=0.7)
-        solver = ExactSolver(max_nodes=16)
-        instance = _instance(network, weights, 350.0, backend=backend)
+        solver = implementation(ExactSolver(max_nodes=16))
+        instance = _instance(network, weights, 350.0)
         pruned = solver.solve_topk(instance.with_pruning("on"), k=k)
         exhaustive = solver.solve_topk(instance.with_pruning("off"), k=k)
         assert len(pruned.results) == len(exhaustive.results)
@@ -358,11 +352,11 @@ class TestTopKPruningInvariant:
             assert result_p.length == result_e.length
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_pruned_heuristic_topk_is_identical(self, seed, backend):
+    def test_pruned_heuristic_topk_is_identical(self, seed, implementation):
         network = _network_for(seed + 70)
         weights = _random_weights(network, seed + 70)
-        for solver in (GreedySolver(), TGENSolver()):
-            instance = _instance(network, weights, 700.0, backend=backend)
+        for solver in map(implementation, (GreedySolver(), TGENSolver())):
+            instance = _instance(network, weights, 700.0)
             pruned = solver.solve_topk(instance.with_pruning("on"), k=3)
             reference = solver.solve_topk(instance.with_pruning("off"), k=3)
             assert len(pruned.results) == len(reference.results)

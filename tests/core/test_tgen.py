@@ -26,6 +26,17 @@ class TestParameterValidation:
         with pytest.raises(SolverError):
             TGENSolver(edge_order="random")
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_tuple_cap_below_one_rejected(self, cap):
+        # A cap of 0 or below used to be accepted and silently changed the
+        # answer (cap -1 kept all tuples but one).
+        with pytest.raises(SolverError):
+            TGENSolver(max_tuples_per_node=cap)
+
+    def test_tuple_cap_of_one_and_none_accepted(self):
+        assert TGENSolver(max_tuples_per_node=1).max_tuples_per_node == 1
+        assert TGENSolver(max_tuples_per_node=None).max_tuples_per_node is None
+
     def test_auto_alpha_scales_with_window(self, paper_instance):
         solver = TGENSolver()
         assert solver.alpha is None

@@ -3,11 +3,12 @@
 The contract under test (see ``docs/ARCHITECTURE.md`` § Mutable world &
 generations): after a compaction, a frozen-world query against generation N+1
 is **byte-identical** to a cold rebuild of the mutated dataset — same regions,
-same order, bit-equal weights and lengths — for every solver, every scoring
-mode and both solver backends. Before compaction, overlay serving merges the
-pending mutations into node weights at query time; for mutations that leave
-the collection statistics untouched (rating changes, coordinate moves) the
-overlay answers are additionally byte-identical to the post-compaction ones.
+same order, bit-equal weights and lengths — for every solver and its
+dict-loop reference twin and every scoring mode. Before compaction, overlay
+serving merges the pending mutations into node weights at query time; for
+mutations that leave the collection statistics untouched (rating changes,
+coordinate moves) the overlay answers are additionally byte-identical to the
+post-compaction ones.
 
 This is the mutation analogue of the solver-backend, pruning and sharding
 parity suites.
@@ -21,6 +22,7 @@ import threading
 
 import pytest
 
+from repro.core.reference import twin
 from repro.core.result import TopKResult
 from repro.datasets.ny import build_ny_like
 from repro.engine import LCMSREngine
@@ -234,11 +236,15 @@ def test_post_compaction_parity_across_solver_backends(dataset, base_bundles,
 
     for keywords, delta, region in queries:
         query = LCMSRQuery.create(keywords, delta=delta, region=region)
-        hot = engine.build_instance(query).with_backend(backend)
-        ref = cold.build_instance(query).with_backend(backend)
+        hot = engine.build_instance(query)
+        ref = cold.build_instance(query)
         for name in SOLVERS:
-            assert _signature(engine.solver(name).solve(hot)) == \
-                _signature(cold.solver(name).solve(ref))
+            # "dict" runs each solver's reference twin, "dense" the solver.
+            hot_solver, cold_solver = engine.solver(name), cold.solver(name)
+            if backend == "dict":
+                hot_solver, cold_solver = twin(hot_solver), twin(cold_solver)
+            assert _signature(hot_solver.solve(hot)) == \
+                _signature(cold_solver.solve(ref))
 
 
 @pytest.mark.parametrize("mode", list(ScoringMode))

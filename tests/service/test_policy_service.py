@@ -112,6 +112,35 @@ class TestCacheIsolation:
                 ["restaurant"], 1000.0, policy=QueryPolicy.sampled(0.3)))
             assert service.stats().instance_hits == 0
 
+    @pytest.mark.parametrize("algorithm", ["greedy", "tgen"])
+    def test_sampled_instance_hit_solves_on_the_cached_substrate(
+            self, engine, monkeypatch, algorithm):
+        # With the result cache off, the repeat of a sampled request is an
+        # instance-cache hit. It must solve on the substrate the miss built
+        # (not a dict-only rebuild), keep the sampling record, and answer
+        # exactly like the miss.
+        solver = engine.solver(algorithm)
+        seen = []
+        solve = solver.solve
+        monkeypatch.setattr(
+            solver, "solve", lambda instance: seen.append(instance) or solve(instance)
+        )
+        request = QueryRequest.create(
+            ["restaurant", "cafe"], 1000.0, algorithm=algorithm,
+            policy=QueryPolicy.sampled(0.3, seed=11))
+        with QueryService(engine, max_workers=1, result_cache_size=0) as service:
+            miss = service.execute(request)
+            hit = service.execute(request)
+            assert service.stats().instance_hits == 1
+        built, rebound = seen
+        assert rebound.dense is built.dense
+        assert rebound.sampling is built.sampling
+        assert hit.region == miss.region
+        assert hit.weight == miss.weight
+        quality = {k: v for k, v in miss.stats.items() if k.startswith("quality_")}
+        assert quality
+        assert {k: v for k, v in hit.stats.items() if k.startswith("quality_")} == quality
+
 
 class TestPolicyResults:
     def test_exact_policy_answers_byte_identical_to_the_engine(self, engine):

@@ -7,10 +7,16 @@ loop over the engine returns, the cache accounting adds up, and concurrent
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import LCMSREngine, QueryRequest, QueryService, Rectangle
 from repro.core.dense import DenseInstance
 from repro.core.result import TopKResult
@@ -193,18 +199,16 @@ class TestCaching:
             service.execute(QueryRequest.create(["cafe"], 1000.0))
             # Two distinct window-less keyword sets must not pin two full
             # network copies: every cached entry shares the engine's frozen
-            # graph view (the bundle's CSR snapshot). On the pipeline hot path
-            # the cache stores DenseInstance substrates, whose graph view is
-            # the window snapshot itself.
+            # graph view (the bundle's CSR snapshot). Entries are
+            # (substrate, sampling record) pairs, and a substrate's graph view
+            # is the window snapshot itself.
             cache = service._instance_cache
             assert len(cache) == 2
             for key in cache.keys():
-                entry = cache.get(key)
-                graph = (
-                    entry.graph_view() if isinstance(entry, DenseInstance)
-                    else entry.graph
-                )
-                assert graph is engine.graph_view
+                substrate, sampling = cache.get(key)
+                assert isinstance(substrate, DenseInstance)
+                assert sampling is None
+                assert substrate.graph_view() is engine.graph_view
 
     def test_reporting_renders(self, engine):
         with QueryService(engine, max_workers=1) as service:
@@ -217,6 +221,52 @@ class TestCaching:
             # limit=0 means "no rows", not "all rows" (timings[-0:] pitfall).
             assert "result-hit" not in format_query_timings(service.stats(), limit=0)
             assert "result-hit" in format_query_timings(service.stats(), limit=1)
+
+
+class TestServingPath:
+    def test_reference_twins_stay_off_the_serving_path(self):
+        # A fresh interpreter answers one query per solver, a top-k query and
+        # a sampled query through the service; the dict-loop reference module
+        # must never be imported on the way.
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro import (
+                LCMSREngine, QueryPolicy, QueryRequest, QueryService, Rectangle,
+            )
+            from repro.datasets.ny import build_ny_like
+
+            dataset = build_ny_like(rows=12, cols=12, block_size=120.0,
+                                    num_objects=300, num_clusters=4, seed=3)
+            engine = LCMSREngine(dataset.network, dataset.corpus)
+            requests = [
+                QueryRequest.create(["restaurant", "cafe"], 600.0, algorithm=name)
+                for name in ("app", "tgen", "greedy")
+            ]
+            requests.append(QueryRequest.create(
+                ["restaurant"], 400.0, region=Rectangle(100, 100, 400, 400),
+                algorithm="exact"))
+            requests.append(QueryRequest.create(
+                ["restaurant"], 600.0, algorithm="greedy", k=3))
+            requests.append(QueryRequest.create(
+                ["restaurant"], 600.0, algorithm="tgen",
+                policy=QueryPolicy.sampled(0.3)))
+            with QueryService(engine, max_workers=1, result_cache_size=0) as service:
+                for request in requests:
+                    service.execute(request)
+                    service.execute(request)  # an instance-cache hit
+                assert service.stats().instance_hits >= len(requests)
+            loaded = sorted(name for name in sys.modules if name.startswith("repro."))
+            assert "repro.core.reference" not in loaded, loaded
+            """
+        )
+        src = Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestConcurrency:

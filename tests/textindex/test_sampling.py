@@ -23,6 +23,7 @@ import pytest
 from repro.core.greedy import GreedySolver
 from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
+from repro.core.reference import twin
 from repro.core.tgen import TGENSolver
 from repro.exceptions import IndexError_
 from repro.network.subgraph import Rectangle
@@ -137,8 +138,8 @@ class TestDeterminism:
             sample_epsilon=0.3,
             sample_seed=5,
         )
-        dict_result = solver.solve(instance.with_backend("dict"))
-        dense_result = solver.solve(instance.with_backend("dense"))
+        dict_result = twin(solver).solve(instance)
+        dense_result = solver.solve(instance)
         assert dict_result.region.nodes == dense_result.region.nodes
         assert dict_result.weight == dense_result.weight
 
