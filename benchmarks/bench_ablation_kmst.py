@@ -1,10 +1,12 @@
-"""Ablation: the GW-based quota solver inside APP (DESIGN.md §5.1).
+"""Ablation: the GW-based quota solver inside APP.
 
 The paper uses Garg's GW-based 3-approximation as the k-MST black box. This ablation
 measures what that machinery buys: it compares the candidate trees produced by the
 full λ-ladder GW quota solver against a degenerate configuration with a single λ rung
 (equivalent to one fixed Lagrangian guess), across a range of quotas, reporting tree
-length (lower is better at equal quota) and the end-to-end APP result weight.
+length (lower is better at equal quota) and the end-to-end APP result weight. The
+metric-closure GW and the cached λ ladder are listed under "Deviations from the
+paper" in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""Ablation: TGEN's edge-processing order (Section 5, DESIGN.md §5.3).
+"""Ablation: TGEN's edge-processing order (Section 5).
 
 The paper states that processing edges in BFS order is as accurate as processing them
 in ascending length order while being faster (no sorting, and processed nodes' tuple
 arrays can be discarded). This ablation reruns TGEN under both orders on the default
-NY workload and reports runtime and region weight.
+NY workload and reports runtime and region weight. TGEN's traversal seeding is listed
+under "Deviations from the paper" in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations

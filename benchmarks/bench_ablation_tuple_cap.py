@@ -1,10 +1,11 @@
-"""Ablation: capping TGEN's per-node tuple arrays (DESIGN.md §5.2).
+"""Ablation: capping TGEN's per-node tuple arrays.
 
 The tuple arrays are what make TGEN's enumeration polynomial; their size is bounded by
 Tmax = Nmax·⌊|VQ|/α⌋ but in dense windows they still dominate the runtime. This
 ablation adds a hard per-node cap (keeping the heaviest tuples) and measures the
 runtime/accuracy trade-off, which quantifies how much of the array the algorithm
-actually needs.
+actually needs. The cap is a reproduction extra, off by default (see "Deviations from
+the paper" in ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ The paper sweeps TGEN's α over {50, 100, 200, 400, 800, 1600}: larger α coarse
 scaled weights, shrinking the per-node tuple arrays, so runtime *and* accuracy drop.
 α only matters through the bucket resolution ``⌊|VQ|/α⌋`` it induces, so the bench
 expresses the axis through equivalent bucket counts (printed next to the paper's α)
-to stay scale-comparable with the paper's |VQ| (DESIGN.md §5.4, EXPERIMENTS.md).
+to stay scale-comparable with the paper's |VQ| (see "Deviations from the paper" in
+``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The paper's procedure: for each query, compute the best 500 m × 500 m MaxRS rec
 derive a comparable LCMSR length budget as the minimum road length connecting the
 rectangle's relevant objects, run the LCMSR query (TGEN), and have 5 annotators judge
 which region is better; LCMSR wins on 90 % of the 20 queries. The reproduction follows
-the same procedure with the simulated annotator panel (DESIGN.md §3) and a rectangle
-scaled like the other spatial parameters.
+the same procedure with the simulated annotator panel and a rectangle scaled like the
+other spatial parameters (both under "Deviations from the paper" in
+``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ scores.
 Three checks:
 
 1. **Top-k branch-and-bound throughput** — ``ExactSolver.solve_topk(k=5)``
-   under ``with_pruning("on")`` vs ``with_pruning("off")`` on controlled
+   under ``with_pruning(True)`` vs ``with_pruning(False)`` on controlled
    grid instances whose positive weights cluster on a few nodes (anchor
    cones past the last relevant node are skipped wholesale; branches that
    forbid every relevant node die against the k-incumbent heap). The ≥2x
@@ -101,8 +101,8 @@ def test_bench_exact_topk_branch_and_bound_2x():
         network = grid_network(rows, cols, spacing=100.0)
         query = LCMSRQuery.create(["kw"], delta=delta)
         instance = build_instance(network, query, node_weights=dict(positives))
-        pruned_instance = instance.with_pruning("on")
-        unpruned_instance = instance.with_pruning("off")
+        pruned_instance = instance.with_pruning(True)
+        unpruned_instance = instance.with_pruning(False)
 
         # --- fidelity first (also warms both paths) ---
         pruned = solver.solve_topk(pruned_instance, k=K)
@@ -192,10 +192,10 @@ def test_bench_heuristic_skip_counters():
         for query in queries:
             instance = engine.build_instance(query)
             start = time.perf_counter()
-            pruned = solver.solve(instance.with_pruning("on"))
+            pruned = solver.solve(instance.with_pruning(True))
             pruned_seconds += time.perf_counter() - start
             start = time.perf_counter()
-            unpruned = solver.solve(instance.with_pruning("off"))
+            unpruned = solver.solve(instance.with_pruning(False))
             unpruned_seconds += time.perf_counter() - start
             assert pruned.region.nodes == unpruned.region.nodes, solver.name
             assert pruned.weight == unpruned.weight, solver.name

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import SolverError
 from repro.network.subgraph import Rectangle
@@ -130,13 +130,3 @@ class MaxRSSolver:
         )
         covered_weight = sum(weights[point_id] for point_id in covered)
         return MaxRSResult(rectangle, covered_weight, covered, time.perf_counter() - start)
-
-    def solve_objects(
-        self,
-        objects: Iterable,
-        weights: Mapping[int, float],
-        window: Optional[Rectangle] = None,
-    ) -> MaxRSResult:
-        """Convenience wrapper taking :class:`~repro.objects.geoobject.GeoTextualObject`s."""
-        points = {obj.object_id: (obj.x, obj.y) for obj in objects}
-        return self.solve(points, weights, window)

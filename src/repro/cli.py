@@ -240,7 +240,7 @@ def _quality_line(stats) -> Optional[str]:
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.engine import LCMSREngine
 
-    engine = LCMSREngine.from_artifact(args.artifact, pruning=args.pruning)
+    engine = LCMSREngine.from_artifact(args.artifact)
     keywords = _parse_keywords(args.keywords)
     region = _parse_region(args.region)
     policy = _parse_policy(args)
@@ -306,7 +306,11 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     if args.requests is None and args.synthesize < 1:
         raise QueryError(f"--synthesize must be >= 1, got {args.synthesize}")
     default_policy = _parse_policy(args)
-    engine = LCMSREngine.from_artifact(args.artifact, pruning=args.pruning)
+    # The sharded gateway opens the artifact in its workers, so the CLI process
+    # loads an engine only to synthesize requests or to run the thread pool.
+    engine = None
+    if args.requests is None or args.processes is None:
+        engine = LCMSREngine.from_artifact(args.artifact)
     if args.requests is not None:
         requests = []
         for line_number, line in enumerate(
@@ -355,9 +359,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
 
         if args.processes < 1:
             raise QueryError(f"--processes must be >= 1, got {args.processes}")
-        with ShardedQueryService(
-            args.artifact, num_workers=args.processes, pruning=args.pruning
-        ) as service:
+        with ShardedQueryService(args.artifact, num_workers=args.processes) as service:
             for _ in range(args.repeat):
                 results = service.run_batch(requests)
             shard_set = service.shard_set
@@ -458,7 +460,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     from repro.engine import LCMSREngine
     from repro.service.generations import Compactor
 
-    engine = LCMSREngine.from_artifact(args.artifact, pruning=args.pruning)
+    engine = LCMSREngine.from_artifact(args.artifact)
     overlay = engine.overlay
     if overlay is None or not overlay.has_pending:
         print(f"nothing to compact: no pending mutations at {args.artifact}")
@@ -536,11 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("-k", type=int, default=1, help="return the top-k regions")
     query.add_argument(
-        "--pruning", choices=("auto", "on", "off"), default="auto",
-        help="bound-based pruning policy; results are byte-identical either "
-        "way, 'off' forces the unpruned reference paths",
-    )
-    query.add_argument(
         "--policy", default=None,
         help="service policy: 'exact' (default), 'anytime(<ms>)' or "
         "'sampled(<eps>)'; bare 'anytime'/'sampled' take the value from "
@@ -579,11 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scatter-gather gateway instead of the in-process thread pool",
     )
     serve.add_argument("--repeat", type=int, default=1, help="run the batch this many times")
-    serve.add_argument(
-        "--pruning", choices=("auto", "on", "off"), default="auto",
-        help="bound-based pruning policy; results are byte-identical either "
-        "way, 'off' forces the unpruned reference paths",
-    )
     serve.add_argument(
         "--policy", default=None,
         help="service policy applied to every request that does not set its "
@@ -634,11 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-freeze base + pending mutations into a new gen-NNNN generation",
     )
     compact.add_argument("artifact", help="artifact root directory")
-    compact.add_argument(
-        "--pruning", choices=("auto", "on", "off"), default="auto",
-        help="pruning policy baked into the compacting engine (results are "
-        "byte-identical either way)",
-    )
     compact.set_defaults(func=_cmd_compact)
     return parser
 

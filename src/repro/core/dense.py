@@ -253,7 +253,7 @@ class DenseInstance:
         return {ids[pos]: sigma[pos] for pos in self.relevant_order.tolist()}
 
     def to_problem_instance(
-        self, query: "LCMSRQuery", pruning: str = "auto", sampling=None
+        self, query: "LCMSRQuery", sampling=None
     ) -> "ProblemInstance":
         """Wrap the substrate into a full :class:`ProblemInstance` for ``query``.
 
@@ -263,7 +263,7 @@ class DenseInstance:
         how the serving layer's instance cache re-binds one cached substrate
         to many queries; ``sampling`` re-attaches the
         :class:`~repro.textindex.columnar.SampledWeights` record of a sampled
-        build.
+        build. The wrapper is pruned, exactly like a fresh build.
         """
         from repro.core.instance import ProblemInstance  # deferred: cycle guard
 
@@ -273,7 +273,6 @@ class DenseInstance:
             query=query,
             build_seconds=0.0,
             dense=self,
-            pruning=pruning,
             sampling=sampling,
         )
 

@@ -9,7 +9,7 @@ edges because only node weights count), and returns the feasible subset with the
 largest weight. Tests use it to validate APP/TGEN/Greedy accuracy against the true
 optimum, which is a stronger check than the paper could run.
 
-When the instance's ``pruning`` policy allows it (and every node weight is
+When the instance's ``pruning`` flag is set (and every node weight is
 non-negative — the builder-produced weights always are), the enumeration runs as
 a branch-and-bound: a min-heap of the ``k`` best candidate weights seen so far is
 the incumbent, and any anchor or branch whose *positive-weight potential* (the
@@ -160,7 +160,7 @@ class ExactSolver:
         # Branch-and-bound needs non-negative weights: the positive-potential
         # bounds below only dominate subset sums when no negative weight can
         # be excluded from a subset to raise it above its positive mass.
-        prune = instance.pruning_enabled and all(w >= 0.0 for w in weights.values())
+        prune = instance.pruning and all(w >= 0.0 for w in weights.values())
         # Upper bound on the best subset the truncated enumeration never
         # considered (None while the run completes in budget).
         open_bound: Optional[float] = None

@@ -142,7 +142,7 @@ class GreedySolver:
             dense,
             instance.query.delta,
             mask,
-            pruning=instance.pruning_enabled,
+            pruning=instance.pruning,
             stats=stats,
             budget=budget,
         )

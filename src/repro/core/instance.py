@@ -21,6 +21,11 @@ An instance carries two coupled views of the same input:
 
 The twins run the pre-substrate dict loops on the same instances; the solver
 parity suites hold every solver byte-identical to its twin.
+
+Bound-based pruning is always on. ``ProblemInstance.pruning`` is the one
+switch left: ``with_pruning(False)`` (or ``build_instance(..., pruning=False)``)
+selects the unpruned reference loops, which only the pruning parity suite and
+``bench_pruning`` run.
 """
 
 from __future__ import annotations
@@ -35,16 +40,6 @@ from repro.network.compact import CompactNetwork, GraphView
 from repro.network.subgraph import Rectangle, induced_subgraph
 from repro.textindex.columnar import WeightPipeline
 from repro.textindex.relevance import RelevanceScorer
-
-PRUNING_POLICIES = ("auto", "on", "off")
-"""The valid ``pruning`` policy selectors (shared by every validation site).
-
-``"auto"`` and ``"on"`` both enable bound-based skipping (there is currently no
-heuristic that would make them differ — ``"auto"`` is the forward-compatible
-default); ``"off"`` forces the unpruned reference paths. Pruning only ever
-licences skips of provably irrelevant work, so results are byte-identical under
-every policy (``tests/core/test_pruning_parity.py`` enforces this).
-"""
 
 
 class ProblemInstance:
@@ -69,9 +64,9 @@ class ProblemInstance:
         build_seconds: Time spent building the instance (index probing + windowing);
             reported separately from solver runtime, mirroring the paper's offline /
             online split.
-        pruning: ``"auto"`` / ``"on"`` / ``"off"`` — whether solvers may take
-            bound-licensed skips (see :data:`PRUNING_POLICIES`); results are
-            byte-identical either way.
+        pruning: Whether solvers may take bound-licensed skips (``False``
+            only for the reference runs the module docstring names); results
+            are byte-identical either way.
 
     Instances are immutable by contract: neither view is ever invalidated.
     """
@@ -83,7 +78,7 @@ class ProblemInstance:
         query: Optional[LCMSRQuery] = None,
         build_seconds: float = 0.0,
         dense: Optional[DenseInstance] = None,
-        pruning: str = "auto",
+        pruning: bool = True,
         budget=None,
         sampling=None,
     ) -> None:
@@ -91,10 +86,9 @@ class ProblemInstance:
             raise QueryError("a ProblemInstance needs weights, a dense substrate, or both")
         if query is None:
             raise QueryError("a ProblemInstance needs its originating query")
-        if pruning not in PRUNING_POLICIES:
-            raise QueryError(
-                f"pruning must be one of {PRUNING_POLICIES}, got {pruning!r}"
-            )
+        # A leftover policy string such as "off" would be truthy and prune.
+        if not isinstance(pruning, bool):
+            raise QueryError(f"pruning must be True or False, got {pruning!r}")
         self.graph = graph
         self.query = query
         self.build_seconds = build_seconds
@@ -140,8 +134,8 @@ class ProblemInstance:
         fields.update(changes)
         return ProblemInstance(**fields)
 
-    def with_pruning(self, pruning: str) -> "ProblemInstance":
-        """Return a sibling instance sharing every view but pinned to a pruning policy.
+    def with_pruning(self, pruning: bool) -> "ProblemInstance":
+        """Return a sibling instance sharing every view, pruned or not.
 
         Nothing is copied — the benchmark and the parity suite use this to
         solve one built instance pruned and unpruned.
@@ -157,11 +151,6 @@ class ProblemInstance:
         served from the same cache entry).
         """
         return self._sibling(budget=budget)
-
-    @property
-    def pruning_enabled(self) -> bool:
-        """Whether solvers may take bound-licensed skips (``"auto"`` resolves to yes)."""
-        return self.pruning != "off"
 
     # ------------------------------------------------------------------ derived facts
     @property
@@ -225,7 +214,7 @@ def build_instance(
     scorer: Optional[RelevanceScorer] = None,
     node_weights: Optional[Mapping[int, float]] = None,
     pipeline: Optional[WeightPipeline] = None,
-    pruning: str = "auto",
+    pruning: bool = True,
     overlay=None,
     sample_epsilon: Optional[float] = None,
     sample_seed: int = 0,
@@ -245,11 +234,12 @@ def build_instance(
     * ``node_weights`` — explicit per-node weights (unit tests, Figure 2 example,
       rating-based scoring computed by the caller).
 
-    ``pruning`` selects the instance's bound-based skipping policy (see
-    :data:`PRUNING_POLICIES`). On the pipeline path with a windowed query it
-    additionally enables the builder's own skip: when the window's admissible
-    σ-mass bound is exactly zero, the σ computation is bypassed entirely (the
-    window graph is still built identically).
+    ``pruning`` (default ``True``) lets the instance's solvers take
+    bound-licensed skips; ``False`` selects the unpruned reference loops. On
+    the pipeline path with a windowed query it also arms the builder's own
+    skip: when the window's admissible σ-mass bound is exactly zero, the σ
+    computation is bypassed entirely (the window graph is still built
+    identically).
 
     ``overlay`` (pipeline path only) is a
     :class:`~repro.service.generations.DeltaOverlay` with pending mutations:
@@ -270,8 +260,9 @@ def build_instance(
         The :class:`ProblemInstance` restricted to ``Q.Λ``.
 
     Raises:
-        QueryError: If no weight source (or more than one) is given, or if
-            ``overlay`` is passed without ``pipeline``.
+        QueryError: If no weight source (or more than one) is given, if
+            ``overlay`` is passed without ``pipeline``, or if ``pruning`` is
+            not a bool.
     """
     sources = sum(
         1 for source in (scorer, node_weights, pipeline) if source is not None
@@ -305,7 +296,7 @@ def build_instance(
                 query.keywords, window=query.region, node_window=query.region
             )
         elif (
-            pruning != "off"
+            pruning
             and query.region is not None
             and pipeline.bounds.window_mass_bound(query.region) == 0.0
         ):

@@ -148,10 +148,6 @@ class QuotaTreeSolver:
         best = min(feasible, key=lambda c: (c.length, c.num_nodes))
         return self._trim_to_quota(best, quota)
 
-    def candidate_trees(self) -> List[CandidateTree]:
-        """Return the cached ladder of candidate trees (for ablations and tests)."""
-        return list(self._ensure_candidates())
-
     # ------------------------------------------------------------------ closure graph
     def _ensure_closure(self) -> None:
         if self._closure_built:

@@ -137,7 +137,8 @@ class ScalingContext:
 
         This is the quantity that actually controls tuple-array sizes; experiments run
         at a different dataset scale than the paper should choose α so that this
-        matches the paper's effective resolution (documented in EXPERIMENTS.md).
+        matches the paper's effective resolution (see "Deviations from the paper"
+        in ``docs/ARCHITECTURE.md``).
         """
         return self.max_scaled_node_weight() + 1
 

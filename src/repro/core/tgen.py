@@ -230,7 +230,7 @@ class TGENSolver:
         max_tuples = self.max_tuples_per_node
         budget = instance.budget
         expired = False
-        prune = instance.pruning_enabled and not collect_pool
+        prune = instance.pruning and not collect_pool
         # Per-position upper bound on the largest scaled key stored in the
         # node's array (exact until an eviction, stale-high after — safe).
         max_scaled: List[int] = list(scaled_list) if prune else []

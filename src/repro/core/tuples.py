@@ -155,24 +155,3 @@ class TupleArray:
         to_delete = [s for s, t in self._entries.items() if t.length > max_length + 1e-12]
         for scaled_weight in to_delete:
             del self._entries[scaled_weight]
-
-    def check_dominance(self) -> bool:
-        """Return ``True`` if no stored tuple is dominated by another stored tuple.
-
-        Dominance here means: another tuple has scaled weight >= and length <= with at
-        least one strict. The arrays produced by the solvers only guarantee per-key
-        minimality (the paper's rule); full Pareto pruning is optional and exercised by
-        property tests through this predicate.
-        """
-        entries = list(self._entries.values())
-        for tuple_a in entries:
-            for tuple_b in entries:
-                if tuple_a is tuple_b:
-                    continue
-                if (
-                    tuple_b.scaled_weight >= tuple_a.scaled_weight
-                    and tuple_b.length <= tuple_a.length - 1e-12
-                    and tuple_b.scaled_weight > tuple_a.scaled_weight
-                ):
-                    return False
-        return True

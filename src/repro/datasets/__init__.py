@@ -8,7 +8,7 @@ PoIs; Zipfian keyword frequencies; grid-like dense cores vs. sparse fringes — 
 scale a laptop reproduces in seconds. Real data can still be plugged in through
 :mod:`repro.network.io` and :class:`repro.objects.corpus.ObjectCorpus`.
 
-See DESIGN.md §3 for the substitution rationale and
+See "Deviations from the paper" in ``docs/ARCHITECTURE.md`` for the substitution and
 :mod:`repro.datasets.queries` for the paper's query-workload generator (Section 7.1).
 """
 

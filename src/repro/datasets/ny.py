@@ -3,7 +3,8 @@
 The paper's NY dataset is the DIMACS New York City road network (264,346 nodes,
 733,846 arcs) with 0.5 M Google Places objects mapped to their nearest nodes. This
 builder generates a scaled-down Manhattan-style street grid with Places-like objects
-whose co-location and keyword-skew properties match the original's (DESIGN.md §3). The
+whose co-location and keyword-skew properties match the original's (see "Deviations
+from the paper" in ``docs/ARCHITECTURE.md``). The
 default size (≈ 2,500 nodes, ≈ 7,000 objects) keeps a full benchmark run in CPython in
 the minutes range; pass larger ``rows``/``cols``/``num_objects`` to stress-test.
 
@@ -43,7 +44,8 @@ def build_ny_like(
         rows / cols: Street-grid dimensions (default 50 × 50 ≈ 2,500 junctions).
         block_size: Block edge length in meters (the extent is ≈ 6 km × 6 km by
             default — dense-downtown scale, which matches the per-query window sizes
-            used in the benchmarks once scaled; see EXPERIMENTS.md).
+            used in the benchmarks once scaled; see "Deviations from the paper" in
+            ``docs/ARCHITECTURE.md``).
         num_objects: Number of geo-textual objects.
         num_clusters: Number of PoI hot spots (restaurant rows, shopping streets, ...).
         seed: Seed controlling the whole dataset deterministically.

@@ -70,7 +70,7 @@ class SyntheticDataset:
         return Rectangle(min_x, min_y, max_x, max_y)
 
     def describe(self) -> Dict[str, float]:
-        """Return headline statistics (used by EXPERIMENTS.md and reports)."""
+        """Return headline statistics: node, edge, object and distinct-keyword counts."""
         return {
             "nodes": float(self.network.num_nodes),
             "edges": float(self.network.num_edges),

@@ -6,7 +6,8 @@ Flickr photo tags. Relative to NY, the USANW network is much sparser (long rural
 segments, small towns), and the keyword distribution is noisier with a far larger
 vocabulary. The builder reproduces those contrasts at laptop scale: a random geometric
 network with town clusters, one object per node region following the network density,
-and the Flickr-like vocabulary (DESIGN.md §3).
+and the Flickr-like vocabulary (see "Deviations from the paper" in
+``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ def build_usanw_like(
 
     Args:
         num_nodes: Number of road-network nodes (default 3,000; the real network has
-            1.2 M — the scale-down is documented in DESIGN.md §3).
+            1.2 M — the scale-down is listed under "Deviations from the paper" in
+            ``docs/ARCHITECTURE.md``).
         extent: Side length of the covered square area in meters (default 20 km).
         num_objects: Number of geo-textual objects; the paper uses one object per
             node, generated following the network distribution, and so do we by

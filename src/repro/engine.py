@@ -23,7 +23,7 @@ from repro.core.anytime import Budget, QueryPolicy, ResultQuality
 from repro.core.app import APPSolver
 from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
-from repro.core.instance import PRUNING_POLICIES, ProblemInstance, build_instance
+from repro.core.instance import ProblemInstance, build_instance
 from repro.core.query import LCMSRQuery
 from repro.core.result import RegionResult, TopKResult
 from repro.core.tgen import TGENSolver
@@ -55,7 +55,9 @@ class LCMSREngine:
     Construction validates its configuration *before* any index is built, so a
     misconfigured engine fails in microseconds instead of after a multi-second
     offline build: ``scoring_mode`` must name a scoring mode and
-    ``default_algorithm`` a registered solver.
+    ``default_algorithm`` a registered solver. Every instance the engine
+    builds is pruned: solvers take the bound-licensed skips of
+    :mod:`repro.core.bounds`, which never change an answer.
 
     Args:
         network: The road network.
@@ -71,13 +73,9 @@ class LCMSREngine:
             ``"app"`` (the (5 + ε)-approximation with a quality guarantee),
             ``"greedy"`` (fastest, no guarantee) or ``"exact"`` (brute-force
             oracle, tiny windows only).
-        pruning: Bound-based pruning policy — ``"auto"`` (default), ``"on"`` or
-            ``"off"`` (see :data:`~repro.core.instance.PRUNING_POLICIES`);
-            results are byte-identical under every policy.
 
     Raises:
-        QueryError: If ``scoring_mode``, ``default_algorithm`` or ``pruning``
-            is unknown.
+        QueryError: If ``scoring_mode`` or ``default_algorithm`` is unknown.
     """
 
     def __init__(
@@ -86,7 +84,6 @@ class LCMSREngine:
         corpus: ObjectCorpus,
         scoring_mode: Union[ScoringMode, str] = ScoringMode.TEXT_RELEVANCE,
         default_algorithm: str = "tgen",
-        pruning: str = "auto",
     ) -> None:
         # Fail fast on configuration errors before paying for the index build:
         # the solver registry is cheap, so it is built (and the default name
@@ -99,25 +96,19 @@ class LCMSREngine:
                 f"known: {sorted(solvers)}"
             )
         bundle = IndexBundle.build(network, corpus, scoring_mode=scoring_mode)
-        self._attach(bundle, solvers, default_algorithm, pruning)
+        self._attach(bundle, solvers, default_algorithm)
 
     def _attach(
         self,
         bundle: IndexBundle,
         solvers: Dict[str, SolverUnion],
         default_algorithm: str,
-        pruning: str = "auto",
     ) -> None:
-        if pruning not in PRUNING_POLICIES:
-            raise QueryError(
-                f"pruning must be one of {PRUNING_POLICIES}, got {pruning!r}"
-            )
         self._bundle = bundle
         self._default_algorithm = default_algorithm.lower()
         self._solvers = solvers
         self._solver_generation = 0
         self._solver_lock = threading.Lock()
-        self._pruning = pruning
         self._bundle_generation = 0
         self._bundle_lock = threading.Lock()
         self._overlay = None
@@ -127,7 +118,6 @@ class LCMSREngine:
         cls,
         bundle: IndexBundle,
         default_algorithm: str = "tgen",
-        pruning: str = "auto",
     ) -> "LCMSREngine":
         """Create an engine over an already-built index bundle.
 
@@ -138,14 +128,12 @@ class LCMSREngine:
         Args:
             bundle: The prebuilt index state.
             default_algorithm: Algorithm used when a query does not name one.
-            pruning: Bound-based pruning policy for the instances the engine
-                builds (see :data:`~repro.core.instance.PRUNING_POLICIES`).
 
         Returns:
             An engine serving queries from the shared bundle.
 
         Raises:
-            QueryError: If ``default_algorithm`` or ``pruning`` is unknown.
+            QueryError: If ``default_algorithm`` is unknown.
         """
         solvers = _default_solvers()
         if default_algorithm.lower() not in solvers:
@@ -154,7 +142,7 @@ class LCMSREngine:
                 f"known: {sorted(solvers)}"
             )
         engine = cls.__new__(cls)
-        engine._attach(bundle, solvers, default_algorithm, pruning)
+        engine._attach(bundle, solvers, default_algorithm)
         return engine
 
     @classmethod
@@ -164,7 +152,6 @@ class LCMSREngine:
         default_algorithm: str = "tgen",
         mmap: bool = True,
         verify: bool = True,
-        pruning: str = "auto",
         with_overlay: bool = True,
     ) -> "LCMSREngine":
         """Create an engine from a persisted index artifact — no offline build.
@@ -186,8 +173,6 @@ class LCMSREngine:
             default_algorithm: Algorithm used when a query does not name one.
             mmap: Memory-map the network arrays (default) or load them eagerly.
             verify: Verify artifact checksums before loading.
-            pruning: Bound-based pruning policy for the instances the engine
-                builds (see :data:`~repro.core.instance.PRUNING_POLICIES`).
             with_overlay: Attach the pending delta-log overlay (default). The
                 sharded service disables this for its workers — shards serve
                 the frozen generation only.
@@ -199,7 +184,7 @@ class LCMSREngine:
             ArtifactError: If the artifact is missing, corrupt or written by an
                 unsupported format version, or if ``CURRENT`` points at a
                 missing/partial generation.
-            QueryError: If ``default_algorithm`` or ``pruning`` is unknown.
+            QueryError: If ``default_algorithm`` is unknown.
         """
         # Deferred: repro.service.generations imports the service layer, which
         # imports this module.
@@ -207,9 +192,7 @@ class LCMSREngine:
 
         resolved = resolve_generation(path)
         bundle = IndexBundle.load(resolved, mmap=mmap, verify=verify)
-        engine = cls.from_bundle(
-            bundle, default_algorithm=default_algorithm, pruning=pruning
-        )
+        engine = cls.from_bundle(bundle, default_algorithm=default_algorithm)
         if with_overlay:
             overlay = overlay_from_delta_log(bundle, path)
             if overlay is not None:
@@ -256,16 +239,6 @@ class LCMSREngine:
     def default_algorithm(self) -> str:
         """The solver name used when a query does not specify one."""
         return self._default_algorithm
-
-    @property
-    def pruning(self) -> str:
-        """The bound-based pruning policy instances are built with.
-
-        ``"auto"`` / ``"on"`` let solvers take bound-licensed skips, ``"off"``
-        forces the unpruned reference paths; results are byte-identical either
-        way (see :data:`~repro.core.instance.PRUNING_POLICIES`).
-        """
-        return self._pruning
 
     @property
     def solver_generation(self) -> int:
@@ -414,8 +387,7 @@ class LCMSREngine:
             overlay = None
         return build_instance(
             bundle.graph_view(), query, pipeline=bundle.weight_pipeline(),
-            overlay=overlay, pruning=self._pruning,
-            sample_epsilon=sample_epsilon, sample_seed=sample_seed,
+            overlay=overlay, sample_epsilon=sample_epsilon, sample_seed=sample_seed,
         )
 
     @staticmethod

@@ -7,20 +7,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Union
 
-from repro.core.instance import PRUNING_POLICIES, ProblemInstance, build_instance
+from repro.core.instance import ProblemInstance, build_instance
 from repro.core.query import LCMSRQuery
 from repro.core.result import RegionResult
 from repro.datasets.synthetic import SyntheticDataset
 from repro.evaluation.metrics import average_relative_ratio, mean
 from repro.service.bundle import IndexBundle
-
-
-def _validated_pruning(pruning: Optional[str]) -> str:
-    """Normalise the runner's pruning-policy selector (``None`` → ``"auto"``)."""
-    resolved = "auto" if pruning is None else pruning
-    if resolved not in PRUNING_POLICIES:
-        raise ValueError(f"unknown pruning policy {pruning!r}")
-    return resolved
 
 
 class LCMSRSolverProtocol(Protocol):
@@ -80,15 +72,10 @@ class ExperimentRunner:
     """Builds instances once per query and runs any number of solvers over them.
 
     Instances take σ_v from the bundle's columnar weight pipeline over its frozen
-    CSR network.
+    CSR network and are pruned, exactly like the engine's.
 
     Args:
         dataset: The dataset to query.
-        pruning: Bound-based pruning policy the built instances carry. ``None``
-            (default) resolves to ``"auto"``; see
-            :data:`~repro.core.instance.PRUNING_POLICIES`. Results are
-            byte-identical under every policy; only skip counters and runtime
-            differ.
         artifact_cache_dir: Optional directory of persisted index artifacts (see
             :mod:`repro.service.persist`). When given, the runner keys the
             dataset by content fingerprint and publishes (or reuses) one on-disk
@@ -104,9 +91,7 @@ class ExperimentRunner:
         self,
         dataset: SyntheticDataset,
         artifact_cache_dir: Optional[Union[str, Path]] = None,
-        pruning: Optional[str] = None,
     ) -> None:
-        self._pruning = _validated_pruning(pruning)
         if artifact_cache_dir is not None:
             from repro.service.persist import cached_dataset_bundle
 
@@ -115,22 +100,16 @@ class ExperimentRunner:
             self._bundle = IndexBundle.from_dataset(dataset)
 
     @classmethod
-    def from_bundle(
-        cls,
-        bundle: IndexBundle,
-        pruning: Optional[str] = None,
-    ) -> "ExperimentRunner":
+    def from_bundle(cls, bundle: IndexBundle) -> "ExperimentRunner":
         """Create a runner over an existing bundle (e.g. one loaded from an artifact).
 
         Args:
             bundle: The prebuilt (or artifact-loaded) index state.
-            pruning: As in the constructor.
 
         Returns:
             A runner that shares the bundle's indexes without any build work.
         """
         runner = cls.__new__(cls)
-        runner._pruning = _validated_pruning(pruning)
         runner._bundle = bundle
         return runner
 
@@ -139,18 +118,10 @@ class ExperimentRunner:
         """The index state the runner executes against."""
         return self._bundle
 
-    @property
-    def pruning(self) -> str:
-        """The pruning policy built instances carry (``"auto"`` when unset)."""
-        return self._pruning
-
     def build(self, query: LCMSRQuery) -> ProblemInstance:
         """Build the solver input for one query."""
         return build_instance(
-            self._bundle.graph_view(),
-            query,
-            pipeline=self._bundle.weight_pipeline(),
-            pruning=self._pruning,
+            self._bundle.graph_view(), query, pipeline=self._bundle.weight_pipeline()
         )
 
     def run(

@@ -3,7 +3,7 @@
 A :class:`ParameterSweep` runs a family of experiment settings — each a callable that
 produces solvers and/or query workloads — and records one :class:`SweepPoint` per
 x-axis value. The benchmark modules use it to regenerate each figure's series; the
-sweep object also renders itself as the plain-text table EXPERIMENTS.md embeds.
+sweep object also renders itself as a plain-text table.
 """
 
 from __future__ import annotations

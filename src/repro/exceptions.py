@@ -75,13 +75,3 @@ class SolverError(ReproError):
     This covers cases such as a query region containing no relevant objects, or a
     k-MST quota that no tree in the graph can satisfy.
     """
-
-
-class NoFeasibleRegionError(SolverError):
-    """Raised when no feasible region exists for the query.
-
-    A feasible region requires at least one node with positive weight inside the
-    query rectangle; if every relevant object lies outside ``Q.Λ`` or no object
-    matches the query keywords, this error is raised by solvers configured to be
-    strict (the default is to return an empty result instead).
-    """

@@ -2,7 +2,8 @@
 
 Used by the dataset builders to report that the synthetic stand-ins have the structural
 properties (degree distribution, edge-length distribution, density) of the paper's NY
-and USANW networks, and by EXPERIMENTS.md to document the substituted workloads.
+and USANW networks (the substitution is listed under "Deviations from the paper" in
+``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations

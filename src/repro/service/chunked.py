@@ -356,10 +356,6 @@ class ChunkedColumn:
         return self._length * self._dtype.itemsize
 
     @property
-    def num_chunks(self) -> int:
-        return len(self._chunks)
-
-    @property
     def codec(self) -> str:
         return self._codec
 

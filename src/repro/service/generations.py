@@ -189,11 +189,6 @@ class DeltaOverlay:
                 return entry
             return self._bundle.corpus.get(object_id)
 
-    def live_entries(self) -> List[Tuple[int, GeoTextualObject]]:
-        """Pending non-tombstone entries in first-mutation order."""
-        with self._lock:
-            return [(oid, obj) for oid, obj in self._entries.items() if obj is not None]
-
     # ---------------------------------------------------------------- mutations
 
     def add_object(self, obj: GeoTextualObject) -> None:
@@ -275,15 +270,10 @@ class DeltaOverlay:
         same squared-distance arithmetic, global minimum, smallest node id on
         ties.
         """
-        compact = self._bundle.compact
-        if compact is not None:
-            ids, xs, ys = compact.csr_node_arrays()
-            distances = (xs - x) ** 2 + (ys - y) ** 2
-            best = distances.min()
-            return int(ids[distances == best].min())
-        from repro.objects.mapping import nearest_node  # deferred: avoid cycle at import
-
-        return nearest_node(self._bundle.network, x, y)
+        ids, xs, ys = self._bundle.compact.csr_node_arrays()
+        distances = (xs - x) ** 2 + (ys - y) ** 2
+        best = distances.min()
+        return int(ids[distances == best].min())
 
     def _node_positions(self) -> Dict[int, int]:
         if self._node_positions_cache is None:
@@ -388,7 +378,6 @@ class DeltaOverlay:
         self,
         keywords: Iterable[str],
         window: Optional[Rectangle] = None,
-        candidate_nodes: Optional[Iterable[int]] = None,
         node_window: Optional[Rectangle] = None,
     ) -> Dict[int, float]:
         """Merged ``node_id → σ_v``: base columnar sums + overlay contributions.
@@ -438,13 +427,6 @@ class DeltaOverlay:
                 if node_window is not None and not node_window.contains(x, y):
                     continue
                 weights[node] = value
-            if candidate_nodes is not None:
-                allowed = (
-                    candidate_nodes
-                    if isinstance(candidate_nodes, (set, frozenset))
-                    else set(candidate_nodes)
-                )
-                weights = {n: w for n, w in weights.items() if n in allowed}
             return weights
 
     def materialize_corpus(self) -> ObjectCorpus:

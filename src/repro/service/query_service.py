@@ -349,11 +349,7 @@ class QueryService:
         cached = self._instance_cache.get(key)
         if cached is not None:
             substrate, sampling = cached
-            # Rebound instances carry the engine's pruning policy just like
-            # freshly built ones — cache hits and misses must solve identically.
-            rebound = substrate.to_problem_instance(
-                query, pruning=self._engine.pruning, sampling=sampling
-            )
+            rebound = substrate.to_problem_instance(query, sampling=sampling)
             return rebound, True, 0.0
         # Window-less instances already share the engine's graph view (the
         # instance builder stopped copying the network), so caching them pins no

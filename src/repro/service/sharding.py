@@ -589,7 +589,6 @@ class WorkerConfig:
     Attributes:
         base_path: The base artifact directory.
         shard_paths: Shard artifact directories, indexed by shard ``part``.
-        pruning: The engine pruning policy every worker serves with.
         result_cache_size / instance_cache_size: Per-worker cache capacities.
         verify: Verify artifact checksums when a worker opens a bundle.
         preload_base: Open the base-artifact engine eagerly in the worker
@@ -599,7 +598,6 @@ class WorkerConfig:
 
     base_path: str
     shard_paths: Tuple[str, ...]
-    pruning: str = "auto"
     result_cache_size: int = 512
     instance_cache_size: int = 128
     verify: bool = True
@@ -636,7 +634,7 @@ def _worker_service(shard_index: int) -> QueryService:
         # pending delta on some workers but not others would break the
         # byte-identity routing contract.
         engine = LCMSREngine.from_artifact(
-            path, verify=config.verify, pruning=config.pruning, with_overlay=False
+            path, verify=config.verify, with_overlay=False
         )
         # max_workers=1 and direct execute(): the worker never spawns threads
         # of its own, keeping the process pool the only concurrency layer.
@@ -675,7 +673,6 @@ class ShardedQueryService:
             queued queries; defaults to ``4 × num_workers``. :meth:`submit`
             rejects (raises :class:`QueryError`) when the bound is reached;
             :meth:`run_batch` blocks instead (backpressure).
-        pruning: Engine pruning policy for every worker.
         result_cache_size / instance_cache_size: Per-worker cache capacities.
         verify: Verify artifact checksums when workers open bundles.
         preload_base: See :attr:`WorkerConfig.preload_base`.
@@ -701,7 +698,6 @@ class ShardedQueryService:
         artifact: PathLike,
         num_workers: Optional[int] = None,
         max_in_flight: Optional[int] = None,
-        pruning: str = "auto",
         result_cache_size: int = 512,
         instance_cache_size: int = 128,
         verify: bool = True,
@@ -737,7 +733,6 @@ class ShardedQueryService:
         self._path = resolve_generation(self._root)
         self._manifest = read_manifest(self._path)
         self._shard_set = load_shard_set(self._path)
-        self._pruning = pruning
         self._result_cache_size = result_cache_size
         self._instance_cache_size = instance_cache_size
         self._verify = verify
@@ -783,7 +778,6 @@ class ShardedQueryService:
         return WorkerConfig(
             base_path=str(path),
             shard_paths=shard_paths,
-            pruning=self._pruning,
             result_cache_size=self._result_cache_size,
             instance_cache_size=self._instance_cache_size,
             verify=self._verify,

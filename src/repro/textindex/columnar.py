@@ -905,7 +905,6 @@ class WeightPipeline:
         self,
         keywords: Iterable[str],
         window: Optional[Rectangle] = None,
-        candidate_nodes: Optional[Iterable[int]] = None,
         node_window: Optional[Rectangle] = None,
         exclude_rows: Optional[np.ndarray] = None,
     ) -> Dict[int, float]:
@@ -918,8 +917,6 @@ class WeightPipeline:
                 coordinate comparison — exactly the reference scorer's ``window``
                 contract (an in-window object mapped to an out-of-window node
                 still contributes to that node).
-            candidate_nodes: Optional explicit node restriction applied on top
-                (the object-loop scorer's ``candidate_nodes`` contract).
             node_window: Optional rectangle restricting the *nodes* by a
                 vectorised coordinate comparison. The instance builder passes the
                 query window here instead of materialising the window graph's
@@ -945,17 +942,7 @@ class WeightPipeline:
             )
         positions = np.flatnonzero(keep)
         node_ids = index.node_ids
-        weights = {
-            int(node_ids[pos]): float(sums[pos]) for pos in positions
-        }
-        if candidate_nodes is not None:
-            allowed = (
-                candidate_nodes
-                if isinstance(candidate_nodes, (set, frozenset))
-                else set(candidate_nodes)
-            )
-            weights = {n: w for n, w in weights.items() if n in allowed}
-        return weights
+        return {int(node_ids[pos]): float(sums[pos]) for pos in positions}
 
     # ------------------------------------------------------------------ sampling
     def _sampling_frame(self) -> Tuple[np.ndarray, np.ndarray]:

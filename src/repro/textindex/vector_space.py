@@ -77,14 +77,12 @@ class VectorSpaceModel:
     def __init__(self, corpus: ObjectCorpus) -> None:
         self._corpus = corpus
         self._corpus_size = corpus.size
-        # Per-object L2 norm W_{o.ψ} over TF weights, and normalised term weights.
-        self._object_norms: Dict[int, float] = {}
+        # Normalised term weights: TF weights over the object's L2 norm W_{o.ψ}.
         self._object_term_weights: Dict[int, Dict[str, float]] = {}
         for obj in corpus:
             weights = {term: tf_weight(freq) for term, freq in obj.keywords.items()}
             norm = math.sqrt(sum(w * w for w in weights.values()))
             denominator = norm if norm > 0 else 1.0
-            self._object_norms[obj.object_id] = denominator
             self._object_term_weights[obj.object_id] = {
                 term: weight / denominator for term, weight in weights.items()
             }
@@ -104,14 +102,6 @@ class VectorSpaceModel:
         """Return the stored normalised weight ``wto(t)`` (0.0 if term absent)."""
         weights = self._object_term_weights.get(object_id)
         return weights.get(term, 0.0) if weights else 0.0
-
-    def object_term_weights(self, object_id: int) -> Dict[str, float]:
-        """Return all normalised term weights of an object (copy)."""
-        return dict(self._object_term_weights.get(object_id) or {})
-
-    def object_norm(self, object_id: int) -> float:
-        """Return the object's L2 TF norm ``W_{o.ψ}``."""
-        return self._object_norms.get(object_id, 1.0)
 
     # ------------------------------------------------------------------ online
     def query_vector(self, keywords: Iterable[str]) -> QueryVector:

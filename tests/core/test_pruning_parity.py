@@ -5,8 +5,8 @@ Exact, Greedy and TGEN solvers and the instance builder's zero-mass window
 skip) is required to be *skip-only*: for every solver, every scoring mode,
 windowed as well as window-less queries, both graph backends (frozen CSR and
 dict), and both the solvers and their dict-loop reference twins
-(:func:`repro.core.reference.twin`), the results under ``pruning="on"`` must
-be **byte-identical** to ``pruning="off"`` — same regions, same tie-breaks,
+(:func:`repro.core.reference.twin`), the results of a pruned instance must be
+**byte-identical** to ``with_pruning(False)`` — same regions, same tie-breaks,
 bit-equal floats. Only skip counters and runtime may differ.
 
 This is the pruning counterpart of the dense-substrate suite in
@@ -28,8 +28,11 @@ from repro.core.reference import twin
 from repro.core.tgen import TGENSolver
 from repro.datasets.ny import build_ny_like
 from repro.datasets.queries import generate_workload
+from repro.engine import LCMSREngine
+from repro.evaluation.runner import ExperimentRunner
 from repro.network.subgraph import Rectangle
 from repro.service.bundle import IndexBundle
+from repro.service.query_service import QueryRequest, QueryService
 from repro.textindex.relevance import ScoringMode
 
 SEED = 23
@@ -64,7 +67,7 @@ def build(request, dataset):
     bundle = IndexBundle.build(dataset.network, dataset.corpus, scoring_mode=mode)
     graph = bundle.graph_view() if frozen else dataset.network
 
-    def build_for(query, pruning="auto"):
+    def build_for(query, pruning=True):
         return build_instance(
             graph, query, pipeline=bundle.weight_pipeline(), pruning=pruning
         )
@@ -108,8 +111,8 @@ class TestHeuristicPruningParity:
         for query in workload:
             for backend, run in (("dict", twin(solver)), ("dense", solver)):
                 instance = build(query)
-                pruned = run.solve(instance.with_pruning("on"))
-                reference = run.solve(instance.with_pruning("off"))
+                pruned = run.solve(instance.with_pruning(True))
+                reference = run.solve(instance.with_pruning(False))
                 _assert_identical(
                     pruned,
                     reference,
@@ -125,19 +128,9 @@ class TestHeuristicPruningParity:
         solver = make_solver()
         for query in workload[:2]:
             instance = build(query)
-            pruned = solver.solve_topk(instance.with_pruning("on"), k=3)
-            reference = solver.solve_topk(instance.with_pruning("off"), k=3)
+            pruned = solver.solve_topk(instance.with_pruning(True), k=3)
+            reference = solver.solve_topk(instance.with_pruning(False), k=3)
             _assert_topk_identical(pruned, reference, (solver.name, query.keywords))
-
-    def test_policy_auto_matches_policy_on(self, build, workload):
-        # "auto" currently resolves to enabled; it must stay on the pruned
-        # side of the parity contract (and therefore also equal "off").
-        solver = TGENSolver()
-        query = workload[0]
-        instance = build(query)
-        auto = solver.solve(instance.with_pruning("auto"))
-        on = solver.solve(instance.with_pruning("on"))
-        _assert_identical(auto, on, "auto-vs-on")
 
 
 class TestExactPruningParity:
@@ -159,19 +152,19 @@ class TestExactPruningParity:
     def test_branch_and_bound_solve_is_byte_identical(self, build):
         solver = ExactSolver(max_nodes=16)
         for instance in self._tiny_window_instances(build):
-            pruned = solver.solve(instance.with_pruning("on"))
-            reference = solver.solve(instance.with_pruning("off"))
+            pruned = solver.solve(instance.with_pruning(True))
+            reference = solver.solve(instance.with_pruning(False))
             _assert_identical(pruned, reference, "exact")
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_branch_and_bound_topk_matches_exhaustive_enumeration(self, build, k):
-        # pruning="off" runs the plain exhaustive enumerator, so this asserts
+        # pruning=False runs the plain exhaustive enumerator, so this asserts
         # the B&B top-k returns the same k results in the same order as full
         # enumeration — the strongest form of the skip-only contract.
         solver = ExactSolver(max_nodes=16)
         for instance in self._tiny_window_instances(build):
-            pruned = solver.solve_topk(instance.with_pruning("on"), k=k)
-            exhaustive = solver.solve_topk(instance.with_pruning("off"), k=k)
+            pruned = solver.solve_topk(instance.with_pruning(True), k=k)
+            exhaustive = solver.solve_topk(instance.with_pruning(False), k=k)
             _assert_topk_identical(pruned, exhaustive, ("exact-topk", k))
 
     def test_pruned_runs_report_skip_counters(self, build):
@@ -180,8 +173,8 @@ class TestExactPruningParity:
         # zero skips.
         solver = ExactSolver(max_nodes=16)
         for instance in self._tiny_window_instances(build):
-            pruned = solver.solve_topk(instance.with_pruning("on"), k=3)
-            reference = solver.solve_topk(instance.with_pruning("off"), k=3)
+            pruned = solver.solve_topk(instance.with_pruning(True), k=3)
+            reference = solver.solve_topk(instance.with_pruning(False), k=3)
             assert "exact_subsets_considered" in pruned.stats
             assert "exact_subsets_considered" in reference.stats
             assert (
@@ -205,7 +198,7 @@ class TestZeroMassWindowSkip:
         for make_solver in (GreedySolver, TGENSolver, APPSolver):
             solver = make_solver()
             pruned = solver.solve(build(query))
-            reference = solver.solve(build(query, pruning="off"))
+            reference = solver.solve(build(query, pruning=False))
             _assert_identical(pruned, reference, (solver.name, "zero-mass"))
             assert pruned.region.is_empty
 
@@ -217,24 +210,70 @@ class TestZeroMassWindowSkip:
             ["zzz-not-a-term-in-the-vocabulary"], delta=500.0, region=region
         )
         pruned = build(query)
-        reference = build(query, pruning="off")
+        reference = build(query, pruning=False)
         assert pruned.num_candidate_nodes == reference.num_candidate_nodes
         assert pruned.weights == {}
 
 
 class TestDenseFirstRebindParity:
-    """The serving layer's substrate-rebind path must preserve the policy."""
+    """The serving layer's substrate-rebind path must prune like a fresh build."""
 
     def test_rebound_instances_carry_the_policy_and_solve_identically(
         self, build, workload
     ):
         query = workload[0]
         instance = build(query)
-        for policy in ("on", "off"):
-            rebound = instance.dense.to_problem_instance(query, pruning=policy)
-            assert rebound.pruning == policy
+        rebound = instance.dense.to_problem_instance(query)
+        assert rebound.pruning is True
+        for pruning in (True, False):
             for make_solver in (GreedySolver, TGENSolver, APPSolver):
                 solver = make_solver()
-                a = solver.solve(instance.with_pruning(policy))
-                b = solver.solve(rebound)
-                _assert_identical(a, b, (solver.name, policy, "dense-first"))
+                a = solver.solve(instance.with_pruning(pruning))
+                b = solver.solve(rebound.with_pruning(pruning))
+                _assert_identical(a, b, (solver.name, pruning, "dense-first"))
+
+
+class _RecordingSolver(GreedySolver):
+    """Greedy that keeps every instance the serving layer hands it."""
+
+    def __init__(self):
+        super().__init__()
+        self.instances = []
+
+    def solve(self, instance):
+        self.instances.append(instance)
+        return super().solve(instance)
+
+
+class TestServingPathsArePruned:
+    """Every instance a serving or experiment path builds carries ``pruning=True``."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self, dataset):
+        return IndexBundle.build(dataset.network, dataset.corpus)
+
+    def test_engine_build_instance(self, bundle, workload):
+        engine = LCMSREngine.from_bundle(bundle)
+        assert engine.build_instance(workload[0]).pruning is True
+
+    def test_query_service_miss_and_the_instance_hit_after_it(self, bundle, workload):
+        engine = LCMSREngine.from_bundle(bundle)
+        recorder = _RecordingSolver()
+        engine.configure_solver("recorder", recorder)
+        query = workload[0]
+        # Same keywords and window, different ∆: the second request misses the
+        # result cache and rebinds the first one's cached substrate.
+        requests = [
+            QueryRequest.create(
+                query.keywords, delta, region=query.region, algorithm="recorder"
+            )
+            for delta in (query.delta, query.delta + 100.0)
+        ]
+        with QueryService(engine, max_workers=1) as service:
+            timings = [service.execute_timed(request)[1] for request in requests]
+        assert [t.instance_cache_hit for t in timings] == [False, True]
+        assert [instance.pruning for instance in recorder.instances] == [True, True]
+
+    def test_experiment_runner_build(self, bundle, workload):
+        runner = ExperimentRunner.from_bundle(bundle)
+        assert runner.build(workload[0]).pruning is True

@@ -151,13 +151,13 @@ class TestTGENParity:
         solver = TGENSolver(**settings)
         for query in workload:
             instance = engine.build_instance(query)
-            for pruning in ("auto", "off"):
+            for pruning in (True, False):
                 pinned = instance.with_pruning(pruning)
                 a = twin(solver).solve(pinned)
                 b = solver.solve(pinned)
                 context = (settings, pruning, query.keywords, query.region)
                 _assert_identical(a, b, context)
-                if pruning == "off":
+                if not pruning:
                     _assert_same_work(a, b, context)
 
     @pytest.mark.parametrize(
@@ -180,7 +180,7 @@ class TestTGENParity:
         solver = TGENSolver()
         truncated = 0
         for query in workload:
-            instance = engine.build_instance(query).with_pruning("off")
+            instance = engine.build_instance(query).with_pruning(False)
             a = twin(solver).solve(instance.with_budget(_PollBudget(polls)))
             b = solver.solve(instance.with_budget(_PollBudget(polls)))
             context = (polls, query.keywords, query.region)
@@ -212,7 +212,7 @@ class TestWideWindowParity:
         )[1].with_region(None)
         instance = engine.build_instance(query)
         assert instance.num_candidate_nodes == 34 * 34
-        return instance.with_pruning("off")
+        return instance.with_pruning(False)
 
     def test_solve_is_byte_identical(self, wide_instance):
         solver = TGENSolver()

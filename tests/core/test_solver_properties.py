@@ -70,13 +70,13 @@ def implementation(request):
 
 @pytest.fixture(params=["on", "off"])
 def pruning(request):
-    """Run the monotonicity suite under both pruning policies.
+    """Run the monotonicity suite pruned (``[on]``) and unpruned (``[off]``).
 
     Bound-based pruning is skip-only (byte-identical results — see
     ``test_pruning_parity.py``), so every metamorphic property must hold
     verbatim with the skips armed.
     """
-    return request.param
+    return request.param == "on"
 
 
 def _network_for(seed: int):
@@ -92,7 +92,7 @@ def _random_weights(network, seed: int, fraction: float = 0.5) -> Dict[int, floa
     }
 
 
-def _instance(network, weights, delta, region=None, pruning="auto") -> ProblemInstance:
+def _instance(network, weights, delta, region=None, pruning=True) -> ProblemInstance:
     query = LCMSRQuery.create(["kw"], delta=delta, region=region)
     instance = build_instance(network, query, node_weights=weights)
     return instance.with_pruning(pruning)
@@ -334,7 +334,7 @@ class TestTopKPruningInvariant:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_pruned_exact_topk_matches_exhaustive_enumeration(self, seed, k, implementation):
-        # pruning="off" makes ExactSolver enumerate every connected subset, so
+        # pruning=False makes ExactSolver enumerate every connected subset, so
         # comparing against it pins the branch-and-bound top-k to the full
         # enumeration: same k results, same order, bit-equal scores.
         network = grid_network(4, 4, spacing=100.0, jitter=15.0,
@@ -342,8 +342,8 @@ class TestTopKPruningInvariant:
         weights = _random_weights(network, seed, fraction=0.7)
         solver = implementation(ExactSolver(max_nodes=16))
         instance = _instance(network, weights, 350.0)
-        pruned = solver.solve_topk(instance.with_pruning("on"), k=k)
-        exhaustive = solver.solve_topk(instance.with_pruning("off"), k=k)
+        pruned = solver.solve_topk(instance.with_pruning(True), k=k)
+        exhaustive = solver.solve_topk(instance.with_pruning(False), k=k)
         assert len(pruned.results) == len(exhaustive.results)
         for result_p, result_e in zip(pruned.results, exhaustive.results):
             assert result_p.region.nodes == result_e.region.nodes
@@ -357,8 +357,8 @@ class TestTopKPruningInvariant:
         weights = _random_weights(network, seed + 70)
         for solver in map(implementation, (GreedySolver(), TGENSolver())):
             instance = _instance(network, weights, 700.0)
-            pruned = solver.solve_topk(instance.with_pruning("on"), k=3)
-            reference = solver.solve_topk(instance.with_pruning("off"), k=3)
+            pruned = solver.solve_topk(instance.with_pruning(True), k=3)
+            reference = solver.solve_topk(instance.with_pruning(False), k=3)
             assert len(pruned.results) == len(reference.results)
             for result_p, result_r in zip(pruned.results, reference.results):
                 assert result_p.region.nodes == result_r.region.nodes

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.engine import LCMSREngine
 from repro.service.persist import FORMAT_VERSION, read_manifest
 
 BUILD_ARGS = [
@@ -263,6 +264,44 @@ class TestServeBatch:
             "serve-batch", str(cli_artifact), "--requests", str(requests),
         ]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_process_gateway_with_a_request_file_loads_no_engine_here(
+        self, cli_artifact, tmp_path, capsys, monkeypatch
+    ):
+        # The gateway's workers open the artifact themselves; the CLI process
+        # needs an engine only to synthesize requests or to run the thread pool.
+        loads = []
+        from_artifact = LCMSREngine.from_artifact.__func__
+
+        def counting_from_artifact(cls, *args, **kwargs):
+            loads.append(args)
+            return from_artifact(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            LCMSREngine, "from_artifact", classmethod(counting_from_artifact)
+        )
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps({"keywords": ["cafe"], "delta": 600.0}) + "\n")
+        argv = ["serve-batch", str(cli_artifact), "--requests", str(requests)]
+        assert main(argv + ["--processes", "1"]) == 0
+        assert "served 1 request(s)" in capsys.readouterr().out
+        assert loads == []
+        assert main(argv + ["--workers", "1"]) == 0
+        assert len(loads) == 1
+
+
+class TestPruningFlagIsGone:
+    @pytest.mark.parametrize(
+        "command",
+        [["query", "--keywords", "cafe", "--delta", "500"], ["serve-batch"], ["compact"]],
+        ids=["query", "serve-batch", "compact"],
+    )
+    def test_pruning_flag_is_rejected(self, cli_artifact, capsys, command):
+        argv = [command[0], str(cli_artifact), *command[1:], "--pruning", "off"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--pruning" in capsys.readouterr().err
 
 
 class TestSharding:

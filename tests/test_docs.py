@@ -5,7 +5,8 @@ Keeps the documentation suite honest as the repo grows:
 * every intra-repo link in the tracked markdown files resolves to a real file,
 * README.md keeps its required sections (install, quickstart, algorithms, tests),
 * docs/ARCHITECTURE.md keeps covering every package under ``src/repro/``,
-* the quickstart code shown in README.md names only real public API.
+* the quickstart code shown in README.md names only real public API,
+* every markdown file a Python module names exists (at the root or in docs/).
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ DOC_FILES = [
 ]
 
 _LINK_PATTERN = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
+
+# A markdown file name as code mentions it: ``ROADMAP.md``, ``docs/ARCHITECTURE.md``.
+_MD_NAME_PATTERN = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
+CODE_DIRS = ("src", "benchmarks", "tests", "examples")
 
 
 def intra_repo_links(markdown: str):
@@ -101,3 +106,18 @@ class TestArchitectureDoc:
 
     def test_has_data_flow_diagram(self, architecture):
         assert "ProblemInstance" in architecture and "RegionResult" in architecture
+
+
+class TestDocPointers:
+    def test_markdown_files_named_in_code_exist(self):
+        dangling = []
+        for directory in CODE_DIRS:
+            for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+                text = path.read_text(encoding="utf-8")
+                for name in sorted(set(_MD_NAME_PATTERN.findall(text))):
+                    if not any(
+                        (base / name).is_file()
+                        for base in (REPO_ROOT, REPO_ROOT / "docs")
+                    ):
+                        dangling.append(f"{path.relative_to(REPO_ROOT)}: {name}")
+        assert not dangling, f"Python files name missing markdown files: {dangling}"

@@ -88,20 +88,6 @@ class TestNodeWeightParity:
             # Bitwise identity, including the dict iteration order the solvers see.
             assert list(reference.items()) == list(columnar_weights.items())
 
-    @pytest.mark.parametrize("mode", list(ScoringMode))
-    def test_candidate_node_restriction_matches(self, mode):
-        corpus, network, mapping, columnar = random_setup(5)
-        scorer = RelevanceScorer(corpus, mapping, mode=mode)
-        rng = random.Random(99)
-        all_nodes = [node.node_id for node in network.nodes()]
-        candidates = set(rng.sample(all_nodes, len(all_nodes) // 2))
-        keywords = ("cafe", "bar", "museum")
-        reference = scorer.node_weights(keywords, candidate_nodes=candidates)
-        fast = WeightPipeline(columnar, mode).node_weights(
-            keywords, candidate_nodes=candidates
-        )
-        assert list(reference.items()) == list(fast.items())
-
     def test_instance_node_window_equals_window_graph_restriction(self):
         corpus, network, mapping, columnar = random_setup(17)
         scorer = RelevanceScorer(corpus, mapping)

@@ -190,14 +190,6 @@ class TestWindowFiltering:
         assert pipeline.node_weights([]) == {}
         assert pipeline.node_weights([], window=Rectangle(0, 0, 1000, 1000)) == {}
 
-    def test_candidate_restriction(self, small):
-        _, _, mapping, index = small
-        pipeline = WeightPipeline(index, ScoringMode.TEXT_RELEVANCE)
-        node_of_0 = mapping.node_of(0)
-        unrestricted = pipeline.node_weights(["cafe"])
-        restricted = pipeline.node_weights(["cafe"], candidate_nodes={node_of_0})
-        assert restricted == {node_of_0: unrestricted[node_of_0]}
-
     def test_excluded_rows_drop_out_of_the_sums(self, small):
         _, _, mapping, index = small
         pipeline = WeightPipeline(index, ScoringMode.TEXT_RELEVANCE)
