@@ -161,6 +161,10 @@ anytime-smoke:
 # End-to-end sharded-serving gate through the CLI: build an artifact with 4
 # tile shards, verify every shard sub-artifact's manifest and checksums, and
 # serve one cross-shard query per solver through the multi-process gateway.
+# Then record a mutation, compact (which re-shards gen-0001), verify every
+# gen-0001 shard, and serve the same batch again: the gateway follows CURRENT
+# to gen-0001 and its mirrored 4-shard set. Output goes through a file so a
+# failing command fails the target (a pipe into grep would hide its status).
 # Leaves no files behind.
 SHARD_SMOKE_DIR := .shard-smoke
 shard-smoke:
@@ -177,5 +181,18 @@ shard-smoke:
 		'{"keywords": ["cafe"], "delta": 500, "region": [100, 100, 450, 450], "algorithm": "exact"}' \
 		> $(SHARD_SMOKE_DIR)/requests.jsonl
 	$(PYTHON) -m repro serve-batch $(SHARD_SMOKE_DIR)/ny \
-		--requests $(SHARD_SMOKE_DIR)/requests.jsonl --processes 2
+		--requests $(SHARD_SMOKE_DIR)/requests.jsonl --processes 2 \
+		> $(SHARD_SMOKE_DIR)/out.txt
+	grep 'over 4 shard(s)' $(SHARD_SMOKE_DIR)/out.txt
+	$(PYTHON) -m repro mutate $(SHARD_SMOKE_DIR)/ny \
+		--add '{"id": 90001, "x": 350.0, "y": 350.0, "keywords": ["cafe", "bar"], "rating": 2.5}'
+	$(PYTHON) -m repro compact $(SHARD_SMOKE_DIR)/ny > $(SHARD_SMOKE_DIR)/out.txt
+	grep 'resharded   : yes' $(SHARD_SMOKE_DIR)/out.txt
+	for shard in $(SHARD_SMOKE_DIR)/ny/gen-0001/shards/shard-*; do \
+		$(PYTHON) -m repro info $$shard --verify || exit 1; \
+	done
+	$(PYTHON) -m repro serve-batch $(SHARD_SMOKE_DIR)/ny \
+		--requests $(SHARD_SMOKE_DIR)/requests.jsonl --processes 2 \
+		> $(SHARD_SMOKE_DIR)/out.txt
+	grep 'over 4 shard(s)' $(SHARD_SMOKE_DIR)/out.txt
 	rm -rf $(SHARD_SMOKE_DIR)

@@ -14,7 +14,7 @@ worker pool, a result cache and a problem-instance cache (``submit_many`` /
 back in I/O-bound time with the network arrays memory-mapped. To scale past one
 core, ``python -m repro build --shards K`` partitions the artifact into tile
 shards with halo edges and :class:`repro.service.ShardedQueryService` serves
-them through a multi-process scatter-gather gateway
+them through a multi-process gateway that routes each query to one shard
 (:mod:`repro.service.sharding`) with byte-identical answers.
 
 Quick start (build once — here in-process, normally ``python -m repro build``)::

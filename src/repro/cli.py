@@ -573,7 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--processes", type=int, default=None,
         help="serve with this many worker processes through the sharded "
-        "scatter-gather gateway instead of the in-process thread pool",
+        "gateway, which routes each query to one shard whose extent contains "
+        "its window (else to the base artifact), instead of the in-process "
+        "thread pool",
     )
     serve.add_argument("--repeat", type=int, default=1, help="run the batch this many times")
     serve.add_argument(

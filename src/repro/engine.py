@@ -150,16 +150,14 @@ class LCMSREngine:
         cls,
         path: Union[str, "Path"],
         default_algorithm: str = "tgen",
-        mmap: bool = True,
-        verify: bool = True,
-        with_overlay: bool = True,
     ) -> "LCMSREngine":
         """Create an engine from a persisted index artifact — no offline build.
 
         The artifact (written by :meth:`IndexBundle.save
         <repro.service.bundle.IndexBundle.save>` or ``python -m repro build``)
-        is loaded with the CSR arrays memory-mapped read-only, so the engine is
-        query-ready in I/O-bound time instead of index-rebuild time.
+        is checksum-verified and loaded with its arrays memory-mapped
+        read-only, so the engine is query-ready in I/O-bound time instead of
+        index-rebuild time.
 
         Generation-aware: when the artifact root carries a ``CURRENT`` pointer
         (written by ``python -m repro compact``), the generation it names is
@@ -171,11 +169,6 @@ class LCMSREngine:
         Args:
             path: The artifact directory.
             default_algorithm: Algorithm used when a query does not name one.
-            mmap: Memory-map the network arrays (default) or load them eagerly.
-            verify: Verify artifact checksums before loading.
-            with_overlay: Attach the pending delta-log overlay (default). The
-                sharded service disables this for its workers — shards serve
-                the frozen generation only.
 
         Returns:
             An engine serving queries from the loaded bundle.
@@ -191,12 +184,11 @@ class LCMSREngine:
         from repro.service.generations import overlay_from_delta_log, resolve_generation
 
         resolved = resolve_generation(path)
-        bundle = IndexBundle.load(resolved, mmap=mmap, verify=verify)
+        bundle = IndexBundle.load(resolved)
         engine = cls.from_bundle(bundle, default_algorithm=default_algorithm)
-        if with_overlay:
-            overlay = overlay_from_delta_log(bundle, path)
-            if overlay is not None:
-                engine.attach_overlay(overlay)
+        overlay = overlay_from_delta_log(bundle, path)
+        if overlay is not None:
+            engine.attach_overlay(overlay)
         return engine
 
     # ------------------------------------------------------------------ configuration

@@ -19,9 +19,10 @@ into a high-throughput service:
   artifact cache behind the evaluation runner and the ``python -m repro`` CLI.
 * :mod:`repro.service.sharding` — sharded multi-process serving:
   :func:`build_shards` partitions an artifact into tile shards with halo
-  edges, :class:`ShardRouter` maps windows to shards, and
-  :class:`ShardedQueryService` is the ``ProcessPoolExecutor`` scatter-gather
-  gateway with admission control — byte-identical to the unsharded engine.
+  edges, :class:`ShardRouter` maps each window to the one shard whose extent
+  contains it, and :class:`ShardedQueryService` is the
+  ``ProcessPoolExecutor`` gateway that dispatches each query there, with
+  admission control — byte-identical to the unsharded engine.
 * :mod:`repro.service.generations` — the mutable world: :class:`DeltaOverlay`
   records add / update / remove / rating mutations over a frozen bundle and
   merges them into node weights at query time; :class:`Compactor` re-freezes
@@ -70,7 +71,6 @@ from repro.service.sharding import (
     WorkerConfig,
     build_shards,
     load_shard_set,
-    merge_topk,
 )
 from repro.service.stats import QueryTiming, ServiceStats, StatsCollector
 
@@ -102,7 +102,6 @@ __all__ = [
     "WorkerConfig",
     "build_shards",
     "load_shard_set",
-    "merge_topk",
     "DeltaOverlay",
     "Compactor",
     "CompactionReport",

@@ -28,8 +28,8 @@ Artifact layout (one directory per artifact)::
                           chunk-compressed and decoded lazily per chunk behind
                           :class:`~repro.service.chunked.ChunkedColumn`; the
                           indptr and bound-aggregate columns stay raw memory
-                          maps so pruning and scatter planning never pay a
-                          decode (see ``_COMPRESSED_SCORING_COLUMNS``)
+                          maps so the pruning path never pays a decode (see
+                          ``_COMPRESSED_SCORING_COLUMNS``)
         index.pkl         the object corpus and the node ↔ object mapping,
                           pickled together as one ``(corpus, mapping)`` tuple
                           (the compactor rebuilds from the corpus; the columns
@@ -61,10 +61,10 @@ Design notes:
   through an LRU cache — decoded bytes are bit-identical to a raw build, so
   query results are byte-identical across compressed and raw artifacts. The
   CSR ``indptr`` columns and the bound-aggregate columns stay raw memory maps:
-  they are touched by every query's pruning/planning pass and must stay
-  zero-decode. ``index.pkl`` is compressed wholesale with the same codec. The
-  chunk pipeline is deterministic (fixed codec levels, pinned member
-  timestamps), so same-seed compressed builds are byte-identical too.
+  they are touched by every query's pruning pass and must stay zero-decode.
+  ``index.pkl`` is compressed wholesale with the same codec. The chunk
+  pipeline is deterministic (fixed codec levels, pinned member timestamps), so
+  same-seed compressed builds are byte-identical too.
 * **Versioning policy.** ``format_version`` is bumped on any layout or encoding
   change; loaders refuse other versions outright (no silent migration). The
   ``fingerprint`` identifies the *dataset content* independent of the format, so
@@ -147,9 +147,9 @@ _NETWORK_FIELDS = ("ids", "xs", "ys", "indptr", "indices", "lengths")
 # per-node payload columns that queries touch in narrow windows. Raw (always a
 # plain memory map): every CSR indptr (one random read per term lookup — a
 # decode there would serialise every query), the bound-aggregate columns that
-# PR 6 pruning and PR 7 scatter planning scan on every request, the tiny
-# per-term / corpus-stat tables, and the node coordinate triplet the
-# UpperBoundIndex reads at load. Only 1-D columns are ever chunked.
+# bound-based pruning reads on every request, the tiny per-term / corpus-stat
+# tables, and the node table (ids and coordinates). Only 1-D columns are ever
+# chunked.
 _COMPRESSED_SCORING_COLUMNS = frozenset(
     {
         "post_rows",
@@ -550,15 +550,6 @@ def _mmap_npz(path: Path) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def _load_npz_eager(path: Path) -> Dict[str, np.ndarray]:
-    """Load every array of an ``.npz`` into memory (used when ``mmap=False``).
-
-    Goes through the lazy reader and materialises each column, so raw and
-    chunk-compressed members come back identically (as plain owned arrays).
-    """
-    return {name: np.array(value) for name, value in _mmap_npz(path).items()}
-
-
 # ---------------------------------------------------------------------- save / load
 def _write_pickle_atomic(
     path: Path, payload: object, compression: Optional[Dict[str, object]]
@@ -720,16 +711,15 @@ def verify_artifact(path: PathLike) -> ArtifactManifest:
     return manifest
 
 
-def load_bundle(
-    path: PathLike, mmap: bool = True, verify: bool = True
-) -> "IndexBundle":
+def load_bundle(path: PathLike, verify: bool = True) -> "IndexBundle":
     """Load the artifact at ``path`` back into an :class:`IndexBundle`.
+
+    Raw array columns come back as read-only memory maps and chunk-compressed
+    ones as lazily decoded :class:`~repro.service.chunked.ChunkedColumn`
+    views, so no column is materialised at load time.
 
     Args:
         path: The artifact directory.
-        mmap: Map the CSR arrays read-only from disk (the default). ``False``
-            loads them eagerly into process memory — use it when the artifact
-            lives on storage that will disappear (e.g. a deleted temp dir).
         verify: Verify file checksums against the manifest before loading
             (detects on-disk corruption; costs one streaming hash per file).
 
@@ -761,7 +751,7 @@ def load_bundle(
     ):
         raise ArtifactError(f"artifact at {directory} is missing payload files")
     try:
-        arrays = _mmap_npz(network_path) if mmap else _load_npz_eager(network_path)
+        arrays = _mmap_npz(network_path)
     except ArtifactError:
         raise
     except Exception as exc:  # corrupt zip / bad npy header (reachable with verify=False)
@@ -772,9 +762,7 @@ def load_bundle(
     compact = CompactNetwork(*(arrays[name] for name in _NETWORK_FIELDS))
 
     try:
-        scoring_arrays = (
-            _mmap_npz(scoring_path) if mmap else _load_npz_eager(scoring_path)
-        )
+        scoring_arrays = _mmap_npz(scoring_path)
     except ArtifactError:
         raise
     except Exception as exc:

@@ -16,26 +16,24 @@ up the repo's byte-identity contract:
   ``halo_margin ≥ δ_max``, any query window contained in a shard's extent
   resolves on that shard alone, and any feasible region with a node inside a
   tile lies fully inside that tile's extent.
-* :class:`ShardRouter` — maps a query window to the shard(s) that can answer
-  it, using the PR 6 per-cell bound columns of the *base* artifact to skip
-  shards whose share of the window carries zero reachable σ-mass.
-* :class:`ShardedQueryService` — the scatter-gather gateway: a lazily created
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers open their
-  shard bundle on first use (fork-safe lazy init — nothing heavyweight crosses
-  the fork; requests, results and timings are plain picklable dataclasses),
-  admission control via a bounded in-flight semaphore with explicit rejection,
-  and :func:`merge_topk` for cross-shard top-k merging.
+* :class:`ShardRouter` — maps a query window to the one shard whose extent
+  contains it (the owning tile's shard first), or to the base artifact.
+* :class:`ShardedQueryService` — the routing gateway: a lazily created
+  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers open each
+  artifact directory on first use (fork-safe lazy init — nothing heavyweight
+  crosses the fork; requests, results and timings are plain picklable
+  dataclasses), and admission control via a bounded in-flight semaphore with
+  explicit rejection.
 
 **Byte-identity routing contract.** A query is answered bit-identically to the
 unsharded service exactly when it is dispatched to ONE artifact whose extent
 contains its window — the heuristic solvers are not decomposable, so the router
 never splits a single query's answer across shards. Windows contained in no
 shard extent (wider than a tile plus its halo, or ``region=None`` with ``K>1``)
-fall back to the base artifact, which every gateway keeps addressable. The
-scatter-gather path (:meth:`ShardedQueryService.scatter_topk`) is the separate,
-recall-oriented fan-out: it unions per-shard top-k answers; for the Exact
-solver with ``halo_margin ≥ δ`` the merged optimum equals the global optimum
-(the halo-containment invariant above).
+fall back to the base artifact, which every gateway keeps addressable. Each
+dispatch names the artifact directory it was routed to, so a query routed just
+before :meth:`ShardedQueryService.refresh` is answered by the generation it was
+routed on.
 
 Worker processes share the page cache of the read-only mmap artifacts, so ``N``
 workers cost no array copies — the Polynesia-style split of read-optimized
@@ -50,20 +48,17 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.anytime import QueryPolicy
-from repro.core.result import RegionResult, TopKResult
 from repro.exceptions import ArtifactError, QueryError
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.mapping import NodeObjectMap
+from repro.service.bundle import IndexBundle
 from repro.service.persist import (
     MANIFEST_NAME,
-    SCORING_NAME,
-    VOCABULARY_NAME,
     PathLike,
-    _mmap_npz,
     _write_bytes_atomic,
     dataset_fingerprint,
     read_manifest,
@@ -71,7 +66,6 @@ from repro.service.persist import (
 )
 from repro.service.query_service import QueryRequest, QueryService, ServiceResult
 from repro.service.stats import ServiceStats, StatsCollector
-from repro.textindex.columnar import ColumnarScoringIndex
 
 SHARDS_DIRNAME = "shards"
 """Subdirectory of the base artifact holding the shard sub-artifacts."""
@@ -100,14 +94,6 @@ def _contains_rect(outer: Rectangle, inner: Rectangle) -> bool:
         and outer.max_x >= inner.max_x
         and outer.max_y >= inner.max_y
     )
-
-
-def _intersection(a: Rectangle, b: Rectangle) -> Optional[Rectangle]:
-    min_x, min_y = max(a.min_x, b.min_x), max(a.min_y, b.min_y)
-    max_x, max_y = min(a.max_x, b.max_x), min(a.max_y, b.max_y)
-    if min_x > max_x or min_y > max_y:
-        return None
-    return Rectangle(min_x, min_y, max_x, max_y)
 
 
 # ---------------------------------------------------------------------- manifest
@@ -249,8 +235,6 @@ def build_shards(
             ``overwrite``, or a tile whose extent contains no objects (use
             fewer shards or a larger halo).
     """
-    from repro.service.bundle import IndexBundle
-
     if num_shards < 1:
         raise ArtifactError(f"num_shards must be >= 1, got {num_shards}")
     if halo_margin < 0.0:
@@ -427,13 +411,10 @@ class ShardRoute:
         shard: The shard index to dispatch to; ``-1`` means the base artifact.
         candidates: Every shard whose extent contains the window (owner first);
             empty when the query must run on the base artifact.
-        zero_mass: ``True`` when the base bound columns prove the window holds
-            no reachable σ-mass (the answer is empty wherever it runs).
     """
 
     shard: int
     candidates: Tuple[int, ...]
-    zero_mass: bool = False
 
 
 class ShardRouter:
@@ -442,14 +423,10 @@ class ShardRouter:
     Args:
         manifest: The validated shard set, or ``None`` (everything routes to
             the base artifact).
-        bounds: Optional :class:`~repro.core.bounds.UpperBoundIndex` built over
-            the *base* artifact's bound columns; used to skip shards with zero
-            reachable σ-mass in scatter plans and to annotate routes.
     """
 
-    def __init__(self, manifest: Optional[ShardSetManifest], bounds=None) -> None:
+    def __init__(self, manifest: Optional[ShardSetManifest]) -> None:
         self._manifest = manifest
-        self._bounds = bounds
         self._extents: List[Rectangle] = (
             [_rect(s.extent) for s in manifest.shards] if manifest else []
         )
@@ -461,11 +438,6 @@ class ShardRouter:
     def manifest(self) -> Optional[ShardSetManifest]:
         """The shard set this router serves (``None`` = unsharded)."""
         return self._manifest
-
-    def _window_mass(self, region: Rectangle) -> Optional[float]:
-        if self._bounds is None:
-            return None
-        return float(self._bounds.window_mass_bound(region))
 
     def _owner(self, region: Rectangle) -> Optional[int]:
         cx, cy = region.center()
@@ -495,117 +467,75 @@ class ShardRouter:
             for part, extent in enumerate(self._extents)
             if _contains_rect(extent, region)
         ]
-        zero_mass = self._window_mass(region) == 0.0
         if not containing:
-            return ShardRoute(shard=-1, candidates=(), zero_mass=zero_mass)
+            return ShardRoute(shard=-1, candidates=())
         owner = self._owner(region)
         if owner in containing:
             containing.remove(owner)
             containing.insert(0, owner)
-        return ShardRoute(
-            shard=containing[0], candidates=tuple(containing), zero_mass=zero_mass
+        return ShardRoute(shard=containing[0], candidates=tuple(containing))
+
+
+@dataclass(frozen=True)
+class _Generation:
+    """The routing state of one served generation.
+
+    :meth:`ShardedQueryService.refresh` replaces it in one assignment, so a
+    dispatch that reads it once pairs its route with the directories of the
+    same generation.
+
+    Attributes:
+        path: The generation's base artifact directory.
+        router: The router over the generation's shard set.
+        shard_dirs: The shard artifact directories, indexed by shard ``part``.
+    """
+
+    path: Path
+    router: ShardRouter
+    shard_dirs: Tuple[str, ...]
+
+    @classmethod
+    def open(cls, path: Path) -> "_Generation":
+        """Validate the artifact and shard set at ``path`` and route over them.
+
+        Raises:
+            ArtifactError: On a missing base manifest or a stale shard set.
+        """
+        read_manifest(path)
+        shard_set = load_shard_set(path)
+        shards = shard_set.shards if shard_set else ()
+        return cls(
+            path=path,
+            router=ShardRouter(shard_set),
+            shard_dirs=tuple(str(path / SHARDS_DIRNAME / info.name) for info in shards),
         )
 
-    def scatter_plan(self, region: Optional[Rectangle]) -> Tuple[int, ...]:
-        """Return the shards a scatter-gather top-k should fan out to.
-
-        Every shard whose *tile* intersects the window participates (tiles
-        partition space, so together they see every candidate region), except
-        shards whose share of the window — ``window ∩ extent`` — provably
-        carries zero σ-mass under the base bound columns (Provenance-style data
-        skipping: nothing with positive weight can come from there). With no
-        shard set, or when every shard is skipped, the plan is ``(-1,)`` (run
-        on the base artifact).
-        """
-        if self._manifest is None:
-            return (-1,)
-        if region is None:
-            return tuple(range(len(self._tiles)))
-        plan: List[int] = []
-        for part, tile in enumerate(self._tiles):
-            if not tile.intersects(region):
-                continue
-            share = _intersection(region, self._extents[part])
-            if share is not None and self._window_mass(share) == 0.0:
-                continue
-            plan.append(part)
-        return tuple(plan) if plan else (-1,)
-
-
-# ---------------------------------------------------------------------- merge
-def merge_topk(
-    partials: Sequence[ServiceResult], k: int
-) -> TopKResult:
-    """Merge per-shard answers into one top-k, in ``solve_topk`` tie-break order.
-
-    The merge contract matches the Exact solver's candidate ranking (the one
-    solver whose top-k is a provable optimum): candidates rank by **descending
-    weight, then descending length**; remaining ties keep the input order
-    (shard order, then each shard's own rank order — the sort is stable).
-    Duplicate regions (the same node and edge sets found by two shards whose
-    halos overlap) are kept once, at their best rank. Empty partial answers are
-    dropped; merging only empties yields an empty :class:`TopKResult`.
-    """
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
-    candidates: List[RegionResult] = []
-    algorithm = "merged"
-    runtime = 0.0
-    stats: Dict[str, float] = {"shards_merged": float(len(partials))}
-    for partial in partials:
-        if isinstance(partial, TopKResult):
-            items: List[RegionResult] = list(partial.results)
-            runtime += partial.runtime_seconds
-        else:
-            items = [] if partial.is_empty else [partial]
-            runtime += partial.runtime_seconds
-        if items:
-            algorithm = items[0].algorithm
-        for item in items:
-            if not item.is_empty:
-                candidates.append(item)
-    seen = set()
-    unique: List[RegionResult] = []
-    for item in candidates:
-        key = (item.region.nodes, item.region.edges)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(item)
-    unique.sort(key=lambda item: (-item.weight, -item.length))
-    return TopKResult(
-        results=tuple(unique[:k]),
-        algorithm=algorithm,
-        runtime_seconds=runtime,
-        stats=stats,
-    )
+    def directory(self, route: ShardRoute) -> str:
+        """The artifact directory ``route`` dispatches to."""
+        return self.shard_dirs[route.shard] if route.shard >= 0 else str(self.path)
 
 
 # ---------------------------------------------------------------------- workers
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything a worker process needs to open its shard bundles (picklable).
+    """What a worker process needs besides the requests it serves (picklable).
 
     Attributes:
-        base_path: The base artifact directory.
-        shard_paths: Shard artifact directories, indexed by shard ``part``.
+        base_path: The served generation's base artifact directory.
         result_cache_size / instance_cache_size: Per-worker cache capacities.
-        verify: Verify artifact checksums when a worker opens a bundle.
         preload_base: Open the base-artifact engine eagerly in the worker
             initializer (benchmarks use it to keep engine loads out of the
-            timed window); shard engines always open lazily on first use.
+            timed window); every other artifact opens lazily on first use.
     """
 
     base_path: str
-    shard_paths: Tuple[str, ...]
     result_cache_size: int = 512
     instance_cache_size: int = 128
-    verify: bool = True
     preload_base: bool = False
 
 
 _WORKER_CONFIG: Optional[WorkerConfig] = None
-_WORKER_SERVICES: Dict[int, QueryService] = {}
+_WORKER_SERVICES: Dict[str, QueryService] = {}
 
 
 def _worker_init(config: WorkerConfig) -> None:
@@ -614,28 +544,23 @@ def _worker_init(config: WorkerConfig) -> None:
     _WORKER_CONFIG = config
     _WORKER_SERVICES.clear()
     if config.preload_base:
-        _worker_service(-1)
+        _worker_service(config.base_path)
 
 
-def _worker_service(shard_index: int) -> QueryService:
-    """Lazily open (and cache) the worker's service for one shard (-1 = base)."""
-    service = _WORKER_SERVICES.get(shard_index)
+def _worker_service(path: str) -> QueryService:
+    """Lazily open (and cache) the worker's service for one artifact directory."""
+    service = _WORKER_SERVICES.get(path)
     if service is None:
         from repro.engine import LCMSREngine  # deferred: engine imports service
 
         config = _WORKER_CONFIG
         if config is None:  # pragma: no cover - initializer always ran
             raise QueryError("worker process was not initialised with a WorkerConfig")
-        path = (
-            config.base_path if shard_index < 0 else config.shard_paths[shard_index]
-        )
-        # with_overlay=False: the gateway already resolved the generation to
-        # serve, and sharded workers serve that frozen world only — merging a
-        # pending delta on some workers but not others would break the
-        # byte-identity routing contract.
-        engine = LCMSREngine.from_artifact(
-            path, verify=config.verify, with_overlay=False
-        )
+        # Load exactly the routed directory: no CURRENT pointer is followed
+        # and no delta overlay is merged. The gateway already resolved the
+        # generation to serve, and merging a pending delta on some workers but
+        # not others would break the byte-identity routing contract.
+        engine = LCMSREngine.from_bundle(IndexBundle.load(path))
         # max_workers=1 and direct execute(): the worker never spawns threads
         # of its own, keeping the process pool the only concurrency layer.
         service = QueryService(
@@ -644,18 +569,18 @@ def _worker_service(shard_index: int) -> QueryService:
             result_cache_size=config.result_cache_size,
             instance_cache_size=config.instance_cache_size,
         )
-        _WORKER_SERVICES[shard_index] = service
+        _WORKER_SERVICES[path] = service
     return service
 
 
-def _worker_execute(shard_index: int, request: QueryRequest):
-    """Serve one request on the worker's shard service; returns (result, timing)."""
-    return _worker_service(shard_index).execute_timed(request)
+def _worker_execute(path: str, request: QueryRequest):
+    """Serve one request on the artifact at ``path``; returns (result, timing)."""
+    return _worker_service(path).execute_timed(request)
 
 
 # ---------------------------------------------------------------------- gateway
 class ShardedQueryService:
-    """Multi-process scatter-gather front end over a (possibly sharded) artifact.
+    """Multi-process routing front end over a (possibly sharded) artifact.
 
     Args:
         artifact: The artifact root. A ``CURRENT`` generation pointer written
@@ -674,7 +599,6 @@ class ShardedQueryService:
             rejects (raises :class:`QueryError`) when the bound is reached;
             :meth:`run_batch` blocks instead (backpressure).
         result_cache_size / instance_cache_size: Per-worker cache capacities.
-        verify: Verify artifact checksums when workers open bundles.
         preload_base: See :attr:`WorkerConfig.preload_base`.
         shed_threshold: Load-shedding trip point: when the number of
             in-flight queries is ``≥ shed_threshold`` at submission time, an
@@ -700,7 +624,6 @@ class ShardedQueryService:
         max_in_flight: Optional[int] = None,
         result_cache_size: int = 512,
         instance_cache_size: int = 128,
-        verify: bool = True,
         preload_base: bool = False,
         shed_threshold: Optional[int] = None,
         degraded_policy: Optional[QueryPolicy] = None,
@@ -730,19 +653,16 @@ class ShardedQueryService:
         from repro.service.generations import resolve_generation  # deferred: cycle
 
         self._root = Path(artifact)
-        self._path = resolve_generation(self._root)
-        self._manifest = read_manifest(self._path)
-        self._shard_set = load_shard_set(self._path)
-        self._result_cache_size = result_cache_size
-        self._instance_cache_size = instance_cache_size
-        self._verify = verify
-        self._preload_base = preload_base
-        self._config = self._build_config(self._path)
+        self._generation = _Generation.open(resolve_generation(self._root))
+        self._config = WorkerConfig(
+            base_path=str(self._generation.path),
+            result_cache_size=result_cache_size,
+            instance_cache_size=instance_cache_size,
+            preload_base=preload_base,
+        )
         self._num_workers = num_workers
         self._max_in_flight = max_in_flight
         self._admission = threading.Semaphore(max_in_flight)
-        self._router: Optional[ShardRouter] = None
-        self._router_lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._collector = StatsCollector()
@@ -769,21 +689,6 @@ class ShardedQueryService:
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def _build_config(self, path: Path) -> WorkerConfig:
-        """Assemble the worker configuration for the generation at ``path``."""
-        shard_paths = tuple(
-            str(path / SHARDS_DIRNAME / info.name)
-            for info in (self._shard_set.shards if self._shard_set else ())
-        )
-        return WorkerConfig(
-            base_path=str(path),
-            shard_paths=shard_paths,
-            result_cache_size=self._result_cache_size,
-            instance_cache_size=self._instance_cache_size,
-            verify=self._verify,
-            preload_base=self._preload_base,
-        )
-
     def refresh(self) -> bool:
         """Re-resolve the artifact's ``CURRENT`` generation and swap to it.
 
@@ -792,8 +697,10 @@ class ShardedQueryService:
         new generation's shard set, and replaces the worker pool so every
         worker reopens the swapped-in artifacts. Outstanding queries on the
         old pool finish against the old generation (the pool is drained, not
-        aborted); queries submitted after ``refresh`` returns are served from
-        the new one.
+        aborted), and a query routed before the swap is answered by the
+        generation it was routed on (generation directories stay on disk);
+        queries submitted after ``refresh`` returns are served from the new
+        one.
 
         Returns:
             ``True`` when the served generation changed, ``False`` when the
@@ -808,22 +715,17 @@ class ShardedQueryService:
         from repro.service.generations import resolve_generation  # deferred: cycle
 
         new_path = resolve_generation(self._root)
-        if new_path == self._path:
+        if new_path == self._generation.path:
             return False
         # Validate the new generation before touching serving state so a bad
         # CURRENT pointer leaves the old generation in service.
-        manifest = read_manifest(new_path)
-        shard_set = load_shard_set(new_path)
+        generation = _Generation.open(new_path)
         with self._pool_lock:
             if self._closed:
                 raise QueryError("the sharded query service has been closed")
             pool, self._pool = self._pool, None
-            self._path = new_path
-            self._manifest = manifest
-            self._shard_set = shard_set
-            self._config = self._build_config(new_path)
-        with self._router_lock:
-            self._router = None
+            self._generation = generation
+            self._config = replace(self._config, base_path=str(new_path))
         if pool is not None:
             pool.shutdown(wait=True)
         return True
@@ -854,12 +756,12 @@ class ShardedQueryService:
     @property
     def shard_set(self) -> Optional[ShardSetManifest]:
         """The validated shard set (``None`` when serving the base artifact only)."""
-        return self._shard_set
+        return self._generation.router.manifest
 
     @property
     def served_path(self) -> Path:
         """The artifact directory (generation) queries are currently served from."""
-        return self._path
+        return self._generation.path
 
     @property
     def rejected(self) -> int:
@@ -878,29 +780,8 @@ class ShardedQueryService:
 
     @property
     def router(self) -> ShardRouter:
-        """The shard router (base bound columns attached lazily on first use)."""
-        with self._router_lock:
-            if self._router is None:
-                self._router = ShardRouter(self._shard_set, bounds=self._load_bounds())
-            return self._router
-
-    def _load_bounds(self):
-        """Open the base artifact's bound columns without unpickling the indexes."""
-        from repro.core.bounds import UpperBoundIndex  # deferred: cycle guard
-
-        try:
-            arrays = _mmap_npz(self._path / SCORING_NAME)
-            terms = json.loads(
-                (self._path / VOCABULARY_NAME).read_text(encoding="utf-8")
-            )
-            columnar = ColumnarScoringIndex.from_arrays(
-                terms, arrays, lm_smoothing=self._manifest.lm_smoothing
-            )
-            return UpperBoundIndex.from_columnar(columnar, self._manifest.scoring_mode)
-        except Exception:
-            # Routing bounds are an optimisation; serve without skipping rather
-            # than failing the gateway.
-            return None
+        """The router over the served generation's shard set."""
+        return self._generation.router
 
     def stats(self) -> ServiceStats:
         """Gateway-side aggregate of every worker-reported query timing.
@@ -964,7 +845,10 @@ class ShardedQueryService:
 
     def _dispatch(self, request: QueryRequest, blocking: bool) -> "Future":
         request = self._maybe_shed(request)
-        route = self.router.route(request.region)
+        # One read of the routing state: a concurrent refresh() cannot pair
+        # this route with the next generation's directories.
+        generation = self._generation
+        path = generation.directory(generation.router.route(request.region))
         if not self._admission.acquire(blocking=blocking):
             with self._pool_lock:
                 self._rejected += 1
@@ -975,7 +859,7 @@ class ShardedQueryService:
         with self._inflight_lock:
             self._in_flight += 1
         try:
-            inner = self._executor().submit(_worker_execute, route.shard, request)
+            inner = self._executor().submit(_worker_execute, path, request)
         except BaseException:
             with self._inflight_lock:
                 self._in_flight -= 1
@@ -1039,55 +923,6 @@ class ShardedQueryService:
         futures = [self._dispatch(request, blocking=True) for request in requests]
         return [future.result()[0] for future in futures]
 
-    # ------------------------------------------------------------------ scatter-gather
-    def scatter_topk(
-        self,
-        keywords: Iterable[str],
-        delta: float,
-        k: int,
-        region: Optional[Rectangle] = None,
-        algorithm: Optional[str] = None,
-    ) -> TopKResult:
-        """Fan a top-k query out to every shard that can contribute and merge.
-
-        Each shard in the router's :meth:`~ShardRouter.scatter_plan` solves the
-        query over its own content; the per-shard answers are merged by
-        :func:`merge_topk` (descending weight, then descending length — the
-        Exact solver's own tie-break order), deduplicating regions found by two
-        overlapping halos. This is the recall-oriented cross-shard path: for
-        heuristic solvers the union of per-shard answers may differ from the
-        unsharded heuristic's answer; for the Exact solver with
-        ``halo_margin ≥ δ`` the merged optimum is the global optimum.
-        """
-        request_keywords = tuple(keywords)
-        plan = self.router.scatter_plan(region)
-        futures = [
-            self._dispatch_to(
-                shard,
-                QueryRequest.create(
-                    request_keywords, delta=delta, region=region,
-                    algorithm=algorithm, k=k,
-                ),
-            )
-            for shard in plan
-        ]
-        partials = [future.result()[0] for future in futures]
-        return merge_topk(partials, k)
-
-    def _dispatch_to(self, shard_index: int, request: QueryRequest) -> "Future":
-        self._admission.acquire()
-        with self._inflight_lock:
-            self._in_flight += 1
-        try:
-            inner = self._executor().submit(_worker_execute, shard_index, request)
-        except BaseException:
-            with self._inflight_lock:
-                self._in_flight -= 1
-            self._admission.release()
-            raise
-        inner.add_done_callback(self._on_done)
-        return inner
-
 
 __all__ = [
     "DEFAULT_HALO_MARGIN",
@@ -1101,5 +936,4 @@ __all__ = [
     "WorkerConfig",
     "build_shards",
     "load_shard_set",
-    "merge_topk",
 ]

@@ -23,6 +23,7 @@ from repro.engine import LCMSREngine
 from repro.exceptions import ArtifactError, QueryError
 from repro.network.subgraph import Rectangle
 from repro.service.bundle import IndexBundle
+from repro.service.generations import set_current_generation
 from repro.service.keys import ResultKey
 from repro.service.persist import INDEX_NAME, read_manifest, verify_artifact
 from repro.service.query_service import QueryRequest, QueryService
@@ -36,7 +37,6 @@ from repro.service.sharding import (
     WorkerConfig,
     build_shards,
     load_shard_set,
-    merge_topk,
 )
 from repro.service.stats import QueryTiming
 from repro.textindex.relevance import ScoringMode
@@ -298,66 +298,6 @@ def test_router_falls_back_to_base():
     assert ShardRouter(None).route(Rectangle(0, 0, 1, 1)).shard == -1
 
 
-class _FakeBounds:
-    """window_mass_bound stub: zero mass right of x=900."""
-
-    def window_mass_bound(self, window):
-        return 0.0 if window.min_x >= 900.0 else 5.0
-
-
-def test_scatter_plan_skips_zero_mass_shards():
-    router = ShardRouter(_manifest_two_tiles(), bounds=_FakeBounds())
-    # The window crosses both tiles, but every object lives left of x=900:
-    # shard 1's share of the window (window ∩ extent, starting at x=900) is
-    # provably empty and is skipped.
-    window = Rectangle(800.0, 200.0, 1400.0, 800.0)
-    assert router.scatter_plan(window) == (0,)
-    # Without bounds both intersecting tiles participate.
-    assert ShardRouter(_manifest_two_tiles()).scatter_plan(window) == (0, 1)
-    # A window whose shares are all provably empty still runs somewhere.
-    far_right = Rectangle(1600.0, 0.0, 1900.0, 500.0)
-    assert router.scatter_plan(far_right) == (-1,)
-
-
-# ---------------------------------------------------------------- merge units
-def _result(nodes, weight, length, algorithm="TGEN"):
-    region = Region(nodes=frozenset(nodes),
-                    edges=frozenset((a, b) for a, b in zip(nodes, nodes[1:])),
-                    length=length, weight=weight)
-    return RegionResult(region=region, algorithm=algorithm)
-
-
-def test_merge_topk_orders_by_weight_then_length():
-    a = TopKResult(results=(_result([1, 2], 5.0, 30.0),
-                            _result([3, 4], 3.0, 10.0)), algorithm="TGEN")
-    b = TopKResult(results=(_result([5, 6], 5.0, 20.0),
-                            _result([7, 8], 4.0, 40.0)), algorithm="TGEN")
-    merged = merge_topk([a, b], k=3)
-    # Exact's candidate ranking: descending weight, then descending length.
-    assert [(r.weight, r.length) for r in merged.results] == [
-        (5.0, 30.0), (5.0, 20.0), (4.0, 40.0)
-    ]
-    assert merged.stats["shards_merged"] == 2.0
-
-
-def test_merge_topk_dedupes_halo_duplicates():
-    duplicate = _result([1, 2], 5.0, 30.0)
-    merged = merge_topk(
-        [TopKResult(results=(duplicate,), algorithm="TGEN"),
-         TopKResult(results=(duplicate,), algorithm="TGEN")], k=5,
-    )
-    assert len(merged.results) == 1
-
-
-def test_merge_topk_drops_empty_answers():
-    empty = RegionResult(region=Region.empty(), algorithm="Greedy")
-    merged = merge_topk([empty, _result([1], 2.0, 0.0)], k=2)
-    assert len(merged.results) == 1
-    assert merge_topk([empty], k=2).results == ()
-    with pytest.raises(QueryError):
-        merge_topk([], k=0)
-
-
 # ---------------------------------------------------------------- gateway
 @pytest.fixture(scope="module")
 def gateway_artifact(sharded_artifacts):
@@ -383,26 +323,6 @@ def test_sharded_service_batch_parity(gateway_artifact, parity_queries):
     assert stats.total_seconds > 0.0
 
 
-def test_scatter_topk_exact_matches_global_optimum(gateway_artifact):
-    """Exact solver + halo >= delta: scattered top-k weights == global weights."""
-    shard_set = load_shard_set(gateway_artifact)
-    bbox = Rectangle(*shard_set.bbox)
-    window = Rectangle.from_center(
-        (bbox.min_x + bbox.max_x) / 2, (bbox.min_y + bbox.max_y) / 2, 450, 450
-    )
-    delta = 400.0
-    assert delta <= shard_set.halo_margin
-    engine = LCMSREngine.from_artifact(gateway_artifact)
-    keywords = [t for t, _ in engine.corpus.most_frequent_terms(2)]
-    global_topk = engine.query_topk(keywords, delta=delta, k=2, region=window,
-                                    algorithm="exact")
-    with ShardedQueryService(gateway_artifact, num_workers=2) as service:
-        merged = service.scatter_topk(keywords, delta=delta, k=2, region=window,
-                                      algorithm="exact")
-    assert [r.weight for r in merged.results] == [r.weight for r in global_topk.results]
-    assert [r.length for r in merged.results] == [r.length for r in global_topk.results]
-
-
 def test_admission_control_rejects_when_full(gateway_artifact):
     service = ShardedQueryService(gateway_artifact, num_workers=1, max_in_flight=2)
     try:
@@ -423,9 +343,16 @@ def test_admission_control_rejects_when_full(gateway_artifact):
         service.execute(request)
 
 
+def _result(nodes, weight, length, algorithm="TGEN"):
+    region = Region(nodes=frozenset(nodes),
+                    edges=frozenset((a, b) for a, b in zip(nodes, nodes[1:])),
+                    length=length, weight=weight)
+    return RegionResult(region=region, algorithm=algorithm)
+
+
 def test_worker_config_and_requests_pickle_roundtrip(gateway_artifact):
     """Everything that crosses the process boundary must pickle cleanly."""
-    config = WorkerConfig(base_path=str(gateway_artifact), shard_paths=("a", "b"))
+    config = WorkerConfig(base_path=str(gateway_artifact))
     assert pickle.loads(pickle.dumps(config)) == config
     request = QueryRequest.create(
         ["cafe", "bar"], delta=800.0,
@@ -445,3 +372,89 @@ def test_worker_config_and_requests_pickle_roundtrip(gateway_artifact):
     restored = pickle.loads(pickle.dumps(topk))
     assert restored.results == topk.results
     assert restored.algorithm == topk.algorithm
+
+
+# ---------------------------------------------------------------- refresh races
+@pytest.fixture(scope="module")
+def race_bundle():
+    dataset = build_ny_like(rows=16, cols=16, block_size=120.0, num_objects=600,
+                            num_clusters=8, seed=SEED)
+    return IndexBundle.build(dataset.network, dataset.corpus)
+
+
+def _two_generations(bundle, root, reshard_next):
+    """A 2-shard base artifact and a same-content ``gen-0001`` beside it.
+
+    ``CURRENT`` is left unset: a gateway opened on ``root`` serves the base
+    until the test points ``CURRENT`` at ``gen-0001`` and calls ``refresh``.
+    """
+    manifest = bundle.save(root)
+    build_shards(bundle, root, num_shards=2, halo_margin=300.0,
+                 base_fingerprint=manifest.fingerprint)
+    bundle.save(root / "gen-0001")
+    if reshard_next:
+        build_shards(bundle, root / "gen-0001", num_shards=4, halo_margin=100.0,
+                     base_fingerprint=manifest.fingerprint)
+
+
+def _refresh_after_routing_to_shard_1(monkeypatch, service):
+    """Swap generations between routing a query to shard 1 and submitting it."""
+    route = ShardRouter.route
+    swapped = []
+
+    def route_then_refresh(router, region):
+        decision = route(router, region)
+        if decision.shard == 1 and not swapped:
+            swapped.append(service.refresh())
+        return decision
+
+    monkeypatch.setattr(ShardRouter, "route", route_then_refresh)
+    return swapped
+
+
+@pytest.mark.parametrize("reshard_next", [False, True],
+                         ids=["next-generation-unsharded", "next-generation-4-shards"])
+def test_query_routed_before_refresh_runs_on_its_own_generation(
+        race_bundle, tmp_path, monkeypatch, reshard_next):
+    """A route and the shard directory it names come from one generation."""
+    root = tmp_path / "artifact"
+    _two_generations(race_bundle, root, reshard_next)
+    min_x, min_y, max_x, max_y = race_bundle.compact.bounding_box()
+    # Centered in the right-hand tile of the 2-shard base: routes to shard 1.
+    window = Rectangle.from_center(min_x + 0.75 * (max_x - min_x),
+                                   min_y + 0.5 * (max_y - min_y), 400, 400)
+    keywords = [t for t, _ in race_bundle.corpus.most_frequent_terms(2)]
+    request = QueryRequest.create(keywords, delta=600.0, region=window,
+                                  algorithm="greedy")
+    with ShardedQueryService(root, num_workers=1) as service:
+        assert service.router.route(window).shard == 1
+        set_current_generation(root, "gen-0001")
+        swapped = _refresh_after_routing_to_shard_1(monkeypatch, service)
+        got = service.execute(request)
+        assert swapped == [True]
+        assert service.served_path == root / "gen-0001"
+    expected = QueryService(LCMSREngine.from_artifact(root), max_workers=1).execute(request)
+    assert not expected.is_empty
+    assert _signature(got) == _signature(expected)
+
+
+def test_base_routed_query_is_served_by_the_served_generation(race_bundle, tmp_path):
+    """Workers load the routed directory itself, never the newer ``CURRENT``."""
+    root = tmp_path / "artifact"
+    race_bundle.save(root)
+    other = build_ny_like(rows=16, cols=16, block_size=120.0, num_objects=600,
+                          num_clusters=8, seed=SEED + 1)
+    IndexBundle.build(other.network, other.corpus).save(root / "gen-0001")
+    keywords = [t for t, _ in race_bundle.corpus.most_frequent_terms(2)]
+    request = QueryRequest.create(keywords, delta=600.0, algorithm="greedy")
+    served = QueryService(LCMSREngine.from_bundle(IndexBundle.load(root)), max_workers=1)
+    expected = _signature(served.execute(request))
+    with ShardedQueryService(root, num_workers=1) as service:
+        # A compaction published gen-0001; until refresh() the gateway still
+        # serves the base, and so must a worker that opens it only now.
+        set_current_generation(root, "gen-0001")
+        got = _signature(service.execute(request))
+        assert service.served_path == root
+    newer = QueryService(LCMSREngine.from_artifact(root), max_workers=1).execute(request)
+    assert _signature(newer) != expected
+    assert got == expected
