@@ -1,22 +1,25 @@
 """Admissible upper bounds over the columnar index's per-cell aggregates.
 
-The bound subsystem lets consumers *skip* work — the instance builder skips
-windows with no score mass — without ever changing the arithmetic of the work
-that is kept. Every bound here is **admissible**: it is greater than or equal
-to the true best achievable value it bounds, for every query, so a skip
-licensed by a bound can never remove a result the unpruned reference path
-would have produced. The parity suite (``tests/core/test_pruning_parity.py``)
-checks the end-to-end consequence — byte-identical results pruned vs unpruned
-— and ``tests/core/test_bounds.py`` checks admissibility of the bounds
-themselves on randomized instances.
+The bound subsystem lets consumers *skip* work — windows with no score mass,
+search branches that cannot beat an incumbent, edges whose endpoints carry no
+scaled weight — without ever changing the arithmetic of the work that is kept.
+Every bound here is **admissible**: it is greater than or equal to the true best
+achievable value it bounds, for every query, so a skip licensed by a bound can
+never remove a result the unpruned reference path would have produced. The
+parity suite (``tests/core/test_pruning_parity.py``) checks the end-to-end
+consequence — byte-identical results pruned vs unpruned — and
+``tests/core/test_bounds.py`` checks admissibility of the bounds themselves on
+randomized instances.
 
 Construction of the aggregates lives in
 :func:`repro.textindex.columnar._bound_aggregate_arrays` (build time, persisted
-as format-version-3 columns); this module reads two of the per-mode
-aggregates:
+as format-version-3 columns); this module only reads them. Three per-cell
+aggregates exist per scoring mode:
 
 * ``cell_sigma_mass`` — Σ of guarded per-object potentials by *object* cell.
   Bounds the total σ-mass any query can collect from objects located in a cell.
+* ``cell_sigma_max`` — max guarded per-node potential by *node* cell. Bounds
+  the largest single σ_v any query can realise at a node in the cell.
 * ``cell_node_mass`` — Σ of guarded per-node potentials by *node* cell. Bounds
   the total σ-mass of any node subset inside the cell.
 
@@ -29,7 +32,7 @@ boundaries; over-inclusion only raises the bound, which is safe.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +73,11 @@ class UpperBoundIndex:
         cell_w: float,
         cell_h: float,
         sigma_mass: np.ndarray,
+        sigma_max: np.ndarray,
         node_mass: np.ndarray,
+        obj_count: np.ndarray,
+        post_count: np.ndarray,
+        node_cell: np.ndarray,
     ) -> None:
         self.resolution = int(resolution)
         self.min_x = float(min_x)
@@ -79,7 +86,11 @@ class UpperBoundIndex:
         self.cell_h = float(cell_h)
         shape = (self.resolution, self.resolution)
         self.sigma_mass = np.asarray(sigma_mass).reshape(shape)
+        self.sigma_max = np.asarray(sigma_max).reshape(shape)
         self.node_mass = np.asarray(node_mass).reshape(shape)
+        self.obj_count = np.asarray(obj_count).reshape(shape)
+        self.post_count = np.asarray(post_count).reshape(shape)
+        self.node_cell = np.asarray(node_cell)
 
     @classmethod
     def from_columnar(cls, index: ColumnarScoringIndex, mode) -> "UpperBoundIndex":
@@ -100,7 +111,11 @@ class UpperBoundIndex:
             cell_w=float(meta[3]),
             cell_h=float(meta[4]),
             sigma_mass=index.cell_sigma_mass[row],
+            sigma_max=index.cell_sigma_max[row],
             node_mass=index.cell_node_mass[row],
+            obj_count=index.cell_obj_count,
+            post_count=index.cell_post_count,
+            node_cell=index.node_cell,
         )
 
     # ------------------------------------------------------------------ geometry
@@ -135,6 +150,14 @@ class UpperBoundIndex:
         )
         return float(self.sigma_mass[r0 : r1 + 1, c0 : c1 + 1].sum())
 
+    def window_max_bound(self, window: Rectangle) -> float:
+        """Upper bound on the largest single node weight σ_v inside ``window``."""
+        r0, r1, c0, c1 = self._cell_span(
+            window.min_x, window.min_y, window.max_x, window.max_y
+        )
+        block = self.sigma_max[r0 : r1 + 1, c0 : c1 + 1]
+        return float(block.max()) if block.size else 0.0
+
     def ball_mass_bound(self, x: float, y: float, radius: float) -> float:
         """Upper bound on the total σ-mass of *nodes* within ``radius`` of a point.
 
@@ -145,3 +168,48 @@ class UpperBoundIndex:
         """
         r0, r1, c0, c1 = self._cell_span(x - radius, y - radius, x + radius, y + radius)
         return float(self.node_mass[r0 : r1 + 1, c0 : c1 + 1].sum())
+
+    def edge_set_mass_bound(self, endpoints: Sequence[Tuple[float, float]]) -> float:
+        """Upper bound on the σ-mass of any region built on the given edge endpoints.
+
+        Sums the node-mass aggregate over the *distinct* cells the endpoints
+        touch — every node of a region grown from these endpoints lives in one
+        of those cells only if the region stays within them, so callers must
+        pass the endpoints of every candidate edge they may use.
+        """
+        seen: Dict[int, float] = {}
+        last = self.resolution - 1
+        for x, y in endpoints:
+            cx = min(max(int((x - self.min_x) / self.cell_w), 0), last)
+            cy = min(max(int((y - self.min_y) / self.cell_h), 0), last)
+            key = cy * self.resolution + cx
+            if key not in seen:
+                seen[key] = float(self.node_mass[cy, cx])
+        return float(sum(seen.values()))
+
+    def partial_region_bound(
+        self, weight_so_far: float, x: float, y: float, remaining_budget: float
+    ) -> float:
+        """Upper bound on the final weight of a partial region.
+
+        ``weight_so_far`` plus the σ-mass reachable within ``remaining_budget``
+        of the partial region's frontier point ``(x, y)``. Admissible because
+        any extension's new nodes lie within the budget ball and their total
+        weight is at most the ball's node-mass bound.
+        """
+        return weight_so_far + self.ball_mass_bound(x, y, remaining_budget)
+
+    # ------------------------------------------------------------------ counts
+    def window_object_count(self, window: Rectangle) -> int:
+        """Upper bound on the number of mapped objects inside ``window``."""
+        r0, r1, c0, c1 = self._cell_span(
+            window.min_x, window.min_y, window.max_x, window.max_y
+        )
+        return int(self.obj_count[r0 : r1 + 1, c0 : c1 + 1].sum())
+
+    def window_posting_count(self, window: Rectangle) -> int:
+        """Upper bound on the number of postings of mapped objects inside ``window``."""
+        r0, r1, c0, c1 = self._cell_span(
+            window.min_x, window.min_y, window.max_x, window.max_y
+        )
+        return int(self.post_count[r0 : r1 + 1, c0 : c1 + 1].sum())

@@ -277,15 +277,18 @@ class IndexBundle:
         )
 
     @classmethod
-    def load(cls, path: "PathLike", verify: bool = True) -> "IndexBundle":
+    def load(
+        cls, path: "PathLike", mmap: bool = True, verify: bool = True
+    ) -> "IndexBundle":
         """Restore a bundle from an artifact directory written by :meth:`save`.
 
         The arrays come back as read-only memory maps (chunk-compressed
-        columns decode lazily), so loading is I/O-bound instead of
-        rebuild-bound.
+        columns decode lazily) unless ``mmap`` is false, so loading is
+        I/O-bound instead of rebuild-bound.
 
         Args:
             path: The artifact directory.
+            mmap: Memory-map the arrays (default) or load them eagerly.
             verify: Check file checksums against the manifest first.
 
         Returns:
@@ -296,7 +299,7 @@ class IndexBundle:
         """
         from repro.service import persist
 
-        return persist.load_bundle(path, verify=verify)
+        return persist.load_bundle(path, mmap=mmap, verify=verify)
 
     def road_network(self) -> RoadNetwork:
         """The mutable dict-backed road network, thawed from the snapshot if needed.

@@ -550,6 +550,15 @@ def _mmap_npz(path: Path) -> Dict[str, np.ndarray]:
     return arrays
 
 
+def _load_npz_eager(path: Path) -> Dict[str, np.ndarray]:
+    """Load every array of an ``.npz`` into memory (used when ``mmap=False``).
+
+    Goes through the lazy reader and materialises each column, so raw and
+    chunk-compressed members come back identically (as plain owned arrays).
+    """
+    return {name: np.array(value) for name, value in _mmap_npz(path).items()}
+
+
 # ---------------------------------------------------------------------- save / load
 def _write_pickle_atomic(
     path: Path, payload: object, compression: Optional[Dict[str, object]]
@@ -711,15 +720,21 @@ def verify_artifact(path: PathLike) -> ArtifactManifest:
     return manifest
 
 
-def load_bundle(path: PathLike, verify: bool = True) -> "IndexBundle":
+def load_bundle(
+    path: PathLike, mmap: bool = True, verify: bool = True
+) -> "IndexBundle":
     """Load the artifact at ``path`` back into an :class:`IndexBundle`.
 
-    Raw array columns come back as read-only memory maps and chunk-compressed
-    ones as lazily decoded :class:`~repro.service.chunked.ChunkedColumn`
-    views, so no column is materialised at load time.
+    By default raw array columns come back as read-only memory maps and
+    chunk-compressed ones as lazily decoded
+    :class:`~repro.service.chunked.ChunkedColumn` views, so no column is
+    materialised at load time.
 
     Args:
         path: The artifact directory.
+        mmap: Map the CSR arrays read-only from disk (the default). ``False``
+            loads them eagerly into process memory — use it when the artifact
+            lives on storage that will disappear (e.g. a deleted temp dir).
         verify: Verify file checksums against the manifest before loading
             (detects on-disk corruption; costs one streaming hash per file).
 
@@ -751,7 +766,7 @@ def load_bundle(path: PathLike, verify: bool = True) -> "IndexBundle":
     ):
         raise ArtifactError(f"artifact at {directory} is missing payload files")
     try:
-        arrays = _mmap_npz(network_path)
+        arrays = _mmap_npz(network_path) if mmap else _load_npz_eager(network_path)
     except ArtifactError:
         raise
     except Exception as exc:  # corrupt zip / bad npy header (reachable with verify=False)
@@ -762,7 +777,9 @@ def load_bundle(path: PathLike, verify: bool = True) -> "IndexBundle":
     compact = CompactNetwork(*(arrays[name] for name in _NETWORK_FIELDS))
 
     try:
-        scoring_arrays = _mmap_npz(scoring_path)
+        scoring_arrays = (
+            _mmap_npz(scoring_path) if mmap else _load_npz_eager(scoring_path)
+        )
     except ArtifactError:
         raise
     except Exception as exc:

@@ -7,9 +7,9 @@ window skip, Exact's branch-and-bound, TGEN's dead-edge skip) rely on this to
 stay skip-only; ``test_pruning_parity.py`` checks the end-to-end consequence,
 this module checks the bounds themselves:
 
-* on seeded random datasets, every window-mass and δ-ball bound dominates the
-  corresponding true value computed from the unbounded weight pipeline, across
-  all three scoring modes,
+* on seeded random datasets, every window / δ-ball / edge-set / partial-region
+  bound dominates the corresponding true value computed from the unbounded
+  weight pipeline, across all three scoring modes,
 * degenerate geometries behave (empty corpus, a single object, every object
   piled onto one node, δ-balls straddling cell boundaries),
 * the exact-zero licence holds: a bound of ``0.0`` really means *no* positive
@@ -89,6 +89,46 @@ class TestWindowBounds:
                     window,
                 )
 
+    def test_window_max_dominates_every_in_window_node_weight(
+        self, pipeline, keyword_sets
+    ):
+        rng = random.Random(SEED + 1)
+        index = pipeline.index
+        bounds = pipeline.bounds
+        coords = {
+            int(index.node_ids[pos]): (float(index.node_x[pos]), float(index.node_y[pos]))
+            for pos in range(len(index.node_ids))
+        }
+        for keywords in keyword_sets:
+            weights = pipeline.node_weights(keywords)
+            for window in _random_windows(rng):
+                cap = bounds.window_max_bound(window)
+                for node_id, weight in weights.items():
+                    x, y = coords[node_id]
+                    if window.contains(x, y):
+                        assert cap >= weight, (keywords, window, node_id)
+
+    def test_window_counts_dominate_true_counts(self, pipeline):
+        rng = random.Random(SEED + 2)
+        index = pipeline.index
+        bounds = pipeline.bounds
+        # Postings are stored CSR-by-term, so per-object posting counts come
+        # from counting each object row's appearances in post_rows.
+        postings_per_object = [0] * index.num_objects
+        for row in index.post_rows:
+            postings_per_object[int(row)] += 1
+        for window in _random_windows(rng):
+            true_objects = 0
+            true_postings = 0
+            for row in range(index.num_objects):
+                if int(index.obj_node_pos[row]) < 0:
+                    continue
+                if window.contains(float(index.obj_x[row]), float(index.obj_y[row])):
+                    true_objects += 1
+                    true_postings += postings_per_object[row]
+            assert bounds.window_object_count(window) >= true_objects
+            assert bounds.window_posting_count(window) >= true_postings
+
 
 class TestBallAndEdgeBounds:
     def test_ball_mass_dominates_reachable_node_mass(self, pipeline, keyword_sets):
@@ -112,6 +152,44 @@ class TestBallAndEdgeBounds:
                         if dx * dx + dy * dy <= radius * radius:
                             true_mass += weights.get(int(index.node_ids[pos]), 0.0)
                     assert bounds.ball_mass_bound(cx, cy, radius) >= true_mass
+
+    def test_edge_set_mass_dominates_endpoint_mass(self, pipeline, keyword_sets):
+        rng = random.Random(SEED + 4)
+        index = pipeline.index
+        bounds = pipeline.bounds
+        positions = list(range(len(index.node_ids)))
+        for keywords in keyword_sets[:3]:
+            weights = pipeline.node_weights(keywords)
+            sample = rng.sample(positions, min(24, len(positions)))
+            endpoints = [
+                (float(index.node_x[pos]), float(index.node_y[pos])) for pos in sample
+            ]
+            true_mass = sum(
+                weights.get(int(index.node_ids[pos]), 0.0) for pos in sample
+            )
+            assert bounds.edge_set_mass_bound(endpoints) >= true_mass
+
+    def test_partial_region_bound_dominates_any_completion(self, pipeline, keyword_sets):
+        rng = random.Random(SEED + 5)
+        index = pipeline.index
+        bounds = pipeline.bounds
+        keywords = keyword_sets[0]
+        weights = pipeline.node_weights(keywords)
+        for _ in range(6):
+            cx = rng.uniform(100.0, 1300.0)
+            cy = rng.uniform(100.0, 1300.0)
+            budget = rng.uniform(50.0, 500.0)
+            weight_so_far = rng.uniform(0.0, 10.0)
+            extension = 0.0
+            for pos in range(len(index.node_ids)):
+                dx = float(index.node_x[pos]) - cx
+                dy = float(index.node_y[pos]) - cy
+                if dx * dx + dy * dy <= budget * budget:
+                    extension += weights.get(int(index.node_ids[pos]), 0.0)
+            assert (
+                bounds.partial_region_bound(weight_so_far, cx, cy, budget)
+                >= weight_so_far + extension
+            )
 
 
 class TestExactZeroLicence:
@@ -146,6 +224,7 @@ class TestExactZeroLicence:
         bounds = bundle.weight_pipeline().bounds
         everywhere = Rectangle(-50.0, -50.0, 400.0, 400.0)
         assert bounds.window_mass_bound(everywhere) == 0.0
+        assert bounds.window_max_bound(everywhere) == 0.0
 
 
 class TestDegenerateGeometries:
@@ -162,7 +241,10 @@ class TestDegenerateGeometries:
         bounds = WeightPipeline(index, ScoringMode.TEXT_RELEVANCE).bounds
         window = Rectangle(-1000.0, -1000.0, 1000.0, 1000.0)
         assert bounds.window_mass_bound(window) == 0.0
+        assert bounds.window_max_bound(window) == 0.0
         assert bounds.ball_mass_bound(0.0, 0.0, 1e6) == 0.0
+        assert bounds.window_object_count(window) == 0
+        assert bounds.window_posting_count(window) == 0
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
     def test_single_object_bounds_dominate_its_weight(self, mode):
@@ -178,13 +260,14 @@ class TestDegenerateGeometries:
         assert true_mass > 0.0
         window = Rectangle(0.0, 0.0, 250.0, 250.0)
         assert bounds.window_mass_bound(window) >= true_mass
+        assert bounds.window_max_bound(window) >= max(weights.values())
         assert bounds.ball_mass_bound(100.0, 100.0, 50.0) >= true_mass
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
     def test_all_objects_on_one_node(self, mode):
         # Every object lands on the same nearest node: the per-node potential
-        # concentrates in one cell, and both the window and the ball bound
-        # must still cover the aggregate weight there.
+        # concentrates in one cell, and both the mass and the max bound must
+        # still cover the aggregate weight there.
         network = grid_network(3, 3, spacing=100.0)
         corpus = ObjectCorpus(
             [
@@ -201,6 +284,7 @@ class TestDegenerateGeometries:
         assert node_id == 0
         tight = Rectangle(-10.0, -10.0, 10.0, 10.0)
         assert bounds.window_mass_bound(tight) >= weight
+        assert bounds.window_max_bound(tight) >= weight
         assert bounds.ball_mass_bound(0.0, 0.0, 5.0) >= weight
 
     def test_unknown_scoring_mode_is_rejected(self, dataset):

@@ -118,6 +118,14 @@ class TestRoundTrip:
                 loaded_engine.query(keywords, delta=1200.0, algorithm=algorithm),
             )
 
+    def test_eager_load_matches_mmap_load(self, artifact):
+        path, _ = artifact
+        eager = IndexBundle.load(path, mmap=False)
+        mapped = IndexBundle.load(path, mmap=True)
+        result_e = LCMSREngine.from_bundle(eager).query(["bar"], delta=500.0)
+        result_m = LCMSREngine.from_bundle(mapped).query(["bar"], delta=500.0)
+        _assert_same_result(result_e, result_m)
+
     def test_query_service_accepts_artifact_path(self, artifact):
         path, bundle = artifact
         reference = LCMSREngine.from_bundle(bundle).query(["cafe"], delta=600.0)

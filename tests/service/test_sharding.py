@@ -22,6 +22,7 @@ from repro.datasets.ny import build_ny_like
 from repro.engine import LCMSREngine
 from repro.exceptions import ArtifactError, QueryError
 from repro.network.subgraph import Rectangle
+from repro.service import sharding
 from repro.service.bundle import IndexBundle
 from repro.service.generations import set_current_generation
 from repro.service.keys import ResultKey
@@ -374,6 +375,31 @@ def test_worker_config_and_requests_pickle_roundtrip(gateway_artifact):
     assert restored.algorithm == topk.algorithm
 
 
+def test_worker_caches_one_service_per_artifact_directory(gateway_artifact,
+                                                          monkeypatch):
+    """Workers open the directory each dispatch names, once per directory."""
+    monkeypatch.setattr(sharding, "_WORKER_CONFIG", None)
+    monkeypatch.setattr(sharding, "_WORKER_SERVICES", {})
+    base = str(gateway_artifact)
+    sharding._worker_init(WorkerConfig(base_path=base, preload_base=True))
+    assert set(sharding._WORKER_SERVICES) == {base}
+    shard_set = load_shard_set(gateway_artifact)
+    window = Rectangle.from_center(*Rectangle(*shard_set.shards[1].tile).center(),
+                                   400, 400)
+    route = ShardRouter(shard_set).route(window)
+    assert route.shard == 1
+    shard_dir = str(gateway_artifact / SHARDS_DIRNAME / shard_set.shards[1].name)
+    request = QueryRequest.create(["cafe", "bar"], delta=600.0, region=window,
+                                  algorithm="greedy")
+    on_shard, first = sharding._worker_execute(shard_dir, request)
+    again, second = sharding._worker_execute(shard_dir, request)
+    on_base, _ = sharding._worker_execute(base, request)
+    assert set(sharding._WORKER_SERVICES) == {base, shard_dir}
+    assert not first.result_cache_hit and second.result_cache_hit
+    assert not on_shard.is_empty
+    assert _signature(on_shard) == _signature(again) == _signature(on_base)
+
+
 # ---------------------------------------------------------------- refresh races
 @pytest.fixture(scope="module")
 def race_bundle():
@@ -458,3 +484,44 @@ def test_base_routed_query_is_served_by_the_served_generation(race_bundle, tmp_p
     newer = QueryService(LCMSREngine.from_artifact(root), max_workers=1).execute(request)
     assert _signature(newer) != expected
     assert got == expected
+
+
+def test_refresh_swaps_the_router_with_the_shard_set(race_bundle, tmp_path):
+    """The router is a plain value rebuilt with each generation's shard set."""
+    root = tmp_path / "artifact"
+    _two_generations(race_bundle, root, reshard_next=True)
+    service = ShardedQueryService(root, num_workers=1)
+    try:
+        old_router = service.router
+        assert old_router.manifest is service.shard_set
+        assert service.shard_set.num_shards == 2
+        set_current_generation(root, "gen-0001")
+        assert service.refresh() is True
+        new_router = service.router
+        assert new_router is not old_router
+        assert new_router.manifest is service.shard_set
+        assert service.shard_set == load_shard_set(root / "gen-0001")
+        assert service.shard_set.num_shards == 4
+        assert service.refresh() is False
+        assert service.router is new_router
+    finally:
+        service.close()
+
+
+def test_refresh_to_a_broken_shard_set_keeps_the_served_generation(race_bundle,
+                                                                   tmp_path):
+    """A generation that fails validation never replaces the routing state."""
+    root = tmp_path / "artifact"
+    _two_generations(race_bundle, root, reshard_next=True)
+    shutil.rmtree(root / "gen-0001" / SHARDS_DIRNAME / "shard-03")
+    service = ShardedQueryService(root, num_workers=1)
+    try:
+        router = service.router
+        set_current_generation(root, "gen-0001")
+        with pytest.raises(ArtifactError, match="shard-03 is missing"):
+            service.refresh()
+        assert service.served_path == root
+        assert service.router is router
+        assert service.shard_set.num_shards == 2
+    finally:
+        service.close()
