@@ -79,7 +79,11 @@ bench-json:
 
 # End-to-end artifact gate through the CLI: build a small artifact, verify and
 # reload it, and answer one query per solver (exact gets a small window so its
-# enumeration stays tiny). Leaves no files behind.
+# enumeration stays tiny). Then build the same dataset with --compress zlib,
+# verify it, check `info` reports the codec, and diff each solver's answer on
+# it against the raw artifact's (all lines but the runtime one). Query output
+# goes through a file so a failing query fails the target. Leaves no files
+# behind.
 ARTIFACT_SMOKE_DIR := .artifact-smoke
 artifact-smoke:
 	rm -rf $(ARTIFACT_SMOKE_DIR)
@@ -94,6 +98,23 @@ artifact-smoke:
 		--delta 500 --region 100,100,450,450 --algorithm exact
 	$(PYTHON) -m repro serve-batch $(ARTIFACT_SMOKE_DIR)/ny --synthesize 8 \
 		--delta 800 --workers 2 --repeat 2
+	$(PYTHON) -m repro build --dataset ny --rows 16 --cols 16 --objects 500 \
+		--clusters 6 --seed 3 --out $(ARTIFACT_SMOKE_DIR)/zlib --compress zlib
+	$(PYTHON) -m repro info $(ARTIFACT_SMOKE_DIR)/zlib --verify \
+		> $(ARTIFACT_SMOKE_DIR)/info.txt
+	grep 'compression    : zlib' $(ARTIFACT_SMOKE_DIR)/info.txt
+	for args in 'cafe,restaurant --delta 800 --algorithm app' \
+		'cafe,restaurant --delta 800 --algorithm tgen' \
+		'cafe,restaurant --delta 800 --algorithm greedy' \
+		'cafe --delta 500 --region 100,100,450,450 --algorithm exact'; do \
+		for art in ny zlib; do \
+			$(PYTHON) -m repro query $(ARTIFACT_SMOKE_DIR)/$$art --keywords $$args \
+				> $(ARTIFACT_SMOKE_DIR)/$$art.out || exit 1; \
+			grep -v runtime $(ARTIFACT_SMOKE_DIR)/$$art.out \
+				> $(ARTIFACT_SMOKE_DIR)/$$art.txt || exit 1; \
+		done; \
+		diff $(ARTIFACT_SMOKE_DIR)/ny.txt $(ARTIFACT_SMOKE_DIR)/zlib.txt || exit 1; \
+	done
 	rm -rf $(ARTIFACT_SMOKE_DIR)
 
 # End-to-end mutable-world gate through the CLI: build a small artifact,

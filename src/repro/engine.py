@@ -219,7 +219,11 @@ class LCMSREngine:
 
     @property
     def mapping(self) -> NodeObjectMap:
-        """The object → node mapping."""
+        """The object → node mapping, read off the bundle's scoring columns.
+
+        Derived on first access and cached (see :attr:`IndexBundle.mapping
+        <repro.service.bundle.IndexBundle.mapping>`); queries never need it.
+        """
         return self._bundle.mapping
 
     @property

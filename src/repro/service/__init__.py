@@ -4,8 +4,8 @@ This subpackage turns the one-query-at-a-time :class:`~repro.engine.LCMSREngine`
 into a high-throughput service:
 
 * :class:`IndexBundle` — the engine's query-independent index state (CSR
-  network, corpus, object mapping, columnar scoring index), built once and
-  shared immutably across engines and worker threads.
+  network, corpus, columnar scoring index — which also holds the object
+  mapping), built once and shared immutably across engines and worker threads.
 * :class:`QueryService` — the batch front end: ``submit`` / ``submit_many`` /
   ``run_batch`` over a worker pool, an LRU result cache keyed on normalized query
   parameters, and an LRU instance cache that lets repeated keyword sets skip

@@ -1,16 +1,16 @@
 """The shared, immutable index state behind an engine: one build, many queries.
 
 :class:`IndexBundle` holds everything the serving path reads that does not depend
-on the query: the frozen CSR road network, the object corpus, the object → node
-mapping, the columnar scoring index and the scoring mode. A bundle is built once
-— :meth:`IndexBundle.build` — and can then back any number of engines and any
-number of :class:`~repro.service.query_service.QueryService` workers
-concurrently: after construction the bundle is never mutated, so sharing it
-across threads is safe.
+on the query: the frozen CSR road network, the object corpus, the columnar
+scoring index (which also holds the object → node mapping) and the scoring
+mode. A bundle is built once — :meth:`IndexBundle.build` — and can then back
+any number of engines and any number of
+:class:`~repro.service.query_service.QueryService` workers concurrently: after
+construction the bundle is never mutated, so sharing it across threads is safe.
 
 Bundles also persist: :meth:`IndexBundle.save` writes a versioned on-disk artifact
-(manifest + mmap-able CSR and scoring columns + the pickled corpus and mapping,
-see :mod:`repro.service.persist`) and :meth:`IndexBundle.load` restores it
+(manifest + mmap-able CSR and scoring columns + the pickled corpus, see
+:mod:`repro.service.persist`) and :meth:`IndexBundle.load` restores it
 without re-running any of the offline build — the path behind
 :meth:`LCMSREngine.from_artifact <repro.engine.LCMSREngine.from_artifact>` and the
 ``python -m repro`` CLI.
@@ -62,8 +62,6 @@ class IndexBundle:
             mutable dict-backed copy is genuinely needed (it thaws the snapshot
             on first use and caches the result).
         corpus: The geo-textual objects ``O``.
-        mapping: The object → nearest-node mapping that turns object scores into the
-            node weights σ_v.
         compact: The frozen CSR snapshot of ``network``
             (:class:`~repro.network.compact.CompactNetwork`), built once here and
             shared read-only by every engine / service query — the per-query
@@ -73,7 +71,9 @@ class IndexBundle:
             (:class:`~repro.textindex.columnar.ColumnarScoringIndex`) — CSR
             term → object postings plus object/node tables — from which every
             query computes σ_v with vectorised array kernels
-            (:meth:`weight_pipeline`).
+            (:meth:`weight_pipeline`). Its node table and node → object CSR
+            are the one stored copy of the object → node mapping (see
+            :attr:`mapping`).
         scoring_mode: Which per-object weight definition the bundle scores with.
             Construction accepts the enum or its value string and stores the enum.
         build_seconds: Wall-clock time of each offline build step plus a ``"total"``
@@ -89,7 +89,6 @@ class IndexBundle:
 
     network: Optional[RoadNetwork]
     corpus: ObjectCorpus
-    mapping: NodeObjectMap
     compact: CompactNetwork
     columnar: ColumnarScoringIndex
     scoring_mode: ScoringMode
@@ -146,7 +145,9 @@ class IndexBundle:
         grid_resolution: int = 48,
     ) -> "IndexBundle":
         """The one build behind :meth:`build`, :meth:`build_streaming` and
-        :meth:`from_dataset`; ``mapping`` / ``compact`` are reused when given."""
+        :meth:`from_dataset`; ``mapping`` / ``compact`` are reused when given
+        (``mapping`` only feeds the columnar build; the bundle keeps no
+        reference to it)."""
         if mapping is None:
             start = time.perf_counter()
             mapping = map_objects_to_network(network, corpus)
@@ -165,7 +166,6 @@ class IndexBundle:
         return cls(
             network=network,
             corpus=corpus,
-            mapping=mapping,
             compact=compact,
             columnar=columnar,
             scoring_mode=scoring_mode,
@@ -318,9 +318,27 @@ class IndexBundle:
                 object.__setattr__(self, "network", thawed)
         return self.network
 
-    # A plain class attribute (no annotation), so it is NOT a dataclass field:
-    # the lazily computed fingerprint cache behind :meth:`fingerprint`.
+    # Plain class attributes (no annotation), so they are NOT dataclass fields:
+    # the lazily computed caches behind :attr:`mapping` and :meth:`fingerprint`.
+    _mapping = None
     _fingerprint = None
+
+    @property
+    def mapping(self) -> NodeObjectMap:
+        """The object → nearest-node mapping that turns object scores into σ_v.
+
+        Read off the columnar index's node table and node → object CSR
+        (:meth:`ColumnarScoringIndex.node_object_map
+        <repro.textindex.columnar.ColumnarScoringIndex.node_object_map>`) on
+        first access and cached on the bundle. It equals the mapping the bundle
+        was built from, key orders included. No query reads it.
+        """
+        cached = self._mapping
+        if cached is None:
+            cached = self.columnar.node_object_map()
+            # Lock-free single-assignment, same pattern as road_network().
+            object.__setattr__(self, "_mapping", cached)
+        return cached
 
     def fingerprint(self) -> str:
         """The dataset fingerprint of this bundle's (network, corpus).

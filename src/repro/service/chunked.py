@@ -278,17 +278,17 @@ def _rebuild_plain(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class ChunkedColumn:
+class ChunkedColumn(np.lib.mixins.NDArrayOperatorsMixin):
     """Read-only, lazily-decoded view of one chunk-compressed column.
 
     Behaves like a 1-D numpy array for every access pattern the scoring and
     pruning kernels use: ``len`` / ``shape`` / ``dtype``, integer and
     contiguous-slice indexing (decoding only the overlapping chunks through the
-    LRU cache), fancy/boolean indexing and ufunc participation (via a cached
-    full materialisation), and arithmetic/comparison operators. Pickling
-    materialises to a plain ndarray, so pickled consumers (worker processes,
-    the service instance cache) are self-contained — mirroring how read-only
-    memory maps materialise on pickle.
+    LRU cache), fancy/boolean indexing, and ufuncs and the arithmetic /
+    comparison / bitwise operators (via a cached full materialisation; the
+    results are plain ndarrays). Pickling materialises to a plain ndarray, so
+    pickled consumers (worker processes, the service instance cache) are
+    self-contained — mirroring how read-only memory maps materialise on pickle.
 
     Args:
         path: The zip container file the chunk payloads live in.
@@ -475,70 +475,17 @@ class ChunkedColumn:
         )
 
     # ------------------------------------------------------------------ operators
-    def __eq__(self, other):
-        return self._materialize() == other
-
-    def __ne__(self, other):
-        return self._materialize() != other
+    # NDArrayOperatorsMixin routes every Python operator through a ufunc, and
+    # every ufunc lands here: chunked inputs materialise once, and the result
+    # is the plain ndarray the same ufunc gives on the decoded column.
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = tuple(
+            value._materialize() if isinstance(value, ChunkedColumn) else value
+            for value in inputs
+        )
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
     __hash__ = None  # array-likes with element-wise __eq__ are unhashable
-
-    def __lt__(self, other):
-        return self._materialize() < other
-
-    def __le__(self, other):
-        return self._materialize() <= other
-
-    def __gt__(self, other):
-        return self._materialize() > other
-
-    def __ge__(self, other):
-        return self._materialize() >= other
-
-    def __add__(self, other):
-        return self._materialize() + other
-
-    def __radd__(self, other):
-        return other + self._materialize()
-
-    def __sub__(self, other):
-        return self._materialize() - other
-
-    def __rsub__(self, other):
-        return other - self._materialize()
-
-    def __mul__(self, other):
-        return self._materialize() * other
-
-    def __rmul__(self, other):
-        return other * self._materialize()
-
-    def __truediv__(self, other):
-        return self._materialize() / other
-
-    def __rtruediv__(self, other):
-        return other / self._materialize()
-
-    def __neg__(self):
-        return -self._materialize()
-
-    def __abs__(self):
-        return abs(self._materialize())
-
-    def __and__(self, other):
-        return self._materialize() & other
-
-    def __rand__(self, other):
-        return other & self._materialize()
-
-    def __or__(self, other):
-        return self._materialize() | other
-
-    def __ror__(self, other):
-        return other | self._materialize()
-
-    def __invert__(self):
-        return ~self._materialize()
 
     # ------------------------------------------------------------------ pickling
     def __reduce__(self):

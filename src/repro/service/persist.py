@@ -21,7 +21,8 @@ Artifact layout (one directory per artifact)::
         scoring.npz       the ColumnarScoringIndex columns (CSR term → object
                           postings with TF-IDF / raw-tf / LM log-probability
                           value columns, the object table, the node table and
-                          the CSR node → object map), stored raw by default and
+                          the CSR node → object map — the one stored copy of
+                          the object → node mapping), stored raw by default and
                           loaded back as read-only memory maps — the σ_v hot
                           path is query-ready without materialising anything.
                           Under ``--compress`` the bulky value columns are
@@ -30,11 +31,13 @@ Artifact layout (one directory per artifact)::
                           indptr and bound-aggregate columns stay raw memory
                           maps so the pruning path never pays a decode (see
                           ``_COMPRESSED_SCORING_COLUMNS``)
-        index.pkl         the object corpus and the node ↔ object mapping,
-                          pickled together as one ``(corpus, mapping)`` tuple
-                          (the compactor rebuilds from the corpus; the columns
+        index.pkl         the pickled object corpus, nothing else (the
+                          compactor rebuilds from the corpus; the columns
                           cannot replace it because they drop each object's
-                          keyword order, which the TF-IDF norms sum over)
+                          keyword order, which the TF-IDF norms sum over). The
+                          mapping is read off scoring.npz on demand (see
+                          :attr:`IndexBundle.mapping
+                          <repro.service.bundle.IndexBundle.mapping>`)
         vocabulary.json   the sorted corpus term list; doubles as the columnar
                           index's term-id table (term id = list position)
 
@@ -110,7 +113,7 @@ from repro.textindex.columnar import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bundle imports persist)
     from repro.service.bundle import IndexBundle
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 """Current on-disk artifact format version (see the module docstring).
 
 Version history: 1 — network.npz + index.pkl + vocabulary.json; 2 — adds
@@ -129,8 +132,12 @@ descriptor + ``<column>.chunkNNNNN`` payload members, decoded lazily behind
 level, chunk size, per-file raw byte counts); 6 — ``index.pkl`` holds only
 ``(corpus, mapping)`` (no vector-space model, grid index or scorer), the
 scoring mode comes from the manifest, and the manifest drops
-``grid_resolution``. Loaders accept exactly the current version (no silent
-migration); older artifacts must be rebuilt with ``python -m repro build``.
+``grid_resolution``; 7 — ``index.pkl`` holds only the corpus (the mapping is
+read off scoring.npz's node table and node → object CSR), and scoring.npz drops
+four bound columns no query read: ``cell_sigma_max``, ``cell_obj_count``,
+``cell_post_count`` and the per-node cell ids. Loaders accept exactly the
+current version (no silent migration); older artifacts must be rebuilt with
+``python -m repro build``.
 """
 
 MANIFEST_NAME = "manifest.json"
@@ -644,9 +651,7 @@ def save_bundle(
         compressed_columns=_COMPRESSED_SCORING_COLUMNS,
     )
 
-    raw_index = _write_pickle_atomic(
-        directory / INDEX_NAME, (bundle.corpus, bundle.mapping), compression
-    )
+    raw_index = _write_pickle_atomic(directory / INDEX_NAME, bundle.corpus, compression)
 
     # The sorted term list IS the columnar term-id table (id = position).
     vocabulary = list(columnar.terms)
@@ -812,17 +817,20 @@ def load_bundle(
                 str(manifest.compression.get("codec")),
                 context=INDEX_NAME,
             )
-        corpus, mapping = pickle.loads(index_bytes)
+        corpus = pickle.loads(index_bytes)
     except ArtifactError:
         raise
     except Exception as exc:  # unpicklable / truncated payload
         raise ArtifactError(f"cannot deserialise {INDEX_NAME}: {exc}") from exc
+    if not isinstance(corpus, ObjectCorpus):
+        raise ArtifactError(
+            f"{INDEX_NAME} holds a {type(corpus).__name__}, not an object corpus"
+        )
 
     elapsed = time.perf_counter() - start
     bundle = IndexBundle(
         network=None,
         corpus=corpus,
-        mapping=mapping,
         compact=compact,
         columnar=columnar,
         scoring_mode=scoring_mode,

@@ -54,7 +54,6 @@ from repro.core.anytime import QueryPolicy
 from repro.exceptions import ArtifactError, QueryError
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
-from repro.objects.mapping import NodeObjectMap
 from repro.service.bundle import IndexBundle
 from repro.service.persist import (
     MANIFEST_NAME,
@@ -210,8 +209,9 @@ def build_shards(
     network), the extent subset of the columnar scoring index (which keeps the
     full vocabulary and the corpus-global IDF / language-model statistics — see
     :meth:`ColumnarScoringIndex.subset_for_extent
-    <repro.textindex.columnar.ColumnarScoringIndex.subset_for_extent>`), and
-    the corpus and mapping of the extent's objects.
+    <repro.textindex.columnar.ColumnarScoringIndex.subset_for_extent>`, whose
+    node table and node → object CSR carry the extent's mapping), and the
+    corpus of the extent's objects.
 
     Args:
         bundle: The built :class:`~repro.service.bundle.IndexBundle` of the base
@@ -285,29 +285,9 @@ def build_shards(
                 f"shard tile {part} of {num_shards} contains no objects; "
                 f"use fewer shards (--shards) or a larger halo (--halo)"
             )
-        # Derive the mapping from the columnar subset so the pickled mapping
-        # agrees exactly with the persisted arrays.
-        node_to_objects: Dict[int, List[int]] = {}
-        for pos in range(sub_columnar.num_nodes):
-            rows = sub_columnar.object_rows_at_node(pos)
-            if len(rows) == 0:
-                continue
-            node_id = int(sub_columnar.node_ids[pos])
-            node_to_objects[node_id] = [
-                int(sub_columnar.object_ids[row]) for row in rows
-            ]
-        object_to_node = {
-            object_id: node_id
-            for node_id, object_ids in node_to_objects.items()
-            for object_id in object_ids
-        }
-        sub_mapping = NodeObjectMap(
-            node_to_objects=node_to_objects, object_to_node=object_to_node
-        )
         sub_bundle = IndexBundle(
             network=None,
             corpus=sub_corpus,
-            mapping=sub_mapping,
             compact=shard_compact,
             columnar=sub_columnar,
             scoring_mode=bundle.scoring_mode,
@@ -730,7 +710,10 @@ class ShardedQueryService:
             pool.shutdown(wait=True)
         return True
 
-    def _executor(self) -> ProcessPoolExecutor:
+    def _submit(self, path: str, request: QueryRequest) -> "Future":
+        # Pool creation and the submit share one _pool_lock block, so a
+        # concurrent refresh() swaps the pool either before this request is
+        # queued or after it, and then drains it on the old pool.
         with self._pool_lock:
             if self._closed:
                 raise QueryError("the sharded query service has been closed")
@@ -740,7 +723,7 @@ class ShardedQueryService:
                     initializer=_worker_init,
                     initargs=(self._config,),
                 )
-            return self._pool
+            return self._pool.submit(_worker_execute, path, request)
 
     # ------------------------------------------------------------------ accessors
     @property
@@ -859,7 +842,7 @@ class ShardedQueryService:
         with self._inflight_lock:
             self._in_flight += 1
         try:
-            inner = self._executor().submit(_worker_execute, path, request)
+            inner = self._submit(path, request)
         except BaseException:
             with self._inflight_lock:
                 self._in_flight -= 1

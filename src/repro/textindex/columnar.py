@@ -19,6 +19,8 @@ vectorised kernels:
 * **Node table + CSR node → object map** — the mapped node ids (in
   :class:`~repro.objects.mapping.NodeObjectMap` iteration order), their
   coordinates, and ``node_indptr`` / ``node_rows`` giving each node's object rows.
+  With ``obj_node_pos`` they are the one stored copy of the object → node
+  mapping, which :meth:`ColumnarScoringIndex.node_object_map` reads back.
 
 **Exact parity contract.** :class:`WeightPipeline` reproduces the object-loop
 reference (:meth:`RelevanceScorer.node_weights
@@ -71,7 +73,8 @@ what the zero-mass skip tests rely on.
 """
 
 BOUND_MODES: Tuple[str, ...] = ("text_relevance", "rating_if_match", "language_model")
-"""Row order of the per-mode bound aggregate matrices (``cell_sigma_*``)."""
+"""Row order of the per-mode bound aggregate matrices (``cell_sigma_mass`` /
+``cell_node_mass``)."""
 
 CI_Z = 1.96
 """Normal z-score of the 95% two-sided confidence intervals the sampler reports."""
@@ -102,11 +105,10 @@ class ColumnarScoringIndex:
         node_indptr / node_rows: CSR node → object rows (ascending per node).
         bound_meta: ``[resolution, min_x, min_y, cell_w, cell_h]`` of the bound
             cell grid (float64).
-        obj_cell / node_cell: Row-major bound-grid cell per object / node (int32).
-        cell_sigma_mass / cell_sigma_max / cell_node_mass: Per-mode (rows follow
-            ``BOUND_MODES``) per-cell aggregates of the guarded score potentials.
-        cell_obj_count / cell_post_count: Mapped objects / their posting counts
-            per cell (int64).
+        obj_cell: Row-major bound-grid cell per object (int32).
+        cell_sigma_mass / cell_node_mass: Per-mode (rows follow ``BOUND_MODES``)
+            per-cell sums of the guarded score potentials, by object cell /
+            by node cell.
         term_df: Global document frequency ``f_t`` per term (int64). Equals the
             postings-row count per term for a full-corpus index, but is persisted
             separately so a spatial shard (whose postings cover only its own
@@ -522,6 +524,31 @@ class ColumnarScoringIndex:
             self._object_rows = rows
         return rows.get(object_id)
 
+    def node_object_map(self) -> NodeObjectMap:
+        """The object → node mapping, read off the node table and CSR columns.
+
+        Nodes follow the node table and each node's objects its CSR rows, so a
+        full index gives back the mapping it was built from, key orders
+        included. ``object_to_node`` follows the object table and leaves
+        unmapped objects out.
+        """
+        object_ids = np.asarray(self.object_ids).tolist()
+        node_ids = np.asarray(self.node_ids).tolist()
+        indptr = np.asarray(self.node_indptr).tolist()
+        rows = np.asarray(self.node_rows).tolist()
+        node_to_objects = {
+            node_id: [object_ids[row] for row in rows[indptr[pos] : indptr[pos + 1]]]
+            for pos, node_id in enumerate(node_ids)
+        }
+        object_to_node = {
+            object_id: node_ids[pos]
+            for object_id, pos in zip(object_ids, np.asarray(self.obj_node_pos).tolist())
+            if pos >= 0
+        }
+        return NodeObjectMap(
+            node_to_objects=node_to_objects, object_to_node=object_to_node
+        )
+
     # ------------------------------------------------------------------ query kernels
     def query_weights(self, keywords: Sequence[str]) -> Tuple[List[Tuple[int, float]], float]:
         """Return ``([(term_id, idf_weight)], query_norm)`` for normalised keywords.
@@ -657,7 +684,6 @@ def _bound_aggregate_arrays(
     num_terms = len(lm_log_base)
 
     # --- per-object potentials (rows follow BOUND_MODES order) ---
-    post_counts = np.bincount(post_rows, minlength=num_objects)
     tfidf_ub = np.sqrt(
         np.bincount(post_rows, weights=post_tfidf * post_tfidf, minlength=num_objects)
     )
@@ -700,7 +726,6 @@ def _bound_aggregate_arrays(
     mapped = obj_node_pos >= 0
     mapped_cells = obj_cell[mapped]
     cell_sigma_mass = np.zeros((num_modes, num_cells), dtype=np.float64)
-    cell_sigma_max = np.zeros((num_modes, num_cells), dtype=np.float64)
     cell_node_mass = np.zeros((num_modes, num_cells), dtype=np.float64)
     for row in range(num_modes):
         mapped_ub = potentials[row][mapped]
@@ -713,24 +738,14 @@ def _bound_aggregate_arrays(
         cell_node_mass[row] = np.bincount(
             node_cell, weights=node_ub, minlength=num_cells
         )
-        np.maximum.at(cell_sigma_max[row], node_cell, node_ub)
-
-    cell_obj_count = np.bincount(mapped_cells, minlength=num_cells).astype(np.int64)
-    cell_post_count = np.bincount(
-        mapped_cells, weights=post_counts[mapped].astype(np.float64), minlength=num_cells
-    ).astype(np.int64)
 
     return {
         "bound_meta": np.array(
             [float(resolution), min_x, min_y, cell_w, cell_h], dtype=np.float64
         ),
         "obj_cell": obj_cell,
-        "node_cell": node_cell,
         "cell_sigma_mass": cell_sigma_mass,
-        "cell_sigma_max": cell_sigma_max,
         "cell_node_mass": cell_node_mass,
-        "cell_obj_count": cell_obj_count,
-        "cell_post_count": cell_post_count,
     }
 
 
@@ -753,20 +768,17 @@ ARRAY_FIELDS: Tuple[str, ...] = (
     "node_rows",
     "bound_meta",
     "obj_cell",
-    "node_cell",
     "cell_sigma_mass",
-    "cell_sigma_max",
     "cell_node_mass",
-    "cell_obj_count",
-    "cell_post_count",
     "term_df",
     "corpus_meta",
 )
 """Names of the persisted array columns, in canonical order.
 
-The eight ``bound_*`` / ``*_cell`` / ``cell_*`` columns (format version 3) are
-the per-grid-cell aggregates backing :class:`repro.core.bounds.UpperBoundIndex`;
-see :func:`_bound_aggregate_arrays` for their definitions. ``term_df`` and
+The four ``bound_meta`` / ``obj_cell`` / ``cell_*`` columns are the per-grid-cell
+aggregates backing :class:`repro.core.bounds.UpperBoundIndex` and the sampler's
+strata (format version 7 keeps only these four of version 3's eight); see
+:func:`_bound_aggregate_arrays` for their definitions. ``term_df`` and
 ``corpus_meta`` (format version 4) persist the corpus-global document
 frequencies and corpus size so spatial shards — whose postings cover only their
 own objects — still compute the exact global IDF weights (see

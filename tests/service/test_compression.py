@@ -5,7 +5,8 @@ Covers the compressed-columnar contracts :mod:`repro.service.persist` and
 
 * every scoring / network column decoded from a compressed artifact is
   bit-identical to the raw-memmap artifact's (whole-array, randomized slices,
-  randomized gathers, scalar reads),
+  randomized gathers, scalar reads), and every operator on a chunked column
+  equals the same operator on the decoded array,
 * hot columns (CSR offsets, pruning bounds) stay raw memory maps — a
   compressed artifact never pays a decode on the pruning / planning path,
 * query results are byte-identical across raw, zlib and lzma artifacts for
@@ -22,6 +23,7 @@ Covers the compressed-columnar contracts :mod:`repro.service.persist` and
 from __future__ import annotations
 
 import json
+import operator
 import pickle
 import shutil
 import zipfile
@@ -50,6 +52,15 @@ from repro.service.persist import (
     compression_spec,
     read_manifest,
 )
+
+_OPERATORS = {
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt, "le": operator.le,
+    "gt": operator.gt, "ge": operator.ge, "add": operator.add, "sub": operator.sub,
+    "mul": operator.mul, "truediv": operator.truediv, "and": operator.and_,
+    "or": operator.or_, "neg": operator.neg, "abs": operator.abs,
+    "invert": operator.invert,
+}
+_UNARY = {"neg", "abs", "invert"}
 
 _DATASET_PARAMS = dict(
     rows=12, cols=12, block_size=120.0, num_objects=260, num_clusters=5, seed=3
@@ -121,6 +132,33 @@ class TestChunkedColumnParity:
                 assert np.array_equal(candidate[gather], reference[gather]), name
             mask = rng.random(n) < 0.3
             assert np.array_equal(candidate[mask], reference[mask]), name
+
+    @pytest.mark.parametrize("name", list(_OPERATORS))
+    def test_operators_match_the_materialised_column(self, artifacts, name):
+        # post_rows is an integer column, so every operator (bitwise ones
+        # included) is defined on it. Binary operators run with the column on
+        # either side, against an ndarray and against a scalar.
+        _, compressed, _ = artifacts
+        column = _mmap_npz(compressed / SCORING_NAME)["post_rows"]
+        assert isinstance(column, ChunkedColumn)
+        decoded = np.asarray(column)
+        op = _OPERATORS[name]
+        with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 on row 0
+            if name in _UNARY:
+                pairs = [(op(column), op(decoded))]
+            else:
+                pairs = [
+                    pair
+                    for other in (decoded[::-1].copy(), 3)
+                    for pair in ((op(column, other), op(decoded, other)),
+                                 (op(other, column), op(other, decoded)))
+                ]
+        for got, expected in pairs:
+            assert type(got) is np.ndarray
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+        with pytest.raises(TypeError):
+            hash(column)
 
     def test_pickle_materialises_to_plain_readonly_ndarray(self, artifacts):
         _, compressed, _ = artifacts

@@ -10,7 +10,9 @@ from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
 from repro.exceptions import QueryError
 from repro.network.subgraph import Rectangle
+from repro.objects.mapping import map_objects_to_network
 from repro.service.bundle import IndexBundle, scoring_mode_of
+from repro.service.generations import Compactor, DeltaOverlay, apply_ops
 from repro.service.keys import InstanceKey, ResultKey, normalize_keywords
 from repro.textindex.relevance import ScoringMode
 
@@ -156,7 +158,8 @@ class TestBuildPaths:
 
     def test_from_dataset_reuses_the_dataset_mapping(self, tiny_ny_dataset):
         bundle = IndexBundle.from_dataset(tiny_ny_dataset)
-        assert bundle.mapping is tiny_ny_dataset.mapping
+        assert bundle.mapping.node_to_objects == tiny_ny_dataset.mapping.node_to_objects
+        assert bundle.mapping.object_to_node == tiny_ny_dataset.mapping.object_to_node
         assert bundle.scoring_mode is ScoringMode.TEXT_RELEVANCE
         assert "mapping" not in bundle.build_seconds
         assert {"columnar", "freeze", "total"} <= set(bundle.build_seconds)
@@ -172,6 +175,57 @@ class TestBuildPaths:
         b = LCMSREngine.from_bundle(default).query(["restaurant"], delta=1000.0)
         assert a.region.nodes == b.region.nodes
         assert a.weight == b.weight
+
+
+def _bundle_and_build_mapping(origin, dataset, root):
+    """A bundle of the given origin and the mapping its columns were built from."""
+    network, corpus = dataset.network, dataset.corpus
+    if origin == "build":
+        return IndexBundle.build(network, corpus), map_objects_to_network(network, corpus)
+    if origin == "build_streaming":
+        return (IndexBundle.build_streaming(network, iter(corpus)),
+                map_objects_to_network(network, corpus))
+    if origin == "from_dataset":
+        return IndexBundle.from_dataset(dataset), dataset.mapping
+    IndexBundle.from_dataset(dataset).save(root)
+    if origin == "loaded":
+        return IndexBundle.load(root), dataset.mapping
+    # A compacted generation: fold a remove, a move and an add into gen-0001.
+    engine = LCMSREngine.from_artifact(root)
+    overlay = DeltaOverlay(engine.bundle)
+    first, second = sorted(corpus.object_ids())[:2]
+    moved = corpus.get(second)
+    apply_ops(overlay, [
+        {"op": "remove", "id": first},
+        {"op": "update", "id": second, "x": moved.x + 240.0, "y": moved.y - 130.0,
+         "keywords": dict(moved.keywords), "rating": moved.rating},
+        {"op": "add", "id": 90001, "x": 350.0, "y": 350.0,
+         "keywords": ["cafe", "bar"], "rating": 2.5},
+    ])
+    engine.attach_overlay(overlay)
+    report = Compactor(engine, root).compact()
+    built = engine.bundle  # the compactor's in-memory build, now swapped in
+    return IndexBundle.load(report.path), map_objects_to_network(built.network,
+                                                                 built.corpus)
+
+
+class TestMappingView:
+    """``bundle.mapping`` is read off the scoring columns, not stored beside them."""
+
+    @pytest.mark.parametrize(
+        "origin", ["build", "build_streaming", "from_dataset", "loaded", "compacted"]
+    )
+    def test_mapping_equals_the_build_time_mapping(self, origin, tiny_ny_dataset,
+                                                   tmp_path):
+        bundle, built_from = _bundle_and_build_mapping(origin, tiny_ny_dataset,
+                                                       tmp_path / "artifact")
+        mapping = bundle.mapping
+        # Key orders included: dict item lists compare positionally.
+        assert list(mapping.node_to_objects.items()) == \
+            list(built_from.node_to_objects.items())
+        assert list(mapping.object_to_node.items()) == \
+            list(built_from.object_to_node.items())
+        assert bundle.mapping is mapping  # derived once, then cached
 
 
 class TestBundleFreezing:

@@ -28,7 +28,6 @@ from repro.evaluation.runner import ExperimentRunner
 from repro.exceptions import ArtifactError
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
-from repro.objects.mapping import NodeObjectMap
 from repro.service import (
     FORMAT_VERSION,
     IndexBundle,
@@ -164,9 +163,10 @@ class TestIntegrity:
             IndexBundle.load(path)
 
     def test_pre_bump_artifact_is_rejected_with_a_rebuild_hint(self, tmp_path):
-        # Format version 6 shrank index.pkl to (corpus, mapping); a version-5
-        # index.pkl unpickles to five objects, so the loader must reject it
-        # outright and tell the operator how to get a current one.
+        # Format version 7 shrank index.pkl to the corpus alone and dropped
+        # four bound columns; a version-6 index.pkl unpickles to a
+        # (corpus, mapping) tuple, so the loader must reject it outright and
+        # tell the operator how to get a current one.
         bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
         path = tmp_path / "pre-bump"
         bundle.save(path)
@@ -253,14 +253,29 @@ class TestIntegrity:
             assert (tmp_path / "4" / name).read_bytes() == \
                 (tmp_path / "48" / name).read_bytes(), name
 
-    def test_index_pickle_holds_only_corpus_and_mapping(self, artifact):
+    def test_index_pickle_holds_only_the_corpus(self, artifact):
         path, bundle = artifact
-        corpus, mapping = pickle.loads((path / INDEX_NAME).read_bytes())
+        corpus = pickle.loads((path / INDEX_NAME).read_bytes())
         assert isinstance(corpus, ObjectCorpus)
-        assert isinstance(mapping, NodeObjectMap)
         assert [obj.object_id for obj in corpus] == \
             [obj.object_id for obj in bundle.corpus]
-        assert mapping.node_to_objects == bundle.mapping.node_to_objects
+        # The mapping is not pickled: the loaded bundle reads it off scoring.npz.
+        loaded = IndexBundle.load(path)
+        assert loaded.mapping.node_to_objects == bundle.mapping.node_to_objects
+        assert loaded.mapping.object_to_node == bundle.mapping.object_to_node
+
+    def test_format_6_index_pickle_is_rejected_without_verify(self, tmp_path):
+        # A format-6 index.pkl held a (corpus, mapping) tuple. Behind a
+        # current manifest (checksums skipped) it must fail with an
+        # ArtifactError naming the file, not unpack into a broken bundle.
+        bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
+        path = tmp_path / "v6-pickle"
+        bundle.save(path)
+        (path / INDEX_NAME).write_bytes(
+            pickle.dumps((bundle.corpus, bundle.mapping), protocol=4)
+        )
+        with pytest.raises(ArtifactError, match=INDEX_NAME):
+            IndexBundle.load(path, verify=False)
 
     def test_corrupt_npz_raises_artifact_error_even_without_verify(self, tmp_path):
         bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
@@ -324,16 +339,12 @@ class TestMmapSemantics:
                 array[0] = array[0]
 
     def test_bound_columns_load_as_read_only_memmaps(self, artifact):
-        # The format-version-3 aggregate columns ride in scoring.npz and must
-        # come back as read-only memmaps like every other persisted array —
-        # and still drive a working UpperBoundIndex.
+        # The four bound-aggregate columns ride in scoring.npz and must come
+        # back as read-only memmaps like every other persisted array — and
+        # still drive a working UpperBoundIndex.
         path, _ = artifact
         index = IndexBundle.load(path).weight_pipeline().index
-        for name in (
-            "bound_meta", "obj_cell", "node_cell", "cell_sigma_mass",
-            "cell_sigma_max", "cell_node_mass", "cell_obj_count",
-            "cell_post_count",
-        ):
+        for name in ("bound_meta", "obj_cell", "cell_sigma_mass", "cell_node_mass"):
             array = getattr(index, name)
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):

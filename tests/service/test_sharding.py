@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import pickle
 import shutil
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -185,8 +187,9 @@ def test_shard_payload_is_the_extent_corpus_and_mapping(sharded_artifacts, datas
     for info in load_shard_set(path).shards:
         shard_dir = path / SHARDS_DIRNAME / info.name
         assert read_manifest(shard_dir).scoring_mode == mode.value
-        corpus, mapping = pickle.loads((shard_dir / INDEX_NAME).read_bytes())
+        corpus = pickle.loads((shard_dir / INDEX_NAME).read_bytes())
         bundle = IndexBundle.load(shard_dir)
+        mapping = bundle.mapping
         kept = bundle.columnar.object_ids.tolist()
         assert [obj.object_id for obj in corpus] == kept
         assert sorted(mapping.object_to_node) == sorted(kept)
@@ -457,6 +460,40 @@ def test_query_routed_before_refresh_runs_on_its_own_generation(
         set_current_generation(root, "gen-0001")
         swapped = _refresh_after_routing_to_shard_1(monkeypatch, service)
         got = service.execute(request)
+        assert swapped == [True]
+        assert service.served_path == root / "gen-0001"
+    expected = QueryService(LCMSREngine.from_artifact(root), max_workers=1).execute(request)
+    assert not expected.is_empty
+    assert _signature(got) == _signature(expected)
+
+
+def test_submit_racing_refresh_is_answered_on_the_routed_generation(
+        race_bundle, tmp_path, monkeypatch):
+    """A refresh() that lands inside a submit waits for it, then drains it."""
+    root = tmp_path / "artifact"
+    race_bundle.save(root)
+    race_bundle.save(root / "gen-0001")
+    keywords = [t for t, _ in race_bundle.corpus.most_frequent_terms(2)]
+    request = QueryRequest.create(keywords, delta=600.0, algorithm="greedy")
+    submit = ProcessPoolExecutor.submit
+    swapped = []
+    racer = threading.Thread(target=lambda: swapped.append(service.refresh()))
+
+    def submit_racing_refresh(pool, *args, **kwargs):
+        if racer.ident is None:  # the first submit only
+            racer.start()
+            # Bounded: with the submit under the pool lock the refresh waits
+            # for this submit to return, so the join times out.
+            racer.join(timeout=2.0)
+        return submit(pool, *args, **kwargs)
+
+    with ShardedQueryService(root, num_workers=1) as service:
+        set_current_generation(root, "gen-0001")
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_racing_refresh)
+        got = service.execute(request)
+        monkeypatch.undo()
+        racer.join(timeout=120)
+        assert not racer.is_alive()
         assert swapped == [True]
         assert service.served_path == root / "gen-0001"
     expected = QueryService(LCMSREngine.from_artifact(root), max_workers=1).execute(request)

@@ -4,7 +4,8 @@ Keeps the documentation suite honest as the repo grows:
 
 * every intra-repo link in the tracked markdown files resolves to a real file,
 * README.md keeps its required sections (install, quickstart, algorithms, tests),
-* docs/ARCHITECTURE.md keeps covering every package under ``src/repro/``,
+* docs/ARCHITECTURE.md keeps covering every package under ``src/repro/`` and
+  documents the artifact format version the code writes,
 * the quickstart code shown in README.md names only real public API,
 * every markdown file a Python module names exists (at the root or in docs/).
 """
@@ -106,6 +107,16 @@ class TestArchitectureDoc:
 
     def test_has_data_flow_diagram(self, architecture):
         assert "ProblemInstance" in architecture and "RegionResult" in architecture
+
+    def test_current_format_version_matches_the_code(self, architecture):
+        from repro.service.persist import FORMAT_VERSION
+
+        match = re.search(r"Current version:\s*\*\*(\d+)\*\*", architecture)
+        assert match, "docs/ARCHITECTURE.md lost its 'Current version: **N**' line"
+        assert int(match.group(1)) == FORMAT_VERSION, (
+            f"docs/ARCHITECTURE.md documents artifact format {match.group(1)}, "
+            f"the code writes {FORMAT_VERSION}"
+        )
 
 
 class TestDocPointers:
