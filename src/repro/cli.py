@@ -283,7 +283,8 @@ def _synthesize_requests(engine, count: int, delta: float, seed: int, policy=Non
     from repro.service.query_service import QueryRequest
 
     rng = random.Random(seed)
-    frequent = [term for term, _ in engine.corpus.most_frequent_terms(40)]
+    # Read off the scoring columns, so a loaded artifact's corpus stays unpickled.
+    frequent = [term for term, _ in engine.bundle.columnar.most_frequent_terms(40)]
     if not frequent:
         raise QueryError("the artifact's corpus has no terms to synthesize queries from")
     requests = []

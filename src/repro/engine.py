@@ -214,7 +214,12 @@ class LCMSREngine:
 
     @property
     def corpus(self) -> ObjectCorpus:
-        """The indexed object corpus."""
+        """The indexed object corpus.
+
+        For engines created with :meth:`from_artifact` the first access
+        unpickles it (see :attr:`IndexBundle.corpus
+        <repro.service.bundle.IndexBundle.corpus>`); queries never need it.
+        """
         return self._bundle.corpus
 
     @property

@@ -11,7 +11,8 @@ construction the bundle is never mutated, so sharing it across threads is safe.
 Bundles also persist: :meth:`IndexBundle.save` writes a versioned on-disk artifact
 (manifest + mmap-able CSR and scoring columns + the pickled corpus, see
 :mod:`repro.service.persist`) and :meth:`IndexBundle.load` restores it
-without re-running any of the offline build — the path behind
+without re-running any of the offline build, and without unpickling the corpus
+until something reads it — the path behind
 :meth:`LCMSREngine.from_artifact <repro.engine.LCMSREngine.from_artifact>` and the
 ``python -m repro`` CLI.
 """
@@ -19,8 +20,8 @@ without re-running any of the offline build — the path behind
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Union
 
 from repro.exceptions import QueryError
 from repro.network.compact import CompactNetwork, GraphView
@@ -34,6 +35,10 @@ from repro.textindex.relevance import ScoringMode
 if TYPE_CHECKING:  # pragma: no cover - typing only (persist imports the bundle)
     from repro.datasets.synthetic import SyntheticDataset
     from repro.service.persist import ArtifactManifest, PathLike
+
+CorpusSource = Union[ObjectCorpus, Callable[[], ObjectCorpus]]
+"""What a bundle is constructed with for its corpus: the corpus itself, or a
+loader that returns it on first call (see :attr:`IndexBundle.corpus`)."""
 
 
 def scoring_mode_of(value: Union[ScoringMode, str]) -> ScoringMode:
@@ -61,7 +66,13 @@ class IndexBundle:
             entirely on the CSR snapshot; call :meth:`road_network` when a
             mutable dict-backed copy is genuinely needed (it thaws the snapshot
             on first use and caches the result).
-        corpus: The geo-textual objects ``O``.
+        corpus_source: The geo-textual objects ``O``, read through
+            :attr:`corpus`. The build paths pass the
+            :class:`~repro.objects.corpus.ObjectCorpus` itself; a bundle
+            loaded from an artifact gets a
+            :class:`~repro.service.persist.CorpusLoader` that unpickles
+            ``index.pkl`` on first access, because no query reads the corpus.
+            Left out of ``==`` and ``repr``.
         compact: The frozen CSR snapshot of ``network``
             (:class:`~repro.network.compact.CompactNetwork`), built once here and
             shared read-only by every engine / service query — the per-query
@@ -88,7 +99,7 @@ class IndexBundle:
     """
 
     network: Optional[RoadNetwork]
-    corpus: ObjectCorpus
+    corpus_source: CorpusSource = field(compare=False, repr=False)
     compact: CompactNetwork
     columnar: ColumnarScoringIndex
     scoring_mode: ScoringMode
@@ -165,7 +176,7 @@ class IndexBundle:
         timings["total"] = sum(timings.values())
         return cls(
             network=network,
-            corpus=corpus,
+            corpus_source=corpus,
             compact=compact,
             columnar=columnar,
             scoring_mode=scoring_mode,
@@ -283,12 +294,14 @@ class IndexBundle:
         """Restore a bundle from an artifact directory written by :meth:`save`.
 
         The arrays come back as read-only memory maps (chunk-compressed
-        columns decode lazily) unless ``mmap`` is false, so loading is
+        columns decode lazily) and the corpus is unpickled on first access
+        (see :attr:`corpus`) unless ``mmap`` is false, so loading is
         I/O-bound instead of rebuild-bound.
 
         Args:
             path: The artifact directory.
-            mmap: Memory-map the arrays (default) or load them eagerly.
+            mmap: Memory-map the arrays and the corpus file (default), or load
+                everything eagerly.
             verify: Check file checksums against the manifest first.
 
         Returns:
@@ -317,6 +330,22 @@ class IndexBundle:
             if self.network is None:
                 object.__setattr__(self, "network", thawed)
         return self.network
+
+    @property
+    def corpus(self) -> ObjectCorpus:
+        """The geo-textual objects ``O``; a loaded bundle reads them on first access.
+
+        Only writers need the corpus: overlay updates of base objects,
+        compaction, sharding and saving. So a bundle loaded from an artifact
+        unpickles ``index.pkl`` on the first access, once, under the lock of
+        its own :class:`~repro.service.persist.CorpusLoader`, and every caller
+        gets the same corpus. That first access raises
+        :class:`~repro.exceptions.ArtifactError` if a verified load finds the
+        file changed since the manifest was written, or the payload does not
+        unpickle to a corpus.
+        """
+        source = self.corpus_source
+        return source if isinstance(source, ObjectCorpus) else source()
 
     # Plain class attributes (no annotation), so they are NOT dataclass fields:
     # the lazily computed caches behind :attr:`mapping` and :meth:`fingerprint`.
@@ -376,7 +405,7 @@ class IndexBundle:
         return (
             f"{self.compact.num_nodes} nodes / {self.compact.num_edges} edges "
             f"(csr backend), "
-            f"{len(self.corpus)} objects, "
+            f"{self.columnar.num_objects} objects, "
             f"{self.columnar.num_postings} postings, "
             f"scoring={self.scoring_mode.value}, "
             f"built in {self.build_seconds.get('total', 0.0):.3f}s"

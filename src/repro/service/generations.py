@@ -254,11 +254,9 @@ class DeltaOverlay:
         self._version += 1
 
     def _base_has(self, object_id: int) -> bool:
-        try:
-            self._bundle.corpus.get(object_id)
-        except DatasetError:
-            return False
-        return True
+        # The object table holds exactly the corpus's ids, and reading it
+        # leaves a loaded bundle's corpus unpickled.
+        return self._index.object_row(object_id) is not None
 
     # -------------------------------------------------------------- merge pieces
 

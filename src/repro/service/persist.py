@@ -34,8 +34,10 @@ Artifact layout (one directory per artifact)::
         index.pkl         the pickled object corpus, nothing else (the
                           compactor rebuilds from the corpus; the columns
                           cannot replace it because they drop each object's
-                          keyword order, which the TF-IDF norms sum over). The
-                          mapping is read off scoring.npz on demand (see
+                          keyword order, which the TF-IDF norms sum over).
+                          Mapped read-only at load and unpickled on first
+                          use (see :class:`CorpusLoader`): no query reads it.
+                          The mapping is read off scoring.npz on demand (see
                           :attr:`IndexBundle.mapping
                           <repro.service.bundle.IndexBundle.mapping>`)
         vocabulary.json   the sorted corpus term list; doubles as the columnar
@@ -54,6 +56,14 @@ Design notes:
   therefore I/O-bound header parsing, not array materialisation — combined with
   :class:`~repro.network.compact.CompactNetwork`'s lazy traversal mirrors, an
   engine is query-ready without reading the bulk of the arrays.
+* **Lazy corpus.** Unpickling ``index.pkl`` is most of an eager open (1.3 s
+  and most of the resident memory at 200,000 objects), yet only writers read
+  the corpus: overlay updates of base objects, compaction, sharding and
+  saving. :func:`load_bundle` therefore maps the file and hands the bundle a
+  :class:`CorpusLoader`, which unpickles it on the first
+  :attr:`IndexBundle.corpus <repro.service.bundle.IndexBundle.corpus>` access
+  — after re-checking the mapped bytes against the manifest when the load was
+  verified.
 * **Chunked compression (format 5).** With a codec selected, each bulky payload
   column is split into fixed-size chunks, each chunk compressed independently
   (zlib or lzma, both stdlib) behind a byte-shuffle filter, and stored as its
@@ -80,9 +90,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import mmap
 import pickle
 import re
 import struct
+import threading
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field
@@ -145,6 +157,7 @@ NETWORK_NAME = "network.npz"
 SCORING_NAME = "scoring.npz"
 INDEX_NAME = "index.pkl"
 VOCABULARY_NAME = "vocabulary.json"
+_PAYLOAD_NAMES = (NETWORK_NAME, SCORING_NAME, INDEX_NAME, VOCABULARY_NAME)
 
 _PICKLE_PROTOCOL = 4
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)  # fixed member timestamp => deterministic bytes
@@ -306,6 +319,16 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _check_digest(name: str, directory: Path, expected: str, actual: str) -> None:
+    """Raise :class:`ArtifactError` when a payload's SHA-256 is not the manifest's."""
+    if actual != expected:
+        raise ArtifactError(
+            f"checksum mismatch for {name} in {directory}: "
+            f"manifest says {expected[:12]}…, file hashes to {actual[:12]}… "
+            f"(artifact corrupted or tampered with)"
+        )
 
 
 # ---------------------------------------------------------------------- npz helpers
@@ -688,10 +711,7 @@ def save_bundle(
             "num_postings": columnar.num_postings,
             "num_mapped_nodes": columnar.num_nodes,
         },
-        checksums={
-            name: _sha256_file(directory / name)
-            for name in (NETWORK_NAME, SCORING_NAME, INDEX_NAME, VOCABULARY_NAME)
-        },
+        checksums={name: _sha256_file(directory / name) for name in _PAYLOAD_NAMES},
         shard=shard,
         compression=compression_block,
     )
@@ -701,28 +721,132 @@ def save_bundle(
 
 def verify_artifact(path: PathLike) -> ArtifactManifest:
     """Check the artifact at ``path``: manifest readable, version supported,
-    every payload file present with a matching checksum.
+    a checksum listed for each of the four payload files, and every listed
+    file present with a matching checksum.
 
     Returns:
         The verified manifest.
 
     Raises:
-        ArtifactError: On any missing file, version mismatch or checksum failure.
+        ArtifactError: On any missing file or checksum entry, version mismatch
+            or checksum failure.
     """
     directory = Path(path)
     manifest = read_manifest(directory)
+    unlisted = [name for name in _PAYLOAD_NAMES if name not in manifest.checksums]
+    if unlisted:
+        raise ArtifactError(
+            f"manifest at {directory} lists no checksum for {', '.join(unlisted)} "
+            f"(artifact corrupted or tampered with)"
+        )
     for name, expected in manifest.checksums.items():
         file_path = directory / name
         if not file_path.is_file():
             raise ArtifactError(f"artifact file {name} missing from {directory}")
-        actual = _sha256_file(file_path)
-        if actual != expected:
-            raise ArtifactError(
-                f"checksum mismatch for {name} in {directory}: "
-                f"manifest says {expected[:12]}…, file hashes to {actual[:12]}… "
-                f"(artifact corrupted or tampered with)"
-            )
+        _check_digest(name, directory, expected, _sha256_file(file_path))
     return manifest
+
+
+def _read_corpus(
+    data, checksum: Optional[str], codec: Optional[str], directory: Path
+) -> ObjectCorpus:
+    """Check, decompress and unpickle the bytes of ``index.pkl``.
+
+    Args:
+        data: The file's bytes, or a read-only mapping of them.
+        checksum: The manifest's SHA-256 of the file; ``None`` skips the check.
+        codec: The artifact's compression codec; ``None`` for a raw artifact.
+        directory: The artifact directory, named in errors.
+    """
+    if checksum is not None:
+        _check_digest(INDEX_NAME, directory, checksum, hashlib.sha256(data).hexdigest())
+    try:
+        if codec is not None:
+            data = decompress_bytes(data, codec, context=INDEX_NAME)
+        corpus = pickle.loads(data)
+    except ArtifactError:
+        raise
+    except Exception as exc:  # unpicklable / truncated payload
+        raise ArtifactError(f"cannot deserialise {INDEX_NAME}: {exc}") from exc
+    if not isinstance(corpus, ObjectCorpus):
+        raise ArtifactError(
+            f"{INDEX_NAME} holds a {type(corpus).__name__}, not an object corpus"
+        )
+    return corpus
+
+
+def _loaded_corpus(corpus: ObjectCorpus) -> ObjectCorpus:
+    """Pickle helper: a :class:`CorpusLoader` unpickles as the corpus it loaded."""
+    return corpus
+
+
+class CorpusLoader:
+    """The corpus of a loaded artifact, read from ``index.pkl`` on first call.
+
+    :func:`load_bundle` maps ``index.pkl`` read-only and hands the bundle one
+    loader instead of the corpus. The mapping holds the inode the load opened,
+    as the memory-mapped columns do, so an artifact re-saved over the same
+    directory does not change a live bundle's corpus.
+
+    The first call re-hashes the mapped bytes against ``checksum``, so a
+    verified load never unpickles bytes the manifest did not vouch for, even
+    after an in-place edit. It then decompresses them when the artifact is
+    compressed, unpickles them, and closes the mapping. It runs once, under
+    the loader's lock, however many threads call at the same time. Later calls
+    return the same corpus; after a failure, every call raises the same
+    :class:`ArtifactError`. Pickling a loader pickles the corpus it loads, the
+    way a pickled :class:`~repro.service.chunked.ChunkedColumn` carries its
+    decoded array.
+
+    Args:
+        data: The read-only mapping of ``index.pkl``.
+        checksum: The manifest's SHA-256 of ``index.pkl``; ``None`` (an
+            unverified load) skips the re-check.
+        codec: The artifact's compression codec; ``None`` for a raw artifact.
+        directory: The artifact directory, named in errors.
+    """
+
+    def __init__(
+        self,
+        data: mmap.mmap,
+        checksum: Optional[str],
+        codec: Optional[str],
+        directory: Path,
+    ) -> None:
+        self._data: Optional[mmap.mmap] = data
+        self._checksum = checksum
+        self._codec = codec
+        self._directory = directory
+        self._lock = threading.Lock()
+        self._corpus: Optional[ObjectCorpus] = None
+        self._error: Optional[ArtifactError] = None
+
+    def __call__(self) -> ObjectCorpus:
+        corpus = self._corpus
+        if corpus is not None:
+            return corpus
+        with self._lock:
+            if self._data is not None:
+                try:
+                    self._corpus = _read_corpus(
+                        self._data, self._checksum, self._codec, self._directory
+                    )
+                except ArtifactError as exc:
+                    self._error = exc
+                self._data.close()
+                self._data = None
+            if self._error is not None:
+                raise self._error
+            return self._corpus
+
+    def __reduce__(self):
+        return (_loaded_corpus, (self(),))
+
+
+def _map_readonly(path: Path) -> mmap.mmap:
+    """Map ``path`` read-only; the mapping outlives the closed descriptor."""
+    with open(path, "rb") as handle:
+        return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
 
 
 def load_bundle(
@@ -733,15 +857,21 @@ def load_bundle(
     By default raw array columns come back as read-only memory maps and
     chunk-compressed ones as lazily decoded
     :class:`~repro.service.chunked.ChunkedColumn` views, so no column is
-    materialised at load time.
+    materialised at load time, and ``index.pkl`` is mapped too: the bundle's
+    :attr:`~repro.service.bundle.IndexBundle.corpus` is unpickled on first
+    access by a :class:`CorpusLoader`, after re-checking the mapped bytes
+    against the manifest when ``verify`` is true. No query reads the corpus.
 
     Args:
         path: The artifact directory.
-        mmap: Map the CSR arrays read-only from disk (the default). ``False``
-            loads them eagerly into process memory — use it when the artifact
-            lives on storage that will disappear (e.g. a deleted temp dir).
+        mmap: Map the arrays and ``index.pkl`` read-only from disk (the
+            default). ``False`` loads them eagerly into process memory, the
+            corpus included, so nothing is read from disk after the load —
+            use it when the artifact lives on storage that will disappear
+            (e.g. a deleted temp dir).
         verify: Verify file checksums against the manifest before loading
             (detects on-disk corruption; costs one streaming hash per file).
+            The manifest must then list a checksum for every payload file.
 
     Returns:
         A bundle equivalent to the one that was saved. Its ``network`` field is
@@ -751,7 +881,9 @@ def load_bundle(
 
     Raises:
         ArtifactError: On a missing/malformed artifact, an unsupported format
-            version, or (with ``verify``) a checksum mismatch.
+            version, an empty or unmappable ``index.pkl``, or (with
+            ``verify``) a missing checksum or a checksum mismatch. A corrupt
+            ``index.pkl`` in a mapped load raises on first corpus access.
     """
     from repro.service.bundle import IndexBundle, scoring_mode_of  # deferred: cycle
 
@@ -763,12 +895,7 @@ def load_bundle(
     scoring_path = directory / SCORING_NAME
     index_path = directory / INDEX_NAME
     vocabulary_path = directory / VOCABULARY_NAME
-    if (
-        not network_path.is_file()
-        or not scoring_path.is_file()
-        or not index_path.is_file()
-        or not vocabulary_path.is_file()
-    ):
+    if not all((directory / name).is_file() for name in _PAYLOAD_NAMES):
         raise ArtifactError(f"artifact at {directory} is missing payload files")
     try:
         arrays = _mmap_npz(network_path) if mmap else _load_npz_eager(network_path)
@@ -809,28 +936,23 @@ def load_bundle(
     except QueryError as exc:
         raise ArtifactError(f"malformed artifact manifest: {exc}") from exc
 
+    checksum = manifest.checksums[INDEX_NAME] if verify else None
+    codec = (
+        None if manifest.compression is None else str(manifest.compression.get("codec"))
+    )
     try:
-        index_bytes = index_path.read_bytes()
-        if manifest.compression is not None:
-            index_bytes = decompress_bytes(
-                index_bytes,
-                str(manifest.compression.get("codec")),
-                context=INDEX_NAME,
-            )
-        corpus = pickle.loads(index_bytes)
-    except ArtifactError:
-        raise
-    except Exception as exc:  # unpicklable / truncated payload
-        raise ArtifactError(f"cannot deserialise {INDEX_NAME}: {exc}") from exc
-    if not isinstance(corpus, ObjectCorpus):
-        raise ArtifactError(
-            f"{INDEX_NAME} holds a {type(corpus).__name__}, not an object corpus"
-        )
+        data = _map_readonly(index_path) if mmap else index_path.read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: mmap of an empty file
+        raise ArtifactError(f"cannot read {INDEX_NAME} in {directory}: {exc}") from exc
+    if mmap:
+        corpus_source = CorpusLoader(data, checksum, codec, directory)
+    else:
+        corpus_source = _read_corpus(data, checksum, codec, directory)
 
     elapsed = time.perf_counter() - start
     bundle = IndexBundle(
         network=None,
-        corpus=corpus,
+        corpus_source=corpus_source,
         compact=compact,
         columnar=columnar,
         scoring_mode=scoring_mode,

@@ -287,7 +287,7 @@ def build_shards(
             )
         sub_bundle = IndexBundle(
             network=None,
-            corpus=sub_corpus,
+            corpus_source=sub_corpus,
             compact=shard_compact,
             columnar=sub_columnar,
             scoring_mode=bundle.scoring_mode,

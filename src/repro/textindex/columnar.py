@@ -495,6 +495,23 @@ class ColumnarScoringIndex:
             return 0
         return int(self.term_df[tid])
 
+    def most_frequent_terms(self, count: int) -> List[Tuple[str, int]]:
+        """Return the ``count`` terms with the most object rows, as ``(term, df)``.
+
+        Equals :meth:`ObjectCorpus.most_frequent_terms
+        <repro.objects.corpus.ObjectCorpus.most_frequent_terms>` of the
+        indexed objects: each (term, object) pair is one posting, so a term's
+        local document frequency is its postings count. Ties go to the
+        smaller term, and terms with no rows here (a shard keeps the full
+        vocabulary) are left out.
+        """
+        counts = np.diff(np.asarray(self.post_indptr, dtype=np.int64)).tolist()
+        ranked = sorted(
+            ((term, df) for term, df in zip(self.terms, counts) if df > 0),
+            key=lambda item: (-item[1], item[0]),
+        )
+        return ranked[:count]
+
     def postings(self, term: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(object_rows, tfidf_weights, raw_tf)`` slices for ``term``."""
         tid = self._term_ids.get(term)

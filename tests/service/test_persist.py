@@ -268,14 +268,34 @@ class TestIntegrity:
         # A format-6 index.pkl held a (corpus, mapping) tuple. Behind a
         # current manifest (checksums skipped) it must fail with an
         # ArtifactError naming the file, not unpack into a broken bundle.
+        # The corpus is unpickled on first access, so that is where it fails.
         bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
         path = tmp_path / "v6-pickle"
         bundle.save(path)
         (path / INDEX_NAME).write_bytes(
             pickle.dumps((bundle.corpus, bundle.mapping), protocol=4)
         )
+        loaded = IndexBundle.load(path, verify=False)
         with pytest.raises(ArtifactError, match=INDEX_NAME):
-            IndexBundle.load(path, verify=False)
+            loaded.corpus
+
+    @pytest.mark.parametrize(
+        "name", [NETWORK_NAME, SCORING_NAME, INDEX_NAME, VOCABULARY_NAME]
+    )
+    def test_verify_requires_every_payload_checksum(self, tmp_path, name):
+        # A manifest that lists no checksum for a payload file must not let
+        # that file through unchecked.
+        bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
+        path = tmp_path / "unlisted"
+        bundle.save(path)
+        manifest_path = path / MANIFEST_NAME
+        raw = json.loads(manifest_path.read_text())
+        del raw["checksums"][name]
+        manifest_path.write_text(json.dumps(raw))
+        with pytest.raises(ArtifactError, match=f"no checksum for {name}"):
+            verify_artifact(path)
+        with pytest.raises(ArtifactError, match=f"no checksum for {name}"):
+            IndexBundle.load(path)
 
     def test_corrupt_npz_raises_artifact_error_even_without_verify(self, tmp_path):
         bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
