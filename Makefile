@@ -121,15 +121,19 @@ artifact-smoke:
 # record mutations in the delta log, answer a query from the merged (overlay)
 # world, compact into gen-0001, verify the new generation's checksums, and
 # answer one query per solver from it (exact gets a small window so its
-# enumeration stays tiny). The same mutations then run on a zlib-compressed
-# build, whose compaction reads the compressed index.pkl through the lazily
-# loaded corpus; its compacted answers must match the raw ones (all lines but
-# the runtime one). Leaves no files behind.
+# enumeration stays tiny). The mutations include an add 1,000 km outside the
+# network, so each compaction runs under a time cap: mapping a far object must
+# stay fast. The same mutations then run on a zlib-compressed build, whose
+# compaction reads the compressed index.pkl through the lazily loaded corpus;
+# its compacted answers must match the raw ones (all lines but the runtime
+# one). A `mutate --add` with a NaN coordinate must then exit with status 2 and
+# record nothing. Leaves no files behind.
 COMPACT_SMOKE_DIR := .compact-smoke
 COMPACT_SMOKE_BUILD := build --dataset ny --rows 16 --cols 16 --objects 500 \
 	--clusters 6 --seed 3
 COMPACT_SMOKE_MUTATIONS := \
 	--add '{"id": 90001, "x": 350.0, "y": 350.0, "keywords": ["cafe", "bar"], "rating": 2.5}' \
+	--add '{"id": 90002, "x": 1000000.0, "y": 1000000.0, "keywords": ["cafe"], "rating": 1.5}' \
 	--set-rating 3=4.5 --remove 7
 compact-smoke:
 	rm -rf $(COMPACT_SMOKE_DIR)
@@ -137,12 +141,12 @@ compact-smoke:
 	$(PYTHON) -m repro mutate $(COMPACT_SMOKE_DIR)/ny $(COMPACT_SMOKE_MUTATIONS)
 	$(PYTHON) -m repro query $(COMPACT_SMOKE_DIR)/ny \
 		--keywords cafe,restaurant --delta 800
-	$(PYTHON) -m repro compact $(COMPACT_SMOKE_DIR)/ny
+	timeout 120 $(PYTHON) -m repro compact $(COMPACT_SMOKE_DIR)/ny
 	$(PYTHON) -m repro info $(COMPACT_SMOKE_DIR)/ny/gen-0001 --verify
 	$(PYTHON) -m repro $(COMPACT_SMOKE_BUILD) --out $(COMPACT_SMOKE_DIR)/zlib \
 		--compress zlib
 	$(PYTHON) -m repro mutate $(COMPACT_SMOKE_DIR)/zlib $(COMPACT_SMOKE_MUTATIONS)
-	$(PYTHON) -m repro compact $(COMPACT_SMOKE_DIR)/zlib
+	timeout 120 $(PYTHON) -m repro compact $(COMPACT_SMOKE_DIR)/zlib
 	$(PYTHON) -m repro info $(COMPACT_SMOKE_DIR)/zlib/gen-0001 --verify \
 		> $(COMPACT_SMOKE_DIR)/info.txt
 	grep 'compression    : zlib' $(COMPACT_SMOKE_DIR)/info.txt
@@ -159,6 +163,10 @@ compact-smoke:
 	done
 	$(PYTHON) -m repro query $(COMPACT_SMOKE_DIR)/ny --keywords cafe \
 		--delta 500 --region 100,100,450,450 --algorithm exact
+	$(PYTHON) -m repro mutate $(COMPACT_SMOKE_DIR)/ny \
+		--add '{"id": 90003, "x": NaN, "y": 350.0, "keywords": ["cafe"]}'; \
+		test $$? -eq 2
+	test ! -e $(COMPACT_SMOKE_DIR)/ny/delta.json
 	rm -rf $(COMPACT_SMOKE_DIR)
 
 # End-to-end policy gate through the CLI: build a small artifact, answer one

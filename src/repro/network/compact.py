@@ -522,23 +522,11 @@ class CompactNetwork:
         dict-backed subgraph. Only edges with both endpoints inside the window are
         kept, matching :func:`repro.network.subgraph.induced_subgraph`.
         """
-        mask = (
-            (self._xs >= window.min_x)
-            & (self._xs <= window.max_x)
-            & (self._ys >= window.min_y)
-            & (self._ys <= window.max_y)
-        )
-        return self._masked_view(mask)
+        return self._masked_view(window.contains_points(self._xs, self._ys))
 
     def window_node_ids(self, window: "Rectangle") -> List[int]:
         """Return the ids of the nodes inside ``window`` (vectorised point test)."""
-        mask = (
-            (self._xs >= window.min_x)
-            & (self._xs <= window.max_x)
-            & (self._ys >= window.min_y)
-            & (self._ys <= window.max_y)
-        )
-        return self._ids[mask].tolist()
+        return self._ids[window.contains_points(self._xs, self._ys)].tolist()
 
     def subgraph(self, node_ids: Iterable[int]) -> "CompactNetwork":
         """Return the snapshot induced by ``node_ids`` (nodes must exist).

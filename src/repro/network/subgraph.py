@@ -68,6 +68,15 @@ class Rectangle:
         """Return ``True`` if the point ``(x, y)`` lies inside (borders included)."""
         return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
 
+    def contains_points(self, xs, ys):
+        """Vectorised :meth:`contains`: a boolean mask over coordinate arrays.
+
+        The one window test every array path uses (network windows, shard
+        extents, the σ_v pipeline's object and node masks), with the same four
+        comparisons as :meth:`contains`, borders included.
+        """
+        return (xs >= self.min_x) & (xs <= self.max_x) & (ys >= self.min_y) & (ys <= self.max_y)
+
     def intersects(self, other: "Rectangle") -> bool:
         """Return ``True`` if the two rectangles overlap (touching counts)."""
         return not (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -14,15 +15,19 @@ class GeoTextualObject:
 
     Attributes:
         object_id: Stable integer identifier, unique within a corpus.
-        x: Planar x coordinate in meters.
-        y: Planar y coordinate in meters.
+        x: Planar x coordinate in meters (finite).
+        y: Planar y coordinate in meters (finite).
         keywords: Term-frequency mapping of the object's textual description. A plain
             iterable of terms may be passed to :meth:`create`, which counts
             occurrences — the paper's TF component (``1 + ln tf``) needs frequencies,
             not just term presence.
         rating: Optional rating/popularity attribute. The paper notes the region score
             can alternatively use rating or check-in counts; solvers accept a scoring
-            mode that uses this field.
+            mode that uses this field. Finite and non-negative.
+
+    Raises:
+        DatasetError: On a non-finite coordinate or rating (no node is nearest
+            to a NaN), a negative rating, or a non-positive term frequency.
     """
 
     object_id: int
@@ -53,6 +58,11 @@ class GeoTextualObject:
         return GeoTextualObject(object_id, float(x), float(y), counts, rating)
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x, self.y, self.rating))):
+            raise DatasetError(
+                f"object {self.object_id} has a non-finite coordinate or rating "
+                f"({self.x}, {self.y}, rating {self.rating})"
+            )
         if self.rating < 0:
             raise DatasetError(f"object {self.object_id} has negative rating {self.rating}")
         for term, frequency in self.keywords.items():

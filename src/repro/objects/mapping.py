@@ -12,12 +12,15 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import DatasetError, GraphError
 from repro.network.graph import RoadNetwork
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.compact import CompactNetwork
 
 
 @dataclass
@@ -55,26 +58,32 @@ class NodeObjectMap:
 
 
 class _PointGrid:
-    """Uniform grid over node embeddings for nearest-node queries.
+    """Uniform grid over node embeddings for exact nearest-node queries.
+
+    The package's one nearest-node rule: builds, compactions and the delta
+    overlay all map objects through it. For any finite probe, however far
+    outside the network, :meth:`nearest` returns what the :func:`nearest_node`
+    scan does.
 
     The grid cell size defaults to the average nearest-neighbour spacing estimate
     ``extent / sqrt(n)``, which keeps the expected number of candidates per probe
     constant for roughly uniform node distributions (true of road networks).
     """
 
-    def __init__(self, network: RoadNetwork, cell_size: Optional[float] = None) -> None:
+    def __init__(self, network: RoadNetwork | CompactNetwork, cell_size: Optional[float] = None) -> None:
         if network.num_nodes == 0:
             raise GraphError("cannot build a point grid over an empty network")
-        self._network = network
         min_x, min_y, max_x, max_y = network.bounding_box()
         extent = max(max_x - min_x, max_y - min_y, 1e-9)
         if cell_size is None:
             cell_size = max(extent / max(1.0, math.sqrt(network.num_nodes)), 1e-9)
         self._cell = cell_size
         self._origin = (min_x, min_y)
-        self._cells: Dict[Tuple[int, int], List[int]] = defaultdict(list)
+        # Nodes occupy the cells (0, 0) .. _last.
+        self._last = self._cell_of(max_x, max_y)
+        self._cells: Dict[Tuple[int, int], List[Tuple[int, float, float]]] = defaultdict(list)
         for node in network.nodes():
-            self._cells[self._cell_of(node.x, node.y)].append(node.node_id)
+            self._cells[self._cell_of(node.x, node.y)].append((node.node_id, node.x, node.y))
 
     def _cell_of(self, x: float, y: float) -> Tuple[int, int]:
         return (
@@ -82,42 +91,42 @@ class _PointGrid:
             int((y - self._origin[1]) // self._cell),
         )
 
+    def _ring(self, cx: int, cy: int, ring: int) -> List[Tuple[int, int]]:
+        """The occupied cells at Chebyshev cell distance ``ring`` from ``(cx, cy)``."""
+        last_x, last_y = self._last
+        xs = range(max(cx - ring, 0), min(cx + ring, last_x) + 1)
+        ys = range(max(cy - ring + 1, 0), min(cy + ring - 1, last_y) + 1)
+        return [(x, y) for y in {cy - ring, cy + ring} if 0 <= y <= last_y for x in xs] + [
+            (x, y) for x in {cx - ring, cx + ring} if 0 <= x <= last_x for y in ys
+        ]
+
     def nearest(self, x: float, y: float) -> int:
         """Return the node id closest to ``(x, y)`` (ties broken by node id)."""
         cx, cy = self._cell_of(x, y)
+        last_x, last_y = self._last
         best_id = -1
         best_dist = math.inf
-        ring = 0
-        # Expand square rings of cells until a candidate is found, then one extra ring
-        # to make sure no closer node hides in a neighbouring ring.
-        while True:
-            candidates: List[int] = []
-            for dx in range(-ring, ring + 1):
-                for dy in range(-ring, ring + 1):
-                    if max(abs(dx), abs(dy)) != ring:
-                        continue
-                    candidates.extend(self._cells.get((cx + dx, cy + dy), ()))
-            for node_id in candidates:
-                node = self._network.node(node_id)
-                dist = (node.x - x) ** 2 + (node.y - y) ** 2
-                if dist < best_dist or (dist == best_dist and node_id < best_id):
-                    best_dist = dist
-                    best_id = node_id
-            if best_id >= 0 and ring > 0:
-                # One extra ring beyond the first hit guards against grid-boundary
-                # effects; the ring distance lower bound then exceeds the best match.
-                ring_lower_bound = (ring - 1) * self._cell
-                if ring_lower_bound * ring_lower_bound > best_dist:
-                    return best_id
-            ring += 1
-            if ring > 2 * int(math.sqrt(len(self._cells))) + 4 and best_id >= 0:
-                return best_id
+        # Rings nearer than the occupied cells are empty; none lies beyond them.
+        first = max(-cx, cx - last_x, -cy, cy - last_y, 0)
+        for ring in range(first, max(cx, last_x - cx, cy, last_y - cy) + 1):
+            # Every node in ring r or beyond is farther than r - 1 cells.
+            bound = (ring - 1) * self._cell
+            if bound * bound > best_dist:
+                break
+            for cell in self._ring(cx, cy, ring):
+                for node_id, node_x, node_y in self._cells.get(cell, ()):
+                    dist = (node_x - x) ** 2 + (node_y - y) ** 2
+                    if dist < best_dist or (dist == best_dist and node_id < best_id):
+                        best_dist = dist
+                        best_id = node_id
+        return best_id
 
 
 def nearest_node(network: RoadNetwork, x: float, y: float) -> int:
-    """Return the id of the network node nearest to ``(x, y)`` (linear scan fallback).
+    """Return the id of the network node nearest to ``(x, y)`` (linear scan).
 
-    For repeated queries use :func:`map_objects_to_network`, which builds a grid once.
+    The reference the grid search is tested against. For repeated queries use
+    :func:`map_objects_to_network`, which builds a grid once.
     """
     best_id = -1
     best_dist = math.inf
@@ -136,6 +145,10 @@ def map_objects_to_network(
     corpus: ObjectCorpus | Iterable[GeoTextualObject],
 ) -> NodeObjectMap:
     """Map every object in ``corpus`` to its nearest network node.
+
+    Each object goes to the node :func:`nearest_node` would return — smallest
+    squared euclidean distance, smallest node id on ties — however far outside
+    the network it lies; a :class:`_PointGrid` built once finds it.
 
     Args:
         network: The road network (must be non-empty).

@@ -53,10 +53,16 @@ The merged weight dict must reproduce the *cold* pipeline's dict order, which
 is the node first-touch order over the mutated corpus.  The canonical mutated
 corpus order is: surviving base objects in base order (skipping every id with a
 pending overlay entry), then live overlay entries in first-mutation order.
-:meth:`DeltaOverlay.node_weights` therefore emits nodes first-touched by a
-surviving base row in ascending-row order, then overlay-only nodes in entry
-order — and :meth:`DeltaOverlay.materialize_corpus` (what the compactor
-rebuilds from) materialises exactly that corpus order.
+:meth:`DeltaOverlay.materialize_corpus` (what the compactor rebuilds from)
+materialises exactly that corpus order, and a pending object maps to the node
+the rebuild maps it to: both ask the build's
+:class:`~repro.objects.mapping._PointGrid`.  Each overlay version has one merge
+view holding the superseded-row mask and the nodes in that first-touch order
+(surviving base rows' nodes by first row, then the entries' nodes in entry
+order).  A read adds the entries' scores onto the base
+:meth:`~repro.textindex.columnar.WeightPipeline.node_sums` one by one in entry
+order (the cold ``bincount``'s add sequence) and ends in the pipeline's
+:func:`~repro.textindex.columnar.kept_positions` epilogue.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +84,7 @@ from repro.exceptions import ArtifactError, DatasetError
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
+from repro.objects.mapping import _PointGrid
 from repro.service.bundle import IndexBundle
 from repro.service.persist import (
     MANIFEST_NAME,
@@ -86,6 +93,7 @@ from repro.service.persist import (
     read_manifest,
     save_bundle,
 )
+from repro.textindex.columnar import kept_positions
 from repro.textindex.relevance import LanguageModelScorer, ScoringMode
 from repro.textindex.vector_space import tf_weight
 
@@ -104,6 +112,23 @@ _GENERATION_PATTERN = re.compile(r"^gen-(\d{4,})$")
 # ------------------------------------------------------------------ delta overlay
 
 
+class _MergeView(NamedTuple):
+    """The query-independent half of the merge for one overlay version.
+
+    A *slot* is a base node-table position, or ``num_base + k`` for the k-th
+    node only pending objects touch.
+    """
+
+    version: int
+    superseded: np.ndarray  # base object rows with a pending entry
+    live: Tuple[Tuple[GeoTextualObject, int], ...]  # (object, slot), entry order
+    num_extra: int  # nodes only pending objects touch
+    order: np.ndarray  # slots in the cold rebuild's first-touch order
+    ids: np.ndarray  # node ids and coordinates of the slots in ``order``
+    xs: np.ndarray
+    ys: np.ndarray
+
+
 class DeltaOverlay:
     """Pending mutations over a frozen :class:`IndexBundle`, merged at read time.
 
@@ -112,7 +137,9 @@ class DeltaOverlay:
     same id: the base row is masked out of the columnar aggregation and, for
     live entries, the overlay object is re-scored by the scalar reference
     arithmetic against base-generation collection statistics (see the module
-    docstring for the IDF pinning policy).
+    docstring for the IDF pinning policy and the merge).  Entries map to their
+    nearest node through the build's grid, built by the first add, update or
+    rating change.
 
     Thread safety: mutations and :meth:`node_weights` serialise on one lock —
     the overlay is the small write-side structure, not a throughput path.
@@ -141,9 +168,10 @@ class DeltaOverlay:
         self._version = 0
         self._frozen = False
         self._lock = threading.RLock()
-        self._superseded_cache: Optional[Tuple[int, np.ndarray]] = None
-        self._order_cache: Optional[Tuple[int, Tuple[Tuple[int, int, float, float], ...]]] = None
-        self._node_positions_cache: Optional[Dict[int, int]] = None
+        # Built on first use (the grid costs milliseconds on a NY-scale network).
+        self._grid: Optional[_PointGrid] = None
+        self._base_positions: Optional[Dict[int, int]] = None
+        self._view: Optional[_MergeView] = None
 
     # ------------------------------------------------------------- introspection
 
@@ -244,10 +272,14 @@ class DeltaOverlay:
             )
 
     def _put(self, obj: GeoTextualObject) -> None:
+        # The node first: a failing lookup must leave the overlay unchanged.
+        if self._grid is None:
+            self._grid = _PointGrid(self._bundle.compact)
+        node = self._grid.nearest(obj.x, obj.y)
         # Re-mutating an id keeps its first-insertion position (dict semantics),
         # which is exactly the canonical corpus position the compactor uses.
         self._entries[obj.object_id] = obj
-        self._nodes[obj.object_id] = self._nearest_node(obj.x, obj.y)
+        self._nodes[obj.object_id] = node
         self._bump()
 
     def _bump(self) -> None:
@@ -260,84 +292,48 @@ class DeltaOverlay:
 
     # -------------------------------------------------------------- merge pieces
 
-    def _nearest_node(self, x: float, y: float) -> int:
-        """Nearest network node by squared euclidean distance, smallest-id ties.
-
-        Must be decision-identical to the grid mapper
-        (:class:`repro.objects.mapping._PointGrid`) the cold rebuild maps with:
-        same squared-distance arithmetic, global minimum, smallest node id on
-        ties.
-        """
-        ids, xs, ys = self._bundle.compact.csr_node_arrays()
-        distances = (xs - x) ** 2 + (ys - y) ** 2
-        best = distances.min()
-        return int(ids[distances == best].min())
-
-    def _node_positions(self) -> Dict[int, int]:
-        if self._node_positions_cache is None:
-            ids = self._index.node_ids
-            self._node_positions_cache = {int(ids[pos]): pos for pos in range(len(ids))}
-        return self._node_positions_cache
-
-    def _superseded_rows(self) -> np.ndarray:
-        """Boolean mask over base object rows superseded by any pending entry."""
-        cached = self._superseded_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        mask = np.zeros(self._index.num_objects, dtype=bool)
-        for object_id in self._entries:
-            row = self._index.object_row(object_id)
-            if row is not None:
-                mask[row] = True
-        self._superseded_cache = (self._version, mask)
-        return mask
-
-    def _merged_node_order(self) -> Tuple[Tuple[int, int, float, float], ...]:
-        """Node first-touch order over the canonical mutated corpus.
-
-        Returns ``(node_id, base_position_or_-1, x, y)`` tuples: nodes first
-        touched by a surviving base row (ascending row order), then nodes first
-        touched by an overlay entry (entry order).  Query-independent, so it is
-        cached per overlay version.
-        """
-        cached = self._order_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
+    def _merge_view(self) -> _MergeView:
+        """The query-independent half of the merge, built once per version."""
+        view = self._view
+        if view is not None and view.version == self._version:
+            return view
         index = self._index
-        positions = np.asarray(index.obj_node_pos, dtype=np.int64)
-        surviving = (~self._superseded_rows()) & (positions >= 0)
-        rows = np.flatnonzero(surviving)
-        sentinel = np.iinfo(np.int64).max
-        first_touch = np.full(index.num_nodes, sentinel, dtype=np.int64)
-        np.minimum.at(first_touch, positions[rows], rows)
-        touched = np.flatnonzero(first_touch < sentinel)
-        ordered = touched[np.argsort(first_touch[touched], kind="stable")]
-        node_ids = index.node_ids
-        node_x = index.node_x
-        node_y = index.node_y
-        order = [
-            (int(node_ids[pos]), int(pos), float(node_x[pos]), float(node_y[pos]))
-            for pos in ordered
-        ]
-        seen = {entry[0] for entry in order}
-        position_of = self._node_positions()
-        graph = self._bundle.graph_view()
+        num_base = index.num_nodes
+        superseded = np.zeros(index.num_objects, dtype=bool)
+        for object_id in self._entries:
+            row = index.object_row(object_id)
+            if row is not None:
+                superseded[row] = True
+        if self._base_positions is None:
+            self._base_positions = {
+                node: pos for pos, node in enumerate(index.node_ids.tolist())
+            }
+        # Slot of each live entry: its node's base node-table position, or
+        # num_base + k for the k-th node only pending objects touch.
+        extra: Dict[int, int] = {}
+        live = []
         for object_id, obj in self._entries.items():
-            if obj is None:
-                continue
-            node = self._nodes[object_id]
-            if node in seen:
-                continue
-            seen.add(node)
-            pos = position_of.get(node, -1)
-            if pos >= 0:
-                x, y = float(node_x[pos]), float(node_y[pos])
-            else:
-                x, y = graph.coords(node)
-            order.append((node, pos, float(x), float(y)))
-        result = tuple(order)
-        self._order_cache = (self._version, result)
-        return result
+            if obj is not None:
+                node = self._nodes[object_id]
+                slot = self._base_positions.get(node)
+                if slot is None:
+                    slot = extra.setdefault(node, num_base + len(extra))
+                live.append((obj, slot))
+        # The cold rebuild's node order is first touch over the mutated corpus:
+        # nodes of surviving base rows by first row, then the pending entries'
+        # nodes in entry order.
+        positions = np.asarray(index.obj_node_pos, dtype=np.int64)
+        touched = positions[~superseded & (positions >= 0)]
+        _, first = np.unique(touched, return_index=True)
+        slots = touched[np.sort(first)].tolist() + [slot for _, slot in live]
+        order = np.array(list(dict.fromkeys(slots)), dtype=np.int64)
+        extra_coords = [self._bundle.compact.coords(node) for node in extra]
+        ids = np.concatenate([index.node_ids, np.fromiter(extra, dtype=np.int64)])
+        xs = np.concatenate([index.node_x, [x for x, _ in extra_coords]])
+        ys = np.concatenate([index.node_y, [y for _, y in extra_coords]])
+        self._view = _MergeView(self._version, superseded, tuple(live), len(extra),
+                                order, ids[order], xs[order], ys[order])
+        return self._view
 
     def _score_object(
         self,
@@ -388,44 +384,28 @@ class DeltaOverlay:
         """
         with self._lock:
             keyword_list = list(keywords)
-            base_sums = self._pipeline.node_sums(
-                keyword_list, window=window, exclude_rows=self._superseded_rows()
+            view = self._merge_view()
+            base = self._pipeline.node_sums(
+                keyword_list, window=window, exclude_rows=view.superseded
             )
+            sums = np.concatenate([base, np.zeros(view.num_extra)])
             # Base-pinned TF-IDF query weights, bit-equal to
             # VectorSpaceModel.query_vector over the base corpus. Terms the
             # base never saw weigh 0 and add nothing to the dot product.
             weighted, query_norm = self._index.query_weights(keyword_list)
             terms = self._index.terms
             query_terms = [(terms[tid], weight) for tid, weight in weighted]
-            position_of = self._node_positions()
-            # Accumulate overlay contributions onto the base sum of their node,
-            # in entry order — the same add sequence the cold bincount applies
-            # (surviving base rows first, then overlay rows).
-            totals: Dict[int, float] = {}
-            for object_id, obj in self._entries.items():
-                if obj is None:
-                    continue
-                if window is not None and not window.contains(obj.x, obj.y):
-                    continue
-                score = self._score_object(obj, keyword_list, query_terms, query_norm)
-                node = self._nodes[object_id]
-                if node not in totals:
-                    pos = position_of.get(node, -1)
-                    totals[node] = float(base_sums[pos]) if pos >= 0 else 0.0
-                totals[node] = totals[node] + score
-            weights: Dict[int, float] = {}
-            for node, pos, x, y in self._merged_node_order():
-                value = totals.get(node)
-                if value is None:
-                    if pos < 0:
-                        continue
-                    value = float(base_sums[pos])
-                if not value > 0.0:
-                    continue
-                if node_window is not None and not node_window.contains(x, y):
-                    continue
-                weights[node] = value
-            return weights
+            # One add per entry onto its node's base sum, in entry order: the
+            # add sequence of the cold bincount (surviving base rows first,
+            # then the pending rows). Pre-summing per node would change it.
+            for obj, slot in view.live:
+                if window is None or window.contains(obj.x, obj.y):
+                    sums[slot] += self._score_object(
+                        obj, keyword_list, query_terms, query_norm
+                    )
+            values = sums[view.order]
+            pos = kept_positions(values, view.xs, view.ys, node_window)
+            return dict(zip(view.ids[pos].tolist(), values[pos].tolist()))
 
     def materialize_corpus(self) -> ObjectCorpus:
         """The canonical mutated corpus: surviving base order, then entry order.

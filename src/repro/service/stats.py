@@ -16,16 +16,19 @@ two requirements this module covers:
 The aggregate totals are carried explicitly in :class:`StatTotals` rather than
 re-derived from the timing list: :class:`StatsCollector` accumulates them inside
 the same critical section that appends the timing record, so a snapshot can
-never observe a timing whose counts are missing (or vice versa), and totals
-survive even if a future collector bounds its timing retention.
+never observe a timing whose counts are missing (or vice versa). The collector
+keeps only the most recent :data:`TIMING_HISTORY` timing records, so a
+long-running service uses bounded memory; the totals and the latency histogram
+still count every query.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Deque, Iterable, List, Optional, Tuple
 
 from repro.service.cache import CacheStats
 from repro.service.keys import ResultKey
@@ -38,6 +41,9 @@ LATENCY_BUCKETS_PER_DECADE = 20
 
 LATENCY_NUM_BUCKETS = 9 * LATENCY_BUCKETS_PER_DECADE + 1
 """Buckets covering 1 µs … 1000 s, plus one overflow bucket at the top."""
+
+TIMING_HISTORY = 4096
+"""How many of the most recent :class:`QueryTiming` records a collector keeps."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,8 @@ class ServiceStats:
     """An immutable snapshot of a service's accumulated accounting.
 
     Attributes:
-        timings: One record per executed query, in completion order.
+        timings: One record per executed query, in completion order; a
+            collector's snapshot holds its most recent :data:`TIMING_HISTORY`.
         result_cache: Snapshot of the result cache's counters.
         instance_cache: Snapshot of the instance cache's counters.
         totals: Exact aggregate counters (see :class:`StatTotals`); derived from
@@ -321,13 +328,15 @@ class StatsCollector:
 
     The timing append and the totals read-modify-write happen inside one
     critical section, so concurrent :meth:`record` calls can never interleave a
-    partial update — every snapshot's ``totals`` match its ``timings`` exactly
-    (the hammer test in ``tests/service/test_stats.py`` pounds on this).
+    partial update (the hammer tests in ``tests/service/test_service_stats.py``
+    pound on this). The totals count every recorded query; the timing records
+    are the most recent :data:`TIMING_HISTORY` of them, so while fewer have
+    been recorded every snapshot's ``totals`` match its ``timings`` exactly.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._timings: List[QueryTiming] = []
+        self._timings: Deque[QueryTiming] = deque(maxlen=TIMING_HISTORY)
         self._totals = StatTotals()
 
     def record(self, timing: QueryTiming) -> None:

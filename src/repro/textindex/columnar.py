@@ -336,26 +336,15 @@ class ColumnarScoringIndex:
         over the shard so zero-mass window skips stay admissible (skip-decision
         differences are result-identical — the pruning-parity contract).
         """
-        keep_obj = (
-            (self.obj_x >= extent.min_x)
-            & (self.obj_x <= extent.max_x)
-            & (self.obj_y >= extent.min_y)
-            & (self.obj_y <= extent.max_y)
-        )
-        keep_node = (
-            (self.node_x >= extent.min_x)
-            & (self.node_x <= extent.max_x)
-            & (self.node_y >= extent.min_y)
-            & (self.node_y <= extent.max_y)
-        )
+        keep_obj = extent.contains_points(self.obj_x, self.obj_y)
+        keep_node = extent.contains_points(self.node_x, self.node_y)
         # σ parity: an in-extent node keeps its full object list, even objects
         # whose own coordinates fall outside the extent.
         node_pos = self.obj_node_pos
         mapped_obj = node_pos >= 0
         keep_obj = keep_obj | (mapped_obj & keep_node[np.where(mapped_obj, node_pos, 0)])
-        kept_positions = node_pos[keep_obj]
-        keep_node = keep_node.copy()
-        keep_node[kept_positions[kept_positions >= 0]] = True
+        kept_node_pos = node_pos[keep_obj]
+        keep_node[kept_node_pos[kept_node_pos >= 0]] = True
 
         num_objects = self.num_objects
         num_nodes = self.num_nodes
@@ -803,6 +792,25 @@ own objects — still compute the exact global IDF weights (see
 """
 
 
+def kept_positions(
+    sums: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    node_window: Optional[Rectangle],
+) -> np.ndarray:
+    """The epilogue every σ_v read ends with: which node positions it returns.
+
+    Returns the ascending positions whose sum is ``> 0.0`` and whose node
+    coordinates ``(xs, ys)`` lie in ``node_window`` (every node when ``None``).
+    Exact, sampled and delta-overlay reads build their ``node_id → value``
+    dicts from these positions, in this order.
+    """
+    keep = sums > 0.0
+    if node_window is not None:
+        keep &= node_window.contains_points(xs, ys)
+    return np.flatnonzero(keep)
+
+
 class WeightPipeline:
     """Vectorised query → σ_v computation over a :class:`ColumnarScoringIndex`.
 
@@ -912,12 +920,7 @@ class WeightPipeline:
         if exclude_rows is not None:
             selection &= ~exclude_rows
         if window is not None:
-            selection &= (
-                (index.obj_x >= window.min_x)
-                & (index.obj_x <= window.max_x)
-                & (index.obj_y >= window.min_y)
-                & (index.obj_y <= window.max_y)
-            )
+            selection &= window.contains_points(index.obj_x, index.obj_y)
         rows = np.flatnonzero(selection)
         if rows.size == 0:
             return np.zeros(index.num_nodes, dtype=np.float64)
@@ -959,19 +962,9 @@ class WeightPipeline:
             the reference scorer produces.
         """
         index = self._index
-        keyword_list = list(keywords)
-        sums = self.node_sums(keyword_list, window=window, exclude_rows=exclude_rows)
-        keep = sums > 0.0
-        if node_window is not None:
-            keep &= (
-                (index.node_x >= node_window.min_x)
-                & (index.node_x <= node_window.max_x)
-                & (index.node_y >= node_window.min_y)
-                & (index.node_y <= node_window.max_y)
-            )
-        positions = np.flatnonzero(keep)
-        node_ids = index.node_ids
-        return {int(node_ids[pos]): float(sums[pos]) for pos in positions}
+        sums = self.node_sums(keywords, window=window, exclude_rows=exclude_rows)
+        pos = kept_positions(sums, index.node_x, index.node_y, node_window)
+        return dict(zip(index.node_ids[pos].tolist(), sums[pos].tolist()))
 
     # ------------------------------------------------------------------ sampling
     def _sampling_frame(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -1208,12 +1201,7 @@ class WeightPipeline:
         # the selected sub-population — are unchanged.
         contributions = self._scores_for_rows(keyword_list, rows)
         if window is not None:
-            in_window = (
-                (index.obj_x[rows] >= window.min_x)
-                & (index.obj_x[rows] <= window.max_x)
-                & (index.obj_y[rows] >= window.min_y)
-                & (index.obj_y[rows] <= window.max_y)
-            )
+            in_window = window.contains_points(index.obj_x[rows], index.obj_y[rows])
             contributions = np.where(in_window, contributions, 0.0)
         np.maximum(contributions, 0.0, out=contributions)
 
@@ -1268,27 +1256,14 @@ class WeightPipeline:
         variance estimates for the kept nodes.
         """
         index = self._index
-        keyword_list = list(keywords)
         sampled = self.node_sums_sampled(
-            keyword_list, epsilon=epsilon, rate=rate, rng=rng, window=window
+            keywords, epsilon=epsilon, rate=rate, rng=rng, window=window
         )
-        keep = sampled.sums > 0.0
-        if node_window is not None:
-            keep &= (
-                (index.node_x >= node_window.min_x)
-                & (index.node_x <= node_window.max_x)
-                & (index.node_y >= node_window.min_y)
-                & (index.node_y <= node_window.max_y)
-            )
-        positions = np.flatnonzero(keep)
-        node_ids = index.node_ids
-        weights = {int(node_ids[pos]): float(sampled.sums[pos]) for pos in positions}
-        variance = {
-            int(node_ids[pos]): float(sampled.variance[pos]) for pos in positions
-        }
+        pos = kept_positions(sampled.sums, index.node_x, index.node_y, node_window)
+        ids = index.node_ids[pos].tolist()
         return SampledWeights(
-            weights=weights,
-            variance=variance,
+            weights=dict(zip(ids, sampled.sums[pos].tolist())),
+            variance=dict(zip(ids, sampled.variance[pos].tolist())),
             frame_size=sampled.frame_size,
             sample_size=sampled.sample_size,
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.exceptions import DatasetError
@@ -32,6 +34,17 @@ class TestCreation:
     def test_non_positive_frequency_rejected(self):
         with pytest.raises(DatasetError):
             GeoTextualObject(1, 0, 0, {"cafe": 0})
+
+    @pytest.mark.parametrize("x, y, rating", [
+        (math.nan, 0.0, 1.0),
+        (0.0, math.inf, 1.0),
+        (-math.inf, 0.0, 1.0),
+        (0.0, 0.0, math.nan),
+        (0.0, 0.0, math.inf),
+    ])
+    def test_non_finite_coordinate_or_rating_rejected(self, x, y, rating):
+        with pytest.raises(DatasetError, match="non-finite"):
+            GeoTextualObject.create(1, x, y, ["cafe"], rating=rating)
 
 
 class TestAccessors:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets.ny import build_ny_like
 from repro.exceptions import DatasetError, GraphError
 from repro.network.builders import grid_network
 from repro.network.graph import RoadNetwork
@@ -92,3 +95,42 @@ class TestMapping:
         assert mapping.num_mapped == len(coords)
         total_assigned = sum(len(v) for v in mapping.node_to_objects.values())
         assert total_assigned == len(coords)
+
+
+class TestFarProbes:
+    """Probes far outside the network map to the scanned nearest node, fast."""
+
+    @pytest.fixture(scope="class")
+    def network(self):
+        return build_ny_like(rows=8, cols=8, block_size=120.0, num_objects=140,
+                             num_clusters=5, seed=11).network
+
+    @staticmethod
+    def _centre(network):
+        min_x, min_y, max_x, max_y = network.bounding_box()
+        return (min_x + max_x) / 2.0, (min_y + max_y) / 2.0
+
+    @pytest.mark.parametrize("distance", [2_000.0, 4_000.0, 8_000.0, 16_000.0])
+    def test_far_probes_map_like_the_linear_scan(self, network, distance):
+        cx, cy = self._centre(network)
+        objects = [
+            GeoTextualObject.create(
+                bearing,
+                cx + distance * math.cos(math.radians(bearing)),
+                cy + distance * math.sin(math.radians(bearing)),
+                ["x"],
+            )
+            for bearing in range(0, 360, 10)
+        ]
+        mapping = map_objects_to_network(network, ObjectCorpus(objects))
+        assert {obj.object_id: mapping.node_of(obj.object_id) for obj in objects} == {
+            obj.object_id: nearest_node(network, obj.x, obj.y) for obj in objects
+        }
+
+    def test_probe_a_thousand_km_out_returns_within_a_second(self, network):
+        cx, cy = self._centre(network)
+        far = GeoTextualObject.create(0, cx + 1e6, cy - 1e6, ["x"])
+        start = time.perf_counter()
+        mapping = map_objects_to_network(network, ObjectCorpus([far]))
+        assert time.perf_counter() - start < 1.0
+        assert mapping.node_of(0) == nearest_node(network, far.x, far.y)

@@ -376,6 +376,18 @@ class TestMutateAndCompact:
         assert "unknown" in capsys.readouterr().err
         assert read_delta_log(mutable_artifact) == []
 
+    def test_mutate_rejects_a_nan_coordinate_without_writing(
+        self, mutable_artifact, capsys
+    ):
+        from repro.service.generations import DELTA_LOG_NAME
+
+        assert main([
+            "mutate", str(mutable_artifact),
+            "--add", '{"id": 90001, "x": NaN, "y": 300.0, "keywords": ["cafe"]}',
+        ]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (mutable_artifact / DELTA_LOG_NAME).exists()
+
     def test_mutate_without_ops_fails_cleanly(self, mutable_artifact, capsys):
         assert main(["mutate", str(mutable_artifact)]) == 2
         assert "no mutations given" in capsys.readouterr().err

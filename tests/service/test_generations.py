@@ -17,6 +17,7 @@ parity suites.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import threading
 
@@ -30,6 +31,7 @@ from repro.exceptions import ArtifactError, DatasetError
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
+from repro.objects.mapping import nearest_node
 from repro.service.bundle import IndexBundle
 from repro.service.generations import (
     CURRENT_NAME,
@@ -37,6 +39,7 @@ from repro.service.generations import (
     Compactor,
     DeltaOverlay,
     append_delta_ops,
+    apply_op,
     apply_ops,
     clear_delta_log,
     generation_dirs,
@@ -307,6 +310,118 @@ def test_overlay_object_in_base_empty_window_is_found(dataset, base_bundles):
     found = engine.query(["zzz-nowhere"], delta=400.0, region=window)
     assert not found.is_empty
     assert found.weight == pytest.approx(2.0)
+
+
+# ------------------------------------------------------ weight-level parity
+def _weight_reads(dataset):
+    """``(window, node_window)`` pairs: no window, then windows inside,
+    straddling and outside the network, each with ``node_window`` equal to the
+    window or ``None``."""
+    min_x, min_y, max_x, max_y = dataset.network.bounding_box()
+    inside = Rectangle(min_x + 150.0, min_y + 150.0, min_x + 550.0, min_y + 550.0)
+    straddling = Rectangle(max_x - 300.0, min_y - 300.0, max_x + 300.0, max_y + 300.0)
+    outside = Rectangle(max_x + 50.0, min_y - 500.0, max_x + 600.0, max_y + 500.0)
+    reads = [(None, None)]
+    for window in (inside, straddling, outside):
+        reads += [(window, window), (window, None)]
+    return reads
+
+
+def _crowding_ops(dataset, bundle, ops):
+    """Coordinate moves of base objects the script leaves alone: two onto one
+    node that keeps surviving base rows, one just outside the network."""
+    mapping = bundle.mapping
+    touched = {op["id"] for op in ops}
+    node = max(mapping.nodes_with_objects(), key=lambda n: len(mapping.objects_at(n)))
+    movers = [oid for oid in sorted(dataset.corpus.object_ids())
+              if oid not in touched and mapping.node_of(oid) != node][:3]
+    assert set(mapping.objects_at(node)) - touched, "the node keeps base rows"
+    node_x, node_y = dataset.network.coords(node)
+    min_x, min_y, max_x, max_y = dataset.network.bounding_box()
+    targets = [(node_x + 0.5, node_y + 0.5), (node_x - 0.5, node_y + 0.25),
+               (max_x + 200.0, (min_y + max_y) / 2.0)]
+    for x, y in targets[:2]:
+        assert nearest_node(dataset.network, x, y) == node
+    crowding = []
+    for object_id, (x, y) in zip(movers, targets):
+        obj = dataset.corpus.get(object_id)
+        crowding.append({"op": "update", "id": object_id, "x": x, "y": y,
+                         "keywords": dict(obj.keywords), "rating": obj.rating})
+    return crowding
+
+
+def _assert_weights_match_cold(dataset, overlay, ops, mode, keyword_sets, reads):
+    cold = IndexBundle.build(
+        dataset.network, _expected_corpus(dataset.corpus, ops), scoring_mode=mode,
+    ).weight_pipeline()
+    for keywords in keyword_sets:
+        for window, node_window in reads:
+            merged = overlay.node_weights(keywords, window, node_window)
+            rebuilt = cold.node_weights(keywords, window=window, node_window=node_window)
+            # Keys, their order and the float bits.
+            assert list(merged.items()) == list(rebuilt.items()), \
+                (keywords, window, node_window)
+
+
+@pytest.mark.parametrize("mode, stats_preserving", [
+    *[(mode, True) for mode in ScoringMode],
+    (ScoringMode.RATING_IF_MATCH, False),
+])
+def test_overlay_weights_equal_cold_rebuild_weights(dataset, base_bundles, mode,
+                                                    stats_preserving):
+    """Every merged read equals the cold rebuild's ``node_weights`` dict."""
+    vocab = _vocab(dataset.corpus)
+    for seed in range(SEED + 600, SEED + 606):
+        ops = _mutation_script(dataset.corpus, random.Random(seed), stats_preserving)
+        ops += _crowding_ops(dataset, base_bundles[mode], ops)
+        overlay = DeltaOverlay(base_bundles[mode])
+        apply_ops(overlay, ops)
+        _assert_weights_match_cold(dataset, overlay, ops, mode,
+                                   [vocab[:2], vocab[1:4], vocab[4:5]],
+                                   _weight_reads(dataset))
+
+
+def test_far_add_weights_equal_cold_rebuild_weights(dataset, base_bundles):
+    """An add 4 km from the centre lands on the node the rebuild maps it to."""
+    min_x, min_y, max_x, max_y = dataset.network.bounding_box()
+    bearing = math.radians(50.0)
+    x = (min_x + max_x) / 2.0 + 4000.0 * math.cos(bearing)
+    y = (min_y + max_y) / 2.0 + 4000.0 * math.sin(bearing)
+    keywords = _vocab(dataset.corpus)[:1]
+    ops = [{"op": "add", "id": 90100, "x": x, "y": y, "keywords": keywords,
+            "rating": 2.0}]
+    mode = ScoringMode.RATING_IF_MATCH
+    overlay = DeltaOverlay(base_bundles[mode])
+    apply_ops(overlay, ops)
+    far = Rectangle(x - 10.0, y - 10.0, x + 10.0, y + 10.0)
+    assert nearest_node(dataset.network, x, y) in overlay.node_weights(keywords, far)
+    _assert_weights_match_cold(dataset, overlay, ops, mode, [keywords],
+                               _weight_reads(dataset) + [(far, None)])
+
+
+class TestNonFiniteMutations:
+    """A NaN or infinite coordinate or rating is rejected before it is recorded."""
+
+    @pytest.mark.parametrize("op", [
+        {"op": "add", "id": 90001, "x": math.nan, "y": 300.0, "keywords": ["cafe"]},
+        {"op": "add", "id": 90001, "x": 300.0, "y": math.inf, "keywords": ["cafe"]},
+        {"op": "add", "id": 90001, "x": 300.0, "y": 300.0, "keywords": ["cafe"],
+         "rating": math.nan},
+        {"op": "update", "x": math.nan, "y": 300.0, "keywords": ["cafe"]},
+        {"op": "update", "x": 300.0, "y": -math.inf, "keywords": ["cafe"]},
+        {"op": "rate", "rating": math.nan},
+        {"op": "rate", "rating": math.inf},
+    ])
+    def test_rejected_and_overlay_unchanged(self, dataset, base_bundles, op):
+        base_id = sorted(dataset.corpus.object_ids())[0]
+        overlay = DeltaOverlay(base_bundles[ScoringMode.RATING_IF_MATCH])
+        apply_op(overlay, {"op": "rate", "id": base_id, "rating": 2.0})
+        keywords = _vocab(dataset.corpus)[:2]
+        before = list(overlay.node_weights(keywords).items())
+        with pytest.raises(DatasetError, match="non-finite"):
+            apply_op(overlay, {"id": base_id, **op})
+        assert (overlay.pending_count, overlay.version) == (1, 1)
+        assert list(overlay.node_weights(keywords).items()) == before
 
 
 # ------------------------------------------------------------ overlay contract

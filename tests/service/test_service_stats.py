@@ -11,6 +11,7 @@ from repro.service.cache import CacheStats
 from repro.service.keys import ResultKey
 from repro.service.stats import (
     LATENCY_NUM_BUCKETS,
+    TIMING_HISTORY,
     LatencyHistogram,
     QueryTiming,
     ServiceStats,
@@ -261,3 +262,20 @@ def test_collector_snapshot_is_consistent_under_reset():
     assert empty.timings == []
     # The first snapshot froze its own copy: resetting did not mutate it.
     assert snapshot.queries == 5
+
+
+def test_collector_keeps_the_latest_timings_and_counts_every_query():
+    """The timing history is bounded; the totals and the histogram are not."""
+    collector = StatsCollector()
+    recorded = TIMING_HISTORY + 10
+    timings = [_timing(i, result_hit=(i % 3 == 0), instance_hit=(i % 3 == 1))
+               for i in range(recorded)]
+    for timing in timings:
+        collector.record(timing)
+    snapshot = collector.snapshot(result_cache=_cache(0, 0), instance_cache=_cache(0, 0))
+    assert isinstance(snapshot.timings, list)
+    assert snapshot.timings == timings[-TIMING_HISTORY:]
+    assert snapshot.queries == recorded
+    assert snapshot.result_hits == len(range(0, recorded, 3))
+    assert snapshot.instance_hits == len(range(1, recorded, 3))
+    assert snapshot.totals.latency.total == recorded
