@@ -11,8 +11,11 @@ test:
 # twin (repro.core.reference, also on dict and CSR graphs via the property
 # harness's TestBackendIdentity), bound-based pruning (on vs off), graph backend
 # (dict vs CSR) and σ_v (the columnar pipeline, the only σ_v path queries take,
-# vs the object-loop reference scorer). The fast gate to run after touching a
-# solver hot loop, a skip branch or a scoring kernel.
+# vs the object-loop reference scorer). TGEN is checked in both of its per-edge
+# regimes: the parity suite runs its cases at the production thresholds and with
+# every edge forced through the batched step, plus one tgen-paper-scale instance
+# that batches at the production threshold. The fast gate to run after touching
+# a solver hot loop, a skip branch or a scoring kernel.
 test-parity:
 	$(PYTHON) -m pytest tests/core/test_solver_backend_parity.py \
 		tests/core/test_solver_properties.py::TestBackendIdentity \

@@ -101,8 +101,8 @@ class APPSolver:
         closure_neighbors: int = 8,
         lambda_factors: Optional[Sequence[float]] = None,
     ) -> None:
-        if alpha <= 0:
-            raise SolverError(f"alpha must be positive, got {alpha}")
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise SolverError(f"alpha must be positive and finite, got {alpha}")
         if beta <= 0:
             raise SolverError(f"beta must be positive, got {beta}")
         if max_iterations < 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
@@ -21,7 +22,7 @@ class LCMSRQuery:
             weight pipeline never re-normalise per call.
         delta: The length constraint ``Q.∆``: the maximum total road-segment length of
             the returned region, in the same units as edge lengths (meters for the
-            bundled datasets).
+            bundled datasets). Finite and non-negative.
         region: The rectangular region of interest ``Q.Λ``. ``None`` means "the whole
             network", which several unit-level tests and the paper's Figure 2 example
             use.
@@ -43,8 +44,10 @@ class LCMSRQuery:
             object.__setattr__(self, "keywords", normalised)
         if not self.keywords:
             raise QueryError("an LCMSR query needs at least one keyword")
-        if self.delta < 0:
-            raise QueryError(f"the length constraint must be non-negative, got {self.delta}")
+        if not (0 <= self.delta < math.inf):
+            raise QueryError(
+                f"the length constraint must be non-negative and finite, got {self.delta}"
+            )
         if self.k < 1:
             raise QueryError(f"k must be at least 1, got {self.k}")
 

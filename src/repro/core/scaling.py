@@ -51,12 +51,12 @@ class ScalingContext:
             weights: Positive node weights σ_v of the relevant nodes inside ``Q.Λ``.
             num_candidate_nodes: ``|VQ|`` — all nodes inside ``Q.Λ``, not just the
                 weighted ones (the paper's formula uses the full count).
-            alpha: The scaling parameter α (> 0).
+            alpha: The scaling parameter α (positive and finite).
 
         Raises:
-            SolverError: If α or |VQ| is non-positive, or no node has positive weight
-                (there is nothing to scale — callers should have short-circuited to an
-                empty result already).
+            SolverError: If α is not a positive finite number, |VQ| is non-positive,
+                or no node has positive weight (there is nothing to scale — callers
+                should have short-circuited to an empty result already).
         """
         sigma_max = max(weights.values(), default=0.0)
         return ScalingContext.from_sigma_max(sigma_max, num_candidate_nodes, alpha)
@@ -76,8 +76,10 @@ class ScalingContext:
         Raises:
             SolverError: As in :meth:`build`.
         """
-        if alpha <= 0:
-            raise SolverError(f"scaling parameter alpha must be positive, got {alpha}")
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise SolverError(
+                f"scaling parameter alpha must be positive and finite, got {alpha}"
+            )
         if num_candidate_nodes <= 0:
             raise SolverError("the query region contains no nodes")
         if sigma_max <= 0:

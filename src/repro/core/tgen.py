@@ -10,10 +10,16 @@ that would create a cycle (Lemma 9) or exceed the length constraint. Because onl
 shortest region per (node, scaled weight) pair is kept, the enumeration is bounded by
 ``O(|EQ| · Tmax²)`` while possibly discarding the optimum — TGEN is a heuristic, but
 the paper (and our benchmarks) find it the most accurate of the three algorithms.
+
+The solver runs on the dense substrate with bitmask node sets, and combines each edge
+in one of two regimes with identical results: edges with few length-feasible tuple
+pairs run a per-pair loop, and heavy edges run as one batch of NumPy operations that
+replays only the updates that can change something (see ``_run_dense``).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -67,8 +73,8 @@ class TGENSolver:
         max_tuples_per_node: Optional[int] = None,
         edge_order: str = "bfs",
     ) -> None:
-        if alpha is not None and alpha <= 0:
-            raise SolverError(f"alpha must be positive, got {alpha}")
+        if alpha is not None and not (alpha > 0 and math.isfinite(alpha)):
+            raise SolverError(f"alpha must be positive and finite, got {alpha}")
         if max_tuples_per_node is not None and max_tuples_per_node < 1:
             raise SolverError(
                 f"max_tuples_per_node must be at least 1, got {max_tuples_per_node}"
@@ -157,6 +163,17 @@ class TGENSolver:
     #: vectorised outer sum instead of per-pair Python float arithmetic.
     _PREFILTER_PAIRS = 32
 
+    #: Length-feasible pair count from which an edge is combined as one batch
+    #: (:meth:`_combine_batch`) instead of by the per-pair loop. A batch costs
+    #: a few dozen small NumPy calls whatever its size, so it pays only on
+    #: heavy edges; set by measurement.
+    _BATCH_PAIRS = 512
+
+    #: Widest range of generated scaled weights a batched edge looks up through
+    #: dense tables (512 KiB per endpoint); an edge with a wider range runs the
+    #: per-pair loop, so a fine α cannot make the tables large.
+    _BATCH_SPAN = 1 << 16
+
     def _run_dense(
         self, instance: ProblemInstance, dense: DenseInstance, top_k: int
     ) -> Tuple[Optional[RegionTuple], List[RegionTuple], Dict[str, float]]:
@@ -175,10 +192,26 @@ class TGENSolver:
         edge sets are rebuilt from those links (:func:`_materialise`) only for
         the regions returned. A node's tuple array is a plain ``{scaled weight:
         tuple}`` dict, and the processed nodes are one mask, so an update
-        visits only the members in ``mask & ~processed``. Per-edge tuple
-        combinations are prefiltered by a vectorised feasibility mask
-        ``(l_i + l_j) + τ ≤ Q.∆`` that enumerates surviving pairs in the
-        reference (i-major) order.
+        visits only the members in ``mask & ~processed``.
+
+        Both endpoints of a processed edge are unprocessed, so they are members
+        of every tuple it generates: ``vi`` is marked processed only after all
+        its slots, and a processed ``vj`` would have visited this edge from its
+        own side already (only an expired budget ends a node's slots early, and
+        it ends the whole traversal). Each edge combines its endpoint arrays as
+        they stood at its start, in one of two regimes chosen by its count of
+        length-feasible pairs ``(l_i + l_j) + τ ≤ Q.∆``:
+
+        * below :attr:`_BATCH_PAIRS` (or for edges of fewer than
+          :attr:`_PREFILTER_PAIRS` pairs, which skip the vectorised length
+          test), a per-pair loop generates, checks and stores each tuple in the
+          reference (i-major) order. It probes the two endpoint arrays directly
+          and walks only the other unprocessed members, and it skips the
+          incumbent comparison below the incumbent's scaled weight, where it
+          cannot succeed;
+        * from :attr:`_BATCH_PAIRS` on, :meth:`_combine_batch` generates the
+          edge's tuples as NumPy columns and replays only the updates that can
+          change something.
 
         When the instance allows pruning (and no top-k pool is collected — the
         pool deliberately admits zero-scaled tuples), an edge is skipped whole
@@ -220,12 +253,14 @@ class TGENSolver:
             if collect_pool and singleton[2] > 0:
                 _pool_add(pool, pool_keys, singleton, pool_size, _dense_mask, _dense_rank)
         best_length, best_weight, best_scaled = best[0], best[1], best[2]
+        batch_pool = (pool, pool_keys, pool_size) if collect_pool else None
 
         unprocessed = (1 << n) - 1
         visited_edges: Set[int] = set()
         visited = bytearray(n)
         edges_processed = 0
         edges_skipped = 0
+        edges_batched = 0
         tuples_generated = 0
         max_tuples = self.max_tuples_per_node
         budget = instance.budget
@@ -233,7 +268,7 @@ class TGENSolver:
         prune = instance.pruning and not collect_pool
         # Per-position upper bound on the largest scaled key stored in the
         # node's array (exact until an eviction, stale-high after — safe).
-        max_scaled: List[int] = list(scaled_list) if prune else []
+        max_scaled: List[int] = list(scaled_list)
 
         # Traversal seeds: every node, relevant (weighted) nodes first, sorted
         # by (-σ_v, node id). The paper selects "any unprocessed node";
@@ -281,8 +316,12 @@ class TGENSolver:
                         edges_skipped += 1
                         continue
                     edges_processed += 1
+                    array_j = arrays[vj]
                     tuples_i = list(array_i.values())
-                    tuples_j = list(arrays[vj].values())
+                    tuples_j = list(array_j.values())
+                    # The unprocessed members a generated tuple may have
+                    # besides its endpoints vi and vj.
+                    others = unprocessed & ~((1 << vi) | (1 << vj))
                     if len(tuples_i) * len(tuples_j) >= self._PREFILTER_PAIRS:
                         lengths_i = np.fromiter(
                             (t[0] for t in tuples_i), np.float64, len(tuples_i)
@@ -290,10 +329,21 @@ class TGENSolver:
                         lengths_j = np.fromiter(
                             (t[0] for t in tuples_j), np.float64, len(tuples_j)
                         )
-                        rows, cols = np.nonzero(
-                            (lengths_i[:, None] + lengths_j[None, :]) + edge_length
-                            <= delta_eps
-                        )
+                        pair_lengths = (lengths_i[:, None] + lengths_j[None, :]) + edge_length
+                        feasible = pair_lengths <= delta_eps
+                        if np.count_nonzero(feasible) >= self._BATCH_PAIRS:
+                            outcome = self._combine_batch(
+                                arrays, max_scaled, batch_pool, vi, vj, others,
+                                tuples_i, lengths_i, tuples_j, lengths_j,
+                                pair_lengths, feasible, best,
+                            )
+                            if outcome is not None:
+                                generated, best = outcome
+                                best_length, best_weight, best_scaled = best[0], best[1], best[2]
+                                tuples_generated += generated
+                                edges_batched += 1
+                                continue
+                        rows, cols = np.nonzero(feasible)
                         pairs = zip(rows.tolist(), cols.tolist())
                     else:
                         pairs = (
@@ -307,9 +357,10 @@ class TGENSolver:
                     # generation order; collection is side-effect free, so the
                     # fused loop performs the identical update sequence. A
                     # combined tuple is only built when something keeps it —
-                    # the incumbent check, the top-k pool, or a dominance slot
-                    # it wins; dominated combinations cost three scalar adds,
-                    # two mask operations and a few dict probes.
+                    # the incumbent, the top-k pool, or a dominance slot it
+                    # wins — and then shared between those uses.
+                    top_i = max_scaled[vi]
+                    top_j = max_scaled[vj]
                     for a, b in pairs:
                         tuple_i = tuples_i[a]
                         tuple_j = tuples_j[b]
@@ -319,30 +370,62 @@ class TGENSolver:
                             continue
                         tuples_generated += 1
                         scaled = tuple_i[2] + tuple_j[2]
-                        weight = tuple_i[1] + tuple_j[1]
                         length = tuple_i[0] + tuple_j[0] + edge_length
                         mask = mask_i | mask_j
-                        # Inline RegionTuple.better_than on the scalar triple
-                        # (tolerance shared with tuples.py via EPS).
-                        if scaled != best_scaled:
-                            better = scaled > best_scaled
-                        elif abs(weight - best_weight) > EPS:
-                            better = weight > best_weight
-                        else:
-                            better = length < best_length - EPS
                         combined: Optional[DenseTuple] = None
-                        if better or collect_pool:
-                            combined = (length, weight, scaled, mask, tuple_i, tuple_j, vi, vj)
-                            if better:
-                                best = combined
-                                best_length, best_weight, best_scaled = length, weight, scaled
-                            if collect_pool:
-                                _pool_add(
-                                    pool, pool_keys, combined, pool_size, _dense_mask, _dense_rank
+                        # The incumbent's scaled weight never falls, so a
+                        # smaller one cannot beat it.
+                        if scaled >= best_scaled or collect_pool:
+                            weight = tuple_i[1] + tuple_j[1]
+                            # Inline RegionTuple.better_than on the scalar
+                            # triple (tolerance shared with tuples.py via EPS).
+                            if scaled != best_scaled:
+                                better = scaled > best_scaled
+                            elif abs(weight - best_weight) > EPS:
+                                better = weight > best_weight
+                            else:
+                                better = length < best_length - EPS
+                            if better or collect_pool:
+                                combined = (
+                                    length, weight, scaled, mask, tuple_i, tuple_j, vi, vj
                                 )
-                        # Members update independent arrays, so the walk order
-                        # (highest position first) does not matter.
-                        members = mask & unprocessed
+                                if better:
+                                    best = combined
+                                    best_length, best_weight, best_scaled = (
+                                        length, weight, scaled
+                                    )
+                                if collect_pool:
+                                    _pool_add(
+                                        pool, pool_keys, combined, pool_size,
+                                        _dense_mask, _dense_rank,
+                                    )
+                        # Members update independent arrays, so the order in
+                        # which they are visited does not matter.
+                        stored = array_i.get(scaled)
+                        if stored is None or length < stored[0] - EPS:
+                            if combined is None:
+                                combined = (
+                                    length, tuple_i[1] + tuple_j[1], scaled, mask,
+                                    tuple_i, tuple_j, vi, vj,
+                                )
+                            array_i[scaled] = combined
+                            if scaled > top_i:
+                                top_i = scaled
+                            if max_tuples is not None and len(array_i) > max_tuples:
+                                _keep_best(array_i, max_tuples)
+                        stored = array_j.get(scaled)
+                        if stored is None or length < stored[0] - EPS:
+                            if combined is None:
+                                combined = (
+                                    length, tuple_i[1] + tuple_j[1], scaled, mask,
+                                    tuple_i, tuple_j, vi, vj,
+                                )
+                            array_j[scaled] = combined
+                            if scaled > top_j:
+                                top_j = scaled
+                            if max_tuples is not None and len(array_j) > max_tuples:
+                                _keep_best(array_j, max_tuples)
+                        members = mask & others
                         while members:
                             member = members.bit_length() - 1
                             members ^= 1 << member
@@ -351,17 +434,21 @@ class TGENSolver:
                             if stored is None or length < stored[0] - EPS:
                                 if combined is None:
                                     combined = (
-                                        length, weight, scaled, mask, tuple_i, tuple_j, vi, vj
+                                        length, tuple_i[1] + tuple_j[1], scaled, mask,
+                                        tuple_i, tuple_j, vi, vj,
                                     )
                                 entries[scaled] = combined
-                                if prune and scaled > max_scaled[member]:
+                                if scaled > max_scaled[member]:
                                     max_scaled[member] = scaled
                                 if max_tuples is not None and len(entries) > max_tuples:
                                     _keep_best(entries, max_tuples)
+                    max_scaled[vi] = top_i
+                    max_scaled[vj] = top_j
                 unprocessed &= ~(1 << vi)
         stats["tuples_generated"] = float(tuples_generated)
         stats["edges_processed"] = float(edges_processed)
         stats["edges_skipped"] = float(edges_skipped)
+        stats["edges_batched"] = float(edges_batched)
         ids_list = dense.ids_list()
         ranked = _rank_distinct(pool, top_k, _dense_mask, _dense_rank)
         return (
@@ -369,6 +456,153 @@ class TGENSolver:
             [_materialise(t, ids_list) for t in ranked],
             stats,
         )
+
+    def _combine_batch(
+        self,
+        arrays: List[Dict[int, DenseTuple]],
+        max_scaled: List[int],
+        pool: Optional[Tuple[List[DenseTuple], Set[int], int]],
+        vi: int,
+        vj: int,
+        others: int,
+        tuples_i: List[DenseTuple],
+        lengths_i: np.ndarray,
+        tuples_j: List[DenseTuple],
+        lengths_j: np.ndarray,
+        pair_lengths: np.ndarray,
+        feasible: np.ndarray,
+        best: DenseTuple,
+    ) -> Optional[Tuple[int, DenseTuple]]:
+        """Combine one heavy edge ``(vi, vj)`` as a batch of NumPy operations.
+
+        ``tuples_i`` and ``tuples_j`` snapshot the endpoint arrays in dict
+        order, with their lengths; ``pair_lengths`` is the matrix of
+        ``(l_i + l_j) + τ`` and ``feasible`` its length test. The pairs Lemma 9
+        admits are generated in the per-pair loop's i-major order with its
+        float expressions, so every value is bit-equal, and the state changes
+        come out identical:
+
+        * **Incumbent.** Its scaled weight never falls during the edge, so only
+          tuples whose scaled weight reaches the incumbent's at the edge's start
+          can win; they are compared in generation order with ``better_than``
+          (whose EPS rules are not transitive, so no argmax). When a top-k
+          pool is collected every tuple is offered to it in generation order.
+        * **Dominance.** Members update independent arrays, so each member's
+          stores run in generation order one member after another. A store
+          needs ``length < stored − EPS``, and without a tuple cap the stored
+          length at a key only falls during an edge, so a tuple that fails the
+          test against the member's array as it stood at the edge's start (+inf
+          for an absent key) fails it later too and is dropped unseen. A cap's
+          eviction can empty a key, so under a cap every tuple is replayed.
+
+        A tuple that contends or is stored is built once and shared between
+        those uses. Returns the number of tuples generated and the incumbent after
+        the edge, or ``None`` — with nothing changed — when the generated
+        scaled weights span more than :attr:`_BATCH_SPAN` values.
+        """
+        count_i, count_j = len(tuples_i), len(tuples_j)
+        flat = np.flatnonzero(feasible)
+        rows, cols = np.divmod(flat, count_j)
+        # Lemma 9 on node masks packed into little-endian uint64 words: two
+        # tuples can share a node only in a word where both snapshots hold one.
+        nbytes = ((len(arrays) + 63) >> 6) * 8
+        words_i = _pack_masks(tuples_i, nbytes)
+        words_j = _pack_masks(tuples_j, nbytes)
+        held_i = np.bitwise_or.reduce(words_i, axis=0)
+        held_j = np.bitwise_or.reduce(words_j, axis=0)
+        shared = np.flatnonzero(held_i & held_j).tolist()
+        if shared:
+            clash = words_i[:, shared[0]][rows] & words_j[:, shared[0]][cols]
+            for word in shared[1:]:
+                clash |= words_i[:, word][rows] & words_j[:, word][cols]
+            keep = np.flatnonzero(clash == 0)
+            rows, cols, flat = rows[keep], cols[keep], flat[keep]
+        generated = len(flat)
+        if not generated:
+            return 0, best
+        scaled_i = np.fromiter((t[2] for t in tuples_i), np.int64, count_i)
+        scaled_j = np.fromiter((t[2] for t in tuples_j), np.int64, count_j)
+        gen_scaled = scaled_i[rows] + scaled_j[cols]
+        low = int(gen_scaled.min())
+        span = int(gen_scaled.max()) - low + 1
+        if span > self._BATCH_SPAN:
+            return None
+        gen_length = pair_lengths.ravel()[flat]
+
+        made: Dict[int, DenseTuple] = {}
+        if pool is None:
+            contenders = np.flatnonzero(gen_scaled >= best[2])
+        else:
+            contenders = np.arange(generated)
+        if len(contenders):
+            for e, length, scaled, a, b in zip(
+                contenders.tolist(), gen_length[contenders].tolist(),
+                gen_scaled[contenders].tolist(), rows[contenders].tolist(),
+                cols[contenders].tolist(),
+            ):
+                tuple_i = tuples_i[a]
+                tuple_j = tuples_j[b]
+                combined = made[e] = (
+                    length, tuple_i[1] + tuple_j[1], scaled, tuple_i[3] | tuple_j[3],
+                    tuple_i, tuple_j, vi, vj,
+                )
+                if _beats(combined, best):
+                    best = combined
+                if pool is not None:
+                    _pool_add(pool[0], pool[1], combined, pool[2], _dense_mask, _dense_rank)
+
+        # Dominance. vi and vj hold every generated tuple, and another
+        # unprocessed node the tuples one of whose parents holds it.
+        max_tuples = self.max_tuples_per_node
+        if max_tuples is None:
+            # vi's and vj's stored lengths at the edge's start, by key; columns
+            # 0 and span + 1 take the keys outside the generated range.
+            table = np.full((2, span + 2), np.inf)
+            table[0, np.clip(scaled_i - (low - 1), 0, span + 1)] = lengths_i
+            table[1, np.clip(scaled_j - (low - 1), 0, span + 1)] = lengths_j
+            live_i, live_j = gen_length < table[:, gen_scaled - (low - 1)] - EPS
+        else:
+            live_i = live_j = np.ones(generated, bool)
+        candidates = live_i | live_j
+        held = int.from_bytes((held_i | held_j).tobytes(), "little") & others
+        if held:
+            candidates |= (
+                np.fromiter(((t[3] & held) != 0 for t in tuples_i), bool, count_i)[rows]
+                | np.fromiter(((t[3] & held) != 0 for t in tuples_j), bool, count_j)[cols]
+            )
+        events = np.flatnonzero(candidates)
+        bit_i, bit_j = 1 << vi, 1 << vj
+        for e, at_i, at_j, scaled, length, a, b in zip(
+            events.tolist(), live_i[events].tolist(), live_j[events].tolist(),
+            gen_scaled[events].tolist(), gen_length[events].tolist(),
+            rows[events].tolist(), cols[events].tolist(),
+        ):
+            tuple_i = tuples_i[a]
+            tuple_j = tuples_j[b]
+            mask = tuple_i[3] | tuple_j[3]
+            members = mask & held
+            if at_i:
+                members |= bit_i
+            if at_j:
+                members |= bit_j
+            combined = made.get(e)
+            while members:
+                member = members.bit_length() - 1
+                members ^= 1 << member
+                entries = arrays[member]
+                current = entries.get(scaled)
+                if current is None or length < current[0] - EPS:
+                    if combined is None:
+                        combined = (
+                            length, tuple_i[1] + tuple_j[1], scaled, mask, tuple_i, tuple_j, vi, vj
+                        )
+                    entries[scaled] = combined
+                    if scaled > max_scaled[member]:
+                        max_scaled[member] = scaled
+                    if max_tuples is not None and len(entries) > max_tuples:
+                        _keep_best(entries, max_tuples)
+        return generated, best
+
 
 # Identity and rank keys of a dense tuple: the top-k pool is deduplicated on
 # the node set (the mask) and ranked by larger scaled weight, then larger
@@ -428,6 +662,12 @@ def _rank_distinct(
         if len(ranked) >= k:
             break
     return ranked
+
+
+def _pack_masks(tuples: List[DenseTuple], nbytes: int) -> np.ndarray:
+    """The node masks of ``tuples`` as rows of little-endian uint64 words."""
+    packed = b"".join([t[3].to_bytes(nbytes, "little") for t in tuples])
+    return np.frombuffer(packed, dtype="<u8").reshape(len(tuples), -1)
 
 
 def _keep_best(entries: Dict[int, DenseTuple], keep: int) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import LCMSRQuery, build_instance
@@ -37,6 +39,13 @@ class TestParameterValidation:
             APPSolver(alpha=0.0)
         with pytest.raises(SolverError):
             APPSolver(beta=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # A NaN alpha used to pass the positivity check and fail later with an
+        # untyped ValueError.
+        with pytest.raises(SolverError):
+            APPSolver(alpha=alpha)
 
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_max_iterations_below_one_rejected(self, iterations):

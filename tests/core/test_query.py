@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.query import LCMSRQuery
@@ -24,6 +26,15 @@ class TestValidation:
     def test_negative_delta_rejected(self):
         with pytest.raises(QueryError):
             LCMSRQuery.create(["cafe"], delta=-1.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        # Every length test is False under a NaN budget, so a solver would
+        # answer a single node as if it were a region.
+        with pytest.raises(QueryError):
+            LCMSRQuery.create(["cafe"], delta=delta)
+        with pytest.raises(QueryError):
+            LCMSRQuery.create(["cafe"], delta=5.0).with_delta(delta)
 
     def test_invalid_k_rejected(self):
         with pytest.raises(QueryError):

@@ -34,6 +34,13 @@ class TestValidation:
         with pytest.raises(SolverError):
             ScalingContext.build({1: 0.5}, 1, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(SolverError):
+            ScalingContext.build({1: 0.5}, 1, alpha=alpha)
+        with pytest.raises(SolverError):
+            ScalingContext.from_sigma_max(0.5, 1, alpha)
+
     def test_candidate_count_must_be_positive(self):
         with pytest.raises(SolverError):
             ScalingContext.build({1: 0.5}, 0, alpha=0.5)

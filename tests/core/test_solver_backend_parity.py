@@ -8,6 +8,15 @@ pre-substrate dict loops — same regions, same tie-breaks, bit-equal floats.
 This is the solver-layer counterpart of the network-backend and σ_v parity
 suites.
 
+TGEN combines each edge in one of two regimes, picked by its count of
+length-feasible tuple pairs: a per-pair loop, or from
+``TGENSolver._BATCH_PAIRS`` pairs on a batch of NumPy operations. The small
+windows here rarely reach that threshold, so the TGEN tests run twice: at the
+production thresholds and with them forced to 1, which sends every edge with
+a length-feasible pair through the batched step. A heavy instance at the
+perfbench ``tgen-paper`` scale checks the production threshold where it
+batches on its own.
+
 The suite runs the full indexed path (dataset → ``IndexBundle`` → engine →
 ``build_instance`` with the columnar pipeline, which attaches the dense
 substrate) and compares ``twin(solver).solve(x)`` / ``solve_topk`` with
@@ -83,6 +92,43 @@ def _assert_same_work(result_a, result_b, context):
         assert result_a.stats[key] == result_b.stats[key], (key, context)
 
 
+class _BatchRegime:
+    """One of TGEN's two per-edge regimes, with a count of the edges the
+    batched step combined while it was in force."""
+
+    def __init__(self, forced: bool) -> None:
+        self.forced = forced
+        self.batched = 0
+
+    def check(self) -> None:
+        if self.forced:
+            assert self.batched > 0, "the forced regime must reach the batched step"
+
+
+@pytest.fixture(params=["production", "forced"])
+def batch_regime(request, monkeypatch):
+    """Run a test at the production thresholds, or with the batch threshold
+    forced to 1. The vectorised length test that counts an edge's pairs is
+    forced on too, so capped arrays (at most 5 × 5 pairs) batch as well."""
+    regime = _BatchRegime(request.param == "forced")
+    if regime.forced:
+        monkeypatch.setattr(TGENSolver, "_BATCH_PAIRS", 1)
+        monkeypatch.setattr(TGENSolver, "_PREFILTER_PAIRS", 1)
+    combine = TGENSolver._combine_batch
+
+    def counted(self, *args):
+        outcome = combine(self, *args)
+        regime.batched += outcome is not None
+        return outcome
+
+    monkeypatch.setattr(TGENSolver, "_combine_batch", counted)
+    return regime
+
+
+def _edges_batched(results) -> int:
+    return int(sum(result.stats["edges_batched"] for result in results))
+
+
 class _PollBudget:
     """A solve budget that expires after a fixed number of ``expired()`` polls.
 
@@ -101,13 +147,21 @@ class _PollBudget:
         return self.remaining < 0
 
 
+# Each heuristic at the production settings, and TGEN once more with every
+# edge it can batch sent through the batched step.
+SOLVER_REGIMES = [
+    pytest.param(GreedySolver, "production", id="greedy"),
+    pytest.param(TGENSolver, "production", id="tgen"),
+    pytest.param(TGENSolver, "forced", id="tgen-forced-batch"),
+    pytest.param(APPSolver, "production", id="app"),
+]
+
+
 class TestHeuristicSolverParity:
     @pytest.mark.parametrize(
-        "make_solver",
-        [GreedySolver, TGENSolver, APPSolver],
-        ids=["greedy", "tgen", "app"],
+        "make_solver, batch_regime", SOLVER_REGIMES, indirect=["batch_regime"]
     )
-    def test_solve_is_byte_identical(self, engine, workload, make_solver):
+    def test_solve_is_byte_identical(self, engine, workload, make_solver, batch_regime):
         solver = make_solver()
         for query in workload:
             instance = engine.build_instance(query)
@@ -117,12 +171,12 @@ class TestHeuristicSolverParity:
             a = twin(solver).solve(instance)
             b = solver.solve(instance)
             _assert_identical(a, b, (solver.name, query.keywords, query.region))
+        batch_regime.check()
 
     @pytest.mark.parametrize(
-        "make_solver", [GreedySolver, TGENSolver, APPSolver],
-        ids=["greedy", "tgen", "app"],
+        "make_solver, batch_regime", SOLVER_REGIMES, indirect=["batch_regime"]
     )
-    def test_topk_is_byte_identical(self, engine, workload, make_solver):
+    def test_topk_is_byte_identical(self, engine, workload, make_solver, batch_regime):
         solver = make_solver()
         for query in workload[:3]:
             instance = engine.build_instance(query)
@@ -131,6 +185,7 @@ class TestHeuristicSolverParity:
             assert len(topk_dict.results) == len(topk_dense.results)
             for a, b in zip(topk_dict.results, topk_dense.results):
                 _assert_identical(a, b, (solver.name, query.keywords))
+        batch_regime.check()
 
 
 TGEN_SETTINGS = {
@@ -142,30 +197,35 @@ TGEN_SETTINGS = {
 
 class TestTGENParity:
     """The TGEN settings and paths that the dense loop's tuple representation
-    touches: per-node eviction, edge order, the top-k pool and truncation."""
+    touches: per-node eviction, edge order, the top-k pool and truncation, each
+    in both per-edge regimes."""
 
     @pytest.mark.parametrize(
         "settings", list(TGEN_SETTINGS.values()), ids=list(TGEN_SETTINGS)
     )
-    def test_settings_are_byte_identical(self, engine, workload, settings):
+    def test_settings_are_byte_identical(self, engine, workload, settings, batch_regime):
         solver = TGENSolver(**settings)
+        dense_results = []
         for query in workload:
             instance = engine.build_instance(query)
             for pruning in (True, False):
                 pinned = instance.with_pruning(pruning)
                 a = twin(solver).solve(pinned)
                 b = solver.solve(pinned)
+                dense_results.append(b)
                 context = (settings, pruning, query.keywords, query.region)
                 _assert_identical(a, b, context)
                 if not pruning:
                     _assert_same_work(a, b, context)
+        assert _edges_batched(dense_results) == batch_regime.batched
+        batch_regime.check()
 
     @pytest.mark.parametrize(
         "settings",
         [{}] + list(TGEN_SETTINGS.values()),
         ids=["default"] + list(TGEN_SETTINGS),
     )
-    def test_topk_is_byte_identical(self, engine, workload, settings):
+    def test_topk_is_byte_identical(self, engine, workload, settings, batch_regime):
         solver = TGENSolver(**settings)
         for query in workload:
             instance = engine.build_instance(query)
@@ -174,9 +234,10 @@ class TestTGENParity:
                 solver.solve_topk(instance, k=3),
                 (settings, query.keywords, query.region),
             )
+        batch_regime.check()
 
     @pytest.mark.parametrize("polls", [5, 40, 150])
-    def test_truncated_runs_are_identical(self, engine, workload, polls):
+    def test_truncated_runs_are_identical(self, engine, workload, polls, batch_regime):
         solver = TGENSolver()
         truncated = 0
         for query in workload:
@@ -193,11 +254,15 @@ class TestTGENParity:
             }, context
             truncated += a.stats.get("budget_expired", 0.0) > 0.0
         assert truncated, "the poll budget must cut some runs short"
+        batch_regime.check()
+
+
+WIDE_SETTINGS = {"default": {}, **TGEN_SETTINGS}
 
 
 class TestWideWindowParity:
     """A window-less 34×34 grid: 1,156 positions, so a node mask spans many
-    machine words."""
+    machine words (19 in the batched step's packed masks)."""
 
     @pytest.fixture(scope="class")
     def wide_instance(self):
@@ -214,20 +279,56 @@ class TestWideWindowParity:
         assert instance.num_candidate_nodes == 34 * 34
         return instance.with_pruning(False)
 
-    def test_solve_is_byte_identical(self, wide_instance):
-        solver = TGENSolver()
+    @pytest.mark.parametrize(
+        "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
+    )
+    def test_solve_is_byte_identical(self, wide_instance, settings, batch_regime):
+        solver = TGENSolver(**settings)
         a = twin(solver).solve(wide_instance)
         b = solver.solve(wide_instance)
-        _assert_identical(a, b, "wide")
-        _assert_same_work(a, b, "wide")
+        _assert_identical(a, b, ("wide", settings))
+        _assert_same_work(a, b, ("wide", settings))
+        assert _edges_batched([b]) == batch_regime.batched
+        batch_regime.check()
 
-    def test_topk_is_byte_identical(self, wide_instance):
-        solver = TGENSolver()
+    @pytest.mark.parametrize(
+        "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
+    )
+    def test_topk_is_byte_identical(self, wide_instance, settings, batch_regime):
+        solver = TGENSolver(**settings)
         _assert_topk_identical(
             twin(solver).solve_topk(wide_instance, k=3),
             solver.solve_topk(wide_instance, k=3),
-            "wide-topk",
+            ("wide-topk", settings),
         )
+        batch_regime.check()
+
+
+class TestHeavyInstanceParity:
+    """A paper-default TGEN query at the perfbench ``tgen-paper`` scale (a
+    42×42 grid with 6,000 objects, a 4 km² window and ∆ = 2 km), where edges
+    reach the production batch threshold on their own."""
+
+    @pytest.fixture(scope="class")
+    def heavy_instance(self):
+        dataset = build_ny_like(
+            rows=42, cols=42, block_size=120.0, num_objects=6000, num_clusters=28, seed=SEED
+        )
+        engine = LCMSREngine.from_bundle(
+            IndexBundle.build(dataset.network, dataset.corpus)
+        )
+        query = generate_workload(
+            dataset, num_queries=1, num_keywords=3, delta=2000.0, area_km2=4.0, seed=SEED
+        )[0]
+        return engine.build_instance(query).with_pruning(False)
+
+    def test_solve_is_byte_identical(self, heavy_instance):
+        solver = TGENSolver()
+        a = twin(solver).solve(heavy_instance)
+        b = solver.solve(heavy_instance)
+        assert b.stats["edges_batched"] > 0
+        _assert_identical(a, b, "heavy")
+        _assert_same_work(a, b, "heavy")
 
 
 class TestExactParity:

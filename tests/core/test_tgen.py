@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import LCMSRQuery, build_instance
+from repro.core.reference import ReferenceTGEN
 from repro.core.tgen import TGENSolver
+from repro.core.tuples import EPS, TupleArray
 from repro.exceptions import SolverError
 from repro.network.builders import grid_network, paper_example_network, path_network
+from repro.network.graph import RoadNetwork
 
 from tests.conftest import (
     PAPER_EXAMPLE_DELTA,
@@ -21,6 +26,13 @@ class TestParameterValidation:
     def test_alpha_must_be_positive(self):
         with pytest.raises(SolverError):
             TGENSolver(alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # A NaN alpha used to scale every weight to INT64_MIN and answer a
+        # one-node region of weight 0.
+        with pytest.raises(SolverError):
+            TGENSolver(alpha=alpha)
 
     def test_edge_order_validated(self):
         with pytest.raises(SolverError):
@@ -130,3 +142,100 @@ class TestEndToEnd:
         fine = TGENSolver(alpha=0.05).solve(instance)
         coarse = TGENSolver(alpha=3.0).solve(instance)
         assert coarse.stats["tuples_generated"] <= fine.stats["tuples_generated"]
+
+
+class TestDominanceTies:
+    """Near-ties and an exact tie in the dominance update (Lemma 6).
+
+    A stored region is replaced only by one shorter by more than ``EPS``, so of
+    two regions with equal scaled weight whose lengths differ by less than
+    ``EPS`` (or not at all) the first to arrive stays, in either order. On this
+    graph only nodes 0, 3 and 4 weigh anything, so regions that differ by
+    zero-weight nodes share a scaled weight, and paths of edges 0.1 and 0.2
+    compete with edges of 0.3. The stored regions feed later combinations, so
+    a store that ignored ``EPS`` or let a tie replace would change the answers
+    and counters compared below. TGEN must keep what its reference twin keeps,
+    in the per-pair loop and in the batched step.
+    """
+
+    EDGES = [
+        ((0, 1), 0.2), ((0, 2), 0.3), ((0, 4), 0.3), ((0, 7), 0.1), ((1, 3), 0.1),
+        ((1, 6), 0.1), ((3, 4), 0.3), ((3, 5), 0.2), ((4, 5), 0.1), ((4, 7), 0.1),
+        ((5, 6), 0.2),
+    ]
+    WEIGHTS = {0: 1.0, 3: 2.0, 4: 1.0}
+
+    @pytest.fixture
+    def instance(self):
+        network = RoadNetwork()
+        for node in range(8):
+            network.add_node(node, float(node), float(node % 2))
+        for (u, v), length in self.EDGES:
+            network.add_edge(u, v, length=length)
+        query = LCMSRQuery.create(["t"], delta=1.0)
+        # Unpruned, so the twin (which never skips an edge) does the same work.
+        return build_instance(network, query, node_weights=self.WEIGHTS, pruning=False)
+
+    def test_the_gaps_are_within_eps(self):
+        assert 0 < (0.1 + 0.2) - 0.3 <= EPS
+
+    def test_the_reference_meets_both_orders_and_an_exact_tie(self, instance, monkeypatch):
+        seen = set()
+        update = TupleArray.update
+
+        def recording(array, candidate):
+            stored = array.get(candidate.scaled_weight)
+            if (
+                stored is not None
+                and stored.nodes != candidate.nodes
+                and abs(candidate.length - stored.length) <= EPS
+            ):
+                seen.add(
+                    "exact" if candidate.length == stored.length
+                    else "shorter-later" if candidate.length < stored.length
+                    else "longer-later"
+                )
+            return update(array, candidate)
+
+        monkeypatch.setattr(TupleArray, "update", recording)
+        ReferenceTGEN(alpha=0.5).solve(instance)
+        assert seen == {"exact", "shorter-later", "longer-later"}
+
+    @staticmethod
+    def _assert_matches_the_reference(instance, cap=None):
+        """Solve and answer top-5 with TGEN and its twin; return TGEN's solve."""
+        solver = TGENSolver(alpha=0.5, max_tuples_per_node=cap)
+        reference = ReferenceTGEN(alpha=0.5, max_tuples_per_node=cap)
+        a = reference.solve(instance)
+        b = solver.solve(instance)
+        for key in ("tuples_generated", "edges_processed"):
+            assert a.stats[key] == b.stats[key]
+        topk_a = reference.solve_topk(instance, k=5).results
+        topk_b = solver.solve_topk(instance, k=5).results
+        assert len(topk_a) == len(topk_b) > 1
+        for result_a, result_b in [(a, b)] + list(zip(topk_a, topk_b)):
+            assert result_a.region.nodes == result_b.region.nodes
+            assert result_a.region.edges == result_b.region.edges
+            assert result_a.weight == result_b.weight
+            assert result_a.length == result_b.length
+            assert result_a.scaled_weight == result_b.scaled_weight
+        return b
+
+    @pytest.mark.parametrize("cap", [None, 2], ids=["uncapped", "cap2"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["production", "forced-batch"])
+    def test_matches_the_reference(self, instance, monkeypatch, cap, forced):
+        if forced:
+            monkeypatch.setattr(TGENSolver, "_BATCH_PAIRS", 1)
+            monkeypatch.setattr(TGENSolver, "_PREFILTER_PAIRS", 1)
+        result = self._assert_matches_the_reference(instance, cap)
+        expected = result.stats["edges_processed"] if forced else 0
+        assert result.stats["edges_batched"] == expected
+
+    def test_a_wide_key_span_runs_the_per_pair_loop(self, instance, monkeypatch):
+        # Every edge would batch, but no key range fits the lookup table, so
+        # each batch hands its edge back to the per-pair loop untouched.
+        monkeypatch.setattr(TGENSolver, "_BATCH_PAIRS", 1)
+        monkeypatch.setattr(TGENSolver, "_PREFILTER_PAIRS", 1)
+        monkeypatch.setattr(TGENSolver, "_BATCH_SPAN", 0)
+        result = self._assert_matches_the_reference(instance)
+        assert result.stats["edges_batched"] == 0

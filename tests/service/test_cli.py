@@ -131,6 +131,14 @@ class TestQuery:
         ]) == 0
         assert "#1:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_fails_cleanly(self, cli_artifact, capsys, delta):
+        assert main([
+            "query", str(cli_artifact), "--keywords", "cafe,restaurant",
+            "--delta", delta, "--algorithm", "tgen",
+        ]) == 2
+        assert "length constraint" in capsys.readouterr().err
+
     def test_malformed_region_fails_cleanly(self, cli_artifact, capsys):
         assert main([
             "query", str(cli_artifact), "--keywords", "cafe",
