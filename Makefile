@@ -8,9 +8,10 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Just the byte-identity parity suites: each solver vs its dict-loop reference
-# twin (repro.core.reference, also on dict and CSR graphs via the property
-# harness's TestBackendIdentity), bound-based pruning (on vs off), graph backend
-# (dict vs CSR) and σ_v (the columnar pipeline, the only σ_v path queries take,
+# twin (repro.core.reference, also on a RoadNetwork input and on its snapshot
+# via the property harness's TestBackendIdentity), bound-based pruning (on vs
+# off), the graph suites (a RoadNetwork input, frozen at entry, vs its CSR
+# snapshot) and σ_v (the columnar pipeline, the only σ_v path queries take,
 # vs the object-loop reference scorer). TGEN is checked in both of its per-edge
 # regimes: the parity suite runs its cases at the production thresholds and with
 # every edge forced through the batched step, plus one tgen-paper-scale instance
@@ -50,8 +51,8 @@ bench:
 
 # Every benchmark at its smallest configuration (1 query/setting, smallest
 # datasets) under a hard time cap — a quick regression gate over the whole
-# benchmark surface, including the network-backend comparison and the
-# artifact-persistence load-vs-rebuild check (bench_persist.py).
+# benchmark surface, including the artifact-persistence load-vs-rebuild check
+# (bench_persist.py).
 bench-smoke: compact-smoke anytime-smoke
 	REPRO_BENCH_SMOKE=1 timeout 1200 $(PYTHON) -m pytest benchmarks/ -q \
 		-o python_files="bench_*.py"
@@ -129,8 +130,11 @@ artifact-smoke:
 # stay fast. The same mutations then run on a zlib-compressed build, whose
 # compaction reads the compressed index.pkl through the lazily loaded corpus;
 # its compacted answers must match the raw ones (all lines but the runtime
-# one). A `mutate --add` with a NaN coordinate must then exit with status 2 and
-# record nothing. Leaves no files behind.
+# one). A mutation never touches the road network, so in both passes the
+# compacted gen-0001/network.npz must equal the base's byte for byte (`cmp`):
+# compaction reuses the base CSR, and a thaw-and-refreeze would reorder its
+# adjacency rows. A `mutate --add` with a NaN coordinate must then exit with
+# status 2 and record nothing. Leaves no files behind.
 COMPACT_SMOKE_DIR := .compact-smoke
 COMPACT_SMOKE_BUILD := build --dataset ny --rows 16 --cols 16 --objects 500 \
 	--clusters 6 --seed 3
@@ -145,11 +149,13 @@ compact-smoke:
 	$(PYTHON) -m repro query $(COMPACT_SMOKE_DIR)/ny \
 		--keywords cafe,restaurant --delta 800
 	timeout 120 $(PYTHON) -m repro compact $(COMPACT_SMOKE_DIR)/ny
+	cmp $(COMPACT_SMOKE_DIR)/ny/network.npz $(COMPACT_SMOKE_DIR)/ny/gen-0001/network.npz
 	$(PYTHON) -m repro info $(COMPACT_SMOKE_DIR)/ny/gen-0001 --verify
 	$(PYTHON) -m repro $(COMPACT_SMOKE_BUILD) --out $(COMPACT_SMOKE_DIR)/zlib \
 		--compress zlib
 	$(PYTHON) -m repro mutate $(COMPACT_SMOKE_DIR)/zlib $(COMPACT_SMOKE_MUTATIONS)
 	timeout 120 $(PYTHON) -m repro compact $(COMPACT_SMOKE_DIR)/zlib
+	cmp $(COMPACT_SMOKE_DIR)/zlib/network.npz $(COMPACT_SMOKE_DIR)/zlib/gen-0001/network.npz
 	$(PYTHON) -m repro info $(COMPACT_SMOKE_DIR)/zlib/gen-0001 --verify \
 		> $(COMPACT_SMOKE_DIR)/info.txt
 	grep 'compression    : zlib' $(COMPACT_SMOKE_DIR)/info.txt

@@ -189,4 +189,4 @@ def test_bench_runner_artifact_cache(tmp_path):
         [["first (build + save)", miss_seconds], ["second (artifact hit)", hit_seconds]],
         title=f"ExperimentRunner artifact cache, {label} config",
     ))
-    assert second.bundle.network is None, "cache hit must come from disk"
+    assert "load" in second.bundle.build_seconds, "cache hit must come from disk"

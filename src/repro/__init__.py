@@ -68,7 +68,7 @@ from repro.core import (
     TopKResult,
     build_instance,
 )
-from repro.network import CompactNetwork, GraphView, Rectangle, RoadNetwork
+from repro.network import CompactNetwork, Rectangle, RoadNetwork
 from repro.objects import GeoTextualObject, ObjectCorpus, map_objects_to_network
 from repro.baselines import MaxRSSolver
 from repro.datasets import build_ny_like, build_usanw_like, generate_workload
@@ -100,7 +100,6 @@ __all__ = [
     "MaxRSSolver",
     "RoadNetwork",
     "CompactNetwork",
-    "GraphView",
     "Rectangle",
     "GeoTextualObject",
     "ObjectCorpus",

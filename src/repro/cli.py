@@ -338,7 +338,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                         policy=policy,
                     )
                 )
-            except (ValueError, KeyError, TypeError) as exc:
+            except (QueryError, ValueError, KeyError, TypeError) as exc:
                 raise QueryError(
                     f"malformed request on line {line_number} of {args.requests}: {exc}"
                 ) from exc

@@ -32,7 +32,7 @@ from repro.core.scaling import ScalingContext
 from repro.core.topk import resolve_k
 from repro.core.tuples import RegionTuple, TupleArray
 from repro.exceptions import SolverError
-from repro.network.compact import GraphView
+from repro.network.compact import CompactNetwork
 
 
 @dataclass
@@ -297,7 +297,7 @@ class APPSolver:
 # ---------------------------------------------------------------------------- findOptTree
 def find_opt_tree(
     candidate_tree: CandidateTree,
-    graph: GraphView,
+    graph: CompactNetwork,
     weights: Mapping[int, float],
     scaled_weights: Mapping[int, int],
     delta: float,

@@ -24,9 +24,10 @@ their dict-loop twins in :mod:`repro.core.reference` (same regions, same
 tie-breaks, bit-equal floats). Three properties make that possible and are
 load-bearing:
 
-1. **Order preservation** — local positions follow the window graph's node
-   iteration order, and per-row neighbour order replicates ``neighbor_items``;
-   traversals therefore visit nodes and edges in exactly the reference order.
+1. **Order preservation** — local positions follow the window snapshot's node
+   order, and per-row neighbour order is the snapshot's CSR row order (which
+   ``neighbor_items`` replays); traversals therefore visit nodes and edges in
+   exactly the reference order.
 2. **Dict-order replay** — ``relevant_order`` records the iteration order of
    the source weight dict (the columnar pipeline's node-table order on the hot
    path), so :meth:`weights_dict` re-materialises a dict whose items iterate
@@ -49,7 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.exceptions import QueryError
-from repro.network.compact import CompactNetwork, GraphView
+from repro.network.compact import CompactNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (instance imports dense)
     from repro.core.instance import ProblemInstance
@@ -127,34 +128,26 @@ class DenseInstance:
     # ------------------------------------------------------------------ construction
     @classmethod
     def from_graph(
-        cls, graph: GraphView, weights: Mapping[int, float]
+        cls, graph: CompactNetwork, weights: Mapping[int, float]
     ) -> "DenseInstance":
-        """Build the dense substrate for ``graph`` + ``weights``.
+        """Build the dense substrate for the window snapshot ``graph`` + ``weights``.
 
-        The fast path — a :class:`~repro.network.compact.CompactNetwork` window
-        view — shares the snapshot's six arrays and maps the weight keys to
-        positions with one vectorised searchsorted; any other
-        :class:`~repro.network.compact.GraphView` is frozen first (the
-        fallback a dict-graph instance takes on its first substrate access).
+        Shares the snapshot's six arrays and maps the weight keys to positions
+        with one vectorised searchsorted.
 
         Raises:
             QueryError: If a weight key is not a node of ``graph`` (instances
                 built by :func:`~repro.core.instance.build_instance` always
                 satisfy this).
         """
-        compact = (
-            graph
-            if isinstance(graph, CompactNetwork)
-            else CompactNetwork.from_network(graph)
-        )
-        ids, xs, ys = compact.csr_node_arrays()
-        indptr, indices, lengths = compact.csr_index_arrays()
+        ids, xs, ys = graph.csr_node_arrays()
+        indptr, indices, lengths = graph.csr_index_arrays()
         n = ids.shape[0]
         sigma = np.zeros(n, dtype=np.float64)
         if weights:
             keys = np.fromiter(weights.keys(), dtype=np.int64, count=len(weights))
             values = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
-            order, sorted_ids = compact.id_sort_order()
+            order, sorted_ids = graph.id_sort_order()
             slots = np.searchsorted(sorted_ids, keys)
             if (slots >= n).any() or (sorted_ids[np.minimum(slots, n - 1)] != keys).any():
                 raise QueryError("node weights reference nodes outside the window graph")
@@ -162,7 +155,7 @@ class DenseInstance:
             sigma[positions] = values
         else:
             positions = np.empty(0, dtype=np.int32)
-        return cls(ids, xs, ys, indptr, indices, lengths, sigma, positions, graph=compact)
+        return cls(ids, xs, ys, indptr, indices, lengths, sigma, positions, graph=graph)
 
     def __reduce__(self):
         # The graph view is rebuilt from the shared arrays on unpickling; only

@@ -37,7 +37,7 @@ from repro.core.region import Region
 from repro.core.result import RegionResult, TopKResult
 from repro.core.topk import resolve_k
 from repro.exceptions import SolverError
-from repro.network.compact import GraphView
+from repro.network.compact import CompactNetwork
 from repro.network.graph import edge_key
 
 
@@ -238,7 +238,7 @@ guard makes the skip test strictly conservative.
 
 
 def _grow_bb(
-    graph: GraphView,
+    graph: CompactNetwork,
     allowed: Set[int],
     subset: Set[int],
     frontier: List[int],
@@ -291,7 +291,7 @@ def _grow_bb(
         )
 
 
-def _connected_subsets(graph: GraphView, nodes: List[int]):
+def _connected_subsets(graph: CompactNetwork, nodes: List[int]):
     """Yield every connected non-empty node subset of ``graph`` exactly once.
 
     Uses the standard anchored enumeration: for each anchor ``r`` (in increasing id
@@ -310,7 +310,7 @@ def _connected_subsets(graph: GraphView, nodes: List[int]):
 
 
 def _grow(
-    graph: GraphView,
+    graph: CompactNetwork,
     allowed: Set[int],
     subset: Set[int],
     frontier: List[int],
@@ -339,7 +339,7 @@ def _grow(
 
 
 def _induced_mst(
-    graph: GraphView, subset: FrozenSet[int]
+    graph: CompactNetwork, subset: FrozenSet[int]
 ) -> Optional[Tuple[float, List[Tuple[int, int]]]]:
     """Return (length, edges) of the MST of the subgraph induced by ``subset``.
 

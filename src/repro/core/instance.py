@@ -7,12 +7,14 @@ that, and :func:`build_instance` produces it either from the columnar σ_v pipel
 (the serving path), from the object-loop reference scorer, or from explicit node
 weights (unit tests, the paper's Figure 2 example).
 
-An instance carries two coupled views of the same input:
+The instance's graph is a frozen :class:`~repro.network.compact.CompactNetwork`
+(a :class:`~repro.network.graph.RoadNetwork` argument is frozen once, at entry),
+and the instance carries two coupled views of the same input:
 
 * the **dense substrate** — a :class:`~repro.core.dense.DenseInstance` of
   position-indexed arrays, the one input the Greedy, TGEN and APP loops run
-  on. :func:`build_instance` attaches it on the frozen-CSR path; any other
-  instance builds it once, on first access; and
+  on. :func:`build_instance` attaches it for every weight source, and an
+  instance constructed without one builds it at construction; and
 * the **dict view** — ``weights: Dict[int, float]`` keyed by global node ids,
   read by the Exact oracle, APP's quota solver and findOptTree, and the
   reference twins of :mod:`repro.core.reference`. It is materialised lazily,
@@ -36,8 +38,9 @@ from typing import Dict, Iterable, Mapping, Optional, Set
 from repro.core.dense import DenseInstance
 from repro.core.query import LCMSRQuery
 from repro.exceptions import QueryError
-from repro.network.compact import CompactNetwork, GraphView
-from repro.network.subgraph import Rectangle, induced_subgraph
+from repro.network.compact import CompactNetwork
+from repro.network.graph import RoadNetwork
+from repro.network.subgraph import induced_subgraph
 from repro.textindex.columnar import WeightPipeline
 from repro.textindex.relevance import RelevanceScorer
 
@@ -47,19 +50,17 @@ class ProblemInstance:
 
     Attributes:
         graph: The sub-network induced by the nodes inside ``Q.Λ`` (or the full
-            network when the query has no window). Either backend — a dict-backed
-            :class:`~repro.network.graph.RoadNetwork` or a frozen
-            :class:`~repro.network.compact.CompactNetwork` window view — solvers
-            treat it as read-only and code against the
-            :class:`~repro.network.compact.GraphView` protocol.
+            network when the query has no window), as a frozen
+            :class:`~repro.network.compact.CompactNetwork`; a
+            :class:`~repro.network.graph.RoadNetwork` passed in is frozen once.
         weights: Positive node weights σ_v for the relevant nodes; nodes absent from
             the mapping have weight 0. Materialised lazily from the dense arrays
             when the instance was created dense-first (e.g. out of the serving
             layer's substrate cache) — the rebuilt dict iterates in the source
             dict's order, so the reference twins stay byte-identical.
         dense: The :class:`~repro.core.dense.DenseInstance` the solvers run on —
-            the attached one, or one built once from ``graph`` + ``weights`` on
-            first access.
+            the attached one, or one built from ``graph`` + ``weights`` at
+            construction.
         query: The originating LCMSR query.
         build_seconds: Time spent building the instance (index probing + windowing);
             reported separately from solver runtime, mirroring the paper's offline /
@@ -73,7 +74,7 @@ class ProblemInstance:
 
     def __init__(
         self,
-        graph: GraphView,
+        graph: CompactNetwork | RoadNetwork,
         weights: Optional[Dict[int, float]] = None,
         query: Optional[LCMSRQuery] = None,
         build_seconds: float = 0.0,
@@ -89,7 +90,9 @@ class ProblemInstance:
         # A leftover policy string such as "off" would be truthy and prune.
         if not isinstance(pruning, bool):
             raise QueryError(f"pruning must be True or False, got {pruning!r}")
+        graph = CompactNetwork.from_network(graph)
         self.graph = graph
+        self.dense = dense if dense is not None else DenseInstance.from_graph(graph, weights)
         self.query = query
         self.build_seconds = build_seconds
         self.pruning = pruning
@@ -101,26 +104,18 @@ class ProblemInstance:
         self.budget = budget
         self.sampling = sampling
         self._weights = weights
-        self._dense = dense
         self._relevant_nodes: Optional[Set[int]] = None
 
     # ------------------------------------------------------------------ views
     @property
-    def dense(self) -> DenseInstance:
-        """The position-indexed substrate (built once from the dict view if missing)."""
-        if self._dense is None:
-            self._dense = DenseInstance.from_graph(self.graph, self._weights)
-        return self._dense
-
-    @property
     def weights(self) -> Dict[int, float]:
         """The dict view of σ_v (materialised lazily from the dense arrays)."""
         if self._weights is None:
-            self._weights = self._dense.weights_dict()
+            self._weights = self.dense.weights_dict()
         return self._weights
 
     def _sibling(self, **changes) -> "ProblemInstance":
-        """A copy sharing both views (the substrate is built first, once)."""
+        """A copy sharing both views."""
         fields = dict(
             graph=self.graph,
             weights=self._weights,
@@ -209,7 +204,7 @@ class ProblemInstance:
 
 
 def build_instance(
-    network: GraphView,
+    network: CompactNetwork | RoadNetwork,
     query: LCMSRQuery,
     scorer: Optional[RelevanceScorer] = None,
     node_weights: Optional[Mapping[int, float]] = None,
@@ -225,14 +220,15 @@ def build_instance(
 
     * ``pipeline`` — the columnar hot path: σ_v computed with vectorised array
       kernels over the frozen :class:`~repro.textindex.columnar.ColumnarScoringIndex`
-      (bit-identical to the ``scorer`` reference backend). When the window graph
-      is a frozen CSR view, the :class:`~repro.core.dense.DenseInstance` is
-      built here, sharing the window's arrays; any other instance builds it
-      on first access; or
+      (bit-identical to the ``scorer`` reference backend); or
     * ``scorer`` — score objects one by one through a :class:`RelevanceScorer`
       (the reference the pipeline is checked against); or
     * ``node_weights`` — explicit per-node weights (unit tests, Figure 2 example,
       rating-based scoring computed by the caller).
+
+    A :class:`~repro.network.graph.RoadNetwork` ``network`` is frozen once,
+    here; the window is then a view of the snapshot, and the
+    :class:`~repro.core.dense.DenseInstance` built here shares its arrays.
 
     ``pruning`` (default ``True``) lets the instance's solvers take
     bound-licensed skips; ``False`` selects the unpruned reference loops. On
@@ -275,6 +271,7 @@ def build_instance(
         raise QueryError("overlay merging requires the pipeline weight source")
 
     start = time.perf_counter()
+    network = CompactNetwork.from_network(network)
     if query.region is not None:
         window_graph = induced_subgraph(network, query.region)
     else:
@@ -285,8 +282,8 @@ def build_instance(
         window_graph = network
 
     weights: Dict[int, float]
+    sampling = None
     if pipeline is not None:
-        sampling = None
         if overlay is not None and overlay.has_pending:
             # Base+delta merge: base columnar sums with superseded rows masked
             # out, overlay objects re-scored by the scalar reference
@@ -324,37 +321,27 @@ def build_instance(
             weights = pipeline.node_weights(
                 query.keywords, window=query.region, node_window=query.region
             )
-        dense: Optional[DenseInstance] = None
-        if isinstance(window_graph, CompactNetwork):
-            dense = DenseInstance.from_graph(window_graph, weights)
-        build_seconds = time.perf_counter() - start
-        return ProblemInstance(
-            graph=window_graph,
-            weights=weights,
-            query=query,
-            build_seconds=build_seconds,
-            dense=dense,
-            pruning=pruning,
-            sampling=sampling,
-        )
-
-    window_nodes = set(window_graph.node_ids())
-    if node_weights is not None:
-        weights = {
-            node_id: float(weight)
-            for node_id, weight in node_weights.items()
-            if node_id in window_nodes and weight > 0
-        }
     else:
-        assert scorer is not None
-        weights = scorer.node_weights(
-            query.keywords, candidate_nodes=window_nodes, window=query.region
-        )
+        window_nodes = set(window_graph.node_ids())
+        if node_weights is not None:
+            weights = {
+                node_id: float(weight)
+                for node_id, weight in node_weights.items()
+                if node_id in window_nodes and weight > 0
+            }
+        else:
+            assert scorer is not None
+            weights = scorer.node_weights(
+                query.keywords, candidate_nodes=window_nodes, window=query.region
+            )
+    dense = DenseInstance.from_graph(window_graph, weights)
     build_seconds = time.perf_counter() - start
     return ProblemInstance(
         graph=window_graph,
         weights=weights,
         query=query,
         build_seconds=build_seconds,
+        dense=dense,
         pruning=pruning,
+        sampling=sampling,
     )

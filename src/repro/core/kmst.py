@@ -43,7 +43,7 @@ from typing import (
 
 from repro.core.pcst import goemans_williamson_pcst
 from repro.exceptions import SolverError
-from repro.network.compact import GraphView
+from repro.network.compact import CompactNetwork
 from repro.network.graph import edge_key
 from repro.network.shortest_path import dijkstra_positions
 
@@ -100,7 +100,7 @@ class QuotaTreeSolver:
 
     def __init__(
         self,
-        graph: GraphView,
+        graph: CompactNetwork,
         weights: Mapping[int, float],
         scaled_weights: Mapping[int, int],
         dense: "DenseInstance",

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.exceptions import RegionError
-from repro.network.compact import GraphView
-from repro.network.graph import edge_key
+from repro.network.compact import CompactNetwork
+from repro.network.graph import RoadNetwork, edge_key
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class Region:
     # ------------------------------------------------------------------ constructors
     @staticmethod
     def from_nodes_edges(
-        graph: GraphView,
+        graph: CompactNetwork | RoadNetwork,
         nodes: Iterable[int],
         edges: Iterable[Tuple[int, int]],
         weights: Mapping[int, float],
@@ -129,7 +129,7 @@ class Region:
             return True
         return self.is_connected() and len(self.edges) == len(self.nodes) - 1
 
-    def validate(self, graph: GraphView) -> None:
+    def validate(self, graph: CompactNetwork | RoadNetwork) -> None:
         """Verify the region is a connected subgraph of ``graph``.
 
         Raises:

@@ -28,7 +28,7 @@ from repro.core.query import LCMSRQuery
 from repro.core.result import RegionResult, TopKResult
 from repro.core.tgen import TGENSolver
 from repro.exceptions import QueryError
-from repro.network.compact import GraphView
+from repro.network.compact import CompactNetwork
 from repro.network.graph import RoadNetwork
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
@@ -199,16 +199,17 @@ class LCMSREngine:
 
     @property
     def network(self) -> RoadNetwork:
-        """The indexed road network as a mutable dict-backed graph.
+        """The indexed road network as a mutable :class:`RoadNetwork`.
 
-        For engines created with :meth:`from_artifact` the dict backend does not
-        exist yet; the first access thaws it from the CSR snapshot (queries never
-        need it — they run on :attr:`graph_view`).
+        Thawed from the bundle's CSR snapshot on first access and cached (see
+        :meth:`IndexBundle.road_network
+        <repro.service.bundle.IndexBundle.road_network>`); queries never need
+        it — they run on :attr:`graph_view`.
         """
         return self._bundle.road_network()
 
     @property
-    def graph_view(self) -> "GraphView":
+    def graph_view(self) -> CompactNetwork:
         """The network representation queries traverse: the bundle's CSR snapshot."""
         return self._bundle.graph_view()
 

@@ -8,7 +8,7 @@ computation, synthetic network builders and a plain-text (DIMACS-style) reader/w
 """
 
 from repro.network.graph import RoadNetwork, Node, Edge
-from repro.network.compact import CompactNetwork, GraphView
+from repro.network.compact import CompactNetwork
 from repro.network.builders import (
     grid_network,
     manhattan_network,
@@ -30,7 +30,6 @@ from repro.network.stats import NetworkStats, compute_stats
 __all__ = [
     "RoadNetwork",
     "CompactNetwork",
-    "GraphView",
     "Node",
     "Edge",
     "Rectangle",

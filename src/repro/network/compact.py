@@ -1,10 +1,9 @@
 """Frozen CSR (compressed sparse row) snapshots of road networks.
 
 :class:`~repro.network.graph.RoadNetwork` is a mutable dict-of-dicts structure —
-ideal while a network is being built, wasteful once it only gets read: every query
-used to re-materialise node and adjacency dictionaries for its window, and every
-traversal paid Python hashing per neighbour hop. :class:`CompactNetwork` is the
-read-optimised counterpart: an immutable snapshot holding the graph as flat arrays
+ideal while a network is being built, wasteful once it only gets read.
+:class:`CompactNetwork` is the one representation every build, compaction and
+query reads: an immutable snapshot holding the graph as flat arrays
 
 * ``ids``      — node identifiers, in the source network's iteration order;
 * ``xs / ys``  — planar coordinates (float64), aligned with ``ids``;
@@ -13,22 +12,23 @@ read-optimised counterpart: an immutable snapshot holding the graph as flat arra
   edge appearing once per direction;
 * ``lengths``  — edge lengths (float64), aligned with ``indices``.
 
-Snapshots are created once — :meth:`CompactNetwork.from_network` (or
-:meth:`RoadNetwork.freeze <repro.network.graph.RoadNetwork.freeze>`) — and shared
-read-only by every consumer thereafter: they are safe to use concurrently and cheap
-to pickle (only the six arrays cross process boundaries), which is what makes them
-the unit of sharding and multiprocess serving.
+Snapshots are created once — :meth:`CompactNetwork.from_network`, which every
+entry point that accepts a :class:`RoadNetwork` calls once — and shared
+read-only by every consumer thereafter: they are safe to use concurrently and
+cheap to pickle (only the six arrays cross process boundaries), which is what
+makes them the unit of sharding and multiprocess serving.
 
 Two further properties matter for correctness:
 
 * **Order preservation.** The CSR rows and the per-row neighbour order replicate the
-  source network's iteration order exactly, and :meth:`window_view` /
-  :meth:`subgraph` preserve the snapshot's relative order. Traversals that break
-  ties by discovery order therefore behave identically on both backends.
+  source network's iteration order exactly, :meth:`window_view` /
+  :meth:`subgraph` preserve the snapshot's relative order, and
+  :meth:`to_network` replays the rows, so ``from_network(c.to_network())``
+  equals ``c`` array for array. Traversals that break ties by discovery order
+  therefore behave identically on a network and on its snapshot.
 * **O(|V|) windowing.** :meth:`window_view` filters nodes with one vectorised
   coordinate comparison and re-numbers the CSR with a handful of numpy kernels —
-  no per-node or per-edge Python work — which is where the per-query speedup of the
-  compact backend comes from.
+  no per-node or per-edge Python work.
 
 Snapshots also carry flat Python list mirrors of the arrays for the traversal hot
 loops (per-element numpy access is far slower than list indexing). The mirrors are
@@ -39,26 +39,11 @@ materialisation at load time — construction touches only shapes plus one vecto
 id-uniqueness scan, and the expensive per-element mirror build is deferred until a
 traversal actually happens (artifact loads with checksum verification enabled stream
 the file once for hashing, which warms the page cache but still builds nothing).
-
-:class:`GraphView` is the minimal protocol shared by :class:`RoadNetwork` and
-:class:`CompactNetwork`; solver and routing code is written against it so either
-backend can be plugged in.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Protocol,
-    Sequence,
-    Set,
-    Tuple,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Set, Tuple
 
 import numpy as np
 
@@ -69,53 +54,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.network.subgraph import Rectangle
 
 
-@runtime_checkable
-class GraphView(Protocol):
-    """The read-only graph surface the LCMSR algorithms are written against.
-
-    Both the mutable :class:`~repro.network.graph.RoadNetwork` and the frozen
-    :class:`CompactNetwork` satisfy this protocol, so solvers, Dijkstra and the
-    instance builder accept either backend interchangeably.
-    """
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes in the view."""
-        ...
-
-    def node_ids(self) -> Iterator[int]:
-        """Iterate over all node identifiers."""
-        ...
-
-    def neighbor_items(self, node_id: int) -> Iterable[Tuple[int, float]]:
-        """Iterate over ``(neighbor_id, edge_length)`` pairs of ``node_id``."""
-        ...
-
-    def degree(self, node_id: int) -> int:
-        """Return the number of incident edges of ``node_id``."""
-        ...
-
-    def edge_length(self, u: int, v: int) -> float:
-        """Return the road-segment length τ(u, v)."""
-        ...
-
-    def coords(self, node_id: int) -> Tuple[float, float]:
-        """Return the planar ``(x, y)`` embedding of ``node_id``."""
-        ...
-
-    def contains(self, node_id: int) -> bool:
-        """Return ``True`` if ``node_id`` is a node of the view."""
-        ...
-
-
 class CompactNetwork:
     """An immutable CSR snapshot of a road network (see the module docstring).
 
     Instances are normally obtained through :meth:`from_network`,
     :meth:`window_view` or :meth:`subgraph` rather than the raw constructor. The
-    read API mirrors :class:`~repro.network.graph.RoadNetwork` exactly (minus the
-    mutators), so a snapshot is a drop-in replacement wherever a network is only
-    read.
+    read API mirrors :class:`~repro.network.graph.RoadNetwork`'s (minus the
+    mutators).
     """
 
     __slots__ = (
@@ -233,13 +178,14 @@ class CompactNetwork:
 
     # ------------------------------------------------------------------ construction
     @classmethod
-    def from_network(cls, network: "GraphView") -> "CompactNetwork":
+    def from_network(cls, network: "RoadNetwork | CompactNetwork") -> "CompactNetwork":
         """Freeze ``network`` into a CSR snapshot.
 
         Node order and per-node neighbour order replicate the source network's
-        iteration order, so traversals tie-break identically on both backends.
-        Freezing a :class:`CompactNetwork` returns it unchanged (snapshots are
-        immutable, so sharing is always safe).
+        iteration order, so traversals tie-break identically on the network and
+        its snapshot. Freezing a :class:`CompactNetwork` returns it unchanged
+        (snapshots are immutable, so sharing is always safe); this is the one
+        place that tells the two representations apart.
         """
         if isinstance(network, CompactNetwork):
             return network
@@ -270,15 +216,25 @@ class CompactNetwork:
         )
 
     def to_network(self) -> RoadNetwork:
-        """Thaw the snapshot back into a mutable :class:`RoadNetwork`."""
+        """Thaw the snapshot back into a mutable :class:`RoadNetwork`.
+
+        Each adjacency row is filled in CSR row order, so
+        ``CompactNetwork.from_network(c.to_network())`` equals ``c`` array for
+        array. (``add_edge`` would order a row by edge-insertion time instead,
+        and some row orders — a triangle with rows a:[b, c], b:[c, a],
+        c:[a, b] — no ``add_edge`` sequence produces.)
+        """
         network = RoadNetwork()
-        ids = self._lists()[4]
+        indptr, _, _, _, ids = self._lists()
+        pairs = self._nbr_pairs_list
         xs = self._xs.tolist()
         ys = self._ys.tolist()
         for index, node_id in enumerate(ids):
             network.add_node(node_id, xs[index], ys[index])
-        for edge in self.edges():
-            network.add_edge(edge.u, edge.v, edge.length)
+        adjacency = network._adj  # noqa: SLF001 - rows filled in snapshot order
+        for index, node_id in enumerate(ids):
+            adjacency[node_id] = dict(pairs[indptr[index] : indptr[index + 1]])
+        network._num_edges = self._num_edges  # noqa: SLF001
         return network
 
     def __reduce__(self):
@@ -517,10 +473,8 @@ class CompactNetwork:
         """Return the snapshot restricted to the nodes inside ``window``.
 
         The node filter is one vectorised coordinate comparison and the CSR is
-        re-numbered with numpy kernels — no per-node Python work — so extracting a
-        query window from a frozen snapshot costs a small fraction of rebuilding a
-        dict-backed subgraph. Only edges with both endpoints inside the window are
-        kept, matching :func:`repro.network.subgraph.induced_subgraph`.
+        re-numbered with numpy kernels — no per-node Python work. Only edges
+        with both endpoints inside the window are kept (the paper's ``EQ``).
         """
         return self._masked_view(window.contains_points(self._xs, self._ys))
 
@@ -532,10 +486,7 @@ class CompactNetwork:
         """Return the snapshot induced by ``node_ids`` (nodes must exist).
 
         The result keeps the snapshot's node order restricted to the kept set,
-        regardless of the order ``node_ids`` provides them in
-        (:meth:`RoadNetwork.subgraph <repro.network.graph.RoadNetwork.subgraph>`
-        by contrast follows the caller-provided order — pass ids in network
-        iteration order there when cross-backend order parity matters).
+        regardless of the order ``node_ids`` provides them in.
 
         Raises:
             NodeNotFoundError: If any requested node is not in the snapshot.

@@ -3,24 +3,20 @@
 A :class:`RoadNetwork` is an undirected graph whose nodes represent road junctions,
 dead ends, or locations of geo-textual objects. Each node has a planar coordinate
 ``(x, y)`` (the paper's spatial mapping ``λ``) and each edge a non-negative length
-(the paper's distance function ``τ``). The class is a thin, dependency-free adjacency
-structure tuned for the access patterns the LCMSR algorithms need:
-
-* constant-time neighbour iteration (``neighbors``),
-* constant-time edge-length lookup (``edge_length``),
-* cheap induced-subgraph construction for the query window ``Q.Λ``,
-* stable integer node identifiers so tuple arrays can be plain dictionaries.
+(the paper's distance function ``τ``). It is the mutable *builder* of a network —
+the dataset builders, DIMACS I/O and the network statistics use it — with
+stable integer node identifiers, constant-time neighbour iteration and
+edge-length lookup. Every build, compaction and query reads the network through
+its frozen CSR snapshot, :class:`~repro.network.compact.CompactNetwork`, which
+a :class:`RoadNetwork` argument is frozen into once, at entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (compact imports this module)
-    from repro.network.compact import CompactNetwork
 
 
 @dataclass(frozen=True)
@@ -192,12 +188,7 @@ class RoadNetwork:
             raise NodeNotFoundError(node_id) from None
 
     def contains(self, node_id: int) -> bool:
-        """Return ``True`` if ``node_id`` is a node of the network.
-
-        Method form of ``in``, required by the
-        :class:`~repro.network.compact.GraphView` protocol (protocols cannot
-        express ``__contains__`` cleanly).
-        """
+        """Return ``True`` if ``node_id`` is a node of the network (method form of ``in``)."""
         return node_id in self._nodes
 
     def coords(self, node_id: int) -> Tuple[float, float]:
@@ -345,47 +336,6 @@ class RoadNetwork:
         for edge in self.edges():
             clone.add_edge(edge.u, edge.v, edge.length)
         return clone
-
-    def freeze(self) -> "CompactNetwork":
-        """Return an immutable CSR snapshot of the network.
-
-        Shorthand for :meth:`CompactNetwork.from_network
-        <repro.network.compact.CompactNetwork.from_network>`; see that class for
-        the snapshot's guarantees (shared read-only use, order preservation,
-        vectorised windowing).
-        """
-        from repro.network.compact import CompactNetwork
-
-        return CompactNetwork.from_network(self)
-
-    def subgraph(self, node_ids: Iterable[int]) -> "RoadNetwork":
-        """Return the subgraph induced by ``node_ids`` (nodes must exist).
-
-        Nodes and edges are inserted in the order ``node_ids`` provides them
-        (duplicates ignored), so a windowed subgraph iterates in the same order
-        as the parent network — and therefore in the same order as a
-        :class:`~repro.network.compact.CompactNetwork` window view, keeping
-        order-sensitive tie-breaking identical across backends.
-        """
-        keep_order = list(dict.fromkeys(node_ids))
-        keep = set(keep_order)
-        sub = RoadNetwork()
-        for node_id in keep_order:
-            node = self.node(node_id)
-            sub.add_node(node.node_id, node.x, node.y)
-        # Fill each adjacency row in the parent's row order (add_edge would
-        # order rows by edge-insertion time instead, breaking the cross-backend
-        # order guarantee above); lengths are already validated in the parent.
-        num_edges = 0
-        for u in keep_order:
-            row = sub._adj[u]
-            for v, length in self._adj[u].items():
-                if v in keep:
-                    row[v] = length
-                    if u < v:
-                        num_edges += 1
-        sub._num_edges = num_edges
-        return sub
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RoadNetwork(nodes={self.num_nodes}, edges={self.num_edges})"

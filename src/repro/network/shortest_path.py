@@ -1,4 +1,4 @@
-"""Shortest-path routines over any :class:`~repro.network.compact.GraphView`.
+"""Shortest-path routines over a frozen :class:`~repro.network.compact.CompactNetwork`.
 
 The LCMSR algorithms themselves do not route, but two substrates do: the MaxRS
 comparison in the paper's Section 7.5 derives a comparable length budget by computing
@@ -7,13 +7,12 @@ rectangle (a Steiner-tree-ish measure we approximate with shortest-path joins), 
 the object-to-node mapping occasionally needs network distances. A binary-heap
 Dijkstra plus convenience wrappers cover both.
 
-:func:`dijkstra` accepts either network backend. A dict-backed
-:class:`~repro.network.graph.RoadNetwork` is traversed through ``neighbor_items``;
-a frozen :class:`~repro.network.compact.CompactNetwork` takes an array-indexed fast
-path that walks the flat CSR lists with list-indexed distance/parent tables instead
-of per-hop dict hashing. The two paths relax neighbours in the same order and break
-heap ties by node id, so they return *identical* ``(dist, parent)`` mappings — not
-merely equal distances.
+There is one Dijkstra: :func:`dijkstra_positions` walks the flat CSR lists with
+list-indexed distance/parent tables, and :func:`dijkstra` is its id-keyed
+wrapper. Every public routine accepts a
+:class:`~repro.network.graph.RoadNetwork` too and freezes it once, at entry.
+Neighbours relax in CSR row order (the source network's iteration order) and
+heap ties break by node id.
 """
 
 from __future__ import annotations
@@ -21,12 +20,13 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.exceptions import NodeNotFoundError, SolverError
-from repro.network.compact import CompactNetwork, GraphView
+from repro.exceptions import SolverError
+from repro.network.compact import CompactNetwork
+from repro.network.graph import RoadNetwork
 
 
 def dijkstra(
-    network: GraphView,
+    network: CompactNetwork | RoadNetwork,
     source: int,
     targets: Optional[Set[int]] = None,
     max_distance: Optional[float] = None,
@@ -34,48 +34,47 @@ def dijkstra(
     """Run Dijkstra's algorithm from ``source``.
 
     Args:
-        network: The road network (dict-backed or a frozen CSR snapshot).
+        network: The road network (a :class:`RoadNetwork` is frozen first).
         source: Source node identifier.
         targets: Optional set of node identifiers; the search stops early once all of
-            them have been settled.
+            them have been settled. A target absent from the network never
+            settles, so the search then runs to exhaustion.
         max_distance: Optional search radius; nodes farther than this are not settled.
 
     Returns:
-        A pair ``(dist, parent)`` where ``dist`` maps each settled node to its network
-        distance from ``source`` and ``parent`` maps it to its predecessor on a
-        shortest path (the source has no parent entry). Both backends produce
-        identical mappings for the same graph.
+        A pair ``(dist, parent)`` where ``dist`` maps each reached node to its network
+        distance from ``source``, in first-touch order, and ``parent`` maps it to its
+        predecessor on a shortest path (the source has no parent entry).
 
     Raises:
         NodeNotFoundError: If ``source`` is not in the network.
     """
-    if isinstance(network, CompactNetwork):
-        return _dijkstra_csr(network, source, targets, max_distance)
-    if not network.contains(source):
-        raise NodeNotFoundError(source)
-    dist: Dict[int, float] = {source: 0.0}
-    parent: Dict[int, int] = {}
-    settled: Set[int] = set()
-    remaining = set(targets) if targets is not None else None
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                break
-        for v, length in network.neighbor_items(u):
-            nd = d + length
-            if max_distance is not None and nd > max_distance:
-                continue
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
-    return dist, parent
+    network = CompactNetwork.from_network(network)
+    source_index = network.index_of(source)
+    target_indices: Optional[Set[int]] = None
+    if targets is not None:
+        # Targets absent from the network can never settle; they are mapped to
+        # negative sentinels so the early-exit check keeps waiting on them.
+        target_indices = set()
+        sentinel = -1
+        for t in targets:
+            if network.contains(t):
+                target_indices.add(network.index_of(t))
+            else:
+                target_indices.add(sentinel)
+                sentinel -= 1
+    dist, parent, touched = dijkstra_positions(
+        network, source_index, target_indices, max_distance
+    )
+    ids = network.adjacency_arrays()[4]
+    dist_out: Dict[int, float] = {}
+    parent_out: Dict[int, int] = {}
+    for v in touched:
+        dist_out[ids[v]] = dist[v]
+        p = parent[v]
+        if p >= 0:
+            parent_out[ids[v]] = ids[p]
+    return dist_out, parent_out
 
 
 def dijkstra_positions(
@@ -90,8 +89,7 @@ def dijkstra_positions(
     the dense solver backends) use directly — no global-id dict is materialised
     per pop or per run. Distance, parent and settled tables are flat lists
     indexed by position; heap entries carry ``(dist, id, position)`` so ties
-    order by node id exactly as in the dict-backed loop, keeping both backends'
-    ``(dist, parent)`` outputs identical.
+    order by node id.
 
     Args:
         network: The frozen CSR snapshot to traverse.
@@ -140,42 +138,9 @@ def dijkstra_positions(
     return dist, parent, touched
 
 
-def _dijkstra_csr(
-    network: CompactNetwork,
-    source: int,
-    targets: Optional[Set[int]],
-    max_distance: Optional[float],
-) -> Tuple[Dict[int, float], Dict[int, int]]:
-    """Id-keyed wrapper over :func:`dijkstra_positions` (the CSR fast path)."""
-    source_index = network.index_of(source)
-    target_indices: Optional[Set[int]] = None
-    if targets is not None:
-        # Targets absent from the network can never settle; they are mapped to
-        # negative sentinels so the early-exit check keeps waiting on them, in
-        # line with the dict-backed loop (which runs to exhaustion then).
-        target_indices = set()
-        sentinel = -1
-        for t in targets:
-            if network.contains(t):
-                target_indices.add(network.index_of(t))
-            else:
-                target_indices.add(sentinel)
-                sentinel -= 1
-    dist, parent, touched = dijkstra_positions(
-        network, source_index, target_indices, max_distance
-    )
-    ids = network.adjacency_arrays()[4]
-    dist_out: Dict[int, float] = {}
-    parent_out: Dict[int, int] = {}
-    for v in touched:
-        dist_out[ids[v]] = dist[v]
-        p = parent[v]
-        if p >= 0:
-            parent_out[ids[v]] = ids[p]
-    return dist_out, parent_out
-
-
-def shortest_path_length(network: GraphView, source: int, target: int) -> float:
+def shortest_path_length(
+    network: CompactNetwork | RoadNetwork, source: int, target: int
+) -> float:
     """Return the network distance between two nodes.
 
     Raises:
@@ -187,7 +152,9 @@ def shortest_path_length(network: GraphView, source: int, target: int) -> float:
     return dist[target]
 
 
-def shortest_path(network: GraphView, source: int, target: int) -> List[int]:
+def shortest_path(
+    network: CompactNetwork | RoadNetwork, source: int, target: int
+) -> List[int]:
     """Return the node sequence of a shortest path from ``source`` to ``target``.
 
     Raises:
@@ -203,7 +170,9 @@ def shortest_path(network: GraphView, source: int, target: int) -> List[int]:
     return path
 
 
-def steiner_tree_length(network: GraphView, terminals: Iterable[int]) -> float:
+def steiner_tree_length(
+    network: CompactNetwork | RoadNetwork, terminals: Iterable[int]
+) -> float:
     """Approximate the length of a minimal tree connecting ``terminals``.
 
     Used by the Section 7.5 comparison: the paper derives the LCMSR length budget from
@@ -216,6 +185,7 @@ def steiner_tree_length(network: GraphView, terminals: Iterable[int]) -> float:
     Returns:
         The approximate connecting length; ``0.0`` when fewer than two terminals.
     """
+    network = CompactNetwork.from_network(network)  # once, not per terminal
     terminal_list = [t for t in dict.fromkeys(terminals) if t in network]
     if len(terminal_list) < 2:
         return 0.0
@@ -250,7 +220,7 @@ def steiner_tree_length(network: GraphView, terminals: Iterable[int]) -> float:
     return total
 
 
-def eccentricity(network: GraphView, source: int) -> float:
+def eccentricity(network: CompactNetwork | RoadNetwork, source: int) -> float:
     """Return the largest finite shortest-path distance from ``source``."""
     dist, _ = dijkstra(network, source)
     return max(dist.values()) if dist else 0.0

@@ -3,27 +3,20 @@
 Every LCMSR algorithm works on the sub-network induced by the nodes that fall inside
 the query's rectangular region of interest. :class:`Rectangle` is the axis-aligned
 window type used throughout the library (queries, MaxRS), and
-:func:`induced_subgraph` extracts the windowed network.
-
-The helpers are backend-polymorphic: handed a dict-backed
-:class:`~repro.network.graph.RoadNetwork` they rebuild a dict-backed subgraph;
-handed a frozen :class:`~repro.network.compact.CompactNetwork` snapshot they take
-its vectorised ``window_view`` / array-filter path and return another snapshot.
-The dispatch is duck-typed on the snapshot-only methods (``window_view`` /
-``window_node_ids``) so this module does not import the compact backend (which
-imports :mod:`repro.network.graph` itself).
+:func:`induced_subgraph` extracts the windowed network from a frozen
+:class:`~repro.network.compact.CompactNetwork` (a
+:class:`~repro.network.graph.RoadNetwork` argument is frozen once, at entry).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Set, Tuple
+from typing import List, Tuple
 
 from repro.exceptions import QueryError
+from repro.network.compact import CompactNetwork
 from repro.network.graph import RoadNetwork
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.compact import GraphView
 
 
 @dataclass(frozen=True)
@@ -40,6 +33,14 @@ class Rectangle:
     max_y: float
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so finiteness is checked first.
+        if not all(
+            math.isfinite(bound)
+            for bound in (self.min_x, self.min_y, self.max_x, self.max_y)
+        ):
+            raise QueryError(
+                f"non-finite rectangle: ({self.min_x}, {self.min_y}) .. ({self.max_x}, {self.max_y})"
+            )
         if self.min_x > self.max_x or self.min_y > self.max_y:
             raise QueryError(
                 f"degenerate rectangle: ({self.min_x}, {self.min_y}) .. ({self.max_x}, {self.max_y})"
@@ -110,44 +111,38 @@ class Rectangle:
         return Rectangle.from_center(cx, cy, side, side)
 
 
-def nodes_in_rectangle(network: "GraphView", window: Rectangle) -> List[int]:
+def nodes_in_rectangle(
+    network: CompactNetwork | RoadNetwork, window: Rectangle
+) -> List[int]:
     """Return the identifiers of all nodes whose embedding lies inside ``window``.
 
-    On a frozen snapshot the point test is one vectorised coordinate comparison;
-    on a dict-backed network it is a Python scan over the nodes.
+    One vectorised coordinate comparison over the snapshot, in snapshot order.
     """
-    window_node_ids = getattr(network, "window_node_ids", None)
-    if window_node_ids is not None:
-        return window_node_ids(window)
-    return [node.node_id for node in network.nodes() if window.contains(node.x, node.y)]
+    return CompactNetwork.from_network(network).window_node_ids(window)
 
 
-def induced_subgraph(network: "GraphView", window: Rectangle) -> "GraphView":
+def induced_subgraph(
+    network: CompactNetwork | RoadNetwork, window: Rectangle
+) -> CompactNetwork:
     """Return the sub-network induced by the nodes inside ``window``.
 
     Only edges with both endpoints inside the window are kept, matching the paper's
     length-constraint definition, which sums ``τ(vi, vj)`` over edges whose endpoints
-    are both in ``Q.Λ``. The result uses the same backend as the input: a
-    dict-backed network yields a dict-backed subgraph, a frozen snapshot yields a
-    (vectorised, much cheaper) frozen window view.
+    are both in ``Q.Λ``. The result is the snapshot's
+    :meth:`~repro.network.compact.CompactNetwork.window_view`.
     """
-    window_view = getattr(network, "window_view", None)
-    if window_view is not None:
-        return window_view(window)
-    return network.subgraph(nodes_in_rectangle(network, window))
+    return CompactNetwork.from_network(network).window_view(window)
 
 
-def largest_component_subgraph(network: "GraphView") -> "GraphView":
+def largest_component_subgraph(network: CompactNetwork | RoadNetwork) -> CompactNetwork:
     """Return the sub-network induced by the largest connected component.
 
     Windowing can split a connected road network into several pieces; some callers
     (e.g. workload generators that need routable areas) want only the dominant piece.
-    The result uses the same backend as the input.
+    The result keeps the snapshot's node order.
     """
-    components = network.connected_components()
+    compact = CompactNetwork.from_network(network)
+    components = compact.connected_components()
     if not components:
-        return RoadNetwork()
-    largest = max(components, key=len)
-    # Feed ids in network iteration order (not set order) so the dict backend's
-    # order-following subgraph stays aligned with a snapshot's subgraph.
-    return network.subgraph([n for n in network.node_ids() if n in largest])
+        return compact
+    return compact.subgraph(max(components, key=len))

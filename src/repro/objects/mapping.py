@@ -141,7 +141,7 @@ def nearest_node(network: RoadNetwork, x: float, y: float) -> int:
 
 
 def map_objects_to_network(
-    network: RoadNetwork,
+    network: RoadNetwork | CompactNetwork,
     corpus: ObjectCorpus | Iterable[GeoTextualObject],
 ) -> NodeObjectMap:
     """Map every object in ``corpus`` to its nearest network node.
@@ -151,7 +151,8 @@ def map_objects_to_network(
     the network it lies; a :class:`_PointGrid` built once finds it.
 
     Args:
-        network: The road network (must be non-empty).
+        network: The road network or its snapshot (must be non-empty); both
+            map every object to the same node.
         corpus: An :class:`ObjectCorpus` or any iterable of objects.
 
     Returns:

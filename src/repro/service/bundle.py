@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Union
 
 from repro.exceptions import QueryError
-from repro.network.compact import CompactNetwork, GraphView
+from repro.network.compact import CompactNetwork
 from repro.network.graph import RoadNetwork
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
@@ -61,11 +61,6 @@ class IndexBundle:
     """Everything the serving path needs that is query-independent.
 
     Attributes:
-        network: The road network (paper Section 2's graph ``G``). ``None`` for
-            bundles restored from an on-disk artifact — the query path runs
-            entirely on the CSR snapshot; call :meth:`road_network` when a
-            mutable dict-backed copy is genuinely needed (it thaws the snapshot
-            on first use and caches the result).
         corpus_source: The geo-textual objects ``O``, read through
             :attr:`corpus`. The build paths pass the
             :class:`~repro.objects.corpus.ObjectCorpus` itself; a bundle
@@ -73,11 +68,11 @@ class IndexBundle:
             :class:`~repro.service.persist.CorpusLoader` that unpickles
             ``index.pkl`` on first access, because no query reads the corpus.
             Left out of ``==`` and ``repr``.
-        compact: The frozen CSR snapshot of ``network``
-            (:class:`~repro.network.compact.CompactNetwork`), built once here and
-            shared read-only by every engine / service query — the per-query
-            window extraction runs on this snapshot, not on the dict-backed
-            graph.
+        compact: The road network (paper Section 2's graph ``G``) as a frozen
+            CSR snapshot (:class:`~repro.network.compact.CompactNetwork`), the
+            one network the build, compaction and every query read, shared
+            read-only by every engine / service query. :meth:`road_network`
+            thaws it when a mutable copy is wanted.
         columnar: The frozen columnar scoring index
             (:class:`~repro.textindex.columnar.ColumnarScoringIndex`) — CSR
             term → object postings plus object/node tables — from which every
@@ -98,7 +93,6 @@ class IndexBundle:
             :class:`~repro.textindex.relevance.ScoringMode`.
     """
 
-    network: Optional[RoadNetwork]
     corpus_source: CorpusSource = field(compare=False, repr=False)
     compact: CompactNetwork
     columnar: ColumnarScoringIndex
@@ -116,15 +110,18 @@ class IndexBundle:
     @classmethod
     def build(
         cls,
-        network: RoadNetwork,
+        network: Union[RoadNetwork, CompactNetwork],
         corpus: ObjectCorpus,
         scoring_mode: Union[ScoringMode, str] = ScoringMode.TEXT_RELEVANCE,
         grid_resolution: int = 48,
     ) -> "IndexBundle":
-        """Run the offline indexing pipeline once: mapping, columnar index, CSR freeze.
+        """Run the offline indexing pipeline once: CSR freeze, mapping, columnar index.
+
+        Building from a :class:`RoadNetwork` and from its snapshot writes the
+        same artifact, byte for byte: every step reads the snapshot.
 
         Args:
-            network: The road network to index.
+            network: The road network to index (a snapshot is used as is).
             corpus: The geo-textual objects to index.
             scoring_mode: Per-object weight definition (see
                 :class:`~repro.textindex.relevance.ScoringMode`), as the enum or
@@ -147,35 +144,32 @@ class IndexBundle:
     @classmethod
     def _build(
         cls,
-        network: RoadNetwork,
+        network: Union[RoadNetwork, CompactNetwork],
         corpus: ObjectCorpus,
         scoring_mode: ScoringMode,
         timings: Dict[str, float],
         mapping: Optional[NodeObjectMap] = None,
-        compact: Optional[CompactNetwork] = None,
         grid_resolution: int = 48,
     ) -> "IndexBundle":
         """The one build behind :meth:`build`, :meth:`build_streaming` and
-        :meth:`from_dataset`; ``mapping`` / ``compact`` are reused when given
-        (``mapping`` only feeds the columnar build; the bundle keeps no
-        reference to it)."""
+        :meth:`from_dataset`. It freezes ``network`` once and reads only the
+        snapshot; ``mapping`` is reused when given (it only feeds the columnar
+        build; the bundle keeps no reference to it)."""
+        start = time.perf_counter()
+        compact = CompactNetwork.from_network(network)
+        timings["freeze"] = time.perf_counter() - start
+
         if mapping is None:
             start = time.perf_counter()
-            mapping = map_objects_to_network(network, corpus)
+            mapping = map_objects_to_network(compact, corpus)
             timings["mapping"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        columnar = ColumnarScoringIndex.build(corpus, mapping, network.coords)
+        columnar = ColumnarScoringIndex.build(corpus, mapping, compact.coords)
         timings["columnar"] = time.perf_counter() - start
-
-        if compact is None:
-            start = time.perf_counter()
-            compact = CompactNetwork.from_network(network)
-            timings["freeze"] = time.perf_counter() - start
 
         timings["total"] = sum(timings.values())
         return cls(
-            network=network,
             corpus_source=corpus,
             compact=compact,
             columnar=columnar,
@@ -234,20 +228,19 @@ class IndexBundle:
 
         Args:
             dataset: The assembled dataset to wrap.
-            compact: Optional pre-frozen snapshot of ``dataset.network`` to reuse
-                instead of freezing again (the artifact cache freezes early for
-                fingerprinting).
+            compact: Optional pre-frozen snapshot of ``dataset.network`` to build
+                from instead of freezing again (the artifact cache freezes early
+                for fingerprinting).
 
         Returns:
             A text-relevance bundle over the dataset's network and corpus.
         """
         return cls._build(
-            dataset.network,
+            dataset.network if compact is None else compact,
             dataset.corpus,
             ScoringMode.TEXT_RELEVANCE,
             {},
             mapping=dataset.mapping,
-            compact=compact,
         )
 
     # ------------------------------------------------------------------ persistence
@@ -289,19 +282,17 @@ class IndexBundle:
 
     @classmethod
     def load(
-        cls, path: "PathLike", mmap: bool = True, verify: bool = True
+        cls, path: "PathLike", verify: bool = True
     ) -> "IndexBundle":
         """Restore a bundle from an artifact directory written by :meth:`save`.
 
         The arrays come back as read-only memory maps (chunk-compressed
         columns decode lazily) and the corpus is unpickled on first access
-        (see :attr:`corpus`) unless ``mmap`` is false, so loading is
-        I/O-bound instead of rebuild-bound.
+        (see :attr:`corpus`), so loading is I/O-bound instead of
+        rebuild-bound.
 
         Args:
             path: The artifact directory.
-            mmap: Memory-map the arrays and the corpus file (default), or load
-                everything eagerly.
             verify: Check file checksums against the manifest first.
 
         Returns:
@@ -312,24 +303,25 @@ class IndexBundle:
         """
         from repro.service import persist
 
-        return persist.load_bundle(path, mmap=mmap, verify=verify)
+        return persist.load_bundle(path, verify=verify)
 
     def road_network(self) -> RoadNetwork:
-        """The mutable dict-backed road network, thawed from the snapshot if needed.
+        """The road network as a mutable :class:`RoadNetwork`, thawed from the snapshot.
 
-        Bundles loaded from an artifact carry only the CSR snapshot; the first
-        call reconstructs a :class:`RoadNetwork` from it and caches it on the
-        bundle. Query execution never needs this — it exists for callers that
-        want to mutate or re-index the graph.
+        The first call thaws :attr:`compact` (rows in CSR order, see
+        :meth:`CompactNetwork.to_network
+        <repro.network.compact.CompactNetwork.to_network>`) and caches the
+        result on the bundle. No build, compaction or query needs this — it
+        exists for callers that want to mutate or re-index the graph.
         """
-        if self.network is None:
-            thawed = self.compact.to_network()
-            # Lock-free single-assignment: a racing thread may thaw its own copy,
-            # but whichever assignment lands is what every caller returns (the
-            # re-read below), so all threads share one RoadNetwork afterwards.
-            if self.network is None:
-                object.__setattr__(self, "network", thawed)
-        return self.network
+        cached = self._road_network
+        if cached is None:
+            cached = self.compact.to_network()
+            # Lock-free single-assignment, same pattern as mapping: a racing
+            # thread may thaw its own copy, and whichever assignment lands is
+            # what later calls return.
+            object.__setattr__(self, "_road_network", cached)
+        return cached
 
     @property
     def corpus(self) -> ObjectCorpus:
@@ -348,7 +340,9 @@ class IndexBundle:
         return source if isinstance(source, ObjectCorpus) else source()
 
     # Plain class attributes (no annotation), so they are NOT dataclass fields:
-    # the lazily computed caches behind :attr:`mapping` and :meth:`fingerprint`.
+    # the lazily computed caches behind :meth:`road_network`, :attr:`mapping`
+    # and :meth:`fingerprint`.
+    _road_network = None
     _mapping = None
     _fingerprint = None
 
@@ -365,7 +359,8 @@ class IndexBundle:
         cached = self._mapping
         if cached is None:
             cached = self.columnar.node_object_map()
-            # Lock-free single-assignment, same pattern as road_network().
+            # Lock-free single-assignment: a racing thread may derive its own
+            # copy; whichever assignment lands is what later calls return.
             object.__setattr__(self, "_mapping", cached)
         return cached
 
@@ -383,7 +378,7 @@ class IndexBundle:
             from repro.service.persist import dataset_fingerprint
 
             cached = dataset_fingerprint(self.compact, self.corpus)
-            # Lock-free single-assignment, same pattern as road_network().
+            # Lock-free single-assignment, same pattern as mapping.
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 
@@ -396,8 +391,8 @@ class IndexBundle:
         """
         return self._pipeline
 
-    def graph_view(self) -> GraphView:
-        """The network representation the query hot path traverses: the CSR snapshot."""
+    def graph_view(self) -> CompactNetwork:
+        """The network the query hot path traverses: the CSR snapshot."""
         return self.compact
 
     def describe(self) -> str:

@@ -21,8 +21,9 @@ framing of DBSP / Differential Dataflow):
   partial directory that loading detects and ignores.
 * :class:`Compactor` — re-freezes base+delta into a new generation:
   materialise the mutated corpus in canonical order, rebuild a full
-  :class:`~repro.service.bundle.IndexBundle` through the exact same build path
-  a cold rebuild uses, persist it as ``gen-NNNN``, mirror the served
+  :class:`~repro.service.bundle.IndexBundle` over the base generation's CSR
+  snapshot (reused, never thawed) through the exact same build path a cold
+  rebuild uses, persist it as ``gen-NNNN``, mirror the served
   generation's shard set, flip ``CURRENT``, and atomically swap the new bundle
   into the live engine (which bumps ``bundle_generation`` and invalidates the
   :class:`~repro.service.query_service.QueryService` caches).
@@ -40,7 +41,10 @@ mutation-parity suite:
 
 * **after compaction** results are byte-identical to a cold rebuild of the
   mutated dataset, for every scoring mode and every mutation — compaction goes
-  through the cold build path, so this holds structurally;
+  through the cold build path over the base's own CSR snapshot, and a build
+  from a network and from its snapshot are the same build, so this holds
+  structurally (the compacted ``network.npz`` equals the base's, byte for
+  byte);
 * **before compaction** overlay-serving results are byte-identical to the
   post-compaction results whenever the pending mutations preserve collection
   statistics: always for ``rating_if_match`` (statistics-free), and for
@@ -643,9 +647,9 @@ class Compactor:
     """Background re-freeze of base + delta into a new artifact generation.
 
     The compactor freezes the engine's overlay, materialises the canonical
-    mutated corpus, and rebuilds a full bundle from it through
-    :meth:`IndexBundle.build` — the path a cold rebuild of the mutated
-    dataset goes through.  With an artifact ``root`` it then persists the
+    mutated corpus, and rebuilds a full bundle from it and the served bundle's
+    CSR snapshot through :meth:`IndexBundle.build` — the path a cold rebuild
+    of the mutated dataset goes through.  With an artifact ``root`` it then persists the
     bundle as ``<root>/gen-NNNN/``
     — inheriting the served generation's chunk-compression codec, so a
     compacted compressed artifact stays compressed — mirrors the served
@@ -685,8 +689,10 @@ class Compactor:
             mutations = overlay.pending_count
             corpus = overlay.materialize_corpus()
             base = engine.bundle
+            # The base snapshot goes in as is: a mutation never touches the
+            # road network, so the new generation keeps the base CSR.
             new_bundle = IndexBundle.build(
-                base.road_network(), corpus, scoring_mode=base.scoring_mode
+                base.compact, corpus, scoring_mode=base.scoring_mode
             )
             generation: Optional[str] = None
             target: Optional[Path] = None

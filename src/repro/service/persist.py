@@ -104,7 +104,8 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 import numpy as np
 
 from repro.exceptions import ArtifactError, IndexError_, QueryError
-from repro.network.compact import CompactNetwork, GraphView
+from repro.network.compact import CompactNetwork
+from repro.network.graph import RoadNetwork
 from repro.objects.corpus import ObjectCorpus
 from repro.service.chunked import (
     CODECS,
@@ -284,7 +285,9 @@ def read_manifest(path: PathLike) -> ArtifactManifest:
 
 
 # ---------------------------------------------------------------------- fingerprint
-def dataset_fingerprint(network: GraphView, corpus: ObjectCorpus) -> str:
+def dataset_fingerprint(
+    network: CompactNetwork | RoadNetwork, corpus: ObjectCorpus
+) -> str:
     """Return a SHA-256 content fingerprint of a (network, corpus) pair.
 
     The fingerprint covers the frozen CSR arrays (so node/edge identity, order,
@@ -580,15 +583,6 @@ def _mmap_npz(path: Path) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def _load_npz_eager(path: Path) -> Dict[str, np.ndarray]:
-    """Load every array of an ``.npz`` into memory (used when ``mmap=False``).
-
-    Goes through the lazy reader and materialises each column, so raw and
-    chunk-compressed members come back identically (as plain owned arrays).
-    """
-    return {name: np.array(value) for name, value in _mmap_npz(path).items()}
-
-
 # ---------------------------------------------------------------------- save / load
 def _write_pickle_atomic(
     path: Path, payload: object, compression: Optional[Dict[str, object]]
@@ -849,41 +843,34 @@ def _map_readonly(path: Path) -> mmap.mmap:
         return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-def load_bundle(
-    path: PathLike, mmap: bool = True, verify: bool = True
-) -> "IndexBundle":
+def load_bundle(path: PathLike, verify: bool = True) -> "IndexBundle":
     """Load the artifact at ``path`` back into an :class:`IndexBundle`.
 
-    By default raw array columns come back as read-only memory maps and
-    chunk-compressed ones as lazily decoded
-    :class:`~repro.service.chunked.ChunkedColumn` views, so no column is
-    materialised at load time, and ``index.pkl`` is mapped too: the bundle's
-    :attr:`~repro.service.bundle.IndexBundle.corpus` is unpickled on first
-    access by a :class:`CorpusLoader`, after re-checking the mapped bytes
-    against the manifest when ``verify`` is true. No query reads the corpus.
+    Raw array columns come back as read-only memory maps and chunk-compressed
+    ones as lazily decoded :class:`~repro.service.chunked.ChunkedColumn`
+    views, so no column is materialised at load time, and ``index.pkl`` is
+    mapped too: the bundle's :attr:`~repro.service.bundle.IndexBundle.corpus`
+    is unpickled on first access by a :class:`CorpusLoader`, after
+    re-checking the mapped bytes against the manifest when ``verify`` is
+    true. No query reads the corpus.
 
     Args:
         path: The artifact directory.
-        mmap: Map the arrays and ``index.pkl`` read-only from disk (the
-            default). ``False`` loads them eagerly into process memory, the
-            corpus included, so nothing is read from disk after the load —
-            use it when the artifact lives on storage that will disappear
-            (e.g. a deleted temp dir).
         verify: Verify file checksums against the manifest before loading
             (detects on-disk corruption; costs one streaming hash per file).
             The manifest must then list a checksum for every payload file.
 
     Returns:
-        A bundle equivalent to the one that was saved. Its ``network`` field is
-        ``None`` until :meth:`IndexBundle.road_network
-        <repro.service.bundle.IndexBundle.road_network>` thaws the snapshot on
-        demand; every query path runs on the CSR snapshot and never needs it.
+        A bundle equivalent to the one that was saved. Every query path runs
+        on its CSR snapshot; :meth:`IndexBundle.road_network
+        <repro.service.bundle.IndexBundle.road_network>` thaws a mutable copy
+        on demand.
 
     Raises:
         ArtifactError: On a missing/malformed artifact, an unsupported format
             version, an empty or unmappable ``index.pkl``, or (with
             ``verify``) a missing checksum or a checksum mismatch. A corrupt
-            ``index.pkl`` in a mapped load raises on first corpus access.
+            ``index.pkl`` raises on first corpus access.
     """
     from repro.service.bundle import IndexBundle, scoring_mode_of  # deferred: cycle
 
@@ -898,7 +885,7 @@ def load_bundle(
     if not all((directory / name).is_file() for name in _PAYLOAD_NAMES):
         raise ArtifactError(f"artifact at {directory} is missing payload files")
     try:
-        arrays = _mmap_npz(network_path) if mmap else _load_npz_eager(network_path)
+        arrays = _mmap_npz(network_path)
     except ArtifactError:
         raise
     except Exception as exc:  # corrupt zip / bad npy header (reachable with verify=False)
@@ -909,9 +896,7 @@ def load_bundle(
     compact = CompactNetwork(*(arrays[name] for name in _NETWORK_FIELDS))
 
     try:
-        scoring_arrays = (
-            _mmap_npz(scoring_path) if mmap else _load_npz_eager(scoring_path)
-        )
+        scoring_arrays = _mmap_npz(scoring_path)
     except ArtifactError:
         raise
     except Exception as exc:
@@ -941,18 +926,13 @@ def load_bundle(
         None if manifest.compression is None else str(manifest.compression.get("codec"))
     )
     try:
-        data = _map_readonly(index_path) if mmap else index_path.read_bytes()
+        data = _map_readonly(index_path)
     except (OSError, ValueError) as exc:  # ValueError: mmap of an empty file
         raise ArtifactError(f"cannot read {INDEX_NAME} in {directory}: {exc}") from exc
-    if mmap:
-        corpus_source = CorpusLoader(data, checksum, codec, directory)
-    else:
-        corpus_source = _read_corpus(data, checksum, codec, directory)
 
     elapsed = time.perf_counter() - start
     bundle = IndexBundle(
-        network=None,
-        corpus_source=corpus_source,
+        corpus_source=CorpusLoader(data, checksum, codec, directory),
         compact=compact,
         columnar=columnar,
         scoring_mode=scoring_mode,

@@ -43,6 +43,7 @@ replicas from the serving front end.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -237,6 +238,8 @@ def build_shards(
     """
     if num_shards < 1:
         raise ArtifactError(f"num_shards must be >= 1, got {num_shards}")
+    if not math.isfinite(halo_margin):
+        raise ArtifactError(f"halo_margin must be finite, got {halo_margin}")
     if halo_margin < 0.0:
         raise ArtifactError(f"halo_margin must be >= 0, got {halo_margin}")
     compact = bundle.compact
@@ -286,7 +289,6 @@ def build_shards(
                 f"use fewer shards (--shards) or a larger halo (--halo)"
             )
         sub_bundle = IndexBundle(
-            network=None,
             corpus_source=sub_corpus,
             compact=shard_compact,
             columnar=sub_columnar,

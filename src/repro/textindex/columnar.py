@@ -155,7 +155,7 @@ class ColumnarScoringIndex:
             corpus: The dataset's objects (rows follow its iteration order).
             mapping: Object → node assignment; nodes keep its iteration order.
             node_coords: ``node_id → (x, y)`` callable for the mapped nodes —
-                typically ``GraphView.coords`` of the indexed network.
+                typically ``CompactNetwork.coords`` of the indexed network.
             lm_smoothing: λ for the precomputed language-model columns.
 
         Raises:

@@ -109,3 +109,18 @@ def random_weighted_network(seed: int, num_nodes: int = 12):
     if not weights:
         weights[next(network.node_ids())] = 0.5
     return network, weights
+
+
+def assert_same_rows(network: RoadNetwork, expected: RoadNetwork) -> None:
+    """Assert two networks are equal node for node and row for row.
+
+    Nodes must come in the same order with the same coordinates, and every
+    adjacency row must list the same neighbours in the same order with the
+    same lengths.
+    """
+    assert list(network.nodes()) == list(expected.nodes())
+    assert network.num_edges == expected.num_edges
+    for node_id in expected.node_ids():
+        assert list(network.neighbor_items(node_id)) == list(
+            expected.neighbor_items(node_id)
+        )

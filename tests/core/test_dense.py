@@ -95,13 +95,14 @@ class TestRenumbering:
         with pytest.raises(QueryError):
             DenseInstance.from_graph(window, weights)
 
-    def test_fallback_from_dict_backed_graph(self, window_setup):
-        # The fallback constructor must mirror the *given* graph's iteration
-        # order (node rows and per-row neighbours) — that is what makes the
-        # dense loops tie-break identically to the dict loops over that graph.
+    def test_substrate_of_a_thawed_window_follows_its_order(self, window_setup):
+        # The substrate of a frozen RoadNetwork must mirror that network's
+        # iteration order (node rows and per-row neighbours) — that is what
+        # makes the dense loops tie-break identically to the dict loops over
+        # that graph.
         window, weights = window_setup
         thawed = window.to_network()
-        dense = DenseInstance.from_graph(thawed, weights)
+        dense = DenseInstance.from_graph(CompactNetwork.from_network(thawed), weights)
         assert dense.ids_list() == list(thawed.node_ids())
         position_of = dense.position_of()
         ids = dense.ids_list()
@@ -119,9 +120,8 @@ class TestRenumbering:
 
 class TestInstanceSubstrate:
     def test_dict_graph_instance_builds_its_substrate_once(self, window_setup):
-        # build_instance attaches no substrate over a dict RoadNetwork; the
-        # first access builds it from graph + weights, and every later access
-        # (siblings included) returns that same object.
+        # build_instance freezes a RoadNetwork once and attaches the substrate;
+        # every later access (siblings included) returns that same object.
         window, weights = window_setup
         thawed = window.to_network()
         query = LCMSRQuery.create(["kw"], delta=900.0)

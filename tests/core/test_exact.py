@@ -10,6 +10,7 @@ from repro.core import LCMSRQuery, build_instance
 from repro.core.exact import ExactSolver, _connected_subsets, _induced_mst
 from repro.exceptions import SolverError
 from repro.network.builders import grid_network, paper_example_network, path_network
+from repro.network.compact import CompactNetwork
 
 from tests.conftest import (
     PAPER_EXAMPLE_DELTA,
@@ -21,11 +22,12 @@ from tests.conftest import (
 
 def brute_force_connected_subsets(graph):
     """Reference enumeration by powerset + connectivity check."""
+    snapshot = CompactNetwork.from_network(graph)
     nodes = sorted(graph.node_ids())
     found = set()
     for size in range(1, len(nodes) + 1):
         for combo in itertools.combinations(nodes, size):
-            sub = graph.subgraph(combo)
+            sub = snapshot.subgraph(combo)
             if sub.is_connected():
                 found.add(frozenset(combo))
     return found

@@ -63,12 +63,15 @@ class TestWindowing:
         assert instance.num_candidate_nodes == network.num_nodes
 
     def test_no_window_shares_graph_read_only(self, indexed_setup):
-        # A window-less instance must reuse the given graph object, not deep-copy
-        # it: solvers treat instance graphs as read-only.
+        # A window-less instance must reuse the given snapshot, not copy it:
+        # solvers treat instance graphs as read-only.
+        from repro.network.compact import CompactNetwork
+
         network, _, _, pipeline, _ = indexed_setup
+        snapshot = CompactNetwork.from_network(network)
         query = LCMSRQuery.create(["cafe"], delta=300.0)
-        instance = build_instance(network, query, pipeline=pipeline)
-        assert instance.graph is network
+        instance = build_instance(snapshot, query, pipeline=pipeline)
+        assert instance.graph is snapshot
 
     def test_window_on_compact_network_yields_compact_view(self, indexed_setup):
         from repro.network.compact import CompactNetwork

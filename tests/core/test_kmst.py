@@ -7,11 +7,13 @@ import pytest
 from repro.core.dense import DenseInstance
 from repro.core.kmst import QuotaTreeSolver
 from repro.network.builders import grid_network, path_network, star_network
+from repro.network.compact import CompactNetwork
 
 
 def quota_solver(network, weights, scaled):
-    dense = DenseInstance.from_graph(network, weights)
-    return QuotaTreeSolver(network, weights, scaled, dense)
+    snapshot = CompactNetwork.from_network(network)
+    dense = DenseInstance.from_graph(snapshot, weights)
+    return QuotaTreeSolver(snapshot, weights, scaled, dense)
 
 
 def solver_on_path(weights=None, scaled=None):

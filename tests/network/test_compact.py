@@ -1,15 +1,21 @@
-"""Tests for the frozen CSR network snapshot and the GraphView protocol."""
+"""Tests for the frozen CSR network snapshot."""
 
 from __future__ import annotations
 
 import pickle
 import random
 
+import numpy as np
 import pytest
 
+from repro.datasets.ny import build_ny_like
 from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
-from repro.network.builders import grid_network, random_geometric_network
-from repro.network.compact import CompactNetwork, GraphView
+from repro.network.builders import (
+    grid_network,
+    manhattan_network,
+    random_geometric_network,
+)
+from repro.network.compact import CompactNetwork
 from repro.network.graph import RoadNetwork
 from repro.network.subgraph import (
     Rectangle,
@@ -69,7 +75,7 @@ class TestRoundTrip:
             ) == network.edge_length(node_id, next(iter(network.neighbors(node_id))))
 
     def test_freeze_shorthand_and_idempotence(self, small_network):
-        compact = small_network.freeze()
+        compact = CompactNetwork.from_network(small_network)
         assert isinstance(compact, CompactNetwork)
         assert CompactNetwork.from_network(compact) is compact
 
@@ -83,11 +89,51 @@ class TestRoundTrip:
             compact.bounding_box()
 
 
-class TestProtocol:
-    def test_both_backends_satisfy_graphview(self, small_network):
-        assert isinstance(small_network, GraphView)
-        assert isinstance(CompactNetwork.from_network(small_network), GraphView)
+def _cyclic_triangle() -> CompactNetwork:
+    """Rows a:[b, c], b:[c, a], c:[a, b]: an order no add_edge sequence gives."""
+    return CompactNetwork(
+        ids=np.array([1, 2, 3]),
+        xs=np.array([0.0, 1.0, 0.0]),
+        ys=np.array([0.0, 0.0, 1.0]),
+        indptr=np.array([0, 2, 4, 6]),
+        indices=np.array([1, 2, 2, 0, 0, 1]),
+        lengths=np.array([1.0, 1.0, 1.5, 1.0, 1.0, 1.5]),
+    )
 
+
+_THAW_CASES = {
+    "manhattan": lambda: CompactNetwork.from_network(
+        manhattan_network(12, 12, spacing=50.0, seed=5)
+    ),
+    "random-geometric": lambda: CompactNetwork.from_network(
+        random_geometric_network(num_nodes=300, extent=3000.0, seed=4)
+    ),
+    "ny-16x16": lambda: CompactNetwork.from_network(
+        build_ny_like(rows=16, cols=16, block_size=120.0, num_objects=100,
+                      num_clusters=4, seed=3).network
+    ),
+    "cyclic-triangle": _cyclic_triangle,
+}
+
+
+class TestThaw:
+    """The thaw replays the CSR, so freezing it again gives the same snapshot."""
+
+    @pytest.mark.parametrize("case", sorted(_THAW_CASES))
+    def test_thaw_then_freeze_is_the_identity(self, case):
+        compact = _THAW_CASES[case]()
+        thawed = compact.to_network()
+        again = CompactNetwork.from_network(thawed)
+        assert thawed.num_edges == compact.num_edges
+        for ours, theirs in zip(
+            compact.csr_node_arrays() + compact.csr_index_arrays(),
+            again.csr_node_arrays() + again.csr_index_arrays(),
+        ):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+
+
+class TestProtocol:
     def test_contains_and_membership(self, small_network):
         compact = CompactNetwork.from_network(small_network)
         assert compact.contains(10) and 10 in compact

@@ -200,10 +200,3 @@ class TestTraversalAndCopies:
         clone.remove_edge(1, 2)
         assert network.has_edge(1, 2)
         assert not clone.has_edge(1, 2)
-
-    def test_subgraph_induces_only_internal_edges(self):
-        network = build_triangle()
-        sub = network.subgraph([1, 2])
-        assert sub.num_nodes == 2
-        assert sub.num_edges == 1
-        assert sub.has_edge(1, 2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +28,28 @@ class TestRectangle:
     def test_degenerate_rejected(self):
         with pytest.raises(QueryError):
             Rectangle(5, 0, 1, 1)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (math.nan, 0.0, 1.0, 1.0),
+            (0.0, math.nan, 1.0, 1.0),
+            (0.0, 0.0, math.nan, 1.0),
+            (0.0, 0.0, 1.0, math.nan),
+            (-math.inf, 0.0, 1.0, 1.0),
+            (0.0, 0.0, math.inf, 1.0),
+        ],
+        ids=["nan-min-x", "nan-min-y", "nan-max-x", "nan-max-y", "-inf", "+inf"],
+    )
+    def test_non_finite_rejected(self, bounds):
+        # NaN fails both ordering comparisons, and an infinite bound passes
+        # them, so neither is caught as a degenerate rectangle.
+        with pytest.raises(QueryError, match="non-finite"):
+            Rectangle(*bounds)
+
+    def test_square_of_nan_area_rejected(self):
+        with pytest.raises(QueryError):
+            Rectangle.square_of_area(0.0, 0.0, math.nan)
 
     def test_contains_includes_borders(self):
         rect = Rectangle(0, 0, 2, 2)

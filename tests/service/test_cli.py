@@ -97,14 +97,25 @@ class TestCompressedBuild:
         ]) == 0
         assert "weight" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dataset", ["ny", "usanw"])
     def test_streamed_build_matches_eager_columns(
-        self, cli_artifact, tmp_path, capsys
+        self, cli_artifact, tmp_path, capsys, dataset
     ):
+        if dataset == "ny":
+            build_args, eager = BUILD_ARGS, cli_artifact
+        else:
+            build_args = [
+                "build", "--dataset", "usanw", "--nodes", "160", "--objects", "200",
+                "--clusters", "4", "--seed", "3",
+            ]
+            eager = tmp_path / "eager"
+            assert main(build_args + ["--out", str(eager)]) == 0
         streamed = tmp_path / "streamed"
-        assert main(BUILD_ARGS + ["--out", str(streamed), "--stream"]) == 0
+        assert main(build_args + ["--out", str(streamed), "--stream"]) == 0
         assert "[streamed]" in capsys.readouterr().out
-        for name in ("scoring.npz", "network.npz", "vocabulary.json"):
-            assert (streamed / name).read_bytes() == (cli_artifact / name).read_bytes()
+        for name in ("scoring.npz", "network.npz", "vocabulary.json", "index.pkl",
+                     "manifest.json"):
+            assert (streamed / name).read_bytes() == (eager / name).read_bytes()
 
 
 class TestQuery:
@@ -145,6 +156,16 @@ class TestQuery:
             "--delta", "500", "--region", "1,2,3",
         ]) == 2
         assert "region" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("region", ["nan,100,450,450", "0,100,inf,450"])
+    def test_non_finite_region_fails_cleanly(self, cli_artifact, capsys, region):
+        assert main([
+            "query", str(cli_artifact), "--keywords", "cafe", "--delta", "500",
+            "--region", region, "--algorithm", "greedy",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite rectangle" in err
+        assert "Traceback" not in err
 
 
 class TestQueryPolicyFlags:
@@ -272,6 +293,23 @@ class TestServeBatch:
             "serve-batch", str(cli_artifact), "--requests", str(requests),
         ]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_non_finite_jsonl_region_fails_cleanly(
+        self, cli_artifact, tmp_path, capsys
+    ):
+        requests = tmp_path / "nan-region.jsonl"
+        requests.write_text(
+            json.dumps({"keywords": ["cafe"], "delta": 600.0})
+            + "\n"
+            + json.dumps({"keywords": ["cafe"], "delta": 500.0,
+                          "region": [float("nan"), 100, 450, 450]})
+            + "\n"
+        )
+        assert main([
+            "serve-batch", str(cli_artifact), "--requests", str(requests),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "non-finite rectangle" in err
 
     def test_process_gateway_with_a_request_file_loads_no_engine_here(
         self, cli_artifact, tmp_path, capsys, monkeypatch

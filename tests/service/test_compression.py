@@ -202,15 +202,6 @@ class TestCompressedQueryParity:
             LCMSREngine.from_artifact(tmp_path / "lzma").query(["bar"], delta=600.0),
         )
 
-    def test_eager_load_decodes_all_chunks_up_front(self, artifacts):
-        _, compressed, _ = artifacts
-        eager = IndexBundle.load(compressed, mmap=False)
-        mapped = IndexBundle.load(compressed, mmap=True)
-        _assert_same_result(
-            LCMSREngine.from_bundle(eager).query(["bar"], delta=500.0),
-            LCMSREngine.from_bundle(mapped).query(["bar"], delta=500.0),
-        )
-
     def test_service_batches_identical_through_instance_cache(self, artifacts):
         raw, compressed, _ = artifacts
         requests = [

@@ -21,6 +21,7 @@ import math
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.reference import twin
@@ -28,6 +29,8 @@ from repro.core.result import TopKResult
 from repro.datasets.ny import build_ny_like
 from repro.engine import LCMSREngine
 from repro.exceptions import ArtifactError, DatasetError
+from repro.network.compact import CompactNetwork
+from repro.network.graph import RoadNetwork
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
@@ -544,6 +547,74 @@ def test_disk_mutate_compact_serves_cold_equivalent(dataset, base_bundles, tmp_p
     # The swapped live engine agrees with the fresh load.
     assert _signature(live.query(keywords, delta=delta, region=region)) == \
         _signature(fresh.query(keywords, delta=delta, region=region))
+
+
+def _thawed_by_add_edge(compact):
+    """Refreeze ``compact`` after re-adding its edges one by one (edge order)."""
+    network = RoadNetwork()
+    for node in compact.nodes():
+        network.add_node(node.node_id, node.x, node.y)
+    for edge in compact.edges():
+        network.add_edge(edge.u, edge.v, edge.length)
+    return CompactNetwork.from_network(network)
+
+
+def _csr_arrays(compact):
+    return compact.csr_node_arrays() + compact.csr_index_arrays()
+
+
+def test_disk_compaction_keeps_the_base_network(tmp_path):
+    """Compacting a loaded artifact reuses its CSR snapshot as is.
+
+    On this network an edge-by-edge rebuild reorders adjacency rows, so a
+    compactor that thawed and refroze the network would serve a reshuffled
+    one: the precondition below pins that.
+    """
+    dataset = build_ny_like(rows=16, cols=16, block_size=120.0, num_objects=300,
+                            num_clusters=6, seed=3)
+    mode = ScoringMode.RATING_IF_MATCH
+    root = tmp_path / "artifact"
+    IndexBundle.build(dataset.network, dataset.corpus, scoring_mode=mode).save(root)
+    base = IndexBundle.load(root).compact
+    assert not all(
+        np.array_equal(ours, theirs)
+        for ours, theirs in zip(_csr_arrays(base), _csr_arrays(_thawed_by_add_edge(base)))
+    )
+
+    append_delta_ops(root, _mutation_script(
+        dataset.corpus, random.Random(SEED + 700), stats_preserving=True))
+    live = LCMSREngine.from_artifact(root)
+    cold = IndexBundle.build(dataset.network, live.overlay.materialize_corpus(),
+                             scoring_mode=mode)
+    min_x, min_y, max_x, max_y = base.bounding_box()
+    centre_x, centre_y = (min_x + max_x) / 2.0, (min_y + max_y) / 2.0
+    vocab = _vocab(dataset.corpus)
+    queries = [
+        (vocab[start:start + 3], delta, Rectangle.from_center(
+            centre_x + shift, centre_y - shift, side, side))
+        for start, delta, shift, side in [
+            (0, 500.0, 0.0, 900.0), (1, 700.0, 300.0, 1200.0),
+            (2, 400.0, -400.0, 800.0), (3, 600.0, 200.0, 1000.0),
+        ]
+    ]
+
+    def answers():
+        return [
+            _signature(live.query(keywords, delta=delta, region=region, algorithm=name))
+            for keywords, delta, region in queries
+            for name in SOLVERS
+        ]
+
+    before = answers()
+    report = Compactor(live, root=root).compact()
+    compacted = IndexBundle.load(report.path)
+    for ours, theirs in zip(_csr_arrays(compacted.compact), _csr_arrays(base)):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+    assert (report.path / "network.npz").read_bytes() == \
+        (root / "network.npz").read_bytes()
+    assert report.fingerprint == compacted.fingerprint() == cold.fingerprint()
+    assert answers() == before
 
 
 def test_second_compaction_gets_next_generation_number(dataset, base_bundles,

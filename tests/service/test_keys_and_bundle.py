@@ -16,6 +16,8 @@ from repro.service.generations import Compactor, DeltaOverlay, apply_ops
 from repro.service.keys import InstanceKey, ResultKey, normalize_keywords
 from repro.textindex.relevance import ScoringMode
 
+from tests.conftest import assert_same_rows
+
 
 class TestNormalization:
     def test_keywords_sorted_deduplicated_lowercased(self):
@@ -56,7 +58,7 @@ class TestNormalization:
 class TestIndexBundle:
     def test_build_populates_every_component(self, tiny_ny_dataset):
         bundle = IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
-        assert bundle.network is tiny_ny_dataset.network
+        assert_same_rows(bundle.road_network(), tiny_ny_dataset.network)
         assert bundle.corpus is tiny_ny_dataset.corpus
         assert bundle.mapping.num_mapped == len(tiny_ny_dataset.corpus)
         assert bundle.columnar.num_objects == len(tiny_ny_dataset.corpus)
@@ -205,7 +207,7 @@ def _bundle_and_build_mapping(origin, dataset, root):
     engine.attach_overlay(overlay)
     report = Compactor(engine, root).compact()
     built = engine.bundle  # the compactor's in-memory build, now swapped in
-    return IndexBundle.load(report.path), map_objects_to_network(built.network,
+    return IndexBundle.load(report.path), map_objects_to_network(built.compact,
                                                                  built.corpus)
 
 
@@ -235,8 +237,8 @@ class TestBundleFreezing:
         bundle = IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
         assert isinstance(bundle.compact, CompactNetwork)
         assert bundle.graph_view() is bundle.compact
-        assert bundle.compact.num_nodes == bundle.network.num_nodes
-        assert bundle.compact.num_edges == bundle.network.num_edges
+        assert bundle.compact.num_nodes == bundle.road_network().num_nodes
+        assert bundle.compact.num_edges == bundle.road_network().num_edges
         assert "freeze" in bundle.build_seconds
         assert "csr backend" in bundle.describe()
 

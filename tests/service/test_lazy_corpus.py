@@ -17,7 +17,6 @@ The contract under test (see ``docs/ARCHITECTURE.md`` § Loading semantics):
 from __future__ import annotations
 
 import pickle
-import shutil
 import sys
 import threading
 
@@ -222,14 +221,6 @@ def test_in_place_change_after_a_verified_open_is_caught(dataset, tmp_path):
         with pytest.raises(ArtifactError, match="checksum mismatch") as excinfo:
             loaded.corpus
         assert INDEX_NAME in str(excinfo.value)
-
-
-def test_eager_load_reads_the_corpus_at_load(dataset, tmp_path):
-    path = tmp_path / "eager"
-    IndexBundle.from_dataset(dataset).save(path)
-    loaded = IndexBundle.load(path, mmap=False)
-    shutil.rmtree(path)
-    assert _corpus_rows(loaded.corpus) == _corpus_rows(dataset.corpus)
 
 
 # ---------------------------------------------------------------- column readers

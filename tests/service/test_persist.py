@@ -26,6 +26,7 @@ from repro.datasets.usanw import build_usanw_like
 from repro.engine import LCMSREngine
 from repro.evaluation.runner import ExperimentRunner
 from repro.exceptions import ArtifactError
+from repro.network.compact import CompactNetwork
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.service import (
@@ -116,14 +117,6 @@ class TestRoundTrip:
                 built_engine.query(keywords, delta=1200.0, algorithm=algorithm),
                 loaded_engine.query(keywords, delta=1200.0, algorithm=algorithm),
             )
-
-    def test_eager_load_matches_mmap_load(self, artifact):
-        path, _ = artifact
-        eager = IndexBundle.load(path, mmap=False)
-        mapped = IndexBundle.load(path, mmap=True)
-        result_e = LCMSREngine.from_bundle(eager).query(["bar"], delta=500.0)
-        result_m = LCMSREngine.from_bundle(mapped).query(["bar"], delta=500.0)
-        _assert_same_result(result_e, result_m)
 
     def test_query_service_accepts_artifact_path(self, artifact):
         path, bundle = artifact
@@ -378,11 +371,11 @@ class TestMmapSemantics:
     def test_loaded_bundle_thaws_road_network_on_demand(self, artifact):
         path, bundle = artifact
         loaded = IndexBundle.load(path)
-        assert loaded.network is None
+        assert "load" in loaded.build_seconds
         thawed = loaded.road_network()
-        assert thawed.num_nodes == bundle.network.num_nodes
-        assert thawed.num_edges == bundle.network.num_edges
-        assert loaded.network is thawed  # cached
+        assert thawed.num_nodes == bundle.road_network().num_nodes
+        assert thawed.num_edges == bundle.road_network().num_edges
+        assert loaded.road_network() is thawed  # cached
 
 
 class TestDeterminism:
@@ -402,6 +395,25 @@ class TestDeterminism:
                 f"{name} differs between two same-seed builds"
             )
 
+    @pytest.mark.parametrize("mode", list(ScoringMode))
+    def test_build_from_network_and_from_its_snapshot_write_the_same_artifact(
+        self, tmp_path, mode
+    ):
+        dataset = _tiny_dataset(seed=23)
+        snapshot = CompactNetwork.from_network(dataset.network)
+        from_network = IndexBundle.build(dataset.network, dataset.corpus,
+                                         scoring_mode=mode)
+        from_snapshot = IndexBundle.build(snapshot, dataset.corpus, scoring_mode=mode)
+        manifests = [
+            bundle.save(tmp_path / name)
+            for name, bundle in (("network", from_network), ("snapshot", from_snapshot))
+        ]
+        assert manifests[0] == manifests[1]
+        for name in ("network.npz", "scoring.npz", "index.pkl", "vocabulary.json",
+                     MANIFEST_NAME):
+            assert (tmp_path / "network" / name).read_bytes() == \
+                (tmp_path / "snapshot" / name).read_bytes(), name
+
     def test_different_seeds_produce_different_fingerprints(self):
         dataset_a = _tiny_dataset(seed=21)
         dataset_b = _tiny_dataset(seed=22)
@@ -419,8 +431,8 @@ class TestArtifactCache:
         assert manifest.fingerprint == dataset_fingerprint(dataset.network, dataset.corpus)
 
         runner_second = ExperimentRunner(dataset, artifact_cache_dir=cache)
-        # The second runner's bundle came from disk: no dict network attached.
-        assert runner_second.bundle.network is None
+        # The second runner's bundle came from disk.
+        assert "load" in runner_second.bundle.build_seconds
 
         from repro.core.query import LCMSRQuery
         from repro.core.greedy import GreedySolver
@@ -442,7 +454,7 @@ class TestArtifactCache:
         raw["fingerprint"] = "0" * 64
         manifest_path.write_text(json.dumps(raw))
         rebuilt = cached_dataset_bundle(dataset, cache)
-        assert rebuilt.network is not None  # fresh build, not a load
+        assert "load" not in rebuilt.build_seconds  # fresh build, not a load
         assert read_manifest(artifact_dir).fingerprint == \
             dataset_fingerprint(dataset.network, dataset.corpus)
         assert bundle.describe().split(",")[0] == rebuilt.describe().split(",")[0]

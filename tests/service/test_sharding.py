@@ -267,6 +267,17 @@ def test_empty_tile_rejected_with_actionable_error(dataset, tmp_path):
         build_shards(bundle, tmp_path / "art", num_shards=256, halo_margin=0.0)
 
 
+@pytest.mark.parametrize("halo", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_halo_rejected(dataset, tmp_path, halo):
+    """A NaN halo would fail as an empty tile; an infinite one would write
+    shards with infinite extents."""
+    bundle = IndexBundle.build(dataset.network, dataset.corpus)
+    bundle.save(tmp_path / "art")
+    with pytest.raises(ArtifactError, match="halo_margin must be finite"):
+        build_shards(bundle, tmp_path / "art", num_shards=2, halo_margin=halo)
+    assert load_shard_set(tmp_path / "art") is None
+
+
 # ---------------------------------------------------------------- router units
 def _manifest_two_tiles():
     return ShardSetManifest(

@@ -9,6 +9,8 @@ from repro.core.greedy import GreedySolver
 from repro.exceptions import QueryError
 from repro.textindex.relevance import ScoringMode
 
+from tests.conftest import assert_same_rows
+
 
 @pytest.fixture(scope="module")
 def engine(tiny_ny_dataset):
@@ -62,7 +64,7 @@ class TestConfiguration:
         assert engine.solver("custom").mu == 0.3
 
     def test_accessors(self, engine, tiny_ny_dataset):
-        assert engine.network is tiny_ny_dataset.network
+        assert_same_rows(engine.network, tiny_ny_dataset.network)
         assert engine.corpus is tiny_ny_dataset.corpus
         assert engine.mapping.num_mapped == len(tiny_ny_dataset.corpus)
 
