@@ -7,7 +7,7 @@ index is **at least 3x faster** than through the object-loop
 :class:`~repro.textindex.relevance.RelevanceScorer` on the largest
 configuration, while producing byte-identical solver results.
 
-Three checks:
+Four checks:
 
 1. **Instance-build throughput** — total ``build_instance`` time over a mixed
    windowed / window-less workload through the bundle's pipeline (what every
@@ -16,7 +16,13 @@ Three checks:
 2. **Fidelity** — σ_v dicts bit-identical (values *and* iteration order) between
    the columnar pipeline and the object-loop reference, and every heuristic
    solver returns byte-identical regions/weights on top of both.
-3. **Perf trajectory record** — set ``REPRO_BENCH_JSON=<path>`` (the
+3. **Kernel crossover** — ``WeightPipeline.node_sums`` through its two kernels
+   (the corpus scan and the cell-ordered window kernel), interleaved read by
+   read in one process, on NY-like builds of 6,000 to 200,000 objects with the
+   benchmark workloads' 4 km² and 16 km² windows. Every read's sums must be
+   byte-identical across the kernels; the table is the evidence for
+   :data:`~repro.textindex.columnar.SCAN_MAX_OBJECTS`.
+4. **Perf trajectory record** — set ``REPRO_BENCH_JSON=<path>`` (the
    ``make bench-json`` target does) to append the measured numbers as JSON, so
    the repo's performance history is recorded run over run.
 
@@ -29,18 +35,23 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
+from types import SimpleNamespace
 from typing import Callable, Dict, List
 
 from repro.core.app import APPSolver
 from repro.core.greedy import GreedySolver
 from repro.core.instance import build_instance
 from repro.core.tgen import TGENSolver
-from repro.datasets.ny import build_ny_like
-from repro.datasets.queries import generate_workload
+from repro.datasets.ny import build_ny_like, ny_like_parts
+from repro.datasets.queries import QueryWorkloadGenerator, WorkloadSpec, generate_workload
 from repro.evaluation.reporting import format_table
 from repro.evaluation.runner import ExperimentRunner
+from repro.network.subgraph import Rectangle
+from repro.objects.corpus import ObjectCorpus
 from repro.service.bundle import IndexBundle
+from repro.textindex import columnar
 from repro.textindex.relevance import RelevanceScorer
 
 from benchmarks.conftest import FULL_SCALE, SMOKE_SCALE
@@ -65,6 +76,23 @@ else:
 SEED = 42
 MIN_SPEEDUP_LARGEST = 3.0
 REPEATS = 1 if SMOKE_SCALE else 3
+
+# (rows, cols, objects, clusters) of the kernel-crossover builds: the
+# benchmark's own NY fixture (42x42, 6,000 objects) and greedy-200k fixture
+# (100x100, 200,000 objects), with sizes in between on the same density curve.
+if SMOKE_SCALE:
+    CROSSOVER_CONFIGS = [(20, 20, 1500, 8)]
+else:
+    CROSSOVER_CONFIGS = [
+        (42, 42, 6000, 28),
+        (50, 50, 12000, 40),
+        (60, 60, 25000, 55),
+        (72, 72, 50000, 75),
+        (100, 100, 200000, 120),
+    ]
+CROSSOVER_AREAS_KM2 = (4.0, 16.0)
+CROSSOVER_QUERIES = 10 if SMOKE_SCALE else 100
+CROSSOVER_TRIALS = 3
 
 
 def _build_workload(dataset, num_queries: int):
@@ -182,4 +210,121 @@ def test_bench_instance_build_columnar_3x():
             f"columnar instance build must be >= {MIN_SPEEDUP_LARGEST:.0f}x faster "
             f"than the object-loop reference on the largest configuration, "
             f"got {largest:.1f}x"
+        )
+
+
+def _crossover_bundle(rows: int, cols: int, objects: int, clusters: int):
+    """The NY-like bundle perfbench builds for this size (streamed above 20k)."""
+    if objects <= 20_000:
+        dataset = build_ny_like(
+            rows=rows, cols=cols, block_size=120.0,
+            num_objects=objects, num_clusters=clusters, seed=SEED,
+        )
+        return IndexBundle.from_dataset(dataset)
+    network, stream = ny_like_parts(
+        rows=rows, cols=cols, block_size=120.0,
+        num_objects=objects, num_clusters=clusters, seed=SEED,
+    )
+    return IndexBundle.build_streaming(network, stream)
+
+
+def _crossover_reads(bundle, area_km2: float):
+    """perfbench-style windowed reads: keywords drawn from objects in the window,
+    over a corpus thinned to at most 20,000 objects to keep generation fast."""
+    network = bundle.road_network()
+    step = max(1, bundle.columnar.num_objects // 20_000)
+    corpus = ObjectCorpus(obj for row, obj in enumerate(bundle.corpus) if row % step == 0)
+    min_x, min_y, max_x, max_y = network.bounding_box()
+    view = SimpleNamespace(
+        network=network, corpus=corpus, extent=Rectangle(min_x, min_y, max_x, max_y)
+    )
+    queries = QueryWorkloadGenerator(view).generate(
+        WorkloadSpec(num_queries=CROSSOVER_QUERIES, num_keywords=3, delta=2000.0,
+                     area=area_km2 * 1e6, seed=7)
+    )
+    return [(list(query.keywords), query.region) for query in queries]
+
+
+def _kernel_times(pipeline, reads, monkeypatch) -> Dict[str, List[float]]:
+    """Best-of-CROSSOVER_TRIALS seconds per read and kernel, kernels alternating
+    read by read (and which goes first alternating too), after checking that
+    both kernels return the same bytes for every read."""
+    # SCAN_MAX_OBJECTS values that send every corpus to one kernel.
+    kernels = {"scan": 2**62, "window": 0}
+    for keywords, window in reads:
+        sums = set()
+        for limit in kernels.values():
+            monkeypatch.setattr(columnar, "SCAN_MAX_OBJECTS", limit)
+            sums.add(pipeline.node_sums(keywords, window=window).tobytes())
+        assert len(sums) == 1, "both σ_v kernels must return byte-identical sums"
+    times: Dict[str, List[float]] = {name: [] for name in kernels}
+    for number, (keywords, window) in enumerate(reads):
+        order = list(kernels.items())
+        if number % 2:
+            order.reverse()
+        for name, limit in order:
+            monkeypatch.setattr(columnar, "SCAN_MAX_OBJECTS", limit)
+            best = float("inf")
+            for _ in range(CROSSOVER_TRIALS):
+                start = time.perf_counter()
+                pipeline.node_sums(keywords, window=window)
+                best = min(best, time.perf_counter() - start)
+            times[name].append(best)
+    return times
+
+
+def test_bench_kernel_crossover(monkeypatch):
+    rows_out: List[List[object]] = []
+    records: List[Dict[str, object]] = []
+    for rows, cols, objects, clusters in CROSSOVER_CONFIGS:
+        bundle = _crossover_bundle(rows, cols, objects, clusters)
+        pipeline = bundle.weight_pipeline()
+        for area in CROSSOVER_AREAS_KM2:
+            reads = _crossover_reads(bundle, area)
+            times = _kernel_times(pipeline, reads, monkeypatch)
+            scan_ms = 1e3 * statistics.median(times["scan"])
+            window_ms = 1e3 * statistics.median(times["window"])
+            faster = "window" if window_ms < scan_ms else "scan"
+            rows_out.append([
+                f"{objects} obj ({rows}x{cols})", f"{area:g}", len(reads),
+                f"{scan_ms:.3f}", f"{window_ms:.3f}", faster,
+            ])
+            records.append({
+                "objects": objects, "rows": rows, "cols": cols,
+                "area_km2": area, "reads": len(reads),
+                "scan_median_ms": scan_ms, "window_median_ms": window_ms,
+                "faster": faster,
+            })
+    monkeypatch.undo()
+
+    print()
+    print(format_table(
+        ["build", "window km2", "reads", "scan ms", "window ms", "faster"],
+        rows_out,
+        title="node_sums per read: corpus scan vs cell-ordered window kernel "
+        "(median of per-read best of 3, interleaved)",
+    ))
+
+    json_path = os.environ.get("REPRO_BENCH_JSON")
+    if json_path:
+        try:
+            with open(json_path, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError):
+            payload = {"benchmark": "bench_scoring", "smoke": SMOKE_SCALE, "full": FULL_SCALE}
+        payload["kernel_crossover"] = {
+            "scan_max_objects": columnar.SCAN_MAX_OBJECTS,
+            "trials_per_read": CROSSOVER_TRIALS,
+            "cpu_count": os.cpu_count(),
+            "configs": records,
+        }
+        with open(json_path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {json_path}")
+
+    if not SMOKE_SCALE:
+        largest = [r for r in records if r["objects"] == CROSSOVER_CONFIGS[-1][2]]
+        assert all(r["faster"] == "window" for r in largest), (
+            "the window kernel must beat the corpus scan on the largest build"
         )

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import asdict
@@ -66,6 +67,12 @@ def _parse_region(raw: Optional[str]) -> Optional[Rectangle]:
 def _cmd_build(args: argparse.Namespace) -> int:
     from repro.service.bundle import IndexBundle
 
+    # Checked before any build work, so a bad value leaves no artifact behind.
+    if args.shards is not None:
+        if args.shards < 1:
+            raise QueryError(f"--shards must be >= 1, got {args.shards}")
+        if not math.isfinite(args.halo) or args.halo < 0.0:
+            raise QueryError(f"--halo must be a finite number >= 0, got {args.halo}")
     compress = None if args.compress == "none" else args.compress
     if args.stream:
         # Streaming build: the object corpus is consumed as a generator and
@@ -134,8 +141,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         from repro.service.persist import compression_spec
         from repro.service.sharding import build_shards
 
-        if args.shards < 1:
-            raise QueryError(f"--shards must be >= 1, got {args.shards}")
         shard_set = build_shards(
             bundle,
             args.out,

@@ -105,7 +105,7 @@ class UpperBoundIndex:
         )
 
     # ------------------------------------------------------------------ geometry
-    def _cell_span(
+    def cell_span(
         self, min_x: float, min_y: float, max_x: float, max_y: float
     ) -> Tuple[int, int, int, int]:
         """Return the clamped ``(r0, r1, c0, c1)`` cell range covering a rectangle.
@@ -113,7 +113,10 @@ class UpperBoundIndex:
         The range is a *superset* of the cells any covered point can land in:
         the clamping mirrors the build-time ``np.clip``, which folds
         out-of-extent geometry into the border cells, so block aggregates over
-        the span are admissible.
+        the span are admissible. The bounds, the sampler's strata and the
+        σ_v window kernel (:meth:`WeightPipeline._cell_bands
+        <repro.textindex.columnar.WeightPipeline._cell_bands>`) all take their
+        cells from here.
         """
         last = self.resolution - 1
         c0 = min(max(int((min_x - self.min_x) / self.cell_w), 0), last)
@@ -131,7 +134,7 @@ class UpperBoundIndex:
         only zero-potential objects, which licences the instance builder's
         zero-mass window skip.
         """
-        r0, r1, c0, c1 = self._cell_span(
+        r0, r1, c0, c1 = self.cell_span(
             window.min_x, window.min_y, window.max_x, window.max_y
         )
         return float(self.sigma_mass[r0 : r1 + 1, c0 : c1 + 1].sum())
@@ -144,5 +147,5 @@ class UpperBoundIndex:
         ``radius`` of ``(x, y)`` also lies within Euclidean distance ``radius``,
         so this bounds the σ-mass of every such region.
         """
-        r0, r1, c0, c1 = self._cell_span(x - radius, y - radius, x + radius, y + radius)
+        r0, r1, c0, c1 = self.cell_span(x - radius, y - radius, x + radius, y + radius)
         return float(self.node_mass[r0 : r1 + 1, c0 : c1 + 1].sum())

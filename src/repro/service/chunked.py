@@ -370,9 +370,18 @@ class ChunkedColumn(np.lib.mixins.NDArrayOperatorsMixin):
     # ------------------------------------------------------------------ decoding
     def _decode(self, index: int) -> np.ndarray:
         offset, payload_size, crc = self._chunks[index]
-        with open(self._path, "rb") as handle:
-            handle.seek(offset)
-            payload = handle.read(payload_size)
+        # Unlike a memory map, a chunked column re-opens its container on
+        # every decode, so a container deleted or moved after the load fails
+        # here; name the file and the column instead of a bare OSError.
+        try:
+            with open(self._path, "rb") as handle:
+                handle.seek(offset)
+                payload = handle.read(payload_size)
+        except OSError as exc:
+            raise ArtifactError(
+                f"cannot read chunk {index} of column {self._name!r} from "
+                f"{self._path}: {exc}"
+            ) from exc
         if len(payload) != payload_size:
             raise ArtifactError(
                 f"truncated chunk {index} of column {self._name!r} in {self._path.name}"

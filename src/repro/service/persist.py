@@ -28,8 +28,9 @@ Artifact layout (one directory per artifact)::
                           Under ``--compress`` the bulky value columns are
                           chunk-compressed and decoded lazily per chunk behind
                           :class:`~repro.service.chunked.ChunkedColumn`; the
-                          indptr and bound-aggregate columns stay raw memory
-                          maps so the pruning path never pays a decode (see
+                          indptr, ``post_cell`` and bound-aggregate columns
+                          stay raw memory maps so the pruning and window
+                          searches never pay a decode (see
                           ``_COMPRESSED_SCORING_COLUMNS``)
         index.pkl         the pickled object corpus, nothing else (the
                           compactor rebuilds from the corpus; the columns
@@ -52,7 +53,9 @@ Design notes:
   cache by content.
 * **mmap loading.** ``network.npz`` is written uncompressed (``ZIP_STORED``), so
   each member's raw ``.npy`` payload sits at a known offset inside the file and can
-  be mapped directly with :class:`numpy.memmap` in read-only mode. Loading is
+  be mapped directly with :class:`numpy.memmap` in read-only mode; the loader
+  hands out plain read-only ``ndarray`` views of those maps, so the hot path
+  pays no ``memmap`` subclass overhead per slice. Loading is
   therefore I/O-bound header parsing, not array materialisation — combined with
   :class:`~repro.network.compact.CompactNetwork`'s lazy traversal mirrors, an
   engine is query-ready without reading the bulk of the arrays.
@@ -73,8 +76,8 @@ Design notes:
   :class:`~repro.service.chunked.ChunkedColumn` that decodes chunks on demand
   through an LRU cache — decoded bytes are bit-identical to a raw build, so
   query results are byte-identical across compressed and raw artifacts. The
-  CSR ``indptr`` columns and the bound-aggregate columns stay raw memory maps:
-  they are touched by every query's pruning pass and must stay zero-decode.
+  CSR ``indptr`` columns, ``post_cell`` and the bound-aggregate columns stay
+  raw memory maps: every query reads them and they must stay zero-decode.
   ``index.pkl`` is compressed wholesale with the same codec. The chunk
   pipeline is deterministic (fixed codec levels, pinned member timestamps), so
   same-seed compressed builds are byte-identical too.
@@ -126,7 +129,7 @@ from repro.textindex.columnar import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bundle imports persist)
     from repro.service.bundle import IndexBundle
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 """Current on-disk artifact format version (see the module docstring).
 
 Version history: 1 — network.npz + index.pkl + vocabulary.json; 2 — adds
@@ -148,7 +151,10 @@ scoring mode comes from the manifest, and the manifest drops
 ``grid_resolution``; 7 — ``index.pkl`` holds only the corpus (the mapping is
 read off scoring.npz's node table and node → object CSR), and scoring.npz drops
 four bound columns no query read: ``cell_sigma_max``, ``cell_obj_count``,
-``cell_post_count`` and the per-node cell ids. Loaders accept exactly the
+``cell_post_count`` and the per-node cell ids; 8 — each term's postings in
+scoring.npz ascend by (bound-grid cell, row) instead of by row, and the new
+``post_cell`` column holds each posting's cell, so a windowed σ_v read finds a
+term's in-window postings by binary search. Loaders accept exactly the
 current version (no silent migration); older artifacts must be rebuilt with
 ``python -m repro build``.
 """
@@ -167,10 +173,11 @@ _NETWORK_FIELDS = ("ids", "xs", "ys", "indptr", "indices", "lengths")
 # Column compression policy. Compressed: the bulky per-posting / per-object /
 # per-node payload columns that queries touch in narrow windows. Raw (always a
 # plain memory map): every CSR indptr (one random read per term lookup — a
-# decode there would serialise every query), the bound-aggregate columns that
-# bound-based pruning reads on every request, the tiny per-term / corpus-stat
-# tables, and the node table (ids and coordinates). Only 1-D columns are ever
-# chunked.
+# decode there would serialise every query), ``post_cell`` (every windowed
+# query binary-searches each query term's cells in it, so a decode there would
+# serialise reads just the same), the bound-aggregate columns that bound-based
+# pruning reads on every request, the tiny per-term / corpus-stat tables, and
+# the node table (ids and coordinates). Only 1-D columns are ever chunked.
 _COMPRESSED_SCORING_COLUMNS = frozenset(
     {
         "post_rows",
@@ -526,8 +533,9 @@ def _chunked_column(
 def _mmap_npz(path: Path) -> Dict[str, np.ndarray]:
     """Open every array of an artifact ``.npz`` lazily.
 
-    Raw ``.npy`` members become read-only memory maps; chunk-compressed columns
-    (a ``.chunks.json`` descriptor plus ``.chunkNNNNN`` payload members) become
+    Raw ``.npy`` members become read-only ``ndarray`` views of memory maps;
+    chunk-compressed columns (a ``.chunks.json`` descriptor plus
+    ``.chunkNNNNN`` payload members) become
     :class:`~repro.service.chunked.ChunkedColumn` views that decode on demand.
     Falls back to an eager :func:`numpy.load` (with the writeable flag cleared)
     for members that are zip-deflated or otherwise un-mappable, so the loader
@@ -566,13 +574,18 @@ def _mmap_npz(path: Path) -> Dict[str, np.ndarray]:
                 else:
                     shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
                 array_offset = handle.tell()
-            arrays[name] = np.memmap(
-                path,
-                dtype=dtype,
-                mode="r",
-                offset=array_offset,
-                shape=shape,
-                order="F" if fortran else "C",
+            # A plain ndarray view of the read-only mapping: the same pages,
+            # without np.memmap's per-operation __getitem__ and
+            # __array_finalize__ overhead on every slice a query takes.
+            arrays[name] = np.asarray(
+                np.memmap(
+                    path,
+                    dtype=dtype,
+                    mode="r",
+                    offset=array_offset,
+                    shape=shape,
+                    order="F" if fortran else "C",
+                )
             )
         if descriptors:
             with open(path, "rb") as handle:
@@ -846,7 +859,7 @@ def _map_readonly(path: Path) -> mmap.mmap:
 def load_bundle(path: PathLike, verify: bool = True) -> "IndexBundle":
     """Load the artifact at ``path`` back into an :class:`IndexBundle`.
 
-    Raw array columns come back as read-only memory maps and chunk-compressed
+    Raw array columns come back as read-only views of memory maps and chunk-compressed
     ones as lazily decoded :class:`~repro.service.chunked.ChunkedColumn`
     views, so no column is materialised at load time, and ``index.pkl`` is
     mapped too: the bundle's :attr:`~repro.service.bundle.IndexBundle.corpus`

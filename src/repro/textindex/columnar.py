@@ -12,7 +12,11 @@ vectorised kernels:
   parallel value columns: the precomputed normalised TF-IDF weight ``wto(t)``
   (float64), the raw term frequency (float32 — term frequencies are small
   integers, exactly representable), and the precomputed language-model
-  log-probability ``ln((1-λ)·P(t|o) + λ·P(t|C))`` (float64).
+  log-probability ``ln((1-λ)·P(t|o) + λ·P(t|C))`` (float64). Within each term
+  the postings ascend by (bound-grid cell of the object, row), and
+  ``post_cell`` stores each posting's cell: the paper's grid + inverted-list
+  access, where the postings of one term inside one cell are one contiguous
+  block that a window read finds by binary search.
 * **Object table** — ``object_ids``, ``obj_x`` / ``obj_y``, ``obj_rating`` and
   ``obj_node_pos`` (the object's node as a dense position into the node table),
   all parallel arrays in corpus iteration order.
@@ -33,11 +37,13 @@ byte-identical solver results the refactor guarantees. The vectorised kernels ar
 arranged to replay the reference accumulation order exactly — per-object
 contributions are added term by term in query order, and per-node sums are
 accumulated in object-row (= corpus) order, which is precisely the order the
-reference loop uses. (Term frequencies are integral, so the raw-tf column alone
-stays float32 without any loss.)
+reference loop uses. Both σ_v kernels (the corpus scan and the window kernel,
+see :data:`SCAN_MAX_OBJECTS`) keep those two orders, so they agree bit for bit.
+(Term frequencies are integral, so the raw-tf column alone stays float32
+without any loss.)
 
 The index is frozen after construction (treat every array as read-only — loaded
-artifacts hand out read-only memory maps) and picklable. Like the vector-space
+artifacts hand out read-only views of memory maps) and picklable. Like the vector-space
 model it snapshots the corpus at build time: mutating the corpus afterwards makes
 the index stale.
 """
@@ -76,6 +82,27 @@ BOUND_MODES: Tuple[str, ...] = ("text_relevance", "rating_if_match", "language_m
 """Row order of the per-mode bound aggregate matrices (``cell_sigma_mass`` /
 ``cell_node_mass``)."""
 
+POST_CELL_DTYPE = np.dtype(np.min_scalar_type(BOUND_RESOLUTION * BOUND_RESOLUTION - 1))
+"""dtype of ``post_cell``: the narrowest unsigned type that holds every cell id
+of the bound grid (uint8 for 16×16), so a finer grid widens it instead of
+wrapping."""
+
+SCAN_MAX_OBJECTS = 32_768
+"""Corpus size up to which :meth:`WeightPipeline.node_sums` scans every object.
+
+Above it, the window kernel reads only the query terms' postings in the cells
+that cover the window. Both kernels return the same sums bit for bit; this
+constant only picks the faster one. The window kernel pays a cost per read
+that a small corpus's scan does not: binary searches per term and cell band,
+and a sort of the touched rows. ``benchmarks/bench_scoring.py`` times both,
+interleaved, on NY-like builds (``BENCH_scoring.json``, ``kernel_crossover``).
+On a 2-CPU host the scan won at 6,000 and 12,000 objects, the two split at
+25,000 (the window kernel won with 4 km² windows, the scan with 16 km²), and
+the window kernel won at 50,000 and 200,000 (0.79 against 1.71 ms with
+16 km² windows). The constant sits inside that crossover. It is a constant,
+not an option, because nothing but speed depends on it.
+"""
+
 CI_Z = 1.96
 """Normal z-score of the 95% two-sided confidence intervals the sampler reports."""
 
@@ -92,8 +119,12 @@ class ColumnarScoringIndex:
     Attributes (all numpy arrays; treat as read-only):
         terms: Sorted tuple of the corpus vocabulary; the term id *is* the
             position in this tuple.
-        post_indptr / post_rows: CSR postings — term id → object rows (ascending
-            within each term).
+        post_indptr / post_rows: CSR postings — term id → object rows. Within
+            each term they ascend by (``obj_cell`` of the row, row).
+        post_cell: Bound-grid cell of each posting's object
+            (``obj_cell[post_rows]``, :data:`POST_CELL_DTYPE`); ascending
+            within each term, so a term's postings in one cell are one
+            contiguous block.
         post_tfidf: Normalised TF-IDF weight ``wto(t)`` per posting (float64).
         post_tf: Raw term frequency per posting (float32; integral values).
         lm_log_mixed: ``ln((1-λ)·P(t|o) + λ·P(t|C))`` per posting (float64).
@@ -273,15 +304,17 @@ class ColumnarScoringIndex:
             node_x=node_x,
             node_y=node_y,
         )
+        order, post_cell = _cell_order(post_indptr, post_rows, bound_arrays["obj_cell"])
 
         arrays = {
             "post_indptr": np.asarray(post_indptr, dtype=np.int32)
             if nnz <= np.iinfo(np.int32).max
             else post_indptr,
-            "post_rows": post_rows,
-            "post_tfidf": post_tfidf,
-            "post_tf": post_tf,
-            "lm_log_mixed": lm_log_mixed,
+            "post_rows": post_rows[order],
+            "post_cell": post_cell,
+            "post_tfidf": post_tfidf[order],
+            "post_tf": post_tf[order],
+            "lm_log_mixed": lm_log_mixed[order],
             "lm_log_base": lm_log_base,
             "object_ids": object_ids,
             "obj_x": obj_x,
@@ -332,9 +365,10 @@ class ColumnarScoringIndex:
         ``corpus_meta`` (the IDF statistics), and the precomputed per-posting
         value columns. What is *local*: the object/node tables, the postings
         rows (filtered and renumbered; ``post_indptr`` keeps its full
-        vocabulary length) and the bound-cell aggregates, which are recomputed
+        vocabulary length), the bound-cell aggregates, which are recomputed
         over the shard so zero-mass window skips stay admissible (skip-decision
-        differences are result-identical — the pruning-parity contract).
+        differences are result-identical — the pruning-parity contract), and
+        the posting order, re-sorted by the shard's own grid cells.
         """
         keep_obj = extent.contains_points(self.obj_x, self.obj_y)
         keep_node = extent.contains_points(self.node_x, self.node_y)
@@ -354,8 +388,8 @@ class ColumnarScoringIndex:
         new_pos[np.flatnonzero(keep_node)] = np.arange(int(keep_node.sum()))
 
         # Postings: drop rows of dropped objects, renumber the survivors. The
-        # filter preserves posting order and the row renumbering is monotone,
-        # so rows still ascend within each term.
+        # survivors stay term-major; _cell_order below re-sorts each term by
+        # the shard grid's (cell, row).
         post_indptr = np.asarray(self.post_indptr, dtype=np.int64)
         post_tids = np.repeat(np.arange(self.num_terms), np.diff(post_indptr))
         keep_post = keep_obj[self.post_rows]
@@ -390,12 +424,14 @@ class ColumnarScoringIndex:
         node_x = np.asarray(self.node_x[keep_node])
         node_y = np.asarray(self.node_y[keep_node])
         lm_log_base = np.asarray(self.lm_log_base)
+        post_tfidf = np.asarray(self.post_tfidf[keep_post])
+        lm_log_mixed = np.asarray(self.lm_log_mixed[keep_post])
 
         bound_arrays = _bound_aggregate_arrays(
             post_indptr=np.asarray(sub_post_indptr, dtype=np.int64),
             post_rows=sub_post_rows,
-            post_tfidf=np.asarray(self.post_tfidf[keep_post]),
-            lm_log_mixed=np.asarray(self.lm_log_mixed[keep_post]),
+            post_tfidf=post_tfidf,
+            lm_log_mixed=lm_log_mixed,
             lm_log_base=lm_log_base,
             obj_x=obj_x,
             obj_y=obj_y,
@@ -404,13 +440,17 @@ class ColumnarScoringIndex:
             node_x=node_x,
             node_y=node_y,
         )
+        order, post_cell = _cell_order(
+            sub_post_indptr, sub_post_rows, bound_arrays["obj_cell"]
+        )
 
         arrays = {
             "post_indptr": sub_post_indptr,
-            "post_rows": sub_post_rows,
-            "post_tfidf": np.asarray(self.post_tfidf[keep_post]),
-            "post_tf": np.asarray(self.post_tf[keep_post]),
-            "lm_log_mixed": np.asarray(self.lm_log_mixed[keep_post]),
+            "post_rows": sub_post_rows[order],
+            "post_cell": post_cell,
+            "post_tfidf": post_tfidf[order],
+            "post_tf": np.asarray(self.post_tf[keep_post])[order],
+            "lm_log_mixed": lm_log_mixed[order],
             "lm_log_base": lm_log_base,
             "object_ids": np.asarray(self.object_ids[keep_obj]),
             "obj_x": obj_x,
@@ -650,6 +690,26 @@ class ColumnarScoringIndex:
         return scores
 
 
+def _cell_order(
+    post_indptr: np.ndarray, post_rows: np.ndarray, obj_cell: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The stored posting order: term, then the object's bound-grid cell, then row.
+
+    Returns ``(order, post_cell)``: ``order`` permutes term-major postings into
+    that order (one sort of a combined int64 key, which stays below 2**63 while
+    terms × cells × objects does), and ``post_cell`` is the permuted cell
+    column. The postings stay term-major, so each object's postings keep their
+    term order and every per-object sum over the postings is unchanged.
+    """
+    num_terms = len(post_indptr) - 1
+    num_cells = BOUND_RESOLUTION * BOUND_RESOLUTION
+    tids = np.repeat(np.arange(num_terms), np.diff(np.asarray(post_indptr, dtype=np.int64)))
+    cells = np.asarray(obj_cell)[post_rows]
+    key = (tids * num_cells + cells) * np.int64(len(obj_cell)) + post_rows
+    order = np.argsort(key, kind="stable")
+    return order, cells[order].astype(POST_CELL_DTYPE)
+
+
 def _bound_aggregate_arrays(
     post_indptr: np.ndarray,
     post_rows: np.ndarray,
@@ -758,6 +818,7 @@ def _bound_aggregate_arrays(
 ARRAY_FIELDS: Tuple[str, ...] = (
     "post_indptr",
     "post_rows",
+    "post_cell",
     "post_tfidf",
     "post_tf",
     "lm_log_mixed",
@@ -788,7 +849,9 @@ strata (format version 7 keeps only these four of version 3's eight); see
 ``corpus_meta`` (format version 4) persist the corpus-global document
 frequencies and corpus size so spatial shards — whose postings cover only their
 own objects — still compute the exact global IDF weights (see
-:meth:`ColumnarScoringIndex.subset_for_extent`).
+:meth:`ColumnarScoringIndex.subset_for_extent`). ``post_cell`` (format version
+8) is each posting's ``obj_cell``, the key the postings are ordered by within a
+term (see :func:`_cell_order`).
 """
 
 
@@ -809,6 +872,31 @@ def kept_positions(
     if node_window is not None:
         keep &= node_window.contains_points(xs, ys)
     return np.flatnonzero(keep)
+
+
+def _gather(column: np.ndarray, ranges: List[Tuple[int, int]]) -> np.ndarray:
+    """``column``'s slots in ``ranges``, concatenated (a view for one range)."""
+    if len(ranges) == 1:
+        start, end = ranges[0]
+        return column[start:end]
+    if not ranges:
+        return column[0:0]
+    return np.concatenate([column[start:end] for start, end in ranges])
+
+
+def _sorted_unique(parts: List[np.ndarray]) -> np.ndarray:
+    """The distinct rows of ``parts``, ascending (sort + neighbour diff: the
+    hash-based ``np.unique`` costs far more on a few thousand rows)."""
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    rows = np.concatenate(parts)
+    rows.sort()
+    if len(rows) > 1:
+        fresh = np.empty(len(rows), dtype=bool)
+        fresh[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=fresh[1:])
+        rows = rows[fresh]
+    return rows
 
 
 class WeightPipeline:
@@ -902,11 +990,26 @@ class WeightPipeline:
             exclude_rows: Optional boolean mask over object rows; ``True`` rows
                 are dropped from the aggregation (used to mask base rows
                 superseded by a pending overlay entry).
+
+        Corpora of up to :data:`SCAN_MAX_OBJECTS` objects are scanned whole;
+        larger ones go through the window kernel. Both return the same sums
+        bit for bit.
         """
+        keyword_list = list(keywords)
+        if self._index.num_objects <= SCAN_MAX_OBJECTS:
+            return self._scan_node_sums(keyword_list, window, exclude_rows)
+        return self._window_node_sums(keyword_list, window, exclude_rows)
+
+    def _scan_node_sums(
+        self,
+        keyword_list: List[str],
+        window: Optional[Rectangle],
+        exclude_rows: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """:meth:`node_sums` by scoring, masking and scanning every object row."""
         from repro.textindex.relevance import ScoringMode  # deferred: cycle guard
 
         index = self._index
-        keyword_list = list(keywords)
         # Select the contributing object rows. TF-IDF and LM scores are
         # strictly positive exactly for the objects the reference loop scores
         # positively; rating mode must keep matched zero-rating objects out of
@@ -932,6 +1035,152 @@ class WeightPipeline:
             weights=scores[rows],
             minlength=index.num_nodes,
         )
+
+    def _window_node_sums(
+        self,
+        keyword_list: List[str],
+        window: Optional[Rectangle],
+        exclude_rows: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """:meth:`node_sums` from the query terms' postings in the window's cells.
+
+        Every object inside ``window`` lies in one of the cells
+        :meth:`_cell_bands` covers (see there), and all postings of an object
+        share its cell, so the in-band postings hold every posting of every
+        object the scan would select: the touched rows are a superset of the
+        scan's selection, each with its complete score. The same positivity,
+        mapped, ``exclude_rows`` and window tests then run on those rows only.
+
+        The add orders match the scan's. Per object, contributions are added
+        term by term in query order (each object has at most one posting per
+        term). Per node, ``np.bincount`` adds the kept rows in ascending row
+        order: the touched rows are sorted, which also orders a windowless
+        read, whose cell-ordered slices do not ascend by row. Scores live in a
+        touched-row-length column, found by binary search in the sorted rows.
+        """
+        from repro.textindex.relevance import ScoringMode  # deferred: cycle guard
+
+        index = self._index
+        mode = self._mode
+        if mode is ScoringMode.TEXT_RELEVANCE:
+            terms, norm = index.query_weights(keyword_list)
+            values = index.post_tfidf
+        elif mode is ScoringMode.RATING_IF_MATCH:
+            terms = [
+                (tid, 0.0)
+                for term in keyword_list
+                if (tid := index.term_id(term)) is not None
+            ]
+            values = None
+        else:
+            terms = [
+                (tid, float(index.lm_log_base[tid]))
+                for term in keyword_list
+                if (tid := index.term_id(term)) is not None
+                and index.lm_log_base[tid] != 0.0
+            ]
+            values = index.lm_log_mixed
+        bands = None if window is None else self._cell_bands(window)
+        gathered = []
+        for tid, weight in terms:
+            ranges = self._term_ranges(tid, bands)
+            gathered.append(
+                (
+                    weight,
+                    _gather(index.post_rows, ranges),
+                    None if values is None else _gather(values, ranges),
+                )
+            )
+        rows = _sorted_unique([term_rows for _, term_rows, _ in gathered])
+        if mode is ScoringMode.TEXT_RELEVANCE:
+            scores = np.zeros(len(rows), dtype=np.float64)
+            for query_weight, term_rows, tfidf in gathered:
+                scores[rows.searchsorted(term_rows)] += query_weight * tfidf
+            np.divide(scores, norm, out=scores)
+            keep = scores > 0.0
+        elif mode is ScoringMode.RATING_IF_MATCH:
+            scores = index.obj_rating[rows]
+            keep = np.ones(len(rows), dtype=bool)
+        else:
+            # lm_object_scores' arithmetic on the touched rows: each term adds
+            # ln(mixed) where the object holds it and ln(λ·P(t|C)) elsewhere.
+            scores = np.zeros(len(rows), dtype=np.float64)
+            background = 0.0
+            for log_base, term_rows, mixed in gathered:
+                column = np.full(len(rows), log_base, dtype=np.float64)
+                column[rows.searchsorted(term_rows)] = mixed
+                scores += column
+                background += log_base
+            scores -= background
+            np.maximum(scores, 0.0, out=scores)
+            keep = scores > 0.0
+        node_pos = index.obj_node_pos[rows]
+        keep &= node_pos >= 0
+        if exclude_rows is not None:
+            keep &= ~exclude_rows[rows]
+        if window is not None:
+            keep &= window.contains_points(index.obj_x[rows], index.obj_y[rows])
+        return np.bincount(
+            node_pos[keep], weights=scores[keep], minlength=index.num_nodes
+        )
+
+    def _cell_bands(self, window: Rectangle) -> Tuple[np.ndarray, bool]:
+        """``post_cell`` search keys of the grid cells that cover ``window``.
+
+        The cells are :meth:`UpperBoundIndex.cell_span
+        <repro.core.bounds.UpperBoundIndex.cell_span>`'s, the span the bounds
+        and the sampler's strata use too. It covers every object inside
+        ``window``: an object's cell is ``clip(trunc((x - min_x) / cell_w))``
+        per axis, the span's ends are the same expression at the window's
+        edges, and subtraction, division by a positive width, truncation and
+        clamping are each monotone in IEEE arithmetic, so
+        ``min_x ≤ x ≤ max_x`` puts the object's column between the span's.
+
+        A band is one grid row's run of covered cells, ``first..last`` (all
+        covered rows are one band when the span is full-width). The keys
+        interleave ``first - 1`` and ``last`` so that one
+        ``searchsorted(side="right")`` per term returns every band's slot
+        range, and every key fits ``post_cell``'s dtype. Only a band starting
+        at cell 0 has no ``first - 1``; the returned flag says so, and
+        :meth:`_term_ranges` starts that band at the term's first slot.
+        """
+        bounds = self.bounds
+        r0, r1, c0, c1 = bounds.cell_span(
+            window.min_x, window.min_y, window.max_x, window.max_y
+        )
+        side = bounds.resolution
+        if c0 == 0 and c1 == side - 1:
+            firsts = [r0 * side]
+            lasts = [r1 * side + c1]
+        else:
+            firsts = [r * side + c0 for r in range(r0, r1 + 1)]
+            lasts = [r * side + c1 for r in range(r0, r1 + 1)]
+        keys = np.empty(2 * len(firsts), dtype=self._index.post_cell.dtype)
+        keys[0::2] = [max(first - 1, 0) for first in firsts]
+        keys[1::2] = lasts
+        return keys, firsts[0] == 0
+
+    def _term_ranges(
+        self, tid: int, bands: Optional[Tuple[np.ndarray, bool]]
+    ) -> List[Tuple[int, int]]:
+        """Non-empty posting slot ranges of term ``tid`` inside ``bands``.
+
+        ``bands`` comes from :meth:`_cell_bands`; ``None`` (no window) gives
+        the term's whole slice. Ranges ascend, so their concatenation keeps
+        the (cell, row) order.
+        """
+        index = self._index
+        start, end = int(index.post_indptr[tid]), int(index.post_indptr[tid + 1])
+        if start == end:
+            return []
+        if bands is None:
+            return [(start, end)]
+        keys, from_cell_zero = bands
+        cuts = index.post_cell[start:end].searchsorted(keys, side="right")
+        if from_cell_zero:
+            cuts[0] = 0
+        cuts = (cuts + start).tolist()
+        return [(lo, hi) for lo, hi in zip(cuts[0::2], cuts[1::2]) if lo < hi]
 
     def node_weights(
         self,
@@ -991,31 +1240,41 @@ class WeightPipeline:
             self._sample_frame = (indptr, frame_rows)
         return self._sample_frame
 
-    def _scores_for_rows(self, keywords: Sequence[str], rows: np.ndarray) -> np.ndarray:
+    def _scores_for_rows(
+        self, keywords: Sequence[str], rows: np.ndarray, window: Optional[Rectangle]
+    ) -> np.ndarray:
         """Per-object scores for the given object rows only (float64).
 
-        Computes the same score definition as :meth:`object_scores` but touches
-        only ``len(rows)`` entries per query term, via binary search into the
-        ascending CSR postings rows — the sublinear kernel the sampled tier's
-        speedup comes from. Row order of the output follows ``rows``.
+        Computes the same score definition as :meth:`object_scores` but reads
+        only each query term's postings in the cells covering ``window`` (the
+        term's whole slice when ``None``), never a corpus-length column — the
+        kernel the sampled tier's speedup comes from. ``rows`` must ascend by
+        (``obj_cell``, row), the order the sampler draws them in, and lie in
+        those cells; each is found by its (cell, row) key among the term's
+        postings, which ascend by the same key. Row order of the output
+        follows ``rows``.
         """
         from repro.textindex.relevance import ScoringMode  # deferred: cycle guard
 
         index = self._index
         num_rows = len(rows)
-        indptr = index.post_indptr
+        bands = None if window is None else self._cell_bands(window)
+        scale = np.int64(max(index.num_objects, 1))
+        row_keys = index.obj_cell[rows].astype(np.int64) * scale + rows
 
         def member_positions(tid: int) -> Tuple[np.ndarray, np.ndarray]:
             """(mask of rows containing term, posting positions for those rows)."""
-            start, end = int(indptr[tid]), int(indptr[tid + 1])
-            term_rows = index.post_rows[start:end]
-            if len(term_rows) == 0:
+            ranges = self._term_ranges(tid, bands)
+            if not ranges:
                 return np.zeros(num_rows, dtype=bool), np.empty(0, dtype=np.int64)
-            pos = np.searchsorted(term_rows, rows)
-            found = pos < len(term_rows)
+            slots = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+            term_keys = _gather(index.post_cell, ranges).astype(np.int64) * scale
+            term_keys += _gather(index.post_rows, ranges)
+            pos = np.searchsorted(term_keys, row_keys)
+            found = pos < len(term_keys)
             probe = np.where(found, pos, 0)
-            found &= term_rows[probe] == rows
-            return found, start + pos[found]
+            found &= term_keys[probe] == row_keys
+            return found, slots[pos[found]]
 
         if self._mode is ScoringMode.TEXT_RELEVANCE:
             weighted, norm = index.query_weights(keywords)
@@ -1130,7 +1389,7 @@ class WeightPipeline:
         # Strata: non-empty cells, restricted to the window's covering cell span.
         bounds = self.bounds
         if window is not None:
-            r0, r1, c0, c1 = bounds._cell_span(
+            r0, r1, c0, c1 = bounds.cell_span(
                 window.min_x, window.min_y, window.max_x, window.max_y
             )
             rows_grid = np.arange(r0, r1 + 1, dtype=np.int64)
@@ -1185,21 +1444,24 @@ class WeightPipeline:
         np.minimum(picks, (n_active - 1)[stratum_of], out=picks)
         rows = frame_rows[indptr[active][stratum_of] + picks]
         factors = step[stratum_of]
-        # Score in ascending row order: the estimator is order-invariant, and
-        # monotone probes into the postings CSR are markedly cache-friendlier.
+        # Score only the sampled rows, in the draw's (cell, row) order — the
+        # order the postings are probed by — then put rows, factors and scores
+        # in ascending row order, the order the HT sums and the variance below
+        # accumulate in.
+        contributions = self._scores_for_rows(keyword_list, rows, window)
         order = np.argsort(rows, kind="stable")
         rows = rows[order]
         factors = factors[order]
+        contributions = contributions[order]
         n_of_cell = np.zeros(num_cells, dtype=np.int64)
         m_of_cell = np.zeros(num_cells, dtype=np.int64)
         n_of_cell[active] = n_active
         m_of_cell[active] = m_active
 
-        # Score only the sampled rows; zero out rows the exact path would not
-        # select (outside the window / non-positive score). The filter is
-        # deterministic, so inclusion probabilities — and HT unbiasedness over
-        # the selected sub-population — are unchanged.
-        contributions = self._scores_for_rows(keyword_list, rows)
+        # Zero out rows the exact path would not select (outside the window /
+        # non-positive score). The filter is deterministic, so inclusion
+        # probabilities — and HT unbiasedness over the selected
+        # sub-population — are unchanged.
         if window is not None:
             in_window = window.contains_points(index.obj_x[rows], index.obj_y[rows])
             contributions = np.where(in_window, contributions, 0.0)

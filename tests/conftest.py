@@ -21,6 +21,7 @@ from repro.network.builders import grid_network, manhattan_network, paper_exampl
 from repro.network.graph import RoadNetwork
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
+from repro.textindex import columnar
 
 
 # Figure 2 of the paper: node weights w.r.t. the query (v1..v6) and the length
@@ -31,6 +32,17 @@ PAPER_EXAMPLE_DELTA = 6.0
 PAPER_EXAMPLE_OPTIMUM_NODES = frozenset({2, 4, 5, 6})
 PAPER_EXAMPLE_OPTIMUM_WEIGHT = 1.1
 PAPER_EXAMPLE_OPTIMUM_LENGTH = 5.9
+
+
+@pytest.fixture
+def window_kernel(monkeypatch):
+    """Send every σ_v read through the window kernel.
+
+    ``WeightPipeline.node_sums`` scans corpora of up to ``SCAN_MAX_OBJECTS``
+    objects, which covers every test corpus; a limit of 0 makes any corpus
+    take the cell-ordered window kernel instead.
+    """
+    monkeypatch.setattr(columnar, "SCAN_MAX_OBJECTS", 0)
 
 
 @pytest.fixture

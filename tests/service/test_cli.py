@@ -388,6 +388,23 @@ class TestSharding:
         ]) == 2
         assert "--shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "shard_args, flag",
+        [
+            (["--shards", "0"], "--shards"),
+            (["--shards", "2", "--halo", "nan"], "--halo"),
+            (["--shards", "2", "--halo", "-5"], "--halo"),
+        ],
+        ids=["zero-shards", "nan-halo", "negative-halo"],
+    )
+    def test_bad_shard_options_write_nothing(self, tmp_path, capsys, shard_args, flag):
+        out = tmp_path / "bad"
+        assert main(BUILD_ARGS + ["--out", str(out), *shard_args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and flag in captured.err
+        assert "artifact written" not in captured.out
+        assert not out.exists()
+
 
 class TestMutateAndCompact:
     @pytest.fixture()

@@ -260,6 +260,29 @@ class TestCompressedIntegrity:
         with pytest.raises(ArtifactError, match="chunk"):
             np.asarray(columns[column])
 
+    def test_deleted_artifact_directory_raises_artifact_error(self, tmp_path):
+        # Raw columns are views of memory maps, which keep the inode the load
+        # opened; a chunked column re-opens its container on every decode. So
+        # once the directory is gone, the raw artifact still answers and the
+        # compressed one must fail with an ArtifactError naming the file and
+        # the column, not a bare FileNotFoundError.
+        dataset = build_ny_like(rows=16, cols=16, block_size=120.0,
+                                num_objects=500, num_clusters=6, seed=3)
+        bundle = IndexBundle.from_dataset(dataset)
+        engines = {}
+        for name, compress in (("raw", None), ("zlib", "zlib")):
+            bundle.save(tmp_path / name, compress=compress)
+            engines[name] = LCMSREngine.from_artifact(tmp_path / name)
+            shutil.rmtree(tmp_path / name)
+        expected = LCMSREngine.from_bundle(bundle).query(
+            ["cafe"], delta=800.0, algorithm="greedy"
+        )
+        _assert_same_result(
+            expected, engines["raw"].query(["cafe"], delta=800.0, algorithm="greedy")
+        )
+        with pytest.raises(ArtifactError, match=r"column '\w+' from .*\.npz"):
+            engines["zlib"].query(["cafe"], delta=800.0, algorithm="greedy")
+
     def test_v4_artifact_rejected_with_rebuild_hint(self, artifacts, tmp_path):
         raw, _, _ = artifacts
         stale = tmp_path / "v4"

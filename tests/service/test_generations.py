@@ -402,6 +402,31 @@ def test_far_add_weights_equal_cold_rebuild_weights(dataset, base_bundles):
                                _weight_reads(dataset) + [(far, None)])
 
 
+@pytest.mark.usefixtures("window_kernel")
+class TestMutationParityWindowKernel:
+    """The mutation-parity cases above through the σ_v window kernel,
+    overlay reads (``node_sums`` with ``exclude_rows``) included."""
+
+    test_post_compaction_byte_identical_to_cold_rebuild = staticmethod(
+        test_post_compaction_byte_identical_to_cold_rebuild
+    )
+    test_overlay_serving_matches_compacted_for_stats_preserving_script = staticmethod(
+        test_overlay_serving_matches_compacted_for_stats_preserving_script
+    )
+    test_overlay_serving_merges_full_script_in_rating_mode = staticmethod(
+        test_overlay_serving_merges_full_script_in_rating_mode
+    )
+    test_overlay_object_in_base_empty_window_is_found = staticmethod(
+        test_overlay_object_in_base_empty_window_is_found
+    )
+    test_overlay_weights_equal_cold_rebuild_weights = staticmethod(
+        test_overlay_weights_equal_cold_rebuild_weights
+    )
+    test_far_add_weights_equal_cold_rebuild_weights = staticmethod(
+        test_far_add_weights_equal_cold_rebuild_weights
+    )
+
+
 class TestNonFiniteMutations:
     """A NaN or infinite coordinate or rating is rejected before it is recorded."""
 

@@ -156,10 +156,10 @@ class TestIntegrity:
             IndexBundle.load(path)
 
     def test_pre_bump_artifact_is_rejected_with_a_rebuild_hint(self, tmp_path):
-        # Format version 7 shrank index.pkl to the corpus alone and dropped
-        # four bound columns; a version-6 index.pkl unpickles to a
-        # (corpus, mapping) tuple, so the loader must reject it outright and
-        # tell the operator how to get a current one.
+        # Format version 8 orders each term's postings by (cell, row) and adds
+        # post_cell; a version-7 artifact's postings ascend by row and have
+        # no cell column, so the loader must reject it outright and tell the
+        # operator how to get a current one.
         bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
         path = tmp_path / "pre-bump"
         bundle.save(path)

@@ -107,6 +107,11 @@ class TestNodeWeightParity:
             assert pipeline.node_weights(("nosuchterm",)) == {}
 
 
+@pytest.mark.usefixtures("window_kernel")
+class TestNodeWeightParityWindowKernel(TestNodeWeightParity):
+    """The node-weight parity cases through the window kernel."""
+
+
 class TestSolverResultParity:
     @pytest.mark.parametrize("mode", list(ScoringMode))
     def test_solver_results_identical_on_both_backends(self, mode):
@@ -154,6 +159,11 @@ class TestSolverResultParity:
         b = TGENSolver().solve_topk(reference, 3)
         assert [r.region.nodes for r in a] == [r.region.nodes for r in b]
         assert [r.weight for r in a] == [r.weight for r in b]
+
+
+@pytest.mark.usefixtures("window_kernel")
+class TestSolverResultParityWindowKernel(TestSolverResultParity):
+    """The solver parity cases through the window kernel."""
 
 
 class TestVectorSpaceParity:

@@ -50,6 +50,18 @@ def object_ids_of_list(index: ColumnarScoringIndex, rows) -> list:
     return [int(index.object_ids[row]) for row in rows]
 
 
+def assert_cell_ordered_postings(index: ColumnarScoringIndex) -> None:
+    """Within every term, (post_cell, row) strictly ascends, and every
+    posting's cell is its object's ``obj_cell``."""
+    cells = np.asarray(index.post_cell)
+    assert np.array_equal(cells, np.asarray(index.obj_cell)[index.post_rows])
+    indptr = np.asarray(index.post_indptr)
+    for tid, term in enumerate(index.terms):
+        start, end = int(indptr[tid]), int(indptr[tid + 1])
+        keys = cells[start:end].astype(np.int64) * index.num_objects + index.post_rows[start:end]
+        assert np.all(np.diff(keys) > 0), term
+
+
 def shared_node_corpus() -> ObjectCorpus:
     """Three objects around node 0 (0, 0), one at node 3 (300, 0), one far off."""
     return ObjectCorpus(
@@ -81,9 +93,7 @@ class TestPostings:
 
     def test_postings_rows_ascend_within_every_term(self, small):
         _, _, _, index = small
-        for term in index.terms:
-            rows, _, _ = index.postings(term)
-            assert np.all(np.diff(rows) > 0), term
+        assert_cell_ordered_postings(index)
 
     def test_unknown_term_has_empty_postings(self, small):
         _, _, _, index = small
@@ -354,9 +364,12 @@ class TestExtentSubset:
         assert 1 in kept
 
     def test_subset_postings_rows_ascend(self):
-        _, _, index = random_index(12)
+        # Dense enough that one term's postings in one shard cell come from
+        # several cells of the full grid, whose (cell, row) order differs.
+        _, _, index = random_index(12, num_objects=3000)
         sub = index.subset_for_extent(self.EXTENT)
-        for term in sub.terms:
-            rows, _, _ = sub.postings(term)
-            assert np.all(np.diff(rows) > 0), term
-            assert np.all(rows < sub.num_objects)
+        # The subset re-sorts under its own grid, which differs from the
+        # full index's (its bounding box is the shard's).
+        assert not np.array_equal(sub.bound_meta, index.bound_meta)
+        assert_cell_ordered_postings(sub)
+        assert np.all(sub.post_rows < sub.num_objects)
