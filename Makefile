@@ -138,7 +138,8 @@ artifact-smoke:
 # compacted gen-0001/network.npz must equal the base's byte for byte (`cmp`):
 # compaction reuses the base CSR, and a thaw-and-refreeze would reorder its
 # adjacency rows. A `mutate --add` with a NaN coordinate must then exit with
-# status 2 and record nothing. Leaves no files behind.
+# status 2 and record nothing, and a delta log holding an op without an id
+# must make `query` exit with status 2. Leaves no files behind.
 COMPACT_SMOKE_DIR := .compact-smoke
 COMPACT_SMOKE_BUILD := build --dataset ny --rows 16 --cols 16 --objects 500 \
 	--clusters 6 --seed 3
@@ -180,6 +181,9 @@ compact-smoke:
 		--add '{"id": 90003, "x": NaN, "y": 350.0, "keywords": ["cafe"]}'; \
 		test $$? -eq 2
 	test ! -e $(COMPACT_SMOKE_DIR)/ny/delta.json
+	echo '{"ops": [{"op": "remove"}]}' > $(COMPACT_SMOKE_DIR)/ny/delta.json
+	$(PYTHON) -m repro query $(COMPACT_SMOKE_DIR)/ny --keywords cafe --delta 800; \
+		test $$? -eq 2
 	rm -rf $(COMPACT_SMOKE_DIR)
 
 # End-to-end policy gate through the CLI: build a small artifact, answer one

@@ -39,14 +39,24 @@ from repro.textindex.relevance import ScoringMode
 SolverUnion = Union[APPSolver, TGENSolver, GreedySolver, ExactSolver]
 
 
-def _default_solvers() -> Dict[str, SolverUnion]:
-    """The paper's solver registry with default parameters."""
-    return {
+def _default_solvers(default_algorithm: str) -> Dict[str, SolverUnion]:
+    """The paper's solver registry with default parameters.
+
+    Raises:
+        QueryError: If ``default_algorithm`` names no registered solver.
+    """
+    solvers: Dict[str, SolverUnion] = {
         "app": APPSolver(),
         "tgen": TGENSolver(),
         "greedy": GreedySolver(),
         "exact": ExactSolver(),
     }
+    if default_algorithm.lower() not in solvers:
+        raise QueryError(
+            f"unknown default algorithm {default_algorithm!r}; "
+            f"known: {sorted(solvers)}"
+        )
+    return solvers
 
 
 class LCMSREngine:
@@ -89,12 +99,7 @@ class LCMSREngine:
         # the solver registry is cheap, so it is built (and the default name
         # validated against it) first; IndexBundle.build validates
         # scoring_mode before any index work.
-        solvers = _default_solvers()
-        if default_algorithm.lower() not in solvers:
-            raise QueryError(
-                f"unknown default algorithm {default_algorithm!r}; "
-                f"known: {sorted(solvers)}"
-            )
+        solvers = _default_solvers(default_algorithm)
         bundle = IndexBundle.build(network, corpus, scoring_mode=scoring_mode)
         self._attach(bundle, solvers, default_algorithm)
 
@@ -107,8 +112,6 @@ class LCMSREngine:
         self._bundle = bundle
         self._default_algorithm = default_algorithm.lower()
         self._solvers = solvers
-        self._solver_generation = 0
-        self._solver_lock = threading.Lock()
         self._bundle_generation = 0
         self._bundle_lock = threading.Lock()
         self._overlay = None
@@ -135,14 +138,8 @@ class LCMSREngine:
         Raises:
             QueryError: If ``default_algorithm`` is unknown.
         """
-        solvers = _default_solvers()
-        if default_algorithm.lower() not in solvers:
-            raise QueryError(
-                f"unknown default algorithm {default_algorithm!r}; "
-                f"known: {sorted(solvers)}"
-            )
         engine = cls.__new__(cls)
-        engine._attach(bundle, solvers, default_algorithm)
+        engine._attach(bundle, _default_solvers(default_algorithm), default_algorithm)
         return engine
 
     @classmethod
@@ -243,22 +240,12 @@ class LCMSREngine:
         return self._default_algorithm
 
     @property
-    def solver_generation(self) -> int:
-        """Counter bumped by every :meth:`configure_solver` call.
-
-        The serving layer folds this into its result-cache keys, so results
-        computed by a replaced solver are never served after reconfiguration.
-        """
-        return self._solver_generation
-
-    @property
     def bundle_generation(self) -> int:
         """Counter bumped by every :meth:`swap_bundle` call.
 
-        The solver-generation idea extended to the index state: the serving
-        layer folds this into its cache keys and clears its caches when it
-        changes, so a result computed against generation N is never served
-        after a compaction swaps in generation N+1.
+        The serving layer folds this into its cache keys and clears its caches
+        when it changes, so a result computed against generation N is never
+        served after a compaction swaps in generation N+1.
         """
         return self._bundle_generation
 
@@ -282,11 +269,11 @@ class LCMSREngine:
         Called by the :class:`~repro.service.generations.Compactor` after a
         re-freeze. The overlay is dropped — its mutations are baked into the
         new bundle — and :attr:`bundle_generation` is bumped. Publication
-        order mirrors :meth:`configure_solver`: the new bundle (and the
-        overlay drop) land BEFORE the generation bump, so a lock-free reader
-        pairing (generation, bundle) can at worst cache a new-world result
-        under the old generation key — which the bump then retires — never a
-        stale result under the new key.
+        order: the new bundle and the overlay drop land BEFORE the generation
+        bump, so a lock-free reader pairing (generation, bundle) can at worst
+        cache a new-world result under the old generation key — which the bump
+        then retires — never a stale result under the new key. The lock only
+        serialises concurrent swaps.
         """
         with self._bundle_lock:
             self._bundle = bundle
@@ -309,29 +296,6 @@ class LCMSREngine:
             f":g{self._bundle_generation}:o{overlay_version}"
         )
 
-    def configure_solver(self, name: str, solver: SolverUnion) -> None:
-        """Replace or add a named solver (e.g. an APP with different α/β).
-
-        Args:
-            name: Registry name; lower-cased, so ``"Greedy"`` and ``"greedy"``
-                address the same slot.
-            solver: Any object with ``solve`` / ``solve_topk`` methods.
-        """
-        with self._solver_lock:
-            # Copy-on-write: the registry dict is never mutated in place, so
-            # readers (solver(), possibly on concurrent QueryService workers)
-            # can snapshot it without taking the lock and still never observe a
-            # half-updated registry. The lock only serialises writers. The new
-            # dict is published BEFORE the generation bump: a lock-free reader
-            # pairing (generation, registry) can then at worst resolve the new
-            # solver under the old generation (its cached result is simply
-            # never served once the bump lands) — never the old solver under
-            # the new generation, which would be permanently stale.
-            updated = dict(self._solvers)
-            updated[name.lower()] = solver
-            self._solvers = updated
-            self._solver_generation += 1
-
     def solver(self, name: Optional[str] = None) -> SolverUnion:
         """Return the solver registered under ``name``.
 
@@ -344,9 +308,6 @@ class LCMSREngine:
         Raises:
             QueryError: If ``name`` does not match a registered solver.
         """
-        # Snapshot the reference once: configure_solver() replaces the dict
-        # copy-on-write (never mutates it), so the lookup below runs on one
-        # consistent registry even while a concurrent reconfiguration lands.
         solvers = self._solvers
         key = (name or self._default_algorithm).lower()
         if key not in solvers:
@@ -392,18 +353,44 @@ class LCMSREngine:
             overlay=overlay, sample_epsilon=sample_epsilon, sample_seed=sample_seed,
         )
 
-    @staticmethod
-    def _apply_policy(instance: ProblemInstance,
-                      policy: Optional[QueryPolicy]) -> ProblemInstance:
-        """Attach the per-solve policy state (an anytime budget) to an instance.
+    def solve(
+        self,
+        solver: SolverUnion,
+        instance: ProblemInstance,
+        policy: Optional[QueryPolicy] = None,
+        k: Optional[int] = None,
+    ) -> Union[RegionResult, TopKResult]:
+        """Run the solve step that every query path shares.
 
-        Called at solve time so the deadline clock starts when solving starts,
-        and so cached/shared instances never carry a stale budget. Exact and
-        sampled policies return the instance unchanged.
+        An anytime policy's budget is attached here, at solve time, so the
+        deadline clock starts when solving starts and cached or shared
+        instances never carry a stale budget. The solver then runs —
+        ``solve_topk(…, k)`` when ``k`` is given, ``solve`` otherwise — and a
+        sampled policy's region CI is folded into the result stats.
+
+        Args:
+            solver: The solver to run, as :meth:`solver` returns it. Callers
+                resolve it before building the instance, so an unknown
+                algorithm fails before any index work.
+            instance: The budget-free instance, from :meth:`build_instance` or
+                a cache.
+            policy: The query's policy (``None`` = exact).
+            k: Number of regions for the top-k variant; ``None`` solves for
+                the single best region.
+
+        Returns:
+            A :class:`~repro.core.result.RegionResult` when ``k`` is ``None``,
+            a :class:`~repro.core.result.TopKResult` otherwise.
         """
+        solve_instance = instance
         if policy is not None and policy.kind == "anytime":
-            return instance.with_budget(Budget.from_deadline_ms(policy.deadline_ms))
-        return instance
+            budget = Budget.from_deadline_ms(policy.deadline_ms)
+            solve_instance = instance.with_budget(budget)
+        if k is None:
+            result = solver.solve(solve_instance)
+        else:
+            result = solver.solve_topk(solve_instance, k)
+        return self._annotate_sampled(result, instance, policy)
 
     @staticmethod
     def _annotate_sampled(result, instance: ProblemInstance,
@@ -471,9 +458,9 @@ class LCMSREngine:
                 algorithm name.
         """
         lcmsr_query = LCMSRQuery.create(keywords, delta=delta, region=region)
+        solver = self.solver(algorithm)
         instance = self.build_instance(lcmsr_query, policy=policy)
-        result = self.solver(algorithm).solve(self._apply_policy(instance, policy))
-        return self._annotate_sampled(result, instance, policy)
+        return self.solve(solver, instance, policy)
 
     def query_topk(
         self,
@@ -502,7 +489,6 @@ class LCMSREngine:
                 unknown algorithm name.
         """
         lcmsr_query = LCMSRQuery.create(keywords, delta=delta, region=region, k=k)
+        solver = self.solver(algorithm)
         instance = self.build_instance(lcmsr_query, policy=policy)
-        result = self.solver(algorithm).solve_topk(
-            self._apply_policy(instance, policy), k)
-        return self._annotate_sampled(result, instance, policy)
+        return self.solve(solver, instance, policy, k=k)

@@ -327,15 +327,5 @@ class RoadNetwork:
             return True
         return len(self.bfs_order(next(iter(self._nodes)))) == len(self._nodes)
 
-    # ------------------------------------------------------------------ copies
-    def copy(self) -> "RoadNetwork":
-        """Return a deep copy of the network."""
-        clone = RoadNetwork()
-        for node in self._nodes.values():
-            clone.add_node(node.node_id, node.x, node.y)
-        for edge in self.edges():
-            clone.add_edge(edge.u, edge.v, edge.length)
-        return clone
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RoadNetwork(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -22,12 +22,18 @@ into a high-throughput service:
   edges, :class:`ShardRouter` maps each window to the one shard whose extent
   contains it, and :class:`ShardedQueryService` is the
   ``ProcessPoolExecutor`` gateway that dispatches each query there, with
-  admission control — byte-identical to the unsharded engine.
+  admission control — byte-identical to the unsharded engine. A gateway
+  serves the generation ``CURRENT`` names when it opens, and replaces a pool
+  that a dead worker broke.
 * :mod:`repro.service.generations` — the mutable world: :class:`DeltaOverlay`
   records add / update / remove / rating mutations over a frozen bundle and
   merges them into node weights at query time; :class:`Compactor` re-freezes
   base + delta into a new ``gen-NNNN/`` artifact generation and swaps it into
   the live engine; :func:`resolve_generation` follows the ``CURRENT`` pointer.
+
+Serving state is fixed at construction, with one exception: a compaction swaps
+the engine's bundle (:meth:`~repro.engine.LCMSREngine.swap_bundle`), and the
+bundle generation that every cache key carries retires the old world's entries.
 """
 
 from repro.service.bundle import IndexBundle

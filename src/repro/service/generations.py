@@ -1,4 +1,4 @@
-"""Mutable world: delta overlay, generation store, and background compaction.
+"""Mutable world: delta overlay, generation store, and compaction.
 
 Every index in the stack is frozen at build time (CSR network, columnar scoring,
 shard artifacts).  This module adds the write path on top of those frozen
@@ -77,7 +77,6 @@ import re
 import threading
 import time
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -148,7 +147,8 @@ class DeltaOverlay:
     Thread safety: mutations and :meth:`node_weights` serialise on one lock —
     the overlay is the small write-side structure, not a throughput path.
     A compaction :meth:`freeze`\\ s the overlay; frozen overlays reject further
-    mutations so a background re-freeze can never lose writes silently.
+    mutations, so a write from another thread during a compaction fails loudly
+    instead of being lost.
 
     Args:
         bundle: The frozen base bundle.
@@ -433,36 +433,64 @@ class DeltaOverlay:
 # -------------------------------------------------------------------- delta log
 
 
+def _malformed(op: object, exc: Exception) -> ArtifactError:
+    reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ArtifactError(f"malformed mutation op {op!r}: {reason}")
+
+
+def _op_field(op: Mapping, name: str, kind: type):
+    try:
+        return kind(op[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed(op, exc) from exc
+
+
 def _op_object(op: Mapping) -> GeoTextualObject:
     try:
         object_id = int(op["id"])
         x = float(op["x"])
         y = float(op["y"])
-        raw_keywords = op["keywords"]
         rating = float(op.get("rating", 1.0))
+        raw_keywords = op["keywords"]
+        if isinstance(raw_keywords, Mapping):
+            keywords = {
+                str(term).strip().lower(): int(freq)
+                for term, freq in raw_keywords.items()
+                if str(term).strip()
+            }
+        elif isinstance(raw_keywords, str):
+            raise TypeError("'keywords' must be a list or a map of counts, not a string")
+        else:
+            terms = [str(t) for t in raw_keywords]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"malformed mutation op {op!r}: {exc}") from exc
+        raise _malformed(op, exc) from exc
     if isinstance(raw_keywords, Mapping):
-        keywords = {
-            str(term).strip().lower(): int(freq)
-            for term, freq in raw_keywords.items()
-            if str(term).strip()
-        }
         return GeoTextualObject(object_id, x, y, keywords, rating)
-    return GeoTextualObject.create(object_id, x, y, [str(t) for t in raw_keywords], rating)
+    return GeoTextualObject.create(object_id, x, y, terms, rating)
 
 
 def apply_op(overlay: DeltaOverlay, op: Mapping) -> None:
-    """Apply one mutation-log entry to ``overlay`` (validates as it goes)."""
+    """Apply one mutation-log entry to ``overlay`` (validates as it goes).
+
+    Raises:
+        ArtifactError: If the entry is not an object, names an unknown op, or
+            lacks a field its op needs or holds one that does not convert (a
+            non-numeric id or rating, ``null`` included, a keyword count that
+            is not an integer, or keywords given as one string).
+        DatasetError: If the mutation itself is invalid: an id that is unknown
+            (or already live, for an add), or a non-finite coordinate or rating.
+    """
+    if not isinstance(op, Mapping):
+        raise ArtifactError(f"malformed mutation op {op!r}: expected a JSON object")
     kind = op.get("op")
     if kind == "add":
         overlay.add_object(_op_object(op))
     elif kind == "update":
         overlay.update_object(_op_object(op))
     elif kind == "remove":
-        overlay.remove_object(int(op["id"]))
+        overlay.remove_object(_op_field(op, "id", int))
     elif kind == "rate":
-        overlay.set_rating(int(op["id"]), float(op["rating"]))
+        overlay.set_rating(_op_field(op, "id", int), _op_field(op, "rating", float))
     else:
         raise ArtifactError(
             f"unknown mutation op {kind!r} (expected add / update / remove / rate)"
@@ -644,7 +672,7 @@ class CompactionReport:
 
 
 class Compactor:
-    """Background re-freeze of base + delta into a new artifact generation.
+    """Re-freeze of base + delta into a new artifact generation.
 
     The compactor freezes the engine's overlay, materialises the canonical
     mutated corpus, and rebuilds a full bundle from it and the served bundle's
@@ -740,13 +768,6 @@ class Compactor:
         except BaseException:
             overlay.unfreeze()
             raise
-
-    def compact_in_background(self) -> "Future[CompactionReport]":
-        """Run :meth:`compact` on a background thread; returns its future."""
-        executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="compactor")
-        future = executor.submit(self.compact)
-        future.add_done_callback(lambda _: executor.shutdown(wait=False))
-        return future
 
 
 __all__ = [

@@ -58,6 +58,9 @@ def region_key(region: Optional[Rectangle]) -> Optional[RegionTupleKey]:
 class InstanceKey:
     """Cache key for a built problem instance (window graph + node weights).
 
+    The serving path derives it from a query's result key
+    (:attr:`ResultKey.instance_key`).
+
     Attributes:
         keywords: Canonical keyword tuple (sorted, deduplicated, lower-cased).
         region: The window as a coordinate tuple, or ``None`` for the whole network.
@@ -84,23 +87,6 @@ class InstanceKey:
     bundle_key: str = ""
     policy: str = "exact"
 
-    @staticmethod
-    def create(
-        keywords: Iterable[str],
-        region: Optional[Rectangle],
-        scoring_mode: ScoringMode,
-        bundle_key: str = "",
-        policy: str = "exact",
-    ) -> "InstanceKey":
-        """Build the canonical instance key for a query's index probe."""
-        return InstanceKey(
-            keywords=normalize_keywords(keywords),
-            region=region_key(region),
-            scoring_mode=scoring_mode.value,
-            bundle_key=bundle_key,
-            policy=policy,
-        )
-
 
 @dataclass(frozen=True)
 class ResultKey:
@@ -115,10 +101,6 @@ class ResultKey:
             resolved *before* the key is built, so "default" and its explicit name
             share an entry.
         scoring_mode: The engine's scoring mode.
-        solver_generation: The engine's
-            :attr:`~repro.engine.LCMSREngine.solver_generation` at execution time,
-            so ``configure_solver`` replacing a solver invalidates its cached
-            results instead of silently serving the old solver's answers.
         bundle_key: The engine's
             :attr:`~repro.engine.LCMSREngine.bundle_cache_key` at execution
             time — dataset fingerprint + bundle generation + overlay version —
@@ -140,7 +122,6 @@ class ResultKey:
     k: int
     algorithm: str
     scoring_mode: str
-    solver_generation: int = 0
     bundle_key: str = ""
     policy: str = "exact"
 
@@ -152,7 +133,6 @@ class ResultKey:
         k: int,
         algorithm: str,
         scoring_mode: ScoringMode,
-        solver_generation: int = 0,
         bundle_key: str = "",
         policy: str = "exact",
     ) -> "ResultKey":
@@ -164,7 +144,6 @@ class ResultKey:
             k=int(k),
             algorithm=algorithm.lower(),
             scoring_mode=scoring_mode.value,
-            solver_generation=int(solver_generation),
             bundle_key=bundle_key,
             policy=policy,
         )

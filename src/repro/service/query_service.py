@@ -26,7 +26,9 @@ front end:
 Sharing built instances across workers is safe because solvers treat instances as
 read-only (the evaluation runner has always shared one instance across solvers) and
 the engine's :class:`~repro.service.bundle.IndexBundle` is immutable after
-construction. Two concurrent misses on the same key may both compute the answer —
+construction. The engine's solver registry is fixed at construction too; the one
+runtime swap is a compaction's bundle swap, which the bundle generation in every
+cache key covers. Two concurrent misses on the same key may both compute the answer —
 the cache then keeps one of the two identical results; the service trades that small
 duplicated effort for a lock-free hot path.
 """
@@ -263,11 +265,10 @@ class QueryService:
         query = LCMSRQuery.create(
             request.keywords, delta=request.delta, region=request.region, k=request.k
         )
-        # The generations (solver and bundle) must be read BEFORE the solver /
-        # bundle state is used: if a concurrent configure_solver or
-        # swap_bundle lands in between, the old answer gets stored under the
-        # old generation (harmless, never served again) instead of the new one
-        # (permanently stale).
+        # The bundle generation (in bundle_cache_key) must be read BEFORE the
+        # bundle is used: if a concurrent swap_bundle lands in between, the
+        # old answer gets stored under the old generation (harmless, never
+        # served again) instead of the new one (permanently stale).
         policy = request.policy if request.policy is not None else QueryPolicy.exact()
         key = ResultKey.create(
             keywords=query.keywords,
@@ -276,7 +277,6 @@ class QueryService:
             k=request.k,
             algorithm=algorithm,
             scoring_mode=self._engine.scoring_mode,
-            solver_generation=self._engine.solver_generation,
             bundle_key=self._engine.bundle_cache_key,
             policy=policy.cache_token(),
         )
@@ -302,17 +302,9 @@ class QueryService:
             key.instance_key, query, policy
         )
 
-        # The deadline budget is attached here, at solve time, so cached
-        # instances never carry a stale clock; sampled CI annotation reads the
-        # (budget-free) instance's sampling record afterwards.
-        solve_instance = self._engine._apply_policy(instance, policy)
-        if request.k > 1:
-            result: ServiceResult = solver.solve_topk(solve_instance, request.k)
-            solve_seconds = result.runtime_seconds
-        else:
-            result = solver.solve(solve_instance)
-            solve_seconds = result.runtime_seconds
-        result = self._engine._annotate_sampled(result, instance, policy)
+        result: ServiceResult = self._engine.solve(
+            solver, instance, policy, k=request.k if request.k > 1 else None
+        )
 
         self._result_cache.put(key, result)
         # Close the insert-after-sweep race: an in-flight query that started
@@ -328,7 +320,7 @@ class QueryService:
             result_cache_hit=False,
             instance_cache_hit=instance_hit,
             build_seconds=build_seconds,
-            solve_seconds=solve_seconds,
+            solve_seconds=result.runtime_seconds,
             total_seconds=time.perf_counter() - start,
         )
         self._collector.record(timing)

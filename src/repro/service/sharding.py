@@ -23,7 +23,8 @@ up the repo's byte-identity contract:
   artifact directory on first use (fork-safe lazy init — nothing heavyweight
   crosses the fork; requests, results and timings are plain picklable
   dataclasses), and admission control via a bounded in-flight semaphore with
-  explicit rejection.
+  explicit rejection. A pool broken by a dead worker is replaced on the next
+  submit; the requests it held fail with a :class:`~repro.exceptions.QueryError`.
 
 **Byte-identity routing contract.** A query is answered bit-identically to the
 unsharded service exactly when it is dispatched to ONE artifact whose extent
@@ -31,9 +32,12 @@ contains its window — the heuristic solvers are not decomposable, so the route
 never splits a single query's answer across shards. Windows contained in no
 shard extent (wider than a tile plus its halo, or ``region=None`` with ``K>1``)
 fall back to the base artifact, which every gateway keeps addressable. Each
-dispatch names the artifact directory it was routed to, so a query routed just
-before :meth:`ShardedQueryService.refresh` is answered by the generation it was
-routed on.
+dispatch names the artifact directory it was routed to.
+
+**Fixed routing state.** A gateway serves the generation that ``CURRENT``
+names when the gateway is built, with that generation's shard set, for its
+whole life. To serve a newer generation after a compaction, open a new gateway
+(``python -m repro serve-batch --processes`` opens one per run).
 
 Worker processes share the page cache of the read-only mmap artifacts, so ``N``
 workers cost no array copies — the Polynesia-style split of read-optimized
@@ -47,6 +51,7 @@ import math
 import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -458,45 +463,6 @@ class ShardRouter:
         return ShardRoute(shard=containing[0], candidates=tuple(containing))
 
 
-@dataclass(frozen=True)
-class _Generation:
-    """The routing state of one served generation.
-
-    :meth:`ShardedQueryService.refresh` replaces it in one assignment, so a
-    dispatch that reads it once pairs its route with the directories of the
-    same generation.
-
-    Attributes:
-        path: The generation's base artifact directory.
-        router: The router over the generation's shard set.
-        shard_dirs: The shard artifact directories, indexed by shard ``part``.
-    """
-
-    path: Path
-    router: ShardRouter
-    shard_dirs: Tuple[str, ...]
-
-    @classmethod
-    def open(cls, path: Path) -> "_Generation":
-        """Validate the artifact and shard set at ``path`` and route over them.
-
-        Raises:
-            ArtifactError: On a missing base manifest or a stale shard set.
-        """
-        read_manifest(path)
-        shard_set = load_shard_set(path)
-        shards = shard_set.shards if shard_set else ()
-        return cls(
-            path=path,
-            router=ShardRouter(shard_set),
-            shard_dirs=tuple(str(path / SHARDS_DIRNAME / info.name) for info in shards),
-        )
-
-    def directory(self, route: ShardRoute) -> str:
-        """The artifact directory ``route`` dispatches to."""
-        return self.shard_dirs[route.shard] if route.shard >= 0 else str(self.path)
-
-
 # ---------------------------------------------------------------------- workers
 @dataclass(frozen=True)
 class WorkerConfig:
@@ -560,6 +526,15 @@ def _worker_execute(path: str, request: QueryRequest):
     return _worker_service(path).execute_timed(request)
 
 
+def _worker_died(exc: BrokenProcessPool) -> QueryError:
+    """The error a request gets when the worker serving it died."""
+    error = QueryError(
+        f"a worker process died before answering this request; retry it ({exc})"
+    )
+    error.__cause__ = exc
+    return error
+
+
 # ---------------------------------------------------------------------- gateway
 class ShardedQueryService:
     """Multi-process routing front end over a (possibly sharded) artifact.
@@ -570,8 +545,8 @@ class ShardedQueryService:
             shard set under the served generation's ``shards/`` subdirectory
             is picked up and validated; without one, every query runs on the
             base artifact (the pure process-scaling mode the throughput
-            benchmark measures). After a later compaction, call
-            :meth:`refresh` to swap to the new generation without a restart.
+            benchmark measures). The generation is resolved once, here: to
+            serve a later compaction's generation, open a new gateway.
             Workers always serve the resolved generation frozen — pending
             delta-log mutations are ignored here (single-process
             :class:`~repro.engine.LCMSREngine` serving merges them).
@@ -634,10 +609,16 @@ class ShardedQueryService:
                 )
         from repro.service.generations import resolve_generation  # deferred: cycle
 
-        self._root = Path(artifact)
-        self._generation = _Generation.open(resolve_generation(self._root))
+        self._path = resolve_generation(artifact)
+        read_manifest(self._path)
+        shard_set = load_shard_set(self._path)
+        self._router = ShardRouter(shard_set)
+        self._shard_dirs = tuple(
+            str(self._path / SHARDS_DIRNAME / info.name)
+            for info in (shard_set.shards if shard_set else ())
+        )
         self._config = WorkerConfig(
-            base_path=str(self._generation.path),
+            base_path=str(self._path),
             result_cache_size=result_cache_size,
             instance_cache_size=instance_cache_size,
             preload_base=preload_base,
@@ -671,61 +652,30 @@ class ShardedQueryService:
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def refresh(self) -> bool:
-        """Re-resolve the artifact's ``CURRENT`` generation and swap to it.
-
-        Call after a compaction published a new ``gen-NNNN/`` directory: the
-        gateway re-reads the ``CURRENT`` pointer, reloads the manifest and the
-        new generation's shard set, and replaces the worker pool so every
-        worker reopens the swapped-in artifacts. Outstanding queries on the
-        old pool finish against the old generation (the pool is drained, not
-        aborted), and a query routed before the swap is answered by the
-        generation it was routed on (generation directories stay on disk);
-        queries submitted after ``refresh`` returns are served from the new
-        one.
-
-        Returns:
-            ``True`` when the served generation changed, ``False`` when the
-            ``CURRENT`` pointer still names the generation already being
-            served (no-op).
-
-        Raises:
-            ArtifactError: If the new generation's manifest or shard set is
-                missing or stale.
-            QueryError: If the service has been closed.
-        """
-        from repro.service.generations import resolve_generation  # deferred: cycle
-
-        new_path = resolve_generation(self._root)
-        if new_path == self._generation.path:
-            return False
-        # Validate the new generation before touching serving state so a bad
-        # CURRENT pointer leaves the old generation in service.
-        generation = _Generation.open(new_path)
-        with self._pool_lock:
-            if self._closed:
-                raise QueryError("the sharded query service has been closed")
-            pool, self._pool = self._pool, None
-            self._generation = generation
-            self._config = replace(self._config, base_path=str(new_path))
-        if pool is not None:
-            pool.shutdown(wait=True)
-        return True
-
     def _submit(self, path: str, request: QueryRequest) -> "Future":
-        # Pool creation and the submit share one _pool_lock block, so a
-        # concurrent refresh() swaps the pool either before this request is
-        # queued or after it, and then drains it on the old pool.
+        # Pool creation, replacement and the submit share one _pool_lock
+        # block, so a concurrent close() shuts down either no pool or the one
+        # this request was queued on.
         with self._pool_lock:
             if self._closed:
                 raise QueryError("the sharded query service has been closed")
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._num_workers,
-                    initializer=_worker_init,
-                    initargs=(self._config,),
-                )
-            return self._pool.submit(_worker_execute, path, request)
+                self._pool = self._new_pool()
+            try:
+                return self._pool.submit(_worker_execute, path, request)
+            except BrokenProcessPool:
+                # A worker died, and the executor refuses every later submit;
+                # the requests it held have failed already. Replace it.
+                self._pool.shutdown(wait=False)
+                self._pool = self._new_pool()
+                return self._pool.submit(_worker_execute, path, request)
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self._num_workers,
+            initializer=_worker_init,
+            initargs=(self._config,),
+        )
 
     # ------------------------------------------------------------------ accessors
     @property
@@ -741,12 +691,12 @@ class ShardedQueryService:
     @property
     def shard_set(self) -> Optional[ShardSetManifest]:
         """The validated shard set (``None`` when serving the base artifact only)."""
-        return self._generation.router.manifest
+        return self._router.manifest
 
     @property
     def served_path(self) -> Path:
-        """The artifact directory (generation) queries are currently served from."""
-        return self._generation.path
+        """The artifact directory (generation) this gateway serves."""
+        return self._path
 
     @property
     def rejected(self) -> int:
@@ -762,11 +712,6 @@ class ShardedQueryService:
     def in_flight(self) -> int:
         """Number of queries currently admitted and not yet completed."""
         return self._in_flight
-
-    @property
-    def router(self) -> ShardRouter:
-        """The router over the served generation's shard set."""
-        return self._generation.router
 
     def stats(self) -> ServiceStats:
         """Gateway-side aggregate of every worker-reported query timing.
@@ -830,10 +775,8 @@ class ShardedQueryService:
 
     def _dispatch(self, request: QueryRequest, blocking: bool) -> "Future":
         request = self._maybe_shed(request)
-        # One read of the routing state: a concurrent refresh() cannot pair
-        # this route with the next generation's directories.
-        generation = self._generation
-        path = generation.directory(generation.router.route(request.region))
+        route = self._router.route(request.region)
+        path = self._shard_dirs[route.shard] if route.shard >= 0 else str(self._path)
         if not self._admission.acquire(blocking=blocking):
             with self._pool_lock:
                 self._rejected += 1
@@ -870,6 +813,8 @@ class ShardedQueryService:
         def _complete(fut: "Future") -> None:
             exc = fut.exception()
             if exc is not None:
+                if isinstance(exc, BrokenProcessPool):
+                    exc = _worker_died(exc)
                 outer.set_exception(exc)
             else:
                 outer.set_result(fut.result()[0])
@@ -884,8 +829,15 @@ class ShardedQueryService:
         <repro.service.query_service.QueryService.execute>` on the unsharded
         artifact — the router only ever picks an artifact whose extent contains
         the query window.
+
+        Raises:
+            QueryError: On a malformed request, a closed service, or a worker
+                that died before answering (the request may be retried).
         """
-        result, _ = self._dispatch(request, blocking=True).result()
+        try:
+            result, _ = self._dispatch(request, blocking=True).result()
+        except BrokenProcessPool as exc:
+            raise _worker_died(exc) from exc
         return result
 
     def submit(self, request: QueryRequest) -> "Future[ServiceResult]":
@@ -894,7 +846,8 @@ class ShardedQueryService:
         Raises:
             QueryError: When admission control is full (explicit rejection —
                 the caller decides whether to retry, shed or block) or the
-                service is closed.
+                service is closed. The future fails with one when the worker
+                serving the request died.
         """
         return self._unwrap(self._dispatch(request, blocking=False))
 
@@ -904,9 +857,16 @@ class ShardedQueryService:
         Admission control applies backpressure here (blocking acquire), so a
         batch larger than ``max_in_flight`` streams through the bound instead
         of rejecting.
+
+        Raises:
+            QueryError: Re-raised from the first failing request, including one
+                whose worker died.
         """
         futures = [self._dispatch(request, blocking=True) for request in requests]
-        return [future.result()[0] for future in futures]
+        try:
+            return [future.result()[0] for future in futures]
+        except BrokenProcessPool as exc:
+            raise _worker_died(exc) from exc
 
 
 __all__ = [

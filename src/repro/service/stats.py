@@ -5,13 +5,11 @@ one :class:`QueryTiming`; :class:`ServiceStats` aggregates them together with th
 caches' counters. ``evaluation.reporting`` renders these as the same fixed-width
 tables the benchmark figures use (:func:`repro.evaluation.reporting.format_service_stats`).
 
-Multi-process serving (:class:`~repro.service.sharding.ShardedQueryService`) adds
-two requirements this module covers:
-
-* every record is picklable (worker processes ship their timings back to the
-  gateway), and
-* per-worker snapshots combine losslessly — :meth:`ServiceStats.merge` sums the
-  counters and concatenates the timing records of any number of snapshots.
+Multi-process serving (:class:`~repro.service.sharding.ShardedQueryService`)
+needs every record to be picklable: each worker returns a request's
+:class:`QueryTiming` beside its answer, and the gateway records it into its own
+:class:`StatsCollector` as the request completes, so the gateway's snapshot
+covers every worker's queries without combining per-worker snapshots.
 
 The aggregate totals are carried explicitly in :class:`StatTotals` rather than
 re-derived from the timing list: :class:`StatsCollector` accumulates them inside
@@ -48,15 +46,15 @@ TIMING_HISTORY = 4096
 
 @dataclass(frozen=True)
 class LatencyHistogram:
-    """Fixed log-spaced latency buckets with an associative, lossless merge.
+    """Fixed log-spaced latency buckets with an associative, lossless sum.
 
-    Percentiles over concurrent workers need an aggregate that merges without
+    Percentiles over every served query need an aggregate that grows without
     holding every sample: fixed bucket edges make ``h1 + h2`` a plain
-    element-wise sum, so the merge is associative and commutative — per-worker
-    histograms combine in any order to the same aggregate (unlike reservoir
-    sampling, which is neither). The price is quantisation: a reported
-    percentile is the geometric midpoint of its bucket, within ±6% of the true
-    order statistic at 20 buckets per decade.
+    element-wise sum, associative and commutative, so a collector folds each
+    query's one-sample histogram into its totals and concurrent records land
+    in any order on the same aggregate (unlike reservoir sampling). The price
+    is quantisation: a reported percentile is the geometric midpoint of its
+    bucket, within ±6% of the true order statistic at 20 buckets per decade.
 
     The empty histogram is represented by an empty ``counts`` tuple (the
     additive identity), so zero-valued :class:`StatTotals` cost no allocation.
@@ -158,7 +156,7 @@ class StatTotals:
 
     Accumulated atomically by :class:`StatsCollector` (one lock-protected
     read-modify-write per query, in the same critical section as the timing
-    append) and summed across workers by :meth:`ServiceStats.merge`.
+    append).
     """
 
     queries: int = 0
@@ -202,16 +200,6 @@ class StatTotals:
         )
 
 
-def _sum_cache_stats(parts: List[CacheStats]) -> CacheStats:
-    return CacheStats(
-        hits=sum(p.hits for p in parts),
-        misses=sum(p.misses for p in parts),
-        evictions=sum(p.evictions for p in parts),
-        size=sum(p.size for p in parts),
-        max_size=sum(p.max_size for p in parts),
-    )
-
-
 @dataclass(frozen=True)
 class ServiceStats:
     """An immutable snapshot of a service's accumulated accounting.
@@ -235,27 +223,6 @@ class ServiceStats:
             self.totals
             if self.totals is not None
             else StatTotals.from_timings(self.timings)
-        )
-
-    @classmethod
-    def merge(cls, parts: Iterable["ServiceStats"]) -> "ServiceStats":
-        """Combine per-worker snapshots into one aggregate snapshot.
-
-        Timing records are concatenated in the given part order, cache counters
-        and totals are summed. Merging zero parts yields an empty snapshot.
-        """
-        part_list = list(parts)
-        timings: List[QueryTiming] = []
-        totals = StatTotals()
-        for part in part_list:
-            timings.extend(part.timings)
-            totals = totals + part._totals()
-        empty = CacheStats(hits=0, misses=0, evictions=0, size=0, max_size=0)
-        return cls(
-            timings=timings,
-            result_cache=_sum_cache_stats([p.result_cache for p in part_list]) if part_list else empty,
-            instance_cache=_sum_cache_stats([p.instance_cache for p in part_list]) if part_list else empty,
-            totals=totals,
         )
 
     @property
@@ -296,9 +263,8 @@ class ServiceStats:
     def latency_percentile(self, q: float) -> float:
         """The ``q``-th percentile end-to-end latency in seconds (0.0 when empty).
 
-        Read from the totals' :class:`LatencyHistogram`, so merged snapshots
-        report true cross-worker percentiles (the histogram merge is lossless);
-        the value is quantised to the histogram's bucket resolution (±6%).
+        Read from the totals' :class:`LatencyHistogram`, so the value is
+        quantised to the histogram's bucket resolution (±6%).
         """
         return self._totals().latency.percentile(q)
 
@@ -344,14 +310,6 @@ class StatsCollector:
         contribution = StatTotals.of(timing)
         with self._lock:
             self._timings.append(timing)
-            self._totals = self._totals + contribution
-
-    def record_many(self, timings: Iterable[QueryTiming]) -> None:
-        """Record a batch of timings under a single critical section."""
-        batch = list(timings)
-        contribution = StatTotals.from_timings(batch)
-        with self._lock:
-            self._timings.extend(batch)
             self._totals = self._totals + contribution
 
     def reset(self) -> None:

@@ -256,10 +256,11 @@ class TestServingPathsArePruned:
         engine = LCMSREngine.from_bundle(bundle)
         assert engine.build_instance(workload[0]).pruning is True
 
-    def test_query_service_miss_and_the_instance_hit_after_it(self, bundle, workload):
+    def test_query_service_miss_and_the_instance_hit_after_it(self, bundle, workload,
+                                                               monkeypatch):
         engine = LCMSREngine.from_bundle(bundle)
         recorder = _RecordingSolver()
-        engine.configure_solver("recorder", recorder)
+        monkeypatch.setitem(engine._solvers, "recorder", recorder)
         query = workload[0]
         # Same keywords and window, different ∆: the second request misses the
         # result cache and rebinds the first one's cached substrate.

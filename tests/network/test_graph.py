@@ -194,9 +194,3 @@ class TestTraversalAndCopies:
     def test_empty_network_is_connected(self):
         assert RoadNetwork().is_connected()
 
-    def test_copy_is_independent(self):
-        network = build_triangle()
-        clone = network.copy()
-        clone.remove_edge(1, 2)
-        assert network.has_edge(1, 2)
-        assert not clone.has_edge(1, 2)

@@ -466,6 +466,41 @@ class TestMutateAndCompact:
         assert main(["mutate", str(mutable_artifact), "--ops", str(ops_file)]) == 0
         assert len(read_delta_log(mutable_artifact)) == 2
 
+    @pytest.mark.parametrize("ops", [
+        [{"op": "rate", "id": 3}],
+        [{"op": "remove"}],
+        [{"op": "remove", "id": None}],
+        [["remove", 3]],
+        [{"op": "add", "id": 90001, "x": 300.0, "y": 300.0,
+          "keywords": {"cafe": "many"}}],
+    ], ids=["rate-without-rating", "remove-without-id", "remove-null-id",
+            "list-entry", "add-text-count"])
+    def test_mutate_rejects_a_malformed_ops_file_without_writing(
+        self, mutable_artifact, tmp_path, capsys, ops
+    ):
+        from repro.service.generations import DELTA_LOG_NAME
+
+        ops_file = tmp_path / "ops.json"
+        ops_file.write_text(json.dumps(ops), encoding="utf-8")
+        assert main(["mutate", str(mutable_artifact), "--ops", str(ops_file)]) == 2
+        assert "error: malformed mutation op" in capsys.readouterr().err
+        assert not (mutable_artifact / DELTA_LOG_NAME).exists()
+
+    @pytest.mark.parametrize("command", [
+        ["query", "--keywords", "cafe", "--delta", "600"],
+        ["compact"],
+    ], ids=["query", "compact"])
+    def test_malformed_delta_log_fails_cleanly(self, mutable_artifact, capsys,
+                                               command):
+        from repro.service.generations import DELTA_LOG_NAME
+
+        log = mutable_artifact / DELTA_LOG_NAME
+        log.write_text(json.dumps({"ops": [{"op": "remove"}]}), encoding="utf-8")
+        before = sorted(p.name for p in mutable_artifact.iterdir())
+        assert main([command[0], str(mutable_artifact), *command[1:]]) == 2
+        assert "error: malformed mutation op" in capsys.readouterr().err
+        assert sorted(p.name for p in mutable_artifact.iterdir()) == before
+
     def test_compact_writes_generation_and_flips_current(
         self, mutable_artifact, capsys
     ):

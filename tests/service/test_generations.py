@@ -24,6 +24,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.service.generations as generations
 from repro.core.reference import twin
 from repro.core.result import TopKResult
 from repro.datasets.ny import build_ny_like
@@ -526,6 +527,31 @@ class TestDeltaLog:
         with pytest.raises(ArtifactError, match="unknown mutation op"):
             apply_ops(overlay, [{"op": "teleport", "id": 1}])
 
+    @pytest.mark.parametrize("op", [
+        ["rate", 3, 2.0],
+        "remove 3",
+        {"op": "remove"},
+        {"op": "remove", "id": None},
+        {"op": "remove", "id": "three"},
+        {"op": "rate", "id": 3},
+        {"op": "rate", "id": 3, "rating": None},
+        {"op": "rate", "id": "three", "rating": 2.0},
+        {"op": "add", "id": 90001, "x": 300.0, "y": 300.0,
+         "keywords": {"cafe": "many"}},
+        {"op": "update", "id": 3, "x": 300.0, "y": 300.0,
+         "keywords": {"cafe": None}},
+        {"op": "add", "id": 90001, "x": 300.0, "y": 300.0, "keywords": 5},
+        {"op": "add", "id": 90001, "x": 300.0, "y": 300.0, "keywords": "cafe"},
+    ], ids=["list-entry", "string-entry", "remove-without-id", "remove-null-id",
+            "remove-text-id", "rate-without-rating", "rate-null-rating",
+            "rate-text-id", "add-text-count", "update-null-count",
+            "add-number-keywords", "add-string-keywords"])
+    def test_malformed_op_rejected_and_overlay_unchanged(self, base_bundles, op):
+        overlay = DeltaOverlay(base_bundles[ScoringMode.TEXT_RELEVANCE])
+        with pytest.raises(ArtifactError, match="malformed mutation op"):
+            apply_op(overlay, op)
+        assert (overlay.pending_count, overlay.version) == (0, 0)
+
     def test_overlay_from_empty_log_is_none(self, base_bundles, tmp_path):
         assert overlay_from_delta_log(
             base_bundles[ScoringMode.TEXT_RELEVANCE], tmp_path) is None
@@ -640,6 +666,61 @@ def test_disk_compaction_keeps_the_base_network(tmp_path):
         (root / "network.npz").read_bytes()
     assert report.fingerprint == compacted.fingerprint() == cold.fingerprint()
     assert answers() == before
+
+
+def test_compaction_failing_before_current_flips_rolls_back(dataset, base_bundles,
+                                                           tmp_path, monkeypatch):
+    """A crash between gen-0001's manifest and ``CURRENT`` leaves the old world.
+
+    The overlay is unfrozen, ``CURRENT`` and the delta log are untouched, a
+    fresh load serves the same merged answers, and a re-run publishes the next
+    generation, equal to a cold rebuild.
+    """
+    mode = ScoringMode.TEXT_RELEVANCE
+    root = tmp_path / "artifact"
+    base_bundles[mode].save(root)
+    ops = _mutation_script(dataset.corpus, random.Random(SEED + 900))
+    append_delta_ops(root, ops)
+    log = (root / DELTA_LOG_NAME).read_bytes()
+    live = LCMSREngine.from_artifact(root)
+    queries, _ = _queries(dataset)
+
+    def answers(engine):
+        return [_signature(engine.query(keywords, delta=delta, region=region,
+                                        algorithm=name))
+                for keywords, delta, region in queries for name in SOLVERS]
+
+    before = answers(live)
+
+    def crash(root, name):
+        assert (root / name / "manifest.json").is_file()
+        raise OSError("injected crash before CURRENT flips")
+
+    monkeypatch.setattr(generations, "set_current_generation", crash)
+    with pytest.raises(OSError, match="injected crash"):
+        Compactor(live, root=root).compact()
+    monkeypatch.undo()
+
+    assert not (root / CURRENT_NAME).exists()
+    assert (root / DELTA_LOG_NAME).read_bytes() == log
+    assert live.bundle_generation == 0
+    assert not live.overlay.frozen
+    assert answers(live) == before
+    assert answers(LCMSREngine.from_artifact(root)) == before
+    touched = {op["id"] for op in ops}
+    some_id = next(i for i in sorted(dataset.corpus.object_ids()) if i not in touched)
+    extra = {"op": "rate", "id": some_id, "rating": 3.75}
+    apply_op(live.overlay, extra)  # the rolled-back overlay takes writes again
+
+    report = Compactor(live, root=root).compact()
+    assert report.generation == "gen-0002"
+    assert resolve_generation(root) == root / "gen-0002"
+    cold = LCMSREngine.from_bundle(IndexBundle.build(
+        dataset.network, _expected_corpus(dataset.corpus, ops + [extra]),
+        scoring_mode=mode,
+    ))
+    assert answers(LCMSREngine.from_artifact(root)) == answers(cold)
+    assert answers(live) == answers(cold)
 
 
 def test_second_compaction_gets_next_generation_number(dataset, base_bundles,
@@ -776,8 +857,9 @@ def test_stale_shard_set_against_new_generation_rejected(dataset, base_bundles,
         load_shard_set(generation)
 
 
-def test_sharded_service_refresh_swaps_generation(dataset, base_bundles, tmp_path):
-    from repro.service.sharding import ShardedQueryService, build_shards
+def test_sharded_service_opened_after_compaction_serves_new_generation(
+        dataset, base_bundles, tmp_path):
+    from repro.service.sharding import ShardedQueryService, build_shards, load_shard_set
 
     root = tmp_path / "artifact"
     bundle = base_bundles[ScoringMode.RATING_IF_MATCH]
@@ -786,17 +868,15 @@ def test_sharded_service_refresh_swaps_generation(dataset, base_bundles, tmp_pat
                  base_fingerprint=manifest.fingerprint)
     vocab = _vocab(dataset.corpus)
     request = QueryRequest.create(vocab[:2], delta=450.0)
+    _mutate_and_compact(root, dataset)
     with ShardedQueryService(root, num_workers=2) as service:
-        assert service.served_path == root
-        service.run_batch([request])  # pre-swap serving, warms the old pool
-        _mutate_and_compact(root, dataset)
-        assert service.refresh() is True
         assert service.served_path == root / "gen-0001"
-        assert service.refresh() is False  # already serving CURRENT
+        assert service.shard_set == load_shard_set(root / "gen-0001")
+        assert service.shard_set.num_shards == 2
         after = service.run_batch([request])[0]
-        expected = LCMSREngine.from_artifact(root).query(
-            request.keywords, delta=request.delta, region=request.region)
-        assert _signature(after) == _signature(expected)
+    expected = LCMSREngine.from_artifact(root).query(
+        request.keywords, delta=request.delta, region=request.region)
+    assert _signature(after) == _signature(expected)
 
 
 def test_generation_swap_invalidates_service_caches(dataset, base_bundles):

@@ -171,18 +171,6 @@ class TestCaching:
             assert misses >= len(_mixed_requests(tiny_ny_dataset))
             assert stats.total_seconds >= stats.total_solve_seconds
 
-    def test_configure_solver_invalidates_cached_results(self, tiny_ny_dataset):
-        from repro.core.greedy import GreedySolver
-
-        engine = LCMSREngine(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
-        with QueryService(engine, max_workers=1) as service:
-            request = QueryRequest.create(["restaurant"], 1000.0, algorithm="greedy")
-            first = service.execute(request)
-            engine.configure_solver("greedy", GreedySolver(mu=0.9))
-            second = service.execute(request)
-            assert second is not first  # recomputed by the replaced solver
-            assert service.stats().result_hits == 0
-
     def test_result_hit_does_not_count_as_instance_hit(self, engine):
         with QueryService(engine, max_workers=1) as service:
             request = QueryRequest.create(["restaurant"], 1000.0)

@@ -1,4 +1,4 @@
-"""ServiceStats merging, latency percentiles and the StatsCollector's atomicity."""
+"""ServiceStats totals, latency percentiles and the StatsCollector's atomicity."""
 
 from __future__ import annotations
 
@@ -52,42 +52,6 @@ def test_totals_match_timing_derivation():
     assert stats.queries == 3
     assert stats.result_hit_rate == 1 / 3
     assert stats.mean_latency_seconds == 1.0
-
-
-def test_merge_sums_counters_and_concatenates_timings():
-    part_a = ServiceStats(timings=[_timing(0), _timing(1, result_hit=True)],
-                          result_cache=_cache(1, 1), instance_cache=_cache(0, 1))
-    part_b = ServiceStats(timings=[_timing(2)],
-                          result_cache=_cache(0, 1), instance_cache=_cache(1, 0))
-    merged = ServiceStats.merge([part_a, part_b])
-    assert merged.queries == 3
-    assert merged.result_hits == 1
-    assert len(merged.timings) == 3
-    assert merged.result_cache.hits == 1
-    assert merged.result_cache.misses == 2
-    assert merged.instance_cache.hits == 1
-    assert merged.total_seconds == 3.0
-    # Merging nothing is a well-defined empty snapshot.
-    empty = ServiceStats.merge([])
-    assert empty.queries == 0
-    assert empty.mean_latency_seconds == 0.0
-    assert empty.result_hit_rate == 0.0
-
-
-def test_merge_is_associative_over_worker_snapshots():
-    parts = [
-        ServiceStats(timings=[_timing(i)], result_cache=_cache(i, 1),
-                     instance_cache=_cache(0, i))
-        for i in range(4)
-    ]
-    all_at_once = ServiceStats.merge(parts)
-    pairwise = ServiceStats.merge(
-        [ServiceStats.merge(parts[:2]), ServiceStats.merge(parts[2:])]
-    )
-    assert all_at_once.queries == pairwise.queries
-    assert all_at_once.result_cache == pairwise.result_cache
-    assert all_at_once.totals == pairwise.totals
-    assert all_at_once.timings == pairwise.timings
 
 
 def test_stats_are_picklable():
@@ -151,22 +115,6 @@ class TestLatencyHistogram:
         assert stats.p95_latency_seconds == pytest.approx(0.001, rel=0.07)
         assert stats.p99_latency_seconds == pytest.approx(2.0, rel=0.07)
         assert stats.latency_percentile(100.0) == pytest.approx(20.0, rel=0.07)
-
-    def test_merged_snapshots_report_cross_worker_percentiles(self):
-        """Percentiles of merged worker snapshots == percentiles of the union."""
-        worker_a = ServiceStats(
-            timings=[_timing(i, total_seconds=0.001) for i in range(50)],
-            result_cache=_cache(0, 0), instance_cache=_cache(0, 0))
-        worker_b = ServiceStats(
-            timings=[_timing(i, total_seconds=1.0) for i in range(50)],
-            result_cache=_cache(0, 0), instance_cache=_cache(0, 0))
-        merged = ServiceStats.merge([worker_a, worker_b])
-        union = ServiceStats(
-            timings=worker_a.timings + worker_b.timings,
-            result_cache=_cache(0, 0), instance_cache=_cache(0, 0))
-        for q in (50.0, 90.0, 95.0, 99.0):
-            assert merged.latency_percentile(q) == union.latency_percentile(q)
-        assert merged.totals.latency.total == 100
 
     def test_histograms_survive_pickling(self):
         totals = StatTotals.from_timings(
@@ -253,7 +201,8 @@ def test_collector_hammer_no_dropped_counts():
 
 def test_collector_snapshot_is_consistent_under_reset():
     collector = StatsCollector()
-    collector.record_many([_timing(i) for i in range(5)])
+    for i in range(5):
+        collector.record(_timing(i))
     snapshot = collector.snapshot(result_cache=_cache(0, 0), instance_cache=_cache(0, 0))
     assert snapshot.queries == 5
     collector.reset()

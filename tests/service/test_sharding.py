@@ -11,10 +11,13 @@ backend and pruning parity suites.
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import shutil
+import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -28,7 +31,13 @@ from repro.service import sharding
 from repro.service.bundle import IndexBundle
 from repro.service.generations import set_current_generation
 from repro.service.keys import ResultKey
-from repro.service.persist import INDEX_NAME, read_manifest, verify_artifact
+from repro.service.persist import (
+    INDEX_NAME,
+    compression_spec,
+    read_manifest,
+    save_bundle,
+    verify_artifact,
+)
 from repro.service.query_service import QueryRequest, QueryService
 from repro.service.sharding import (
     SHARD_SET_NAME,
@@ -414,102 +423,12 @@ def test_worker_caches_one_service_per_artifact_directory(gateway_artifact,
     assert _signature(on_shard) == _signature(again) == _signature(on_base)
 
 
-# ---------------------------------------------------------------- refresh races
+# ---------------------------------------------------------------- generations
 @pytest.fixture(scope="module")
 def race_bundle():
     dataset = build_ny_like(rows=16, cols=16, block_size=120.0, num_objects=600,
                             num_clusters=8, seed=SEED)
     return IndexBundle.build(dataset.network, dataset.corpus)
-
-
-def _two_generations(bundle, root, reshard_next):
-    """A 2-shard base artifact and a same-content ``gen-0001`` beside it.
-
-    ``CURRENT`` is left unset: a gateway opened on ``root`` serves the base
-    until the test points ``CURRENT`` at ``gen-0001`` and calls ``refresh``.
-    """
-    manifest = bundle.save(root)
-    build_shards(bundle, root, num_shards=2, halo_margin=300.0,
-                 base_fingerprint=manifest.fingerprint)
-    bundle.save(root / "gen-0001")
-    if reshard_next:
-        build_shards(bundle, root / "gen-0001", num_shards=4, halo_margin=100.0,
-                     base_fingerprint=manifest.fingerprint)
-
-
-def _refresh_after_routing_to_shard_1(monkeypatch, service):
-    """Swap generations between routing a query to shard 1 and submitting it."""
-    route = ShardRouter.route
-    swapped = []
-
-    def route_then_refresh(router, region):
-        decision = route(router, region)
-        if decision.shard == 1 and not swapped:
-            swapped.append(service.refresh())
-        return decision
-
-    monkeypatch.setattr(ShardRouter, "route", route_then_refresh)
-    return swapped
-
-
-@pytest.mark.parametrize("reshard_next", [False, True],
-                         ids=["next-generation-unsharded", "next-generation-4-shards"])
-def test_query_routed_before_refresh_runs_on_its_own_generation(
-        race_bundle, tmp_path, monkeypatch, reshard_next):
-    """A route and the shard directory it names come from one generation."""
-    root = tmp_path / "artifact"
-    _two_generations(race_bundle, root, reshard_next)
-    min_x, min_y, max_x, max_y = race_bundle.compact.bounding_box()
-    # Centered in the right-hand tile of the 2-shard base: routes to shard 1.
-    window = Rectangle.from_center(min_x + 0.75 * (max_x - min_x),
-                                   min_y + 0.5 * (max_y - min_y), 400, 400)
-    keywords = [t for t, _ in race_bundle.corpus.most_frequent_terms(2)]
-    request = QueryRequest.create(keywords, delta=600.0, region=window,
-                                  algorithm="greedy")
-    with ShardedQueryService(root, num_workers=1) as service:
-        assert service.router.route(window).shard == 1
-        set_current_generation(root, "gen-0001")
-        swapped = _refresh_after_routing_to_shard_1(monkeypatch, service)
-        got = service.execute(request)
-        assert swapped == [True]
-        assert service.served_path == root / "gen-0001"
-    expected = QueryService(LCMSREngine.from_artifact(root), max_workers=1).execute(request)
-    assert not expected.is_empty
-    assert _signature(got) == _signature(expected)
-
-
-def test_submit_racing_refresh_is_answered_on_the_routed_generation(
-        race_bundle, tmp_path, monkeypatch):
-    """A refresh() that lands inside a submit waits for it, then drains it."""
-    root = tmp_path / "artifact"
-    race_bundle.save(root)
-    race_bundle.save(root / "gen-0001")
-    keywords = [t for t, _ in race_bundle.corpus.most_frequent_terms(2)]
-    request = QueryRequest.create(keywords, delta=600.0, algorithm="greedy")
-    submit = ProcessPoolExecutor.submit
-    swapped = []
-    racer = threading.Thread(target=lambda: swapped.append(service.refresh()))
-
-    def submit_racing_refresh(pool, *args, **kwargs):
-        if racer.ident is None:  # the first submit only
-            racer.start()
-            # Bounded: with the submit under the pool lock the refresh waits
-            # for this submit to return, so the join times out.
-            racer.join(timeout=2.0)
-        return submit(pool, *args, **kwargs)
-
-    with ShardedQueryService(root, num_workers=1) as service:
-        set_current_generation(root, "gen-0001")
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_racing_refresh)
-        got = service.execute(request)
-        monkeypatch.undo()
-        racer.join(timeout=120)
-        assert not racer.is_alive()
-        assert swapped == [True]
-        assert service.served_path == root / "gen-0001"
-    expected = QueryService(LCMSREngine.from_artifact(root), max_workers=1).execute(request)
-    assert not expected.is_empty
-    assert _signature(got) == _signature(expected)
 
 
 def test_base_routed_query_is_served_by_the_served_generation(race_bundle, tmp_path):
@@ -524,8 +443,8 @@ def test_base_routed_query_is_served_by_the_served_generation(race_bundle, tmp_p
     served = QueryService(LCMSREngine.from_bundle(IndexBundle.load(root)), max_workers=1)
     expected = _signature(served.execute(request))
     with ShardedQueryService(root, num_workers=1) as service:
-        # A compaction published gen-0001; until refresh() the gateway still
-        # serves the base, and so must a worker that opens it only now.
+        # A compaction published gen-0001; the gateway still serves the base
+        # it was opened on, and so must a worker that opens it only now.
         set_current_generation(root, "gen-0001")
         got = _signature(service.execute(request))
         assert service.served_path == root
@@ -534,42 +453,136 @@ def test_base_routed_query_is_served_by_the_served_generation(race_bundle, tmp_p
     assert got == expected
 
 
-def test_refresh_swaps_the_router_with_the_shard_set(race_bundle, tmp_path):
-    """The router is a plain value rebuilt with each generation's shard set."""
-    root = tmp_path / "artifact"
-    _two_generations(race_bundle, root, reshard_next=True)
-    service = ShardedQueryService(root, num_workers=1)
+# ---------------------------------------------------------------- failures
+def _wait_for(condition, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+def _stopped(pid):
+    with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+        return handle.read().rsplit(")", 1)[1].split()[0] == "T"
+
+
+_CALLS = {
+    "execute": lambda service, request: service.execute(request),
+    "submit": lambda service, request: service.submit(request).result(timeout=120),
+    "run_batch": lambda service, request: service.run_batch([request])[0],
+}
+
+
+@pytest.mark.parametrize("call", list(_CALLS))
+def test_a_killed_worker_fails_its_request_and_the_gateway_recovers(
+        gateway_artifact, parity_queries, call):
+    """SIGKILL one of two workers while a request waits on them.
+
+    The workers are stopped first, so the request is still pending when its
+    pool breaks: it fails with a QueryError whose cause is the
+    BrokenProcessPool, it releases its admission slot, and later requests on
+    the same gateway run on a replacement pool.
+    """
+    keywords, delta, region = parity_queries[0]
+    request = QueryRequest.create(keywords, delta=delta, region=region,
+                                  algorithm="greedy")
+    expected = _signature(QueryService(LCMSREngine.from_artifact(gateway_artifact),
+                                       max_workers=1).execute(request))
+    serve = _CALLS[call]
+    service = ShardedQueryService(gateway_artifact, num_workers=2)
+    pids = []
     try:
-        old_router = service.router
-        assert old_router.manifest is service.shard_set
-        assert service.shard_set.num_shards == 2
-        set_current_generation(root, "gen-0001")
-        assert service.refresh() is True
-        new_router = service.router
-        assert new_router is not old_router
-        assert new_router.manifest is service.shard_set
-        assert service.shard_set == load_shard_set(root / "gen-0001")
-        assert service.shard_set.num_shards == 4
-        assert service.refresh() is False
-        assert service.router is new_router
+        assert _signature(serve(service, request)) == expected
+        pids = list(service._pool._processes)
+        assert len(pids) == 2
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        for pid in pids:
+            _wait_for(lambda: _stopped(pid))
+        failures = []
+
+        def pending_request():
+            try:
+                serve(service, request)
+            except Exception as exc:  # surfaced by the assertions below
+                failures.append(exc)
+
+        waiter = threading.Thread(target=pending_request)
+        waiter.start()
+        _wait_for(lambda: service.in_flight == 1)
+        os.kill(pids[0], signal.SIGKILL)
+        waiter.join(timeout=120)
+        assert not waiter.is_alive()
+        os.kill(pids[1], signal.SIGCONT)
+        assert len(failures) == 1
+        assert isinstance(failures[0], QueryError)
+        assert "worker process died" in str(failures[0])
+        assert isinstance(failures[0].__cause__, BrokenProcessPool)
+        _wait_for(lambda: service.in_flight == 0)
+
+        answer = None
+        for _ in range(3):
+            try:
+                answer = serve(service, request)
+                break
+            except QueryError as exc:
+                assert isinstance(exc.__cause__, BrokenProcessPool)
+        assert answer is not None
+        assert _signature(answer) == expected
+        assert _signature(service.execute(request)) == expected
+        assert not set(service._pool._processes) & set(pids)
+        assert service.in_flight == 0
     finally:
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGCONT)
+            except ProcessLookupError:
+                pass
         service.close()
 
 
-def test_refresh_to_a_broken_shard_set_keeps_the_served_generation(race_bundle,
-                                                                   tmp_path):
-    """A generation that fails validation never replaces the routing state."""
-    root = tmp_path / "artifact"
-    _two_generations(race_bundle, root, reshard_next=True)
-    shutil.rmtree(root / "gen-0001" / SHARDS_DIRNAME / "shard-03")
-    service = ShardedQueryService(root, num_workers=1)
-    try:
-        router = service.router
-        set_current_generation(root, "gen-0001")
-        with pytest.raises(ArtifactError, match="shard-03 is missing"):
-            service.refresh()
-        assert service.served_path == root
-        assert service.router is router
-        assert service.shard_set.num_shards == 2
-    finally:
-        service.close()
+def test_a_corrupt_chunk_fails_only_the_request_that_decodes_it(dataset, tmp_path):
+    """A chunk corrupted after the worker loaded the artifact fails one query.
+
+    The artifact is zlib-compressed in 16-element chunks, so each keyword's
+    postings span their own chunks: the byte is flipped in a chunk that only
+    the second keyword's postings cover, after a request on the first one.
+    """
+    chunk_elems = 16
+    path = tmp_path / "zlib"
+    bundle = IndexBundle.build(dataset.network, dataset.corpus)
+    save_bundle(bundle, path,
+                compression={**compression_spec("zlib"), "chunk_elems": chunk_elems})
+    columnar = IndexBundle.load(path).columnar
+    indptr = columnar.post_indptr
+
+    def chunks_of(term):
+        tid = columnar.term_id(term)
+        return set(range(int(indptr[tid]) // chunk_elems,
+                         (int(indptr[tid + 1]) - 1) // chunk_elems + 1))
+
+    terms = [term for term, _ in bundle.corpus.most_frequent_terms(8)]
+    first = terms[0]
+    second = next(t for t in terms if not chunks_of(t) & chunks_of(first))
+    third = next(t for t in terms
+                 if t != first and not chunks_of(t) & chunks_of(second))
+    corrupt = min(chunks_of(second))
+    offset, size, _ = columnar.post_tfidf._chunks[corrupt]
+
+    def request(term):
+        return QueryRequest.create([term], delta=500.0, algorithm="greedy")
+
+    expected = QueryService(LCMSREngine.from_artifact(path), max_workers=1).execute(
+        request(third))
+    with ShardedQueryService(path, num_workers=1, preload_base=True,
+                             result_cache_size=0, instance_cache_size=0) as service:
+        assert not service.execute(request(first)).is_empty
+        with open(path / "scoring.npz", "r+b") as handle:
+            handle.seek(offset + size // 2)
+            byte = handle.read(1)[0]
+            handle.seek(offset + size // 2)
+            handle.write(bytes([byte ^ 0xFF]))
+        with pytest.raises(ArtifactError, match="post_tfidf"):
+            service.execute(request(second))
+        assert service.in_flight == 0
+        assert _signature(service.execute(request(third))) == _signature(expected)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import LCMSREngine, Rectangle
-from repro.core.greedy import GreedySolver
 from repro.exceptions import QueryError
 from repro.textindex.relevance import ScoringMode
 
@@ -39,29 +38,15 @@ class TestConfiguration:
         with pytest.raises(QueryError):
             engine.solver("does-not-exist")
 
-    def test_configure_solver_overrides(self, engine):
-        engine.configure_solver("greedy", GreedySolver(mu=0.7))
-        assert engine.solver("greedy").mu == 0.7
+    def test_unknown_algorithm_fails_before_the_instance_build(self, engine, monkeypatch):
+        def build_instance(*args, **kwargs):
+            raise AssertionError("an instance was built for an unknown algorithm")
 
-    def test_configure_solver_is_copy_on_write(self, engine):
-        # Readers snapshot the registry dict without the lock; writers must
-        # therefore replace the dict instead of mutating it in place.
-        before = engine._solvers
-        engine.configure_solver("greedy", GreedySolver(mu=0.9))
-        assert engine._solvers is not before
-        assert before["greedy"].mu != 0.9  # the old snapshot is untouched
-
-    def test_reader_snapshots_survive_new_key_configuration(self, engine):
-        # The hazard the copy-on-write fix closes: a reader snapshots the
-        # registry, then a writer registers a NEW name (the mutation that
-        # would grow/rehash an in-place dict under the reader). The snapshot
-        # must stay intact and iterable; the live registry must resolve the
-        # new name.
-        snapshot = engine._solvers
-        names_before = sorted(snapshot)
-        engine.configure_solver("custom", GreedySolver(mu=0.3))
-        assert sorted(snapshot) == names_before  # reader's view is unchanged
-        assert engine.solver("custom").mu == 0.3
+        monkeypatch.setattr(engine, "build_instance", build_instance)
+        with pytest.raises(QueryError, match="unknown algorithm"):
+            engine.query(["cafe"], delta=500.0, algorithm="nope")
+        with pytest.raises(QueryError, match="unknown algorithm"):
+            engine.query_topk(["cafe"], delta=500.0, k=2, algorithm="nope")
 
     def test_accessors(self, engine, tiny_ny_dataset):
         assert_same_rows(engine.network, tiny_ny_dataset.network)
