@@ -12,25 +12,35 @@ test:
 # via the property harness's TestBackendIdentity), bound-based pruning (on vs
 # off), the graph suites (a RoadNetwork input, frozen at entry, vs its CSR
 # snapshot) and σ_v (the columnar pipeline, the only σ_v path queries take,
-# vs the object-loop reference scorer, through both of its kernels: the corpus
-# scan that small corpora take and the cell-ordered window kernel that large
-# ones take, which test_window_kernel.py also checks against each other on
-# every window shape, exclude_rows masks, a tile subset, a zlib artifact and
-# the sampled tier's probe). TGEN is checked in both of its per-edge
-# regimes: the parity suite runs its cases at the production thresholds and with
-# every edge forced through the batched step, plus one tgen-paper-scale instance
-# that batches at the production threshold. The fast gate to run after touching
-# a solver hot loop, a skip branch or a scoring kernel.
+# vs the object-loop reference scorer). Every σ_v read scores through the
+# pipeline's one score function (WeightPipeline._query_terms and
+# _score_hits), so the suites check it through each read that gathers for it:
+# the corpus scan that small corpora take and the cell-ordered window kernel
+# that large ones take, which test_window_kernel.py also checks against each
+# other on every window shape, exclude_rows masks, a tile subset, a zlib
+# artifact and the sampled tier's probe; and the sampled tier's full-budget
+# read, which must equal the exact sums bit for bit (TestEscapeHatch). TGEN is
+# checked in both of its per-edge regimes: the parity suite runs its cases at
+# the production thresholds and with every edge forced through the batched
+# step, plus one tgen-paper-scale instance that batches at the production
+# threshold. The fast gate to run after touching a solver hot loop, a skip
+# branch or a scoring kernel.
 test-parity:
 	$(PYTHON) -m pytest tests/core/test_solver_backend_parity.py \
 		tests/core/test_solver_properties.py::TestBackendIdentity \
 		tests/core/test_pruning_parity.py tests/core/test_backend_parity.py \
-		tests/textindex/test_columnar.py tests/textindex/test_window_kernel.py -q
+		tests/textindex/test_columnar.py tests/textindex/test_window_kernel.py \
+		tests/textindex/test_sampling.py::TestEscapeHatch -q
 
 # The mutable-world gate: the mutation-parity suite (overlay serving and
 # post-compaction results byte-identical to a cold rebuild of the mutated
-# corpus, through both σ_v kernels), the cache-staleness hammer tests, and the CLI mutate/compact round
-# trips. Run after touching the overlay merge, the compactor or the caches.
+# corpus, through both σ_v kernels; and, for scripts that change the
+# collection statistics, every merged read byte-identical to the scalar
+# scorers over the mutated corpus with the base statistics pinned, the oracle
+# of the overlay's columnar delta, which scores through the pipeline's one
+# score function), the cache-staleness hammer tests, and the CLI
+# mutate/compact round trips. Run after touching the overlay merge, the
+# compactor or the caches.
 test-mutation:
 	$(PYTHON) -m pytest tests/service/test_generations.py \
 		"tests/service/test_cli.py::TestMutateAndCompact" -q

@@ -286,9 +286,9 @@ def build_instance(
     if pipeline is not None:
         if overlay is not None and overlay.has_pending:
             # Base+delta merge: base columnar sums with superseded rows masked
-            # out, overlay objects re-scored by the scalar reference
-            # arithmetic. The zero-mass skip below must not run — the cell
-            # bounds know nothing about pending mutations.
+            # out, overlay objects scored by the pipeline's own score function
+            # over their columnar delta. The zero-mass skip below must not
+            # run — the cell bounds know nothing about pending mutations.
             weights = overlay.node_weights(
                 query.keywords, window=query.region, node_window=query.region
             )

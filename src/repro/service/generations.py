@@ -10,9 +10,11 @@ framing of DBSP / Differential Dataflow):
   change) land in a small insertion-ordered dict.  Reads merge the base
   columnar σ_v sums with overlay contributions at query time: superseded base
   rows are masked out of the :meth:`~repro.textindex.columnar.WeightPipeline.node_sums`
-  aggregation and overlay objects are scored by the scalar reference
-  arithmetic, so a merged weight map is bit-identical to a cold rebuild of the
-  mutated corpus whenever the collection statistics allow it (see below).
+  aggregation, and the live entries, kept as a small columnar delta
+  (:meth:`~repro.textindex.columnar.WeightPipeline.delta`), are scored by the
+  pipeline's own score function, so a merged weight map is bit-identical to a
+  cold rebuild of the mutated corpus whenever the collection statistics allow
+  it (see below).
 * a tiny *generation store* — compacted artifacts live under
   ``<artifact>/gen-NNNN/`` next to the base artifact, and a ``CURRENT`` pointer
   file names the generation being served.  ``CURRENT`` is written atomically
@@ -32,7 +34,8 @@ IDF pinning policy
 ------------------
 Overlay serving pins **all collection statistics to the base generation**: the
 query vector's IDF weights (document frequencies and ``|D|``) and the language
-model's collection term distribution come from the frozen base bundle and are
+model's collection term distribution (read off the base's ``post_tf`` column,
+so the base corpus stays unread) come from the frozen base bundle and are
 *not* updated by pending mutations.  This makes overlay results deterministic
 and cheap (no incremental statistics maintenance), at the cost of overlay
 results differing from a cold rebuild while statistics-changing mutations
@@ -49,7 +52,9 @@ mutation-parity suite:
   post-compaction results whenever the pending mutations preserve collection
   statistics: always for ``rating_if_match`` (statistics-free), and for
   ``text_relevance`` / ``language_model`` under keyword-preserving mutations
-  (rating changes, coordinate moves).
+  (rating changes, coordinate moves);
+* **for every script** overlay-serving weights equal the scalar scorers over
+  the mutated corpus with the base statistics pinned.
 
 Merge ordering
 --------------
@@ -63,7 +68,9 @@ the rebuild maps it to: both ask the build's
 :class:`~repro.objects.mapping._PointGrid`.  Each overlay version has one merge
 view holding the superseded-row mask and the nodes in that first-touch order
 (surviving base rows' nodes by first row, then the entries' nodes in entry
-order).  A read adds the entries' scores onto the base
+order), and the live entries' columnar delta.  A read scores the delta with
+:meth:`~repro.textindex.columnar.WeightPipeline.delta_scores`, adds the kept
+entries' scores onto the base
 :meth:`~repro.textindex.columnar.WeightPipeline.node_sums` one by one in entry
 order (the cold ``bincount``'s add sequence) and ends in the pipeline's
 :func:`~repro.textindex.columnar.kept_positions` epilogue.
@@ -72,7 +79,6 @@ order (the cold ``bincount``'s add sequence) and ends in the pipeline's
 from __future__ import annotations
 
 import json
-import math
 import re
 import threading
 import time
@@ -96,9 +102,7 @@ from repro.service.persist import (
     read_manifest,
     save_bundle,
 )
-from repro.textindex.columnar import kept_positions
-from repro.textindex.relevance import LanguageModelScorer, ScoringMode
-from repro.textindex.vector_space import tf_weight
+from repro.textindex.columnar import ObjectDelta, kept_positions
 
 GENERATION_PREFIX = "gen-"
 """Directory-name prefix of compacted generations inside an artifact root."""
@@ -124,7 +128,8 @@ class _MergeView(NamedTuple):
 
     version: int
     superseded: np.ndarray  # base object rows with a pending entry
-    live: Tuple[Tuple[GeoTextualObject, int], ...]  # (object, slot), entry order
+    delta: ObjectDelta  # the live entries, in entry order
+    slots: np.ndarray  # slot of each live entry
     num_extra: int  # nodes only pending objects touch
     order: np.ndarray  # slots in the cold rebuild's first-touch order
     ids: np.ndarray  # node ids and coordinates of the slots in ``order``
@@ -138,11 +143,11 @@ class DeltaOverlay:
     The overlay is a single insertion-ordered dict ``object_id → object-or-None``
     (``None`` is a tombstone).  A dict entry *supersedes* the base row of the
     same id: the base row is masked out of the columnar aggregation and, for
-    live entries, the overlay object is re-scored by the scalar reference
-    arithmetic against base-generation collection statistics (see the module
-    docstring for the IDF pinning policy and the merge).  Entries map to their
-    nearest node through the build's grid, built by the first add, update or
-    rating change.
+    live entries, the overlay object is scored by the pipeline's own score
+    function over a small columnar delta, against base-generation collection
+    statistics (see the module docstring for the IDF pinning policy and the
+    merge).  Entries map to their nearest node through the build's grid,
+    built by the first add, update or rating change.
 
     Thread safety: mutations and :meth:`node_weights` serialise on one lock —
     the overlay is the small write-side structure, not a throughput path.
@@ -159,14 +164,6 @@ class DeltaOverlay:
         self._bundle = bundle
         self._pipeline = pipeline
         self._index = pipeline.index
-        self._mode = bundle.scoring_mode
-        # The scalar language-model scorer snapshots the *base* corpus'
-        # collection statistics at construction — exactly the pinning policy.
-        self._lm = (
-            LanguageModelScorer(bundle.corpus, smoothing=self._index.lm_smoothing)
-            if self._mode is ScoringMode.LANGUAGE_MODEL
-            else None
-        )
         self._entries: Dict[int, Optional[GeoTextualObject]] = {}
         self._nodes: Dict[int, int] = {}
         self._version = 0
@@ -315,60 +312,33 @@ class DeltaOverlay:
         # Slot of each live entry: its node's base node-table position, or
         # num_base + k for the k-th node only pending objects touch.
         extra: Dict[int, int] = {}
-        live = []
+        live: List[GeoTextualObject] = []
+        slots: List[int] = []
         for object_id, obj in self._entries.items():
             if obj is not None:
                 node = self._nodes[object_id]
                 slot = self._base_positions.get(node)
                 if slot is None:
                     slot = extra.setdefault(node, num_base + len(extra))
-                live.append((obj, slot))
+                live.append(obj)
+                slots.append(slot)
         # The cold rebuild's node order is first touch over the mutated corpus:
         # nodes of surviving base rows by first row, then the pending entries'
         # nodes in entry order.
         positions = np.asarray(index.obj_node_pos, dtype=np.int64)
         touched = positions[~superseded & (positions >= 0)]
         _, first = np.unique(touched, return_index=True)
-        slots = touched[np.sort(first)].tolist() + [slot for _, slot in live]
-        order = np.array(list(dict.fromkeys(slots)), dtype=np.int64)
+        order = np.array(
+            list(dict.fromkeys(touched[np.sort(first)].tolist() + slots)), dtype=np.int64
+        )
         extra_coords = [self._bundle.compact.coords(node) for node in extra]
         ids = np.concatenate([index.node_ids, np.fromiter(extra, dtype=np.int64)])
         xs = np.concatenate([index.node_x, [x for x, _ in extra_coords]])
         ys = np.concatenate([index.node_y, [y for _, y in extra_coords]])
-        self._view = _MergeView(self._version, superseded, tuple(live), len(extra),
+        self._view = _MergeView(self._version, superseded, self._pipeline.delta(live),
+                                np.array(slots, dtype=np.int64), len(extra),
                                 order, ids[order], xs[order], ys[order])
         return self._view
-
-    def _score_object(
-        self,
-        obj: GeoTextualObject,
-        keywords: Sequence[str],
-        query_terms: Sequence[Tuple[str, float]],
-        query_norm: float,
-    ) -> float:
-        """Scalar reference score of an overlay object under base statistics.
-
-        ``text_relevance`` uses the object-side weights — which are IDF-free
-        and therefore valid under mutation — with the vector-space model's
-        arithmetic: ``(1 + ln tf)`` weights, L2 norm clamped to 1.0, dot with
-        the base-pinned query weights ``query_terms`` in query-term order, one
-        final division by ``query_norm``.
-        """
-        if self._mode is ScoringMode.TEXT_RELEVANCE:
-            weights = {term: tf_weight(freq) for term, freq in obj.keywords.items()}
-            norm = math.sqrt(sum(weight * weight for weight in weights.values()))
-            if norm <= 0.0:
-                norm = 1.0
-            total = 0.0
-            for term, query_weight in query_terms:
-                weight = weights.get(term)
-                if weight:
-                    total += query_weight * (weight / norm)
-            return total / query_norm
-        if self._mode is ScoringMode.RATING_IF_MATCH:
-            return obj.rating if obj.contains_any(keywords) else 0.0
-        assert self._lm is not None
-        return self._lm.score(obj, keywords)
 
     # ------------------------------------------------------------------- reads
 
@@ -393,20 +363,12 @@ class DeltaOverlay:
                 keyword_list, window=window, exclude_rows=view.superseded
             )
             sums = np.concatenate([base, np.zeros(view.num_extra)])
-            # Base-pinned TF-IDF query weights, bit-equal to
-            # VectorSpaceModel.query_vector over the base corpus. Terms the
-            # base never saw weigh 0 and add nothing to the dot product.
-            weighted, query_norm = self._index.query_weights(keyword_list)
-            terms = self._index.terms
-            query_terms = [(terms[tid], weight) for tid, weight in weighted]
-            # One add per entry onto its node's base sum, in entry order: the
-            # add sequence of the cold bincount (surviving base rows first,
-            # then the pending rows). Pre-summing per node would change it.
-            for obj, slot in view.live:
-                if window is None or window.contains(obj.x, obj.y):
-                    sums[slot] += self._score_object(
-                        obj, keyword_list, query_terms, query_norm
-                    )
+            scores, keep = self._pipeline.delta_scores(keyword_list, view.delta, window)
+            # One add per kept entry onto its node's base sum, in entry order
+            # (np.add.at adds in index order): the add sequence of the cold
+            # bincount, surviving base rows first, then the pending rows.
+            # Pre-summing per node would change it.
+            np.add.at(sums, view.slots[keep], scores[keep])
             values = sums[view.order]
             pos = kept_positions(values, view.xs, view.ys, node_window)
             return dict(zip(view.ids[pos].tolist(), values[pos].tolist()))

@@ -37,10 +37,16 @@ byte-identical solver results the refactor guarantees. The vectorised kernels ar
 arranged to replay the reference accumulation order exactly — per-object
 contributions are added term by term in query order, and per-node sums are
 accumulated in object-row (= corpus) order, which is precisely the order the
-reference loop uses. Both σ_v kernels (the corpus scan and the window kernel,
-see :data:`SCAN_MAX_OBJECTS`) keep those two orders, so they agree bit for bit.
-(Term frequencies are integral, so the raw-tf column alone stays float32
-without any loss.)
+reference loop uses. (Term frequencies are integral, so the raw-tf column
+alone stays float32 without any loss.)
+
+**One score function.** The per-mode arithmetic is written once:
+``WeightPipeline._query_terms`` picks the query terms that can score, each
+with its constant, and ``WeightPipeline._score_hits`` turns their hits into a
+score column and a keep mask. The corpus scan and the window kernel (see
+:data:`SCAN_MAX_OBJECTS`), the sampled tier and the delta overlay
+(:meth:`WeightPipeline.delta`, valued by the build's own per-object function)
+only gather hits between the two, so every read agrees bit for bit.
 
 The index is frozen after construction (treat every array as read-only — loaded
 artifacts hand out read-only views of memory maps) and picklable. Like the vector-space
@@ -51,14 +57,16 @@ the index stale.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import IndexError_
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
+from repro.objects.geoobject import GeoTextualObject
 from repro.objects.mapping import NodeObjectMap
+from repro.textindex.relevance import ScoringMode
 from repro.textindex.vector_space import idf_weight, tf_weight
 
 DEFAULT_LM_SMOOTHING = 0.2
@@ -108,6 +116,32 @@ CI_Z = 1.96
 
 SAMPLE_MIN_PER_STRATUM = 8
 """Minimum rows sampled from a non-empty stratum (or the whole stratum if smaller)."""
+
+
+def _posting_values(
+    keywords: Mapping[str, int], background: Mapping[str, float], smoothing: float
+) -> List[Tuple[str, int, float, float]]:
+    """One object's postings: ``(term, tf, wto(t), ln((1-λ)·P(t|o) + λ·P(t|C)))``.
+
+    One tuple per keyword, in keyword order; ``background`` maps a term to
+    ``λ·P(t|C)`` (absent: 0). The same float operations, in the same order, as
+    :class:`~repro.textindex.vector_space.VectorSpaceModel` and
+    :meth:`LanguageModelScorer.score
+    <repro.textindex.relevance.LanguageModelScorer.score>`, so the values are
+    bit-identical to theirs.
+    """
+    weights = [tf_weight(tf) for tf in keywords.values()]
+    norm = math.sqrt(sum(w * w for w in weights))
+    denominator = norm if norm > 0 else 1.0
+    total = sum(keywords.values())
+    one_minus = 1.0 - smoothing
+    values = []
+    for (term, tf), weight in zip(keywords.items(), weights):
+        mixed = one_minus * (tf / total if total else 0.0) + background.get(term, 0.0)
+        values.append(
+            (term, tf, weight / denominator, math.log(mixed) if mixed > 0.0 else 0.0)
+        )
+    return values
 
 
 class ColumnarScoringIndex:
@@ -220,44 +254,31 @@ class ColumnarScoringIndex:
 
         collection_counts = corpus.collection_term_counts()
         collection_total = corpus.collection_total_terms()
-        for term, tid in term_ids.items():
-            # Replicates LanguageModelScorer._collection_probability exactly.
-            p_col = (
+        # λ·P(t|C) per term, LanguageModelScorer._collection_probability's
+        # arithmetic.
+        background = {
+            term: lm_smoothing * (
                 collection_counts.get(term, 0) / collection_total
                 if collection_total
                 else 0.0
             )
-            base = lm_smoothing * p_col
+            for term in terms
+        }
+        for tid, base in enumerate(background.values()):
             lm_log_base[tid] = math.log(base) if base > 0.0 else 0.0
 
-        cursor = post_indptr[:-1].copy()
-        one_minus = 1.0 - lm_smoothing
+        cursor = post_indptr[:-1].tolist()
         for row, obj in enumerate(objects):
-            object_total = sum(obj.keywords.values())
-            # VectorSpaceModel's per-object arithmetic, inlined: same float
-            # operations in the same order ⇒ bit-identical weights, without the
-            # model's corpus-sized weight tables.
-            weights = {term: tf_weight(freq) for term, freq in obj.keywords.items()}
-            norm = math.sqrt(sum(w * w for w in weights.values()))
-            denominator = norm if norm > 0 else 1.0
-            wto = {term: w / denominator for term, w in weights.items()}
-            for term, tf in obj.keywords.items():
+            for term, tf, wto, mixed in _posting_values(
+                obj.keywords, background, lm_smoothing
+            ):
                 tid = term_ids[term]
                 slot = cursor[tid]
                 cursor[tid] += 1
                 post_rows[slot] = row
-                post_tfidf[slot] = wto[term]
+                post_tfidf[slot] = wto
                 post_tf[slot] = tf
-                # Same float operations as LanguageModelScorer.score, so the
-                # precomputed logs replay its arithmetic bit for bit.
-                p_doc = tf / object_total if object_total else 0.0
-                p_col = (
-                    collection_counts.get(term, 0) / collection_total
-                    if collection_total
-                    else 0.0
-                )
-                mixed = one_minus * p_doc + lm_smoothing * p_col
-                lm_log_mixed[slot] = math.log(mixed) if mixed > 0.0 else 0.0
+                lm_log_mixed[slot] = mixed
 
         # --- object table ---
         object_ids = np.fromiter(
@@ -620,75 +641,6 @@ class ColumnarScoringIndex:
         norm = math.sqrt(norm_sq)
         return weighted, (norm if norm > 0 else 1.0)
 
-    def tfidf_object_scores(self, keywords: Sequence[str]) -> np.ndarray:
-        """Return the dense per-object TF-IDF score column σ(o.ψ, Q.ψ) (float64).
-
-        ``keywords`` must already be normalised and de-duplicated (an
-        :class:`~repro.core.query.LCMSRQuery` guarantees this). Each entry is bit
-        identical to :meth:`VectorSpaceModel.score
-        <repro.textindex.vector_space.VectorSpaceModel.score>` for the same
-        object, because contributions are accumulated in query-term order with
-        the same float64 operations.
-        """
-        accumulator = np.zeros(self.num_objects, dtype=np.float64)
-        weighted, norm = self.query_weights(keywords)
-        if not weighted:
-            return accumulator
-        indptr = self.post_indptr
-        for tid, query_weight in weighted:
-            start, end = int(indptr[tid]), int(indptr[tid + 1])
-            if start == end:
-                continue
-            rows = self.post_rows[start:end]
-            accumulator[rows] += query_weight * self.post_tfidf[start:end]
-        np.divide(accumulator, norm, out=accumulator)
-        return accumulator
-
-    def matched_objects(self, keywords: Sequence[str]) -> np.ndarray:
-        """Boolean column: object contains at least one of the (normalised) keywords."""
-        matched = np.zeros(self.num_objects, dtype=bool)
-        indptr = self.post_indptr
-        for term in keywords:
-            tid = self._term_ids.get(term)
-            if tid is None:
-                continue
-            matched[self.post_rows[int(indptr[tid]) : int(indptr[tid + 1])]] = True
-        return matched
-
-    def lm_object_scores(self, keywords: Sequence[str]) -> np.ndarray:
-        """Dense per-object language-model scores (float64), bit-equal to the scalar.
-
-        Replays :meth:`LanguageModelScorer.score
-        <repro.textindex.relevance.LanguageModelScorer.score>`: for every query
-        term present in the collection, each object accrues either the
-        precomputed ``ln(mixed)`` (object contains the term) or ``ln(λ·P(t|C))``
-        (it does not) — the same additions in the same order the scalar loop
-        performs — and the shared background sum is subtracted once at the end.
-        Objects matching no query term land on exactly 0.0.
-        """
-        num_objects = self.num_objects
-        scores = np.zeros(num_objects, dtype=np.float64)
-        valid_tids = [
-            tid
-            for term in keywords
-            if (tid := self._term_ids.get(term)) is not None
-            and self.lm_log_base[tid] != 0.0
-        ]
-        if not valid_tids:
-            return scores
-        background = 0.0
-        indptr = self.post_indptr
-        for tid in valid_tids:
-            log_base = float(self.lm_log_base[tid])
-            column = np.full(num_objects, log_base, dtype=np.float64)
-            start, end = int(indptr[tid]), int(indptr[tid + 1])
-            column[self.post_rows[start:end]] = self.lm_log_mixed[start:end]
-            scores += column
-            background += log_base
-        scores -= background
-        np.maximum(scores, 0.0, out=scores)
-        return scores
-
 
 def _cell_order(
     post_indptr: np.ndarray, post_rows: np.ndarray, obj_cell: np.ndarray
@@ -899,6 +851,19 @@ def _sorted_unique(parts: List[np.ndarray]) -> np.ndarray:
     return rows
 
 
+class ObjectDelta(NamedTuple):
+    """Objects outside an index in its columnar layout (:meth:`WeightPipeline.delta`).
+
+    ``postings`` maps a term to the positions of the objects holding it and
+    their posting values; the object table keeps the objects' order.
+    """
+
+    postings: Dict[str, Tuple[np.ndarray, np.ndarray]]
+    obj_x: np.ndarray
+    obj_y: np.ndarray
+    obj_rating: np.ndarray
+
+
 class WeightPipeline:
     """Vectorised query → σ_v computation over a :class:`ColumnarScoringIndex`.
 
@@ -909,9 +874,8 @@ class WeightPipeline:
 
     Args:
         index: The frozen columnar index.
-        mode: The per-object weight definition to compute. Accepts the
-            :class:`~repro.textindex.relevance.ScoringMode` value (imported
-            lazily to avoid an import cycle).
+        mode: The per-object weight definition to compute, a
+            :class:`~repro.textindex.relevance.ScoringMode`.
         lm_smoothing: Required λ when ``mode`` is the language model; must match
             the smoothing the index columns were precomputed with.
 
@@ -921,12 +885,16 @@ class WeightPipeline:
     """
 
     def __init__(self, index: ColumnarScoringIndex, mode, lm_smoothing: Optional[float] = None) -> None:
-        from repro.textindex.relevance import ScoringMode  # deferred: cycle guard
-
         self._index = index
         self._mode = mode
         self._bounds = None
         self._sample_frame: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._background: Optional[Dict[str, float]] = None
+        # The posting values a term's hits carry; rating mode reads none.
+        self._values = {
+            ScoringMode.TEXT_RELEVANCE: index.post_tfidf,
+            ScoringMode.LANGUAGE_MODEL: index.lm_log_mixed,
+        }.get(mode)
         if mode is ScoringMode.LANGUAGE_MODEL:
             wanted = index.lm_smoothing if lm_smoothing is None else float(lm_smoothing)
             if wanted != index.lm_smoothing:
@@ -958,19 +926,110 @@ class WeightPipeline:
             self._bounds = UpperBoundIndex.from_columnar(self._index, self._mode)
         return self._bounds
 
-    def object_scores(self, keywords: Sequence[str]) -> np.ndarray:
-        """Dense per-object weight column for the bound mode (no spatial masking)."""
-        from repro.textindex.relevance import ScoringMode  # deferred: cycle guard
+    # ------------------------------------------------------------------ scoring
+    def _query_terms(
+        self, keywords: Sequence[str]
+    ) -> Tuple[List[Tuple[str, Optional[int], float]], float]:
+        """The query terms that can score, each with its constant, and the divisor.
 
+        ``([(term, tid, constant)], divisor)`` in query order (``tid`` is
+        ``None`` outside the vocabulary). TF-IDF: the terms with a positive
+        IDF weight, that weight, and the query norm
+        (:meth:`ColumnarScoringIndex.query_weights`). Rating: every keyword,
+        as a delta object may hold a term the index never saw. Language
+        model: the terms with a positive ``P(t|C)``, each with its
+        ``ln(λ·P(t|C))``.
+        """
         index = self._index
         if self._mode is ScoringMode.TEXT_RELEVANCE:
-            return index.tfidf_object_scores(keywords)
+            weighted, norm = index.query_weights(keywords)
+            return [(index.terms[tid], tid, weight) for tid, weight in weighted], norm
         if self._mode is ScoringMode.RATING_IF_MATCH:
-            scores = np.zeros(index.num_objects, dtype=np.float64)
-            matched = index.matched_objects(keywords)
-            scores[matched] = index.obj_rating[matched]
-            return scores
-        return index.lm_object_scores(keywords)
+            return [(term, index.term_id(term), 0.0) for term in keywords], 1.0
+        return [
+            (term, tid, float(index.lm_log_base[tid]))
+            for term in keywords
+            if (tid := index.term_id(term)) is not None and index.lm_log_base[tid] != 0.0
+        ], 1.0
+
+    def _score_hits(
+        self,
+        terms: List[Tuple[str, Optional[int], float]],
+        divisor: float,
+        hits: List[Tuple[np.ndarray, Optional[np.ndarray]]],
+        ratings: np.ndarray,
+        rows: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(scores, keep)`` over some targets, from the query terms' hits.
+
+        The targets are the entries of the rating column ``ratings`` at
+        ``rows`` (every entry when ``None``); only rating mode reads them.
+        ``hits[i]`` is ``(positions, values)`` for ``terms[i]``: the targets
+        holding it (an index array or a boolean mask) and their posting values
+        (``None`` in rating mode). ``keep`` marks what a σ_v sum adds: a
+        positive score, or any match in rating mode (a matched rating of 0
+        still adds, as in the scalar reference); ``scores`` is 0.0 elsewhere.
+        Each target's contributions add in query-term order, as in the scalar
+        scorers: TF-IDF adds ``weight · wto(t)`` and divides by the query
+        norm; the language model adds ``ln(mixed)`` where the target holds
+        the term and ``ln(λ·P(t|C))`` where not, subtracts their background
+        sum and clamps at 0.
+        """
+        num_targets = len(ratings) if rows is None else len(rows)
+        if self._mode is ScoringMode.RATING_IF_MATCH:
+            keep = np.zeros(num_targets, dtype=bool)
+            for positions, _ in hits:
+                keep[positions] = True
+            if rows is not None:
+                ratings = ratings[rows]
+            return np.where(keep, ratings, 0.0), keep
+        scores = np.zeros(num_targets, dtype=np.float64)
+        if self._mode is ScoringMode.TEXT_RELEVANCE:
+            for (_, _, weight), (positions, values) in zip(terms, hits):
+                scores[positions] += weight * values
+            np.divide(scores, divisor, out=scores)
+        else:
+            background = 0.0
+            for (_, _, log_base), (positions, values) in zip(terms, hits):
+                column = np.full(num_targets, log_base, dtype=np.float64)
+                column[positions] = values
+                scores += column
+                background += log_base
+            scores -= background
+            np.maximum(scores, 0.0, out=scores)
+        return scores, scores > 0.0
+
+    def _term_hits(
+        self,
+        terms: List[Tuple[str, Optional[int], float]],
+        bands: Optional[Tuple[np.ndarray, bool]],
+    ) -> List[Tuple[List[Tuple[int, int]], np.ndarray, Optional[np.ndarray]]]:
+        """Each query term's postings inside ``bands``: ``(ranges, rows, values)``.
+
+        ``bands`` comes from :meth:`_cell_bands` (``None``: all postings);
+        ``values`` is ``None`` in rating mode.
+        """
+        index = self._index
+        gathered = []
+        for _, tid, _ in terms:
+            ranges = [] if tid is None else self._term_ranges(tid, bands)
+            gathered.append((
+                ranges,
+                _gather(index.post_rows, ranges),
+                None if self._values is None else _gather(self._values, ranges),
+            ))
+        return gathered
+
+    def _object_columns(self, keyword_list: List[str]) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_score_hits` over every object row: the scan's columns."""
+        terms, divisor = self._query_terms(keyword_list)
+        hits = [(rows, values) for _, rows, values in self._term_hits(terms, None)]
+        return self._score_hits(terms, divisor, hits, self._index.obj_rating)
+
+    def object_scores(self, keywords: Sequence[str]) -> np.ndarray:
+        """Dense per-object weight column for the bound mode (no spatial masking)."""
+        scores, _ = self._object_columns(list(keywords))
+        return scores
 
     def node_sums(
         self,
@@ -1007,18 +1066,8 @@ class WeightPipeline:
         exclude_rows: Optional[np.ndarray],
     ) -> np.ndarray:
         """:meth:`node_sums` by scoring, masking and scanning every object row."""
-        from repro.textindex.relevance import ScoringMode  # deferred: cycle guard
-
         index = self._index
-        # Select the contributing object rows. TF-IDF and LM scores are
-        # strictly positive exactly for the objects the reference loop scores
-        # positively; rating mode must keep matched zero-rating objects out of
-        # the selection test (they contribute 0.0 on both backends).
-        scores = self.object_scores(keyword_list)
-        if self._mode is ScoringMode.RATING_IF_MATCH:
-            selection = index.matched_objects(keyword_list)
-        else:
-            selection = scores > 0.0
+        scores, selection = self._object_columns(keyword_list)
         selection &= index.obj_node_pos >= 0
         if exclude_rows is not None:
             selection &= ~exclude_rows
@@ -1048,72 +1097,22 @@ class WeightPipeline:
         :meth:`_cell_bands` covers (see there), and all postings of an object
         share its cell, so the in-band postings hold every posting of every
         object the scan would select: the touched rows are a superset of the
-        scan's selection, each with its complete score. The same positivity,
-        mapped, ``exclude_rows`` and window tests then run on those rows only.
+        scan's selection, each with its complete score. The same mapped,
+        ``exclude_rows`` and window tests then run on those rows only.
 
-        The add orders match the scan's. Per object, contributions are added
-        term by term in query order (each object has at most one posting per
-        term). Per node, ``np.bincount`` adds the kept rows in ascending row
-        order: the touched rows are sorted, which also orders a windowless
-        read, whose cell-ordered slices do not ascend by row. Scores live in a
-        touched-row-length column, found by binary search in the sorted rows.
+        The add orders match the scan's: :meth:`_score_hits` adds per object
+        in query-term order, and ``np.bincount`` adds the kept rows per node
+        in ascending row order. The touched rows are sorted, which also
+        orders a windowless read, whose cell-ordered slices do not ascend by
+        row; each term's rows are found among them by binary search.
         """
-        from repro.textindex.relevance import ScoringMode  # deferred: cycle guard
-
         index = self._index
-        mode = self._mode
-        if mode is ScoringMode.TEXT_RELEVANCE:
-            terms, norm = index.query_weights(keyword_list)
-            values = index.post_tfidf
-        elif mode is ScoringMode.RATING_IF_MATCH:
-            terms = [
-                (tid, 0.0)
-                for term in keyword_list
-                if (tid := index.term_id(term)) is not None
-            ]
-            values = None
-        else:
-            terms = [
-                (tid, float(index.lm_log_base[tid]))
-                for term in keyword_list
-                if (tid := index.term_id(term)) is not None
-                and index.lm_log_base[tid] != 0.0
-            ]
-            values = index.lm_log_mixed
+        terms, divisor = self._query_terms(keyword_list)
         bands = None if window is None else self._cell_bands(window)
-        gathered = []
-        for tid, weight in terms:
-            ranges = self._term_ranges(tid, bands)
-            gathered.append(
-                (
-                    weight,
-                    _gather(index.post_rows, ranges),
-                    None if values is None else _gather(values, ranges),
-                )
-            )
+        gathered = self._term_hits(terms, bands)
         rows = _sorted_unique([term_rows for _, term_rows, _ in gathered])
-        if mode is ScoringMode.TEXT_RELEVANCE:
-            scores = np.zeros(len(rows), dtype=np.float64)
-            for query_weight, term_rows, tfidf in gathered:
-                scores[rows.searchsorted(term_rows)] += query_weight * tfidf
-            np.divide(scores, norm, out=scores)
-            keep = scores > 0.0
-        elif mode is ScoringMode.RATING_IF_MATCH:
-            scores = index.obj_rating[rows]
-            keep = np.ones(len(rows), dtype=bool)
-        else:
-            # lm_object_scores' arithmetic on the touched rows: each term adds
-            # ln(mixed) where the object holds it and ln(λ·P(t|C)) elsewhere.
-            scores = np.zeros(len(rows), dtype=np.float64)
-            background = 0.0
-            for log_base, term_rows, mixed in gathered:
-                column = np.full(len(rows), log_base, dtype=np.float64)
-                column[rows.searchsorted(term_rows)] = mixed
-                scores += column
-                background += log_base
-            scores -= background
-            np.maximum(scores, 0.0, out=scores)
-            keep = scores > 0.0
+        hits = [(rows.searchsorted(term_rows), values) for _, term_rows, values in gathered]
+        scores, keep = self._score_hits(terms, divisor, hits, index.obj_rating, rows)
         node_pos = index.obj_node_pos[rows]
         keep &= node_pos >= 0
         if exclude_rows is not None:
@@ -1245,78 +1244,88 @@ class WeightPipeline:
     ) -> np.ndarray:
         """Per-object scores for the given object rows only (float64).
 
-        Computes the same score definition as :meth:`object_scores` but reads
-        only each query term's postings in the cells covering ``window`` (the
-        term's whole slice when ``None``), never a corpus-length column — the
-        kernel the sampled tier's speedup comes from. ``rows`` must ascend by
-        (``obj_cell``, row), the order the sampler draws them in, and lie in
-        those cells; each is found by its (cell, row) key among the term's
-        postings, which ascend by the same key. Row order of the output
-        follows ``rows``.
+        :meth:`_score_hits` over ``rows``, reading only each query term's
+        postings in the cells covering ``window`` (the term's whole slice
+        when ``None``), never a corpus-length column — the kernel the sampled
+        tier's speedup comes from. ``rows`` must ascend by (``obj_cell``,
+        row), the order the sampler draws them in, and lie in those cells;
+        each is found by its (cell, row) key among the term's postings, which
+        ascend by the same key. Row order of the output follows ``rows``.
         """
-        from repro.textindex.relevance import ScoringMode  # deferred: cycle guard
-
         index = self._index
-        num_rows = len(rows)
+        terms, divisor = self._query_terms(keywords)
         bands = None if window is None else self._cell_bands(window)
         scale = np.int64(max(index.num_objects, 1))
         row_keys = index.obj_cell[rows].astype(np.int64) * scale + rows
-
-        def member_positions(tid: int) -> Tuple[np.ndarray, np.ndarray]:
-            """(mask of rows containing term, posting positions for those rows)."""
-            ranges = self._term_ranges(tid, bands)
-            if not ranges:
-                return np.zeros(num_rows, dtype=bool), np.empty(0, dtype=np.int64)
-            slots = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+        hits = []
+        for ranges, term_rows, values in self._term_hits(terms, bands):
             term_keys = _gather(index.post_cell, ranges).astype(np.int64) * scale
-            term_keys += _gather(index.post_rows, ranges)
-            pos = np.searchsorted(term_keys, row_keys)
+            term_keys += term_rows
+            pos = term_keys.searchsorted(row_keys)
             found = pos < len(term_keys)
-            probe = np.where(found, pos, 0)
-            found &= term_keys[probe] == row_keys
-            return found, slots[pos[found]]
-
-        if self._mode is ScoringMode.TEXT_RELEVANCE:
-            weighted, norm = index.query_weights(keywords)
-            scores = np.zeros(num_rows, dtype=np.float64)
-            for tid, query_weight in weighted:
-                found, slots = member_positions(tid)
-                scores[found] += query_weight * index.post_tfidf[slots]
-            np.divide(scores, norm, out=scores)
-            return scores
-
-        if self._mode is ScoringMode.RATING_IF_MATCH:
-            matched = np.zeros(num_rows, dtype=bool)
-            for term in keywords:
-                tid = index.term_id(term)
-                if tid is None:
-                    continue
-                found, _ = member_positions(tid)
-                matched |= found
-            scores = np.zeros(num_rows, dtype=np.float64)
-            scores[matched] = index.obj_rating[rows[matched]]
-            return scores
-
-        scores = np.zeros(num_rows, dtype=np.float64)
-        valid_tids = [
-            tid
-            for term in keywords
-            if (tid := index.term_id(term)) is not None
-            and index.lm_log_base[tid] != 0.0
-        ]
-        if not valid_tids:
-            return scores
-        background = 0.0
-        for tid in valid_tids:
-            log_base = float(index.lm_log_base[tid])
-            column = np.full(num_rows, log_base, dtype=np.float64)
-            found, slots = member_positions(tid)
-            column[found] = index.lm_log_mixed[slots]
-            scores += column
-            background += log_base
-        scores -= background
-        np.maximum(scores, 0.0, out=scores)
+            found[found] = term_keys[pos[found]] == row_keys[found]
+            hits.append((found, None if values is None else values[pos[found]]))
+        scores, _ = self._score_hits(terms, divisor, hits, index.obj_rating, rows)
         return scores
+
+    def delta(self, objects: Sequence[GeoTextualObject]) -> ObjectDelta:
+        """``objects``, which the index does not hold, as an :class:`ObjectDelta`.
+
+        Valued by the build's own per-object function under this index's
+        statistics, so :meth:`delta_scores` gives each object the score the
+        scalar scorers give it with those statistics pinned. Postings are
+        keyed by term, so in rating mode a term the index never saw matches.
+        """
+        index = self._index
+        if self._background is None:
+            # λ·P(t|C), the counts read off post_tf: term frequencies are
+            # integers, so the sums are exact and bit-equal to the corpus's.
+            tids = np.repeat(
+                np.arange(index.num_terms), np.diff(np.asarray(index.post_indptr, dtype=np.int64))
+            )
+            counts = np.bincount(tids, weights=index.post_tf, minlength=index.num_terms)
+            probability = counts / max(counts.sum(), 1.0)
+            self._background = dict(zip(index.terms, (index.lm_smoothing * probability).tolist()))
+        language_model = self._mode is ScoringMode.LANGUAGE_MODEL
+        term_ids: Dict[str, int] = {}
+        tids, positions, values = [], [], []
+        for pos, obj in enumerate(objects):
+            for term, _, wto, mixed in _posting_values(
+                obj.keywords, self._background, index.lm_smoothing
+            ):
+                tids.append(term_ids.setdefault(term, len(term_ids)))
+                positions.append(pos)
+                values.append(mixed if language_model else wto)
+        # Term-major, positions ascending within a term: one stable sort.
+        order = np.argsort(np.array(tids, dtype=np.int64), kind="stable")
+        positions = np.array(positions, dtype=np.int64)[order]
+        values = np.array(values, dtype=np.float64)[order]
+        ends = np.cumsum(np.bincount(tids, minlength=len(term_ids))).tolist()
+        return ObjectDelta(
+            postings={
+                term: (positions[start:end], values[start:end])
+                for term, start, end in zip(term_ids, [0] + ends, ends)
+            },
+            obj_x=np.array([obj.x for obj in objects], dtype=np.float64),
+            obj_y=np.array([obj.y for obj in objects], dtype=np.float64),
+            obj_rating=np.array([obj.rating for obj in objects], dtype=np.float64),
+        )
+
+    def delta_scores(
+        self,
+        keywords: Sequence[str],
+        delta: ObjectDelta,
+        window: Optional[Rectangle] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_score_hits` over a :meth:`delta`'s objects; ``keep`` also
+        drops the objects outside ``window``."""
+        terms, divisor = self._query_terms(keywords)
+        none = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+        hits = [delta.postings.get(term, none) for term, _, _ in terms]
+        scores, keep = self._score_hits(terms, divisor, hits, delta.obj_rating)
+        if window is not None:
+            keep &= window.contains_points(delta.obj_x, delta.obj_y)
+        return scores, keep
 
     def node_sums_sampled(
         self,
@@ -1339,7 +1348,9 @@ class WeightPipeline:
         more of the budget), with a floor of :data:`SAMPLE_MIN_PER_STRATUM` rows
         per non-empty stratum. **Exactness escape hatch:** a stratum whose
         allocation reaches its population is enumerated in full — inclusion
-        probability 1, zero variance — so small strata never pay sampling error.
+        probability 1, zero variance — so small strata never pay sampling error,
+        and a budget that covers the whole frame enumerates every stratum, so
+        the estimate is :meth:`node_sums`'s answer with zero variance.
 
         Per-node uncertainty is the classic stratified CLT variance with
         finite-population correction,
@@ -1420,6 +1431,9 @@ class WeightPipeline:
             n_active,
             np.maximum(floor, np.ceil(target * share).astype(np.int64)),
         )
+        if target == frame_size:
+            # A budget that covers the frame enumerates it: the exact answer.
+            m_active = n_active
 
         # Within-stratum systematic draw, vectorised across strata: one uniform
         # offset u_h per stratum, then every (n_h/m_h)-th member — positions

@@ -55,7 +55,8 @@ from repro.service.generations import (
     write_delta_log,
 )
 from repro.service.query_service import QueryRequest, QueryService
-from repro.textindex.relevance import ScoringMode
+from repro.textindex.relevance import LanguageModelScorer, ScoringMode
+from repro.textindex.vector_space import VectorSpaceModel
 
 SEED = 11
 SOLVERS = ("app", "tgen", "greedy")
@@ -403,6 +404,64 @@ def test_far_add_weights_equal_cold_rebuild_weights(dataset, base_bundles):
                                _weight_reads(dataset) + [(far, None)])
 
 
+def _base_pinned_weights(dataset, mutated, cold_mapping, mode, keywords, window,
+                         node_window):
+    """The scalar oracle of an overlay read: ``mutated``'s σ_v in the cold
+    rebuild's node order, every object scored under the base corpus's
+    collection statistics (the IDF pinning policy)."""
+    if mode is ScoringMode.TEXT_RELEVANCE:
+        model = VectorSpaceModel(mutated)
+        query = VectorSpaceModel(dataset.corpus).query_vector(keywords)
+
+        def score(obj):
+            return model.score(obj, query)
+    elif mode is ScoringMode.RATING_IF_MATCH:
+        def score(obj):
+            return obj.rating if obj.contains_any(keywords) else 0.0
+    else:
+        scorer = LanguageModelScorer(dataset.corpus)
+
+        def score(obj):
+            return scorer.score(obj, keywords)
+    weights = {}
+    for node, object_ids in cold_mapping.node_to_objects.items():
+        if node_window is not None and not node_window.contains(*dataset.network.coords(node)):
+            continue
+        total = 0.0
+        for object_id in object_ids:
+            obj = mutated.get(object_id)
+            if window is None or window.contains(obj.x, obj.y):
+                total += score(obj)
+        if total > 0.0:
+            weights[node] = total
+    return weights
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_overlay_weights_equal_base_pinned_scalar_weights(dataset, base_bundles, mode):
+    """Scripts that change the statistics: every merged read equals the
+    scalar scorers over the mutated corpus under base statistics — keys, their
+    order and their bits — a term the base never saw included."""
+    vocab = _vocab(dataset.corpus)
+    for seed in range(SEED + 700, SEED + 703):
+        ops = _mutation_script(dataset.corpus, random.Random(seed))
+        ops.append({"op": "add", "id": 90050, "x": 420.0, "y": 380.0,
+                    "keywords": [vocab[0], "zzz-unseen"], "rating": 3.5})
+        overlay = DeltaOverlay(base_bundles[mode])
+        apply_ops(overlay, ops)
+        mutated = _expected_corpus(dataset.corpus, ops)
+        cold_mapping = IndexBundle.build(dataset.network, mutated,
+                                         scoring_mode=mode).mapping
+        for keywords in (vocab[:2], vocab[1:4], vocab[4:5], ["zzz-unseen"],
+                         [vocab[0], "zzz-unseen"]):
+            for window, node_window in _weight_reads(dataset):
+                merged = overlay.node_weights(keywords, window, node_window)
+                expected = _base_pinned_weights(dataset, mutated, cold_mapping, mode,
+                                                keywords, window, node_window)
+                assert list(merged.items()) == list(expected.items()), \
+                    (seed, keywords, window, node_window)
+
+
 @pytest.mark.usefixtures("window_kernel")
 class TestMutationParityWindowKernel:
     """The mutation-parity cases above through the σ_v window kernel,
@@ -425,6 +484,9 @@ class TestMutationParityWindowKernel:
     )
     test_far_add_weights_equal_cold_rebuild_weights = staticmethod(
         test_far_add_weights_equal_cold_rebuild_weights
+    )
+    test_overlay_weights_equal_base_pinned_scalar_weights = staticmethod(
+        test_overlay_weights_equal_base_pinned_scalar_weights
     )
 
 

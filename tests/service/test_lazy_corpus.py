@@ -10,8 +10,9 @@ The contract under test (see ``docs/ARCHITECTURE.md`` § Loading semantics):
 * the loader reads the inode the load opened, re-checked against the
   manifest: a re-save over the artifact leaves a live bundle's corpus alone,
   and an in-place edit is caught on first access,
-* overlay writes other than ``rate`` and the CLI's frequent-term list read
-  the scoring columns, not the corpus.
+* overlay writes other than ``rate``, merged overlay reads in every scoring
+  mode and the CLI's frequent-term list read the scoring columns, not the
+  corpus.
 """
 
 from __future__ import annotations
@@ -224,21 +225,35 @@ def test_in_place_change_after_a_verified_open_is_caught(dataset, tmp_path):
 
 
 # ---------------------------------------------------------------- column readers
-def test_overlay_writes_never_unpickle_the_base_corpus(artifacts, monkeypatch):
-    path, built = artifacts[ScoringMode.TEXT_RELEVANCE]
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_overlay_writes_never_unpickle_the_base_corpus(artifacts, monkeypatch, mode):
+    path, built = artifacts[mode]
     first, second, third = built.columnar.object_ids[:3].tolist()
     victim = built.corpus.get(second)
     new_id = int(built.columnar.object_ids.max()) + 1
+    ops = [
+        {"op": "add", "id": new_id, "x": 300.0, "y": 300.0,
+         "keywords": ["cafe", "bar"], "rating": 2.5},
+        {"op": "update", "id": second, "x": victim.x, "y": victim.y,
+         "keywords": ["museum"], "rating": 3.0},
+        {"op": "remove", "id": first},
+    ]
     _refuse_unpickling(monkeypatch)
     overlay = DeltaOverlay(IndexBundle.load(path))
-    apply_op(overlay, {"op": "add", "id": new_id, "x": 300.0, "y": 300.0,
-                       "keywords": ["cafe", "bar"], "rating": 2.5})
-    apply_op(overlay, {"op": "update", "id": second, "x": victim.x, "y": victim.y,
-                       "keywords": ["museum"], "rating": 3.0})
-    apply_op(overlay, {"op": "remove", "id": first})
+    for op in ops:
+        apply_op(overlay, op)
     assert overlay.is_live(new_id) and overlay.is_live(second)
     assert not overlay.is_live(first)
+    merged = [overlay.node_weights(KEYWORDS, window, window)
+              for window in (None, SMALL_WINDOW)]
     monkeypatch.undo()
+    reference = DeltaOverlay(built)
+    for op in ops:
+        apply_op(reference, op)
+    assert [list(weights.items()) for weights in merged] == [
+        list(reference.node_weights(KEYWORDS, window, window).items())
+        for window in (None, SMALL_WINDOW)
+    ]
     # rate needs the base object's keywords, so it loads the corpus.
     apply_op(overlay, {"op": "rate", "id": third, "rating": 4.5})
     assert overlay.get(third).rating == 4.5

@@ -173,7 +173,9 @@ class TestVectorSpaceParity:
         ids = list(corpus.object_ids())
         for keywords in (["cafe"], ["BAR", " sushi ", "bar"], ["nosuchterm"]):
             reference = vsm.batch_scores(ids, keywords)
-            column = columnar.tfidf_object_scores(normalize_keyword_set(keywords))
+            column = WeightPipeline(columnar, ScoringMode.TEXT_RELEVANCE).object_scores(
+                normalize_keyword_set(keywords)
+            )
             fast = {
                 object_id: float(column[columnar.object_row(object_id)])
                 for object_id in ids

@@ -129,31 +129,31 @@ class TestPostings:
 class TestObjectScores:
     def test_matched_objects_are_the_candidate_objects(self, small):
         _, _, _, index = small
-        matched = index.matched_objects(["cafe", "museum"])
-        assert object_ids_of(index, np.flatnonzero(matched)) == {0, 1, 7}
+        column = WeightPipeline(index, ScoringMode.RATING_IF_MATCH).object_scores(
+            ["cafe", "museum"]
+        )
+        assert object_ids_of(index, np.flatnonzero(column)) == {0, 1, 7}
 
     def test_tfidf_scores_equal_direct_scoring(self, small):
         corpus, _, _, index = small
         vsm = VectorSpaceModel(corpus)
         keywords = ["cafe", "coffee"]
         query = vsm.query_vector(keywords)
-        column = index.tfidf_object_scores(keywords)
+        column = WeightPipeline(index, ScoringMode.TEXT_RELEVANCE).object_scores(keywords)
         for obj in corpus:
             assert column[index.object_row(obj.object_id)] == vsm.score(obj, query)
         assert object_ids_of(index, np.flatnonzero(column > 0.0)) == {0, 1, 6}
 
     def test_unknown_keywords_score_zero_everywhere(self, small):
         _, _, _, index = small
-        keywords = ["zzz", "nothing"]
-        assert not index.tfidf_object_scores(keywords).any()
-        assert not index.matched_objects(keywords).any()
-        assert not index.lm_object_scores(keywords).any()
+        for mode in ScoringMode:
+            assert not WeightPipeline(index, mode).object_scores(["zzz", "nothing"]).any()
 
     def test_language_model_scores_equal_the_scalar_scorer(self, small):
         corpus, _, _, index = small
         scorer = LanguageModelScorer(corpus, smoothing=index.lm_smoothing)
         keywords = ["cafe", "coffee", "zzz"]
-        column = index.lm_object_scores(keywords)
+        column = WeightPipeline(index, ScoringMode.LANGUAGE_MODEL).object_scores(keywords)
         for obj in corpus:
             assert column[index.object_row(obj.object_id)] == scorer.score(obj, keywords)
 
