@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-parity test-mutation docs-check compile-check bench-service bench bench-smoke bench-json artifact-smoke shard-smoke compact-smoke anytime-smoke
+.PHONY: test test-parity test-mutation docs-check compile-check bench-service bench bench-smoke bench-json artifact-smoke shard-smoke compact-smoke anytime-smoke reach
 
 # Tier-1 suite (includes the docs link/section check).
 test:
@@ -53,6 +53,15 @@ docs-check:
 # catches broken modules the test run might not import.
 compile-check:
 	$(PYTHON) -m compileall -q src
+
+# Reachability audit (tools/reach.py; about 25 minutes on 2 CPUs, not part of
+# tier-1): run perfbench's four workloads, the four smoke targets, the
+# examples and the smoke benchmarks, then tier-1, all under a profiling probe,
+# and list the functions of src/repro that only tier-1 or nothing reaches.
+# Fails on any such function that tools/reach_keep.txt does not list with a
+# reason.
+reach:
+	$(PYTHON) tools/reach.py
 
 # Serving-layer throughput benchmark (queries/sec vs batch size, cache hit rate).
 bench-service:

@@ -11,7 +11,7 @@ scale factor:
   region budget and the query-window diameter identical to the paper's setting;
 * TGEN's α axis is expressed through the *bucket resolution* ``⌊|VQ|/α⌋`` it induces,
   because that — not α itself — is what controls accuracy and cost (see
-  ``ScalingContext.num_buckets``); the printed tables show both the paper's α and the
+  ``ScalingContext.alpha_for_buckets``); the printed tables show both the paper's α and the
   scale-matched value used here.
 
 Set the environment variable ``REPRO_BENCH_QUERIES`` (default 3) to run more queries

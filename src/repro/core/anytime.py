@@ -33,6 +33,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
+from repro.textindex.columnar import BOUND_GUARD
+
 __all__ = [
     "Budget",
     "QueryPolicy",
@@ -49,6 +53,12 @@ POLICY_KINDS = ("exact", "anytime", "sampled")
 _KIND_CODES = {"exact": 1.0, "anytime": 2.0, "sampled": 3.0}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
+
+#: Cells per ∆ along each axis of :func:`region_mass_bound`'s grid.
+REGRET_GRID_K = 8
+
+#: Largest grid :func:`region_mass_bound` lays; its k halves until the grid fits.
+REGRET_GRID_MAX_CELLS = 1 << 16
 
 #: Target wall-clock gap between two deadline checks. The adaptive window in
 #: :meth:`Budget.expired` aims the next clock read roughly this far out, so the
@@ -121,10 +131,6 @@ class Budget:
         if not self._expired and time.perf_counter() >= self.deadline:
             self._expired = True
         return self._expired
-
-    def remaining_seconds(self) -> float:
-        return max(0.0, self.deadline - time.perf_counter())
-
 
 @dataclass(frozen=True)
 class QueryPolicy:
@@ -233,14 +239,6 @@ class QueryPolicy:
             return f"anytime:{self.deadline_ms!r}"
         return f"sampled:{self.epsilon!r}:s{self.seed}"
 
-    def __str__(self) -> str:
-        if self.kind == "anytime":
-            return f"anytime({self.deadline_ms:g})"
-        if self.kind == "sampled":
-            return f"sampled({self.epsilon:g})"
-        return "exact"
-
-
 @dataclass(frozen=True)
 class ResultQuality:
     """Self-reported quality of an (approximate) answer.
@@ -280,27 +278,91 @@ class ResultQuality:
 
 
 def annotate_anytime_stats(instance, achieved: float, stats: Dict[str, float],
-                           regret_bound: Optional[float] = None) -> None:
+                           regret_bound: Optional[float] = None,
+                           one_region: bool = True) -> None:
     """Fold anytime ResultQuality entries into a solver stats dict.
 
     No-op for budget-free instances (the exact path stays literally unchanged).
     When the run was truncated (``stats["budget_expired"]`` set by the hot
-    loop), the regret bound is ``regret_bound`` if the solver derived a tighter
-    one (Exact's open-branch gap), else the trivial admissible ceiling
+    loop), the regret bound is ``regret_bound`` if the solver derived one
+    (Exact's open-branch gap). Otherwise, when ``achieved`` is one region's
+    weight (``one_region``), it is :func:`region_mass_bound` − ``achieved``;
+    else, or where that bound does not apply, it is the admissible ceiling
     ``Σ max(σ_v, 0) − achieved``: no region can weigh more than the sum of all
-    positive node weights in the window — this is
-    ``positive_suffix_potentials(weights)[0]`` (see
-    :func:`repro.core.bounds.positive_suffix_potentials`). A run that finished
-    within budget reports regret 0.
+    positive node weights in the window. A run that finished within budget
+    reports regret 0.
     """
     if instance.budget is None:
         return
     if stats.get("budget_expired", 0.0) > 0.0:
         if regret_bound is None:
-            ceiling = sum(w for w in instance.weights.values() if w > 0.0)
+            ceiling = None
+            if one_region:
+                ceiling = region_mass_bound(instance.dense, instance.query.delta)
+            if ceiling is None:
+                ceiling = sum(w for w in instance.weights.values() if w > 0.0)
             regret_bound = max(0.0, ceiling - achieved)
         else:
             regret_bound = max(0.0, regret_bound)
     else:
         regret_bound = 0.0
     stats.update(ResultQuality("anytime", regret_bound=regret_bound).to_stats())
+
+
+def region_mass_bound(dense, delta: float) -> Optional[float]:
+    """Upper bound on the σ-mass of any region of length ≤ ``delta``, or ``None``.
+
+    A region of length at most ∆ holds its nodes pairwise within network
+    distance ∆. When no window edge is shorter than the Euclidean distance
+    between its endpoints (up to ``BOUND_GUARD``), they are then pairwise
+    within Euclidean distance ∆ too, so they fit in a box at most ∆ wide on
+    each axis. On a grid of cells of side ∆/k over the relevant nodes, such a
+    box touches at most k + 1 cells per axis, and one more absorbs rounding at
+    cell edges: some (k+2)×(k+2) block of cells holds every relevant node of
+    the region. The largest block sum, inflated by ``BOUND_GUARD`` for the
+    summation order, bounds the region's weight.
+
+    ``k`` starts at :data:`REGRET_GRID_K` and halves while the grid would
+    exceed :data:`REGRET_GRID_MAX_CELLS` cells. ``None`` means the bound does
+    not apply: a window edge shorter than its endpoints' distance, ∆ ≤ 0, no
+    relevant node, or a grid too large even at ``k = 1``.
+    """
+    relevant = dense.relevant_positions()
+    if delta <= 0.0 or relevant.size == 0:
+        return None
+    sources = np.repeat(np.arange(dense.num_nodes), np.diff(dense.indptr))
+    euclid = np.hypot(dense.xs[sources] - dense.xs[dense.indices],
+                      dense.ys[sources] - dense.ys[dense.indices])
+    if not np.all(dense.lengths * BOUND_GUARD >= euclid):
+        return None
+    xs = dense.xs[relevant] - dense.xs[relevant].min()
+    ys = dense.ys[relevant] - dense.ys[relevant].min()
+    k = REGRET_GRID_K
+    while True:
+        side = delta / k
+        cols = int(xs.max() / side) + 1
+        rows = int(ys.max() / side) + 1
+        if cols * rows <= REGRET_GRID_MAX_CELLS or k == 1:
+            break
+        k //= 2
+    if cols * rows > REGRET_GRID_MAX_CELLS:
+        return None
+    cells = (ys / side).astype(np.int64) * cols + (xs / side).astype(np.int64)
+    grid = np.bincount(cells, weights=dense.sigma[relevant], minlength=cols * rows)
+    grid = grid.reshape(rows, cols)
+    blocks = _run_sums(_run_sums(grid, k + 2).T, k + 2)
+    return float(blocks.max()) * BOUND_GUARD
+
+
+def _run_sums(grid: np.ndarray, width: int) -> np.ndarray:
+    """Sums of every run of ``width`` adjacent cells along each row of ``grid``.
+
+    Added cell by cell rather than as differences of prefix sums, which could
+    cancel and come out below the true sum.
+    """
+    width = min(width, grid.shape[1])
+    count = grid.shape[1] - width + 1
+    sums = grid[:, :count].copy()
+    for offset in range(1, width):
+        sums += grid[:, offset:offset + count]
+    return sums

@@ -11,48 +11,29 @@ consequence — byte-identical results pruned vs unpruned — and
 ``tests/core/test_bounds.py`` checks admissibility of the bounds themselves on
 randomized instances.
 
-Construction of the aggregates lives in
+Construction of the aggregate lives in
 :func:`repro.textindex.columnar._bound_aggregate_arrays` (build time, persisted
-in ``scoring.npz``); this module only reads them. Two per-cell aggregates exist
-per scoring mode:
+in ``scoring.npz``); this module only reads it. One per-cell aggregate exists
+per scoring mode: ``cell_sigma_mass``, the Σ of guarded per-object potentials
+by *object* cell, which bounds the total σ-mass any query can collect from
+objects located in a cell.
 
-* ``cell_sigma_mass`` — Σ of guarded per-object potentials by *object* cell.
-  Bounds the total σ-mass any query can collect from objects located in a cell.
-* ``cell_node_mass`` — Σ of guarded per-node potentials by *node* cell. Bounds
-  the total σ-mass of any node subset inside the cell.
-
-All aggregates are non-negative, so sums of cell values over a covering cell
-range are themselves computed as plain block sums — never as subtractions of
-prefix sums, which could cancel catastrophically and produce a spuriously small
+The aggregate is non-negative, so sums of cell values over a covering cell
+range are computed as plain block sums — never as subtractions of prefix sums,
+which could cancel catastrophically and produce a spuriously small
 (inadmissible) bound. A covering range may over-include geometry near cell
 boundaries; over-inclusion only raises the bound, which is safe.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.exceptions import IndexError_
 from repro.network.subgraph import Rectangle
 from repro.textindex.columnar import BOUND_MODES, ColumnarScoringIndex
-
-
-def positive_suffix_potentials(weights: Sequence[float]) -> List[float]:
-    """Return ``suffix[i] = Σ_{j ≥ i} max(weights[j], 0)``, accumulated right-to-left.
-
-    The accumulation is sequential float addition of non-negative terms, so each
-    ``suffix[i] ≥ suffix[i+1]`` holds *exactly* in float arithmetic
-    (``fl(a + b) ≥ b`` for ``a ≥ 0``), and ``suffix[i] == 0.0`` exactly when
-    every remaining weight is ``≤ 0``. Branch-and-bound code relies on both
-    properties.
-    """
-    suffix = [0.0] * (len(weights) + 1)
-    for i in range(len(weights) - 1, -1, -1):
-        w = weights[i]
-        suffix[i] = suffix[i + 1] + (w if w > 0.0 else 0.0)
-    return suffix
 
 
 class UpperBoundIndex:
@@ -71,7 +52,6 @@ class UpperBoundIndex:
         cell_w: float,
         cell_h: float,
         sigma_mass: np.ndarray,
-        node_mass: np.ndarray,
     ) -> None:
         self.resolution = int(resolution)
         self.min_x = float(min_x)
@@ -80,7 +60,6 @@ class UpperBoundIndex:
         self.cell_h = float(cell_h)
         shape = (self.resolution, self.resolution)
         self.sigma_mass = np.asarray(sigma_mass).reshape(shape)
-        self.node_mass = np.asarray(node_mass).reshape(shape)
 
     @classmethod
     def from_columnar(cls, index: ColumnarScoringIndex, mode) -> "UpperBoundIndex":
@@ -101,7 +80,6 @@ class UpperBoundIndex:
             cell_w=float(meta[3]),
             cell_h=float(meta[4]),
             sigma_mass=index.cell_sigma_mass[row],
-            node_mass=index.cell_node_mass[row],
         )
 
     # ------------------------------------------------------------------ geometry
@@ -138,14 +116,3 @@ class UpperBoundIndex:
             window.min_x, window.min_y, window.max_x, window.max_y
         )
         return float(self.sigma_mass[r0 : r1 + 1, c0 : c1 + 1].sum())
-
-    def ball_mass_bound(self, x: float, y: float, radius: float) -> float:
-        """Upper bound on the total σ-mass of *nodes* within ``radius`` of a point.
-
-        Uses the bounding square of the δ-ball (a superset) over the node-mass
-        aggregate; any region whose nodes all lie within network distance
-        ``radius`` of ``(x, y)`` also lies within Euclidean distance ``radius``,
-        so this bounds the σ-mass of every such region.
-        """
-        r0, r1, c0, c1 = self.cell_span(x - radius, y - radius, x + radius, y + radius)
-        return float(self.node_mass[r0 : r1 + 1, c0 : c1 + 1].sum())

@@ -180,11 +180,6 @@ class DenseInstance:
         """``|VQ|``: number of nodes in the window."""
         return int(self.ids.shape[0])
 
-    @property
-    def num_edges(self) -> int:
-        """``|EQ|``: number of undirected edges in the window."""
-        return int(self.indices.shape[0]) // 2
-
     def relevant_positions(self) -> np.ndarray:
         """Positions with σ_v > 0, in ascending position order (cached)."""
         if self._relevant_positions is None:
@@ -271,6 +266,6 @@ class DenseInstance:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"DenseInstance(nodes={self.num_nodes}, edges={self.num_edges}, "
+            f"DenseInstance(nodes={self.num_nodes}, edges={int(self.indices.shape[0]) // 2}, "
             f"relevant={int(self.relevant_order.size)})"
         )

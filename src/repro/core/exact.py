@@ -174,8 +174,8 @@ class ExactSolver:
                 # suffix[i] bounds the weight of every subset anchored at nodes[i:]
                 # (anchored subsets only use nodes >= their anchor). Sequential
                 # right-to-left accumulation of non-negative terms makes the suffix
-                # exactly non-increasing and exactly 0.0 iff no positive weight
-                # remains — see repro.core.bounds.positive_suffix_potentials.
+                # exactly non-increasing (fl(a + b) >= b for a >= 0) and exactly
+                # 0.0 iff no positive weight remains.
                 suffix = [0.0] * (len(nodes) + 1)
                 for i in range(len(nodes) - 1, -1, -1):
                     suffix[i] = suffix[i + 1] + pos[nodes[i]]

@@ -116,7 +116,8 @@ class GreedySolver:
                 break
         runtime = time.perf_counter() - start
         annotate_anytime_stats(
-            instance, sum(r.region.weight for r in results), prune_stats
+            instance, sum(r.region.weight for r in results), prune_stats,
+            one_region=False,
         )
         results = [
             RegionResult(r.region, self.name, runtime, stats=r.stats) for r in results

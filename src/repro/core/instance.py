@@ -33,7 +33,7 @@ selects the unpruned reference loops, which only the pruning parity suite and
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Mapping, Optional
 
 from repro.core.dense import DenseInstance
 from repro.core.query import LCMSRQuery
@@ -104,7 +104,6 @@ class ProblemInstance:
         self.budget = budget
         self.sampling = sampling
         self._weights = weights
-        self._relevant_nodes: Optional[Set[int]] = None
 
     # ------------------------------------------------------------------ views
     @property
@@ -154,18 +153,9 @@ class ProblemInstance:
         return self.graph.num_nodes
 
     @property
-    def num_candidate_edges(self) -> int:
-        """``|EQ|``: the number of edges with both endpoints inside the window."""
-        return self.graph.num_edges
-
-    @property
     def has_relevant_nodes(self) -> bool:
         """``True`` if at least one node has positive weight."""
         return bool(self.dense.relevant_positions().size)
-
-    def weight_of(self, node_id: int) -> float:
-        """Return σ_v (0.0 for nodes without relevant objects)."""
-        return self.weights.get(node_id, 0.0)
 
     def sigma_max(self) -> float:
         """Return the largest node weight in the instance (0.0 if none).
@@ -174,34 +164,6 @@ class ProblemInstance:
         over the dict view.
         """
         return self.dense.sigma_max
-
-    def total_weight(self) -> float:
-        """Return the sum of all node weights in the instance.
-
-        Read off the substrate, which sums in the dict's iteration order, so
-        the value is bit-equal to ``sum`` over the dict view.
-        """
-        return self.dense.total_weight
-
-    def relevant_nodes(self) -> Set[int]:
-        """Return the ids of nodes with positive weight (cached; treat as read-only)."""
-        if self._relevant_nodes is None:
-            self._relevant_nodes = {
-                node_id for node_id, weight in self.weights.items() if weight > 0
-            }
-        return self._relevant_nodes
-
-    def restricted_to(self, node_ids: Iterable[int]) -> "ProblemInstance":
-        """Return a copy of the instance restricted to a node subset (used in tests)."""
-        keep = set(node_ids)
-        return ProblemInstance(
-            graph=self.graph.subgraph(keep),
-            weights={n: w for n, w in self.weights.items() if n in keep},
-            query=self.query,
-            build_seconds=self.build_seconds,
-            pruning=self.pruning,
-        )
-
 
 def build_instance(
     network: CompactNetwork | RoadNetwork,

@@ -123,11 +123,6 @@ class QuotaTreeSolver:
         self.num_gw_runs = 0
 
     # ------------------------------------------------------------------ public API
-    @property
-    def terminals(self) -> List[int]:
-        """The weighted (relevant) nodes the solver connects."""
-        return list(self._terminals)
-
     def total_scaled_weight(self) -> int:
         """The largest quota any tree could possibly satisfy."""
         return sum(self._scaled.get(v, 0) for v in self._terminals)

@@ -40,15 +40,6 @@ class PCSTResult:
     total_prize: float
     total_cost: float
 
-    def best_tree(
-        self, prizes: Mapping[int, float]
-    ) -> Tuple[Set[int], List[Tuple[int, int, float]]]:
-        """Return the tree with the largest collected prize (empty tree if none)."""
-        if not self.trees:
-            return (set(), [])
-        return max(self.trees, key=lambda tree: sum(prizes.get(v, 0.0) for v in tree[0]))
-
-
 class _DisjointSet:
     """Union-find over integer node ids with path compression and union by size."""
 

@@ -61,15 +61,6 @@ class LCMSRQuery:
         """Build a query from any keyword iterable (``__post_init__`` normalises)."""
         return LCMSRQuery(keywords=tuple(keywords), delta=float(delta), region=region, k=k)
 
-    @property
-    def keyword_count(self) -> int:
-        """Number of distinct query keywords (the paper's ``|Q.ψ|``)."""
-        return len(self.keywords)
-
-    def with_delta(self, delta: float) -> "LCMSRQuery":
-        """Return a copy with a different length constraint (used in sweeps)."""
-        return LCMSRQuery(self.keywords, float(delta), self.region, self.k)
-
     def with_region(self, region: Optional[Rectangle]) -> "LCMSRQuery":
         """Return a copy with a different region of interest (used in sweeps)."""
         return LCMSRQuery(self.keywords, self.delta, region, self.k)

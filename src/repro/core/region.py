@@ -9,11 +9,11 @@ handed to application code is always well-formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
 from repro.exceptions import RegionError
 from repro.network.compact import CompactNetwork
-from repro.network.graph import RoadNetwork, edge_key
+from repro.network.graph import RoadNetwork
 
 
 @dataclass(frozen=True)
@@ -34,48 +34,6 @@ class Region:
 
     # ------------------------------------------------------------------ constructors
     @staticmethod
-    def from_nodes_edges(
-        graph: CompactNetwork | RoadNetwork,
-        nodes: Iterable[int],
-        edges: Iterable[Tuple[int, int]],
-        weights: Mapping[int, float],
-        validate: bool = True,
-    ) -> "Region":
-        """Build a region from explicit node and edge sets.
-
-        Args:
-            graph: The road network the region lives in (used for edge lengths and
-                validation).
-            nodes: Node identifiers of the region.
-            edges: Edges of the region, as ``(u, v)`` pairs in either orientation.
-            weights: Per-node query weights σ_v; missing nodes contribute 0.
-            validate: When ``True`` (default), verify the region is a connected
-                subgraph of ``graph`` whose edges connect region nodes.
-
-        Raises:
-            RegionError: If validation fails.
-        """
-        node_set = frozenset(nodes)
-        edge_set = frozenset(edge_key(u, v) for u, v in edges)
-        length = 0.0
-        for u, v in edge_set:
-            if validate and not graph.has_edge(u, v):
-                raise RegionError(f"edge ({u}, {v}) is not in the road network")
-            if validate and (u not in node_set or v not in node_set):
-                raise RegionError(f"edge ({u}, {v}) has an endpoint outside the region")
-            length += graph.edge_length(u, v)
-        weight = sum(weights.get(node_id, 0.0) for node_id in node_set)
-        region = Region(nodes=node_set, edges=edge_set, length=length, weight=weight)
-        if validate:
-            region.validate(graph)
-        return region
-
-    @staticmethod
-    def single_node(node_id: int, weight: float) -> "Region":
-        """Build a region consisting of a single node (length 0)."""
-        return Region(frozenset({node_id}), frozenset(), 0.0, weight)
-
-    @staticmethod
     def empty() -> "Region":
         """Build the empty region (no nodes, weight 0). Returned when nothing matches."""
         return Region(frozenset(), frozenset(), 0.0, 0.0)
@@ -95,10 +53,6 @@ class Region:
     def num_edges(self) -> int:
         """Number of edges in the region."""
         return len(self.edges)
-
-    def contains_node(self, node_id: int) -> bool:
-        """Return ``True`` if ``node_id`` is part of the region."""
-        return node_id in self.nodes
 
     def is_connected(self) -> bool:
         """Return ``True`` if the region's nodes are connected through its edges.
@@ -157,10 +111,6 @@ class Region:
     def satisfies(self, delta: float) -> bool:
         """Return ``True`` if the region's length is within the constraint ``delta``."""
         return self.length <= delta + 1e-9
-
-    def overlap_nodes(self, other: "Region") -> int:
-        """Return the number of nodes shared with another region."""
-        return len(self.nodes & other.nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

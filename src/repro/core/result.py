@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.region import Region
 
@@ -70,15 +70,3 @@ class TopKResult:
 
     def __iter__(self):
         return iter(self.results)
-
-    def __getitem__(self, index: int) -> RegionResult:
-        return self.results[index]
-
-    @property
-    def best(self) -> Optional[RegionResult]:
-        """The highest-ranked region, or ``None`` when empty."""
-        return self.results[0] if self.results else None
-
-    def weights(self) -> List[float]:
-        """The weights of the returned regions, in rank order."""
-        return [result.weight for result in self.results]

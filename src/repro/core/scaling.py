@@ -7,9 +7,9 @@ guarantees that the region maximising the scaled weight has original weight at l
 ``(1 - α)`` times the optimum, which is what gives APP its approximation bound.
 
 For TGEN the paper re-uses the same formula with much larger α values (50–1600),
-which coarsens the buckets and caps the tuple-array sizes; the helper
-:meth:`ScalingContext.num_buckets` exposes the resulting resolution so experiments at
-different dataset scales can pick comparable α values.
+which coarsens the buckets and caps the tuple-array sizes: a node weight takes about
+``|VQ| / α`` scaled values, and :meth:`ScalingContext.alpha_for_buckets` inverts that
+so experiments at different dataset scales can pick comparable α values.
 """
 
 from __future__ import annotations
@@ -117,10 +117,6 @@ class ScalingContext:
         scaled = np.where(values > 0.0, np.floor(values / self.theta), 0.0)
         return scaled.astype(np.int64)
 
-    def unscale(self, scaled_weight: int) -> float:
-        """Return ``θ · ŝ``, the guaranteed lower bound on the original weight."""
-        return self.theta * scaled_weight
-
     # ------------------------------------------------------------------ bounds (Lemma 5)
     def max_scaled_node_weight(self) -> int:
         """Return ``σ̂max = ⌊|VQ| / α⌋`` (the scaled weight of the heaviest node)."""
@@ -133,16 +129,6 @@ class ScalingContext:
     def upper_bound(self) -> int:
         """Lemma 5's upper bound: ``|VQ| · ⌊|VQ|/α⌋``."""
         return self.num_candidate_nodes * self.max_scaled_node_weight()
-
-    def num_buckets(self) -> int:
-        """Number of distinct scaled values a single node weight can take (≈ |VQ|/α).
-
-        This is the quantity that actually controls tuple-array sizes; experiments run
-        at a different dataset scale than the paper should choose α so that this
-        matches the paper's effective resolution (see "Deviations from the paper"
-        in ``docs/ARCHITECTURE.md``).
-        """
-        return self.max_scaled_node_weight() + 1
 
     @staticmethod
     def alpha_for_buckets(num_candidate_nodes: int, buckets: int) -> float:

@@ -1,9 +1,9 @@
 """Top-k LCMSR queries (paper Section 6.2).
 
 Every solver in this library exposes ``solve_topk``; this module adds the small amount
-of shared plumbing: a solver-agnostic dispatcher and helpers for comparing top-k
-result lists (used by the evaluation harness and tests). The per-algorithm behaviour
-matches the paper:
+of shared plumbing: the ``k`` every solver resolves the same way, and helpers for
+comparing top-k result lists (used by the evaluation harness and tests). The
+per-algorithm behaviour matches the paper:
 
 * **APP** — after the candidate tree is found, the findOptTree tuple arrays of all its
   nodes are ranked and the best k distinct regions returned.
@@ -14,35 +14,11 @@ matches the paper:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Protocol, Sequence
+from typing import List, Optional
 
 from repro.core.instance import ProblemInstance
 from repro.core.result import RegionResult, TopKResult
 from repro.exceptions import SolverError
-
-
-class SupportsTopK(Protocol):
-    """Structural type of a solver that can answer top-k queries.
-
-    Every solver implementation accepts ``k`` as an optional keyword defaulting
-    to ``None`` (meaning "take ``k`` from the instance's query"), so the
-    protocol declares the same shape — a protocol narrower than its
-    implementations would reject call sites that rely on the default.
-    """
-
-    name: str
-
-    def solve_topk(
-        self, instance: ProblemInstance, k: Optional[int] = None
-    ) -> TopKResult:  # pragma: no cover
-        ...
-
-
-def solve_topk(
-    solver: SupportsTopK, instance: ProblemInstance, k: Optional[int] = None
-) -> TopKResult:
-    """Dispatch a top-k query to ``solver`` (thin convenience wrapper)."""
-    return solver.solve_topk(instance, k)
 
 
 def resolve_k(instance: ProblemInstance, k: Optional[int]) -> int:

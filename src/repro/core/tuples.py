@@ -12,7 +12,7 @@ of Lemma 7 / Section 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.region import Region
 from repro.network.graph import edge_key
@@ -70,17 +70,6 @@ class RegionTuple:
             edges=(self.edges | other.edges) | {edge_key(u, v)},
         )
 
-    def extend(self, node_id: int, weight: float, scaled_weight: int,
-               attach_to: int, edge_length: float) -> "RegionTuple":
-        """Return a new tuple with ``node_id`` attached to the region via ``attach_to``."""
-        return RegionTuple(
-            length=self.length + edge_length,
-            weight=self.weight + weight,
-            scaled_weight=self.scaled_weight + int(scaled_weight),
-            nodes=self.nodes | {node_id},
-            edges=self.edges | {edge_key(attach_to, node_id)},
-        )
-
     def to_region(self) -> Region:
         """Convert the tuple to a user-facing :class:`Region`."""
         return Region(nodes=self.nodes, edges=self.edges, length=self.length, weight=self.weight)
@@ -116,16 +105,6 @@ class TupleArray:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __iter__(self) -> Iterator[RegionTuple]:
-        return iter(self._entries.values())
-
-    def __contains__(self, scaled_weight: int) -> bool:
-        return scaled_weight in self._entries
-
-    def get(self, scaled_weight: int) -> Optional[RegionTuple]:
-        """Return the stored tuple for ``scaled_weight`` or ``None``."""
-        return self._entries.get(scaled_weight)
-
     def update(self, candidate: RegionTuple) -> bool:
         """Insert ``candidate`` if it is shorter than the stored tuple of equal ŝ.
 
@@ -141,17 +120,3 @@ class TupleArray:
     def tuples(self) -> List[RegionTuple]:
         """Return a snapshot list of the stored tuples (safe to iterate while updating)."""
         return list(self._entries.values())
-
-    def best(self) -> Optional[RegionTuple]:
-        """Return the stored tuple with the largest scaled weight (ties: shortest)."""
-        best: Optional[RegionTuple] = None
-        for entry in self._entries.values():
-            if entry.better_than(best):
-                best = entry
-        return best
-
-    def prune_longer_than(self, max_length: float) -> None:
-        """Drop every stored tuple whose length exceeds ``max_length``."""
-        to_delete = [s for s, t in self._entries.items() if t.length > max_length + 1e-12]
-        for scaled_weight in to_delete:
-            del self._entries[scaled_weight]

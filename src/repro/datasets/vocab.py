@@ -76,21 +76,9 @@ class Vocabulary:
 
     # ------------------------------------------------------------------ access
     @property
-    def size(self) -> int:
-        """Number of distinct terms."""
-        return len(self._terms)
-
-    @property
     def terms(self) -> List[str]:
         """All terms, most frequent first."""
         return list(self._terms)
-
-    def rank_of(self, term: str) -> int:
-        """Return the Zipf rank (0-based) of ``term``; raises if unknown."""
-        try:
-            return self._terms.index(term)
-        except ValueError:
-            raise DatasetError(f"unknown term {term!r}") from None
 
     # ------------------------------------------------------------------ sampling
     def sample_term(self, rng: random.Random) -> str:

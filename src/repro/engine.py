@@ -195,17 +195,6 @@ class LCMSREngine:
         return self._bundle
 
     @property
-    def network(self) -> RoadNetwork:
-        """The indexed road network as a mutable :class:`RoadNetwork`.
-
-        Thawed from the bundle's CSR snapshot on first access and cached (see
-        :meth:`IndexBundle.road_network
-        <repro.service.bundle.IndexBundle.road_network>`); queries never need
-        it — they run on :attr:`graph_view`.
-        """
-        return self._bundle.road_network()
-
-    @property
     def graph_view(self) -> CompactNetwork:
         """The network representation queries traverse: the bundle's CSR snapshot."""
         return self._bundle.graph_view()

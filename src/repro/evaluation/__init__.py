@@ -7,12 +7,7 @@ sweep algorithm parameters and query arguments, simulate the Section 7.5 annotat
 study, and print the resulting series in the same shape as the paper's figures.
 """
 
-from repro.evaluation.metrics import (
-    relative_ratio,
-    average_relative_ratio,
-    mean,
-    summarize_results,
-)
+from repro.evaluation.metrics import relative_ratio, average_relative_ratio, mean
 from repro.evaluation.runner import ExperimentRunner, AlgorithmRun, QueryOutcome
 from repro.evaluation.sweeps import ParameterSweep, SweepPoint
 from repro.evaluation.survey import SimulatedAnnotator, SurveyResult, run_survey
@@ -27,7 +22,6 @@ __all__ = [
     "relative_ratio",
     "average_relative_ratio",
     "mean",
-    "summarize_results",
     "ExperimentRunner",
     "AlgorithmRun",
     "QueryOutcome",

@@ -9,9 +9,7 @@ compute ratios against the exact oracle.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
-
-from repro.core.result import RegionResult
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -44,16 +42,3 @@ def average_relative_ratio(
         for candidate, reference in zip(candidate_weights, reference_weights)
     ]
     return mean(ratios)
-
-
-def summarize_results(results: Iterable[RegionResult]) -> Dict[str, float]:
-    """Summarise a list of per-query results into mean runtime / weight / size."""
-    materialized = list(results)
-    return {
-        "queries": float(len(materialized)),
-        "mean_runtime_seconds": mean([r.runtime_seconds for r in materialized]),
-        "mean_weight": mean([r.weight for r in materialized]),
-        "mean_length": mean([r.length for r in materialized]),
-        "mean_nodes": mean([float(r.region.num_nodes) for r in materialized]),
-        "empty_results": float(sum(1 for r in materialized if r.is_empty)),
-    }

@@ -43,17 +43,6 @@ class ParameterSweep:
         """Append one x-axis point."""
         self.points.append(point)
 
-    def series(self, measure: str, algorithm: str) -> List[Tuple[float, float]]:
-        """Return ``[(x, value)]`` for one algorithm and one measure.
-
-        ``measure`` is one of ``"runtime"``, ``"weight"`` or ``"ratio"``.
-        """
-        attribute = {"runtime": "runtimes", "weight": "weights", "ratio": "ratios"}[measure]
-        return [
-            (point.x, getattr(point, attribute).get(algorithm, float("nan")))
-            for point in self.points
-        ]
-
     def algorithms(self) -> List[str]:
         """All algorithm names appearing in the sweep."""
         names: List[str] = []

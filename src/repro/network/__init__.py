@@ -16,8 +16,8 @@ from repro.network.builders import (
     star_network,
     path_network,
 )
-from repro.network.subgraph import induced_subgraph, nodes_in_rectangle, Rectangle
-from repro.network.shortest_path import dijkstra, shortest_path_length, shortest_path
+from repro.network.subgraph import induced_subgraph, Rectangle
+from repro.network.shortest_path import dijkstra
 from repro.network.projection import equirectangular_to_meters, haversine_meters
 from repro.network.io import (
     load_dimacs,
@@ -39,10 +39,7 @@ __all__ = [
     "star_network",
     "path_network",
     "induced_subgraph",
-    "nodes_in_rectangle",
     "dijkstra",
-    "shortest_path_length",
-    "shortest_path",
     "equirectangular_to_meters",
     "haversine_meters",
     "load_dimacs",

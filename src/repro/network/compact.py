@@ -21,8 +21,8 @@ makes them the unit of sharding and multiprocess serving.
 Two further properties matter for correctness:
 
 * **Order preservation.** The CSR rows and the per-row neighbour order replicate the
-  source network's iteration order exactly, :meth:`window_view` /
-  :meth:`subgraph` preserve the snapshot's relative order, and
+  source network's iteration order exactly, :meth:`window_view` preserves
+  the snapshot's relative order, and
   :meth:`to_network` replays the rows, so ``from_network(c.to_network())``
   equals ``c`` array for array. Traversals that break ties by discovery order
   therefore behave identically on a network and on its snapshot.
@@ -43,7 +43,7 @@ the file once for hashing, which warms the page cache but still builds nothing).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -57,10 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 class CompactNetwork:
     """An immutable CSR snapshot of a road network (see the module docstring).
 
-    Instances are normally obtained through :meth:`from_network`,
-    :meth:`window_view` or :meth:`subgraph` rather than the raw constructor. The
-    read API mirrors :class:`~repro.network.graph.RoadNetwork`'s (minus the
-    mutators).
+    Instances are normally obtained through :meth:`from_network` or
+    :meth:`window_view` rather than the raw constructor. The read API mirrors
+    :class:`~repro.network.graph.RoadNetwork`'s (minus the mutators).
     """
 
     __slots__ = (
@@ -79,7 +78,6 @@ class CompactNetwork:
         "_id_to_index",
         "_num_edges",
         "_row_of_entry",
-        "_length_stats",
         "_id_sort_order",
     )
 
@@ -108,7 +106,7 @@ class CompactNetwork:
             raise GraphError("indices and lengths must align")
         # Vectorised uniqueness check: keeps the "corrupt snapshot fails at
         # construction" guarantee (important for artifact loading) without
-        # materialising the Python id map. Derived views (window/subgraph) keep
+        # materialising the Python id map. A window view keeps
         # a subset of already-validated ids and skip the re-check.
         if validate_ids and np.unique(self._ids).shape[0] != n:
             raise GraphError("duplicate node ids in snapshot")
@@ -127,7 +125,6 @@ class CompactNetwork:
         self._nbr_pairs_list: List[Tuple[int, float]] | None = None
         self._id_to_index: Dict[int, int] | None = None
         self._row_of_entry: np.ndarray | None = None  # lazy np.repeat cache
-        self._length_stats: Tuple[float, float, float] | None = None
         self._id_sort_order: Tuple[np.ndarray, np.ndarray] | None = None
 
     def _materialize_lists(self) -> None:
@@ -320,11 +317,6 @@ class CompactNetwork:
         """
         return self._ids, self._xs, self._ys
 
-    def node(self, node_id: int) -> Node:
-        """Return the :class:`Node` for ``node_id``; raises :class:`NodeNotFoundError`."""
-        index = self.index_of(node_id)
-        return Node(node_id, float(self._xs[index]), float(self._ys[index]))
-
     def coords(self, node_id: int) -> Tuple[float, float]:
         """Return the ``(x, y)`` embedding of ``node_id``."""
         index = self.index_of(node_id)
@@ -364,11 +356,6 @@ class CompactNetwork:
         indptr = self._indptr_list
         return iter(self._nbr_pairs_list[indptr[index] : indptr[index + 1]])
 
-    def degree(self, node_id: int) -> int:
-        """Return the number of incident edges of ``node_id``."""
-        index = self.index_of(node_id)
-        return int(self._indptr[index + 1]) - int(self._indptr[index])
-
     def has_edge(self, u: int, v: int) -> bool:
         """Return ``True`` if the undirected edge ``(u, v)`` exists."""
         index = self._id_map().get(u)
@@ -389,36 +376,9 @@ class CompactNetwork:
                     return lengths[slot]
         raise EdgeNotFoundError(u, v)
 
-    def euclidean(self, u: int, v: int) -> float:
-        """Return the Euclidean distance between the embeddings of two nodes."""
-        ax, ay = self.coords(u)
-        bx, by = self.coords(v)
-        return ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5
-
-    def total_length(self) -> float:
-        """Return the sum of all road-segment lengths in the snapshot."""
-        return self._edge_length_stats()[0]
-
-    def min_edge_length(self) -> float:
-        """Return the minimum edge length (the paper's ``dmin``), or 0.0 if no edges."""
-        return self._edge_length_stats()[1]
-
     def max_edge_length(self) -> float:
         """Return the maximum edge length (the paper's ``τmax``), or 0.0 if no edges."""
-        return self._edge_length_stats()[2]
-
-    def _edge_length_stats(self) -> Tuple[float, float, float]:
-        if self._length_stats is None:
-            if self._lengths.size == 0:
-                self._length_stats = (0.0, 0.0, 0.0)
-            else:
-                # Each undirected edge appears twice in the CSR, hence the /2.
-                self._length_stats = (
-                    float(self._lengths.sum()) / 2.0,
-                    float(self._lengths.min()),
-                    float(self._lengths.max()),
-                )
-        return self._length_stats
+        return float(self._lengths.max()) if self._lengths.size else 0.0
 
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """Return ``(min_x, min_y, max_x, max_y)`` over all node embeddings."""
@@ -431,43 +391,6 @@ class CompactNetwork:
             float(self._ys.max()),
         )
 
-    # ------------------------------------------------------------------ traversal
-    def bfs_order(self, start: int) -> List[int]:
-        """Return node ids reachable from ``start`` in breadth-first order."""
-        start_index = self.index_of(start)
-        indptr, columns, _, _, ids = self._lists()
-        visited = [False] * len(ids)
-        visited[start_index] = True
-        order_indices: List[int] = [start_index]
-        head = 0
-        while head < len(order_indices):
-            u = order_indices[head]
-            head += 1
-            for slot in range(indptr[u], indptr[u + 1]):
-                v = columns[slot]
-                if not visited[v]:
-                    visited[v] = True
-                    order_indices.append(v)
-        return [ids[index] for index in order_indices]
-
-    def connected_components(self) -> List[Set[int]]:
-        """Return the connected components of the snapshot as sets of node ids."""
-        remaining: Set[int] = set(self._lists()[4])
-        components: List[Set[int]] = []
-        while remaining:
-            start = next(iter(remaining))
-            component = set(self.bfs_order(start))
-            components.append(component)
-            remaining -= component
-        return components
-
-    def is_connected(self) -> bool:
-        """Return ``True`` if the snapshot has one connected component (or is empty)."""
-        ids = self._lists()[4]
-        if not ids:
-            return True
-        return len(self.bfs_order(ids[0])) == len(ids)
-
     # ------------------------------------------------------------------ derived views
     def window_view(self, window: "Rectangle") -> "CompactNetwork":
         """Return the snapshot restricted to the nodes inside ``window``.
@@ -476,27 +399,7 @@ class CompactNetwork:
         re-numbered with numpy kernels — no per-node Python work. Only edges
         with both endpoints inside the window are kept (the paper's ``EQ``).
         """
-        return self._masked_view(window.contains_points(self._xs, self._ys))
-
-    def window_node_ids(self, window: "Rectangle") -> List[int]:
-        """Return the ids of the nodes inside ``window`` (vectorised point test)."""
-        return self._ids[window.contains_points(self._xs, self._ys)].tolist()
-
-    def subgraph(self, node_ids: Iterable[int]) -> "CompactNetwork":
-        """Return the snapshot induced by ``node_ids`` (nodes must exist).
-
-        The result keeps the snapshot's node order restricted to the kept set,
-        regardless of the order ``node_ids`` provides them in.
-
-        Raises:
-            NodeNotFoundError: If any requested node is not in the snapshot.
-        """
-        mask = np.zeros(self._ids.shape[0], dtype=bool)
-        for node_id in node_ids:
-            mask[self.index_of(node_id)] = True
-        return self._masked_view(mask)
-
-    def _masked_view(self, mask: np.ndarray) -> "CompactNetwork":
+        mask = window.contains_points(self._xs, self._ys)
         keep = np.flatnonzero(mask)
         new_position = np.full(self._ids.shape[0], -1, dtype=np.int32)
         new_position[keep] = np.arange(keep.size, dtype=np.int32)

@@ -67,19 +67,6 @@ class Edge:
             u, v = v, u
         return Edge(u, v, length)
 
-    def key(self) -> Tuple[int, int]:
-        """Return the normalised ``(min, max)`` endpoint pair identifying the edge."""
-        return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
-
-    def other(self, node_id: int) -> int:
-        """Return the endpoint of the edge that is not ``node_id``."""
-        if node_id == self.u:
-            return self.v
-        if node_id == self.v:
-            return self.u
-        raise GraphError(f"node {node_id} is not an endpoint of edge ({self.u}, {self.v})")
-
-
 def edge_key(u: int, v: int) -> Tuple[int, int]:
     """Return the canonical (sorted) key for the undirected edge ``(u, v)``."""
     return (u, v) if u <= v else (v, u)
@@ -99,10 +86,6 @@ class RoadNetwork:
         self._nodes: Dict[int, Node] = {}
         self._adj: Dict[int, Dict[int, float]] = {}
         self._num_edges: int = 0
-        # Cached (total, min, max) edge-length aggregates; invalidated whenever an
-        # edge is added, shortened or removed. Solvers probe max_edge_length() per
-        # query, which used to be a full O(E) scan every call.
-        self._length_stats: Optional[Tuple[float, float, float]] = None
 
     # ------------------------------------------------------------------ construction
     def add_node(self, node_id: int, x: float, y: float) -> Node:
@@ -138,11 +121,9 @@ class RoadNetwork:
             self._num_edges += 1
             self._adj[u][v] = length
             self._adj[v][u] = length
-            self._length_stats = None
         elif length < existing:
             self._adj[u][v] = length
             self._adj[v][u] = length
-            self._length_stats = None
         return Edge.make(u, v, self._adj[u][v])
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -152,16 +133,6 @@ class RoadNetwork:
         del self._adj[u][v]
         del self._adj[v][u]
         self._num_edges -= 1
-        self._length_stats = None
-
-    def remove_node(self, node_id: int) -> None:
-        """Remove a node and all of its incident edges."""
-        if node_id not in self._nodes:
-            raise NodeNotFoundError(node_id)
-        for neighbor in list(self._adj[node_id]):
-            self.remove_edge(node_id, neighbor)
-        del self._adj[node_id]
-        del self._nodes[node_id]
 
     # ------------------------------------------------------------------ inspection
     def __contains__(self, node_id: int) -> bool:
@@ -186,10 +157,6 @@ class RoadNetwork:
             return self._nodes[node_id]
         except KeyError:
             raise NodeNotFoundError(node_id) from None
-
-    def contains(self, node_id: int) -> bool:
-        """Return ``True`` if ``node_id`` is a node of the network (method form of ``in``)."""
-        return node_id in self._nodes
 
     def coords(self, node_id: int) -> Tuple[float, float]:
         """Return the planar ``(x, y)`` embedding of ``node_id``."""
@@ -235,13 +202,6 @@ class RoadNetwork:
         except KeyError:
             raise NodeNotFoundError(node_id) from None
 
-    def degree(self, node_id: int) -> int:
-        """Return the number of incident edges of ``node_id``."""
-        try:
-            return len(self._adj[node_id])
-        except KeyError:
-            raise NodeNotFoundError(node_id) from None
-
     def euclidean(self, u: int, v: int) -> float:
         """Return the Euclidean distance between the embeddings of two nodes."""
         a = self.node(u)
@@ -249,39 +209,13 @@ class RoadNetwork:
         return ((a.x - b.x) ** 2 + (a.y - b.y) ** 2) ** 0.5
 
     def total_length(self) -> float:
-        """Return the sum of all road-segment lengths in the network (cached)."""
-        return self._edge_length_stats()[0]
-
-    def min_edge_length(self) -> float:
-        """Return the minimum edge length (the paper's ``dmin``), or 0.0 if no edges.
-
-        The value is cached until the next edge mutation.
-        """
-        return self._edge_length_stats()[1]
-
-    def max_edge_length(self) -> float:
-        """Return the maximum edge length (the paper's ``τmax``), or 0.0 if no edges.
-
-        The value is cached until the next edge mutation.
-        """
-        return self._edge_length_stats()[2]
-
-    def _edge_length_stats(self) -> Tuple[float, float, float]:
-        """``(total, min, max)`` edge length, recomputed only after edge mutations."""
-        if self._length_stats is None:
-            total = 0.0
-            minimum: Optional[float] = None
-            maximum: Optional[float] = None
-            for u, nbrs in self._adj.items():
-                for v, length in nbrs.items():
-                    if u < v:
-                        total += length
-                        if minimum is None or length < minimum:
-                            minimum = length
-                        if maximum is None or length > maximum:
-                            maximum = length
-            self._length_stats = (total, minimum or 0.0, maximum or 0.0)
-        return self._length_stats
+        """Return the sum of all road-segment lengths in the network."""
+        total = 0.0
+        for u, nbrs in self._adj.items():
+            for v, length in nbrs.items():
+                if u < v:
+                    total += length
+        return total
 
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """Return ``(min_x, min_y, max_x, max_y)`` over all node embeddings."""

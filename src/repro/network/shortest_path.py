@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.exceptions import SolverError
 from repro.network.compact import CompactNetwork
 from repro.network.graph import RoadNetwork
 
@@ -138,38 +137,6 @@ def dijkstra_positions(
     return dist, parent, touched
 
 
-def shortest_path_length(
-    network: CompactNetwork | RoadNetwork, source: int, target: int
-) -> float:
-    """Return the network distance between two nodes.
-
-    Raises:
-        SolverError: If ``target`` is unreachable from ``source``.
-    """
-    dist, _ = dijkstra(network, source, targets={target})
-    if target not in dist:
-        raise SolverError(f"node {target} is unreachable from node {source}")
-    return dist[target]
-
-
-def shortest_path(
-    network: CompactNetwork | RoadNetwork, source: int, target: int
-) -> List[int]:
-    """Return the node sequence of a shortest path from ``source`` to ``target``.
-
-    Raises:
-        SolverError: If ``target`` is unreachable from ``source``.
-    """
-    dist, parent = dijkstra(network, source, targets={target})
-    if target not in dist:
-        raise SolverError(f"node {target} is unreachable from node {source}")
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def steiner_tree_length(
     network: CompactNetwork | RoadNetwork, terminals: Iterable[int]
 ) -> float:
@@ -218,9 +185,3 @@ def steiner_tree_length(
                 if w in unvisited:
                     heapq.heappush(heap, (dw, w))
     return total
-
-
-def eccentricity(network: CompactNetwork | RoadNetwork, source: int) -> float:
-    """Return the largest finite shortest-path distance from ``source``."""
-    dist, _ = dijkstra(network, source)
-    return max(dist.values()) if dist else 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.exceptions import QueryError
 from repro.network.compact import CompactNetwork
@@ -78,15 +78,6 @@ class Rectangle:
         """
         return (xs >= self.min_x) & (xs <= self.max_x) & (ys >= self.min_y) & (ys <= self.max_y)
 
-    def intersects(self, other: "Rectangle") -> bool:
-        """Return ``True`` if the two rectangles overlap (touching counts)."""
-        return not (
-            other.min_x > self.max_x
-            or other.max_x < self.min_x
-            or other.min_y > self.max_y
-            or other.max_y < self.min_y
-        )
-
     def expanded(self, margin: float) -> "Rectangle":
         """Return a copy grown by ``margin`` on every side."""
         return Rectangle(
@@ -111,16 +102,6 @@ class Rectangle:
         return Rectangle.from_center(cx, cy, side, side)
 
 
-def nodes_in_rectangle(
-    network: CompactNetwork | RoadNetwork, window: Rectangle
-) -> List[int]:
-    """Return the identifiers of all nodes whose embedding lies inside ``window``.
-
-    One vectorised coordinate comparison over the snapshot, in snapshot order.
-    """
-    return CompactNetwork.from_network(network).window_node_ids(window)
-
-
 def induced_subgraph(
     network: CompactNetwork | RoadNetwork, window: Rectangle
 ) -> CompactNetwork:
@@ -132,17 +113,3 @@ def induced_subgraph(
     :meth:`~repro.network.compact.CompactNetwork.window_view`.
     """
     return CompactNetwork.from_network(network).window_view(window)
-
-
-def largest_component_subgraph(network: CompactNetwork | RoadNetwork) -> CompactNetwork:
-    """Return the sub-network induced by the largest connected component.
-
-    Windowing can split a connected road network into several pieces; some callers
-    (e.g. workload generators that need routable areas) want only the dominant piece.
-    The result keeps the snapshot's node order.
-    """
-    compact = CompactNetwork.from_network(network)
-    components = compact.connected_components()
-    if not components:
-        return compact
-    return compact.subgraph(max(components, key=len))

@@ -89,10 +89,6 @@ class ObjectCorpus:
         """Return the number of distinct terms in the corpus."""
         return len(self._document_frequency)
 
-    def term_frequencies(self) -> Dict[str, int]:
-        """Return a copy of the document-frequency table."""
-        return dict(self._document_frequency)
-
     def _ensure_collection_counts(self) -> Dict[str, int]:
         counts = self._collection_counts
         if counts is None:
@@ -129,11 +125,6 @@ class ObjectCorpus:
         """Return all objects located inside ``window`` (borders included)."""
         return [obj for obj in self._objects.values() if window.contains(obj.x, obj.y)]
 
-    def objects_with_any_term(self, terms: Iterable[str]) -> List[GeoTextualObject]:
-        """Return all objects whose description contains at least one of ``terms``."""
-        term_set = {t.lower() for t in terms}
-        return [obj for obj in self._objects.values() if obj.contains_any(term_set)]
-
     def terms_in_rectangle(self, window: Rectangle) -> Dict[str, int]:
         """Return document frequencies restricted to objects inside ``window``.
 
@@ -145,11 +136,3 @@ class ObjectCorpus:
             for term in obj.keywords:
                 frequencies[term] += 1
         return dict(frequencies)
-
-    def bounding_box(self) -> Rectangle:
-        """Return the bounding rectangle of all object locations."""
-        if not self._objects:
-            raise DatasetError("bounding_box of an empty corpus is undefined")
-        xs = [obj.x for obj in self._objects.values()]
-        ys = [obj.y for obj in self._objects.values()]
-        return Rectangle(min(xs), min(ys), max(xs), max(ys))

@@ -76,10 +76,6 @@ class GeoTextualObject:
         """Return the distinct terms of the description (order unspecified)."""
         return tuple(self.keywords.keys())
 
-    def term_frequency(self, term: str) -> int:
-        """Return the frequency of ``term`` in the description (0 if absent)."""
-        return self.keywords.get(term, 0)
-
     def contains_any(self, terms: Iterable[str]) -> bool:
         """Return ``True`` if the description contains at least one of ``terms``."""
         return any(term in self.keywords for term in terms)

@@ -37,12 +37,6 @@ class CacheStats:
         """Total number of ``get`` calls."""
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when never probed)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
 class LRUCache:
     """Least-recently-used cache safe for concurrent use.
 
@@ -64,11 +58,6 @@ class LRUCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-
-    @property
-    def max_size(self) -> int:
-        """Configured capacity."""
-        return self._max_size
 
     def __len__(self) -> int:
         with self._lock:

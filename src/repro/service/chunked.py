@@ -282,7 +282,7 @@ class ChunkedColumn(np.lib.mixins.NDArrayOperatorsMixin):
     """Read-only, lazily-decoded view of one chunk-compressed column.
 
     Behaves like a 1-D numpy array for every access pattern the scoring and
-    pruning kernels use: ``len`` / ``shape`` / ``dtype``, integer and
+    pruning kernels use: ``len``, ``tolist``, ``np.asarray``, integer and
     contiguous-slice indexing (decoding only the overlapping chunks through the
     LRU cache), fancy/boolean indexing, and ufuncs and the arithmetic /
     comparison / bitwise operators (via a cached full materialisation; the
@@ -334,36 +334,7 @@ class ChunkedColumn(np.lib.mixins.NDArrayOperatorsMixin):
         self._cache_chunks = max(1, int(cache_chunks))
         self._full: "np.ndarray | None" = None
 
-    # ------------------------------------------------------------------ shape facts
-    @property
-    def dtype(self) -> np.dtype:
-        return self._dtype
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return (self._length,)
-
-    @property
-    def ndim(self) -> int:
-        return 1
-
-    @property
-    def size(self) -> int:
-        return self._length
-
-    @property
-    def nbytes(self) -> int:
-        return self._length * self._dtype.itemsize
-
-    @property
-    def codec(self) -> str:
-        return self._codec
-
-    @property
-    def flags(self):
-        """Flags of the materialised array (always read-only)."""
-        return self._materialize().flags
-
+    # ------------------------------------------------------------------ length
     def __len__(self) -> int:
         return self._length
 
@@ -465,17 +436,8 @@ class ChunkedColumn(np.lib.mixins.NDArrayOperatorsMixin):
         # Fancy / boolean / strided indexing: decode once, then defer to numpy.
         return self._materialize()[key]
 
-    def astype(self, dtype, **kwargs) -> np.ndarray:
-        return self._materialize().astype(dtype, **kwargs)
-
     def tolist(self) -> list:
         return self._materialize().tolist()
-
-    def copy(self) -> np.ndarray:
-        return self._materialize().copy()
-
-    def __iter__(self):
-        return iter(self._materialize())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -196,11 +196,6 @@ class DeltaOverlay:
         """Number of distinct object ids with a pending entry."""
         return len(self._entries)
 
-    @property
-    def frozen(self) -> bool:
-        """``True`` while a compaction holds the overlay (mutations rejected)."""
-        return self._frozen
-
     def is_live(self, object_id: int) -> bool:
         """Return ``True`` if ``object_id`` exists in the merged view."""
         with self._lock:

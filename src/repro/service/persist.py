@@ -129,7 +129,7 @@ from repro.textindex.columnar import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bundle imports persist)
     from repro.service.bundle import IndexBundle
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 """Current on-disk artifact format version (see the module docstring).
 
 Version history: 1 — network.npz + index.pkl + vocabulary.json; 2 — adds
@@ -154,7 +154,8 @@ four bound columns no query read: ``cell_sigma_max``, ``cell_obj_count``,
 ``cell_post_count`` and the per-node cell ids; 8 — each term's postings in
 scoring.npz ascend by (bound-grid cell, row) instead of by row, and the new
 ``post_cell`` column holds each posting's cell, so a windowed σ_v read finds a
-term's in-window postings by binary search. Loaders accept exactly the
+term's in-window postings by binary search; 9 — scoring.npz drops
+``cell_node_mass``, which only an unused ball bound read. Loaders accept exactly the
 current version (no silent migration); older artifacts must be rebuilt with
 ``python -m repro build``.
 """
@@ -537,9 +538,9 @@ def _mmap_npz(path: Path) -> Dict[str, np.ndarray]:
     chunk-compressed columns (a ``.chunks.json`` descriptor plus
     ``.chunkNNNNN`` payload members) become
     :class:`~repro.service.chunked.ChunkedColumn` views that decode on demand.
-    Falls back to an eager :func:`numpy.load` (with the writeable flag cleared)
-    for members that are zip-deflated or otherwise un-mappable, so the loader
-    keeps working on foreign npz files — only the laziness is lost.
+
+    Raises:
+        ArtifactError: If a member is zip-compressed, which no writer produces.
     """
     arrays: Dict[str, np.ndarray] = {}
     descriptors: Dict[str, Dict[str, object]] = {}
@@ -561,10 +562,11 @@ def _mmap_npz(path: Path) -> Dict[str, np.ndarray]:
                 continue  # payload member; picked up via its descriptor below
             name = filename[:-4] if filename.endswith(".npy") else filename
             if info.compress_type != zipfile.ZIP_STORED:
-                loaded = np.load(io.BytesIO(archive.read(info)), allow_pickle=False)
-                loaded.flags.writeable = False
-                arrays[name] = loaded
-                continue
+                raise ArtifactError(
+                    f"{path.name}: member {filename!r} is zip-compressed; artifact "
+                    f"members are stored uncompressed, so rebuild the artifact "
+                    f"with `python -m repro build`"
+                )
             data_offset = _npy_data_offset(path, info)
             with open(path, "rb") as handle:
                 handle.seek(data_offset)

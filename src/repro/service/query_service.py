@@ -182,16 +182,6 @@ class QueryService:
             return self._pool
 
     # ------------------------------------------------------------------ accessors
-    @property
-    def engine(self) -> "LCMSREngine":
-        """The engine this service fronts."""
-        return self._engine
-
-    @property
-    def max_workers(self) -> int:
-        """Size of the worker pool."""
-        return self._max_workers
-
     def stats(self) -> ServiceStats:
         """Return an immutable snapshot of the per-query timings and cache counters."""
         return self._collector.snapshot(

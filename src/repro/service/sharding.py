@@ -679,16 +679,6 @@ class ShardedQueryService:
 
     # ------------------------------------------------------------------ accessors
     @property
-    def num_workers(self) -> int:
-        """Worker-process count."""
-        return self._num_workers
-
-    @property
-    def max_in_flight(self) -> int:
-        """Admission-control bound."""
-        return self._max_in_flight
-
-    @property
     def shard_set(self) -> Optional[ShardSetManifest]:
         """The validated shard set (``None`` when serving the base artifact only)."""
         return self._router.manifest

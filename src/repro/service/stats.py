@@ -26,7 +26,7 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
 from repro.service.cache import CacheStats
 from repro.service.keys import ResultKey
@@ -179,14 +179,6 @@ class StatTotals:
         )
 
     @classmethod
-    def from_timings(cls, timings: Iterable[QueryTiming]) -> "StatTotals":
-        """Derive the totals of a timing list (for snapshots built without a collector)."""
-        totals = cls()
-        for timing in timings:
-            totals = totals + cls.of(timing)
-        return totals
-
-    @classmethod
     def of(cls, timing: QueryTiming) -> "StatTotals":
         """The one-query totals contribution of a single timing record."""
         return cls(
@@ -209,51 +201,43 @@ class ServiceStats:
             collector's snapshot holds its most recent :data:`TIMING_HISTORY`.
         result_cache: Snapshot of the result cache's counters.
         instance_cache: Snapshot of the instance cache's counters.
-        totals: Exact aggregate counters (see :class:`StatTotals`); derived from
-            ``timings`` when a snapshot is constructed without one.
+        totals: Exact aggregate counters (see :class:`StatTotals`).
     """
 
     timings: List[QueryTiming]
     result_cache: CacheStats
     instance_cache: CacheStats
-    totals: Optional[StatTotals] = None
-
-    def _totals(self) -> StatTotals:
-        return (
-            self.totals
-            if self.totals is not None
-            else StatTotals.from_timings(self.timings)
-        )
+    totals: StatTotals
 
     @property
     def queries(self) -> int:
         """Number of queries served."""
-        return self._totals().queries
+        return self.totals.queries
 
     @property
     def result_hits(self) -> int:
         """Queries answered straight from the result cache."""
-        return self._totals().result_hits
+        return self.totals.result_hits
 
     @property
     def instance_hits(self) -> int:
         """Queries that reused a cached problem instance."""
-        return self._totals().instance_hits
+        return self.totals.instance_hits
 
     @property
     def total_build_seconds(self) -> float:
         """Total instance-build time across all served queries."""
-        return self._totals().build_seconds
+        return self.totals.build_seconds
 
     @property
     def total_solve_seconds(self) -> float:
         """Total solver time across all served queries."""
-        return self._totals().solve_seconds
+        return self.totals.solve_seconds
 
     @property
     def total_seconds(self) -> float:
         """Total end-to-end service time across all served queries."""
-        return self._totals().total_seconds
+        return self.totals.total_seconds
 
     @property
     def mean_latency_seconds(self) -> float:
@@ -266,7 +250,7 @@ class ServiceStats:
         Read from the totals' :class:`LatencyHistogram`, so the value is
         quantised to the histogram's bucket resolution (±6%).
         """
-        return self._totals().latency.percentile(q)
+        return self.totals.latency.percentile(q)
 
     @property
     def p50_latency_seconds(self) -> float:

@@ -87,8 +87,7 @@ what the zero-mass skip tests rely on.
 """
 
 BOUND_MODES: Tuple[str, ...] = ("text_relevance", "rating_if_match", "language_model")
-"""Row order of the per-mode bound aggregate matrices (``cell_sigma_mass`` /
-``cell_node_mass``)."""
+"""Row order of the per-mode bound aggregate matrix ``cell_sigma_mass``."""
 
 POST_CELL_DTYPE = np.dtype(np.min_scalar_type(BOUND_RESOLUTION * BOUND_RESOLUTION - 1))
 """dtype of ``post_cell``: the narrowest unsigned type that holds every cell id
@@ -171,9 +170,8 @@ class ColumnarScoringIndex:
         bound_meta: ``[resolution, min_x, min_y, cell_w, cell_h]`` of the bound
             cell grid (float64).
         obj_cell: Row-major bound-grid cell per object (int32).
-        cell_sigma_mass / cell_node_mass: Per-mode (rows follow ``BOUND_MODES``)
-            per-cell sums of the guarded score potentials, by object cell /
-            by node cell.
+        cell_sigma_mass: Per-mode (rows follow ``BOUND_MODES``) per-cell sums
+            of the guarded score potentials, by object cell.
         term_df: Global document frequency ``f_t`` per term (int64). Equals the
             postings-row count per term for a full-corpus index, but is persisted
             separately so a spatial shard (whose postings cover only its own
@@ -562,24 +560,6 @@ class ColumnarScoringIndex:
         )
         return ranked[:count]
 
-    def postings(self, term: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(object_rows, tfidf_weights, raw_tf)`` slices for ``term``."""
-        tid = self._term_ids.get(term)
-        if tid is None:
-            empty = np.empty(0, dtype=np.int32)
-            return empty, np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float32)
-        start, end = int(self.post_indptr[tid]), int(self.post_indptr[tid + 1])
-        return (
-            self.post_rows[start:end],
-            self.post_tfidf[start:end],
-            self.post_tf[start:end],
-        )
-
-    def object_rows_at_node(self, node_pos: int) -> np.ndarray:
-        """Return the object rows mapped to the node at table position ``node_pos``."""
-        start, end = int(self.node_indptr[node_pos]), int(self.node_indptr[node_pos + 1])
-        return self.node_rows[start:end]
-
     def object_row(self, object_id: int) -> Optional[int]:
         """Return the table row of ``object_id`` (``None`` if unknown); cached lazily."""
         rows = self._object_rows
@@ -690,15 +670,14 @@ def _bound_aggregate_arrays(
       contains contributes exactly that difference; terms it lacks contribute 0).
 
     Each nonzero potential is inflated by :data:`BOUND_GUARD` to absorb ulp-level
-    float divergence from the closed forms, aggregated onto nodes via the object →
-    node map, and then onto a ``BOUND_RESOLUTION``-square grid of cells covering
-    the combined object + node bounding box.
+    float divergence from the closed forms and summed, over the mapped objects, by
+    object cell of a ``BOUND_RESOLUTION``-square grid covering the combined
+    object + node bounding box.
     """
     resolution = BOUND_RESOLUTION
     num_cells = resolution * resolution
     num_modes = len(BOUND_MODES)
     num_objects = len(obj_x)
-    num_nodes = len(node_x)
     num_terms = len(lm_log_base)
 
     # --- per-object potentials (rows follow BOUND_MODES order) ---
@@ -722,7 +701,7 @@ def _bound_aggregate_arrays(
     )
 
     # --- cell geometry: combined object + node bounding box ---
-    if num_objects + num_nodes > 0:
+    if num_objects + len(node_x) > 0:
         all_x = np.concatenate([obj_x, node_x])
         all_y = np.concatenate([obj_y, node_y])
         min_x, max_x = float(all_x.min()), float(all_x.max())
@@ -738,23 +717,14 @@ def _bound_aggregate_arrays(
         return (cy * resolution + cx).astype(np.int32)
 
     obj_cell = cells_of(obj_x, obj_y)
-    node_cell = cells_of(node_x, node_y)
 
     # --- aggregation (mapped objects only: unmapped ones never reach σ_v) ---
     mapped = obj_node_pos >= 0
     mapped_cells = obj_cell[mapped]
     cell_sigma_mass = np.zeros((num_modes, num_cells), dtype=np.float64)
-    cell_node_mass = np.zeros((num_modes, num_cells), dtype=np.float64)
     for row in range(num_modes):
-        mapped_ub = potentials[row][mapped]
         cell_sigma_mass[row] = np.bincount(
-            mapped_cells, weights=mapped_ub, minlength=num_cells
-        )
-        node_ub = np.bincount(
-            obj_node_pos[mapped], weights=mapped_ub, minlength=num_nodes
-        )
-        cell_node_mass[row] = np.bincount(
-            node_cell, weights=node_ub, minlength=num_cells
+            mapped_cells, weights=potentials[row][mapped], minlength=num_cells
         )
 
     return {
@@ -763,7 +733,6 @@ def _bound_aggregate_arrays(
         ),
         "obj_cell": obj_cell,
         "cell_sigma_mass": cell_sigma_mass,
-        "cell_node_mass": cell_node_mass,
     }
 
 
@@ -788,15 +757,14 @@ ARRAY_FIELDS: Tuple[str, ...] = (
     "bound_meta",
     "obj_cell",
     "cell_sigma_mass",
-    "cell_node_mass",
     "term_df",
     "corpus_meta",
 )
 """Names of the persisted array columns, in canonical order.
 
-The four ``bound_meta`` / ``obj_cell`` / ``cell_*`` columns are the per-grid-cell
-aggregates backing :class:`repro.core.bounds.UpperBoundIndex` and the sampler's
-strata (format version 7 keeps only these four of version 3's eight); see
+The three ``bound_meta`` / ``obj_cell`` / ``cell_sigma_mass`` columns are the
+per-grid-cell aggregates backing :class:`repro.core.bounds.UpperBoundIndex` and the
+sampler's strata (format version 9 keeps only these three of version 3's eight); see
 :func:`_bound_aggregate_arrays` for their definitions. ``term_df`` and
 ``corpus_meta`` (format version 4) persist the corpus-global document
 frequencies and corpus size so spatial shards — whose postings cover only their
@@ -907,11 +875,6 @@ class WeightPipeline:
     def index(self) -> ColumnarScoringIndex:
         """The underlying columnar index."""
         return self._index
-
-    @property
-    def mode(self):
-        """The bound scoring mode."""
-        return self._mode
 
     @property
     def bounds(self):

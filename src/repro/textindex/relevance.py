@@ -54,18 +54,12 @@ class LanguageModelScorer:
     def __init__(self, corpus: ObjectCorpus, smoothing: float = 0.2) -> None:
         if not 0.0 < smoothing < 1.0:
             raise ValueError(f"smoothing must be in (0, 1), got {smoothing}")
-        self._corpus = corpus
         self._smoothing = smoothing
         # Collection statistics are cached on the corpus (computed once,
         # invalidated on corpus.add), so constructing a scorer is O(1) instead
         # of a full corpus scan per construction.
         self._collection_counts: Mapping[str, int] = corpus.collection_term_counts()
         self._collection_total = corpus.collection_total_terms()
-
-    @property
-    def smoothing(self) -> float:
-        """The Jelinek–Mercer smoothing parameter λ."""
-        return self._smoothing
 
     def _collection_probability(self, term: str) -> float:
         if self._collection_total == 0:
@@ -132,11 +126,6 @@ class RelevanceScorer:
         self._lm: Optional[LanguageModelScorer] = None
         if mode is ScoringMode.LANGUAGE_MODEL:
             self._lm = LanguageModelScorer(corpus, smoothing=language_model_smoothing)
-
-    @property
-    def mode(self) -> ScoringMode:
-        """The active scoring mode."""
-        return self._mode
 
     def object_score(self, obj: GeoTextualObject, keywords: Iterable[str]) -> float:
         """Return the weight of one object for the given query keywords.

@@ -65,8 +65,3 @@ def tokenize(
         stop_words = DEFAULT_STOP_WORDS
     tokens = _TOKEN_PATTERN.findall(text.lower())
     return [token for token in tokens if len(token) >= min_length and token not in stop_words]
-
-
-def tokenize_all(texts: Iterable[str], **kwargs) -> List[List[str]]:
-    """Tokenise every string in ``texts`` with :func:`tokenize`."""
-    return [tokenize(text, **kwargs) for text in texts]

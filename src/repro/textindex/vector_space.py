@@ -56,12 +56,6 @@ class QueryVector:
     weights: Mapping[str, float]
     norm: float
 
-    @property
-    def keyword_count(self) -> int:
-        """Number of distinct query keywords."""
-        return len(self.terms)
-
-
 class VectorSpaceModel:
     """TF-IDF scoring over an :class:`ObjectCorpus` (paper Section 3).
 
@@ -86,16 +80,6 @@ class VectorSpaceModel:
             self._object_term_weights[obj.object_id] = {
                 term: weight / denominator for term, weight in weights.items()
             }
-
-    @property
-    def corpus(self) -> ObjectCorpus:
-        """The corpus this model was built over."""
-        return self._corpus
-
-    @property
-    def corpus_size(self) -> int:
-        """Number of objects in the corpus (``|D|``)."""
-        return self._corpus_size
 
     # ------------------------------------------------------------------ offline
     def object_term_weight(self, object_id: int, term: str) -> float:

@@ -7,15 +7,13 @@ window skip, Exact's branch-and-bound, TGEN's dead-edge skip) rely on this to
 stay skip-only; ``test_pruning_parity.py`` checks the end-to-end consequence,
 this module checks the bounds themselves:
 
-* on seeded random datasets, the window-mass and δ-ball-mass bounds dominate
-  the corresponding true value computed from the unbounded weight pipeline,
-  across all three scoring modes,
+* on seeded random datasets, the window-mass bound dominates the true window
+  mass computed from the unbounded weight pipeline, across all three scoring
+  modes,
 * degenerate geometries behave (empty corpus, a single object, every object
-  piled onto one node, δ-balls straddling cell boundaries),
+  piled onto one node),
 * the exact-zero licence holds: a bound of ``0.0`` really means *no* positive
-  mass (the guard factor preserves exact zeros),
-* :func:`~repro.core.bounds.positive_suffix_potentials` is exactly monotone
-  and exactly zero iff no positive tail remains.
+  mass (the guard factor preserves exact zeros).
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import random
 
 import pytest
 
-from repro.core.bounds import UpperBoundIndex, positive_suffix_potentials
+from repro.core.bounds import UpperBoundIndex
 from repro.datasets.ny import build_ny_like
 from repro.datasets.queries import generate_workload
 from repro.exceptions import IndexError_
@@ -90,30 +88,6 @@ class TestWindowBounds:
                 )
 
 
-class TestBallAndEdgeBounds:
-    def test_ball_mass_dominates_reachable_node_mass(self, pipeline, keyword_sets):
-        # Radii around 1.5 cells and centers jittered across the grid make the
-        # balls straddle cell boundaries — exactly where an off-by-one in the
-        # covering span would surface.
-        rng = random.Random(SEED + 3)
-        index = pipeline.index
-        bounds = pipeline.bounds
-        radii = [0.4 * bounds.cell_w, 1.5 * bounds.cell_w, 3.2 * bounds.cell_w]
-        for keywords in keyword_sets:
-            weights = pipeline.node_weights(keywords)
-            for _ in range(6):
-                cx = rng.uniform(0.0, 1440.0)
-                cy = rng.uniform(0.0, 1440.0)
-                for radius in radii:
-                    true_mass = 0.0
-                    for pos in range(len(index.node_ids)):
-                        dx = float(index.node_x[pos]) - cx
-                        dy = float(index.node_y[pos]) - cy
-                        if dx * dx + dy * dy <= radius * radius:
-                            true_mass += weights.get(int(index.node_ids[pos]), 0.0)
-                    assert bounds.ball_mass_bound(cx, cy, radius) >= true_mass
-
-
 class TestExactZeroLicence:
     """A bound of exactly 0.0 licences a skip; it must imply zero true mass."""
 
@@ -162,7 +136,6 @@ class TestDegenerateGeometries:
         bounds = WeightPipeline(index, ScoringMode.TEXT_RELEVANCE).bounds
         window = Rectangle(-1000.0, -1000.0, 1000.0, 1000.0)
         assert bounds.window_mass_bound(window) == 0.0
-        assert bounds.ball_mass_bound(0.0, 0.0, 1e6) == 0.0
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
     def test_single_object_bounds_dominate_its_weight(self, mode):
@@ -178,13 +151,12 @@ class TestDegenerateGeometries:
         assert true_mass > 0.0
         window = Rectangle(0.0, 0.0, 250.0, 250.0)
         assert bounds.window_mass_bound(window) >= true_mass
-        assert bounds.ball_mass_bound(100.0, 100.0, 50.0) >= true_mass
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
     def test_all_objects_on_one_node(self, mode):
-        # Every object lands on the same nearest node: the per-node potential
-        # concentrates in one cell, and both the window-mass and the ball-mass
-        # bound must still cover the aggregate weight there.
+        # Every object lands on the same nearest node: the potentials
+        # concentrate in one cell, and the window-mass bound must still cover
+        # the aggregate weight there.
         network = grid_network(3, 3, spacing=100.0)
         corpus = ObjectCorpus(
             [
@@ -201,34 +173,9 @@ class TestDegenerateGeometries:
         assert node_id == 0
         tight = Rectangle(-10.0, -10.0, 10.0, 10.0)
         assert bounds.window_mass_bound(tight) >= weight
-        assert bounds.ball_mass_bound(0.0, 0.0, 5.0) >= weight
 
     def test_unknown_scoring_mode_is_rejected(self, dataset):
         bundle = IndexBundle.build(dataset.network, dataset.corpus)
         with pytest.raises(IndexError_, match="no bound aggregates"):
             UpperBoundIndex.from_columnar(bundle.weight_pipeline().index, "nonsense")
 
-
-class TestPositiveSuffixPotentials:
-    def test_suffix_is_exactly_monotone_and_exact_on_random_inputs(self):
-        rng = random.Random(SEED + 7)
-        for _ in range(50):
-            weights = [rng.uniform(-5.0, 5.0) for _ in range(rng.randint(0, 30))]
-            suffix = positive_suffix_potentials(weights)
-            assert len(suffix) == len(weights) + 1
-            assert suffix[-1] == 0.0
-            for i in range(len(weights)):
-                # Exact recurrence, and exact monotonicity (fl(a+b) >= b for a >= 0).
-                assert suffix[i] == suffix[i + 1] + max(weights[i], 0.0)
-                assert suffix[i] >= suffix[i + 1]
-
-    def test_suffix_is_zero_exactly_when_no_positive_tail_remains(self):
-        weights = [2.0, -1.0, 0.0, 3.0, -4.0, 0.0]
-        suffix = positive_suffix_potentials(weights)
-        for i in range(len(weights) + 1):
-            has_positive_tail = any(w > 0.0 for w in weights[i:])
-            assert (suffix[i] > 0.0) == has_positive_tail
-
-    def test_all_nonpositive_weights_give_the_zero_vector(self):
-        suffix = positive_suffix_potentials([-1.0, 0.0, -2.5])
-        assert suffix == [0.0, 0.0, 0.0, 0.0]

@@ -8,9 +8,9 @@ import pytest
 
 from repro.core import LCMSRQuery, build_instance
 from repro.core.exact import ExactSolver, _connected_subsets, _induced_mst
+from repro.core.region import Region
 from repro.exceptions import SolverError
 from repro.network.builders import grid_network, paper_example_network, path_network
-from repro.network.compact import CompactNetwork
 
 from tests.conftest import (
     PAPER_EXAMPLE_DELTA,
@@ -21,15 +21,16 @@ from tests.conftest import (
 
 
 def brute_force_connected_subsets(graph):
-    """Reference enumeration by powerset + connectivity check."""
-    snapshot = CompactNetwork.from_network(graph)
+    """Reference enumeration by powerset + connectivity over the induced edges."""
     nodes = sorted(graph.node_ids())
+    edges = [(edge.u, edge.v) for edge in graph.edges()]
     found = set()
     for size in range(1, len(nodes) + 1):
         for combo in itertools.combinations(nodes, size):
-            sub = snapshot.subgraph(combo)
-            if sub.is_connected():
-                found.add(frozenset(combo))
+            members = frozenset(combo)
+            induced = frozenset((u, v) for u, v in edges if u in members and v in members)
+            if Region(members, induced, 0.0, 0.0).is_connected():
+                found.add(members)
     return found
 
 
@@ -99,7 +100,7 @@ class TestSolve:
     def test_topk_distinct_and_sorted(self, paper_instance):
         topk = ExactSolver().solve_topk(paper_instance, k=3)
         assert len(topk) == 3
-        weights = topk.weights()
+        weights = [entry.weight for entry in topk]
         assert weights == sorted(weights, reverse=True)
         node_sets = [r.region.nodes for r in topk]
         assert len(set(node_sets)) == 3

@@ -53,7 +53,7 @@ class TestWindowing:
         query = LCMSRQuery.create(["cafe"], delta=300.0, region=window)
         instance = build_instance(network, query, pipeline=pipeline)
         assert instance.num_candidate_nodes == 4
-        assert instance.num_candidate_edges == 4
+        assert instance.graph.num_edges == 4
         assert all(node_id in instance.graph for node_id in instance.weights)
 
     def test_no_window_uses_whole_network(self, indexed_setup):
@@ -88,24 +88,12 @@ class TestWindowing:
 
 
 class TestDerivedFacts:
-    def test_sigma_and_totals(self, indexed_setup):
+    def test_sigma_max(self, indexed_setup):
         network, _, _, pipeline, _ = indexed_setup
         query = LCMSRQuery.create(["cafe"], delta=300.0)
         instance = build_instance(network, query, pipeline=pipeline)
         assert instance.has_relevant_nodes
         assert instance.sigma_max() == max(instance.weights.values())
-        assert instance.total_weight() == pytest.approx(sum(instance.weights.values()))
-        assert instance.relevant_nodes() == set(instance.weights)
-        assert instance.weight_of(-99) == 0.0
-
-    def test_restricted_to(self, indexed_setup):
-        network, _, _, pipeline, _ = indexed_setup
-        query = LCMSRQuery.create(["cafe"], delta=300.0)
-        instance = build_instance(network, query, pipeline=pipeline)
-        some_node = next(iter(instance.weights))
-        restricted = instance.restricted_to([some_node])
-        assert restricted.num_candidate_nodes == 1
-        assert set(restricted.weights) == {some_node}
 
 
 class TestPruningFlag:

@@ -28,7 +28,7 @@ class TestBasics:
         network = path_network(3)
         solver = quota_solver(network, {}, {})
         assert solver.solve(5) is None
-        assert solver.terminals == []
+        assert solver.total_scaled_weight() == 0
 
     def test_zero_quota_returns_best_single_terminal(self):
         solver, _ = solver_on_path()
@@ -113,3 +113,51 @@ class TestQuality:
         runs_after_first = solver.num_gw_runs
         solver.solve(14)
         assert solver.num_gw_runs == runs_after_first  # ladder reused, no extra GW runs
+
+
+class TestClosurePathFill:
+    """A closure-MST edge no terminal's nearest-neighbour probe recorded.
+
+    With more terminals in each of two clusters than ``closure_neighbors``,
+    every terminal's nearest neighbours lie in its own cluster, so the MST edge
+    that bridges the clusters needs its path filled in afterwards. APP and its
+    reference twin must both take that path and agree.
+    """
+
+    def test_solver_and_twin_fill_the_bridging_path(self, monkeypatch):
+        from repro.core import reference
+        from repro.core.app import APPSolver
+        from repro.core.instance import build_instance
+        from repro.core.query import LCMSRQuery
+
+        fills = []
+
+        def counting(cls):
+            collect = cls._collect_closure
+
+            def wrapped(self, terminal_set, nearest):
+                fill_path = collect(self, terminal_set, nearest)
+
+                def counted(u, v):
+                    fills.append((cls.__name__, u, v))
+                    return fill_path(u, v)
+
+                return counted
+
+            monkeypatch.setattr(cls, "_collect_closure", wrapped)
+
+        counting(QuotaTreeSolver)
+        counting(reference.ReferenceQuotaTreeSolver)
+        network = grid_network(4, 30, spacing=10.0)
+        weights = {node.node_id: 1.0 for node in network.nodes()
+                   if node.x <= 20.0 or node.x >= 270.0}
+        instance = build_instance(network, LCMSRQuery.create(["t"], delta=400.0),
+                                  node_weights=weights)
+        ours = APPSolver(alpha=0.5, beta=0.1).solve(instance)
+        theirs = reference.twin(APPSolver(alpha=0.5, beta=0.1)).solve(instance)
+        assert {name for name, _, _ in fills} == {
+            "QuotaTreeSolver", "ReferenceQuotaTreeSolver"
+        }
+        assert (ours.region.nodes, ours.region.edges, ours.weight) == (
+            theirs.region.nodes, theirs.region.edges, theirs.weight
+        )

@@ -8,6 +8,11 @@ from repro.core.pcst import PCSTResult, goemans_williamson_pcst, strong_prune
 from repro.exceptions import SolverError
 
 
+def best_tree(result: PCSTResult, prizes):
+    """The tree of ``result`` that collects the largest prize."""
+    return max(result.trees, key=lambda tree: sum(prizes.get(v, 0.0) for v in tree[0]))
+
+
 class TestStrongPrune:
     def test_empty_tree(self):
         assert strong_prune(set(), [], {}) == (set(), [])
@@ -70,7 +75,7 @@ class TestGoemansWilliamson:
         result = goemans_williamson_pcst(
             [1, 2], [(1, 2, 1.0)], {1: 10.0, 2: 10.0}
         )
-        best_nodes, best_edges = result.best_tree({1: 10.0, 2: 10.0})
+        best_nodes, best_edges = best_tree(result, {1: 10.0, 2: 10.0})
         assert best_nodes == {1, 2}
         assert len(best_edges) == 1
 
@@ -86,7 +91,7 @@ class TestGoemansWilliamson:
         edges = [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
         prizes = {1: 5.0, 2: 0.5, 3: 0.5, 4: 5.0}
         result = goemans_williamson_pcst(nodes, edges, prizes)
-        best_nodes, _ = result.best_tree(prizes)
+        best_nodes, _ = best_tree(result, prizes)
         assert best_nodes == {1, 2, 3, 4}
 
     def test_trees_are_valid_trees(self):

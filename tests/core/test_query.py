@@ -15,7 +15,6 @@ class TestValidation:
     def test_create_normalises_keywords(self):
         query = LCMSRQuery.create(["Cafe", " cafe ", "BAR"], delta=5.0)
         assert query.keywords == ("cafe", "bar")
-        assert query.keyword_count == 2
 
     def test_empty_keywords_rejected(self):
         with pytest.raises(QueryError):
@@ -33,8 +32,6 @@ class TestValidation:
         # answer a single node as if it were a region.
         with pytest.raises(QueryError):
             LCMSRQuery.create(["cafe"], delta=delta)
-        with pytest.raises(QueryError):
-            LCMSRQuery.create(["cafe"], delta=5.0).with_delta(delta)
 
     def test_invalid_k_rejected(self):
         with pytest.raises(QueryError):
@@ -47,13 +44,6 @@ class TestValidation:
 
 
 class TestDerivation:
-    def test_with_delta(self):
-        query = LCMSRQuery.create(["cafe"], delta=5.0)
-        other = query.with_delta(9.0)
-        assert other.delta == 9.0
-        assert other.keywords == query.keywords
-        assert query.delta == 5.0  # original unchanged
-
     def test_with_region(self):
         region = Rectangle(0, 0, 10, 10)
         query = LCMSRQuery.create(["cafe"], delta=5.0).with_region(region)

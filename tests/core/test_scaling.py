@@ -63,7 +63,6 @@ class TestBounds:
         scaling = ScalingContext.build(weights, 10, alpha=0.5)
         assert scaling.lower_bound() == math.floor(10 / 0.5)
         assert scaling.upper_bound() == 10 * math.floor(10 / 0.5)
-        assert scaling.num_buckets() == scaling.max_scaled_node_weight() + 1
 
     def test_max_node_scales_to_lower_bound(self):
         weights = {1: 0.25, 2: 1.0}
@@ -106,6 +105,6 @@ class TestTheorem2Property:
         weight_map = {i: w for i, w in enumerate(weights)}
         scaling = ScalingContext.build(weight_map, len(weights), alpha)
         total = sum(weights)
-        reconstructed = sum(scaling.unscale(scaling.scale(w)) for w in weights)
+        reconstructed = sum(scaling.theta * scaling.scale(w) for w in weights)
         assert reconstructed >= (1 - alpha) * total - 1e-9
         assert reconstructed <= total + 1e-9

@@ -184,7 +184,10 @@ class TestDominanceTies:
         update = TupleArray.update
 
         def recording(array, candidate):
-            stored = array.get(candidate.scaled_weight)
+            stored = next(
+                (t for t in array.tuples() if t.scaled_weight == candidate.scaled_weight),
+                None,
+            )
             if (
                 stored is not None
                 and stored.nodes != candidate.nodes

@@ -9,7 +9,7 @@ from repro.core.app import APPSolver
 from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
 from repro.core.tgen import TGENSolver
-from repro.core.topk import node_overlap_fraction, solve_topk, total_weight, weights_are_sorted
+from repro.core.topk import node_overlap_fraction, total_weight, weights_are_sorted
 from repro.exceptions import SolverError
 from repro.network.builders import grid_network
 
@@ -31,7 +31,7 @@ class TestSolvers:
         ids=["tgen", "app", "greedy", "exact"],
     )
     def test_topk_basic_contract(self, grid_instance, solver):
-        result = solve_topk(solver, grid_instance, k=3)
+        result = solver.solve_topk(grid_instance, k=3)
         assert 1 <= len(result) <= 3
         assert weights_are_sorted(result) or solver.name == "Greedy"
         node_sets = [r.region.nodes for r in result]
@@ -55,8 +55,8 @@ class TestSolvers:
         solver = TGENSolver(alpha=0.2)
         single = solver.solve(grid_instance)
         topk = solver.solve_topk(grid_instance, k=3)
-        assert topk.best is not None
-        assert topk.best.weight == pytest.approx(single.weight)
+        assert topk.results
+        assert topk.results[0].weight == pytest.approx(single.weight)
 
     def test_greedy_topk_regions_are_disjoint(self, grid_instance):
         result = GreedySolver(0.2).solve_topk(grid_instance, k=3)
@@ -67,13 +67,13 @@ class TestSolvers:
         single = solver.solve(paper_instance)
         topk = solver.solve_topk(paper_instance, k=1)
         assert len(topk) == 1
-        assert topk.best.region.nodes == single.region.nodes
+        assert topk.results[0].region.nodes == single.region.nodes
 
     def test_exact_topk_dominates_heuristics(self, grid_instance):
         exact = ExactSolver().solve_topk(grid_instance, k=3)
         tgen = TGENSolver(alpha=0.2).solve_topk(grid_instance, k=3)
         # The exact top-1 weight bounds any heuristic's top-1 weight.
-        assert exact.best.weight >= tgen.best.weight - 1e-9
+        assert exact.results[0].weight >= tgen.results[0].weight - 1e-9
 
     def test_empty_instance_topk(self, paper_graph):
         query = LCMSRQuery.create(["t"], delta=3.0, k=3)

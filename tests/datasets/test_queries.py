@@ -14,7 +14,7 @@ class TestWorkloadGeneration:
         )
         assert len(queries) == 10
         for query in queries:
-            assert query.keyword_count == 2
+            assert len(query.keywords) == 2
             assert query.delta == 1500.0
             assert query.region is not None
             assert query.region.area == pytest.approx(1.0 * 1e6, rel=1e-6)

@@ -45,8 +45,7 @@ class TestObjectGeneration:
 
     def test_head_terms_are_frequent(self, network):
         corpus = generate_objects_on_network(network, 500, seed=2)
-        frequencies = corpus.term_frequencies()
-        head_df = max(frequencies.get(t, 0) for t in PLACES_VOCABULARY.terms[:20])
+        head_df = max(corpus.document_frequency(t) for t in PLACES_VOCABULARY.terms[:20])
         assert head_df >= 20  # the hot-spot signature terms are common
 
     def test_invalid_parameters(self, network):

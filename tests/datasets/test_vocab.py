@@ -19,12 +19,11 @@ class TestConstruction:
     def test_head_terms_first(self):
         vocab = Vocabulary(head_terms=["alpha", "beta"], num_tail_terms=5)
         assert vocab.terms[:2] == ["alpha", "beta"]
-        assert vocab.size == 7
-        assert vocab.rank_of("alpha") == 0
+        assert len(vocab.terms) == 7
 
     def test_duplicate_head_terms_deduplicated(self):
         vocab = Vocabulary(head_terms=["a", "a", "b"], num_tail_terms=0)
-        assert vocab.size == 2
+        assert len(vocab.terms) == 2
 
     def test_invalid_parameters(self):
         with pytest.raises(DatasetError):
@@ -32,15 +31,10 @@ class TestConstruction:
         with pytest.raises(DatasetError):
             Vocabulary(head_terms=[], num_tail_terms=0)
 
-    def test_unknown_rank_raises(self):
-        vocab = Vocabulary(head_terms=["a"], num_tail_terms=0)
-        with pytest.raises(DatasetError):
-            vocab.rank_of("zzz")
-
     def test_default_vocabularies(self):
         assert "restaurant" in PLACES_VOCABULARY.terms[:50]
         assert "cafe" in PLACES_VOCABULARY.terms[:50]
-        assert FLICKR_VOCABULARY.size > PLACES_VOCABULARY.size
+        assert len(FLICKR_VOCABULARY.terms) > len(PLACES_VOCABULARY.terms)
 
 
 class TestSampling:
@@ -55,7 +49,7 @@ class TestSampling:
         rng = random.Random(7)
         counts = Counter(vocab.sample_term(rng) for _ in range(5000))
         assert counts["top"] > counts["second"]
-        assert counts["top"] > 5000 / vocab.size * 5  # far above uniform share
+        assert counts["top"] > 5000 / len(vocab.terms) * 5  # far above uniform share
 
     def test_description_lengths(self):
         vocab = Vocabulary(head_terms=["a"], num_tail_terms=20)

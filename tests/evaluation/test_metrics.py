@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.region import Region
-from repro.core.result import RegionResult
-from repro.evaluation.metrics import (
-    average_relative_ratio,
-    mean,
-    relative_ratio,
-    summarize_results,
-)
+from repro.evaluation.metrics import average_relative_ratio, mean, relative_ratio
 
 
 class TestMean:
@@ -40,15 +33,3 @@ class TestRelativeRatio:
         with pytest.raises(ValueError):
             average_relative_ratio([1.0], [1.0, 2.0])
 
-
-class TestSummaries:
-    def test_summarize_results(self):
-        results = [
-            RegionResult(Region.single_node(1, 2.0), "X", runtime_seconds=0.5),
-            RegionResult(Region.empty(), "X", runtime_seconds=1.5),
-        ]
-        summary = summarize_results(results)
-        assert summary["queries"] == 2
-        assert summary["mean_runtime_seconds"] == pytest.approx(1.0)
-        assert summary["mean_weight"] == pytest.approx(1.0)
-        assert summary["empty_results"] == 1

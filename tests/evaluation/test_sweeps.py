@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core import GreedySolver, TGENSolver
@@ -19,15 +17,11 @@ from repro.evaluation.sweeps import (
 
 
 class TestSweepDataStructures:
-    def test_series_extraction(self):
+    def test_algorithms_of_the_points(self):
         sweep = ParameterSweep(axis="alpha")
         sweep.add_point(SweepPoint(x=0.1, runtimes={"APP": 1.0}, weights={"APP": 5.0}))
         sweep.add_point(SweepPoint(x=0.5, runtimes={"APP": 0.5}, weights={"APP": 4.8}))
-        assert sweep.series("runtime", "APP") == [(0.1, 1.0), (0.5, 0.5)]
-        assert sweep.series("weight", "APP") == [(0.1, 5.0), (0.5, 4.8)]
         assert sweep.algorithms() == ["APP"]
-        missing = sweep.series("ratio", "APP")
-        assert all(math.isnan(value) for _, value in missing)
 
 
 class TestSweepExecution:

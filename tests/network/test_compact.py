@@ -17,12 +17,7 @@ from repro.network.builders import (
 )
 from repro.network.compact import CompactNetwork
 from repro.network.graph import RoadNetwork
-from repro.network.subgraph import (
-    Rectangle,
-    induced_subgraph,
-    largest_component_subgraph,
-    nodes_in_rectangle,
-)
+from repro.network.subgraph import Rectangle, induced_subgraph
 
 
 @pytest.fixture
@@ -52,8 +47,6 @@ class TestRoundTrip:
         assert list(compact.node_ids()) == list(small_network.node_ids())
         for node in small_network.nodes():
             assert compact.coords(node.node_id) == (node.x, node.y)
-            assert compact.node(node.node_id) == node
-            assert compact.degree(node.node_id) == small_network.degree(node.node_id)
             assert list(compact.neighbor_items(node.node_id)) == list(
                 small_network.neighbor_items(node.node_id)
             )
@@ -83,8 +76,7 @@ class TestRoundTrip:
         compact = CompactNetwork.from_network(RoadNetwork())
         assert compact.num_nodes == 0
         assert compact.num_edges == 0
-        assert compact.total_length() == 0.0
-        assert compact.is_connected()
+        assert compact.max_edge_length() == 0.0
         with pytest.raises(GraphError):
             compact.bounding_box()
 
@@ -156,27 +148,14 @@ class TestReadApi:
     def test_unknown_node_raises(self, small_network):
         compact = CompactNetwork.from_network(small_network)
         with pytest.raises(NodeNotFoundError):
-            compact.node(999)
+            compact.coords(999)
         with pytest.raises(NodeNotFoundError):
             compact.neighbor_items(999)
-        with pytest.raises(NodeNotFoundError):
-            compact.degree(999)
 
     def test_length_aggregates_match_dict_backend(self, small_network):
         compact = CompactNetwork.from_network(small_network)
-        assert compact.total_length() == pytest.approx(small_network.total_length())
-        assert compact.min_edge_length() == small_network.min_edge_length()
-        assert compact.max_edge_length() == small_network.max_edge_length()
+        assert compact.max_edge_length() == max(e.length for e in small_network.edges())
         assert compact.bounding_box() == small_network.bounding_box()
-        assert compact.euclidean(10, 30) == pytest.approx(small_network.euclidean(10, 30))
-
-    def test_traversal_matches_dict_backend(self, small_network):
-        compact = CompactNetwork.from_network(small_network)
-        assert compact.bfs_order(10) == small_network.bfs_order(10)
-        assert sorted(map(sorted, compact.connected_components())) == sorted(
-            map(sorted, small_network.connected_components())
-        )
-        assert compact.is_connected() == small_network.is_connected()
 
 
 class TestWindowing:
@@ -195,9 +174,6 @@ class TestWindowing:
             assert {(e.u, e.v, e.length) for e in csr_sub.edges()} == {
                 (e.u, e.v, e.length) for e in dict_sub.edges()
             }
-            assert set(nodes_in_rectangle(compact, window)) == set(
-                nodes_in_rectangle(network, window)
-            )
 
     def test_window_view_preserves_snapshot_order(self):
         network = grid_network(4, 4, spacing=1.0)
@@ -212,23 +188,6 @@ class TestWindowing:
         view = compact.window_view(Rectangle(100.0, 100.0, 101.0, 101.0))
         assert view.num_nodes == 0
         assert view.num_edges == 0
-
-    def test_subgraph_keeps_only_internal_edges(self, small_network):
-        compact = CompactNetwork.from_network(small_network)
-        sub = compact.subgraph([10, 20, 30])
-        assert set(sub.node_ids()) == {10, 20, 30}
-        assert {(e.u, e.v) for e in sub.edges()} == {(10, 20), (20, 30), (10, 30)}
-
-    def test_subgraph_unknown_node_raises(self, small_network):
-        compact = CompactNetwork.from_network(small_network)
-        with pytest.raises(NodeNotFoundError):
-            compact.subgraph([10, 999])
-
-    def test_largest_component_on_compact(self, small_network):
-        compact = CompactNetwork.from_network(small_network)
-        largest = largest_component_subgraph(compact)
-        assert isinstance(largest, CompactNetwork)
-        assert set(largest.node_ids()) == {10, 20, 30, 40}
 
     def test_nested_window_views(self):
         network = grid_network(6, 6, spacing=1.0)

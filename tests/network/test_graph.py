@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
-from repro.network.graph import Edge, RoadNetwork, edge_key
+from repro.network.graph import RoadNetwork, edge_key
 
 
 def build_triangle() -> RoadNetwork:
@@ -81,13 +81,6 @@ class TestNodeAndEdgeBasics:
         assert edge_key(5, 2) == (2, 5)
         assert edge_key(2, 5) == (2, 5)
 
-    def test_edge_other_endpoint(self):
-        edge = Edge.make(4, 2, 1.0)
-        assert edge.other(2) == 4
-        assert edge.other(4) == 2
-        with pytest.raises(GraphError):
-            edge.other(9)
-
 
 class TestTopologyQueries:
     def test_counts_and_lengths(self):
@@ -95,48 +88,30 @@ class TestTopologyQueries:
         assert network.num_nodes == 3
         assert network.num_edges == 3
         assert network.total_length() == pytest.approx(12.0)
-        assert network.min_edge_length() == 3.0
-        assert network.max_edge_length() == 5.0
 
-    def test_neighbors_and_degree(self):
+    def test_neighbors_and_neighbor_items(self):
         network = build_triangle()
         assert sorted(network.neighbors(1)) == [2, 3]
-        assert network.degree(1) == 2
         assert dict(network.neighbor_items(2)) == {1: 3.0, 3: 5.0}
 
     def test_coords_and_contains(self):
         network = build_triangle()
-        assert network.contains(1)
-        assert not network.contains(99)
+        assert 1 in network
+        assert 99 not in network
         assert network.coords(1) == network.node(1).coords()
 
-    def test_length_stats_invalidate_on_add_edge(self):
+    def test_total_length_follows_add_edge(self):
         network = build_triangle()
-        assert network.total_length() == pytest.approx(12.0)  # prime the cache
+        assert network.total_length() == pytest.approx(12.0)
         network.add_node(4, 100.0, 0.0)
         network.add_edge(1, 4, 50.0)
         assert network.total_length() == pytest.approx(62.0)
-        assert network.max_edge_length() == 50.0
 
-    def test_length_stats_invalidate_on_remove_edge(self):
+    def test_total_length_follows_remove_edge(self):
         network = build_triangle()
-        assert network.max_edge_length() == 5.0  # prime the cache
+        assert network.total_length() == pytest.approx(12.0)
         network.remove_edge(2, 3)  # the length-5 edge
-        assert network.max_edge_length() == 4.0
         assert network.total_length() == pytest.approx(7.0)
-
-    def test_length_stats_invalidate_when_parallel_edge_shortens(self):
-        network = build_triangle()
-        assert network.min_edge_length() == 3.0  # prime the cache
-        network.add_edge(1, 2, 0.5)  # parallel segment keeps the shorter length
-        assert network.min_edge_length() == 0.5
-        assert network.num_edges == 3
-
-    def test_length_stats_invalidate_on_remove_node(self):
-        network = build_triangle()
-        assert network.total_length() == pytest.approx(12.0)  # prime the cache
-        network.remove_node(3)
-        assert network.total_length() == pytest.approx(3.0)
 
     def test_edges_reported_once(self):
         network = build_triangle()
@@ -144,16 +119,13 @@ class TestTopologyQueries:
         assert len(edges) == 3
         assert all(edge.u < edge.v for edge in edges)
 
-    def test_remove_edge_and_node(self):
+    def test_remove_edge(self):
         network = build_triangle()
         network.remove_edge(1, 2)
         assert not network.has_edge(1, 2)
         assert network.num_edges == 2
-        network.remove_node(3)
-        assert network.num_nodes == 2
-        assert network.num_edges == 0
         with pytest.raises(EdgeNotFoundError):
-            network.edge_length(1, 3)
+            network.edge_length(1, 2)
 
     def test_remove_missing_edge_raises(self):
         network = build_triangle()

@@ -6,17 +6,11 @@ import random
 
 import pytest
 
-from repro.exceptions import NodeNotFoundError, SolverError
+from repro.exceptions import NodeNotFoundError
 from repro.network.builders import grid_network, path_network, random_geometric_network
 from repro.network.compact import CompactNetwork
 from repro.network.graph import RoadNetwork
-from repro.network.shortest_path import (
-    dijkstra,
-    eccentricity,
-    shortest_path,
-    shortest_path_length,
-    steiner_tree_length,
-)
+from repro.network.shortest_path import dijkstra, steiner_tree_length
 
 
 def both_backends(network: RoadNetwork):
@@ -62,7 +56,8 @@ class TestDijkstra:
 
     def test_grid_distance_matches_manhattan(self):
         network = grid_network(5, 5, spacing=10.0)
-        assert shortest_path_length(network, 0, 24) == pytest.approx(80.0)
+        dist, _ = dijkstra(network, 0, targets={24})
+        assert dist[24] == pytest.approx(80.0)
 
 
 class TestDijkstraEdgeCases:
@@ -172,23 +167,6 @@ class TestDijkstraBackendParity:
             assert parent_d == parent_c
 
 
-class TestShortestPath:
-    def test_path_nodes(self, weighted_square):
-        assert shortest_path(weighted_square, 0, 3) == [0, 1, 2, 3]
-
-    def test_path_on_line(self):
-        network = path_network(5, edge_length=2.0)
-        assert shortest_path(network, 0, 4) == [0, 1, 2, 3, 4]
-        assert shortest_path_length(network, 0, 4) == pytest.approx(8.0)
-
-    def test_unreachable_target_raises(self):
-        network = RoadNetwork()
-        network.add_node(1, 0, 0)
-        network.add_node(2, 1, 0)
-        with pytest.raises(SolverError):
-            shortest_path(network, 1, 2)
-
-
 class TestSteinerLength:
     def test_fewer_than_two_terminals_is_zero(self, weighted_square):
         assert steiner_tree_length(weighted_square, []) == 0.0
@@ -211,10 +189,3 @@ class TestSteinerLength:
         network.add_edge(10, 11, 1.0)
         # Two separate components: 0-2 (length 2) and 10-11 (length 1).
         assert steiner_tree_length(network, [0, 2, 10, 11]) == pytest.approx(3.0)
-
-
-class TestEccentricity:
-    def test_eccentricity_on_path(self):
-        network = path_network(4, edge_length=1.0)
-        assert eccentricity(network, 0) == pytest.approx(3.0)
-        assert eccentricity(network, 1) == pytest.approx(2.0)

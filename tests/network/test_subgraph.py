@@ -9,12 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.exceptions import QueryError
 from repro.network.builders import grid_network
-from repro.network.subgraph import (
-    Rectangle,
-    induced_subgraph,
-    largest_component_subgraph,
-    nodes_in_rectangle,
-)
+from repro.network.subgraph import Rectangle, induced_subgraph
 
 
 class TestRectangle:
@@ -57,12 +52,6 @@ class TestRectangle:
         assert rect.contains(2, 2)
         assert not rect.contains(2.001, 1)
 
-    def test_intersects(self):
-        a = Rectangle(0, 0, 2, 2)
-        assert a.intersects(Rectangle(1, 1, 3, 3))
-        assert a.intersects(Rectangle(2, 2, 3, 3))  # touching counts
-        assert not a.intersects(Rectangle(3, 3, 4, 4))
-
     def test_expanded(self):
         rect = Rectangle(1, 1, 2, 2).expanded(1.0)
         assert (rect.min_x, rect.min_y, rect.max_x, rect.max_y) == (0, 0, 3, 3)
@@ -93,12 +82,6 @@ class TestRectangle:
 
 
 class TestWindowing:
-    def test_nodes_in_rectangle(self):
-        network = grid_network(4, 4, spacing=10.0)
-        window = Rectangle(0, 0, 15, 15)
-        inside = nodes_in_rectangle(network, window)
-        assert len(inside) == 4  # the 2x2 corner of the grid
-
     def test_induced_subgraph_keeps_internal_edges_only(self):
         network = grid_network(4, 4, spacing=10.0)
         window = Rectangle(0, 0, 15, 15)
@@ -117,10 +100,3 @@ class TestWindowing:
         sub = induced_subgraph(network, Rectangle(-1, -1, 100, 100))
         assert sub.num_nodes == network.num_nodes
         assert sub.num_edges == network.num_edges
-
-    def test_largest_component(self):
-        network = grid_network(3, 3, spacing=10.0)
-        network.add_node(100, 500.0, 500.0)
-        largest = largest_component_subgraph(network)
-        assert largest.num_nodes == 9
-        assert 100 not in largest

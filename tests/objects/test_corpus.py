@@ -67,24 +67,9 @@ class TestFiltering:
         inside = corpus.objects_in_rectangle(window)
         assert {obj.object_id for obj in inside} == {0}
 
-    def test_objects_with_any_term(self):
-        corpus = make_small_corpus()
-        matches = corpus.objects_with_any_term(["COFFEE"])
-        assert {obj.object_id for obj in matches} == {0, 6}
-
     def test_terms_in_rectangle(self):
         corpus = make_small_corpus()
         window = Rectangle(0, 0, 200, 200)
         frequencies = corpus.terms_in_rectangle(window)
         assert frequencies["cafe"] == 2
         assert "museum" not in frequencies
-
-    def test_bounding_box(self):
-        corpus = make_small_corpus()
-        box = corpus.bounding_box()
-        assert box.min_x == 50
-        assert box.max_y == 260
-
-    def test_bounding_box_empty_raises(self):
-        with pytest.raises(DatasetError):
-            ObjectCorpus().bounding_box()

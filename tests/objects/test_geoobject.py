@@ -13,14 +13,12 @@ from repro.objects.geoobject import GeoTextualObject
 class TestCreation:
     def test_create_counts_term_frequencies(self):
         obj = GeoTextualObject.create(1, 0.0, 0.0, ["Cafe", "cafe", "coffee"])
-        assert obj.term_frequency("cafe") == 2
-        assert obj.term_frequency("coffee") == 1
-        assert obj.term_frequency("missing") == 0
+        assert obj.keywords == {"cafe": 2, "coffee": 1}
 
     def test_create_lowercases_and_strips(self):
         obj = GeoTextualObject.create(1, 0, 0, ["  Pizza ", "PIZZA", ""])
         assert set(obj.terms) == {"pizza"}
-        assert obj.term_frequency("pizza") == 2
+        assert obj.keywords == {"pizza": 2}
 
     def test_empty_description_allowed(self):
         obj = GeoTextualObject.create(1, 0, 0, [])

@@ -66,10 +66,6 @@ class TestAccounting:
         cache.get("missing")
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.lookups) == (2, 1, 3)
-        assert stats.hit_rate == pytest.approx(2 / 3)
-
-    def test_hit_rate_zero_without_lookups(self):
-        assert LRUCache(max_size=4).stats().hit_rate == 0.0
 
 
 class TestConcurrency:

@@ -103,7 +103,7 @@ class TestChunkedColumnParity:
                 if isinstance(candidate, ChunkedColumn):
                     chunked_names.add(name)
                     assert name in compressed_set
-                    assert candidate.dtype == reference.dtype
+                    assert np.asarray(candidate).dtype == reference.dtype
                     assert len(candidate) == len(reference)
                 else:
                     # Raw-policy columns (indptr offsets, pruning bounds, ...)

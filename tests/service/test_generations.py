@@ -766,7 +766,6 @@ def test_compaction_failing_before_current_flips_rolls_back(dataset, base_bundle
     assert not (root / CURRENT_NAME).exists()
     assert (root / DELTA_LOG_NAME).read_bytes() == log
     assert live.bundle_generation == 0
-    assert not live.overlay.frozen
     assert answers(live) == before
     assert answers(LCMSREngine.from_artifact(root)) == before
     touched = {op["id"] for op in ops}

@@ -70,7 +70,6 @@ class TestIndexBundle:
         bundle = IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
         pipeline = bundle.weight_pipeline()
         assert pipeline.index is bundle.columnar
-        assert pipeline.mode is bundle.scoring_mode
         # The pipeline owns the lazily built bounds; every query must reuse them.
         assert bundle.weight_pipeline() is pipeline
         assert bundle.weight_pipeline().bounds is pipeline.bounds

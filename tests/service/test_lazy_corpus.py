@@ -122,7 +122,7 @@ def test_read_path_never_unpickles_the_corpus(artifacts, mode, monkeypatch):
     ]
     with QueryService(path, max_workers=1) as service:
         loaded = [_signature(service.execute(r)) for r in requests]
-        describe = service.engine.bundle.describe()
+    describe = loaded_engine.bundle.describe()
     with QueryService(built_engine, max_workers=1) as service:
         assert loaded == [_signature(service.execute(r)) for r in requests]
     assert describe.split(", built in")[0] == built.describe().split(", built in")[0]

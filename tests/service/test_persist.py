@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -156,10 +157,9 @@ class TestIntegrity:
             IndexBundle.load(path)
 
     def test_pre_bump_artifact_is_rejected_with_a_rebuild_hint(self, tmp_path):
-        # Format version 8 orders each term's postings by (cell, row) and adds
-        # post_cell; a version-7 artifact's postings ascend by row and have
-        # no cell column, so the loader must reject it outright and tell the
-        # operator how to get a current one.
+        # Format version 9 drops cell_node_mass from scoring.npz; a version-8
+        # artifact still carries it, and the loader refuses any other version
+        # outright and tells the operator how to get a current one.
         bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
         path = tmp_path / "pre-bump"
         bundle.save(path)
@@ -227,7 +227,6 @@ class TestIntegrity:
         assert read_manifest(path).scoring_mode == mode.value
         loaded = IndexBundle.load(path)
         assert loaded.scoring_mode is mode
-        assert loaded.weight_pipeline().mode is mode
         keywords = ["cafe", "restaurant"]
         assert list(loaded.weight_pipeline().node_weights(keywords).items()) == \
             list(bundle.weight_pipeline().node_weights(keywords).items())
@@ -298,6 +297,23 @@ class TestIntegrity:
         with pytest.raises(ArtifactError, match=NETWORK_NAME):
             IndexBundle.load(path, verify=False)
 
+    def test_zip_deflated_member_is_refused_even_without_verify(self, tmp_path):
+        # No writer deflates a member; the loader names the file and the member
+        # instead of quietly reading it eagerly.
+        bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
+        path = tmp_path / "deflated"
+        bundle.save(path)
+        scoring = path / SCORING_NAME
+        with zipfile.ZipFile(scoring) as archive:
+            members = [(info, archive.read(info)) for info in archive.infolist()]
+        with zipfile.ZipFile(scoring, "w") as archive:
+            for info, data in members:
+                if info.filename == "obj_rating.npy":
+                    info.compress_type = zipfile.ZIP_DEFLATED
+                archive.writestr(info, data)
+        with pytest.raises(ArtifactError, match=f"{SCORING_NAME}: member 'obj_rating.npy'"):
+            IndexBundle.load(path, verify=False)
+
     def test_resaving_a_mmap_loaded_bundle_over_itself_is_safe(self, tmp_path):
         # The writer must not truncate files that the loaded bundle's memmaps
         # still point at (payloads are written to temp siblings and renamed).
@@ -352,12 +368,12 @@ class TestMmapSemantics:
                 array[0] = array[0]
 
     def test_bound_columns_load_as_read_only_memmaps(self, artifact):
-        # The four bound-aggregate columns ride in scoring.npz and must come
+        # The three bound-aggregate columns ride in scoring.npz and must come
         # back as read-only memmaps like every other persisted array — and
         # still drive a working UpperBoundIndex.
         path, _ = artifact
         index = IndexBundle.load(path).weight_pipeline().index
-        for name in ("bound_meta", "obj_cell", "cell_sigma_mass", "cell_node_mass"):
+        for name in ("bound_meta", "obj_cell", "cell_sigma_mass"):
             array = getattr(index, name)
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):

@@ -39,16 +39,31 @@ def _cache(hits: int, misses: int) -> CacheStats:
     return CacheStats(hits=hits, misses=misses, evictions=0, size=0, max_size=8)
 
 
+def _sequential_totals(timings) -> StatTotals:
+    """The totals of ``timings`` folded one at a time, in order: the oracle."""
+    totals = StatTotals()
+    for timing in timings:
+        totals = totals + StatTotals.of(timing)
+    return totals
+
+
+def _snapshot(timings, result_cache=None, instance_cache=None) -> ServiceStats:
+    """A snapshot of a collector that recorded ``timings`` in order."""
+    collector = StatsCollector()
+    for timing in timings:
+        collector.record(timing)
+    return collector.snapshot(result_cache or _cache(0, 0), instance_cache or _cache(0, 0))
+
+
 def test_totals_match_timing_derivation():
     timings = [_timing(0), _timing(1, result_hit=True), _timing(2, instance_hit=True)]
-    totals = StatTotals.from_timings(timings)
+    stats = _snapshot(timings, _cache(1, 2), _cache(1, 1))
+    totals = stats.totals
+    assert totals == _sequential_totals(timings)
     assert totals.queries == 3
     assert totals.result_hits == 1
     assert totals.instance_hits == 1
     assert totals.total_seconds == 3.0
-    # A snapshot without explicit totals derives the identical values.
-    stats = ServiceStats(timings=timings, result_cache=_cache(1, 2),
-                         instance_cache=_cache(1, 1))
     assert stats.queries == 3
     assert stats.result_hit_rate == 1 / 3
     assert stats.mean_latency_seconds == 1.0
@@ -56,9 +71,7 @@ def test_totals_match_timing_derivation():
 
 def test_stats_are_picklable():
     """Snapshots travel from worker processes to the gateway."""
-    stats = ServiceStats(timings=[_timing(0)], result_cache=_cache(1, 0),
-                         instance_cache=_cache(0, 1),
-                         totals=StatTotals.from_timings([_timing(0)]))
+    stats = _snapshot([_timing(0)], _cache(1, 0), _cache(0, 1))
     restored = pickle.loads(pickle.dumps(stats))
     assert restored.queries == 1
     assert restored.timings == stats.timings
@@ -109,15 +122,14 @@ class TestLatencyHistogram:
         timings = [_timing(i, total_seconds=0.001) for i in range(98)]
         timings.append(_timing(98, total_seconds=2.0))
         timings.append(_timing(99, total_seconds=20.0))
-        stats = ServiceStats(timings=timings, result_cache=_cache(0, 0),
-                             instance_cache=_cache(0, 0))
+        stats = _snapshot(timings)
         assert stats.p50_latency_seconds == pytest.approx(0.001, rel=0.07)
         assert stats.p95_latency_seconds == pytest.approx(0.001, rel=0.07)
         assert stats.p99_latency_seconds == pytest.approx(2.0, rel=0.07)
         assert stats.latency_percentile(100.0) == pytest.approx(20.0, rel=0.07)
 
     def test_histograms_survive_pickling(self):
-        totals = StatTotals.from_timings(
+        totals = _sequential_totals(
             [_timing(i, total_seconds=0.01 * (i + 1)) for i in range(5)])
         restored = pickle.loads(pickle.dumps(totals))
         assert restored.latency == totals.latency
@@ -126,9 +138,7 @@ class TestLatencyHistogram:
     def test_reporting_renders_percentile_rows(self):
         from repro.evaluation import format_service_stats
 
-        stats = ServiceStats(timings=[_timing(0, total_seconds=0.02)],
-                             result_cache=_cache(0, 1),
-                             instance_cache=_cache(0, 1))
+        stats = _snapshot([_timing(0, total_seconds=0.02)], _cache(0, 1), _cache(0, 1))
         summary = format_service_stats(stats)
         assert "p50 latency (s)" in summary
         assert "p95 latency (s)" in summary
@@ -161,8 +171,7 @@ class TestLatencyHistogram:
                                       instance_cache=_cache(0, 0))
         expected = threads_n * per_thread
         assert snapshot.totals.latency.total == expected
-        assert snapshot.totals.latency == StatTotals.from_timings(
-            snapshot.timings).latency
+        assert snapshot.totals.latency == _sequential_totals(snapshot.timings).latency
         # Two threads per decade -> p50 sits in the second decade (1 ms).
         assert snapshot.latency_percentile(50.0) == pytest.approx(1e-3, rel=0.07)
         assert snapshot.latency_percentile(99.0) == pytest.approx(0.1, rel=0.07)
@@ -193,7 +202,7 @@ def test_collector_hammer_no_dropped_counts():
     assert len(snapshot.timings) == expected
     assert snapshot.result_hits == threads_n * (per_thread // 2)
     assert snapshot.instance_hits == threads_n * (per_thread // 4)
-    assert snapshot.totals == StatTotals.from_timings(snapshot.timings)
+    assert snapshot.totals == _sequential_totals(snapshot.timings)
     # Exact float equality: totals are folded once per record, in order, under
     # the lock — identical accumulation to the sequential derivation above.
     assert snapshot.total_seconds == float(expected)

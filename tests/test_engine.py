@@ -49,7 +49,7 @@ class TestConfiguration:
             engine.query_topk(["cafe"], delta=500.0, k=2, algorithm="nope")
 
     def test_accessors(self, engine, tiny_ny_dataset):
-        assert_same_rows(engine.network, tiny_ny_dataset.network)
+        assert_same_rows(engine.graph_view, tiny_ny_dataset.network)
         assert engine.corpus is tiny_ny_dataset.corpus
         assert engine.mapping.num_mapped == len(tiny_ny_dataset.corpus)
 
@@ -59,7 +59,7 @@ class TestQuerying:
         result = engine.query(["restaurant", "cafe"], delta=1200.0, algorithm="tgen")
         assert result.region.satisfies(1200.0)
         assert result.weight > 0
-        result.region.validate(engine.network)
+        result.region.validate(engine.graph_view)
 
     def test_query_with_window(self, engine, tiny_ny_dataset):
         extent = tiny_ny_dataset.extent
@@ -67,8 +67,7 @@ class TestQuerying:
                            extent.min_x + 1200.0, extent.min_y + 1200.0)
         result = engine.query(["restaurant"], delta=800.0, region=window, algorithm="greedy")
         for node_id in result.region.nodes:
-            node = engine.network.node(node_id)
-            assert window.contains(node.x, node.y)
+            assert window.contains(*engine.graph_view.coords(node_id))
 
     def test_algorithms_agree_on_rough_quality(self, engine):
         tgen = engine.query(["cafe", "coffee"], delta=1200.0, algorithm="tgen")

@@ -60,7 +60,7 @@ class TestFullPipeline:
         result = TGENSolver(alpha=20.0).solve(instance)
         corpus = tiny_ny_dataset.corpus
         mapping = tiny_ny_dataset.mapping
-        weighted_nodes = [n for n in result.region.nodes if instance.weight_of(n) > 0]
+        weighted_nodes = [n for n in result.region.nodes if instance.weights.get(n, 0.0) > 0]
         assert weighted_nodes
         for node_id in weighted_nodes:
             objects = [corpus.get(o) for o in mapping.objects_at(node_id)]

@@ -211,10 +211,8 @@ class TestColumnarStructure:
             assert columnar.document_frequency(term) == corpus.document_frequency(term)
         assert columnar.document_frequency("nosuchterm") == 0
         # node → object CSR covers every mapped object exactly once
-        total = sum(
-            len(columnar.object_rows_at_node(pos)) for pos in range(columnar.num_nodes)
-        )
-        assert total == mapping.num_mapped
+        assert int(columnar.node_indptr[-1]) == mapping.num_mapped
+        assert len(columnar.node_indptr) == columnar.num_nodes + 1
         for object_id in list(corpus.object_ids())[:20]:
             row = columnar.object_row(object_id)
             assert int(columnar.object_ids[row]) == object_id

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.textindex.tokenizer import DEFAULT_STOP_WORDS, tokenize, tokenize_all
+from repro.textindex.tokenizer import DEFAULT_STOP_WORDS, tokenize
 
 
 class TestTokenize:
@@ -31,8 +31,3 @@ class TestTokenize:
     def test_default_stop_words_are_lowercase(self):
         assert all(word == word.lower() for word in DEFAULT_STOP_WORDS)
 
-
-class TestTokenizeAll:
-    def test_batch(self):
-        out = tokenize_all(["Nice Cafe", "Best Pizza in Town"])
-        assert out == [["nice", "cafe"], ["best", "pizza", "town"]]

@@ -107,7 +107,6 @@ class TestScoring:
         vsm = VectorSpaceModel(corpus)
         query = vsm.query_vector(["cafe", "Cafe", " cafe "])
         assert query.terms == ("cafe",)
-        assert query.keyword_count == 1
 
 
 class TestProperties:
