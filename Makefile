@@ -19,14 +19,16 @@ test:
 # that large ones take, which test_window_kernel.py also checks against each
 # other on every window shape, exclude_rows masks, a tile subset, a zlib
 # artifact and the sampled tier's probe; and the sampled tier's full-budget
-# read, which must equal the exact sums bit for bit (TestEscapeHatch). TGEN is
-# checked in both of its per-edge regimes: the parity suite runs its cases at
-# the production thresholds and with every edge forced through the batched
-# step, plus one tgen-paper-scale instance that batches at the production
-# threshold. The fast gate to run after touching a solver hot loop, a skip
-# branch or a scoring kernel.
+# read, which must equal the exact sums bit for bit (TestEscapeHatch). TGEN's
+# cases, with its dominance near-ties and edge-length ties (test_tgen.py),
+# run twice: on the compiled kernel (tgen_kernel.c) and on the Python loop
+# that runs where no compiler builds it, plus one tgen-paper-scale instance.
+# The fast gate to run after touching a solver hot loop, a skip branch or a
+# scoring kernel.
 test-parity:
 	$(PYTHON) -m pytest tests/core/test_solver_backend_parity.py \
+		tests/core/test_tgen.py::TestDominanceTies \
+		tests/core/test_tgen.py::TestEdgeLengthTies \
 		tests/core/test_solver_properties.py::TestBackendIdentity \
 		tests/core/test_pruning_parity.py tests/core/test_backend_parity.py \
 		tests/textindex/test_columnar.py tests/textindex/test_window_kernel.py \
@@ -50,9 +52,13 @@ docs-check:
 	$(PYTHON) -m pytest tests/test_docs.py -q
 
 # Byte-compile the whole source tree: a fast syntax/import-shape gate that
-# catches broken modules the test run might not import.
+# catches broken modules the test run might not import. TGEN's C kernel is
+# compiled too, with every warning an error (its runtime build in
+# repro.core.tgen_kernel uses the same -std, -O2 and -ffp-contract flags).
 compile-check:
 	$(PYTHON) -m compileall -q src
+	$(CC) -std=c99 -O2 -ffp-contract=off -Wall -Wextra -Werror \
+		-c -o /dev/null src/repro/core/tgen_kernel.c
 
 # Reachability audit (tools/reach.py; about 25 minutes on 2 CPUs, not part of
 # tier-1): run perfbench's four workloads, the four smoke targets, the

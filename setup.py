@@ -4,6 +4,11 @@ This file is the whole build configuration. It also installs the package in
 environments without the ``wheel`` package (where PEP-660 editable installs are
 unavailable), via ``pip install -e . --no-use-pep517`` or
 ``python setup.py develop``.
+
+It ships the C source of TGEN's kernel as package data and compiles nothing:
+the first import of :mod:`repro.core.tgen` builds the kernel next to it (see
+:mod:`repro.core.tgen_kernel`), and without a compiler TGEN runs its Python
+loop.
 """
 
 import re
@@ -25,5 +30,6 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    package_data={"repro.core": ["tgen_kernel.c"]},
     install_requires=["numpy"],
 )

@@ -15,8 +15,8 @@ per-hop hashing of global node ids:
   iteration order* (int32) — the key to the identity contract below.
 
 On top of the arrays the instance precomputes the aggregates every solver used
-to rescan the weight dict for: ``sigma_max``, ``total_weight``, the relevant
-positions, and the window's ``tau_max`` (longest edge).
+to rescan the weight dict for: ``sigma_max``, the relevant positions, and the
+window's ``tau_max`` (longest edge).
 
 **Identity contract.** The substrate is a *representation* change, not an
 algorithm change: solvers running on it must return byte-identical results to
@@ -31,8 +31,7 @@ load-bearing:
 2. **Dict-order replay** — ``relevant_order`` records the iteration order of
    the source weight dict (the columnar pipeline's node-table order on the hot
    path), so :meth:`weights_dict` re-materialises a dict whose items iterate
-   identically, and order-sensitive float accumulations (``total_weight``)
-   replay the reference summation order.
+   identically.
 3. **Same arithmetic** — vectorised kernels keep the reference expression
    trees (IEEE-754 elementwise ops are exact), so ranks, scaled weights and
    length checks land on the same bits.
@@ -74,7 +73,6 @@ class DenseInstance:
         "sigma",
         "relevant_order",
         "sigma_max",
-        "total_weight",
         "tau_max",
         "_relevant_positions",
         "_graph",
@@ -108,16 +106,11 @@ class DenseInstance:
             raise QueryError("sigma must align with the node table")
         if self.indptr.shape[0] != n + 1:
             raise QueryError("indptr must have num_nodes + 1 entries")
-        # Aggregates replay the reference computations exactly: max over floats
-        # is exact regardless of order; the total replays the weight-dict
-        # iteration order because Python's sum() is sequential.
+        # Max over floats is exact in any order, so it equals the reference's.
         if self.relevant_order.size:
-            ordered = self.sigma[self.relevant_order]
-            self.sigma_max = float(ordered.max())
-            self.total_weight = sum(ordered.tolist())
+            self.sigma_max = float(self.sigma[self.relevant_order].max())
         else:
             self.sigma_max = 0.0
-            self.total_weight = 0.0
         self.tau_max = float(self.lengths.max()) if self.lengths.size else 0.0
         self._relevant_positions: Optional[np.ndarray] = None
         self._graph = graph

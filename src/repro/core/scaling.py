@@ -22,6 +22,11 @@ import numpy as np
 
 from repro.exceptions import SolverError
 
+#: Bound on Lemma 5's ``|VQ| · ⌊|VQ|/α⌋``: every sum of scaled weights stays
+#: below it, and the factor of 2 below int64's limit absorbs the rounding of θ,
+#: so ``scale_array`` and the solvers' int64 sums cannot overflow.
+SCALED_LIMIT = 1 << 62
+
 
 @dataclass(frozen=True)
 class ScalingContext:
@@ -55,8 +60,9 @@ class ScalingContext:
 
         Raises:
             SolverError: If α is not a positive finite number, |VQ| is non-positive,
-                or no node has positive weight (there is nothing to scale — callers
-                should have short-circuited to an empty result already).
+                no node has positive weight (there is nothing to scale — callers
+                should have short-circuited to an empty result already), or α is
+                so small that scaled weights could reach :data:`SCALED_LIMIT`.
         """
         sigma_max = max(weights.values(), default=0.0)
         return ScalingContext.from_sigma_max(sigma_max, num_candidate_nodes, alpha)
@@ -85,12 +91,22 @@ class ScalingContext:
         if sigma_max <= 0:
             raise SolverError("no node has positive weight; nothing to scale")
         theta = alpha * sigma_max / num_candidate_nodes
-        return ScalingContext(
+        context = ScalingContext(
             alpha=alpha,
             sigma_max=sigma_max,
             num_candidate_nodes=num_candidate_nodes,
             theta=theta,
         )
+        # The float test first: ⌊|VQ|/α⌋ of an infinite quotient has no int.
+        if (
+            num_candidate_nodes / alpha >= SCALED_LIMIT
+            or context.upper_bound() >= SCALED_LIMIT
+        ):
+            raise SolverError(
+                f"alpha {alpha} is too small for {num_candidate_nodes} nodes: "
+                "scaled weights would overflow 64-bit integers"
+            )
+        return context
 
     # ------------------------------------------------------------------ scaling
     def scale(self, weight: float) -> int:

@@ -11,10 +11,10 @@ shortest region per (node, scaled weight) pair is kept, the enumeration is bound
 ``O(|EQ| · Tmax²)`` while possibly discarding the optimum — TGEN is a heuristic, but
 the paper (and our benchmarks) find it the most accurate of the three algorithms.
 
-The solver runs on the dense substrate with bitmask node sets, and combines each edge
-in one of two regimes with identical results: edges with few length-feasible tuple
-pairs run a per-pair loop, and heavy edges run as one batch of NumPy operations that
-replays only the updates that can change something (see ``_run_dense``).
+The solver runs on the dense substrate. Each solve is one call into a compiled
+kernel (``tgen_kernel.c``, built and loaded by :mod:`repro.core.tgen_kernel` on
+first import) that runs the whole traversal; where no compiler works, the Python
+loop :meth:`TGENSolver._run_dense` runs it instead, with the same answers.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core import tgen_kernel
 from repro.core.anytime import annotate_anytime_stats
 from repro.core.dense import DenseInstance
 from repro.core.instance import ProblemInstance
@@ -38,11 +39,24 @@ from repro.exceptions import SolverError
 from repro.network.graph import edge_key
 
 #: A region tuple of the dense loop: ``(length, weight, scaled, mask, left,
-#: right, u, v)``. ``mask`` is the node set as a bitmask over window positions;
+#: right, u, v)``. ``mask`` is the node set as a bitmask over window positions
+#: (``None`` in the tuples the kernel returns, which no longer need it);
 #: a combined tuple links its two parents (``left`` from the array of ``u``,
 #: ``right`` from the array of ``v``) and joins them through the edge
 #: ``(u, v)``; a singleton has no parents and ``u == v`` is its position.
 DenseTuple = Tuple[Any, ...]
+
+#: The compiled traversal, or ``None`` where it could not be built; then
+#: :data:`KERNEL_FALLBACK` says why and the Python loop runs.
+_KERNEL, KERNEL_FALLBACK = tgen_kernel.load()
+
+
+def kernel_description() -> str:
+    """The TGEN traversal that solves run: the kernel library's path, or
+    ``python`` and why the kernel is not in use."""
+    if _KERNEL is not None:
+        return str(_KERNEL.path)
+    return f"python ({KERNEL_FALLBACK})"
 
 
 class TGENSolver:
@@ -153,74 +167,96 @@ class TGENSolver:
     ) -> Tuple[Optional[RegionTuple], List[RegionTuple], Dict[str, float]]:
         """Run the traversal; return the best tuple, the best ``top_k`` distinct
         tuples (none when ``top_k`` is 0, which collects no pool) and the
-        solver counters."""
+        solver counters.
+
+        The traversal runs in one call into the compiled kernel, or in
+        :meth:`_run_dense` where none could be built; both return the same
+        parent-linked tuples, which :func:`_materialise` rebuilds.
+        """
         if not instance.has_relevant_nodes or instance.num_candidate_nodes == 0:
             return None, [], {"tuples_generated": 0.0, "edges_processed": 0.0}
-        return self._run_dense(instance, instance.dense, top_k)
+        dense = instance.dense
+        scaling = ScalingContext.from_sigma_max(
+            instance.sigma_max(), instance.num_candidate_nodes, self._effective_alpha(instance)
+        )
+        scaled = scaling.scale_array(dense.sigma)
+        # Traversal seeds: every node, relevant (weighted) nodes first, sorted
+        # by (-σ_v, node id). The paper selects "any unprocessed node";
+        # seeding with relevant nodes first makes the BFS fronts grow out of
+        # the object clusters, which matches the paper's accuracy while being
+        # deterministic for tests.
+        seeds = np.lexsort((dense.ids, -dense.sigma))
+        pool_size = max(64, 16 * top_k)
+        # The pool deliberately admits zero-scaled tuples, so it turns pruning off.
+        prune = instance.pruning and not top_k
+        if _KERNEL is None:
+            best, ranked, stats = self._run_dense(
+                instance, dense, scaled.tolist(), seeds.tolist(), top_k, pool_size, prune
+            )
+        else:
+            best, ranked, stats = _KERNEL.solve(
+                dense, scaled, seeds, instance.query.delta, self.max_tuples_per_node,
+                self.edge_order == "length", prune, top_k, pool_size, instance.budget,
+            )
+        ids_list = dense.ids_list()
+        return (
+            _materialise(best, ids_list),
+            [_materialise(t, ids_list) for t in ranked],
+            stats,
+        )
 
-    # ------------------------------------------------------------------ dense hot loop
+    # ------------------------------------------------------------------ Python loop
     #: Pair-count threshold above which per-edge feasibility is prefiltered with a
     #: vectorised outer sum instead of per-pair Python float arithmetic.
     _PREFILTER_PAIRS = 32
 
-    #: Length-feasible pair count from which an edge is combined as one batch
-    #: (:meth:`_combine_batch`) instead of by the per-pair loop. A batch costs
-    #: a few dozen small NumPy calls whatever its size, so it pays only on
-    #: heavy edges; set by measurement.
-    _BATCH_PAIRS = 512
-
-    #: Widest range of generated scaled weights a batched edge looks up through
-    #: dense tables (512 KiB per endpoint); an edge with a wider range runs the
-    #: per-pair loop, so a fine α cannot make the tables large.
-    _BATCH_SPAN = 1 << 16
-
     def _run_dense(
-        self, instance: ProblemInstance, dense: DenseInstance, top_k: int
-    ) -> Tuple[Optional[RegionTuple], List[RegionTuple], Dict[str, float]]:
-        """The traversal over local node positions.
+        self,
+        instance: ProblemInstance,
+        dense: DenseInstance,
+        scaled_list: List[int],
+        start_order: List[int],
+        top_k: int,
+        pool_size: int,
+        prune: bool,
+    ) -> Tuple[DenseTuple, List[DenseTuple], Dict[str, float]]:
+        """The traversal over local node positions, in Python.
 
-        The traversal order, the budget poll points, the ``(length, weight,
-        scaled)`` arithmetic and the order of array updates are those of the
-        dict-keyed loop in :class:`~repro.core.reference.ReferenceTGEN`, so
-        regions, floats and counters come out identical. What differs is the
-        representation. Scaled weights come from one vectorised
-        pass, the BFS runs over CSR positions with flat visited tables and
-        packed edge keys, and a region tuple is a flat :data:`DenseTuple`: its
-        node set is an int bitmask over positions, so the Lemma 9 test is
-        ``mask_i & mask_j`` and the union ``mask_i | mask_j``, and instead of
-        an edge set it links its two parents and the joining edge. Node and
-        edge sets are rebuilt from those links (:func:`_materialise`) only for
-        the regions returned. A node's tuple array is a plain ``{scaled weight:
-        tuple}`` dict, and the processed nodes are one mask, so an update
-        visits only the members in ``mask & ~processed``.
+        It runs where the compiled kernel could not be built, and the parity
+        suite checks the kernel against it. The traversal order, the budget
+        poll points, the ``(length, weight, scaled)`` arithmetic and the order
+        of array updates are those of the dict-keyed loop in
+        :class:`~repro.core.reference.ReferenceTGEN`, so regions, floats and
+        counters come out identical. What differs is the representation. The
+        BFS runs over CSR positions with flat visited tables and packed edge
+        keys, and a region tuple is a flat :data:`DenseTuple`: its node set is
+        an int bitmask over positions, so the Lemma 9 test is ``mask_i &
+        mask_j`` and the union ``mask_i | mask_j``, and instead of an edge set
+        it links its two parents and the joining edge. Node and edge sets are
+        rebuilt from those links (:func:`_materialise`) only for the regions
+        returned. A node's tuple array is a plain ``{scaled weight: tuple}``
+        dict, and the processed nodes are one mask, so an update visits only
+        the members in ``mask & ~processed``.
 
         Both endpoints of a processed edge are unprocessed, so they are members
         of every tuple it generates: ``vi`` is marked processed only after all
         its slots, and a processed ``vj`` would have visited this edge from its
         own side already (only an expired budget ends a node's slots early, and
         it ends the whole traversal). Each edge combines its endpoint arrays as
-        they stood at its start, in one of two regimes chosen by its count of
-        length-feasible pairs ``(l_i + l_j) + τ ≤ Q.∆``:
+        they stood at its start: a per-pair loop generates, checks and stores
+        each tuple in the reference (i-major) order. It probes the two endpoint
+        arrays directly and walks only the other unprocessed members, and it
+        skips the incumbent comparison below the incumbent's scaled weight,
+        where it cannot succeed. Edges of at least :attr:`_PREFILTER_PAIRS`
+        pairs run the length test ``(l_i + l_j) + τ ≤ Q.∆`` vectorised.
 
-        * below :attr:`_BATCH_PAIRS` (or for edges of fewer than
-          :attr:`_PREFILTER_PAIRS` pairs, which skip the vectorised length
-          test), a per-pair loop generates, checks and stores each tuple in the
-          reference (i-major) order. It probes the two endpoint arrays directly
-          and walks only the other unprocessed members, and it skips the
-          incumbent comparison below the incumbent's scaled weight, where it
-          cannot succeed;
-        * from :attr:`_BATCH_PAIRS` on, :meth:`_combine_batch` generates the
-          edge's tuples as NumPy columns and replays only the updates that can
-          change something.
-
-        When the instance allows pruning (and no top-k pool is collected — the
-        pool deliberately admits zero-scaled tuples), an edge is skipped whole
-        once the incumbent has positive scaled weight and *both* endpoint
-        arrays hold only zero-scaled tuples: every combination such an edge can
-        generate has scaled weight 0 (tuple scaled weights are sums of member
-        scaled weights), cannot beat the incumbent, and cannot displace any
-        stored tuple (each member of a zero-scaled tuple is itself zero-scaled,
-        so its array's key-0 slot holds the length-0 singleton, which a
+        When ``prune`` is set, an edge is skipped whole once the incumbent has
+        positive scaled weight and *both* endpoint arrays hold only
+        zero-scaled tuples: every combination such an edge can generate has
+        scaled weight 0 (tuple scaled weights are sums of member scaled
+        weights), cannot beat the incumbent, and cannot displace any stored
+        tuple (each member of a zero-scaled tuple is itself zero-scaled, so its
+        array's key-0 slot holds the length-0 singleton, which a
         positive-length combination never beats). ``max_scaled`` tracks a
         monotone per-position upper bound on each array's largest key — it is
         not lowered on eviction, which only forgoes skips, never unsoundly
@@ -230,16 +266,11 @@ class TGENSolver:
         delta = instance.query.delta
         delta_eps = delta + 1e-12
         n = instance.num_candidate_nodes
-        scaling = ScalingContext.from_sigma_max(
-            instance.sigma_max(), n, self._effective_alpha(instance)
-        )
-        scaled_list = scaling.scale_array(dense.sigma).tolist()
         sigma_list = dense.sigma_list()
         # Shared cached list mirrors of the window CSR (built once per window,
         # reused across solves of the same cached substrate).
         indptr, columns, _, lengths, _ = dense.graph_view().adjacency_arrays()
         collect_pool = top_k > 0
-        pool_size = max(64, 16 * top_k)
 
         arrays: List[Dict[int, DenseTuple]] = []
         best: Optional[DenseTuple] = None
@@ -253,29 +284,20 @@ class TGENSolver:
             if collect_pool and singleton[2] > 0:
                 _pool_add(pool, pool_keys, singleton, pool_size, _dense_mask, _dense_rank)
         best_length, best_weight, best_scaled = best[0], best[1], best[2]
-        batch_pool = (pool, pool_keys, pool_size) if collect_pool else None
 
         unprocessed = (1 << n) - 1
         visited_edges: Set[int] = set()
         visited = bytearray(n)
         edges_processed = 0
         edges_skipped = 0
-        edges_batched = 0
         tuples_generated = 0
         max_tuples = self.max_tuples_per_node
         budget = instance.budget
         expired = False
-        prune = instance.pruning and not collect_pool
         # Per-position upper bound on the largest scaled key stored in the
         # node's array (exact until an eviction, stale-high after — safe).
         max_scaled: List[int] = list(scaled_list)
 
-        # Traversal seeds: every node, relevant (weighted) nodes first, sorted
-        # by (-σ_v, node id). The paper selects "any unprocessed node";
-        # seeding with relevant nodes first makes the BFS fronts grow out of
-        # the object clusters, which matches the paper's accuracy while being
-        # deterministic for tests.
-        start_order = np.lexsort((dense.ids, -dense.sigma)).tolist()
         for start_pos in start_order:
             if expired:
                 break
@@ -330,20 +352,7 @@ class TGENSolver:
                             (t[0] for t in tuples_j), np.float64, len(tuples_j)
                         )
                         pair_lengths = (lengths_i[:, None] + lengths_j[None, :]) + edge_length
-                        feasible = pair_lengths <= delta_eps
-                        if np.count_nonzero(feasible) >= self._BATCH_PAIRS:
-                            outcome = self._combine_batch(
-                                arrays, max_scaled, batch_pool, vi, vj, others,
-                                tuples_i, lengths_i, tuples_j, lengths_j,
-                                pair_lengths, feasible, best,
-                            )
-                            if outcome is not None:
-                                generated, best = outcome
-                                best_length, best_weight, best_scaled = best[0], best[1], best[2]
-                                tuples_generated += generated
-                                edges_batched += 1
-                                continue
-                        rows, cols = np.nonzero(feasible)
+                        rows, cols = np.nonzero(pair_lengths <= delta_eps)
                         pairs = zip(rows.tolist(), cols.tolist())
                     else:
                         pairs = (
@@ -448,160 +457,7 @@ class TGENSolver:
         stats["tuples_generated"] = float(tuples_generated)
         stats["edges_processed"] = float(edges_processed)
         stats["edges_skipped"] = float(edges_skipped)
-        stats["edges_batched"] = float(edges_batched)
-        ids_list = dense.ids_list()
-        ranked = _rank_distinct(pool, top_k, _dense_mask, _dense_rank)
-        return (
-            _materialise(best, ids_list),
-            [_materialise(t, ids_list) for t in ranked],
-            stats,
-        )
-
-    def _combine_batch(
-        self,
-        arrays: List[Dict[int, DenseTuple]],
-        max_scaled: List[int],
-        pool: Optional[Tuple[List[DenseTuple], Set[int], int]],
-        vi: int,
-        vj: int,
-        others: int,
-        tuples_i: List[DenseTuple],
-        lengths_i: np.ndarray,
-        tuples_j: List[DenseTuple],
-        lengths_j: np.ndarray,
-        pair_lengths: np.ndarray,
-        feasible: np.ndarray,
-        best: DenseTuple,
-    ) -> Optional[Tuple[int, DenseTuple]]:
-        """Combine one heavy edge ``(vi, vj)`` as a batch of NumPy operations.
-
-        ``tuples_i`` and ``tuples_j`` snapshot the endpoint arrays in dict
-        order, with their lengths; ``pair_lengths`` is the matrix of
-        ``(l_i + l_j) + τ`` and ``feasible`` its length test. The pairs Lemma 9
-        admits are generated in the per-pair loop's i-major order with its
-        float expressions, so every value is bit-equal, and the state changes
-        come out identical:
-
-        * **Incumbent.** Its scaled weight never falls during the edge, so only
-          tuples whose scaled weight reaches the incumbent's at the edge's start
-          can win; they are compared in generation order with ``better_than``
-          (whose EPS rules are not transitive, so no argmax). When a top-k
-          pool is collected every tuple is offered to it in generation order.
-        * **Dominance.** Members update independent arrays, so each member's
-          stores run in generation order one member after another. A store
-          needs ``length < stored − EPS``, and without a tuple cap the stored
-          length at a key only falls during an edge, so a tuple that fails the
-          test against the member's array as it stood at the edge's start (+inf
-          for an absent key) fails it later too and is dropped unseen. A cap's
-          eviction can empty a key, so under a cap every tuple is replayed.
-
-        A tuple that contends or is stored is built once and shared between
-        those uses. Returns the number of tuples generated and the incumbent after
-        the edge, or ``None`` — with nothing changed — when the generated
-        scaled weights span more than :attr:`_BATCH_SPAN` values.
-        """
-        count_i, count_j = len(tuples_i), len(tuples_j)
-        flat = np.flatnonzero(feasible)
-        rows, cols = np.divmod(flat, count_j)
-        # Lemma 9 on node masks packed into little-endian uint64 words: two
-        # tuples can share a node only in a word where both snapshots hold one.
-        nbytes = ((len(arrays) + 63) >> 6) * 8
-        words_i = _pack_masks(tuples_i, nbytes)
-        words_j = _pack_masks(tuples_j, nbytes)
-        held_i = np.bitwise_or.reduce(words_i, axis=0)
-        held_j = np.bitwise_or.reduce(words_j, axis=0)
-        shared = np.flatnonzero(held_i & held_j).tolist()
-        if shared:
-            clash = words_i[:, shared[0]][rows] & words_j[:, shared[0]][cols]
-            for word in shared[1:]:
-                clash |= words_i[:, word][rows] & words_j[:, word][cols]
-            keep = np.flatnonzero(clash == 0)
-            rows, cols, flat = rows[keep], cols[keep], flat[keep]
-        generated = len(flat)
-        if not generated:
-            return 0, best
-        scaled_i = np.fromiter((t[2] for t in tuples_i), np.int64, count_i)
-        scaled_j = np.fromiter((t[2] for t in tuples_j), np.int64, count_j)
-        gen_scaled = scaled_i[rows] + scaled_j[cols]
-        low = int(gen_scaled.min())
-        span = int(gen_scaled.max()) - low + 1
-        if span > self._BATCH_SPAN:
-            return None
-        gen_length = pair_lengths.ravel()[flat]
-
-        made: Dict[int, DenseTuple] = {}
-        if pool is None:
-            contenders = np.flatnonzero(gen_scaled >= best[2])
-        else:
-            contenders = np.arange(generated)
-        if len(contenders):
-            for e, length, scaled, a, b in zip(
-                contenders.tolist(), gen_length[contenders].tolist(),
-                gen_scaled[contenders].tolist(), rows[contenders].tolist(),
-                cols[contenders].tolist(),
-            ):
-                tuple_i = tuples_i[a]
-                tuple_j = tuples_j[b]
-                combined = made[e] = (
-                    length, tuple_i[1] + tuple_j[1], scaled, tuple_i[3] | tuple_j[3],
-                    tuple_i, tuple_j, vi, vj,
-                )
-                if _beats(combined, best):
-                    best = combined
-                if pool is not None:
-                    _pool_add(pool[0], pool[1], combined, pool[2], _dense_mask, _dense_rank)
-
-        # Dominance. vi and vj hold every generated tuple, and another
-        # unprocessed node the tuples one of whose parents holds it.
-        max_tuples = self.max_tuples_per_node
-        if max_tuples is None:
-            # vi's and vj's stored lengths at the edge's start, by key; columns
-            # 0 and span + 1 take the keys outside the generated range.
-            table = np.full((2, span + 2), np.inf)
-            table[0, np.clip(scaled_i - (low - 1), 0, span + 1)] = lengths_i
-            table[1, np.clip(scaled_j - (low - 1), 0, span + 1)] = lengths_j
-            live_i, live_j = gen_length < table[:, gen_scaled - (low - 1)] - EPS
-        else:
-            live_i = live_j = np.ones(generated, bool)
-        candidates = live_i | live_j
-        held = int.from_bytes((held_i | held_j).tobytes(), "little") & others
-        if held:
-            candidates |= (
-                np.fromiter(((t[3] & held) != 0 for t in tuples_i), bool, count_i)[rows]
-                | np.fromiter(((t[3] & held) != 0 for t in tuples_j), bool, count_j)[cols]
-            )
-        events = np.flatnonzero(candidates)
-        bit_i, bit_j = 1 << vi, 1 << vj
-        for e, at_i, at_j, scaled, length, a, b in zip(
-            events.tolist(), live_i[events].tolist(), live_j[events].tolist(),
-            gen_scaled[events].tolist(), gen_length[events].tolist(),
-            rows[events].tolist(), cols[events].tolist(),
-        ):
-            tuple_i = tuples_i[a]
-            tuple_j = tuples_j[b]
-            mask = tuple_i[3] | tuple_j[3]
-            members = mask & held
-            if at_i:
-                members |= bit_i
-            if at_j:
-                members |= bit_j
-            combined = made.get(e)
-            while members:
-                member = members.bit_length() - 1
-                members ^= 1 << member
-                entries = arrays[member]
-                current = entries.get(scaled)
-                if current is None or length < current[0] - EPS:
-                    if combined is None:
-                        combined = (
-                            length, tuple_i[1] + tuple_j[1], scaled, mask, tuple_i, tuple_j, vi, vj
-                        )
-                    entries[scaled] = combined
-                    if scaled > max_scaled[member]:
-                        max_scaled[member] = scaled
-                    if max_tuples is not None and len(entries) > max_tuples:
-                        _keep_best(entries, max_tuples)
-        return generated, best
+        return best, _rank_distinct(pool, top_k, _dense_mask, _dense_rank), stats
 
 
 # Identity and rank keys of a dense tuple: the top-k pool is deduplicated on
@@ -662,12 +518,6 @@ def _rank_distinct(
         if len(ranked) >= k:
             break
     return ranked
-
-
-def _pack_masks(tuples: List[DenseTuple], nbytes: int) -> np.ndarray:
-    """The node masks of ``tuples`` as rows of little-endian uint64 words."""
-    packed = b"".join([t[3].to_bytes(nbytes, "little") for t in tuples])
-    return np.frombuffer(packed, dtype="<u8").reshape(len(tuples), -1)
 
 
 def _keep_best(entries: Dict[int, DenseTuple], keep: int) -> None:

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.core import LCMSRQuery, build_instance
+from repro.core import LCMSRQuery, build_instance, tgen
 from repro.datasets.ny import build_ny_like
 from repro.datasets.synthetic import SyntheticDataset, assemble_dataset, generate_objects_on_network
 from repro.datasets.usanw import build_usanw_like
@@ -43,6 +43,55 @@ def window_kernel(monkeypatch):
     take the cell-ordered window kernel instead.
     """
     monkeypatch.setattr(columnar, "SCAN_MAX_OBJECTS", 0)
+
+
+class TGENPath:
+    """The TGEN traversal a test runs on, with a count of kernel calls."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.kernel_calls = 0
+        self._monkeypatch = monkeypatch
+
+    def on_python_loop(self, solve):
+        """Return ``solve()`` run on the Python loop, whichever path is active."""
+        with self._monkeypatch.context() as patch:
+            patch.setattr(tgen, "_KERNEL", None)
+            return solve()
+
+
+class _CountingKernel:
+    def __init__(self, kernel, path: TGENPath) -> None:
+        self._kernel = kernel
+        self._path = path
+
+    def solve(self, *args):
+        self._path.kernel_calls += 1
+        return self._kernel.solve(*args)
+
+
+@pytest.fixture(params=["kernel", "python"])
+def tgen_path(request, monkeypatch):
+    """Run a test on TGEN's compiled kernel, then on its Python loop.
+
+    The Python loop runs with the module's kernel handle set to ``None``. The
+    kernel case fails unless a TGEN solve reached the kernel, and skips only
+    where no compiler exists to build it. A test parametrized over several
+    solvers passes ``None`` for the solvers that are not TGEN.
+    """
+    if request.param is None:
+        yield None
+        return
+    path = TGENPath(monkeypatch)
+    if request.param == "python":
+        monkeypatch.setattr(tgen, "_KERNEL", None)
+        yield path
+        return
+    if tgen._KERNEL is None and tgen.KERNEL_FALLBACK.startswith("no compiler"):
+        pytest.skip(f"TGEN's kernel is not built here: {tgen.KERNEL_FALLBACK}")
+    assert tgen._KERNEL is not None, tgen.KERNEL_FALLBACK
+    monkeypatch.setattr(tgen, "_KERNEL", _CountingKernel(tgen._KERNEL, path))
+    yield path
+    assert path.kernel_calls > 0, "no TGEN solve reached the kernel"
 
 
 @pytest.fixture

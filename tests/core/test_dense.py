@@ -144,7 +144,6 @@ class TestDictOrderReplay:
         window, weights = window_setup
         dense = DenseInstance.from_graph(window, weights)
         assert dense.sigma_max == max(weights.values(), default=0.0)
-        assert dense.total_weight == sum(weights.values())
         assert dense.tau_max == window.max_edge_length()
         relevant = dense.relevant_positions()
         ids = dense.ids_list()
@@ -156,7 +155,6 @@ class TestDictOrderReplay:
         window, _ = window_setup
         dense = DenseInstance.from_graph(window, {})
         assert dense.sigma_max == 0.0
-        assert dense.total_weight == 0.0
         assert dense.relevant_positions().size == 0
         assert dense.weights_dict() == {}
 
@@ -173,7 +171,6 @@ class TestPickleRoundTrip:
         assert np.array_equal(rebuilt.sigma, dense.sigma)
         assert np.array_equal(rebuilt.relevant_order, dense.relevant_order)
         assert rebuilt.sigma_max == dense.sigma_max
-        assert rebuilt.total_weight == dense.total_weight
         assert list(rebuilt.weights_dict().items()) == list(weights.items())
 
     def test_rebuilt_substrate_solves_identically(self, window_setup):

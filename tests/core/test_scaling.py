@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +49,20 @@ class TestValidation:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(SolverError):
             ScalingContext.build({1: 0.0}, 1, alpha=0.5)
+
+    def test_alpha_whose_scaled_weights_overflow_int64_rejected(self):
+        # Lemma 5's bound |VQ|·⌊|VQ|/α⌋ must stay below 2^62: at 2^61 the
+        # heaviest node scales exactly, at 2^62 the context is refused. The
+        # 929-node case used to wrap a scaled weight to -2^63 with only a
+        # numpy RuntimeWarning; the last α makes |VQ|/α infinite.
+        accepted = ScalingContext.from_sigma_max(1.0, 1, 2.0 ** -61)
+        assert accepted.scale_array(np.array([1.0])).tolist() == [2 ** 61]
+        with pytest.raises(SolverError):
+            ScalingContext.from_sigma_max(1.0, 1, 2.0 ** -62)
+        with pytest.raises(SolverError):
+            ScalingContext.from_sigma_max(0.5, 929, 1e-17)
+        with pytest.raises(SolverError):
+            ScalingContext.build({1: 0.5}, 1, alpha=5e-324)
 
     def test_alpha_for_buckets(self):
         assert ScalingContext.alpha_for_buckets(640, 64) == pytest.approx(10.0)

@@ -8,14 +8,12 @@ pre-substrate dict loops — same regions, same tie-breaks, bit-equal floats.
 This is the solver-layer counterpart of the network-backend and σ_v parity
 suites.
 
-TGEN combines each edge in one of two regimes, picked by its count of
-length-feasible tuple pairs: a per-pair loop, or from
-``TGENSolver._BATCH_PAIRS`` pairs on a batch of NumPy operations. The small
-windows here rarely reach that threshold, so the TGEN tests run twice: at the
-production thresholds and with them forced to 1, which sends every edge with
-a length-feasible pair through the batched step. A heavy instance at the
-perfbench ``tgen-paper`` scale checks the production threshold where it
-batches on its own.
+TGEN runs its traversal in a compiled kernel, or in a Python loop where no
+compiler builds the kernel, so every TGEN test runs on both (the ``tgen_path``
+fixture). Without pruning TGEN and its twin must also do the same work: equal
+``tuples_generated`` and ``edges_processed``, and no edge skipped. A heavy
+instance at the perfbench ``tgen-paper`` scale checks the kernel where its
+arrays grow large.
 
 The suite runs the full indexed path (dataset → ``IndexBundle`` → engine →
 ``build_instance`` with the columnar pipeline, which attaches the dense
@@ -87,46 +85,20 @@ def _assert_topk_identical(topk_a, topk_b, context):
 
 
 def _assert_same_work(result_a, result_b, context):
-    """Equal TGEN counters: solver and twin combined exactly the same tuples."""
+    """Equal TGEN counters on an unpruned instance: solver and twin combined
+    exactly the same tuples, and the solver skipped no edge (the twin never
+    skips one)."""
     for key in ("tuples_generated", "edges_processed"):
         assert result_a.stats[key] == result_b.stats[key], (key, context)
+    assert result_b.stats["edges_skipped"] == 0.0, context
 
 
-class _BatchRegime:
-    """One of TGEN's two per-edge regimes, with a count of the edges the
-    batched step combined while it was in force."""
-
-    def __init__(self, forced: bool) -> None:
-        self.forced = forced
-        self.batched = 0
-
-    def check(self) -> None:
-        if self.forced:
-            assert self.batched > 0, "the forced regime must reach the batched step"
-
-
-@pytest.fixture(params=["production", "forced"])
-def batch_regime(request, monkeypatch):
-    """Run a test at the production thresholds, or with the batch threshold
-    forced to 1. The vectorised length test that counts an edge's pairs is
-    forced on too, so capped arrays (at most 5 × 5 pairs) batch as well."""
-    regime = _BatchRegime(request.param == "forced")
-    if regime.forced:
-        monkeypatch.setattr(TGENSolver, "_BATCH_PAIRS", 1)
-        monkeypatch.setattr(TGENSolver, "_PREFILTER_PAIRS", 1)
-    combine = TGENSolver._combine_batch
-
-    def counted(self, *args):
-        outcome = combine(self, *args)
-        regime.batched += outcome is not None
-        return outcome
-
-    monkeypatch.setattr(TGENSolver, "_combine_batch", counted)
-    return regime
-
-
-def _edges_batched(results) -> int:
-    return int(sum(result.stats["edges_batched"] for result in results))
+def _assert_same_as_the_python_loop(result, tgen_path, solve, context):
+    """The active path's answer and counters equal the Python loop's."""
+    loop = tgen_path.on_python_loop(solve)
+    _assert_identical(result, loop, context)
+    for key in ("tuples_generated", "edges_processed", "edges_skipped"):
+        assert result.stats[key] == loop.stats[key], (key, context)
 
 
 class _PollBudget:
@@ -147,21 +119,20 @@ class _PollBudget:
         return self.remaining < 0
 
 
-# Each heuristic at the production settings, and TGEN once more with every
-# edge it can batch sent through the batched step.
-SOLVER_REGIMES = [
-    pytest.param(GreedySolver, "production", id="greedy"),
-    pytest.param(TGENSolver, "production", id="tgen"),
-    pytest.param(TGENSolver, "forced", id="tgen-forced-batch"),
-    pytest.param(APPSolver, "production", id="app"),
+# Each heuristic; TGEN once on its kernel and once on its Python loop.
+SOLVER_PATHS = [
+    pytest.param(GreedySolver, None, id="greedy"),
+    pytest.param(TGENSolver, "kernel", id="tgen"),
+    pytest.param(TGENSolver, "python", id="tgen-python"),
+    pytest.param(APPSolver, None, id="app"),
 ]
 
 
 class TestHeuristicSolverParity:
     @pytest.mark.parametrize(
-        "make_solver, batch_regime", SOLVER_REGIMES, indirect=["batch_regime"]
+        "make_solver, tgen_path", SOLVER_PATHS, indirect=["tgen_path"]
     )
-    def test_solve_is_byte_identical(self, engine, workload, make_solver, batch_regime):
+    def test_solve_is_byte_identical(self, engine, workload, make_solver, tgen_path):
         solver = make_solver()
         for query in workload:
             instance = engine.build_instance(query)
@@ -171,12 +142,11 @@ class TestHeuristicSolverParity:
             a = twin(solver).solve(instance)
             b = solver.solve(instance)
             _assert_identical(a, b, (solver.name, query.keywords, query.region))
-        batch_regime.check()
 
     @pytest.mark.parametrize(
-        "make_solver, batch_regime", SOLVER_REGIMES, indirect=["batch_regime"]
+        "make_solver, tgen_path", SOLVER_PATHS, indirect=["tgen_path"]
     )
-    def test_topk_is_byte_identical(self, engine, workload, make_solver, batch_regime):
+    def test_topk_is_byte_identical(self, engine, workload, make_solver, tgen_path):
         solver = make_solver()
         for query in workload[:3]:
             instance = engine.build_instance(query)
@@ -185,7 +155,6 @@ class TestHeuristicSolverParity:
             assert len(topk_dict.results) == len(topk_dense.results)
             for a, b in zip(topk_dict.results, topk_dense.results):
                 _assert_identical(a, b, (solver.name, query.keywords))
-        batch_regime.check()
 
 
 TGEN_SETTINGS = {
@@ -196,36 +165,37 @@ TGEN_SETTINGS = {
 
 
 class TestTGENParity:
-    """The TGEN settings and paths that the dense loop's tuple representation
-    touches: per-node eviction, edge order, the top-k pool and truncation, each
-    in both per-edge regimes."""
+    """The TGEN settings and paths that the dense tuple representation
+    touches: per-node eviction, edge order, pruning, the top-k pool and
+    truncation, each on the kernel and on the Python loop."""
 
     @pytest.mark.parametrize(
         "settings", list(TGEN_SETTINGS.values()), ids=list(TGEN_SETTINGS)
     )
-    def test_settings_are_byte_identical(self, engine, workload, settings, batch_regime):
+    def test_settings_are_byte_identical(self, engine, workload, settings, tgen_path):
         solver = TGENSolver(**settings)
-        dense_results = []
         for query in workload:
             instance = engine.build_instance(query)
             for pruning in (True, False):
                 pinned = instance.with_pruning(pruning)
                 a = twin(solver).solve(pinned)
                 b = solver.solve(pinned)
-                dense_results.append(b)
                 context = (settings, pruning, query.keywords, query.region)
                 _assert_identical(a, b, context)
                 if not pruning:
                     _assert_same_work(a, b, context)
-        assert _edges_batched(dense_results) == batch_regime.batched
-        batch_regime.check()
+                # The twin never prunes, so the pruned counters are checked
+                # against the Python loop.
+                _assert_same_as_the_python_loop(
+                    b, tgen_path, lambda: solver.solve(pinned), context
+                )
 
     @pytest.mark.parametrize(
         "settings",
         [{}] + list(TGEN_SETTINGS.values()),
         ids=["default"] + list(TGEN_SETTINGS),
     )
-    def test_topk_is_byte_identical(self, engine, workload, settings, batch_regime):
+    def test_topk_is_byte_identical(self, engine, workload, settings, tgen_path):
         solver = TGENSolver(**settings)
         for query in workload:
             instance = engine.build_instance(query)
@@ -234,10 +204,9 @@ class TestTGENParity:
                 solver.solve_topk(instance, k=3),
                 (settings, query.keywords, query.region),
             )
-        batch_regime.check()
 
     @pytest.mark.parametrize("polls", [5, 40, 150])
-    def test_truncated_runs_are_identical(self, engine, workload, polls, batch_regime):
+    def test_truncated_runs_are_identical(self, engine, workload, polls, tgen_path):
         solver = TGENSolver()
         truncated = 0
         for query in workload:
@@ -252,9 +221,9 @@ class TestTGENParity:
             assert {key: a.stats[key] for key in shared} == {
                 key: b.stats[key] for key in shared
             }, context
+            assert b.stats["edges_skipped"] == 0.0, context
             truncated += a.stats.get("budget_expired", 0.0) > 0.0
         assert truncated, "the poll budget must cut some runs short"
-        batch_regime.check()
 
 
 WIDE_SETTINGS = {"default": {}, **TGEN_SETTINGS}
@@ -262,7 +231,7 @@ WIDE_SETTINGS = {"default": {}, **TGEN_SETTINGS}
 
 class TestWideWindowParity:
     """A window-less 34×34 grid: 1,156 positions, so a node mask spans many
-    machine words (19 in the batched step's packed masks)."""
+    machine words (19 in the kernel's masks)."""
 
     @pytest.fixture(scope="class")
     def wide_instance(self):
@@ -282,32 +251,29 @@ class TestWideWindowParity:
     @pytest.mark.parametrize(
         "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
     )
-    def test_solve_is_byte_identical(self, wide_instance, settings, batch_regime):
+    def test_solve_is_byte_identical(self, wide_instance, settings, tgen_path):
         solver = TGENSolver(**settings)
         a = twin(solver).solve(wide_instance)
         b = solver.solve(wide_instance)
         _assert_identical(a, b, ("wide", settings))
         _assert_same_work(a, b, ("wide", settings))
-        assert _edges_batched([b]) == batch_regime.batched
-        batch_regime.check()
 
     @pytest.mark.parametrize(
         "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
     )
-    def test_topk_is_byte_identical(self, wide_instance, settings, batch_regime):
+    def test_topk_is_byte_identical(self, wide_instance, settings, tgen_path):
         solver = TGENSolver(**settings)
         _assert_topk_identical(
             twin(solver).solve_topk(wide_instance, k=3),
             solver.solve_topk(wide_instance, k=3),
             ("wide-topk", settings),
         )
-        batch_regime.check()
 
 
 class TestHeavyInstanceParity:
     """A paper-default TGEN query at the perfbench ``tgen-paper`` scale (a
-    42×42 grid with 6,000 objects, a 4 km² window and ∆ = 2 km), where edges
-    reach the production batch threshold on their own."""
+    42×42 grid with 6,000 objects, a 4 km² window and ∆ = 2 km), where node
+    arrays hold hundreds of tuples and the kernel's arena grows many times."""
 
     @pytest.fixture(scope="class")
     def heavy_instance(self):
@@ -322,11 +288,10 @@ class TestHeavyInstanceParity:
         )[0]
         return engine.build_instance(query).with_pruning(False)
 
-    def test_solve_is_byte_identical(self, heavy_instance):
+    def test_solve_is_byte_identical(self, heavy_instance, tgen_path):
         solver = TGENSolver()
         a = twin(solver).solve(heavy_instance)
         b = solver.solve(heavy_instance)
-        assert b.stats["edges_batched"] > 0
         _assert_identical(a, b, "heavy")
         _assert_same_work(a, b, "heavy")
 

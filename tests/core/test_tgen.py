@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -33,6 +34,16 @@ class TestParameterValidation:
         # one-node region of weight 0.
         with pytest.raises(SolverError):
             TGENSolver(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-19, 5e-324])
+    def test_alpha_whose_scaled_weights_overflow_is_rejected(self, paper_instance, alpha):
+        # At α = 1e-19 the heaviest of the six nodes scales to 6e19, past
+        # int64: the dense loop used to wrap it to a negative weight while
+        # the twin kept exact ints. At 5e-324 θ underflows to 0.
+        with pytest.raises(SolverError):
+            TGENSolver(alpha=alpha).solve(paper_instance)
+        with pytest.raises(SolverError):
+            ReferenceTGEN(alpha=alpha).solve(paper_instance)
 
     def test_edge_order_validated(self):
         with pytest.raises(SolverError):
@@ -155,7 +166,7 @@ class TestDominanceTies:
     compete with edges of 0.3. The stored regions feed later combinations, so
     a store that ignored ``EPS`` or let a tie replace would change the answers
     and counters compared below. TGEN must keep what its reference twin keeps,
-    in the per-pair loop and in the batched step.
+    on its kernel and on its Python loop.
     """
 
     EDGES = [
@@ -204,15 +215,16 @@ class TestDominanceTies:
         ReferenceTGEN(alpha=0.5).solve(instance)
         assert seen == {"exact", "shorter-later", "longer-later"}
 
-    @staticmethod
-    def _assert_matches_the_reference(instance, cap=None):
-        """Solve and answer top-5 with TGEN and its twin; return TGEN's solve."""
+    @pytest.mark.parametrize("cap", [None, 2], ids=["uncapped", "cap2"])
+    def test_matches_the_reference(self, instance, cap, tgen_path):
+        """Solve and answer top-5 with TGEN and its twin."""
         solver = TGENSolver(alpha=0.5, max_tuples_per_node=cap)
         reference = ReferenceTGEN(alpha=0.5, max_tuples_per_node=cap)
         a = reference.solve(instance)
         b = solver.solve(instance)
         for key in ("tuples_generated", "edges_processed"):
             assert a.stats[key] == b.stats[key]
+        assert b.stats["edges_skipped"] == 0.0
         topk_a = reference.solve_topk(instance, k=5).results
         topk_b = solver.solve_topk(instance, k=5).results
         assert len(topk_a) == len(topk_b) > 1
@@ -222,23 +234,28 @@ class TestDominanceTies:
             assert result_a.weight == result_b.weight
             assert result_a.length == result_b.length
             assert result_a.scaled_weight == result_b.scaled_weight
-        return b
 
-    @pytest.mark.parametrize("cap", [None, 2], ids=["uncapped", "cap2"])
-    @pytest.mark.parametrize("forced", [False, True], ids=["production", "forced-batch"])
-    def test_matches_the_reference(self, instance, monkeypatch, cap, forced):
-        if forced:
-            monkeypatch.setattr(TGENSolver, "_BATCH_PAIRS", 1)
-            monkeypatch.setattr(TGENSolver, "_PREFILTER_PAIRS", 1)
-        result = self._assert_matches_the_reference(instance, cap)
-        expected = result.stats["edges_processed"] if forced else 0
-        assert result.stats["edges_batched"] == expected
 
-    def test_a_wide_key_span_runs_the_per_pair_loop(self, instance, monkeypatch):
-        # Every edge would batch, but no key range fits the lookup table, so
-        # each batch hands its edge back to the per-pair loop untouched.
-        monkeypatch.setattr(TGENSolver, "_BATCH_PAIRS", 1)
-        monkeypatch.setattr(TGENSolver, "_PREFILTER_PAIRS", 1)
-        monkeypatch.setattr(TGENSolver, "_BATCH_SPAN", 0)
-        result = self._assert_matches_the_reference(instance)
-        assert result.stats["edges_batched"] == 0
+class TestEdgeLengthTies:
+    """``edge_order="length"`` on a grid of equal blocks: every edge of a node
+    ties, so the sort must keep CSR order, as the twin's stable sort does. A
+    sort that reorders ties visits the nodes in another order and generates
+    other tuples."""
+
+    def test_ties_keep_csr_order(self, tgen_path):
+        network = grid_network(5, 5, spacing=100.0)
+        rng = random.Random(4)
+        weights = {
+            node: round(rng.uniform(0.1, 1.0), 2)
+            for node in network.node_ids()
+            if rng.random() < 0.5
+        }
+        query = LCMSRQuery.create(["t"], delta=450.0)
+        instance = build_instance(network, query, node_weights=weights, pruning=False)
+        a = ReferenceTGEN(alpha=0.2, edge_order="length").solve(instance)
+        b = TGENSolver(alpha=0.2, edge_order="length").solve(instance)
+        assert a.region.nodes == b.region.nodes
+        assert a.region.edges == b.region.edges
+        assert (a.weight, a.length, a.scaled_weight) == (b.weight, b.length, b.scaled_weight)
+        for key in ("tuples_generated", "edges_processed"):
+            assert a.stats[key] == b.stats[key]

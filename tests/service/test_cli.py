@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import tgen
 from repro.engine import LCMSREngine
 from repro.service.persist import FORMAT_VERSION, read_manifest
 
@@ -58,6 +59,16 @@ class TestInfo:
             "index.pkl",
             "vocabulary.json",
         }
+
+    def test_info_names_the_tgen_kernel(self, cli_artifact, capsys, monkeypatch):
+        assert main(["info", str(cli_artifact)]) == 0
+        assert f"tgen kernel    : {tgen.kernel_description()}" in capsys.readouterr().out
+        # Without a kernel, the Python loop and the reason.
+        monkeypatch.setattr(tgen, "_KERNEL", None)
+        monkeypatch.setattr(tgen, "KERNEL_FALLBACK", "no compiler: cc")
+        assert main(["info", str(cli_artifact), "--json"]) == 0
+        raw = json.loads(capsys.readouterr().out)
+        assert raw["tgen_kernel"] == "python (no compiler: cc)"
 
     def test_info_on_missing_artifact_fails_cleanly(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "missing")]) == 2
