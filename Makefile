@@ -21,14 +21,19 @@ test:
 # artifact and the sampled tier's probe; and the sampled tier's full-budget
 # read, which must equal the exact sums bit for bit (TestEscapeHatch). TGEN's
 # cases, with its dominance near-ties and edge-length ties (test_tgen.py),
-# run twice: on the compiled kernel (tgen_kernel.c) and on the Python loop
-# that runs where no compiler builds it, plus one tgen-paper-scale instance.
-# The fast gate to run after touching a solver hot loop, a skip branch or a
-# scoring kernel.
+# and Greedy's, with its counters against the Python loop, its pruning, its
+# rebound substrates, its tie rules and boundaries (test_kernel.py's
+# TestGreedyTies and TestGreedyBoundaries) and test_greedy.py, run twice: on
+# the compiled kernel (kernel.c) and on the Python loops that run where no
+# compiler builds it, each against its reference twin, plus one
+# tgen-paper-scale instance. The fast gate to run after touching a solver hot
+# loop, a skip branch or a scoring kernel.
 test-parity:
 	$(PYTHON) -m pytest tests/core/test_solver_backend_parity.py \
 		tests/core/test_tgen.py::TestDominanceTies \
 		tests/core/test_tgen.py::TestEdgeLengthTies \
+		tests/core/test_greedy.py tests/core/test_kernel.py::TestGreedyTies \
+		tests/core/test_kernel.py::TestGreedyBoundaries \
 		tests/core/test_solver_properties.py::TestBackendIdentity \
 		tests/core/test_pruning_parity.py tests/core/test_backend_parity.py \
 		tests/textindex/test_columnar.py tests/textindex/test_window_kernel.py \
@@ -52,13 +57,13 @@ docs-check:
 	$(PYTHON) -m pytest tests/test_docs.py -q
 
 # Byte-compile the whole source tree: a fast syntax/import-shape gate that
-# catches broken modules the test run might not import. TGEN's C kernel is
-# compiled too, with every warning an error (its runtime build in
-# repro.core.tgen_kernel uses the same -std, -O2 and -ffp-contract flags).
+# catches broken modules the test run might not import. The solvers' C kernel
+# is compiled too, with every warning an error (its runtime build in
+# repro.core.kernel uses the same -std, -O2 and -ffp-contract flags).
 compile-check:
 	$(PYTHON) -m compileall -q src
 	$(CC) -std=c99 -O2 -ffp-contract=off -Wall -Wextra -Werror \
-		-c -o /dev/null src/repro/core/tgen_kernel.c
+		-c -o /dev/null src/repro/core/kernel.c
 
 # Reachability audit (tools/reach.py; about 25 minutes on 2 CPUs, not part of
 # tier-1): run perfbench's four workloads, the four smoke targets, the

@@ -5,10 +5,9 @@ environments without the ``wheel`` package (where PEP-660 editable installs are
 unavailable), via ``pip install -e . --no-use-pep517`` or
 ``python setup.py develop``.
 
-It ships the C source of TGEN's kernel as package data and compiles nothing:
-the first import of :mod:`repro.core.tgen` builds the kernel next to it (see
-:mod:`repro.core.tgen_kernel`), and without a compiler TGEN runs its Python
-loop.
+It ships the C source of the solvers' kernel as package data and compiles
+nothing: the first import of :mod:`repro.core.kernel` builds the kernel next to
+it, and without a compiler TGEN and Greedy run their Python loops.
 """
 
 import re
@@ -30,6 +29,6 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro.core": ["tgen_kernel.c"]},
+    package_data={"repro.core": ["kernel.c"]},
     install_requires=["numpy"],
 )

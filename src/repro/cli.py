@@ -10,7 +10,8 @@ share one prebuilt artifact instead of each paying the full indexing pipeline:
   build million-object configurations in bounded memory);
 * ``python -m repro info artifacts/ny`` — print the manifest (format version,
   dataset fingerprint, checksums, per-file on-disk sizes and compression ratio)
-  without loading the indexes, and the TGEN kernel this installation runs;
+  without loading the indexes, and the compiled solver kernel this installation
+  runs (or why its solvers run their Python loops);
 * ``python -m repro query artifacts/ny --keywords cafe,bar --delta 2000`` — load
   the artifact (CSR arrays memory-mapped) and answer one LCMSR query;
 * ``python -m repro serve-batch artifacts/ny --synthesize 32`` — run a batch of
@@ -160,20 +161,20 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------- info
 def _cmd_info(args: argparse.Namespace) -> int:
-    from repro.core.tgen import kernel_description
+    from repro.core import kernel
     from repro.service.persist import read_manifest, verify_artifact
 
     manifest = verify_artifact(args.artifact) if args.verify else read_manifest(args.artifact)
     if args.json:
         fields = asdict(manifest)
-        fields["tgen_kernel"] = kernel_description()
+        fields["kernel"] = kernel.describe()
         print(json.dumps(fields, sort_keys=True, indent=2))
         return 0
     print(f"artifact {args.artifact}")
     print(f"  format version : {manifest.format_version}")
     print(f"  fingerprint    : {manifest.fingerprint}")
     print(f"  scoring mode   : {manifest.scoring_mode}")
-    print(f"  tgen kernel    : {kernel_description()}")
+    print(f"  kernel         : {kernel.describe()}")
     if manifest.shard is not None:
         print(
             f"  shard          : part {manifest.shard.get('part')} of "

@@ -38,8 +38,14 @@ load-bearing:
 
 Instances are immutable after construction, cheap to share across threads, and
 pickle down to their defining arrays (the serving layer caches them instead of
-full :class:`~repro.core.instance.ProblemInstance` objects — smaller, and no
-per-entry graph copies).
+full :class:`~repro.core.instance.ProblemInstance` objects — no per-entry
+weight dict and no per-entry graph copies). The list mirrors
+(:meth:`DenseInstance.ids_list`, :meth:`DenseInstance.sigma_list`,
+:meth:`DenseInstance.position_of` and the window graph's
+``adjacency_arrays()``) are built lazily and then stay on the instance, so a
+cached entry keeps them. Greedy and TGEN solves on the compiled kernel build
+none of them; the paths that do are the solvers' Python fallbacks, APP's quota
+solver, Exact and the reference twins.
 """
 
 from __future__ import annotations

@@ -21,12 +21,15 @@ from the paper" section of ``docs/ARCHITECTURE.md``.
 
 Candidate enumeration order is part of the determinism contract: each round scans
 the region's members in *insertion order* and each member's neighbours in graph
-iteration order. The loop runs on the instance's
+iteration order. The expansion runs on the instance's
 :class:`~repro.core.dense.DenseInstance` and replays exactly that sequence —
 members append their CSR rows (with ranks precomputed once) to one flat
-candidate table as they join, so one list-indexed scan selects the same
-attachment, bit for bit, as the dict-keyed loop of
-:class:`~repro.core.reference.ReferenceGreedy`.
+candidate table as they join, so one scan selects the same attachment, bit for
+bit, as the dict-keyed loop of :class:`~repro.core.reference.ReferenceGreedy`.
+Each grown region is one call into the compiled kernel (``kernel.c``, built
+and loaded by :mod:`repro.core.kernel` on first import), on the substrate's
+arrays; where no compiler works, the Python loop :meth:`GreedySolver._grow_dense`
+grows it instead, with the same answers and counters.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core import kernel
 from repro.core.anytime import annotate_anytime_stats
 from repro.core.dense import DenseInstance
 from repro.core.instance import ProblemInstance
@@ -132,20 +136,50 @@ class GreedySolver:
         budget=None,
         stats: Optional[Dict[str, float]] = None,
     ) -> Optional[Region]:
-        """Grow one region on the instance's substrate, avoiding ``excluded`` ids."""
+        """Grow one region on the instance's substrate, avoiding ``excluded`` ids.
+
+        The compiled kernel grows it where its library loaded, and
+        :meth:`_grow_dense` where it did not; both make the same decisions in
+        the same order, so they return the same region and counters.
+        """
         dense = instance.dense
         mask = bytearray(dense.num_nodes)
         if excluded:
-            position_of = dense.position_of()
-            for node_id in excluded:
-                mask[position_of[node_id]] = 1
-        return self._grow_dense(
-            dense,
-            instance.query.delta,
-            mask,
-            pruning=instance.pruning,
-            stats=stats,
-            budget=budget,
+            taken = np.fromiter(excluded, dtype=np.int64, count=len(excluded))
+            np.frombuffer(mask, dtype=np.uint8)[np.isin(dense.ids, taken)] = 1
+        library = kernel.LIBRARY
+        if library is None:
+            return self._grow_dense(
+                dense,
+                instance.query.delta,
+                mask,
+                pruning=instance.pruning,
+                stats=stats,
+                budget=budget,
+            )
+        grown = library.greedy_grow(
+            dense, self.mu, instance.query.delta, mask, instance.pruning, budget
+        )
+        if grown is None:
+            return None
+        if stats is not None:
+            if grown.expired:
+                stats["budget_expired"] = 1.0
+            stats["greedy_candidates_scanned"] = (
+                stats.get("greedy_candidates_scanned", 0.0) + grown.scanned
+            )
+            stats["greedy_candidates_compacted"] = (
+                stats.get("greedy_candidates_compacted", 0.0) + grown.compacted
+            )
+        nodes = dense.ids[grown.positions].tolist()
+        members = dense.ids[grown.attached[1:]].tolist()
+        return Region(
+            nodes=frozenset(nodes),
+            edges=frozenset(
+                edge_key(member, node) for member, node in zip(members, nodes[1:])
+            ),
+            length=grown.length,
+            weight=sum(dense.sigma[grown.positions].tolist()),
         )
 
     def _grow_dense(
@@ -158,6 +192,9 @@ class GreedySolver:
         budget=None,
     ) -> Optional[Region]:
         """Grow one region over local node positions (``excluded`` is a byte mask).
+
+        This is the expansion in Python: it runs where the compiled kernel
+        could not be built, and the parity suite checks the kernel against it.
 
         Candidate ranks are constants per (member, neighbour) edge, so each new
         member appends its CSR row — rank precomputed once — to one flat

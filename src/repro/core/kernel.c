@@ -1,10 +1,14 @@
 /*
- * TGEN's tuple loop (paper Section 5, Algorithm 2) over a DenseInstance's
- * arrays: the compiled form of TGENSolver._run_dense in tgen.py, called once
- * per solve through ctypes (see tgen_kernel.py, which builds and loads it).
+ * The solvers' compiled loops over a DenseInstance's arrays, called through
+ * ctypes (see kernel.py, which builds and loads this one library):
  *
- * Its answers, floats and counters are those of the Python loop, because it
- * keeps the loop's decisions and their order:
+ *   - tgen_solve: TGEN's tuple loop (paper Section 5, Algorithm 2), the
+ *     compiled form of TGENSolver._run_dense in tgen.py, once per solve;
+ *   - greedy_grow: Greedy's expansion (paper Section 6.1), the compiled form
+ *     of GreedySolver._grow_dense in greedy.py, once per grown region.
+ *
+ * TGEN's answers, floats and counters are those of its Python loop, because
+ * it keeps the loop's decisions and their order:
  *
  *   - the traversal: the given seed order, a BFS over CSR slots, the visited
  *     edge set keyed by the position pair, the length and pruning tests, and
@@ -18,11 +22,12 @@
  *     replacement keeps its key's place, and an eviction re-inserts the kept
  *     keys in descending order (_keep_best).
  *
- * A budget is polled through a callback once per CSR slot, where the Python
- * loop polls. The kernel keeps no static state: a solve lives in one Solve
- * record on the caller's stack, so concurrent calls (ctypes releases the GIL)
- * are independent. Every allocation is checked; a failure returns
- * TGEN_NO_MEMORY after freeing what the solve allocated.
+ * Greedy's rules are listed above greedy_grow. Each entry point polls a
+ * budget through a callback where its Python loop polls. The library keeps
+ * no static state: a call lives in records on the caller's stack and in
+ * what it allocates, so concurrent calls (ctypes releases the GIL) are
+ * independent. Every allocation is checked; a failure returns
+ * KERNEL_NO_MEMORY after freeing what the call allocated.
  */
 
 #include <float.h>
@@ -31,13 +36,14 @@
 #include <string.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
-#error "TGEN's kernel needs every double operation rounded to double"
+#error "the kernel needs every double operation rounded to double"
 #endif
 
-#define TGEN_OK 0
-#define TGEN_NO_MEMORY 1
+#define KERNEL_OK 0
+#define KERNEL_NO_MEMORY 1
 
-typedef int (*tgen_poll)(void);
+/* A budget poll: nonzero once the budget has expired. */
+typedef int (*kernel_poll)(void);
 
 /* What one solve reads. Every array stays owned by the caller. */
 typedef struct {
@@ -56,7 +62,7 @@ typedef struct {
     int32_t prune;            /* skip edges between zero-scaled arrays */
     int32_t top_k;            /* ranked tuples to return, 0 for no pool */
     int32_t pool_size;        /* the pool is cut back to this size */
-    tgen_poll expired;        /* the budget poll, NULL for no budget */
+    kernel_poll expired;      /* the budget poll, NULL for no budget */
 } TgenInput;
 
 /* One region tuple. In the kernel's arena left and right are arena ids; in
@@ -655,10 +661,171 @@ int tgen_solve(const TgenInput *in, TgenOutput *out)
     free(s.snap);
     free(s.pool);
     free(s.pool_tmp);
-    return rc == 0 ? TGEN_OK : TGEN_NO_MEMORY;
+    return rc == 0 ? KERNEL_OK : KERNEL_NO_MEMORY;
 }
 
 void tgen_free(TgenRow *forest)
 {
     free(forest);
+}
+
+/* ================================================================= Greedy */
+
+/* What one grown region reads. Every array stays owned by the caller. */
+typedef struct {
+    int32_t n;                /* window positions */
+    const int32_t *indptr;    /* CSR row pointers, n + 1 */
+    const int32_t *indices;   /* CSR columns, as positions */
+    const double *lengths;    /* edge lengths, aligned with indices */
+    const double *sigma;      /* sigma_v per position */
+    const int64_t *ids;       /* node id per position */
+    const int32_t *relevant;  /* the relevant positions, relevant_order */
+    int32_t nrelevant;
+    const uint8_t *excluded;  /* n bytes, 1 where an earlier region grew */
+    double mu;                /* the rank's balance parameter */
+    double tau_max;           /* the longest window edge, or 1.0 */
+    double delta_eps;         /* delta + 1e-12, the length test */
+    int32_t prune;            /* compact the candidate table */
+    kernel_poll expired;      /* the budget poll, NULL for no budget */
+} GreedyInput;
+
+/* What one grown region returns. positions and attached are the caller's
+ * buffers of n entries: positions[0 .. size) are the region's positions in
+ * the order they joined, and attached[i] is the member positions[i] joined
+ * through (attached[0] = -1 for the seed). size is 0 when no region grows:
+ * no relevant position is available, or their largest sigma is not
+ * positive. */
+typedef struct {
+    int64_t scanned;          /* candidate entries scanned, over all rounds */
+    int64_t compacted;        /* entries dropped by compaction */
+    double length;            /* the region's length */
+    int32_t expired;
+    int32_t size;
+    int32_t *positions;
+    int32_t *attached;
+} GreedyOutput;
+
+/* One entry of the candidate table: an edge from a member to a position. */
+typedef struct {
+    double length;
+    double rank;
+    int64_t id;               /* the position's node id, the tie-breaker */
+    int32_t pos;
+    int32_t member;
+} Candidate;
+
+/* An entry that can never be selected again: its position joined the region
+ * or is excluded, or its edge no longer fits (the length only grows). */
+static int candidate_dead(const GreedyInput *in, const uint8_t *in_region, const Candidate *c,
+                          double total)
+{
+    return in_region[c->pos] || in->excluded[c->pos] || total + c->length > in->delta_eps;
+}
+
+/* Grow one region as GreedySolver._grow_dense does, with its decisions in
+ * its order:
+ *
+ *   - the seed is the available relevant position of largest sigma, the
+ *     largest id on ties, and sigma_max is that sigma;
+ *   - each member, as it joins, appends its CSR row in order to one
+ *     candidate table, ranked mu * (1.0 - l / tau_max)
+ *     + (1.0 - mu) * sigma / sigma_max with the loop's expression tree;
+ *   - each round polls the budget once, then scans the whole table: the
+ *     first live entry, then any of higher rank or of rank within 1e-12
+ *     and a smaller id, wins;
+ *   - with prune set, once dead entries make up over half of a table of
+ *     more than 64, judged after the selection, the table keeps only its
+ *     live entries, in order. Only dead entries go, so the selections are
+ *     the unpruned ones. */
+int greedy_grow(const GreedyInput *in, GreedyOutput *out)
+{
+    int32_t k, seed = -1, count = 0, cap = 0, member;
+    double sigma_max = 0.0, total = 0.0, one_minus_mu = 1.0 - in->mu;
+    Candidate *table = NULL;
+    uint8_t *in_region;
+
+    out->scanned = out->compacted = 0;
+    out->length = 0.0;
+    out->expired = out->size = 0;
+    for (k = 0; k < in->nrelevant; k++) {
+        int32_t pos = in->relevant[k];
+        if (in->excluded[pos])
+            continue;
+        if (seed < 0 || in->sigma[pos] > sigma_max
+            || (in->sigma[pos] == sigma_max && in->ids[pos] > in->ids[seed])) {
+            seed = pos;
+            sigma_max = in->sigma[pos];
+        }
+    }
+    if (seed < 0 || sigma_max <= 0.0)
+        return KERNEL_OK;
+    in_region = calloc((size_t)in->n, 1);
+    if (in_region == NULL)
+        return KERNEL_NO_MEMORY;
+    in_region[seed] = 1;
+    out->positions[0] = seed;
+    out->attached[0] = -1;
+    out->size = 1;
+    member = seed;
+    for (;;) {
+        int32_t slot, first = in->indptr[member], last = in->indptr[member + 1];
+        int32_t best = -1, dead = 0;
+        double best_rank = 0.0;
+        int64_t best_id = -1;
+        if (in->expired != NULL && in->expired()) {
+            out->expired = 1;
+            break;
+        }
+        if (grow((void **)&table, &cap, (int64_t)count + (last - first), sizeof(Candidate))) {
+            free(table);
+            free(in_region);
+            return KERNEL_NO_MEMORY;
+        }
+        for (slot = first; slot < last; slot++) {
+            Candidate *c = &table[count++];
+            c->pos = in->indices[slot];
+            c->member = member;
+            c->length = in->lengths[slot];
+            c->rank = in->mu * (1.0 - c->length / in->tau_max)
+                      + one_minus_mu * in->sigma[c->pos] / sigma_max;
+            c->id = in->ids[c->pos];
+        }
+        for (slot = 0; slot < count; slot++) {
+            const Candidate *c = &table[slot];
+            double gap;
+            if (candidate_dead(in, in_region, c, total)) {
+                dead++;
+                continue;
+            }
+            gap = c->rank - best_rank;
+            if (gap < 0)
+                gap = -gap;
+            if (best < 0 || c->rank > best_rank || (gap <= 1e-12 && c->id < best_id)) {
+                best = slot;
+                best_rank = c->rank;
+                best_id = c->id;
+            }
+        }
+        out->scanned += count;
+        if (best < 0)
+            break;
+        member = table[best].pos;
+        in_region[member] = 1;
+        out->positions[out->size] = member;
+        out->attached[out->size] = table[best].member;
+        out->size++;
+        total += table[best].length;
+        if (in->prune && 2 * (int64_t)dead > count && count > 64) {
+            int32_t kept = 0;
+            for (slot = 0; slot < count; slot++)
+                if (!candidate_dead(in, in_region, &table[slot], total))
+                    table[kept++] = table[slot];
+            out->compacted += count - kept;
+            count = kept;
+        }
+    }
+    out->length = total;
+    free(table);
+    free(in_region);
+    return KERNEL_OK;
 }

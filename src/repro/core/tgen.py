@@ -11,10 +11,10 @@ shortest region per (node, scaled weight) pair is kept, the enumeration is bound
 ``O(|EQ| · Tmax²)`` while possibly discarding the optimum — TGEN is a heuristic, but
 the paper (and our benchmarks) find it the most accurate of the three algorithms.
 
-The solver runs on the dense substrate. Each solve is one call into a compiled
-kernel (``tgen_kernel.c``, built and loaded by :mod:`repro.core.tgen_kernel` on
-first import) that runs the whole traversal; where no compiler works, the Python
-loop :meth:`TGENSolver._run_dense` runs it instead, with the same answers.
+The solver runs on the dense substrate. Each solve is one call into the compiled
+kernel (``kernel.c``, built and loaded by :mod:`repro.core.kernel` on first
+import) that runs the whole traversal; where no compiler works, the Python loop
+:meth:`TGENSolver._run_dense` runs it instead, with the same answers.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import time
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core import tgen_kernel
+from repro.core import kernel
 from repro.core.anytime import annotate_anytime_stats
 from repro.core.dense import DenseInstance
 from repro.core.instance import ProblemInstance
@@ -45,19 +45,6 @@ from repro.network.graph import edge_key
 #: ``right`` from the array of ``v``) and joins them through the edge
 #: ``(u, v)``; a singleton has no parents and ``u == v`` is its position.
 DenseTuple = Tuple[Any, ...]
-
-#: The compiled traversal, or ``None`` where it could not be built; then
-#: :data:`KERNEL_FALLBACK` says why and the Python loop runs.
-_KERNEL, KERNEL_FALLBACK = tgen_kernel.load()
-
-
-def kernel_description() -> str:
-    """The TGEN traversal that solves run: the kernel library's path, or
-    ``python`` and why the kernel is not in use."""
-    if _KERNEL is not None:
-        return str(_KERNEL.path)
-    return f"python ({KERNEL_FALLBACK})"
-
 
 class TGENSolver:
     """The paper's TGEN algorithm.
@@ -189,19 +176,20 @@ class TGENSolver:
         pool_size = max(64, 16 * top_k)
         # The pool deliberately admits zero-scaled tuples, so it turns pruning off.
         prune = instance.pruning and not top_k
-        if _KERNEL is None:
+        library = kernel.LIBRARY
+        if library is None:
             best, ranked, stats = self._run_dense(
                 instance, dense, scaled.tolist(), seeds.tolist(), top_k, pool_size, prune
             )
+            ids = dense.ids_list()
         else:
-            best, ranked, stats = _KERNEL.solve(
+            best, ranked, stats, ids = library.tgen_solve(
                 dense, scaled, seeds, instance.query.delta, self.max_tuples_per_node,
                 self.edge_order == "length", prune, top_k, pool_size, instance.budget,
             )
-        ids_list = dense.ids_list()
         return (
-            _materialise(best, ids_list),
-            [_materialise(t, ids_list) for t in ranked],
+            _materialise(best, ids),
+            [_materialise(t, ids) for t in ranked],
             stats,
         )
 
@@ -531,7 +519,7 @@ def _keep_best(entries: Dict[int, DenseTuple], keep: int) -> None:
     entries.update(survivors)
 
 
-def _materialise(root: DenseTuple, ids: List[int]) -> RegionTuple:
+def _materialise(root: DenseTuple, ids: Sequence[int] | Mapping[int, int]) -> RegionTuple:
     """Rebuild the :class:`RegionTuple` of a dense tuple from its parent links.
 
     An explicit stack lists the derivation tree parents-first; walking that

@@ -104,12 +104,20 @@ class CompactNetwork:
             raise GraphError("indptr must have num_nodes + 1 entries")
         if self._indices.shape[0] != self._lengths.shape[0]:
             raise GraphError("indices and lengths must align")
-        # Vectorised uniqueness check: keeps the "corrupt snapshot fails at
-        # construction" guarantee (important for artifact loading) without
-        # materialising the Python id map. A window view keeps
-        # a subset of already-validated ids and skip the re-check.
-        if validate_ids and np.unique(self._ids).shape[0] != n:
-            raise GraphError("duplicate node ids in snapshot")
+        # Vectorised uniqueness and length checks: keep the "corrupt snapshot
+        # fails at construction" guarantee (important for artifact loading)
+        # without materialising the Python id map. A window view keeps a
+        # subset of already-validated ids and lengths and skips the re-check.
+        if validate_ids:
+            if np.unique(self._ids).shape[0] != n:
+                raise GraphError("duplicate node ids in snapshot")
+            valid = np.isfinite(self._lengths) & (self._lengths >= 0.0)
+            if not valid.all():
+                slot = int(np.argmin(valid))
+                raise GraphError(
+                    f"CSR slot {slot} has edge length {float(self._lengths[slot])}; "
+                    "a length must be finite and non-negative"
+                )
         self._num_edges = int(self._indices.shape[0]) // 2
         # Flat Python mirrors (traversal loops index these instead of numpy arrays
         # because per-element numpy access costs far more than list indexing) and

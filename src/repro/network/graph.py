@@ -13,6 +13,7 @@ a :class:`RoadNetwork` argument is frozen into once, at entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -104,6 +105,11 @@ class RoadNetwork:
         used, which matches how the synthetic builders create metric networks.
         Adding an edge twice keeps the shorter length (parallel road segments collapse
         to the best one, which is what every algorithm in the paper assumes).
+
+        Raises:
+            NodeNotFoundError: If an endpoint is not a node of the network.
+            GraphError: On a self-loop, or a length that is negative, NaN or
+                infinite.
         """
         if u not in self._nodes:
             raise NodeNotFoundError(u)
@@ -114,8 +120,13 @@ class RoadNetwork:
         if length is None:
             length = self.euclidean(u, v)
         length = float(length)
-        if length < 0:
-            raise GraphError(f"edge ({u}, {v}) has negative length {length}")
+        # NaN fails every comparison, so it would pass a `length < 0` test,
+        # and no parallel edge could replace it.
+        if not (0.0 <= length < math.inf):
+            raise GraphError(
+                f"edge ({u}, {v}) has length {length}; a length must be finite "
+                "and non-negative"
+            )
         existing = self._adj[u].get(v)
         if existing is None:
             self._num_edges += 1

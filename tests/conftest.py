@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.core import LCMSRQuery, build_instance, tgen
+from repro.core import LCMSRQuery, build_instance, kernel
 from repro.datasets.ny import build_ny_like
 from repro.datasets.synthetic import SyntheticDataset, assemble_dataset, generate_objects_on_network
 from repro.datasets.usanw import build_usanw_like
@@ -45,53 +45,77 @@ def window_kernel(monkeypatch):
     monkeypatch.setattr(columnar, "SCAN_MAX_OBJECTS", 0)
 
 
-class TGENPath:
-    """The TGEN traversal a test runs on, with a count of kernel calls."""
+class PollBudget:
+    """A solve budget that expires after a fixed number of ``expired()`` polls.
+
+    Unlike a deadline it truncates a run at the same point on every machine,
+    so two paths of a solver, or a solver and its twin, must stop after
+    exactly the same step.
+    """
+
+    def __init__(self, polls: int) -> None:
+        self.remaining = polls
+
+    def expired(self) -> bool:
+        self.remaining -= 1
+        return self.remaining < 0
+
+    def expired_now(self) -> bool:
+        return self.remaining < 0
+
+
+class KernelPath:
+    """The solver loops a test runs on, with a count of kernel calls."""
 
     def __init__(self, monkeypatch) -> None:
         self.kernel_calls = 0
         self._monkeypatch = monkeypatch
 
     def on_python_loop(self, solve):
-        """Return ``solve()`` run on the Python loop, whichever path is active."""
+        """Return ``solve()`` run on the Python loops, whichever path is active."""
         with self._monkeypatch.context() as patch:
-            patch.setattr(tgen, "_KERNEL", None)
+            patch.setattr(kernel, "LIBRARY", None)
             return solve()
 
 
 class _CountingKernel:
-    def __init__(self, kernel, path: TGENPath) -> None:
-        self._kernel = kernel
+    def __init__(self, library, path: KernelPath) -> None:
+        self._library = library
         self._path = path
 
-    def solve(self, *args):
+    def tgen_solve(self, *args):
         self._path.kernel_calls += 1
-        return self._kernel.solve(*args)
+        return self._library.tgen_solve(*args)
+
+    def greedy_grow(self, *args):
+        self._path.kernel_calls += 1
+        return self._library.greedy_grow(*args)
 
 
 @pytest.fixture(params=["kernel", "python"])
-def tgen_path(request, monkeypatch):
-    """Run a test on TGEN's compiled kernel, then on its Python loop.
+def kernel_path(request, monkeypatch):
+    """Run a test on the compiled kernel, then on the solvers' Python loops.
 
-    The Python loop runs with the module's kernel handle set to ``None``. The
-    kernel case fails unless a TGEN solve reached the kernel, and skips only
-    where no compiler exists to build it. A test parametrized over several
-    solvers passes ``None`` for the solvers that are not TGEN.
+    The Python loops run with the kernel module's library handle set to
+    ``None``, as where no compiler builds it. The kernel case fails unless a
+    TGEN solve or a Greedy region reached the kernel, and skips only where no
+    compiler exists to build it. A test parametrized over several solvers
+    passes ``None`` for the solvers that have no compiled loop.
     """
     if request.param is None:
         yield None
         return
-    path = TGENPath(monkeypatch)
+    path = KernelPath(monkeypatch)
     if request.param == "python":
-        monkeypatch.setattr(tgen, "_KERNEL", None)
+        monkeypatch.setattr(kernel, "LIBRARY", None)
         yield path
         return
-    if tgen._KERNEL is None and tgen.KERNEL_FALLBACK.startswith("no compiler"):
-        pytest.skip(f"TGEN's kernel is not built here: {tgen.KERNEL_FALLBACK}")
-    assert tgen._KERNEL is not None, tgen.KERNEL_FALLBACK
-    monkeypatch.setattr(tgen, "_KERNEL", _CountingKernel(tgen._KERNEL, path))
+    if kernel.LIBRARY is None and kernel.FALLBACK.startswith("no compiler"):
+        pytest.skip(f"the kernel is not built here: {kernel.FALLBACK}")
+    assert kernel.LIBRARY is not None, kernel.FALLBACK
+    monkeypatch.setattr(kernel, "LIBRARY", _CountingKernel(kernel.LIBRARY, path))
     yield path
-    assert path.kernel_calls > 0, "no TGEN solve reached the kernel"
+    assert path.kernel_calls > 0, "no solve reached the kernel"
 
 
 @pytest.fixture

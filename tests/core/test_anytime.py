@@ -42,6 +42,24 @@ from tests.conftest import (
 )
 
 SOLVERS = [GreedySolver(), TGENSolver(), ExactSolver(max_nodes=16)]
+# Greedy and TGEN on the compiled kernel and on their Python loops (the
+# ``kernel_path`` fixture); Exact has one path.
+SOLVER_PATHS = [
+    pytest.param(GreedySolver(), "kernel", id="Greedy"),
+    pytest.param(GreedySolver(), "python", id="Greedy-python"),
+    pytest.param(TGENSolver(), "kernel", id="TGEN"),
+    pytest.param(TGENSolver(), "python", id="TGEN-python"),
+    pytest.param(ExactSolver(max_nodes=16), None, id="Exact"),
+]
+
+
+def _assert_same_truncated_run(result, reference):
+    """A truncated run equals its reference twin's under the same budget."""
+    assert result.region.nodes == reference.region.nodes
+    assert result.region.edges == reference.region.edges
+    assert result.weight == reference.weight
+    assert result.length == reference.length
+    assert result.stats["budget_expired"] == reference.stats["budget_expired"]
 
 
 def expired_budget() -> Budget:
@@ -207,21 +225,31 @@ class TestRegionMassBound:
         assert ExactSolver(max_nodes=32).solve(instance).weight <= bound
 
     @pytest.mark.parametrize(
-        "solver, checks",
-        [(GreedySolver(), 1), (GreedySolver(), 2),
-         (TGENSolver(), 1), (TGENSolver(), 3), (TGENSolver(), 12)],
-        ids=lambda value: getattr(value, "name", str(value)),
+        "solver, checks, kernel_path",
+        [
+            pytest.param(solver, checks, path, id=f"{solver.name}{suffix}-{checks}")
+            for solver, checks in [(GreedySolver(), 1), (GreedySolver(), 2),
+                                   (TGENSolver(), 1), (TGENSolver(), 3), (TGENSolver(), 12)]
+            for path, suffix in [("kernel", ""), ("python", "-python")]
+        ],
+        indirect=["kernel_path"],
     )
     @pytest.mark.parametrize("seed", [2, 9, 23, 41])
-    def test_truncated_runs_stay_admissible(self, solver, checks, seed):
+    def test_truncated_runs_stay_admissible(self, solver, checks, seed, kernel_path):
         # The budget's clock read at the ``checks``-th checkpoint ends the run.
         network, weights = random_weighted_network(seed, num_nodes=15)
         instance = _instance(network, weights, delta=2.0)
         optimum = ExactSolver(max_nodes=32).solve(instance).weight
-        budget = Budget(deadline=time.perf_counter() - 1.0, check_interval=checks)
-        truncated = solver.solve(instance.with_budget(budget))
+
+        def budget():
+            return Budget(deadline=time.perf_counter() - 1.0, check_interval=checks)
+
+        truncated = solver.solve(instance.with_budget(budget()))
         assert truncated.stats["budget_expired"] == 1.0
         assert optimum - truncated.weight <= truncated.stats["quality_regret_bound"]
+        _assert_same_truncated_run(
+            truncated, twin(solver).solve(instance.with_budget(budget()))
+        )
 
     def test_clustered_weights_bound_below_the_ceiling(self):
         # ∆ = 150 m covers two adjacent nodes, so a region holds at most one
@@ -246,9 +274,9 @@ class TestBudgetedSolvers:
         # The unbudgeted answer carries no quality entries at all.
         assert "quality_kind" not in plain.stats
 
-    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"])
     @pytest.mark.parametrize("seed", [2, 9, 23])
-    def test_truncated_regret_bound_is_admissible(self, solver, seed):
+    def test_truncated_regret_bound_is_admissible(self, solver, seed, kernel_path):
         network, weights = random_weighted_network(seed)
         query = LCMSRQuery.create(["t"], delta=3.0)
         instance = build_instance(network, query, node_weights=weights)
@@ -257,9 +285,13 @@ class TestBudgetedSolvers:
         assert truncated.stats["quality_kind"] == 2.0
         bound = truncated.stats["quality_regret_bound"]
         assert optimum - truncated.weight <= bound + 1e-9
+        if kernel_path is not None:
+            _assert_same_truncated_run(
+                truncated, twin(solver).solve(instance.with_budget(expired_budget()))
+            )
 
-    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda s: s.name)
-    def test_expired_budget_marks_the_run(self, paper_instance, solver):
+    @pytest.mark.parametrize("solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"])
+    def test_expired_budget_marks_the_run(self, paper_instance, solver, kernel_path):
         truncated = solver.solve(paper_instance.with_budget(expired_budget()))
         assert truncated.stats.get("budget_expired") == 1.0
 
@@ -273,11 +305,10 @@ class TestBudgetedSolvers:
         assert [r.region.nodes for r in budgeted] == [r.region.nodes for r in plain]
         assert [r.weight for r in budgeted] == [r.weight for r in plain]
 
-    @pytest.mark.parametrize(
-        "solver", [GreedySolver(), TGENSolver(), ExactSolver(max_nodes=16)],
-        ids=lambda s: s.name,
-    )
-    def test_topk_truncation_still_returns_a_result_object(self, paper_instance, solver):
+    @pytest.mark.parametrize("solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"])
+    def test_topk_truncation_still_returns_a_result_object(
+        self, paper_instance, solver, kernel_path
+    ):
         truncated = solver.solve_topk(paper_instance.with_budget(expired_budget()), 3)
         assert truncated.stats.get("budget_expired") == 1.0
 

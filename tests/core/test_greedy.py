@@ -1,4 +1,9 @@
-"""Tests for the Greedy expansion algorithm."""
+"""Tests for the Greedy expansion algorithm.
+
+The expansion tests run on the compiled kernel and on the Python loop (the
+``kernel_path`` fixture), and every answer must equal the dict loop of
+:class:`~repro.core.reference.ReferenceGreedy` on the same instance.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +11,22 @@ import pytest
 
 from repro.core import LCMSRQuery, build_instance
 from repro.core.greedy import GreedySolver
+from repro.core.reference import twin
 from repro.exceptions import SolverError
 from repro.network.builders import grid_network, paper_example_network, path_network
 
 from tests.conftest import PAPER_EXAMPLE_WEIGHTS
+
+
+def _solve(solver, instance):
+    """``solver.solve(instance)``, checked against the reference twin."""
+    result = solver.solve(instance)
+    reference = twin(solver).solve(instance)
+    assert result.region.nodes == reference.region.nodes
+    assert result.region.edges == reference.region.edges
+    assert result.weight == reference.weight
+    assert result.length == reference.length
+    return result
 
 
 class TestParameterValidation:
@@ -22,11 +39,12 @@ class TestParameterValidation:
             GreedySolver(mu=1.5)
 
 
+@pytest.mark.usefixtures("kernel_path")
 class TestExpansion:
     def test_seed_is_heaviest_node(self, paper_graph):
         query = LCMSRQuery.create(["t"], delta=0.0)
         instance = build_instance(paper_graph, query, node_weights=PAPER_EXAMPLE_WEIGHTS)
-        result = GreedySolver(mu=0.2).solve(instance)
+        result = _solve(GreedySolver(mu=0.2), instance)
         assert result.region.num_nodes == 1
         # σmax = 0.4 is shared by v3 and v6; either seed is acceptable.
         assert result.weight == pytest.approx(0.4)
@@ -35,7 +53,7 @@ class TestExpansion:
         for delta in (0.0, 2.0, 4.0, 6.0, 10.0):
             query = LCMSRQuery.create(["t"], delta=delta)
             instance = build_instance(paper_graph, query, node_weights=PAPER_EXAMPLE_WEIGHTS)
-            result = GreedySolver(mu=0.2).solve(instance)
+            result = _solve(GreedySolver(mu=0.2), instance)
             assert result.region.satisfies(delta)
             result.region.validate(paper_graph)
 
@@ -47,7 +65,7 @@ class TestExpansion:
         weights = {0: 1.0, 1: 0.1, 10: 0.9}
         query = LCMSRQuery.create(["t"], delta=5.0)
         instance = build_instance(network, query, node_weights=weights)
-        result = GreedySolver(mu=0.0).solve(instance)  # weight only
+        result = _solve(GreedySolver(mu=0.0), instance)  # weight only
         assert 10 in result.region.nodes
 
     def test_pure_length_mode_prefers_near_neighbor(self):
@@ -57,7 +75,7 @@ class TestExpansion:
         weights = {0: 1.0, 1: 0.1, 10: 0.9}
         query = LCMSRQuery.create(["t"], delta=5.0)
         instance = build_instance(network, query, node_weights=weights)
-        result = GreedySolver(mu=1.0).solve(instance)  # length only
+        result = _solve(GreedySolver(mu=1.0), instance)  # length only
         assert 1 in result.region.nodes
         assert 10 not in result.region.nodes
 
@@ -72,18 +90,18 @@ class TestExpansion:
         weights = {0: 1.0, 4: 0.8, 5: 0.8, 6: 0.8}
         query = LCMSRQuery.create(["t"], delta=2.0)
         instance = build_instance(network, query, node_weights=weights)
-        greedy_weight = GreedySolver(mu=0.2).solve(instance).weight
+        greedy_weight = _solve(GreedySolver(mu=0.2), instance).weight
         # The optimum is the cluster {4, 5, 6} with weight 2.4.
         assert greedy_weight < 2.4
 
     def test_empty_instance(self, paper_graph):
         query = LCMSRQuery.create(["t"], delta=5.0)
         instance = build_instance(paper_graph, query, node_weights={})
-        assert GreedySolver().solve(instance).is_empty
+        assert _solve(GreedySolver(), instance).is_empty
 
     def test_deterministic(self, paper_instance):
-        a = GreedySolver(mu=0.2).solve(paper_instance)
-        b = GreedySolver(mu=0.2).solve(paper_instance)
+        a = _solve(GreedySolver(mu=0.2), paper_instance)
+        b = _solve(GreedySolver(mu=0.2), paper_instance)
         assert a.region.nodes == b.region.nodes
 
     def test_grid_expansion_is_connected(self):
@@ -91,7 +109,7 @@ class TestExpansion:
         weights = {i: 0.1 + (i % 7) * 0.1 for i in range(25)}
         query = LCMSRQuery.create(["t"], delta=8.0)
         instance = build_instance(network, query, node_weights=weights)
-        result = GreedySolver(mu=0.4).solve(instance)
+        result = _solve(GreedySolver(mu=0.4), instance)
         assert result.region.is_connected()
         assert result.region.is_tree()
         assert result.region.satisfies(8.0)

@@ -11,8 +11,9 @@ bit-equal floats. Only skip counters and runtime may differ.
 
 This is the pruning counterpart of the dense-substrate suite in
 ``test_solver_backend_parity.py`` (same dataset, seeds and workload shape, so
-failures here isolate the pruning layer). Admissibility of the bounds
-themselves is covered separately in ``test_bounds.py``.
+failures here isolate the pruning layer). Greedy runs on the compiled kernel
+and on its Python loop (the ``kernel_path`` fixture). Admissibility of the
+bounds themselves is covered separately in ``test_bounds.py``.
 """
 
 from __future__ import annotations
@@ -100,15 +101,23 @@ def _assert_topk_identical(topk_a, topk_b, context):
         _assert_identical(result_a, result_b, (context, f"rank {rank}"))
 
 
+# Each heuristic; Greedy once on the kernel and once on its Python loop.
+HEURISTICS = [
+    pytest.param(GreedySolver, "kernel", id="greedy"),
+    pytest.param(GreedySolver, "python", id="greedy-python"),
+    pytest.param(TGENSolver, "kernel", id="tgen"),
+    pytest.param(APPSolver, None, id="app"),
+]
+
+
 class TestHeuristicPruningParity:
     @pytest.mark.parametrize(
-        "make_solver",
-        [GreedySolver, TGENSolver, APPSolver],
-        ids=["greedy", "tgen", "app"],
+        "make_solver, kernel_path", HEURISTICS, indirect=["kernel_path"]
     )
-    def test_solve_is_byte_identical(self, build, workload, make_solver):
+    def test_solve_is_byte_identical(self, build, workload, make_solver, kernel_path):
         solver = make_solver()
         for query in workload:
+            answers = {}
             for backend, run in (("dict", twin(solver)), ("dense", solver)):
                 instance = build(query)
                 pruned = run.solve(instance.with_pruning(True))
@@ -118,19 +127,26 @@ class TestHeuristicPruningParity:
                     reference,
                     (solver.name, backend, query.keywords, query.region),
                 )
+                answers[backend] = pruned
+            _assert_identical(
+                answers["dense"], answers["dict"], (solver.name, query.keywords)
+            )
 
     @pytest.mark.parametrize(
-        "make_solver",
-        [GreedySolver, TGENSolver, APPSolver],
-        ids=["greedy", "tgen", "app"],
+        "make_solver, kernel_path", HEURISTICS, indirect=["kernel_path"]
     )
-    def test_topk_is_byte_identical(self, build, workload, make_solver):
+    def test_topk_is_byte_identical(self, build, workload, make_solver, kernel_path):
         solver = make_solver()
         for query in workload[:2]:
             instance = build(query)
             pruned = solver.solve_topk(instance.with_pruning(True), k=3)
             reference = solver.solve_topk(instance.with_pruning(False), k=3)
             _assert_topk_identical(pruned, reference, (solver.name, query.keywords))
+            _assert_topk_identical(
+                pruned,
+                twin(solver).solve_topk(instance.with_pruning(False), k=3),
+                (solver.name, "twin", query.keywords),
+            )
 
 
 class TestExactPruningParity:
@@ -219,7 +235,7 @@ class TestDenseFirstRebindParity:
     """The serving layer's substrate-rebind path must prune like a fresh build."""
 
     def test_rebound_instances_carry_the_policy_and_solve_identically(
-        self, build, workload
+        self, build, workload, kernel_path
     ):
         query = workload[0]
         instance = build(query)

@@ -8,12 +8,15 @@ pre-substrate dict loops — same regions, same tie-breaks, bit-equal floats.
 This is the solver-layer counterpart of the network-backend and σ_v parity
 suites.
 
-TGEN runs its traversal in a compiled kernel, or in a Python loop where no
-compiler builds the kernel, so every TGEN test runs on both (the ``tgen_path``
-fixture). Without pruning TGEN and its twin must also do the same work: equal
-``tuples_generated`` and ``edges_processed``, and no edge skipped. A heavy
-instance at the perfbench ``tgen-paper`` scale checks the kernel where its
-arrays grow large.
+TGEN runs its traversal, and Greedy each grown region, in a compiled kernel,
+or in a Python loop where no compiler builds the kernel, so every TGEN and
+Greedy test runs on both (the ``kernel_path`` fixture). Without pruning TGEN
+and its twin must also do the same work: equal ``tuples_generated`` and
+``edges_processed``, and no edge skipped. Greedy's counters,
+``greedy_candidates_scanned`` and ``greedy_candidates_compacted``, must equal
+the Python loop's with pruning on and off, including on an instance where the
+candidate table is compacted. A heavy instance at the perfbench
+``tgen-paper`` scale checks the kernel where its arrays grow large.
 
 The suite runs the full indexed path (dataset → ``IndexBundle`` → engine →
 ``build_instance`` with the columnar pipeline, which attaches the dense
@@ -25,19 +28,26 @@ created from the substrate alone, with the dict view materialised lazily).
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.app import APPSolver
 from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
+from repro.core.instance import build_instance
+from repro.core.query import LCMSRQuery
 from repro.core.reference import twin
 from repro.core.tgen import TGENSolver
 from repro.datasets.ny import build_ny_like
 from repro.datasets.queries import generate_workload
 from repro.engine import LCMSREngine
+from repro.network.builders import grid_network
 from repro.network.subgraph import Rectangle
 from repro.service.bundle import IndexBundle
 from repro.textindex.relevance import ScoringMode
+
+from tests.conftest import PollBudget
 
 SEED = 23
 MODES = [
@@ -93,35 +103,24 @@ def _assert_same_work(result_a, result_b, context):
     assert result_b.stats["edges_skipped"] == 0.0, context
 
 
-def _assert_same_as_the_python_loop(result, tgen_path, solve, context):
+TGEN_COUNTERS = ("tuples_generated", "edges_processed", "edges_skipped")
+GREEDY_COUNTERS = ("greedy_candidates_scanned", "greedy_candidates_compacted")
+
+
+def _assert_same_as_the_python_loop(result, kernel_path, solve, context,
+                                    counters=TGEN_COUNTERS):
     """The active path's answer and counters equal the Python loop's."""
-    loop = tgen_path.on_python_loop(solve)
+    loop = kernel_path.on_python_loop(solve)
     _assert_identical(result, loop, context)
-    for key in ("tuples_generated", "edges_processed", "edges_skipped"):
+    for key in counters:
         assert result.stats[key] == loop.stats[key], (key, context)
 
 
-class _PollBudget:
-    """A solve budget that expires after a fixed number of ``expired()`` polls.
-
-    Unlike a deadline it truncates a run at the same point on every machine,
-    so solver and twin must stop after exactly the same edge.
-    """
-
-    def __init__(self, polls: int) -> None:
-        self.remaining = polls
-
-    def expired(self) -> bool:
-        self.remaining -= 1
-        return self.remaining < 0
-
-    def expired_now(self) -> bool:
-        return self.remaining < 0
-
-
-# Each heuristic; TGEN once on its kernel and once on its Python loop.
+# Each heuristic; Greedy and TGEN once on the kernel and once on their
+# Python loops.
 SOLVER_PATHS = [
-    pytest.param(GreedySolver, None, id="greedy"),
+    pytest.param(GreedySolver, "kernel", id="greedy"),
+    pytest.param(GreedySolver, "python", id="greedy-python"),
     pytest.param(TGENSolver, "kernel", id="tgen"),
     pytest.param(TGENSolver, "python", id="tgen-python"),
     pytest.param(APPSolver, None, id="app"),
@@ -130,9 +129,9 @@ SOLVER_PATHS = [
 
 class TestHeuristicSolverParity:
     @pytest.mark.parametrize(
-        "make_solver, tgen_path", SOLVER_PATHS, indirect=["tgen_path"]
+        "make_solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"]
     )
-    def test_solve_is_byte_identical(self, engine, workload, make_solver, tgen_path):
+    def test_solve_is_byte_identical(self, engine, workload, make_solver, kernel_path):
         solver = make_solver()
         for query in workload:
             instance = engine.build_instance(query)
@@ -144,9 +143,9 @@ class TestHeuristicSolverParity:
             _assert_identical(a, b, (solver.name, query.keywords, query.region))
 
     @pytest.mark.parametrize(
-        "make_solver, tgen_path", SOLVER_PATHS, indirect=["tgen_path"]
+        "make_solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"]
     )
-    def test_topk_is_byte_identical(self, engine, workload, make_solver, tgen_path):
+    def test_topk_is_byte_identical(self, engine, workload, make_solver, kernel_path):
         solver = make_solver()
         for query in workload[:3]:
             instance = engine.build_instance(query)
@@ -172,7 +171,7 @@ class TestTGENParity:
     @pytest.mark.parametrize(
         "settings", list(TGEN_SETTINGS.values()), ids=list(TGEN_SETTINGS)
     )
-    def test_settings_are_byte_identical(self, engine, workload, settings, tgen_path):
+    def test_settings_are_byte_identical(self, engine, workload, settings, kernel_path):
         solver = TGENSolver(**settings)
         for query in workload:
             instance = engine.build_instance(query)
@@ -187,7 +186,7 @@ class TestTGENParity:
                 # The twin never prunes, so the pruned counters are checked
                 # against the Python loop.
                 _assert_same_as_the_python_loop(
-                    b, tgen_path, lambda: solver.solve(pinned), context
+                    b, kernel_path, lambda: solver.solve(pinned), context
                 )
 
     @pytest.mark.parametrize(
@@ -195,7 +194,7 @@ class TestTGENParity:
         [{}] + list(TGEN_SETTINGS.values()),
         ids=["default"] + list(TGEN_SETTINGS),
     )
-    def test_topk_is_byte_identical(self, engine, workload, settings, tgen_path):
+    def test_topk_is_byte_identical(self, engine, workload, settings, kernel_path):
         solver = TGENSolver(**settings)
         for query in workload:
             instance = engine.build_instance(query)
@@ -206,13 +205,13 @@ class TestTGENParity:
             )
 
     @pytest.mark.parametrize("polls", [5, 40, 150])
-    def test_truncated_runs_are_identical(self, engine, workload, polls, tgen_path):
+    def test_truncated_runs_are_identical(self, engine, workload, polls, kernel_path):
         solver = TGENSolver()
         truncated = 0
         for query in workload:
             instance = engine.build_instance(query).with_pruning(False)
-            a = twin(solver).solve(instance.with_budget(_PollBudget(polls)))
-            b = solver.solve(instance.with_budget(_PollBudget(polls)))
+            a = twin(solver).solve(instance.with_budget(PollBudget(polls)))
+            b = solver.solve(instance.with_budget(PollBudget(polls)))
             context = (polls, query.keywords, query.region)
             _assert_identical(a, b, context)
             # The solver's stats also carry edges_skipped; compare what both report.
@@ -224,6 +223,57 @@ class TestTGENParity:
             assert b.stats["edges_skipped"] == 0.0, context
             truncated += a.stats.get("budget_expired", 0.0) > 0.0
         assert truncated, "the poll budget must cut some runs short"
+
+
+def _compacting_instance(pruning):
+    """An 8×8 grid of 100 m blocks, every node weighted, and ∆ = 2.5 km: the
+    grown region's candidate table passes 64 entries with over half of them
+    dead, so a pruned run compacts it."""
+    network = grid_network(8, 8, spacing=100.0)
+    rng = random.Random(4)
+    weights = {node: round(rng.uniform(0.1, 1.0), 3) for node in network.node_ids()}
+    return build_instance(
+        network, LCMSRQuery.create(["t"], delta=2500.0), node_weights=weights,
+        pruning=pruning,
+    )
+
+
+class TestGreedyParity:
+    """Greedy's counters, on the kernel and on the Python loop, with pruning
+    on and off: the twin keeps none, so they are checked against the loop."""
+
+    def test_counters_equal_the_python_loop(self, engine, workload, kernel_path):
+        solver = GreedySolver()
+        for query in workload:
+            instance = engine.build_instance(query)
+            for pruning in (True, False):
+                pinned = instance.with_pruning(pruning)
+                context = (pruning, query.keywords, query.region)
+                result = solver.solve(pinned)
+                _assert_identical(twin(solver).solve(pinned), result, context)
+                _assert_same_as_the_python_loop(
+                    result, kernel_path, lambda: solver.solve(pinned), context,
+                    GREEDY_COUNTERS,
+                )
+                topk = solver.solve_topk(pinned, k=3)
+                loop = kernel_path.on_python_loop(lambda: solver.solve_topk(pinned, k=3))
+                _assert_topk_identical(topk, loop, context)
+                assert topk.stats == loop.stats, context
+
+    @pytest.mark.parametrize("pruning", [True, False], ids=["pruned", "unpruned"])
+    def test_a_compacted_table_keeps_the_answers(self, pruning, kernel_path):
+        solver = GreedySolver()
+        instance = _compacting_instance(pruning)
+        result = solver.solve(instance)
+        _assert_identical(twin(solver).solve(instance), result, pruning)
+        _assert_same_as_the_python_loop(
+            result, kernel_path, lambda: solver.solve(instance), pruning, GREEDY_COUNTERS
+        )
+        assert (result.stats["greedy_candidates_compacted"] > 0) == pruning
+        topk = solver.solve_topk(instance, k=3)
+        _assert_topk_identical(twin(solver).solve_topk(instance, k=3), topk, pruning)
+        loop = kernel_path.on_python_loop(lambda: solver.solve_topk(instance, k=3))
+        assert topk.stats == loop.stats
 
 
 WIDE_SETTINGS = {"default": {}, **TGEN_SETTINGS}
@@ -251,7 +301,7 @@ class TestWideWindowParity:
     @pytest.mark.parametrize(
         "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
     )
-    def test_solve_is_byte_identical(self, wide_instance, settings, tgen_path):
+    def test_solve_is_byte_identical(self, wide_instance, settings, kernel_path):
         solver = TGENSolver(**settings)
         a = twin(solver).solve(wide_instance)
         b = solver.solve(wide_instance)
@@ -261,7 +311,7 @@ class TestWideWindowParity:
     @pytest.mark.parametrize(
         "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
     )
-    def test_topk_is_byte_identical(self, wide_instance, settings, tgen_path):
+    def test_topk_is_byte_identical(self, wide_instance, settings, kernel_path):
         solver = TGENSolver(**settings)
         _assert_topk_identical(
             twin(solver).solve_topk(wide_instance, k=3),
@@ -288,7 +338,7 @@ class TestHeavyInstanceParity:
         )[0]
         return engine.build_instance(query).with_pruning(False)
 
-    def test_solve_is_byte_identical(self, heavy_instance, tgen_path):
+    def test_solve_is_byte_identical(self, heavy_instance, kernel_path):
         solver = TGENSolver()
         a = twin(solver).solve(heavy_instance)
         b = solver.solve(heavy_instance)
@@ -302,8 +352,6 @@ class TestExactParity:
         for anchor in (600.0, 900.0, 1200.0):
             region = Rectangle(anchor, anchor, anchor + 260.0, anchor + 260.0)
             query_keywords = ["restaurant", "cafe", "bar"]
-            from repro.core.query import LCMSRQuery
-
             query = LCMSRQuery.create(query_keywords, delta=400.0, region=region)
             instance = engine.build_instance(query)
             if 0 < instance.num_candidate_nodes <= 16 and instance.has_relevant_nodes:
@@ -331,10 +379,11 @@ class TestDenseFirstRebindParity:
     """The serving layer rebinding path: substrate → instance → solver."""
 
     @pytest.mark.parametrize(
-        "make_solver", [GreedySolver, TGENSolver, APPSolver],
-        ids=["greedy", "tgen", "app"],
+        "make_solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"]
     )
-    def test_rebound_instances_solve_identically(self, engine, workload, make_solver):
+    def test_rebound_instances_solve_identically(
+        self, engine, workload, make_solver, kernel_path
+    ):
         solver = make_solver()
         for query in workload[:2]:
             instance = engine.build_instance(query)

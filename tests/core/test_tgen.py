@@ -216,7 +216,7 @@ class TestDominanceTies:
         assert seen == {"exact", "shorter-later", "longer-later"}
 
     @pytest.mark.parametrize("cap", [None, 2], ids=["uncapped", "cap2"])
-    def test_matches_the_reference(self, instance, cap, tgen_path):
+    def test_matches_the_reference(self, instance, cap, kernel_path):
         """Solve and answer top-5 with TGEN and its twin."""
         solver = TGENSolver(alpha=0.5, max_tuples_per_node=cap)
         reference = ReferenceTGEN(alpha=0.5, max_tuples_per_node=cap)
@@ -242,7 +242,7 @@ class TestEdgeLengthTies:
     sort that reorders ties visits the nodes in another order and generates
     other tuples."""
 
-    def test_ties_keep_csr_order(self, tgen_path):
+    def test_ties_keep_csr_order(self, kernel_path):
         network = grid_network(5, 5, spacing=100.0)
         rng = random.Random(4)
         weights = {

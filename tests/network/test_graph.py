@@ -52,12 +52,26 @@ class TestNodeAndEdgeBasics:
         with pytest.raises(GraphError):
             network.add_edge(1, 1, 1.0)
 
-    def test_negative_length_rejected(self):
+    @pytest.mark.parametrize(
+        "length", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"]
+    )
+    def test_invalid_length_rejected(self, length):
+        network = RoadNetwork()
+        network.add_node(1, 0, 0)
+        network.add_node(2, 1, 0)
+        with pytest.raises(GraphError, match=r"edge \(1, 2\)"):
+            network.add_edge(1, 2, length)
+        assert network.num_edges == 0
+
+    def test_a_rejected_nan_leaves_the_edge_to_a_shorter_parallel_one(self):
+        # A stored NaN would stay for good: no length compares below it.
         network = RoadNetwork()
         network.add_node(1, 0, 0)
         network.add_node(2, 1, 0)
         with pytest.raises(GraphError):
-            network.add_edge(1, 2, -1.0)
+            network.add_edge(1, 2, math.nan)
+        network.add_edge(1, 2, 3.0)
+        assert network.edge_length(1, 2) == 3.0
 
     def test_default_length_is_euclidean(self):
         network = RoadNetwork()

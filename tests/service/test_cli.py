@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import tgen
+from repro.core import kernel
 from repro.engine import LCMSREngine
 from repro.service.persist import FORMAT_VERSION, read_manifest
 
@@ -60,15 +60,15 @@ class TestInfo:
             "vocabulary.json",
         }
 
-    def test_info_names_the_tgen_kernel(self, cli_artifact, capsys, monkeypatch):
+    def test_info_names_the_kernel(self, cli_artifact, capsys, monkeypatch):
         assert main(["info", str(cli_artifact)]) == 0
-        assert f"tgen kernel    : {tgen.kernel_description()}" in capsys.readouterr().out
-        # Without a kernel, the Python loop and the reason.
-        monkeypatch.setattr(tgen, "_KERNEL", None)
-        monkeypatch.setattr(tgen, "KERNEL_FALLBACK", "no compiler: cc")
+        assert f"kernel         : {kernel.describe()}" in capsys.readouterr().out
+        # Without a kernel, the Python loops and the reason.
+        monkeypatch.setattr(kernel, "LIBRARY", None)
+        monkeypatch.setattr(kernel, "FALLBACK", "no compiler: cc")
         assert main(["info", str(cli_artifact), "--json"]) == 0
         raw = json.loads(capsys.readouterr().out)
-        assert raw["tgen_kernel"] == "python (no compiler: cc)"
+        assert raw["kernel"] == "python (no compiler: cc)"
 
     def test_info_on_missing_artifact_fails_cleanly(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "missing")]) == 2

@@ -26,7 +26,7 @@ from repro.datasets.ny import build_ny_like
 from repro.datasets.usanw import build_usanw_like
 from repro.engine import LCMSREngine
 from repro.evaluation.runner import ExperimentRunner
-from repro.exceptions import ArtifactError
+from repro.exceptions import ArtifactError, GraphError
 from repro.network.compact import CompactNetwork
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
@@ -312,6 +312,19 @@ class TestIntegrity:
                     info.compress_type = zipfile.ZIP_DEFLATED
                 archive.writestr(info, data)
         with pytest.raises(ArtifactError, match=f"{SCORING_NAME}: member 'obj_rating.npy'"):
+            IndexBundle.load(path, verify=False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_a_network_with_an_invalid_edge_length_fails_to_load(self, tmp_path, bad):
+        # Checksums are skipped, so the network's own check must refuse it.
+        bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
+        path = tmp_path / "bad-length"
+        bundle.save(path)
+        with np.load(path / NETWORK_NAME) as stored:
+            arrays = {name: stored[name] for name in stored.files}
+        arrays["lengths"][3] = bad
+        np.savez(path / NETWORK_NAME, **arrays)
+        with pytest.raises(GraphError, match="CSR slot 3 has edge length"):
             IndexBundle.load(path, verify=False)
 
     def test_resaving_a_mmap_loaded_bundle_over_itself_is_safe(self, tmp_path):
