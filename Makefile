@@ -26,8 +26,10 @@ test:
 # TestGreedyTies and TestGreedyBoundaries) and test_greedy.py, run twice: on
 # the compiled kernel (kernel.c) and on the Python loops that run where no
 # compiler builds it, each against its reference twin, plus one
-# tgen-paper-scale instance. The fast gate to run after touching a solver hot
-# loop, a skip branch or a scoring kernel.
+# tgen-paper-scale instance. Every solver, on each of its paths, also solves
+# on a substrate served from an instance-cache hit and must leave each of its
+# slots as built (TestCachedSubstrate). The fast gate to run after touching a
+# solver hot loop, a skip branch or a scoring kernel.
 test-parity:
 	$(PYTHON) -m pytest tests/core/test_solver_backend_parity.py \
 		tests/core/test_tgen.py::TestDominanceTies \
@@ -168,8 +170,10 @@ artifact-smoke:
 # compacted gen-0001/network.npz must equal the base's byte for byte (`cmp`):
 # compaction reuses the base CSR, and a thaw-and-refreeze would reorder its
 # adjacency rows. A `mutate --add` with a NaN coordinate must then exit with
-# status 2 and record nothing, and a delta log holding an op without an id
-# must make `query` exit with status 2. Leaves no files behind.
+# status 2 and record nothing in the served generation's delta log
+# (gen-0001/delta.json; the base's stays in the root), and a log there
+# holding an op without an id must make `query` exit with status 2. Leaves no
+# files behind.
 COMPACT_SMOKE_DIR := .compact-smoke
 COMPACT_SMOKE_BUILD := build --dataset ny --rows 16 --cols 16 --objects 500 \
 	--clusters 6 --seed 3
@@ -210,8 +214,8 @@ compact-smoke:
 	$(PYTHON) -m repro mutate $(COMPACT_SMOKE_DIR)/ny \
 		--add '{"id": 90003, "x": NaN, "y": 350.0, "keywords": ["cafe"]}'; \
 		test $$? -eq 2
-	test ! -e $(COMPACT_SMOKE_DIR)/ny/delta.json
-	echo '{"ops": [{"op": "remove"}]}' > $(COMPACT_SMOKE_DIR)/ny/delta.json
+	test ! -e $(COMPACT_SMOKE_DIR)/ny/gen-0001/delta.json
+	echo '{"ops": [{"op": "remove"}]}' > $(COMPACT_SMOKE_DIR)/ny/gen-0001/delta.json
 	$(PYTHON) -m repro query $(COMPACT_SMOKE_DIR)/ny --keywords cafe --delta 800; \
 		test $$? -eq 2
 	rm -rf $(COMPACT_SMOKE_DIR)

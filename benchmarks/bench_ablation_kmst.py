@@ -26,9 +26,9 @@ def test_ablation_quota_solver_ladder(benchmark, ny_runner, ny_default_workload)
     )
     scaled = scaling.scale_weights(instance.weights)
 
-    full = QuotaTreeSolver(instance.graph, instance.weights, scaled, instance.dense)
+    full = QuotaTreeSolver(instance.graph, instance.weights, scaled)
     single_rung = QuotaTreeSolver(
-        instance.graph, instance.weights, scaled, instance.dense, lambda_factors=(1.0,)
+        instance.graph, instance.weights, scaled, lambda_factors=(1.0,)
     )
 
     total = full.total_scaled_weight()

@@ -7,7 +7,7 @@ share one prebuilt artifact instead of each paying the full indexing pipeline:
 * ``python -m repro build --dataset ny --out artifacts/ny`` — generate a dataset,
   build every index structure once and persist the bundle as a versioned artifact
   (add ``--compress zlib`` for a chunk-compressed artifact and ``--stream`` to
-  build million-object configurations in bounded memory);
+  build from an object generator, with no object list beside the corpus);
 * ``python -m repro info artifacts/ny`` — print the manifest (format version,
   dataset fingerprint, checksums, per-file on-disk sizes and compression ratio)
   without loading the indexes, and the compiled solver kernel this installation
@@ -18,8 +18,8 @@ share one prebuilt artifact instead of each paying the full indexing pipeline:
   queries through :class:`~repro.service.query_service.QueryService` and print the
   timing / cache statistics;
 * ``python -m repro mutate artifacts/ny --remove 17`` — record dataset mutations
-  in the artifact's delta log; queries merge them at serving time until the next
-  compaction;
+  in the served generation's delta log; queries merge them at serving time until
+  the next compaction;
 * ``python -m repro compact artifacts/ny`` — re-freeze base + delta into a new
   ``gen-NNNN/`` generation directory and flip the ``CURRENT`` pointer atomically.
 
@@ -76,9 +76,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
             raise QueryError(f"--halo must be a finite number >= 0, got {args.halo}")
     compress = None if args.compress == "none" else args.compress
     if args.stream:
-        # Streaming build: the object corpus is consumed as a generator and
-        # never materialised ahead of indexing — the path for configurations
-        # whose eager dataset assembly would not fit in memory.
+        # Streaming build: the objects are consumed from a generator straight
+        # into the corpus, with no object list beside it. The artifact equals
+        # the eager build's byte for byte; the corpus and the index still
+        # grow with the object count (BENCH_artifact.json records the same
+        # peak RSS for both builds at 1 M objects), so memory is not bounded.
         if args.dataset == "ny":
             from repro.datasets.ny import ny_like_parts
 
@@ -443,7 +445,12 @@ def _collect_mutation_ops(args: argparse.Namespace) -> List[dict]:
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
     from repro.engine import LCMSREngine
-    from repro.service.generations import DeltaOverlay, append_delta_ops, apply_ops
+    from repro.service.generations import (
+        DeltaOverlay,
+        append_delta_ops,
+        apply_ops,
+        resolve_generation,
+    )
 
     ops = _collect_mutation_ops(args)
     if not ops:
@@ -451,15 +458,17 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
             "no mutations given: pass --add / --update / --remove / --set-rating "
             "or --ops FILE"
         )
-    # Loading the engine replays the existing delta log; applying the new ops on
-    # top validates the whole sequence before anything is written to disk.
-    engine = LCMSREngine.from_artifact(args.artifact)
+    # Loading the served generation replays its delta log; applying the new
+    # ops on top validates the whole sequence before anything is written to
+    # disk, and the ops go to the log of the generation they were validated on.
+    served = resolve_generation(args.artifact, warn_partial=False)
+    engine = LCMSREngine.from_artifact(served)
     overlay = engine.overlay
     if overlay is None:
         overlay = DeltaOverlay(engine.bundle)
     apply_ops(overlay, ops)
-    total = append_delta_ops(args.artifact, ops)
-    print(f"recorded {len(ops)} mutation(s) in the delta log at {args.artifact}")
+    total = append_delta_ops(served, ops)
+    print(f"recorded {len(ops)} mutation(s) in the delta log at {served}")
     print(f"  pending ops     : {total}")
     print(f"  touched objects : {overlay.pending_count}")
     print(f"  served merged at query time; run `python -m repro compact {args.artifact}`")
@@ -517,8 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--stream", action="store_true",
         help="build through the streaming indexer: objects are generated and "
-        "consumed one at a time in bounded memory (the same artifact, "
-        "byte for byte)",
+        "consumed one at a time, with no object list beside the corpus (the "
+        "same artifact, byte for byte; the corpus and index still grow with "
+        "the object count)",
     )
     build.add_argument(
         "--shards", type=int, default=None,
@@ -606,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve_batch)
 
     mutate = subparsers.add_parser(
-        "mutate", help="record dataset mutations in the artifact's delta log"
+        "mutate", help="record dataset mutations in the served generation's delta log"
     )
     mutate.add_argument("artifact", help="artifact root directory")
     mutate.add_argument(

@@ -229,11 +229,10 @@ class APPSolver:
         scaling = ScalingContext.from_sigma_max(
             instance.sigma_max(), instance.num_candidate_nodes, self.alpha
         )
-        scaled_list = scaling.scale_array(dense.sigma).tolist()
-        ids_list = dense.ids_list()
-        scaled_weights = {
-            ids_list[pos]: scaled_list[pos] for pos in dense.relevant_order.tolist()
-        }
+        order = dense.relevant_order
+        scaled_weights = dict(
+            zip(dense.ids[order].tolist(), scaling.scale_array(dense.sigma[order]).tolist())
+        )
         kwargs = {}
         if self.lambda_factors is not None:
             kwargs["lambda_factors"] = self.lambda_factors
@@ -241,7 +240,6 @@ class APPSolver:
             instance.graph,
             instance.weights,
             scaled_weights,
-            dense,
             closure_neighbors=self.closure_neighbors,
             **kwargs,
         )

@@ -15,8 +15,8 @@ per-hop hashing of global node ids:
   iteration order* (int32) — the key to the identity contract below.
 
 On top of the arrays the instance precomputes the aggregates every solver used
-to rescan the weight dict for: ``sigma_max``, the relevant positions, and the
-window's ``tau_max`` (longest edge).
+to rescan the weight dict for: ``sigma_max`` and the window's ``tau_max``
+(longest edge).
 
 **Identity contract.** The substrate is a *representation* change, not an
 algorithm change: solvers running on it must return byte-identical results to
@@ -36,21 +36,22 @@ load-bearing:
    trees (IEEE-754 elementwise ops are exact), so ranks, scaled weights and
    length checks land on the same bits.
 
-Instances are immutable after construction, cheap to share across threads, and
-pickle down to their defining arrays (the serving layer caches them instead of
-full :class:`~repro.core.instance.ProblemInstance` objects — no per-entry
-weight dict and no per-entry graph copies). The list mirrors
-(:meth:`DenseInstance.ids_list`, :meth:`DenseInstance.sigma_list`,
-:meth:`DenseInstance.position_of` and the window graph's
-``adjacency_arrays()``) are built lazily and then stay on the instance, so a
-cached entry keeps them. Greedy and TGEN solves on the compiled kernel build
-none of them; the paths that do are the solvers' Python fallbacks, APP's quota
-solver, Exact and the reference twins.
+Instances are immutable: nothing is assigned to one after construction, so a
+substrate shared across threads or held by the serving layer's instance cache
+stays exactly as built. They pickle down to their defining arrays (the serving
+layer caches them instead of full :class:`~repro.core.instance.ProblemInstance`
+objects — no per-entry weight dict and no per-entry graph), and a cache entry
+holds the arrays and ``__init__``'s aggregates only, whichever solver ran on
+it. The Python paths (the solvers' Python loops, APP's quota solver, Exact and
+the reference twins) walk the list mirrors of the instance's own window graph
+— the window a fresh build extracted, or the view
+:meth:`DenseInstance.to_problem_instance` makes for each rebind — or lists
+they build per solve, so what they build dies with the query.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping
 
 import numpy as np
 
@@ -80,11 +81,6 @@ class DenseInstance:
         "relevant_order",
         "sigma_max",
         "tau_max",
-        "_relevant_positions",
-        "_graph",
-        "_ids_list",
-        "_sigma_list",
-        "_position_of",
     )
 
     def __init__(
@@ -97,7 +93,6 @@ class DenseInstance:
         lengths: np.ndarray,
         sigma: np.ndarray,
         relevant_order: np.ndarray,
-        graph: Optional[CompactNetwork] = None,
     ) -> None:
         self.ids = np.asarray(ids, dtype=np.int64)
         self.xs = np.asarray(xs, dtype=np.float64)
@@ -118,11 +113,6 @@ class DenseInstance:
         else:
             self.sigma_max = 0.0
         self.tau_max = float(self.lengths.max()) if self.lengths.size else 0.0
-        self._relevant_positions: Optional[np.ndarray] = None
-        self._graph = graph
-        self._ids_list: Optional[List[int]] = None
-        self._sigma_list: Optional[List[float]] = None
-        self._position_of: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -154,11 +144,9 @@ class DenseInstance:
             sigma[positions] = values
         else:
             positions = np.empty(0, dtype=np.int32)
-        return cls(ids, xs, ys, indptr, indices, lengths, sigma, positions, graph=graph)
+        return cls(ids, xs, ys, indptr, indices, lengths, sigma, positions)
 
     def __reduce__(self):
-        # The graph view is rebuilt from the shared arrays on unpickling; only
-        # the defining arrays cross process boundaries.
         return (
             DenseInstance,
             (
@@ -180,48 +168,10 @@ class DenseInstance:
         return int(self.ids.shape[0])
 
     def relevant_positions(self) -> np.ndarray:
-        """Positions with σ_v > 0, in ascending position order (cached)."""
-        if self._relevant_positions is None:
-            self._relevant_positions = np.flatnonzero(self.sigma > 0.0).astype(
-                np.int32, copy=False
-            )
-        return self._relevant_positions
-
-    def ids_list(self) -> List[int]:
-        """Flat Python mirror of :attr:`ids` (hot loops index lists, not arrays)."""
-        if self._ids_list is None:
-            self._ids_list = self.ids.tolist()
-        return self._ids_list
-
-    def sigma_list(self) -> List[float]:
-        """Flat Python mirror of :attr:`sigma`."""
-        if self._sigma_list is None:
-            self._sigma_list = self.sigma.tolist()
-        return self._sigma_list
-
-    def position_of(self) -> Dict[int, int]:
-        """The global-id → local-position map (built lazily)."""
-        if self._position_of is None:
-            self._position_of = {
-                node_id: index for index, node_id in enumerate(self.ids_list())
-            }
-        return self._position_of
+        """Positions with σ_v > 0, in ascending position order."""
+        return np.flatnonzero(self.sigma > 0.0).astype(np.int32, copy=False)
 
     # ------------------------------------------------------------------ views
-    def graph_view(self) -> CompactNetwork:
-        """The window as a :class:`CompactNetwork` (shares the arrays, cached)."""
-        if self._graph is None:
-            self._graph = CompactNetwork(
-                self.ids,
-                self.xs,
-                self.ys,
-                self.indptr,
-                self.indices,
-                self.lengths,
-                validate_ids=False,  # positions were derived from unique ids
-            )
-        return self._graph
-
     def weights_dict(self) -> Dict[int, float]:
         """Re-materialise the node-weight dict, in the source dict's order.
 
@@ -235,9 +185,8 @@ class DenseInstance:
         the dict view is cached on the per-query :class:`ProblemInstance`
         wrapper (its ``weights`` property) and dies with it.
         """
-        ids = self.ids_list()
-        sigma = self.sigma_list()
-        return {ids[pos]: sigma[pos] for pos in self.relevant_order.tolist()}
+        order = self.relevant_order
+        return dict(zip(self.ids[order].tolist(), self.sigma[order].tolist()))
 
     def to_problem_instance(
         self, query: "LCMSRQuery", sampling=None
@@ -246,16 +195,27 @@ class DenseInstance:
 
         The weight dict is materialised lazily on first access; the Greedy and
         TGEN hot loops never touch it, while APP's quota solver and the Exact
-        oracle (deliberate dict-view consumers) rebuild it per wrapper. This is
-        how the serving layer's instance cache re-binds one cached substrate
-        to many queries; ``sampling`` re-attaches the
+        oracle (deliberate dict-view consumers) rebuild it per wrapper. Each
+        wrapper gets its own window view over the shared arrays, so whatever
+        a solve builds on the graph dies with the wrapper. This is how the
+        serving layer's instance cache re-binds one cached substrate to many
+        queries; ``sampling`` re-attaches the
         :class:`~repro.textindex.columnar.SampledWeights` record of a sampled
         build. The wrapper is pruned, exactly like a fresh build.
         """
         from repro.core.instance import ProblemInstance  # deferred: cycle guard
 
+        graph = CompactNetwork(
+            self.ids,
+            self.xs,
+            self.ys,
+            self.indptr,
+            self.indices,
+            self.lengths,
+            validate_ids=False,  # positions were derived from unique ids
+        )
         return ProblemInstance(
-            graph=self.graph_view(),
+            graph=graph,
             weights=None,
             query=query,
             build_seconds=0.0,

@@ -29,7 +29,8 @@ bit, as the dict-keyed loop of :class:`~repro.core.reference.ReferenceGreedy`.
 Each grown region is one call into the compiled kernel (``kernel.c``, built
 and loaded by :mod:`repro.core.kernel` on first import), on the substrate's
 arrays; where no compiler works, the Python loop :meth:`GreedySolver._grow_dense`
-grows it instead, with the same answers and counters.
+grows it instead, with the same answers and counters, on the list mirrors of
+the instance's own window graph, which die with the instance.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from repro.core.region import Region
 from repro.core.result import RegionResult, TopKResult
 from repro.core.topk import resolve_k
 from repro.exceptions import SolverError
+from repro.network.compact import CompactNetwork
 from repro.network.graph import edge_key
 
 
@@ -151,6 +153,7 @@ class GreedySolver:
         if library is None:
             return self._grow_dense(
                 dense,
+                instance.graph,
                 instance.query.delta,
                 mask,
                 pruning=instance.pruning,
@@ -185,6 +188,7 @@ class GreedySolver:
     def _grow_dense(
         self,
         dense: DenseInstance,
+        graph: CompactNetwork,
         delta: float,
         excluded: bytearray,
         pruning: bool = False,
@@ -195,6 +199,9 @@ class GreedySolver:
 
         This is the expansion in Python: it runs where the compiled kernel
         could not be built, and the parity suite checks the kernel against it.
+        It walks the list mirrors of ``graph``, the instance's window graph
+        (the substrate's positions are the graph's), and reads σ off the
+        substrate's array, so it leaves nothing on the substrate.
 
         Candidate ranks are constants per (member, neighbour) edge, so each new
         member appends its CSR row — rank precomputed once — to one flat
@@ -232,10 +239,8 @@ class GreedySolver:
         heaviest = available[available_weights == sigma_max]
         seed = int(heaviest[np.argmax(dense.ids[heaviest])])
 
-        indptr, columns, neighbor_ids, lengths, ids_list = (
-            dense.graph_view().adjacency_arrays()
-        )
-        sigma_list = dense.sigma_list()
+        indptr, columns, neighbor_ids, lengths, ids_list = graph.adjacency_arrays()
+        sigma_of = memoryview(sigma)  # indexing yields Python floats
         mu = self.mu
         one_minus_mu = 1.0 - mu
         delta_eps = delta + 1e-12
@@ -270,7 +275,7 @@ class GreedySolver:
                 # Same expression tree as the reference rank computation.
                 cand_rank.append(
                     mu * (1.0 - edge_length / tau_max)
-                    + one_minus_mu * sigma_list[position] / sigma_max
+                    + one_minus_mu * sigma_of[position] / sigma_max
                 )
                 cand_id.append(neighbor_ids[slot])
 
@@ -332,7 +337,7 @@ class GreedySolver:
             stats["greedy_candidates_compacted"] = (
                 stats.get("greedy_candidates_compacted", 0.0) + compacted
             )
-        weight_total = sum(sigma_list[pos] for pos in region_order)
+        weight_total = sum(sigma_of[pos] for pos in region_order)
         return Region(
             nodes=frozenset(ids_list[pos] for pos in region_order),
             edges=frozenset(

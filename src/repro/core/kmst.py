@@ -29,7 +29,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -46,9 +45,6 @@ from repro.exceptions import SolverError
 from repro.network.compact import CompactNetwork
 from repro.network.graph import edge_key
 from repro.network.shortest_path import dijkstra_positions
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (dense imports nothing from here)
-    from repro.core.dense import DenseInstance
 
 _DEFAULT_LAMBDA_FACTORS: Tuple[float, ...] = (
     0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
@@ -83,14 +79,14 @@ class QuotaTreeSolver:
     """Answer ``kMST(X)`` queries over one problem instance.
 
     Args:
-        graph: The query-window road network.
+        graph: The query-window road network (the instance's graph). The
+            metric closure runs the local-CSR Dijkstra over its positions —
+            position-indexed tables, no global-id dict per run — and the lists
+            it walks are built on this graph, so they live as long as it does.
         weights: Original node weights σ_v (only positive entries are terminals).
-        scaled_weights: Scaled node weights σ̂_v from the :class:`ScalingContext`.
-        dense: The :class:`~repro.core.dense.DenseInstance` of the same window
-            (``ProblemInstance.dense``). Its weights are in-window by
-            construction, so every positively scaled node is a terminal without
-            a per-key graph probe, and the metric closure runs the local-CSR
-            Dijkstra — position-indexed tables, no global-id dict per run.
+        scaled_weights: Scaled node weights σ̂_v from the :class:`ScalingContext`;
+            in-window by construction, so every positively scaled node is a
+            terminal without a per-key graph probe.
         closure_neighbors: How many nearest terminals each terminal is linked to in the
             metric-closure graph (the closure MST is always added on top, so the
             closure stays as connected as the underlying window graph allows).
@@ -103,14 +99,12 @@ class QuotaTreeSolver:
         graph: CompactNetwork,
         weights: Mapping[int, float],
         scaled_weights: Mapping[int, int],
-        dense: "DenseInstance",
         closure_neighbors: int = 8,
         lambda_factors: Sequence[float] = _DEFAULT_LAMBDA_FACTORS,
     ) -> None:
         self._graph = graph
         self._weights = dict(weights)
         self._scaled = {v: int(s) for v, s in scaled_weights.items()}
-        self._dense = dense
         self._terminals = sorted(v for v, s in self._scaled.items() if s > 0)
         self._closure_neighbors = max(1, closure_neighbors)
         self._lambda_factors = tuple(lambda_factors)
@@ -188,14 +182,13 @@ class QuotaTreeSolver:
         Returns the path-fill callback used for closure-MST edges whose paths
         were not recorded by the nearest-neighbour probes.
         """
-        dense = self._dense
-        position_of = dense.position_of()
-        ids_list = dense.ids_list()
-        graph = dense.graph_view()
-        terminal_positions = {position_of[t] for t in terminal_set}
+        graph = self._graph
+        position_of = graph.index_of
+        ids_list = graph.adjacency_arrays()[4]
+        terminal_positions = {position_of(t) for t in terminal_set}
         parents_by_pos: Dict[int, List[int]] = {}
         for source in self._terminals:
-            source_pos = position_of[source]
+            source_pos = position_of(source)
             dist, parent, touched = dijkstra_positions(
                 graph, source_pos, terminal_positions - {source_pos}
             )
@@ -213,11 +206,11 @@ class QuotaTreeSolver:
                 key = edge_key(source, target)
                 if key not in self._closure_paths:
                     self._closure_paths[key] = _reconstruct_path_positions(
-                        parent, source_pos, position_of[target], ids_list
+                        parent, source_pos, position_of(target), ids_list
                     )
 
         def fill_path(u: int, v: int) -> None:
-            u_pos, v_pos = position_of[u], position_of[v]
+            u_pos, v_pos = position_of(u), position_of(v)
             parent = parents_by_pos.get(u)
             if parent is None or (parent[v_pos] < 0 and v != u):
                 # The targeted Dijkstra above may have stopped before settling v.

@@ -312,7 +312,6 @@ class ReferenceAPP(APPSolver):
             instance.graph,
             instance.weights,
             scaled_weights,
-            instance.dense,
             closure_neighbors=self.closure_neighbors,
             **kwargs,
         )

@@ -181,7 +181,7 @@ class TGENSolver:
             best, ranked, stats = self._run_dense(
                 instance, dense, scaled.tolist(), seeds.tolist(), top_k, pool_size, prune
             )
-            ids = dense.ids_list()
+            ids = instance.graph.adjacency_arrays()[4]
         else:
             best, ranked, stats, ids = library.tgen_solve(
                 dense, scaled, seeds, instance.query.delta, self.max_tuples_per_node,
@@ -254,10 +254,11 @@ class TGENSolver:
         delta = instance.query.delta
         delta_eps = delta + 1e-12
         n = instance.num_candidate_nodes
-        sigma_list = dense.sigma_list()
-        # Shared cached list mirrors of the window CSR (built once per window,
-        # reused across solves of the same cached substrate).
-        indptr, columns, _, lengths, _ = dense.graph_view().adjacency_arrays()
+        sigma_list = dense.sigma.tolist()
+        # The list mirrors of the instance's own window graph (whose positions
+        # are the substrate's): they die with the instance, never pinned on a
+        # cached substrate.
+        indptr, columns, _, lengths, _ = instance.graph.adjacency_arrays()
         collect_pool = top_k > 0
 
         arrays: List[Dict[int, DenseTuple]] = []

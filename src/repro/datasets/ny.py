@@ -90,10 +90,10 @@ def ny_like_parts(
     Same parameters, seeds and object stream as :func:`build_ny_like`, but the
     objects come back as a lazy iterator instead of an assembled dataset —
     feed both parts to :meth:`IndexBundle.build_streaming
-    <repro.service.bundle.IndexBundle.build_streaming>` to index million-object
-    configurations in bounded memory (the path behind ``python -m repro build
-    --dataset ny --stream``). The resulting scoring columns are bit-identical
-    to the eager build's.
+    <repro.service.bundle.IndexBundle.build_streaming>` to index them with no
+    object list beside the corpus (the path behind ``python -m repro build
+    --dataset ny --stream``). The resulting artifact is byte-identical to the
+    eager build's; the corpus and index still grow with the object count.
     """
     network = manhattan_network(
         rows=rows,

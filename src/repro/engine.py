@@ -158,8 +158,8 @@ class LCMSREngine:
 
         Generation-aware: when the artifact root carries a ``CURRENT`` pointer
         (written by ``python -m repro compact``), the generation it names is
-        loaded instead of the base artifact; and when a delta log with pending
-        mutations exists at the root, the corresponding
+        loaded instead of the base artifact; and when the loaded generation's
+        delta log holds pending mutations, the corresponding
         :class:`~repro.service.generations.DeltaOverlay` is attached so queries
         serve the mutated world.
 
@@ -183,7 +183,7 @@ class LCMSREngine:
         resolved = resolve_generation(path)
         bundle = IndexBundle.load(resolved)
         engine = cls.from_bundle(bundle, default_algorithm=default_algorithm)
-        overlay = overlay_from_delta_log(bundle, path)
+        overlay = overlay_from_delta_log(bundle, resolved)
         if overlay is not None:
             engine.attach_overlay(overlay)
         return engine

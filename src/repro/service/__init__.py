@@ -60,7 +60,6 @@ from repro.service.generations import (
     append_delta_ops,
     apply_op,
     apply_ops,
-    clear_delta_log,
     generation_dirs,
     next_generation_name,
     overlay_from_delta_log,
@@ -117,7 +116,6 @@ __all__ = [
     "append_delta_ops",
     "apply_op",
     "apply_ops",
-    "clear_delta_log",
     "generation_dirs",
     "next_generation_name",
     "overlay_from_delta_log",

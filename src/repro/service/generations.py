@@ -17,16 +17,21 @@ framing of DBSP / Differential Dataflow):
   it (see below).
 * a tiny *generation store* — compacted artifacts live under
   ``<artifact>/gen-NNNN/`` next to the base artifact, and a ``CURRENT`` pointer
-  file names the generation being served.  ``CURRENT`` is written atomically
-  (temp sibling + rename), and :func:`save_bundle` writes the manifest last, so
-  a crash mid-compaction leaves either the old ``CURRENT`` or a manifest-less
-  partial directory that loading detects and ignores.
+  file names the generation being served.  Each generation keeps its own
+  delta log of pending mutations (``<generation>/delta.json``; the base's sits
+  in the root), so a log always applies to the generation beside it.
+  ``CURRENT`` is written atomically (temp sibling + rename), and
+  :func:`save_bundle` writes the manifest last, so a crash mid-compaction
+  leaves either the old ``CURRENT`` (with a manifest-less partial directory
+  that loading detects and ignores) or the new generation, with its empty log,
+  served.
 * :class:`Compactor` — re-freezes base+delta into a new generation:
   materialise the mutated corpus in canonical order, rebuild a full
   :class:`~repro.service.bundle.IndexBundle` over the base generation's CSR
   snapshot (reused, never thawed) through the exact same build path a cold
   rebuild uses, persist it as ``gen-NNNN``, mirror the served
-  generation's shard set, flip ``CURRENT``, and atomically swap the new bundle
+  generation's shard set, flip ``CURRENT`` (the one commit point: the old
+  generation's log stays with it), and atomically swap the new bundle
   into the live engine (which bumps ``bundle_generation`` and invalidates the
   :class:`~repro.service.query_service.QueryService` caches).
 
@@ -111,7 +116,7 @@ CURRENT_NAME = "CURRENT"
 """Pointer file naming the generation directory currently being served."""
 
 DELTA_LOG_NAME = "delta.json"
-"""Durable mutation log the CLI appends to (compaction clears it)."""
+"""Durable mutation log of one generation, in its directory (the CLI appends to it)."""
 
 _GENERATION_PATTERN = re.compile(r"^gen-(\d{4,})$")
 
@@ -463,9 +468,10 @@ def apply_ops(overlay: DeltaOverlay, ops: Iterable[Mapping]) -> int:
     return count
 
 
-def read_delta_log(root: "Path | str") -> List[dict]:
-    """Read the pending mutation ops at ``<root>/delta.json`` ([] if absent)."""
-    path = Path(root) / DELTA_LOG_NAME
+def read_delta_log(generation: "Path | str") -> List[dict]:
+    """Read the pending mutation ops of the generation directory ``generation``
+    (``<generation>/delta.json``; [] if absent)."""
+    path = Path(generation) / DELTA_LOG_NAME
     if not path.is_file():
         return []
     try:
@@ -481,31 +487,27 @@ def read_delta_log(root: "Path | str") -> List[dict]:
     return ops
 
 
-def write_delta_log(root: "Path | str", ops: Sequence[Mapping]) -> None:
-    """Atomically replace the delta log with ``ops``."""
-    path = Path(root) / DELTA_LOG_NAME
+def write_delta_log(generation: "Path | str", ops: Sequence[Mapping]) -> None:
+    """Atomically replace the generation's delta log with ``ops``."""
+    path = Path(generation) / DELTA_LOG_NAME
     data = json.dumps({"ops": list(ops)}, indent=2, sort_keys=True).encode("utf-8")
     _write_bytes_atomic(path, data)
 
 
-def append_delta_ops(root: "Path | str", ops: Sequence[Mapping]) -> int:
-    """Append ``ops`` to the delta log; returns the total pending op count."""
-    pending = read_delta_log(root)
+def append_delta_ops(generation: "Path | str", ops: Sequence[Mapping]) -> int:
+    """Append ``ops`` to the generation's delta log; returns the total pending op count."""
+    pending = read_delta_log(generation)
     pending.extend(ops)
-    write_delta_log(root, pending)
+    write_delta_log(generation, pending)
     return len(pending)
 
 
-def clear_delta_log(root: "Path | str") -> None:
-    """Remove the delta log (called after a successful compaction)."""
-    path = Path(root) / DELTA_LOG_NAME
-    if path.exists():
-        path.unlink()
-
-
-def overlay_from_delta_log(bundle: IndexBundle, root: "Path | str") -> Optional[DeltaOverlay]:
-    """Build the overlay recorded at ``root`` (``None`` when nothing pending)."""
-    ops = read_delta_log(root)
+def overlay_from_delta_log(
+    bundle: IndexBundle, generation: "Path | str"
+) -> Optional[DeltaOverlay]:
+    """Build the overlay the generation's delta log records over ``bundle``,
+    that generation's bundle (``None`` when nothing is pending)."""
+    ops = read_delta_log(generation)
     if not ops:
         return None
     overlay = DeltaOverlay(bundle)
@@ -639,13 +641,16 @@ class Compactor:
     — inheriting the served generation's chunk-compression codec, so a
     compacted compressed artifact stays compressed — mirrors the served
     generation's shard set onto the new generation, flips ``CURRENT``
-    atomically, clears the delta log, and finally swaps the new bundle into
-    the live engine (dropping the overlay and bumping ``bundle_generation``).
+    atomically, and finally swaps the new bundle into the live engine
+    (dropping the overlay and bumping ``bundle_generation``).
 
-    Crash-safety: the manifest is the last file written into ``gen-NNNN`` and
-    ``CURRENT`` is replaced atomically, so a crash at any point leaves either
-    the old generation served (possibly with an ignorable partial directory)
-    or the new generation fully live.
+    Crash-safety: the manifest is the last file written into ``gen-NNNN``,
+    ``CURRENT`` is replaced atomically, and the folded mutations stay in the
+    old generation's delta log while the new generation starts without one,
+    so the flip is the one commit point: a crash at any point leaves either
+    the old generation served with its log (possibly beside an ignorable
+    partial directory) or the new generation fully live, each mutation
+    applied once.
 
     Args:
         engine: A live :class:`~repro.engine.LCMSREngine` with a pending
@@ -712,7 +717,6 @@ class Compactor:
                     )
                     resharded = True
                 set_current_generation(self._root, generation)
-                clear_delta_log(self._root)
             engine.swap_bundle(new_bundle)
             return CompactionReport(
                 generation=generation,
@@ -737,7 +741,6 @@ __all__ = [
     "append_delta_ops",
     "apply_op",
     "apply_ops",
-    "clear_delta_log",
     "generation_dirs",
     "next_generation_name",
     "overlay_from_delta_log",

@@ -16,12 +16,14 @@ front end:
   σ_v computation — and only pay for solving. Every entry is one
   ``(substrate, sampling record)`` pair: the instance's
   :class:`~repro.core.dense.DenseInstance` instead of the full
-  :class:`~repro.core.instance.ProblemInstance` — smaller (flat arrays, no
-  per-entry weight dict; the dict view re-materialises lazily in the original
-  order on demand) and picklable as-is — plus the
+  :class:`~repro.core.instance.ProblemInstance` — the window's arrays only, no
+  per-entry weight dict or graph (the dict view re-materialises lazily in the
+  original order on demand), and picklable as-is — plus the
   :class:`~repro.textindex.columnar.SampledWeights` record of a sampled build
   (``None`` otherwise). Re-binding an entry to an incoming query is a
-  constant-time wrap.
+  constant-time wrap with its own window view; whatever lists a solve builds
+  stay with that query, so an entry holds arrays only whichever solver ran
+  on it.
 
 Sharing built instances across workers is safe because solvers treat instances as
 read-only (the evaluation runner has always shared one instance across solvers) and

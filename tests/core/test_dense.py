@@ -59,16 +59,19 @@ def window_setup(request):
     return window, weights
 
 
+def _position_of(dense):
+    return {node_id: position for position, node_id in enumerate(dense.ids.tolist())}
+
+
 class TestRenumbering:
     def test_local_positions_follow_window_order(self, window_setup):
         window, weights = window_setup
         dense = DenseInstance.from_graph(window, weights)
-        assert dense.ids_list() == list(window.node_ids())
+        assert dense.ids.tolist() == list(window.node_ids())
         assert dense.num_nodes == window.num_nodes
         assert dense.indices.shape[0] == 2 * window.num_edges
-        position_of = dense.position_of()
-        for position, node_id in enumerate(dense.ids_list()):
-            assert position_of[node_id] == position
+        for node_id, position in _position_of(dense).items():
+            assert window.index_of(node_id) == position
 
     def test_csr_arrays_are_shared_not_copied(self, window_setup):
         window, weights = window_setup
@@ -77,12 +80,15 @@ class TestRenumbering:
         assert dense.indptr is indptr
         assert dense.indices is indices
         assert dense.lengths is lengths
-        assert dense.graph_view() is window
+        ids, xs, ys = window.csr_node_arrays()
+        assert dense.ids is ids
+        assert dense.xs is xs
+        assert dense.ys is ys
 
     def test_sigma_is_positioned_correctly(self, window_setup):
         window, weights = window_setup
         dense = DenseInstance.from_graph(window, weights)
-        position_of = dense.position_of()
+        position_of = _position_of(dense)
         for node_id, weight in weights.items():
             assert dense.sigma[position_of[node_id]] == weight
         untouched = set(range(dense.num_nodes)) - {position_of[n] for n in weights}
@@ -103,9 +109,9 @@ class TestRenumbering:
         window, weights = window_setup
         thawed = window.to_network()
         dense = DenseInstance.from_graph(CompactNetwork.from_network(thawed), weights)
-        assert dense.ids_list() == list(thawed.node_ids())
-        position_of = dense.position_of()
-        ids = dense.ids_list()
+        assert dense.ids.tolist() == list(thawed.node_ids())
+        position_of = _position_of(dense)
+        ids = dense.ids.tolist()
         for node_id in thawed.node_ids():
             pos = position_of[node_id]
             row = slice(int(dense.indptr[pos]), int(dense.indptr[pos + 1]))
@@ -130,7 +136,7 @@ class TestInstanceSubstrate:
         assert isinstance(dense, DenseInstance)
         assert instance.dense is dense
         assert instance.with_pruning(False).dense is dense
-        assert dense.ids_list() == list(thawed.node_ids())
+        assert dense.ids.tolist() == list(thawed.node_ids())
         assert list(dense.weights_dict().items()) == list(instance.weights.items())
 
 
@@ -146,7 +152,7 @@ class TestDictOrderReplay:
         assert dense.sigma_max == max(weights.values(), default=0.0)
         assert dense.tau_max == window.max_edge_length()
         relevant = dense.relevant_positions()
-        ids = dense.ids_list()
+        ids = dense.ids.tolist()
         assert {ids[p] for p in relevant.tolist()} == {
             n for n, w in weights.items() if w > 0
         }

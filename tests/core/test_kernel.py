@@ -339,8 +339,6 @@ class TestKernelCalls:
             raise AssertionError("a kernel solve built a window-sized list")
 
         monkeypatch.setattr(CompactNetwork, "_materialize_lists", refuse)
-        for name in ("ids_list", "sigma_list", "position_of"):
-            monkeypatch.setattr(DenseInstance, name, refuse)
         assert answers() == expected
 
     @pytest.mark.parametrize("offset", [-1, 1])

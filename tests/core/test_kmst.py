@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dense import DenseInstance
 from repro.core.kmst import QuotaTreeSolver
 from repro.network.builders import grid_network, path_network, star_network
 from repro.network.compact import CompactNetwork
 
 
 def quota_solver(network, weights, scaled):
-    snapshot = CompactNetwork.from_network(network)
-    dense = DenseInstance.from_graph(snapshot, weights)
-    return QuotaTreeSolver(snapshot, weights, scaled, dense)
+    return QuotaTreeSolver(CompactNetwork.from_network(network), weights, scaled)
 
 
 def solver_on_path(weights=None, scaled=None):

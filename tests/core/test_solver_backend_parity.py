@@ -24,6 +24,9 @@ substrate) and compares ``twin(solver).solve(x)`` / ``solve_topk`` with
 ``solver.solve(x)`` on the same built instance. Exact has one path and no twin;
 it runs on a tiny window and exercises the dense-first route (an instance
 created from the substrate alone, with the dict view materialised lazily).
+Every solver, on each of its paths, also solves on a substrate served from a
+:class:`~repro.service.query_service.QueryService` instance-cache hit, and
+must leave every slot of that substrate as it was.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ import random
 
 import pytest
 
+from repro.core import kernel
 from repro.core.app import APPSolver
+from repro.core.dense import DenseInstance
 from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
 from repro.core.instance import build_instance
@@ -45,11 +50,14 @@ from repro.engine import LCMSREngine
 from repro.network.builders import grid_network
 from repro.network.subgraph import Rectangle
 from repro.service.bundle import IndexBundle
+from repro.service.query_service import QueryRequest, QueryService
 from repro.textindex.relevance import ScoringMode
 
 from tests.conftest import PollBudget
 
 SEED = 23
+# The kernel as loaded, before any test sets the module's handle to None.
+LOADED_KERNEL = kernel.LIBRARY
 MODES = [
     ScoringMode.TEXT_RELEVANCE,
     ScoringMode.RATING_IF_MATCH,
@@ -135,7 +143,7 @@ class TestHeuristicSolverParity:
         solver = make_solver()
         for query in workload:
             instance = engine.build_instance(query)
-            assert instance.dense.graph_view() is instance.graph, (
+            assert instance.dense.indices is instance.graph.csr_index_arrays()[1], (
                 "the pipeline path must attach a substrate sharing the window"
             )
             a = twin(solver).solve(instance)
@@ -346,20 +354,21 @@ class TestHeavyInstanceParity:
         _assert_same_work(a, b, "heavy")
 
 
-class TestExactParity:
-    def _tiny_window_instance(self, engine, dataset):
-        # A window of ~2 blocks keeps the node count within Exact's reach.
-        for anchor in (600.0, 900.0, 1200.0):
-            region = Rectangle(anchor, anchor, anchor + 260.0, anchor + 260.0)
-            query_keywords = ["restaurant", "cafe", "bar"]
-            query = LCMSRQuery.create(query_keywords, delta=400.0, region=region)
-            instance = engine.build_instance(query)
-            if 0 < instance.num_candidate_nodes <= 16 and instance.has_relevant_nodes:
-                return instance
-        pytest.skip("no tiny window with relevant nodes in this dataset")
+def _tiny_window_instance(engine):
+    # A window of ~2 blocks keeps the node count within Exact's reach.
+    for anchor in (600.0, 900.0, 1200.0):
+        region = Rectangle(anchor, anchor, anchor + 260.0, anchor + 260.0)
+        query_keywords = ["restaurant", "cafe", "bar"]
+        query = LCMSRQuery.create(query_keywords, delta=400.0, region=region)
+        instance = engine.build_instance(query)
+        if 0 < instance.num_candidate_nodes <= 16 and instance.has_relevant_nodes:
+            return instance
+    pytest.skip("no tiny window with relevant nodes in this dataset")
 
+
+class TestExactParity:
     def test_exact_is_byte_identical_on_tiny_windows(self, engine, dataset):
-        instance = self._tiny_window_instance(engine, dataset)
+        instance = _tiny_window_instance(engine)
         solver = ExactSolver(max_nodes=16)
         a = solver.solve(instance)
         # Dense-first route: the instance rebuilt from the substrate alone
@@ -392,3 +401,52 @@ class TestDenseFirstRebindParity:
             b = solver.solve(rebound)
             _assert_identical(a, b, (solver.name, query.keywords))
             assert list(rebound.weights.items()) == list(instance.weights.items())
+
+
+class TestCachedSubstrate:
+    """A solve on an instance-cache hit leaves the cached substrate as built."""
+
+    @pytest.mark.parametrize(
+        "name, kernel_path",
+        [
+            pytest.param("greedy", "kernel", id="greedy"),
+            pytest.param("greedy", "python", id="greedy-python"),
+            pytest.param("tgen", "kernel", id="tgen"),
+            pytest.param("tgen", "python", id="tgen-python"),
+            pytest.param("app", None, id="app"),
+            pytest.param("exact", None, id="exact"),
+        ],
+        indirect=["kernel_path"],
+    )
+    def test_a_solve_on_a_cache_hit_keeps_every_slot(
+        self, engine, workload, name, kernel_path, monkeypatch
+    ):
+        query = _tiny_window_instance(engine).query if name == "exact" else workload[0]
+
+        def request(algorithm, k=1):
+            return QueryRequest.create(
+                query.keywords, query.delta, region=query.region,
+                algorithm=algorithm, k=k,
+            )
+
+        with QueryService(engine, max_workers=1, result_cache_size=0) as service:
+            # The entry is built by a kernel Greedy solve, which reads only
+            # the arrays.
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, "LIBRARY", LOADED_KERNEL)
+                service.execute(request("greedy"))
+            (key,) = service._instance_cache.keys()
+            substrate, _ = service._instance_cache.get(key)
+            built = {slot: getattr(substrate, slot) for slot in DenseInstance.__slots__}
+            solver = engine.solver(name)
+            fresh = engine.build_instance(query)
+            expected = [solver.solve(fresh), solver.solve_topk(fresh, k=3)]
+            for k, want in zip((1, 3), expected):
+                got = service.execute(request(name, k))
+                for slot, value in built.items():
+                    assert getattr(substrate, slot) is value, (name, k, slot)
+                if k == 1:
+                    _assert_identical(want, got, (name, k))
+                else:
+                    _assert_topk_identical(want, got, (name, k))
+            assert service.stats().instance_hits == 2

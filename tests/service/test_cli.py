@@ -524,7 +524,14 @@ class TestMutateAndCompact:
         assert "compacted 1 mutation(s) into gen-0001" in out
         current = (mutable_artifact / "CURRENT").read_text(encoding="utf-8").strip()
         assert current == "gen-0001"
-        assert read_delta_log(mutable_artifact) == []
+        # The folded op stays in the base's log; the new generation has none,
+        # and the next mutate appends to its own.
+        assert len(read_delta_log(mutable_artifact)) == 1
+        assert read_delta_log(mutable_artifact / "gen-0001") == []
+        assert main(["mutate", str(mutable_artifact), "--set-rating", "3=1.5"]) == 0
+        assert len(read_delta_log(mutable_artifact)) == 1
+        assert len(read_delta_log(mutable_artifact / "gen-0001")) == 1
+        capsys.readouterr()
         # The new generation is a complete, verifiable artifact...
         assert main(["info", str(mutable_artifact / "gen-0001"), "--verify"]) == 0
         assert "verified ok" in capsys.readouterr().out

@@ -45,7 +45,6 @@ from repro.service.generations import (
     append_delta_ops,
     apply_op,
     apply_ops,
-    clear_delta_log,
     generation_dirs,
     next_generation_name,
     overlay_from_delta_log,
@@ -567,7 +566,7 @@ class TestOverlayValidation:
 
 # ----------------------------------------------------------- delta log on disk
 class TestDeltaLog:
-    def test_roundtrip_append_clear(self, tmp_path):
+    def test_roundtrip_append(self, tmp_path):
         assert read_delta_log(tmp_path) == []
         ops = [{"op": "rate", "id": 1, "rating": 2.0}]
         write_delta_log(tmp_path, ops)
@@ -575,9 +574,6 @@ class TestDeltaLog:
         total = append_delta_ops(tmp_path, [{"op": "remove", "id": 2}])
         assert total == 2
         assert [op["op"] for op in read_delta_log(tmp_path)] == ["rate", "remove"]
-        clear_delta_log(tmp_path)
-        assert read_delta_log(tmp_path) == []
-        assert not (tmp_path / DELTA_LOG_NAME).exists()
 
     def test_malformed_log_rejected_with_recovery_hint(self, tmp_path):
         (tmp_path / DELTA_LOG_NAME).write_text("{not json", encoding="utf-8")
@@ -639,7 +635,9 @@ def test_disk_mutate_compact_serves_cold_equivalent(dataset, base_bundles, tmp_p
     assert report.generation == "gen-0001"
     assert (root / "gen-0001" / "manifest.json").is_file()
     assert (root / CURRENT_NAME).read_text(encoding="utf-8").strip() == "gen-0001"
-    assert read_delta_log(root) == []
+    # The folded ops stay in the base's log; the new generation starts with none.
+    assert read_delta_log(root) == ops
+    assert read_delta_log(root / "gen-0001") == []
     assert live.overlay is None  # swap dropped the overlay
     assert live.bundle_generation == 1
 
@@ -784,6 +782,47 @@ def test_compaction_failing_before_current_flips_rolls_back(dataset, base_bundle
     assert answers(live) == answers(cold)
 
 
+def test_compaction_dying_after_current_flips_serves_the_new_generation(
+        dataset, base_bundles, tmp_path, monkeypatch):
+    """A crash right after ``CURRENT`` flips leaves the new world live.
+
+    The flip is the commit point: the reopened artifact serves ``gen-0001``
+    with no pending log, so each mutation is applied once, and it answers
+    like a cold rebuild of the mutated corpus.
+    """
+    mode = ScoringMode.TEXT_RELEVANCE
+    root = tmp_path / "artifact"
+    base_bundles[mode].save(root)
+    ops = _mutation_script(dataset.corpus, random.Random(SEED + 950))
+    assert {"add", "remove"} <= {op["op"] for op in ops}
+    append_delta_ops(root, ops)
+    live = LCMSREngine.from_artifact(root)
+    flip = generations.set_current_generation
+
+    def flip_then_crash(root, name):
+        flip(root, name)
+        raise OSError("injected crash after CURRENT flips")
+
+    monkeypatch.setattr(generations, "set_current_generation", flip_then_crash)
+    with pytest.raises(OSError, match="injected crash"):
+        Compactor(live, root=root).compact()
+    monkeypatch.undo()
+
+    assert resolve_generation(root) == root / "gen-0001"
+    reopened = LCMSREngine.from_artifact(root)
+    assert reopened.overlay is None
+    cold = LCMSREngine.from_bundle(IndexBundle.build(
+        dataset.network, _expected_corpus(dataset.corpus, ops), scoring_mode=mode,
+    ))
+    queries, _ = _queries(dataset)
+    for keywords, delta, region in queries:
+        for name in SOLVERS:
+            assert _signature(reopened.query(keywords, delta=delta, region=region,
+                                             algorithm=name)) == \
+                _signature(cold.query(keywords, delta=delta, region=region,
+                                      algorithm=name))
+
+
 def test_second_compaction_gets_next_generation_number(dataset, base_bundles,
                                                        tmp_path):
     root = tmp_path / "artifact"
@@ -792,7 +831,7 @@ def test_second_compaction_gets_next_generation_number(dataset, base_bundles,
     append_delta_ops(root, [{"op": "rate", "id": some_id, "rating": 4.0}])
     engine = LCMSREngine.from_artifact(root)
     assert Compactor(engine, root=root).compact().generation == "gen-0001"
-    append_delta_ops(root, [{"op": "rate", "id": some_id, "rating": 1.5}])
+    append_delta_ops(root / "gen-0001", [{"op": "rate", "id": some_id, "rating": 1.5}])
     engine = LCMSREngine.from_artifact(root)
     assert engine.overlay is not None
     report = Compactor(engine, root=root).compact()

@@ -188,15 +188,16 @@ class TestCaching:
             # Two distinct window-less keyword sets must not pin two full
             # network copies: every cached entry shares the engine's frozen
             # graph view (the bundle's CSR snapshot). Entries are
-            # (substrate, sampling record) pairs, and a substrate's graph view
-            # is the window snapshot itself.
+            # (substrate, sampling record) pairs, and a substrate shares the
+            # window snapshot's arrays.
             cache = service._instance_cache
             assert len(cache) == 2
             for key in cache.keys():
                 substrate, sampling = cache.get(key)
                 assert isinstance(substrate, DenseInstance)
                 assert sampling is None
-                assert substrate.graph_view() is engine.graph_view
+                assert substrate.ids is engine.graph_view.csr_node_arrays()[0]
+                assert substrate.indices is engine.graph_view.csr_index_arrays()[1]
 
     def test_reporting_renders(self, engine):
         with QueryService(engine, max_workers=1) as service:
