@@ -9,8 +9,9 @@ test:
 
 # Just the byte-identity parity suites: each solver vs its dict-loop reference
 # twin (repro.core.reference, also on a RoadNetwork input and on its snapshot
-# via the property harness's TestBackendIdentity), bound-based pruning (on vs
-# off), the graph suites (a RoadNetwork input, frozen at entry, vs its CSR
+# via the property harness's TestBackendIdentity), bound-based pruning (each
+# solver, which always prunes, vs its twin, which never does, and the
+# zero-mass window skip vs the scorer build), the graph suites (a RoadNetwork input, frozen at entry, vs its CSR
 # snapshot) and σ_v (the columnar pipeline, the only σ_v path queries take,
 # vs the object-loop reference scorer). Every σ_v read scores through the
 # pipeline's one score function (WeightPipeline._query_terms and
@@ -21,7 +22,7 @@ test:
 # artifact and the sampled tier's probe; and the sampled tier's full-budget
 # read, which must equal the exact sums bit for bit (TestEscapeHatch). TGEN's
 # cases, with its dominance near-ties and edge-length ties (test_tgen.py),
-# and Greedy's, with its counters against the Python loop, its pruning, its
+# and Greedy's, with its counters against the Python loop, its compaction, its
 # rebound substrates, its tie rules and boundaries (test_kernel.py's
 # TestGreedyTies and TestGreedyBoundaries) and test_greedy.py, run twice: on
 # the compiled kernel (kernel.c) and on the Python loops that run where no

@@ -7,7 +7,7 @@ query-ready **at least 10x faster** than the status-quo cold start, which pays
 dataset assembly plus the full offline indexing pipeline (object → node mapping,
 columnar scoring index, CSR freeze) on every process start.
 
-Three checks:
+Two checks:
 
 1. **Engine-ready time** — cold rebuild vs artifact load across three dataset
    scales; the ≥10x assertion applies to the largest configuration of the run
@@ -15,10 +15,6 @@ Three checks:
    loading stays I/O-bound).
 2. **Fidelity** — the loaded engine answers a query workload identically to the
    freshly built engine for every solver.
-3. **Artifact cache round trip** — ``ExperimentRunner(..., artifact_cache_dir=...)``
-   publishes one content-fingerprinted artifact per dataset and serves the second
-   construction from disk (result-identically); the artifact is what later
-   processes load without any dataset build.
 
 Run with::
 
@@ -32,10 +28,8 @@ from pathlib import Path
 from typing import List, Tuple
 
 from repro.datasets.ny import build_ny_like
-from repro.datasets.queries import generate_workload
 from repro.engine import LCMSREngine
 from repro.evaluation.reporting import format_table
-from repro.evaluation.runner import ExperimentRunner
 from repro.service.bundle import IndexBundle
 
 from benchmarks.conftest import FULL_SCALE, SMOKE_SCALE
@@ -157,36 +151,3 @@ def generate_workload_from_engine(
         workload.append((keywords, delta, window))
     return workload
 
-
-def test_bench_runner_artifact_cache(tmp_path):
-    """Second ExperimentRunner construction over the same dataset hits the cache."""
-    label, rows, cols, objects, clusters = CONFIGS[0]
-    dataset = build_ny_like(rows=rows, cols=cols, block_size=120.0,
-                            num_objects=objects, num_clusters=clusters, seed=SEED)
-    cache = tmp_path / "runner-cache"
-
-    start = time.perf_counter()
-    first = ExperimentRunner(dataset, artifact_cache_dir=cache)
-    miss_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    second = ExperimentRunner(dataset, artifact_cache_dir=cache)
-    hit_seconds = time.perf_counter() - start
-
-    queries = generate_workload(dataset, num_queries=2, num_keywords=2,
-                                delta=1500.0, area_km2=2.0, seed=9)
-    from repro.core.greedy import GreedySolver
-
-    for query in queries:
-        a = first.run_single(query, GreedySolver()).result
-        b = second.run_single(query, GreedySolver()).result
-        assert a.region.nodes == b.region.nodes
-        assert abs(a.weight - b.weight) < 1e-9
-
-    print()
-    print(format_table(
-        ["construction", "seconds"],
-        [["first (build + save)", miss_seconds], ["second (artifact hit)", hit_seconds]],
-        title=f"ExperimentRunner artifact cache, {label} config",
-    ))
-    assert "load" in second.bundle.build_seconds, "cache hit must come from disk"

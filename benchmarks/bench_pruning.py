@@ -1,28 +1,30 @@
 """Bound-based pruning: branch-and-bound top-k and skip-aware heuristics.
 
 Not a paper figure — this benchmarks the bound/skip subsystem
-(:mod:`repro.core.bounds` plus the skip branches in the solvers). The claim:
-on sparse-relevance instances (few positive-weight nodes, the regime region
-queries live in), the Exact solver's branch-and-bound ``solve_topk`` is **at
-least 2x faster** than exhaustive enumeration on the largest configuration,
-while returning byte-identical results — same k regions, same order, bit-equal
-scores.
+(:mod:`repro.core.bounds` plus the skip branches in the solvers). The solvers
+always prune; their unpruned references are the twins of
+:mod:`repro.core.reference`. The claim: on sparse-relevance instances (few
+positive-weight nodes, the regime region queries live in), the Exact solver's
+branch-and-bound ``solve_topk`` is **at least 2x faster** than the exhaustive
+enumeration of :class:`~repro.core.reference.ReferenceExact` on the largest
+configuration, while returning byte-identical results — same k regions, same
+order, bit-equal scores.
 
 Three checks:
 
 1. **Top-k branch-and-bound throughput** — ``ExactSolver.solve_topk(k=5)``
-   under ``with_pruning(True)`` vs ``with_pruning(False)`` on controlled
-   grid instances whose positive weights cluster on a few nodes (anchor
-   cones past the last relevant node are skipped wholesale; branches that
-   forbid every relevant node die against the k-incumbent heap). The ≥2x
-   bar is asserted on the largest configuration; identity is asserted on
-   every configuration.
+   vs ``ReferenceExact.solve_topk(k=5)`` on controlled grid instances whose
+   positive weights cluster on a few nodes (anchor cones past the last
+   relevant node are skipped wholesale; branches that forbid every relevant
+   node die against the k-incumbent heap). The ≥2x bar is asserted on the
+   largest configuration; identity is asserted on every configuration.
 2. **Heuristic skip accounting** — Greedy and TGEN run a real indexed
-   workload (NY-like dataset through the engine) pruned vs unpruned;
-   identity is asserted and the skip/visit counters the pruned runs report
-   (``edges_skipped``, ``greedy_candidates_compacted``, the Exact
-   ``exact_*`` counters) are recorded. No speedup bar here — these skips
-   are modest by design and the counters are the observable.
+   workload (NY-like dataset through the engine) against their unpruned
+   twins; identity is asserted and the skip/visit counters the solvers
+   report (``edges_skipped``, ``greedy_candidates_compacted``, the Exact
+   ``exact_*`` counters) are recorded. No speedup bar here — the twins also
+   run the dict loops, so their times mix representation with pruning, and
+   the counters are the observable.
 3. **Perf trajectory record** — set ``REPRO_BENCH_JSON=<path>`` (the
    ``make bench-json`` target does) to write the measured numbers, including
    the counters, as JSON.
@@ -43,6 +45,7 @@ from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
 from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
+from repro.core.reference import ReferenceExact, twin
 from repro.core.tgen import TGENSolver
 from repro.datasets.ny import build_ny_like
 from repro.datasets.queries import generate_workload
@@ -97,20 +100,19 @@ def test_bench_exact_topk_branch_and_bound_2x():
     records: List[Dict[str, object]] = []
     largest_speedup = 0.0
     solver = ExactSolver(max_nodes=16)
+    reference = ReferenceExact(max_nodes=16)
     for label, rows, cols, positives, delta in EXACT_CONFIGS:
         network = grid_network(rows, cols, spacing=100.0)
         query = LCMSRQuery.create(["kw"], delta=delta)
         instance = build_instance(network, query, node_weights=dict(positives))
-        pruned_instance = instance.with_pruning(True)
-        unpruned_instance = instance.with_pruning(False)
 
         # --- fidelity first (also warms both paths) ---
-        pruned = solver.solve_topk(pruned_instance, k=K)
-        unpruned = solver.solve_topk(unpruned_instance, k=K)
+        pruned = solver.solve_topk(instance, k=K)
+        unpruned = reference.solve_topk(instance, k=K)
         _assert_topk_identical(pruned, unpruned, label)
 
-        pruned_seconds = _time_topk(solver, pruned_instance, K)
-        unpruned_seconds = _time_topk(solver, unpruned_instance, K)
+        pruned_seconds = _time_topk(solver, instance, K)
+        unpruned_seconds = _time_topk(reference, instance, K)
         speedup = unpruned_seconds / pruned_seconds
         largest_speedup = speedup  # configs are ordered smallest → largest
         considered_pruned = pruned.stats.get("exact_subsets_considered", 0.0)
@@ -141,7 +143,7 @@ def test_bench_exact_topk_branch_and_bound_2x():
     print(format_table(
         ["configuration", "exhaustive (s)", "B&B (s)", "speedup", "considered"],
         rows_out,
-        title=f"Exact solve_topk(k={K}): branch-and-bound vs exhaustive enumeration",
+        title=f"solve_topk(k={K}): ExactSolver's branch-and-bound vs ReferenceExact",
     ))
 
     json_path = os.environ.get("REPRO_BENCH_JSON")
@@ -163,7 +165,7 @@ def test_bench_exact_topk_branch_and_bound_2x():
         return
     assert largest_speedup >= MIN_SPEEDUP_LARGEST, (
         f"branch-and-bound solve_topk must be >= {MIN_SPEEDUP_LARGEST:.0f}x faster "
-        f"than exhaustive enumeration on the largest configuration, got "
+        f"than ReferenceExact's enumeration on the largest configuration, got "
         f"{largest_speedup:.1f}x"
     )
 
@@ -186,16 +188,17 @@ def test_bench_heuristic_skip_counters():
     rows_out: List[List[object]] = []
     totals: Dict[str, float] = {}
     for solver in (GreedySolver(), TGENSolver()):
+        reference = twin(solver)
         pruned_seconds = 0.0
         unpruned_seconds = 0.0
         counters: Dict[str, float] = {}
         for query in queries:
             instance = engine.build_instance(query)
             start = time.perf_counter()
-            pruned = solver.solve(instance.with_pruning(True))
+            pruned = solver.solve(instance)
             pruned_seconds += time.perf_counter() - start
             start = time.perf_counter()
-            unpruned = solver.solve(instance.with_pruning(False))
+            unpruned = reference.solve(instance)
             unpruned_seconds += time.perf_counter() - start
             assert pruned.region.nodes == unpruned.region.nodes, solver.name
             assert pruned.weight == unpruned.weight, solver.name
@@ -215,9 +218,9 @@ def test_bench_heuristic_skip_counters():
 
     print()
     print(format_table(
-        ["solver", "unpruned (s)", "pruned (s)", "skip counters"],
+        ["solver", "twin (s)", "solver (s)", "skip counters"],
         rows_out,
-        title="heuristic solvers on an indexed NY-like workload: pruned vs unpruned",
+        title="heuristic solvers on an indexed NY-like workload: solver vs unpruned twin",
     ))
 
     json_path = os.environ.get("REPRO_BENCH_JSON")

@@ -5,9 +5,10 @@ search branches that cannot beat an incumbent, edges whose endpoints carry no
 scaled weight — without ever changing the arithmetic of the work that is kept.
 Every bound here is **admissible**: it is greater than or equal to the true best
 achievable value it bounds, for every query, so a skip licensed by a bound can
-never remove a result the unpruned reference path would have produced. The
-parity suite (``tests/core/test_pruning_parity.py``) checks the end-to-end
-consequence — byte-identical results pruned vs unpruned — and
+never remove a result the unpruned references (the twins of
+:mod:`repro.core.reference` and the scorer weight source) would have produced.
+The parity suite (``tests/core/test_pruning_parity.py``) checks the end-to-end
+consequence — results byte-identical to those references' — and
 ``tests/core/test_bounds.py`` checks admissibility of the bounds themselves on
 randomized instances.
 

@@ -201,7 +201,8 @@ class DenseInstance:
         serving layer's instance cache re-binds one cached substrate to many
         queries; ``sampling`` re-attaches the
         :class:`~repro.textindex.columnar.SampledWeights` record of a sampled
-        build. The wrapper is pruned, exactly like a fresh build.
+        build. Solvers take the same skips on the wrapper as on a fresh
+        build.
         """
         from repro.core.instance import ProblemInstance  # deferred: cycle guard
 

@@ -9,18 +9,19 @@ edges because only node weights count), and returns the feasible subset with the
 largest weight. Tests use it to validate APP/TGEN/Greedy accuracy against the true
 optimum, which is a stronger check than the paper could run.
 
-When the instance's ``pruning`` flag is set (and every node weight is
-non-negative — the builder-produced weights always are), the enumeration runs as
-a branch-and-bound: a min-heap of the ``k`` best candidate weights seen so far is
-the incumbent, and any anchor or branch whose *positive-weight potential* (the
-sum of ``max(σ_v, 0)`` over the nodes the branch can still reach) falls strictly
-below the k-th incumbent — after a ``1 + 1e-9`` admissibility guard — is skipped
-whole. Skipped subsets all have weight strictly below the final k-th weight, and
-the surviving candidates keep their enumeration order, so the stable sort that
-ranks them produces byte-identical results to the exhaustive path (the parity
-suite checks this). Pruning never reorders the enumeration and never prunes on
-length (the induced-subgraph MST is not monotone under subset growth — adding a
-Steiner node can shorten it).
+When every node weight is non-negative (the builder-produced weights always
+are), the enumeration runs as a branch-and-bound: a min-heap of the ``k`` best
+candidate weights seen so far is the incumbent, and any anchor or branch whose
+*positive-weight potential* (the sum of ``max(σ_v, 0)`` over the nodes the
+branch can still reach) falls strictly below the k-th incumbent — after a
+``1 + 1e-9`` admissibility guard — is skipped whole. Skipped subsets all have
+weight strictly below the final k-th weight, and the surviving candidates keep
+their enumeration order, so the stable sort that ranks them produces
+byte-identical results to the exhaustive enumeration, which
+:class:`~repro.core.reference.ReferenceExact` always runs (the parity suites
+check this). Pruning never reorders the enumeration and never prunes on length
+(the induced-subgraph MST is not monotone under subset growth — adding a Steiner
+node can shorten it).
 """
 
 from __future__ import annotations
@@ -157,10 +158,7 @@ class ExactSolver:
             elif weight > heap[0]:
                 heapq.heapreplace(heap, weight)
 
-        # Branch-and-bound needs non-negative weights: the positive-potential
-        # bounds below only dominate subset sums when no negative weight can
-        # be excluded from a subset to raise it above its positive mass.
-        prune = instance.pruning and all(w >= 0.0 for w in weights.values())
+        prune = self._branch_and_bound(weights)
         # Upper bound on the best subset the truncated enumeration never
         # considered (None while the run completes in budget).
         open_bound: Optional[float] = None
@@ -225,6 +223,15 @@ class ExactSolver:
         gap = max(0.0, open_bound - achieved) if open_bound is not None else None
         annotate_anytime_stats(instance, achieved, stats, regret_bound=gap)
         return regions, stats
+
+    def _branch_and_bound(self, weights: Dict[int, float]) -> bool:
+        """Whether the enumeration may take the bound-licensed skips.
+
+        Branch-and-bound needs non-negative weights: the positive-potential
+        bounds only dominate subset sums when no negative weight can be
+        excluded from a subset to raise it above its positive mass.
+        """
+        return all(w >= 0.0 for w in weights.values())
 
 
 _BB_GUARD = 1.0 + 1e-9

@@ -152,17 +152,9 @@ class GreedySolver:
         library = kernel.LIBRARY
         if library is None:
             return self._grow_dense(
-                dense,
-                instance.graph,
-                instance.query.delta,
-                mask,
-                pruning=instance.pruning,
-                stats=stats,
-                budget=budget,
+                dense, instance.graph, instance.query.delta, mask, stats, budget
             )
-        grown = library.greedy_grow(
-            dense, self.mu, instance.query.delta, mask, instance.pruning, budget
-        )
+        grown = library.greedy_grow(dense, self.mu, instance.query.delta, mask, budget)
         if grown is None:
             return None
         if stats is not None:
@@ -191,7 +183,6 @@ class GreedySolver:
         graph: CompactNetwork,
         delta: float,
         excluded: bytearray,
-        pruning: bool = False,
         stats: Optional[Dict[str, float]] = None,
         budget=None,
     ) -> Optional[Region]:
@@ -212,12 +203,12 @@ class GreedySolver:
         rank arithmetic keeps its expression tree, so the selected attachment
         is identical, bit for bit.
 
-        With ``pruning`` enabled the table is periodically *compacted*: entries
-        that are permanently dead — their target already joined the region or is
-        excluded, or the (monotonically growing) used length can no longer admit
-        their edge — are dropped once they make up over half the table. The
-        reference scan merely ``continue``s over exactly those entries, and the
-        survivors keep their order, so the selected attachment is unchanged.
+        The table is periodically *compacted*: entries that are permanently
+        dead — their target already joined the region or is excluded, or the
+        (monotonically growing) used length can no longer admit their edge —
+        are dropped once they make up over half the table. The reference scan
+        merely ``continue``s over exactly those entries, and the survivors keep
+        their order, so the selected attachment is unchanged.
         ``stats`` (when given) accumulates the ``greedy_candidates_scanned`` /
         ``greedy_candidates_compacted`` counters.
         """
@@ -308,7 +299,7 @@ class GreedySolver:
             total_length += cand_length[best_slot]
             member = neighbor
 
-            if pruning and dead * 2 > len(cand_pos) and len(cand_pos) > 64:
+            if dead * 2 > len(cand_pos) and len(cand_pos) > 64:
                 # Compact the table, re-evaluating deadness against the *post-
                 # selection* state (in_region just grew, total_length just
                 # rose): every dropped entry is one the reference scan would

@@ -24,10 +24,11 @@ and the instance carries two coupled views of the same input:
 The twins run the pre-substrate dict loops on the same instances; the solver
 parity suites hold every solver byte-identical to its twin.
 
-Bound-based pruning is always on. ``ProblemInstance.pruning`` is the one
-switch left: ``with_pruning(False)`` (or ``build_instance(..., pruning=False)``)
-selects the unpruned reference loops, which only the pruning parity suite and
-``bench_pruning`` run.
+Every instance is pruned: solvers take the bound-licensed skips of
+:mod:`repro.core.bounds`, which never change an answer, and the pipeline path
+skips σ_v for a window whose mass bound is zero. The unpruned references are
+the twins, which never skip, and the ``scorer`` weight source, which has no
+window skip.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class ProblemInstance:
         build_seconds: Time spent building the instance (index probing + windowing);
             reported separately from solver runtime, mirroring the paper's offline /
             online split.
-        pruning: Whether solvers may take bound-licensed skips (``False``
-            only for the reference runs the module docstring names); results
-            are byte-identical either way.
 
     Instances are immutable by contract: neither view is ever invalidated.
     """
@@ -79,7 +77,6 @@ class ProblemInstance:
         query: Optional[LCMSRQuery] = None,
         build_seconds: float = 0.0,
         dense: Optional[DenseInstance] = None,
-        pruning: bool = True,
         budget=None,
         sampling=None,
     ) -> None:
@@ -87,15 +84,11 @@ class ProblemInstance:
             raise QueryError("a ProblemInstance needs weights, a dense substrate, or both")
         if query is None:
             raise QueryError("a ProblemInstance needs its originating query")
-        # A leftover policy string such as "off" would be truthy and prune.
-        if not isinstance(pruning, bool):
-            raise QueryError(f"pruning must be True or False, got {pruning!r}")
         graph = CompactNetwork.from_network(graph)
         self.graph = graph
         self.dense = dense if dense is not None else DenseInstance.from_graph(graph, weights)
         self.query = query
         self.build_seconds = build_seconds
-        self.pruning = pruning
         # Anytime tier (repro.core.anytime): an optional cooperative Budget the
         # solvers poll in their hot loops, and optional SampledWeights metadata
         # when σ_v came from the sampled estimator. None (the default) keeps
@@ -113,29 +106,6 @@ class ProblemInstance:
             self._weights = self.dense.weights_dict()
         return self._weights
 
-    def _sibling(self, **changes) -> "ProblemInstance":
-        """A copy sharing both views."""
-        fields = dict(
-            graph=self.graph,
-            weights=self._weights,
-            query=self.query,
-            build_seconds=self.build_seconds,
-            dense=self.dense,
-            pruning=self.pruning,
-            budget=self.budget,
-            sampling=self.sampling,
-        )
-        fields.update(changes)
-        return ProblemInstance(**fields)
-
-    def with_pruning(self, pruning: bool) -> "ProblemInstance":
-        """Return a sibling instance sharing every view, pruned or not.
-
-        Nothing is copied — the benchmark and the parity suite use this to
-        solve one built instance pruned and unpruned.
-        """
-        return self._sibling(pruning=pruning)
-
     def with_budget(self, budget) -> "ProblemInstance":
         """Return a sibling instance sharing every view but carrying a solve budget.
 
@@ -144,7 +114,15 @@ class ProblemInstance:
         a deadline never leaks into a cached instance (or into an exact query
         served from the same cache entry).
         """
-        return self._sibling(budget=budget)
+        return ProblemInstance(
+            graph=self.graph,
+            weights=self._weights,
+            query=self.query,
+            build_seconds=self.build_seconds,
+            dense=self.dense,
+            budget=budget,
+            sampling=self.sampling,
+        )
 
     # ------------------------------------------------------------------ derived facts
     @property
@@ -171,7 +149,6 @@ def build_instance(
     scorer: Optional[RelevanceScorer] = None,
     node_weights: Optional[Mapping[int, float]] = None,
     pipeline: Optional[WeightPipeline] = None,
-    pruning: bool = True,
     overlay=None,
     sample_epsilon: Optional[float] = None,
     sample_seed: int = 0,
@@ -192,12 +169,10 @@ def build_instance(
     here; the window is then a view of the snapshot, and the
     :class:`~repro.core.dense.DenseInstance` built here shares its arrays.
 
-    ``pruning`` (default ``True``) lets the instance's solvers take
-    bound-licensed skips; ``False`` selects the unpruned reference loops. On
-    the pipeline path with a windowed query it also arms the builder's own
-    skip: when the window's admissible σ-mass bound is exactly zero, the σ
-    computation is bypassed entirely (the window graph is still built
-    identically).
+    On the pipeline path with a windowed query the builder skips σ_v when the
+    window's admissible σ-mass bound is exactly zero (the window graph is
+    still built identically); the ``scorer`` path, which never skips, is that
+    skip's reference.
 
     ``overlay`` (pipeline path only) is a
     :class:`~repro.service.generations.DeltaOverlay` with pending mutations:
@@ -219,8 +194,7 @@ def build_instance(
 
     Raises:
         QueryError: If no weight source (or more than one) is given, if
-            ``overlay`` is passed without ``pipeline``, or if ``pruning`` is
-            not a bool.
+            ``overlay`` is passed without ``pipeline``.
     """
     sources = sum(
         1 for source in (scorer, node_weights, pipeline) if source is not None
@@ -255,8 +229,7 @@ def build_instance(
                 query.keywords, window=query.region, node_window=query.region
             )
         elif (
-            pruning
-            and query.region is not None
+            query.region is not None
             and pipeline.bounds.window_mass_bound(query.region) == 0.0
         ):
             # Zero-σ-mass window skip: the covering cells' mass bound is exactly
@@ -304,6 +277,5 @@ def build_instance(
         query=query,
         build_seconds=build_seconds,
         dense=dense,
-        pruning=pruning,
         sampling=sampling,
     )

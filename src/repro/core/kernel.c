@@ -59,8 +59,9 @@ typedef struct {
     double eps;               /* tuples.EPS */
     int32_t max_tuples;       /* tuples kept per node, 0 for no cap */
     int32_t by_length;        /* visit a node's edges by ascending length */
-    int32_t prune;            /* skip edges between zero-scaled arrays */
-    int32_t top_k;            /* ranked tuples to return, 0 for no pool */
+    int32_t top_k;            /* ranked tuples to return, 0 for no pool; with
+                                 no pool, edges between zero-scaled arrays
+                                 are skipped */
     int32_t pool_size;        /* the pool is cut back to this size */
     kernel_poll expired;      /* the budget poll, NULL for no budget */
 } TgenInput;
@@ -612,7 +613,7 @@ static int solve(Solve *s, TgenOutput *out)
                 el = in->lengths[slot];
                 if (el > in->delta)
                     continue;
-                if (in->prune && s->tup[best].scaled > 0 && s->arrays[vi].top == 0
+                if (in->top_k == 0 && s->tup[best].scaled > 0 && s->arrays[vi].top == 0
                     && s->arrays[vj].top == 0) {
                     out->edges_skipped++;
                     continue;
@@ -685,7 +686,6 @@ typedef struct {
     double mu;                /* the rank's balance parameter */
     double tau_max;           /* the longest window edge, or 1.0 */
     double delta_eps;         /* delta + 1e-12, the length test */
-    int32_t prune;            /* compact the candidate table */
     kernel_poll expired;      /* the budget poll, NULL for no budget */
 } GreedyInput;
 
@@ -733,10 +733,9 @@ static int candidate_dead(const GreedyInput *in, const uint8_t *in_region, const
  *   - each round polls the budget once, then scans the whole table: the
  *     first live entry, then any of higher rank or of rank within 1e-12
  *     and a smaller id, wins;
- *   - with prune set, once dead entries make up over half of a table of
- *     more than 64, judged after the selection, the table keeps only its
- *     live entries, in order. Only dead entries go, so the selections are
- *     the unpruned ones. */
+ *   - once dead entries make up over half of a table of more than 64,
+ *     judged after the selection, the table keeps only its live entries, in
+ *     order. Only dead entries go, so the selections are the unpruned ones. */
 int greedy_grow(const GreedyInput *in, GreedyOutput *out)
 {
     int32_t k, seed = -1, count = 0, cap = 0, member;
@@ -815,7 +814,7 @@ int greedy_grow(const GreedyInput *in, GreedyOutput *out)
         out->attached[out->size] = table[best].member;
         out->size++;
         total += table[best].length;
-        if (in->prune && 2 * (int64_t)dead > count && count > 64) {
+        if (2 * (int64_t)dead > count && count > 64) {
             int32_t kept = 0;
             for (slot = 0; slot < count; slot++)
                 if (!candidate_dead(in, in_region, &table[slot], total))

@@ -61,7 +61,6 @@ class _Input(ctypes.Structure):
         ("eps", ctypes.c_double),
         ("max_tuples", ctypes.c_int32),
         ("by_length", ctypes.c_int32),
-        ("prune", ctypes.c_int32),
         ("top_k", ctypes.c_int32),
         ("pool_size", ctypes.c_int32),
         ("expired", _POLL),
@@ -78,6 +77,10 @@ class _Row(ctypes.Structure):
         ("u", ctypes.c_int32),
         ("v", ctypes.c_int32),
     ]
+
+
+#: A forest row as NumPy reads it.
+_ROW = np.dtype(_Row)
 
 
 class _Output(ctypes.Structure):
@@ -107,7 +110,6 @@ class _GreedyInput(ctypes.Structure):
         ("mu", ctypes.c_double),
         ("tau_max", ctypes.c_double),
         ("delta_eps", ctypes.c_double),
-        ("prune", ctypes.c_int32),
         ("expired", _POLL),
     ]
 
@@ -162,7 +164,6 @@ class Kernel:
         delta: float,
         max_tuples: Optional[int],
         by_length: bool,
-        prune: bool,
         top_k: int,
         pool_size: int,
         budget: Any,
@@ -195,8 +196,8 @@ class Kernel:
             n, indptr.ctypes.data, indices.ctypes.data,
             lengths.ctypes.data, sigma.ctypes.data,
             scaled.ctypes.data, seeds.ctypes.data,
-            delta, delta + 1e-12, EPS, max_tuples or 0, by_length, prune, top_k,
-            pool_size, poll,
+            delta, delta + 1e-12, EPS, max_tuples or 0, by_length, top_k, pool_size,
+            poll,
         )
         out = _Output(roots=roots.ctypes.data)
         if self._solve(ctypes.byref(arguments), ctypes.byref(out)) != 0:
@@ -204,7 +205,11 @@ class Kernel:
         try:
             if raised:
                 raise raised[0]
-            table = np.ctypeslib.as_array(out.forest, shape=(out.rows,))
+            # A copy through bytes: np.ctypeslib.as_array would build a ctypes
+            # array type per row count, which ctypes caches for good.
+            table = np.frombuffer(
+                ctypes.string_at(out.forest, out.rows * _ROW.itemsize), dtype=_ROW
+            )
             ends = np.unique(np.concatenate((table["u"], table["v"])))
             ids = dict(zip(ends.tolist(), dense.ids[ends].tolist()))
             rows = table.tolist()
@@ -231,7 +236,6 @@ class Kernel:
         mu: float,
         delta: float,
         excluded: bytearray,
-        prune: bool,
         budget: Any,
     ) -> Optional[Grown]:
         """Grow one region as :meth:`GreedySolver._grow_dense` does on
@@ -266,8 +270,7 @@ class Kernel:
             n, indptr.ctypes.data, indices.ctypes.data,
             lengths.ctypes.data, sigma.ctypes.data,
             ids.ctypes.data, relevant.ctypes.data, relevant.size,
-            mask.ctypes.data, mu, dense.tau_max or 1.0, delta + 1e-12, prune,
-            poll,
+            mask.ctypes.data, mu, dense.tau_max or 1.0, delta + 1e-12, poll,
         )
         out = _GreedyOutput(
             positions=grown.ctypes.data,

@@ -1,4 +1,4 @@
-"""Reference twins: the dict-keyed solver loops, kept as a test oracle.
+"""Reference twins: the unpruned, dict-keyed solver loops, kept as a test oracle.
 
 Greedy, TGEN and APP run on the position-indexed
 :class:`~repro.core.dense.DenseInstance`. The loops they ran before it — over
@@ -7,11 +7,16 @@ Greedy, TGEN and APP run on the position-indexed
 solver and overrides only what the substrate replaced (Greedy's ``_grow``,
 TGEN's ``_run``, APP's ``_prepare``, whose :class:`ReferenceQuotaTreeSolver`
 runs the metric closure on the id-keyed
-:func:`~repro.network.shortest_path.dijkstra`). ``ExactSolver`` has one path
-and no twin.
+:func:`~repro.network.shortest_path.dijkstra`). ``ExactSolver`` has one loop;
+its twin :class:`ReferenceExact` overrides only the decision to
+branch-and-bound, so it always runs the exhaustive enumeration.
+
+The twins never prune: TGEN's twin skips no edge, Greedy's never compacts its
+candidates and Exact's enumerates every connected subset. They are the
+references the bound-licensed skips of :mod:`repro.core.bounds` are held to.
 
 :func:`twin` maps a solver to its twin with the same parameters; the parity
-suites and the solver-time benchmark compare the two on the same instances and
+suites and the solver-time benchmarks compare the two on the same instances and
 require byte-identical results. No serving module imports this one.
 """
 
@@ -21,6 +26,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.app import APPSolver
+from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
 from repro.core.instance import ProblemInstance
 from repro.core.kmst import QuotaTreeSolver
@@ -318,14 +324,26 @@ class ReferenceAPP(APPSolver):
         return scaling, scaled_weights, quota_solver
 
 
-_TWINS = {GreedySolver: ReferenceGreedy, TGENSolver: ReferenceTGEN, APPSolver: ReferenceAPP}
+class ReferenceExact(ExactSolver):
+    """:class:`~repro.core.exact.ExactSolver` on the exhaustive enumeration."""
+
+    def _branch_and_bound(self, weights: Dict[int, float]) -> bool:
+        return False
+
+
+_TWINS = {
+    GreedySolver: ReferenceGreedy,
+    TGENSolver: ReferenceTGEN,
+    APPSolver: ReferenceAPP,
+    ExactSolver: ReferenceExact,
+}
 
 
 def twin(solver):
     """Return the reference twin of ``solver``, carrying the same parameters.
 
     Raises:
-        TypeError: For a solver without a twin (Exact has one path).
+        TypeError: For an object that is not one of the four solvers.
     """
     twin_class = _TWINS.get(type(solver))
     if twin_class is None:

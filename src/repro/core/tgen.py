@@ -174,18 +174,16 @@ class TGENSolver:
         # deterministic for tests.
         seeds = np.lexsort((dense.ids, -dense.sigma))
         pool_size = max(64, 16 * top_k)
-        # The pool deliberately admits zero-scaled tuples, so it turns pruning off.
-        prune = instance.pruning and not top_k
         library = kernel.LIBRARY
         if library is None:
             best, ranked, stats = self._run_dense(
-                instance, dense, scaled.tolist(), seeds.tolist(), top_k, pool_size, prune
+                instance, dense, scaled.tolist(), seeds.tolist(), top_k, pool_size
             )
             ids = instance.graph.adjacency_arrays()[4]
         else:
             best, ranked, stats, ids = library.tgen_solve(
                 dense, scaled, seeds, instance.query.delta, self.max_tuples_per_node,
-                self.edge_order == "length", prune, top_k, pool_size, instance.budget,
+                self.edge_order == "length", top_k, pool_size, instance.budget,
             )
         return (
             _materialise(best, ids),
@@ -206,7 +204,6 @@ class TGENSolver:
         start_order: List[int],
         top_k: int,
         pool_size: int,
-        prune: bool,
     ) -> Tuple[DenseTuple, List[DenseTuple], Dict[str, float]]:
         """The traversal over local node positions, in Python.
 
@@ -238,7 +235,8 @@ class TGENSolver:
         where it cannot succeed. Edges of at least :attr:`_PREFILTER_PAIRS`
         pairs run the length test ``(l_i + l_j) + τ ≤ Q.∆`` vectorised.
 
-        When ``prune`` is set, an edge is skipped whole once the incumbent has
+        Unless a top-k pool is collected (the pool admits zero-scaled tuples,
+        so it takes no skip), an edge is skipped whole once the incumbent has
         positive scaled weight and *both* endpoint arrays hold only
         zero-scaled tuples: every combination such an edge can generate has
         scaled weight 0 (tuple scaled weights are sums of member scaled
@@ -319,7 +317,7 @@ class TGENSolver:
                     if edge_length > delta:
                         continue
                     if (
-                        prune
+                        not collect_pool
                         and best_scaled > 0
                         and max_scaled[vi] == 0
                         and max_scaled[vj] == 0

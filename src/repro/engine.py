@@ -38,36 +38,30 @@ from repro.textindex.relevance import ScoringMode
 
 SolverUnion = Union[APPSolver, TGENSolver, GreedySolver, ExactSolver]
 
+#: The solver a query runs when it names none: TGEN, the paper's accuracy
+#: recommendation.
+DEFAULT_ALGORITHM = "tgen"
 
-def _default_solvers(default_algorithm: str) -> Dict[str, SolverUnion]:
-    """The paper's solver registry with default parameters.
 
-    Raises:
-        QueryError: If ``default_algorithm`` names no registered solver.
-    """
-    solvers: Dict[str, SolverUnion] = {
+def _default_solvers() -> Dict[str, SolverUnion]:
+    """The paper's solver registry with default parameters."""
+    return {
         "app": APPSolver(),
         "tgen": TGENSolver(),
         "greedy": GreedySolver(),
         "exact": ExactSolver(),
     }
-    if default_algorithm.lower() not in solvers:
-        raise QueryError(
-            f"unknown default algorithm {default_algorithm!r}; "
-            f"known: {sorted(solvers)}"
-        )
-    return solvers
 
 
 class LCMSREngine:
     """Index a dataset once and answer LCMSR queries.
 
-    Construction validates its configuration *before* any index is built, so a
+    Construction validates ``scoring_mode`` *before* any index is built, so a
     misconfigured engine fails in microseconds instead of after a multi-second
-    offline build: ``scoring_mode`` must name a scoring mode and
-    ``default_algorithm`` a registered solver. Every instance the engine
-    builds is pruned: solvers take the bound-licensed skips of
-    :mod:`repro.core.bounds`, which never change an answer.
+    offline build. A query that names no algorithm runs
+    :data:`DEFAULT_ALGORITHM` (TGEN). Solvers always take the bound-licensed
+    skips of :mod:`repro.core.bounds`, which never change an answer; the
+    unpruned references are the twins of :mod:`repro.core.reference`.
 
     Args:
         network: The road network.
@@ -78,14 +72,9 @@ class LCMSREngine:
             objects by TF-IDF vector-space relevance; ``RATING_IF_MATCH`` uses
             the object's rating when it contains any query keyword;
             ``LANGUAGE_MODEL`` uses a Jelinek–Mercer smoothed query likelihood.
-        default_algorithm: Algorithm used when a query does not name one. One of
-            ``"tgen"`` (the paper's accuracy recommendation and the default),
-            ``"app"`` (the (5 + ε)-approximation with a quality guarantee),
-            ``"greedy"`` (fastest, no guarantee) or ``"exact"`` (brute-force
-            oracle, tiny windows only).
 
     Raises:
-        QueryError: If ``scoring_mode`` or ``default_algorithm`` is unknown.
+        QueryError: If ``scoring_mode`` is unknown.
     """
 
     def __init__(
@@ -93,35 +82,19 @@ class LCMSREngine:
         network: RoadNetwork,
         corpus: ObjectCorpus,
         scoring_mode: Union[ScoringMode, str] = ScoringMode.TEXT_RELEVANCE,
-        default_algorithm: str = "tgen",
     ) -> None:
-        # Fail fast on configuration errors before paying for the index build:
-        # the solver registry is cheap, so it is built (and the default name
-        # validated against it) first; IndexBundle.build validates
-        # scoring_mode before any index work.
-        solvers = _default_solvers(default_algorithm)
-        bundle = IndexBundle.build(network, corpus, scoring_mode=scoring_mode)
-        self._attach(bundle, solvers, default_algorithm)
+        # IndexBundle.build validates scoring_mode before any index work.
+        self._attach(IndexBundle.build(network, corpus, scoring_mode=scoring_mode))
 
-    def _attach(
-        self,
-        bundle: IndexBundle,
-        solvers: Dict[str, SolverUnion],
-        default_algorithm: str,
-    ) -> None:
+    def _attach(self, bundle: IndexBundle) -> None:
         self._bundle = bundle
-        self._default_algorithm = default_algorithm.lower()
-        self._solvers = solvers
+        self._solvers = _default_solvers()
         self._bundle_generation = 0
         self._bundle_lock = threading.Lock()
         self._overlay = None
 
     @classmethod
-    def from_bundle(
-        cls,
-        bundle: IndexBundle,
-        default_algorithm: str = "tgen",
-    ) -> "LCMSREngine":
+    def from_bundle(cls, bundle: IndexBundle) -> "LCMSREngine":
         """Create an engine over an already-built index bundle.
 
         This skips the offline build entirely — the intended path for services
@@ -130,24 +103,16 @@ class LCMSREngine:
 
         Args:
             bundle: The prebuilt index state.
-            default_algorithm: Algorithm used when a query does not name one.
 
         Returns:
             An engine serving queries from the shared bundle.
-
-        Raises:
-            QueryError: If ``default_algorithm`` is unknown.
         """
         engine = cls.__new__(cls)
-        engine._attach(bundle, _default_solvers(default_algorithm), default_algorithm)
+        engine._attach(bundle)
         return engine
 
     @classmethod
-    def from_artifact(
-        cls,
-        path: Union[str, "Path"],
-        default_algorithm: str = "tgen",
-    ) -> "LCMSREngine":
+    def from_artifact(cls, path: Union[str, "Path"]) -> "LCMSREngine":
         """Create an engine from a persisted index artifact — no offline build.
 
         The artifact (written by :meth:`IndexBundle.save
@@ -165,7 +130,6 @@ class LCMSREngine:
 
         Args:
             path: The artifact directory.
-            default_algorithm: Algorithm used when a query does not name one.
 
         Returns:
             An engine serving queries from the loaded bundle.
@@ -174,7 +138,6 @@ class LCMSREngine:
             ArtifactError: If the artifact is missing, corrupt or written by an
                 unsupported format version, or if ``CURRENT`` points at a
                 missing/partial generation.
-            QueryError: If ``default_algorithm`` is unknown.
         """
         # Deferred: repro.service.generations imports the service layer, which
         # imports this module.
@@ -182,7 +145,7 @@ class LCMSREngine:
 
         resolved = resolve_generation(path)
         bundle = IndexBundle.load(resolved)
-        engine = cls.from_bundle(bundle, default_algorithm=default_algorithm)
+        engine = cls.from_bundle(bundle)
         overlay = overlay_from_delta_log(bundle, resolved)
         if overlay is not None:
             engine.attach_overlay(overlay)
@@ -225,8 +188,9 @@ class LCMSREngine:
 
     @property
     def default_algorithm(self) -> str:
-        """The solver name used when a query does not specify one."""
-        return self._default_algorithm
+        """The solver name used when a query does not specify one:
+        :data:`DEFAULT_ALGORITHM`."""
+        return DEFAULT_ALGORITHM
 
     @property
     def bundle_generation(self) -> int:
@@ -289,7 +253,7 @@ class LCMSREngine:
         """Return the solver registered under ``name``.
 
         Args:
-            name: Solver name; the engine's default algorithm when omitted.
+            name: Solver name; :data:`DEFAULT_ALGORITHM` when omitted.
 
         Returns:
             The registered solver instance.
@@ -298,7 +262,7 @@ class LCMSREngine:
             QueryError: If ``name`` does not match a registered solver.
         """
         solvers = self._solvers
-        key = (name or self._default_algorithm).lower()
+        key = (name or DEFAULT_ALGORITHM).lower()
         if key not in solvers:
             raise QueryError(f"unknown algorithm {name!r}; known: {sorted(solvers)}")
         return solvers[key]
@@ -432,8 +396,8 @@ class LCMSREngine:
             keywords: Query keywords ``Q.ψ``.
             delta: Length constraint ``Q.∆`` (same unit as the network edge lengths).
             region: Region of interest ``Q.Λ``; the whole network when omitted.
-            algorithm: "app", "tgen", "greedy" or "exact"; the engine default when
-                omitted.
+            algorithm: "app", "tgen", "greedy" or "exact"; :data:`DEFAULT_ALGORITHM`
+                when omitted.
             policy: Per-query service level (``None`` = exact, today's
                 byte-identical path); see :class:`~repro.core.anytime.QueryPolicy`.
 
@@ -467,7 +431,7 @@ class LCMSREngine:
             delta: Length constraint ``Q.∆``.
             k: Number of distinct regions to return.
             region: Region of interest ``Q.Λ``; the whole network when omitted.
-            algorithm: Solver name; the engine default when omitted.
+            algorithm: Solver name; :data:`DEFAULT_ALGORITHM` when omitted.
             policy: Per-query service level (``None`` = exact).
 
         Returns:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Union
+from typing import Dict, List, Protocol, Sequence
 
 from repro.core.instance import ProblemInstance, build_instance
 from repro.core.query import LCMSRQuery
@@ -72,32 +71,14 @@ class ExperimentRunner:
     """Builds instances once per query and runs any number of solvers over them.
 
     Instances take σ_v from the bundle's columnar weight pipeline over its frozen
-    CSR network and are pruned, exactly like the engine's.
+    CSR network, exactly like the engine's.
 
     Args:
         dataset: The dataset to query.
-        artifact_cache_dir: Optional directory of persisted index artifacts (see
-            :mod:`repro.service.persist`). When given, the runner keys the
-            dataset by content fingerprint and publishes (or reuses) one on-disk
-            artifact per dataset. The fingerprint itself costs a CSR freeze plus
-            a content hash on every construction, so this is not an intra-process
-            shortcut — its value is the durable artifact: other consumers (the
-            CLI, services, CI fixtures, repeated benchmark processes) load it via
-            ``IndexBundle.load`` / ``from_artifact`` without assembling the
-            dataset at all, and concurrent processes share the mmap page cache.
     """
 
-    def __init__(
-        self,
-        dataset: SyntheticDataset,
-        artifact_cache_dir: Optional[Union[str, Path]] = None,
-    ) -> None:
-        if artifact_cache_dir is not None:
-            from repro.service.persist import cached_dataset_bundle
-
-            self._bundle = cached_dataset_bundle(dataset, artifact_cache_dir)
-        else:
-            self._bundle = IndexBundle.from_dataset(dataset)
+    def __init__(self, dataset: SyntheticDataset) -> None:
+        self._bundle = IndexBundle.from_dataset(dataset)
 
     @classmethod
     def from_bundle(cls, bundle: IndexBundle) -> "ExperimentRunner":
@@ -112,11 +93,6 @@ class ExperimentRunner:
         runner = cls.__new__(cls)
         runner._bundle = bundle
         return runner
-
-    @property
-    def bundle(self) -> IndexBundle:
-        """The index state the runner executes against."""
-        return self._bundle
 
     def build(self, query: LCMSRQuery) -> ProblemInstance:
         """Build the solver input for one query."""
@@ -144,10 +120,3 @@ class ExperimentRunner:
                 result = solver.solve(instance)
                 runs[solver.name].outcomes.append(QueryOutcome(query=query, result=result))
         return runs
-
-    def run_single(
-        self, query: LCMSRQuery, solver: LCMSRSolverProtocol
-    ) -> QueryOutcome:
-        """Run one solver on one query."""
-        instance = self.build(query)
-        return QueryOutcome(query=query, result=solver.solve(instance))

@@ -28,7 +28,6 @@ def dijkstra(
     network: CompactNetwork | RoadNetwork,
     source: int,
     targets: Optional[Set[int]] = None,
-    max_distance: Optional[float] = None,
 ) -> Tuple[Dict[int, float], Dict[int, int]]:
     """Run Dijkstra's algorithm from ``source``.
 
@@ -38,7 +37,6 @@ def dijkstra(
         targets: Optional set of node identifiers; the search stops early once all of
             them have been settled. A target absent from the network never
             settles, so the search then runs to exhaustion.
-        max_distance: Optional search radius; nodes farther than this are not settled.
 
     Returns:
         A pair ``(dist, parent)`` where ``dist`` maps each reached node to its network
@@ -62,9 +60,7 @@ def dijkstra(
             else:
                 target_indices.add(sentinel)
                 sentinel -= 1
-    dist, parent, touched = dijkstra_positions(
-        network, source_index, target_indices, max_distance
-    )
+    dist, parent, touched = dijkstra_positions(network, source_index, target_indices)
     ids = network.adjacency_arrays()[4]
     dist_out: Dict[int, float] = {}
     parent_out: Dict[int, int] = {}
@@ -80,7 +76,6 @@ def dijkstra_positions(
     network: CompactNetwork,
     source_index: int,
     target_indices: Optional[Set[int]] = None,
-    max_distance: Optional[float] = None,
 ) -> Tuple[List[float], List[int], List[int]]:
     """Local-CSR Dijkstra: everything in and out is a dense node *position*.
 
@@ -95,7 +90,6 @@ def dijkstra_positions(
         source_index: Dense position of the source node.
         target_indices: Optional set of positions; the search stops early once
             all of them have been settled.
-        max_distance: Optional search radius.
 
     Returns:
         ``(dist, parent, touched)`` where ``dist[p]`` is the distance of
@@ -125,8 +119,6 @@ def dijkstra_positions(
                 break
         for slot in range(indptr[u], indptr[u + 1]):
             nd = d + lengths[slot]
-            if max_distance is not None and nd > max_distance:
-                continue
             v = positions[slot]
             if nd < dist[v]:
                 if dist[v] == infinity:

@@ -15,8 +15,8 @@ into a high-throughput service:
   accounting, rendered by :func:`repro.evaluation.reporting.format_service_stats`.
 * :mod:`repro.service.persist` — versioned on-disk index artifacts:
   :func:`save_bundle` / :func:`load_bundle` (mmap-backed), the
-  :class:`ArtifactManifest` with checksums and a dataset fingerprint, and the
-  artifact cache behind the evaluation runner and the ``python -m repro`` CLI.
+  :class:`ArtifactManifest` with checksums and a dataset fingerprint, behind
+  the ``python -m repro`` CLI.
 * :mod:`repro.service.sharding` — sharded multi-process serving:
   :func:`build_shards` partitions an artifact into tile shards with halo
   edges, :class:`ShardRouter` maps each window to the one shard whose extent
@@ -42,7 +42,6 @@ from repro.service.keys import InstanceKey, ResultKey, normalize_keywords
 from repro.service.persist import (
     FORMAT_VERSION,
     ArtifactManifest,
-    cached_dataset_bundle,
     dataset_fingerprint,
     load_bundle,
     read_manifest,
@@ -88,7 +87,6 @@ __all__ = [
     "read_manifest",
     "verify_artifact",
     "dataset_fingerprint",
-    "cached_dataset_bundle",
     "QueryService",
     "QueryRequest",
     "ServiceResult",

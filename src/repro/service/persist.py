@@ -120,11 +120,9 @@ from repro.service.chunked import (
     decompress_bytes,
     encode_chunk,
 )
-from repro.textindex.columnar import (
-    ARRAY_FIELDS as _SCORING_FIELDS,
-    DEFAULT_LM_SMOOTHING,
-    ColumnarScoringIndex,
-)
+from repro.textindex.columnar import ARRAY_FIELDS as _SCORING_FIELDS
+from repro.textindex.columnar import ColumnarScoringIndex
+from repro.textindex.relevance import LM_SMOOTHING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bundle imports persist)
     from repro.service.bundle import IndexBundle
@@ -236,7 +234,7 @@ class ArtifactManifest:
     format_version: int
     fingerprint: str
     scoring_mode: str
-    lm_smoothing: float = DEFAULT_LM_SMOOTHING
+    lm_smoothing: float = LM_SMOOTHING
     stats: Dict[str, int] = field(default_factory=dict)
     checksums: Dict[str, str] = field(default_factory=dict)
     shard: Optional[Dict[str, object]] = None
@@ -255,7 +253,7 @@ class ArtifactManifest:
                 format_version=int(raw["format_version"]),
                 fingerprint=str(raw["fingerprint"]),
                 scoring_mode=str(raw["scoring_mode"]),
-                lm_smoothing=float(raw.get("lm_smoothing", DEFAULT_LM_SMOOTHING)),
+                lm_smoothing=float(raw.get("lm_smoothing", LM_SMOOTHING)),
                 stats={str(k): int(v) for k, v in raw.get("stats", {}).items()},
                 checksums={str(k): str(v) for k, v in raw.get("checksums", {}).items()},
                 shard=raw.get("shard"),
@@ -640,8 +638,7 @@ def save_bundle(
             holds a manifest). Without it, an existing artifact raises.
         fingerprint: Optional precomputed :func:`dataset_fingerprint` of this
             bundle's (network, corpus); computed here when omitted. Callers that
-            already fingerprinted the dataset (the artifact cache) pass it to
-            avoid hashing the content twice.
+            already know it pass it to avoid hashing the content twice.
         shard: Optional shard-linkage block recorded verbatim in the manifest
             (see :attr:`ArtifactManifest.shard`); only the spatial partitioner
             passes it.
@@ -711,7 +708,7 @@ def save_bundle(
         format_version=FORMAT_VERSION,
         fingerprint=fingerprint or dataset_fingerprint(compact, bundle.corpus),
         scoring_mode=bundle.scoring_mode.value,
-        lm_smoothing=columnar.lm_smoothing,
+        lm_smoothing=LM_SMOOTHING,
         stats={
             "num_nodes": compact.num_nodes,
             "num_edges": compact.num_edges,
@@ -883,15 +880,25 @@ def load_bundle(path: PathLike, verify: bool = True) -> "IndexBundle":
 
     Raises:
         ArtifactError: On a missing/malformed artifact, an unsupported format
-            version, an empty or unmappable ``index.pkl``, or (with
-            ``verify``) a missing checksum or a checksum mismatch. A corrupt
-            ``index.pkl`` raises on first corpus access.
+            version, language-model columns built with a λ other than
+            :data:`~repro.textindex.relevance.LM_SMOOTHING`, an empty or
+            unmappable ``index.pkl``, or (with ``verify``) a missing checksum
+            or a checksum mismatch. A corrupt ``index.pkl`` raises on first
+            corpus access.
     """
     from repro.service.bundle import IndexBundle, scoring_mode_of  # deferred: cycle
 
     directory = Path(path)
     start = time.perf_counter()
     manifest = verify_artifact(directory) if verify else read_manifest(directory)
+    if manifest.lm_smoothing != LM_SMOOTHING:
+        # The overlay values new objects with LM_SMOOTHING, so columns built
+        # with another λ would disagree with it.
+        raise ArtifactError(
+            f"artifact language-model columns use smoothing {manifest.lm_smoothing} "
+            f"(this build uses {LM_SMOOTHING}); rebuild the artifact with "
+            f"`python -m repro build`"
+        )
 
     network_path = directory / NETWORK_NAME
     scoring_path = directory / SCORING_NAME
@@ -924,9 +931,7 @@ def load_bundle(path: PathLike, verify: bool = True) -> "IndexBundle":
     except ValueError as exc:
         raise ArtifactError(f"malformed {VOCABULARY_NAME}: {exc}") from exc
     try:
-        columnar = ColumnarScoringIndex.from_arrays(
-            terms, scoring_arrays, lm_smoothing=manifest.lm_smoothing
-        )
+        columnar = ColumnarScoringIndex.from_arrays(terms, scoring_arrays)
     except IndexError_ as exc:  # vocabulary and scoring.npz disagree
         raise ArtifactError(
             f"{VOCABULARY_NAME} does not match {SCORING_NAME}: {exc}"
@@ -956,42 +961,4 @@ def load_bundle(path: PathLike, verify: bool = True) -> "IndexBundle":
     # Seed the lazy fingerprint cache from the manifest: loaded bundles never
     # need to re-hash their own content to identify themselves.
     object.__setattr__(bundle, "_fingerprint", manifest.fingerprint)
-    return bundle
-
-
-# ---------------------------------------------------------------------- caching
-def cached_dataset_bundle(dataset, cache_dir: PathLike) -> "IndexBundle":
-    """Return an :class:`IndexBundle` for ``dataset``, reusing an on-disk artifact.
-
-    The cache key is the dataset's content fingerprint, so a stale artifact (same
-    name, different data) is never served: on a miss the bundle is built from the
-    dataset (reusing its mapping), saved under
-    ``<cache_dir>/<name>-<fingerprint[:12]>``, and returned.
-
-    Costing note: computing the fingerprint requires freezing the network and
-    hashing the content, and a hit additionally verifies and loads the artifact —
-    so for a dataset already assembled in this process, the call is *not* faster
-    than :meth:`IndexBundle.from_dataset`. What the cache buys is the durable,
-    content-addressed artifact itself: every other consumer (CLI, services, CI
-    fixtures, later benchmark processes) can ``load_bundle`` it without building
-    the dataset, and concurrent loaders share the mmap page cache.
-    """
-    from repro.service.bundle import IndexBundle  # deferred: bundle imports persist
-
-    # Freeze once and fingerprint the snapshot: the fingerprint needs the CSR
-    # arrays anyway, and on a miss the same snapshot goes into the bundle.
-    compact = CompactNetwork.from_network(dataset.network)
-    fingerprint = dataset_fingerprint(compact, dataset.corpus)
-    slug = "".join(
-        ch if ch.isalnum() or ch in "-_" else "-" for ch in dataset.name.lower()
-    )
-    directory = Path(cache_dir) / f"{slug}-{fingerprint[:12]}"
-    try:
-        manifest = read_manifest(directory)
-        if manifest.fingerprint == fingerprint:
-            return load_bundle(directory)
-    except ArtifactError:
-        pass  # absent, stale or unreadable: rebuild below
-    bundle = IndexBundle.from_dataset(dataset, compact=compact)
-    save_bundle(bundle, directory, overwrite=True, fingerprint=fingerprint)
     return bundle

@@ -66,11 +66,8 @@ from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
 from repro.objects.mapping import NodeObjectMap
-from repro.textindex.relevance import ScoringMode
+from repro.textindex.relevance import LM_SMOOTHING, ScoringMode
 from repro.textindex.vector_space import idf_weight, tf_weight
-
-DEFAULT_LM_SMOOTHING = 0.2
-"""Smoothing λ the language-model columns are precomputed with by default."""
 
 BOUND_RESOLUTION = 16
 """Side length of the square cell grid the bound aggregate columns are built on."""
@@ -118,9 +115,10 @@ SAMPLE_MIN_PER_STRATUM = 8
 
 
 def _posting_values(
-    keywords: Mapping[str, int], background: Mapping[str, float], smoothing: float
+    keywords: Mapping[str, int], background: Mapping[str, float]
 ) -> List[Tuple[str, int, float, float]]:
-    """One object's postings: ``(term, tf, wto(t), ln((1-λ)·P(t|o) + λ·P(t|C)))``.
+    """One object's postings: ``(term, tf, wto(t), ln((1-λ)·P(t|o) + λ·P(t|C)))``,
+    λ being :data:`~repro.textindex.relevance.LM_SMOOTHING`.
 
     One tuple per keyword, in keyword order; ``background`` maps a term to
     ``λ·P(t|C)`` (absent: 0). The same float operations, in the same order, as
@@ -133,7 +131,7 @@ def _posting_values(
     norm = math.sqrt(sum(w * w for w in weights))
     denominator = norm if norm > 0 else 1.0
     total = sum(keywords.values())
-    one_minus = 1.0 - smoothing
+    one_minus = 1.0 - LM_SMOOTHING
     values = []
     for (term, tf), weight in zip(keywords.items(), weights):
         mixed = one_minus * (tf / total if total else 0.0) + background.get(term, 0.0)
@@ -162,7 +160,6 @@ class ColumnarScoringIndex:
         post_tf: Raw term frequency per posting (float32; integral values).
         lm_log_mixed: ``ln((1-λ)·P(t|o) + λ·P(t|C))`` per posting (float64).
         lm_log_base: ``ln(λ·P(t|C))`` per term (float64).
-        lm_smoothing: The λ the language-model columns were computed with.
         object_ids / obj_x / obj_y / obj_rating: Object table, corpus order.
         obj_node_pos: Dense node-table position per object (-1 if unmapped).
         node_ids / node_x / node_y: Mapped-node table, mapping iteration order.
@@ -181,14 +178,8 @@ class ColumnarScoringIndex:
             of the *full* corpus, not the shard's object-row count.
     """
 
-    def __init__(
-        self,
-        terms: Sequence[str],
-        arrays: Mapping[str, np.ndarray],
-        lm_smoothing: float = DEFAULT_LM_SMOOTHING,
-    ) -> None:
+    def __init__(self, terms: Sequence[str], arrays: Mapping[str, np.ndarray]) -> None:
         self.terms: Tuple[str, ...] = tuple(terms)
-        self.lm_smoothing = float(lm_smoothing)
         for name in ARRAY_FIELDS:
             if name not in arrays:
                 raise IndexError_(f"columnar index is missing array {name!r}")
@@ -210,7 +201,6 @@ class ColumnarScoringIndex:
         corpus: ObjectCorpus,
         mapping: NodeObjectMap,
         node_coords,
-        lm_smoothing: float = DEFAULT_LM_SMOOTHING,
     ) -> "ColumnarScoringIndex":
         """Freeze ``corpus`` + ``mapping`` into the columnar layout.
 
@@ -219,15 +209,10 @@ class ColumnarScoringIndex:
             mapping: Object → node assignment; nodes keep its iteration order.
             node_coords: ``node_id → (x, y)`` callable for the mapped nodes —
                 typically ``CompactNetwork.coords`` of the indexed network.
-            lm_smoothing: λ for the precomputed language-model columns.
 
         Raises:
-            IndexError_: If the mapping references objects absent from the corpus
-                or ``lm_smoothing`` is outside (0, 1).
+            IndexError_: If the mapping references objects absent from the corpus.
         """
-        if not 0.0 < lm_smoothing < 1.0:
-            raise IndexError_(f"lm smoothing must be in (0, 1), got {lm_smoothing}")
-
         objects = list(corpus)
         num_objects = len(objects)
         row_of: Dict[int, int] = {
@@ -255,7 +240,7 @@ class ColumnarScoringIndex:
         # λ·P(t|C) per term, LanguageModelScorer._collection_probability's
         # arithmetic.
         background = {
-            term: lm_smoothing * (
+            term: LM_SMOOTHING * (
                 collection_counts.get(term, 0) / collection_total
                 if collection_total
                 else 0.0
@@ -267,9 +252,7 @@ class ColumnarScoringIndex:
 
         cursor = post_indptr[:-1].tolist()
         for row, obj in enumerate(objects):
-            for term, tf, wto, mixed in _posting_values(
-                obj.keywords, background, lm_smoothing
-            ):
+            for term, tf, wto, mixed in _posting_values(obj.keywords, background):
                 tid = term_ids[term]
                 slot = cursor[tid]
                 cursor[tid] += 1
@@ -349,20 +332,17 @@ class ColumnarScoringIndex:
             "corpus_meta": np.array([num_objects], dtype=np.int64),
         }
         arrays.update(bound_arrays)
-        return cls(terms, arrays, lm_smoothing=lm_smoothing)
+        return cls(terms, arrays)
 
     @classmethod
     def from_arrays(
-        cls,
-        terms: Sequence[str],
-        arrays: Mapping[str, np.ndarray],
-        lm_smoothing: float,
+        cls, terms: Sequence[str], arrays: Mapping[str, np.ndarray]
     ) -> "ColumnarScoringIndex":
         """Reconstruct an index from persisted arrays (see :mod:`repro.service.persist`).
 
         The arrays may be read-only memory maps; the index never writes to them.
         """
-        return cls(terms, arrays, lm_smoothing=lm_smoothing)
+        return cls(terms, arrays)
 
     def subset_for_extent(self, extent: Rectangle) -> "ColumnarScoringIndex":
         """Restrict the index to one spatial shard's extent, keeping global stats.
@@ -485,7 +465,7 @@ class ColumnarScoringIndex:
             "corpus_meta": np.asarray(self.corpus_meta),
         }
         arrays.update(bound_arrays)
-        return type(self)(self.terms, arrays, lm_smoothing=self.lm_smoothing)
+        return type(self)(self.terms, arrays)
 
     # ------------------------------------------------------------------ pickling
     def __getstate__(self):
@@ -844,15 +824,9 @@ class WeightPipeline:
         index: The frozen columnar index.
         mode: The per-object weight definition to compute, a
             :class:`~repro.textindex.relevance.ScoringMode`.
-        lm_smoothing: Required λ when ``mode`` is the language model; must match
-            the smoothing the index columns were precomputed with.
-
-    Raises:
-        IndexError_: If a language-model pipeline is requested with a smoothing
-            different from the index's precomputed columns.
     """
 
-    def __init__(self, index: ColumnarScoringIndex, mode, lm_smoothing: Optional[float] = None) -> None:
+    def __init__(self, index: ColumnarScoringIndex, mode) -> None:
         self._index = index
         self._mode = mode
         self._bounds = None
@@ -863,13 +837,6 @@ class WeightPipeline:
             ScoringMode.TEXT_RELEVANCE: index.post_tfidf,
             ScoringMode.LANGUAGE_MODEL: index.lm_log_mixed,
         }.get(mode)
-        if mode is ScoringMode.LANGUAGE_MODEL:
-            wanted = index.lm_smoothing if lm_smoothing is None else float(lm_smoothing)
-            if wanted != index.lm_smoothing:
-                raise IndexError_(
-                    f"columnar index precomputed language-model columns with "
-                    f"smoothing {index.lm_smoothing}, cannot serve {wanted}"
-                )
 
     @property
     def index(self) -> ColumnarScoringIndex:
@@ -1248,14 +1215,12 @@ class WeightPipeline:
             )
             counts = np.bincount(tids, weights=index.post_tf, minlength=index.num_terms)
             probability = counts / max(counts.sum(), 1.0)
-            self._background = dict(zip(index.terms, (index.lm_smoothing * probability).tolist()))
+            self._background = dict(zip(index.terms, (LM_SMOOTHING * probability).tolist()))
         language_model = self._mode is ScoringMode.LANGUAGE_MODEL
         term_ids: Dict[str, int] = {}
         tids, positions, values = [], [], []
         for pos, obj in enumerate(objects):
-            for term, _, wto, mixed in _posting_values(
-                obj.keywords, self._background, index.lm_smoothing
-            ):
+            for term, _, wto, mixed in _posting_values(obj.keywords, self._background):
                 tids.append(term_ids.setdefault(term, len(term_ids)))
                 positions.append(pos)
                 values.append(mixed if language_model else wto)

@@ -24,6 +24,11 @@ from repro.objects.geoobject import GeoTextualObject
 from repro.objects.mapping import NodeObjectMap
 from repro.textindex.vector_space import VectorSpaceModel
 
+LM_SMOOTHING = 0.2
+"""The Jelinek–Mercer λ of every language-model score: the scorer's, the
+columnar index's precomputed columns (recorded in each artifact's manifest)
+and the delta overlay's valuation of new objects."""
+
 
 class ScoringMode(enum.Enum):
     """Which per-object weight definition a scorer uses.
@@ -46,15 +51,13 @@ class ScoringMode(enum.Enum):
 class LanguageModelScorer:
     """Query-likelihood scorer with Jelinek–Mercer smoothing.
 
-    ``score(o, Q) = Σ_{t ∈ Q} ln( (1-λ)·P(t|o) + λ·P(t|C) )`` shifted so that objects
-    containing no query term score exactly 0 (the LCMSR solvers require non-negative
-    weights that are 0 for irrelevant objects).
+    ``score(o, Q) = Σ_{t ∈ Q} ln( (1-λ)·P(t|o) + λ·P(t|C) )`` with λ =
+    :data:`LM_SMOOTHING`, shifted so that objects containing no query term
+    score exactly 0 (the LCMSR solvers require non-negative weights that are 0
+    for irrelevant objects).
     """
 
-    def __init__(self, corpus: ObjectCorpus, smoothing: float = 0.2) -> None:
-        if not 0.0 < smoothing < 1.0:
-            raise ValueError(f"smoothing must be in (0, 1), got {smoothing}")
-        self._smoothing = smoothing
+    def __init__(self, corpus: ObjectCorpus) -> None:
         # Collection statistics are cached on the corpus (computed once,
         # invalidated on corpus.add), so constructing a scorer is O(1) instead
         # of a full corpus scan per construction.
@@ -84,8 +87,8 @@ class LanguageModelScorer:
         for term in terms:
             p_doc = obj.keywords.get(term, 0) / object_total if object_total else 0.0
             p_col = self._collection_probability(term)
-            mixed = (1.0 - self._smoothing) * p_doc + self._smoothing * p_col
-            base = self._smoothing * p_col
+            mixed = (1.0 - LM_SMOOTHING) * p_doc + LM_SMOOTHING * p_col
+            base = LM_SMOOTHING * p_col
             if mixed <= 0.0 or base <= 0.0:
                 continue
             log_likelihood += math.log(mixed)
@@ -108,8 +111,6 @@ class RelevanceScorer:
         mapping: The object → node assignment produced by
             :func:`repro.objects.mapping.map_objects_to_network`.
         mode: Which per-object weight definition to use.
-        language_model_smoothing: Smoothing parameter when ``mode`` is
-            ``LANGUAGE_MODEL``.
     """
 
     def __init__(
@@ -117,7 +118,6 @@ class RelevanceScorer:
         corpus: ObjectCorpus,
         mapping: NodeObjectMap,
         mode: ScoringMode = ScoringMode.TEXT_RELEVANCE,
-        language_model_smoothing: float = 0.2,
     ) -> None:
         self._corpus = corpus
         self._mapping = mapping
@@ -125,7 +125,7 @@ class RelevanceScorer:
         self._vsm = VectorSpaceModel(corpus)
         self._lm: Optional[LanguageModelScorer] = None
         if mode is ScoringMode.LANGUAGE_MODEL:
-            self._lm = LanguageModelScorer(corpus, smoothing=language_model_smoothing)
+            self._lm = LanguageModelScorer(corpus)
 
     def object_score(self, obj: GeoTextualObject, keywords: Iterable[str]) -> float:
         """Return the weight of one object for the given query keywords.

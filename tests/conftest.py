@@ -64,6 +64,22 @@ class PollBudget:
         return self.remaining < 0
 
 
+def assert_tgen_work_matches_twin(result, reference, context=None):
+    """TGEN's counters against its twin's, which never skips an edge.
+
+    Every edge the twin processed, TGEN processed or skipped; and where it
+    skipped none, both combined exactly the same tuples.
+    """
+    skipped = result.stats["edges_skipped"]
+    assert (
+        result.stats["edges_processed"] + skipped == reference.stats["edges_processed"]
+    ), context
+    if skipped == 0.0:
+        assert (
+            result.stats["tuples_generated"] == reference.stats["tuples_generated"]
+        ), context
+
+
 class KernelPath:
     """The solver loops a test runs on, with a count of kernel calls."""
 

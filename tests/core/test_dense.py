@@ -135,7 +135,7 @@ class TestInstanceSubstrate:
         dense = instance.dense
         assert isinstance(dense, DenseInstance)
         assert instance.dense is dense
-        assert instance.with_pruning(False).dense is dense
+        assert instance.with_budget(None).dense is dense
         assert dense.ids.tolist() == list(thawed.node_ids())
         assert list(dense.weights_dict().items()) == list(instance.weights.items())
 

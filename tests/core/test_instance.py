@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import LCMSRQuery, ProblemInstance, build_instance
+from repro.core import LCMSRQuery, build_instance
 from repro.exceptions import QueryError
 from repro.network.builders import grid_network
 from repro.network.subgraph import Rectangle
@@ -94,29 +94,3 @@ class TestDerivedFacts:
         instance = build_instance(network, query, pipeline=pipeline)
         assert instance.has_relevant_nodes
         assert instance.sigma_max() == max(instance.weights.values())
-
-
-class TestPruningFlag:
-    """``pruning`` is a bool; a leftover policy string must not read as truthy."""
-
-    @pytest.mark.parametrize("spelling", ["off", "on", "auto"])
-    def test_policy_strings_are_rejected(self, indexed_setup, spelling):
-        network, _, _, pipeline, _ = indexed_setup
-        query = LCMSRQuery.create(["cafe"], delta=300.0)
-        instance = build_instance(network, query, pipeline=pipeline)
-        with pytest.raises(QueryError):
-            build_instance(network, query, pipeline=pipeline, pruning=spelling)
-        with pytest.raises(QueryError):
-            instance.with_pruning(spelling)
-        with pytest.raises(QueryError):
-            ProblemInstance(network, weights={}, query=query, pruning=spelling)
-
-    def test_defaults_to_pruned_and_flips_per_instance(self, indexed_setup):
-        network, _, _, pipeline, _ = indexed_setup
-        query = LCMSRQuery.create(["cafe"], delta=300.0)
-        instance = build_instance(network, query, pipeline=pipeline)
-        assert instance.pruning is True
-        assert instance.with_pruning(False).pruning is False
-        assert build_instance(
-            network, query, pipeline=pipeline, pruning=False
-        ).pruning is False

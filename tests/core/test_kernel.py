@@ -8,11 +8,13 @@ fixture).
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +59,7 @@ def instances(tiny_ny_dataset):
     queries = generate_workload(
         tiny_ny_dataset, num_queries=2, num_keywords=3, delta=1500.0, area_km2=2.0, seed=11
     )
-    return [engine.build_instance(query).with_pruning(False) for query in queries]
+    return [engine.build_instance(query) for query in queries]
 
 
 def _run(*args, timeout=120):
@@ -205,7 +207,7 @@ class TestKernelCalls:
             "    network = grid_network(side, side, spacing=100.0)\n"
             "    weights = {node: 1.0 + node % 7 for node in network.node_ids()}\n"
             "    return build_instance(network, LCMSRQuery.create(['t'], delta=2500.0),\n"
-            "        node_weights=weights, pruning=False)\n"
+            "        node_weights=weights)\n"
             "solver = TGENSolver(alpha=1.0)\n"
             "solver.solve(instance(3))\n"
             "heavy = instance(12)\n"
@@ -291,11 +293,11 @@ class TestKernelCalls:
         scaled = np.zeros(dense.num_nodes, dtype=np.int64)
         with pytest.raises(ValueError):
             kernel.LIBRARY.tgen_solve(
-                broken, scaled, seeds, 6.0, None, False, False, 0, 64, None
+                broken, scaled, seeds, 6.0, None, False, 0, 64, None
             )
         with pytest.raises(ValueError):
             kernel.LIBRARY.greedy_grow(
-                broken, 0.2, 6.0, bytearray(dense.num_nodes), True, None
+                broken, 0.2, 6.0, bytearray(dense.num_nodes), None
             )
         rows = np.array(dense.indptr)
         rows[1] = rows[2] + 1  # row pointers that go back
@@ -305,7 +307,7 @@ class TestKernelCalls:
         )
         with pytest.raises(ValueError):
             kernel.LIBRARY.greedy_grow(
-                unordered, 0.2, 6.0, bytearray(dense.num_nodes), True, None
+                unordered, 0.2, 6.0, bytearray(dense.num_nodes), None
             )
 
     def test_kernel_solves_build_no_list_mirror(self, tiny_ny_dataset, monkeypatch):
@@ -341,12 +343,49 @@ class TestKernelCalls:
         monkeypatch.setattr(CompactNetwork, "_materialize_lists", refuse)
         assert answers() == expected
 
+    def test_forests_of_many_sizes_leave_nothing_behind(self):
+        # On a path of 10 m edges with every node weighted, TGEN's region
+        # grows by one node per 10 m of ∆, so each ∆ below returns a forest
+        # of its own row count. Reading the forest must not leave a type per
+        # row count behind, as np.ctypeslib.as_array does (about 5.6 KiB for
+        # each, or 680 KiB for these 120 sizes).
+        network = RoadNetwork()
+        for node in range(160):
+            network.add_node(node, 10.0 * node, 0.0)
+            if node:
+                network.add_edge(node - 1, node, 10.0)
+        weights = {node: 1.0 + node % 5 for node in network.node_ids()}
+        solver = TGENSolver()
+
+        def region_sizes(deltas):
+            sizes = set()
+            for delta in deltas:
+                instance = build_instance(
+                    network, LCMSRQuery.create(["t"], delta=delta), node_weights=weights
+                )
+                sizes.add(solver.solve(instance).region.num_nodes)
+            return sizes
+
+        region_sizes([5.0, 15.0])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            sizes = region_sizes([10.0 * m + 5.0 for m in range(120)])
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert sizes == set(range(1, 121))
+        left = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert left < 64 * 1024, f"{left / 1024:.1f} KiB left behind"
+
     @pytest.mark.parametrize("offset", [-1, 1])
     def test_an_exclusion_mask_of_the_wrong_length_is_refused(self, paper_instance, offset):
         dense = paper_instance.dense
         with pytest.raises(ValueError, match="exclusion mask"):
             kernel.LIBRARY.greedy_grow(
-                dense, 0.2, 6.0, bytearray(dense.num_nodes + offset), True, None
+                dense, 0.2, 6.0, bytearray(dense.num_nodes + offset), None
             )
 
 
@@ -417,30 +456,26 @@ class TestGreedyBoundaries:
         assert _region(result)[:4] == _region(twin(GreedySolver()).solve(instance))[:4]
         assert sorted(result.region.nodes) == ([1] if step else [1, 2])
 
-    @pytest.mark.parametrize(
-        "pruning, scanned, compacted", [(True, 482.0, 36.0), (False, 770.0, 0.0)],
-        ids=["pruned", "unpruned"],
-    )
-    def test_compaction_needs_over_half_of_the_table_dead(
-        self, pruning, scanned, compacted
-    ):
+    @pytest.mark.parametrize("freeze", [False, True], ids=["road", "csr"])
+    def test_compaction_needs_over_half_of_the_table_dead(self, freeze):
         # Seed 0 has 34 leaves at 1 m and 31 at 10 m, and ∆ = 10.5 m. Once
         # the first leaf joins, the second round's table holds 66 entries, of
         # which exactly 33 are dead (the leaf both ways and the 31 long
         # edges): half is not enough, so the third round compacts 36 entries.
-        # Ten short leaves then fill ∆.
+        # Ten short leaves then fill ∆. The CSR freeze of the star, which is
+        # what a served window is cut from, must count the same.
         network = RoadNetwork()
         network.add_node(0, 0.0, 0.0)
         for leaf in range(1, 66):
             network.add_node(leaf, float(leaf), 1.0)
             network.add_edge(0, leaf, 1.0 if leaf <= 34 else 10.0)
         weights = {node: 1.0 if node == 0 else 0.5 for node in network.node_ids()}
+        graph = CompactNetwork.from_network(network) if freeze else network
         instance = build_instance(
-            network, LCMSRQuery.create(["t"], delta=10.5), node_weights=weights,
-            pruning=pruning,
+            graph, LCMSRQuery.create(["t"], delta=10.5), node_weights=weights
         )
         result = GreedySolver().solve(instance)
         assert _region(result)[:4] == _region(twin(GreedySolver()).solve(instance))[:4]
         assert sorted(result.region.nodes) == list(range(11))
-        assert result.stats["greedy_candidates_scanned"] == scanned
-        assert result.stats["greedy_candidates_compacted"] == compacted
+        assert result.stats["greedy_candidates_scanned"] == 482.0
+        assert result.stats["greedy_candidates_compacted"] == 36.0

@@ -1,12 +1,16 @@
-"""Seeded pruning parity: bound-licensed skips vs the unpruned reference paths.
+"""Seeded pruning parity: the pruned solvers vs their unpruned references.
 
 Bound-based pruning (:mod:`repro.core.bounds` plus the skip branches in the
 Exact, Greedy and TGEN solvers and the instance builder's zero-mass window
-skip) is required to be *skip-only*: for every solver, every scoring mode,
-windowed as well as window-less queries, both graph backends (frozen CSR and
-dict), and both the solvers and their dict-loop reference twins
-(:func:`repro.core.reference.twin`), the results of a pruned instance must be
-**byte-identical** to ``with_pruning(False)`` — same regions, same tie-breaks,
+skip) is required to be *skip-only*. Every instance is pruned, so the
+references are the solvers' twins (:func:`repro.core.reference.twin`), which
+never prune: TGEN's twin skips no edge, Greedy's keeps every candidate and
+:class:`~repro.core.reference.ReferenceExact` enumerates every connected
+subset. The zero-mass skip's reference is the scorer weight source
+(``build_instance(scorer=...)``), which computes σ_v object by object. For
+every solver, every scoring mode, windowed as well as window-less queries and
+both graph inputs (frozen CSR and a ``RoadNetwork``), the results must be
+**byte-identical** to the reference's — same regions, same tie-breaks,
 bit-equal floats. Only skip counters and runtime may differ.
 
 This is the pruning counterpart of the dense-substrate suite in
@@ -25,7 +29,7 @@ from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
 from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
-from repro.core.reference import twin
+from repro.core.reference import ReferenceExact, twin
 from repro.core.tgen import TGENSolver
 from repro.datasets.ny import build_ny_like
 from repro.datasets.queries import generate_workload
@@ -34,7 +38,9 @@ from repro.evaluation.runner import ExperimentRunner
 from repro.network.subgraph import Rectangle
 from repro.service.bundle import IndexBundle
 from repro.service.query_service import QueryRequest, QueryService
-from repro.textindex.relevance import ScoringMode
+from repro.textindex.relevance import RelevanceScorer, ScoringMode
+
+from tests.conftest import assert_tgen_work_matches_twin
 
 SEED = 23
 MODES = [
@@ -63,15 +69,17 @@ def dataset():
     ids=lambda param: f"{param[0].value}-{'csr' if param[1] else 'dict'}",
 )
 def build(request, dataset):
-    """Instance builder over one graph backend, weighted by the bundle's pipeline."""
+    """Instance builder over one graph input, weighted by the bundle's pipeline,
+    or with ``scorer=True`` by the object-loop scorer."""
     mode, frozen = request.param
     bundle = IndexBundle.build(dataset.network, dataset.corpus, scoring_mode=mode)
     graph = bundle.graph_view() if frozen else dataset.network
+    scorer = RelevanceScorer(dataset.corpus, bundle.mapping, mode=mode)
 
-    def build_for(query, pruning=True):
-        return build_instance(
-            graph, query, pipeline=bundle.weight_pipeline(), pruning=pruning
-        )
+    def build_for(query, scorer_path=False):
+        if scorer_path:
+            return build_instance(graph, query, scorer=scorer)
+        return build_instance(graph, query, pipeline=bundle.weight_pipeline())
 
     return build_for
 
@@ -117,20 +125,13 @@ class TestHeuristicPruningParity:
     def test_solve_is_byte_identical(self, build, workload, make_solver, kernel_path):
         solver = make_solver()
         for query in workload:
-            answers = {}
-            for backend, run in (("dict", twin(solver)), ("dense", solver)):
-                instance = build(query)
-                pruned = run.solve(instance.with_pruning(True))
-                reference = run.solve(instance.with_pruning(False))
-                _assert_identical(
-                    pruned,
-                    reference,
-                    (solver.name, backend, query.keywords, query.region),
-                )
-                answers[backend] = pruned
-            _assert_identical(
-                answers["dense"], answers["dict"], (solver.name, query.keywords)
-            )
+            instance = build(query)
+            pruned = solver.solve(instance)
+            reference = twin(solver).solve(instance)
+            context = (solver.name, query.keywords, query.region)
+            _assert_identical(pruned, reference, context)
+            if isinstance(solver, TGENSolver):
+                assert_tgen_work_matches_twin(pruned, reference, context)
 
     @pytest.mark.parametrize(
         "make_solver, kernel_path", HEURISTICS, indirect=["kernel_path"]
@@ -139,17 +140,17 @@ class TestHeuristicPruningParity:
         solver = make_solver()
         for query in workload[:2]:
             instance = build(query)
-            pruned = solver.solve_topk(instance.with_pruning(True), k=3)
-            reference = solver.solve_topk(instance.with_pruning(False), k=3)
-            _assert_topk_identical(pruned, reference, (solver.name, query.keywords))
             _assert_topk_identical(
-                pruned,
-                twin(solver).solve_topk(instance.with_pruning(False), k=3),
-                (solver.name, "twin", query.keywords),
+                solver.solve_topk(instance, k=3),
+                twin(solver).solve_topk(instance, k=3),
+                (solver.name, query.keywords),
             )
 
 
 class TestExactPruningParity:
+    """Exact's branch-and-bound against :class:`ReferenceExact`'s exhaustive
+    enumeration."""
+
     def _tiny_window_instances(self, build):
         # Windows of ~2 blocks keep the node count within Exact's reach.
         instances = []
@@ -168,53 +169,51 @@ class TestExactPruningParity:
     def test_branch_and_bound_solve_is_byte_identical(self, build):
         solver = ExactSolver(max_nodes=16)
         for instance in self._tiny_window_instances(build):
-            pruned = solver.solve(instance.with_pruning(True))
-            reference = solver.solve(instance.with_pruning(False))
+            pruned = solver.solve(instance)
+            reference = ReferenceExact(max_nodes=16).solve(instance)
             _assert_identical(pruned, reference, "exact")
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_branch_and_bound_topk_matches_exhaustive_enumeration(self, build, k):
-        # pruning=False runs the plain exhaustive enumerator, so this asserts
+        # ReferenceExact runs the plain exhaustive enumerator, so this asserts
         # the B&B top-k returns the same k results in the same order as full
         # enumeration — the strongest form of the skip-only contract.
         solver = ExactSolver(max_nodes=16)
         for instance in self._tiny_window_instances(build):
-            pruned = solver.solve_topk(instance.with_pruning(True), k=k)
-            exhaustive = solver.solve_topk(instance.with_pruning(False), k=k)
+            pruned = solver.solve_topk(instance, k=k)
+            exhaustive = twin(solver).solve_topk(instance, k=k)
             _assert_topk_identical(pruned, exhaustive, ("exact-topk", k))
 
     def test_pruned_runs_report_skip_counters(self, build):
         # The counters are the observable difference pruning IS allowed to
-        # make: the pruned run must report them, the reference run reports
-        # zero skips.
+        # make: the pruned run considers no more subsets than the reference,
+        # which reports zero skips.
         solver = ExactSolver(max_nodes=16)
         for instance in self._tiny_window_instances(build):
-            pruned = solver.solve_topk(instance.with_pruning(True), k=3)
-            reference = solver.solve_topk(instance.with_pruning(False), k=3)
-            assert "exact_subsets_considered" in pruned.stats
-            assert "exact_subsets_considered" in reference.stats
+            pruned = solver.solve_topk(instance, k=3)
+            reference = twin(solver).solve_topk(instance, k=3)
             assert (
                 pruned.stats["exact_subsets_considered"]
                 <= reference.stats["exact_subsets_considered"]
             )
+            assert reference.stats["exact_branches_pruned"] == 0.0
+            assert reference.stats["exact_anchors_skipped"] == 0.0
 
 
 class TestZeroMassWindowSkip:
     def test_unmatched_keywords_in_a_window_solve_identically(self, build):
         # No object matches, so the window's mass bound is exactly 0.0 and the
-        # builder skips the σ_v computation entirely under pruning — the
-        # solved result must still match the unpruned build bit for bit.
+        # pipeline builder skips the σ_v computation entirely — the solved
+        # result must still match the scorer build, which computes σ_v object
+        # by object, bit for bit.
         region = Rectangle(600.0, 600.0, 1200.0, 1200.0)
         query = LCMSRQuery.create(
             ["zzz-not-a-term-in-the-vocabulary"], delta=500.0, region=region
         )
-        # The skip fires at *build* time, so the reference instance must come
-        # from a build with pruning off (sibling views share weights and would
-        # compare the skipped build against itself).
         for make_solver in (GreedySolver, TGENSolver, APPSolver):
             solver = make_solver()
             pruned = solver.solve(build(query))
-            reference = solver.solve(build(query, pruning=False))
+            reference = solver.solve(build(query, scorer_path=True))
             _assert_identical(pruned, reference, (solver.name, "zero-mass"))
             assert pruned.region.is_empty
 
@@ -226,27 +225,25 @@ class TestZeroMassWindowSkip:
             ["zzz-not-a-term-in-the-vocabulary"], delta=500.0, region=region
         )
         pruned = build(query)
-        reference = build(query, pruning=False)
+        reference = build(query, scorer_path=True)
         assert pruned.num_candidate_nodes == reference.num_candidate_nodes
-        assert pruned.weights == {}
+        assert pruned.weights == reference.weights == {}
 
 
 class TestDenseFirstRebindParity:
     """The serving layer's substrate-rebind path must prune like a fresh build."""
 
-    def test_rebound_instances_carry_the_policy_and_solve_identically(
-        self, build, workload, kernel_path
-    ):
+    def test_rebound_instances_take_the_same_skips(self, build, workload, kernel_path):
         query = workload[0]
         instance = build(query)
         rebound = instance.dense.to_problem_instance(query)
-        assert rebound.pruning is True
-        for pruning in (True, False):
-            for make_solver in (GreedySolver, TGENSolver, APPSolver):
-                solver = make_solver()
-                a = solver.solve(instance.with_pruning(pruning))
-                b = solver.solve(rebound.with_pruning(pruning))
-                _assert_identical(a, b, (solver.name, pruning, "dense-first"))
+        for make_solver in (GreedySolver, TGENSolver, APPSolver):
+            solver = make_solver()
+            a = solver.solve(instance)
+            b = solver.solve(rebound)
+            _assert_identical(a, b, (solver.name, "dense-first"))
+            _assert_identical(twin(solver).solve(rebound), b, (solver.name, "twin"))
+            assert a.stats == b.stats, solver.name
 
 
 class _RecordingSolver(GreedySolver):
@@ -261,8 +258,19 @@ class _RecordingSolver(GreedySolver):
         return super().solve(instance)
 
 
-class TestServingPathsArePruned:
-    """Every instance a serving or experiment path builds carries ``pruning=True``."""
+def _assert_solves_like_the_twins(instance, context):
+    for make_solver in (GreedySolver, TGENSolver, APPSolver):
+        solver = make_solver()
+        result = solver.solve(instance)
+        reference = twin(solver).solve(instance)
+        _assert_identical(result, reference, (solver.name, context))
+        if isinstance(solver, TGENSolver):
+            assert_tgen_work_matches_twin(result, reference, context)
+
+
+class TestServingPathsMatchTheTwins:
+    """Every instance a serving or experiment path builds solves, skips taken,
+    exactly as the twins solve it."""
 
     @pytest.fixture(scope="class")
     def bundle(self, dataset):
@@ -270,7 +278,10 @@ class TestServingPathsArePruned:
 
     def test_engine_build_instance(self, bundle, workload):
         engine = LCMSREngine.from_bundle(bundle)
-        assert engine.build_instance(workload[0]).pruning is True
+        for query in workload:
+            _assert_solves_like_the_twins(
+                engine.build_instance(query), (query.keywords, query.region)
+            )
 
     def test_query_service_miss_and_the_instance_hit_after_it(self, bundle, workload,
                                                                monkeypatch):
@@ -287,10 +298,17 @@ class TestServingPathsArePruned:
             for delta in (query.delta, query.delta + 100.0)
         ]
         with QueryService(engine, max_workers=1) as service:
-            timings = [service.execute_timed(request)[1] for request in requests]
-        assert [t.instance_cache_hit for t in timings] == [False, True]
-        assert [instance.pruning for instance in recorder.instances] == [True, True]
+            served = [service.execute_timed(request) for request in requests]
+        assert [timing.instance_cache_hit for _, timing in served] == [False, True]
+        assert len(recorder.instances) == 2
+        for (result, _), instance in zip(served, recorder.instances):
+            reference = twin(GreedySolver()).solve(instance)
+            _assert_identical(result, reference, ("served", instance.query.delta))
+            _assert_solves_like_the_twins(instance, ("served", instance.query.delta))
 
     def test_experiment_runner_build(self, bundle, workload):
         runner = ExperimentRunner.from_bundle(bundle)
-        assert runner.build(workload[0]).pruning is True
+        for query in workload:
+            _assert_solves_like_the_twins(
+                runner.build(query), ("runner", query.keywords, query.region)
+            )

@@ -10,20 +10,21 @@ suites.
 
 TGEN runs its traversal, and Greedy each grown region, in a compiled kernel,
 or in a Python loop where no compiler builds the kernel, so every TGEN and
-Greedy test runs on both (the ``kernel_path`` fixture). Without pruning TGEN
-and its twin must also do the same work: equal ``tuples_generated`` and
-``edges_processed``, and no edge skipped. Greedy's counters,
-``greedy_candidates_scanned`` and ``greedy_candidates_compacted``, must equal
-the Python loop's with pruning on and off, including on an instance where the
-candidate table is compacted. A heavy instance at the perfbench
-``tgen-paper`` scale checks the kernel where its arrays grow large.
+Greedy test runs on both (the ``kernel_path`` fixture). TGEN must also do its
+twin's work: every edge the twin processes TGEN processes or skips, and where
+it skips none both generate the same tuples. The twins never prune, so
+Greedy's counters, ``greedy_candidates_scanned`` and
+``greedy_candidates_compacted``, must equal the Python loop's, including on an
+instance where the candidate table is compacted. A heavy instance at the
+perfbench ``tgen-paper`` scale checks the kernel where its arrays grow large.
 
 The suite runs the full indexed path (dataset → ``IndexBundle`` → engine →
 ``build_instance`` with the columnar pipeline, which attaches the dense
 substrate) and compares ``twin(solver).solve(x)`` / ``solve_topk`` with
-``solver.solve(x)`` on the same built instance. Exact has one path and no twin;
-it runs on a tiny window and exercises the dense-first route (an instance
-created from the substrate alone, with the dict view materialised lazily).
+``solver.solve(x)`` on the same built instance. Exact, whose one loop
+branch-and-bounds where its twin enumerates exhaustively, runs on a tiny
+window and exercises the dense-first route (an instance created from the
+substrate alone, with the dict view materialised lazily).
 Every solver, on each of its paths, also solves on a substrate served from a
 :class:`~repro.service.query_service.QueryService` instance-cache hit, and
 must leave every slot of that substrate as it was.
@@ -48,12 +49,13 @@ from repro.datasets.ny import build_ny_like
 from repro.datasets.queries import generate_workload
 from repro.engine import LCMSREngine
 from repro.network.builders import grid_network
+from repro.network.compact import CompactNetwork
 from repro.network.subgraph import Rectangle
 from repro.service.bundle import IndexBundle
 from repro.service.query_service import QueryRequest, QueryService
 from repro.textindex.relevance import ScoringMode
 
-from tests.conftest import PollBudget
+from tests.conftest import PollBudget, assert_tgen_work_matches_twin
 
 SEED = 23
 # The kernel as loaded, before any test sets the module's handle to None.
@@ -100,15 +102,6 @@ def _assert_topk_identical(topk_a, topk_b, context):
     assert len(topk_a.results) == len(topk_b.results), context
     for a, b in zip(topk_a.results, topk_b.results):
         _assert_identical(a, b, context)
-
-
-def _assert_same_work(result_a, result_b, context):
-    """Equal TGEN counters on an unpruned instance: solver and twin combined
-    exactly the same tuples, and the solver skipped no edge (the twin never
-    skips one)."""
-    for key in ("tuples_generated", "edges_processed"):
-        assert result_a.stats[key] == result_b.stats[key], (key, context)
-    assert result_b.stats["edges_skipped"] == 0.0, context
 
 
 TGEN_COUNTERS = ("tuples_generated", "edges_processed", "edges_skipped")
@@ -173,8 +166,8 @@ TGEN_SETTINGS = {
 
 class TestTGENParity:
     """The TGEN settings and paths that the dense tuple representation
-    touches: per-node eviction, edge order, pruning, the top-k pool and
-    truncation, each on the kernel and on the Python loop."""
+    touches: per-node eviction, edge order, the edge skip, the top-k pool
+    and truncation, each on the kernel and on the Python loop."""
 
     @pytest.mark.parametrize(
         "settings", list(TGEN_SETTINGS.values()), ids=list(TGEN_SETTINGS)
@@ -183,19 +176,16 @@ class TestTGENParity:
         solver = TGENSolver(**settings)
         for query in workload:
             instance = engine.build_instance(query)
-            for pruning in (True, False):
-                pinned = instance.with_pruning(pruning)
-                a = twin(solver).solve(pinned)
-                b = solver.solve(pinned)
-                context = (settings, pruning, query.keywords, query.region)
-                _assert_identical(a, b, context)
-                if not pruning:
-                    _assert_same_work(a, b, context)
-                # The twin never prunes, so the pruned counters are checked
-                # against the Python loop.
-                _assert_same_as_the_python_loop(
-                    b, kernel_path, lambda: solver.solve(pinned), context
-                )
+            a = twin(solver).solve(instance)
+            b = solver.solve(instance)
+            context = (settings, query.keywords, query.region)
+            _assert_identical(a, b, context)
+            assert_tgen_work_matches_twin(b, a, context)
+            # The twin counts no skipped edge, so edges_skipped is checked
+            # against the Python loop.
+            _assert_same_as_the_python_loop(
+                b, kernel_path, lambda: solver.solve(instance), context
+            )
 
     @pytest.mark.parametrize(
         "settings",
@@ -217,69 +207,70 @@ class TestTGENParity:
         solver = TGENSolver()
         truncated = 0
         for query in workload:
-            instance = engine.build_instance(query).with_pruning(False)
+            instance = engine.build_instance(query)
             a = twin(solver).solve(instance.with_budget(PollBudget(polls)))
             b = solver.solve(instance.with_budget(PollBudget(polls)))
             context = (polls, query.keywords, query.region)
             _assert_identical(a, b, context)
-            # The solver's stats also carry edges_skipped; compare what both report.
+            assert_tgen_work_matches_twin(b, a, context)
+            # Both poll the budget before the skip test, so they stop at the
+            # same edge and report the same expiry and regret bound.
             shared = a.stats.keys() & b.stats.keys()
-            assert {"tuples_generated", "edges_processed", "quality_regret_bound"} <= shared
+            shared -= {"tuples_generated", "edges_processed"}
+            assert "quality_regret_bound" in shared
             assert {key: a.stats[key] for key in shared} == {
                 key: b.stats[key] for key in shared
             }, context
-            assert b.stats["edges_skipped"] == 0.0, context
             truncated += a.stats.get("budget_expired", 0.0) > 0.0
         assert truncated, "the poll budget must cut some runs short"
 
 
-def _compacting_instance(pruning):
+def _compacting_instance(freeze):
     """An 8×8 grid of 100 m blocks, every node weighted, and ∆ = 2.5 km: the
     grown region's candidate table passes 64 entries with over half of them
-    dead, so a pruned run compacts it."""
+    dead, so Greedy compacts it. ``freeze`` builds on the grid's CSR freeze."""
     network = grid_network(8, 8, spacing=100.0)
     rng = random.Random(4)
     weights = {node: round(rng.uniform(0.1, 1.0), 3) for node in network.node_ids()}
+    graph = CompactNetwork.from_network(network) if freeze else network
     return build_instance(
-        network, LCMSRQuery.create(["t"], delta=2500.0), node_weights=weights,
-        pruning=pruning,
+        graph, LCMSRQuery.create(["t"], delta=2500.0), node_weights=weights
     )
 
 
 class TestGreedyParity:
-    """Greedy's counters, on the kernel and on the Python loop, with pruning
-    on and off: the twin keeps none, so they are checked against the loop."""
+    """Greedy's counters, on the kernel and on the Python loop: the twin keeps
+    none, so they are checked against the loop."""
 
     def test_counters_equal_the_python_loop(self, engine, workload, kernel_path):
         solver = GreedySolver()
         for query in workload:
             instance = engine.build_instance(query)
-            for pruning in (True, False):
-                pinned = instance.with_pruning(pruning)
-                context = (pruning, query.keywords, query.region)
-                result = solver.solve(pinned)
-                _assert_identical(twin(solver).solve(pinned), result, context)
-                _assert_same_as_the_python_loop(
-                    result, kernel_path, lambda: solver.solve(pinned), context,
-                    GREEDY_COUNTERS,
-                )
-                topk = solver.solve_topk(pinned, k=3)
-                loop = kernel_path.on_python_loop(lambda: solver.solve_topk(pinned, k=3))
-                _assert_topk_identical(topk, loop, context)
-                assert topk.stats == loop.stats, context
+            context = (query.keywords, query.region)
+            result = solver.solve(instance)
+            _assert_identical(twin(solver).solve(instance), result, context)
+            _assert_same_as_the_python_loop(
+                result, kernel_path, lambda: solver.solve(instance), context,
+                GREEDY_COUNTERS,
+            )
+            topk = solver.solve_topk(instance, k=3)
+            loop = kernel_path.on_python_loop(lambda: solver.solve_topk(instance, k=3))
+            _assert_topk_identical(topk, loop, context)
+            assert topk.stats == loop.stats, context
 
-    @pytest.mark.parametrize("pruning", [True, False], ids=["pruned", "unpruned"])
-    def test_a_compacted_table_keeps_the_answers(self, pruning, kernel_path):
+    @pytest.mark.parametrize("freeze", [False, True], ids=["road", "csr"])
+    def test_a_compacted_table_keeps_the_answers(self, freeze, kernel_path):
         solver = GreedySolver()
-        instance = _compacting_instance(pruning)
+        instance = _compacting_instance(freeze)
         result = solver.solve(instance)
-        _assert_identical(twin(solver).solve(instance), result, pruning)
+        _assert_identical(twin(solver).solve(instance), result, "compacted")
         _assert_same_as_the_python_loop(
-            result, kernel_path, lambda: solver.solve(instance), pruning, GREEDY_COUNTERS
+            result, kernel_path, lambda: solver.solve(instance), "compacted",
+            GREEDY_COUNTERS,
         )
-        assert (result.stats["greedy_candidates_compacted"] > 0) == pruning
+        assert result.stats["greedy_candidates_compacted"] > 0
         topk = solver.solve_topk(instance, k=3)
-        _assert_topk_identical(twin(solver).solve_topk(instance, k=3), topk, pruning)
+        _assert_topk_identical(twin(solver).solve_topk(instance, k=3), topk, "compacted")
         loop = kernel_path.on_python_loop(lambda: solver.solve_topk(instance, k=3))
         assert topk.stats == loop.stats
 
@@ -304,7 +295,7 @@ class TestWideWindowParity:
         )[1].with_region(None)
         instance = engine.build_instance(query)
         assert instance.num_candidate_nodes == 34 * 34
-        return instance.with_pruning(False)
+        return instance
 
     @pytest.mark.parametrize(
         "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
@@ -314,7 +305,7 @@ class TestWideWindowParity:
         a = twin(solver).solve(wide_instance)
         b = solver.solve(wide_instance)
         _assert_identical(a, b, ("wide", settings))
-        _assert_same_work(a, b, ("wide", settings))
+        assert_tgen_work_matches_twin(b, a, ("wide", settings))
 
     @pytest.mark.parametrize(
         "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
@@ -344,14 +335,14 @@ class TestHeavyInstanceParity:
         query = generate_workload(
             dataset, num_queries=1, num_keywords=3, delta=2000.0, area_km2=4.0, seed=SEED
         )[0]
-        return engine.build_instance(query).with_pruning(False)
+        return engine.build_instance(query)
 
     def test_solve_is_byte_identical(self, heavy_instance, kernel_path):
         solver = TGENSolver()
         a = twin(solver).solve(heavy_instance)
         b = solver.solve(heavy_instance)
         _assert_identical(a, b, "heavy")
-        _assert_same_work(a, b, "heavy")
+        assert_tgen_work_matches_twin(b, a, "heavy")
 
 
 def _tiny_window_instance(engine):
@@ -371,6 +362,7 @@ class TestExactParity:
         instance = _tiny_window_instance(engine)
         solver = ExactSolver(max_nodes=16)
         a = solver.solve(instance)
+        _assert_identical(twin(solver).solve(instance), a, "exact-twin")
         # Dense-first route: the instance rebuilt from the substrate alone
         # (lazy dict view) must match — this is what the serving layer's
         # substrate cache hands to the dict-consuming Exact oracle.
@@ -378,6 +370,7 @@ class TestExactParity:
         c = solver.solve(rebound)
         _assert_identical(a, c, "exact-dense-first")
         topk_a = solver.solve_topk(instance, k=3)
+        _assert_topk_identical(twin(solver).solve_topk(instance, k=3), topk_a, "exact-twin")
         topk_c = solver.solve_topk(rebound, k=3)
         assert len(topk_a.results) == len(topk_c.results)
         for ra, rb in zip(topk_a.results, topk_c.results):

@@ -20,6 +20,14 @@ that must hold *between* solver runs:
   regions under the same seeds (the randomized counterpart of
   ``test_backend_parity.py``), and so does each solver's reference twin
   (:func:`repro.core.reference.twin`, the dict loops) on both graphs.
+* **Pruning invariants** — each pruned solver's top-k equals its unpruned
+  twin's, and Exact's branch-and-bound equals the exhaustive enumeration of
+  :class:`~repro.core.reference.ReferenceExact`, rank for rank.
+
+Apart from the backend-identity tests, which compare the two, every test builds
+its instances on both graph inputs (the ``graph_input`` fixture): the
+generator's ``RoadNetwork`` and its frozen CSR ``CompactNetwork``, which is
+what every serving path builds its instances on.
 
 All randomness is seeded: each failure is reproducible from the test id alone.
 """
@@ -36,7 +44,7 @@ from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
 from repro.core.instance import ProblemInstance, build_instance
 from repro.core.query import LCMSRQuery
-from repro.core.reference import twin
+from repro.core.reference import ReferenceExact, twin
 from repro.core.tgen import TGENSolver
 from repro.network.builders import grid_network, random_geometric_network
 from repro.network.compact import CompactNetwork
@@ -57,26 +65,28 @@ def implementation(request):
     """Run the whole harness on the solvers and on their reference twins.
 
     Returns the function that picks which implementation a test runs: the
-    ``dense`` arm runs each solver as is, the ``dict`` arm its dict-loop twin
-    from :mod:`repro.core.reference`. The solvers' dense substrate is a
-    representation change with a byte-identity contract, so every metamorphic
-    property that holds for the reference must hold verbatim for them. Exact
-    has one path and no twin, so both arms run it as is.
+    ``dense`` arm runs each solver as is, the ``dict`` arm its twin from
+    :mod:`repro.core.reference`, which never prunes (Exact's enumerates
+    exhaustively). The solvers' dense substrate and their bound-licensed skips
+    carry a byte-identity contract, so every metamorphic property that holds
+    for the reference must hold verbatim for them.
     """
     if request.param == "dense":
         return lambda solver: solver
-    return lambda solver: solver if isinstance(solver, ExactSolver) else twin(solver)
+    return twin
 
 
-@pytest.fixture(params=["on", "off"])
-def pruning(request):
-    """Run the monotonicity suite pruned (``[on]``) and unpruned (``[off]``).
+@pytest.fixture(params=["road", "csr"])
+def graph_input(request):
+    """Run the property tests on a ``RoadNetwork`` and on its CSR freeze.
 
-    Bound-based pruning is skip-only (byte-identical results — see
-    ``test_pruning_parity.py``), so every metamorphic property must hold
-    verbatim with the skips armed.
+    Returns the function that turns a generated network into the graph a
+    test's instances are built on. ``build_instance`` extracts windows from
+    each input by its own code, so every property must hold on both.
     """
-    return request.param == "on"
+    if request.param == "road":
+        return lambda network: network
+    return CompactNetwork.from_network
 
 
 def _network_for(seed: int):
@@ -92,10 +102,9 @@ def _random_weights(network, seed: int, fraction: float = 0.5) -> Dict[int, floa
     }
 
 
-def _instance(network, weights, delta, region=None, pruning=True) -> ProblemInstance:
+def _instance(graph, weights, delta, region=None) -> ProblemInstance:
     query = LCMSRQuery.create(["kw"], delta=delta, region=region)
-    instance = build_instance(network, query, node_weights=weights)
-    return instance.with_pruning(pruning)
+    return build_instance(graph, query, node_weights=weights)
 
 
 def _keyword_assignment(network, seed: int) -> Dict[int, List[str]]:
@@ -127,15 +136,16 @@ def _match_weights(
 
 class TestBudgetMonotonicity:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_exact_is_monotone_in_delta(self, seed, implementation, pruning):
+    def test_exact_is_monotone_in_delta(self, seed, implementation, graph_input):
         # Tiny instances: Exact enumerates, so the window must stay small.
         network = grid_network(4, 4, spacing=100.0, jitter=15.0,
                                rng=random.Random(seed))
         weights = _random_weights(network, seed, fraction=0.7)
+        graph = graph_input(network)
         solver = implementation(ExactSolver(max_nodes=16))
         previous = -1.0
         for delta in (120.0, 250.0, 450.0, 800.0):
-            score = solver.solve(_instance(network, weights, delta, pruning=pruning)).weight
+            score = solver.solve(_instance(graph, weights, delta)).weight
             assert score >= previous - 1e-12, (
                 f"Exact got worse with a larger budget at delta={delta}"
             )
@@ -145,13 +155,14 @@ class TestBudgetMonotonicity:
     @pytest.mark.parametrize("make_solver", [GreedySolver, TGENSolver],
                              ids=["greedy", "tgen"])
     def test_heuristics_are_monotone_in_delta(self, seed, make_solver, implementation,
-                                               pruning):
+                                               graph_input):
         network = _network_for(seed)
         weights = _random_weights(network, seed)
+        graph = graph_input(network)
         solver = implementation(make_solver())
         previous = -1.0
         for delta in DELTAS:
-            score = solver.solve(_instance(network, weights, delta, pruning=pruning)).weight
+            score = solver.solve(_instance(graph, weights, delta)).weight
             assert score >= previous - 1e-9, (
                 f"{solver.__class__.__name__} got worse with a larger budget "
                 f"at delta={delta} (seed {seed})"
@@ -159,12 +170,13 @@ class TestBudgetMonotonicity:
             previous = score
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_app_is_monotone_up_to_its_guarantee(self, seed, implementation, pruning):
+    def test_app_is_monotone_up_to_its_guarantee(self, seed, implementation, graph_input):
         network = _network_for(seed)
         weights = _random_weights(network, seed)
+        graph = graph_input(network)
         solver = implementation(APPSolver())
         scores = [
-            solver.solve(_instance(network, weights, delta, pruning=pruning)).weight
+            solver.solve(_instance(graph, weights, delta)).weight
             for delta in DELTAS
         ]
         for smaller, larger in zip(scores, scores[1:]):
@@ -176,21 +188,20 @@ class TestBudgetMonotonicity:
 class TestKeywordMonotonicity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_removing_a_keyword_never_increases_the_optimum(self, seed, implementation,
-                                                            pruning):
+                                                            graph_input):
         network = grid_network(4, 4, spacing=100.0, jitter=10.0,
                                rng=random.Random(seed + 100))
         assignment = _keyword_assignment(network, seed)
+        graph = graph_input(network)
         solver = implementation(ExactSolver(max_nodes=16))
         keywords = list(KEYWORD_POOL)
         full = solver.solve(
-            _instance(network, _match_weights(assignment, keywords), 500.0,
-                      pruning=pruning)
+            _instance(graph, _match_weights(assignment, keywords), 500.0)
         ).weight
         for removed in keywords:
             reduced_keywords = [k for k in keywords if k != removed]
             reduced = solver.solve(
-                _instance(network, _match_weights(assignment, reduced_keywords), 500.0,
-                          pruning=pruning)
+                _instance(graph, _match_weights(assignment, reduced_keywords), 500.0)
             ).weight
             assert reduced <= full + 1e-12, (
                 f"dropping keyword {removed!r} increased the optimal score"
@@ -198,22 +209,22 @@ class TestKeywordMonotonicity:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_heuristics_never_beat_full_keyword_exact_optimum(self, seed, implementation,
-                                                              pruning):
+                                                              graph_input):
         # The heuristics run on pointwise-smaller weights, so even they can never
         # exceed the full-keyword-set *exact* optimum.
         network = grid_network(4, 4, spacing=100.0, jitter=10.0,
                                rng=random.Random(seed + 200))
         assignment = _keyword_assignment(network, seed)
+        graph = graph_input(network)
         optimum = implementation(ExactSolver(max_nodes=16)).solve(
-            _instance(network, _match_weights(assignment, KEYWORD_POOL), 500.0,
-                      pruning=pruning)
+            _instance(graph, _match_weights(assignment, KEYWORD_POOL), 500.0)
         ).weight
         for solver in map(implementation, (GreedySolver(), TGENSolver(), APPSolver())):
             for removed in KEYWORD_POOL[:2]:
                 reduced_keywords = [k for k in KEYWORD_POOL if k != removed]
                 score = solver.solve(
-                    _instance(network, _match_weights(assignment, reduced_keywords),
-                              500.0, pruning=pruning)
+                    _instance(graph, _match_weights(assignment, reduced_keywords),
+                              500.0)
                 ).weight
                 assert score <= optimum + 1e-9
 
@@ -226,12 +237,13 @@ class TestFeasibilityInvariants:
         ids=["greedy", "tgen", "app"],
     )
     def test_regions_respect_budget_window_and_connectivity(self, seed, make_solver,
-                                                            implementation):
+                                                            implementation, graph_input):
         network = _network_for(seed)
         weights = _random_weights(network, seed)
+        graph = graph_input(network)
         window = Rectangle(200.0, 200.0, 1700.0, 1700.0)
         for delta in (400.0, 900.0):
-            instance = _instance(network, weights, delta, region=window)
+            instance = _instance(graph, weights, delta, region=window)
             result = implementation(make_solver()).solve(instance)
             region = result.region
             if region.is_empty:
@@ -265,12 +277,12 @@ class TestFeasibilityInvariants:
             assert seen == set(region.nodes), "returned region is not connected"
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_exact_invariants_on_tiny_windows(self, seed, implementation):
+    def test_exact_invariants_on_tiny_windows(self, seed, implementation, graph_input):
         network = grid_network(4, 4, spacing=100.0, jitter=15.0,
                                rng=random.Random(seed + 300))
         weights = _random_weights(network, seed, fraction=0.7)
         delta = 350.0
-        instance = _instance(network, weights, delta)
+        instance = _instance(graph_input(network), weights, delta)
         result = implementation(ExactSolver(max_nodes=16)).solve(instance)
         if not result.region.is_empty:
             assert result.region.length <= delta + 1e-9
@@ -329,21 +341,20 @@ class TestBackendIdentity:
 
 
 class TestTopKPruningInvariant:
-    """Pruned top-k must equal exhaustive enumeration, rank for rank."""
+    """Pruned top-k must equal the unpruned twin's, rank for rank."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_pruned_exact_topk_matches_exhaustive_enumeration(self, seed, k, implementation):
-        # pruning=False makes ExactSolver enumerate every connected subset, so
-        # comparing against it pins the branch-and-bound top-k to the full
-        # enumeration: same k results, same order, bit-equal scores.
+    def test_pruned_exact_topk_matches_exhaustive_enumeration(self, seed, k, graph_input):
+        # ReferenceExact enumerates every connected subset, so comparing
+        # against it pins the branch-and-bound top-k to the full enumeration:
+        # same k results, same order, bit-equal scores.
         network = grid_network(4, 4, spacing=100.0, jitter=15.0,
                                rng=random.Random(seed + 400))
         weights = _random_weights(network, seed, fraction=0.7)
-        solver = implementation(ExactSolver(max_nodes=16))
-        instance = _instance(network, weights, 350.0)
-        pruned = solver.solve_topk(instance.with_pruning(True), k=k)
-        exhaustive = solver.solve_topk(instance.with_pruning(False), k=k)
+        instance = _instance(graph_input(network), weights, 350.0)
+        pruned = ExactSolver(max_nodes=16).solve_topk(instance, k=k)
+        exhaustive = ReferenceExact(max_nodes=16).solve_topk(instance, k=k)
         assert len(pruned.results) == len(exhaustive.results)
         for result_p, result_e in zip(pruned.results, exhaustive.results):
             assert result_p.region.nodes == result_e.region.nodes
@@ -352,13 +363,13 @@ class TestTopKPruningInvariant:
             assert result_p.length == result_e.length
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_pruned_heuristic_topk_is_identical(self, seed, implementation):
+    def test_pruned_heuristic_topk_is_identical(self, seed, graph_input):
         network = _network_for(seed + 70)
         weights = _random_weights(network, seed + 70)
-        for solver in map(implementation, (GreedySolver(), TGENSolver())):
-            instance = _instance(network, weights, 700.0)
-            pruned = solver.solve_topk(instance.with_pruning(True), k=3)
-            reference = solver.solve_topk(instance.with_pruning(False), k=3)
+        instance = _instance(graph_input(network), weights, 700.0)
+        for solver in (GreedySolver(), TGENSolver()):
+            pruned = solver.solve_topk(instance, k=3)
+            reference = twin(solver).solve_topk(instance, k=3)
             assert len(pruned.results) == len(reference.results)
             for result_p, result_r in zip(pruned.results, reference.results):
                 assert result_p.region.nodes == result_r.region.nodes

@@ -184,8 +184,9 @@ class TestDominanceTies:
         for (u, v), length in self.EDGES:
             network.add_edge(u, v, length=length)
         query = LCMSRQuery.create(["t"], delta=1.0)
-        # Unpruned, so the twin (which never skips an edge) does the same work.
-        return build_instance(network, query, node_weights=self.WEIGHTS, pruning=False)
+        # TGEN skips no edge here (the test checks it), so TGEN and its twin,
+        # which never skips one, do the same work.
+        return build_instance(network, query, node_weights=self.WEIGHTS)
 
     def test_the_gaps_are_within_eps(self):
         assert 0 < (0.1 + 0.2) - 0.3 <= EPS
@@ -251,7 +252,7 @@ class TestEdgeLengthTies:
             if rng.random() < 0.5
         }
         query = LCMSRQuery.create(["t"], delta=450.0)
-        instance = build_instance(network, query, node_weights=weights, pruning=False)
+        instance = build_instance(network, query, node_weights=weights)
         a = ReferenceTGEN(alpha=0.2, edge_order="length").solve(instance)
         b = TGENSolver(alpha=0.2, edge_order="length").solve(instance)
         assert a.region.nodes == b.region.nodes

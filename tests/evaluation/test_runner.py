@@ -38,9 +38,3 @@ class TestRunner:
         runs = runner.run(workload, [GreedySolver(0.2), TGENSolver(alpha=30.0)])
         ratio = runs["Greedy"].relative_ratio_against(runs["TGEN"])
         assert 0.0 <= ratio <= 1.5
-
-    def test_run_single(self, tiny_ny_dataset, workload):
-        runner = ExperimentRunner(tiny_ny_dataset)
-        outcome = runner.run_single(workload[0], GreedySolver(0.2))
-        assert outcome.weight >= 0.0
-        assert outcome.runtime >= 0.0

@@ -49,11 +49,6 @@ class TestDijkstra:
         dist, _ = dijkstra(weighted_square, 0, targets={1})
         assert dist[1] == 1.0
 
-    def test_max_distance_prunes_far_nodes(self, weighted_square):
-        dist, _ = dijkstra(weighted_square, 0, max_distance=1.5)
-        assert 1 in dist
-        assert 3 not in dist
-
     def test_grid_distance_matches_manhattan(self):
         network = grid_network(5, 5, spacing=10.0)
         dist, _ = dijkstra(network, 0, targets={24})
@@ -61,21 +56,7 @@ class TestDijkstra:
 
 
 class TestDijkstraEdgeCases:
-    """Cutoff exactness, early exit, disconnection — on both backends."""
-
-    def test_max_distance_cutoff_is_inclusive(self):
-        # Nodes at distance exactly max_distance must be kept; strictly beyond, dropped.
-        network = path_network(5, edge_length=2.0)
-        for graph in both_backends(network):
-            dist, parent = dijkstra(graph, 0, max_distance=4.0)
-            assert dist == {0: 0.0, 1: 2.0, 2: 4.0}
-            assert parent == {1: 0, 2: 1}
-
-    def test_max_distance_just_below_edge_sum_excludes(self):
-        network = path_network(4, edge_length=1.0)
-        for graph in both_backends(network):
-            dist, _ = dijkstra(graph, 0, max_distance=2.0 - 1e-12)
-            assert set(dist) == {0, 1}
+    """Early exit, disconnection — on both backends."""
 
     def test_early_exit_when_all_targets_settle(self):
         # With target {1} settled at distance 2, the search must stop before
@@ -136,7 +117,6 @@ class TestDijkstraBackendParity:
         )
         compact = CompactNetwork.from_network(network)
         node_ids = list(network.node_ids())
-        diameter_hint = 1000.0 * 2
         for _ in range(8):
             source = rng.choice(node_ids)
             targets = (
@@ -144,9 +124,8 @@ class TestDijkstraBackendParity:
                 if rng.random() < 0.5
                 else None
             )
-            max_distance = rng.uniform(0.05, 1.0) * diameter_hint if rng.random() < 0.5 else None
-            dist_d, parent_d = dijkstra(network, source, targets=targets, max_distance=max_distance)
-            dist_c, parent_c = dijkstra(compact, source, targets=targets, max_distance=max_distance)
+            dist_d, parent_d = dijkstra(network, source, targets=targets)
+            dist_c, parent_c = dijkstra(compact, source, targets=targets)
             # Not merely equal distances: the parent trees must match too, so
             # downstream path reconstruction is backend-independent.
             assert dist_d == dist_c

@@ -81,16 +81,17 @@ class TestIndexBundle:
         for mode in (ScoringMode.RATING_IF_MATCH, "rating_if_match"):
             bundle = IndexBundle.build(dataset.network, dataset.corpus, scoring_mode=mode)
             assert bundle.scoring_mode is ScoringMode.RATING_IF_MATCH
-            engine = LCMSREngine.from_bundle(bundle, default_algorithm="greedy")
-            answers[mode] = engine.query(["cafe", "restaurant"], delta=700.0)
+            engine = LCMSREngine.from_bundle(bundle)
+            answers[mode] = engine.query(
+                ["cafe", "restaurant"], delta=700.0, algorithm="greedy"
+            )
         by_enum = answers[ScoringMode.RATING_IF_MATCH]
         by_value = answers["rating_if_match"]
         assert by_value.weight == by_enum.weight
         assert by_value.region.nodes == by_enum.region.nodes
         language_model = LCMSREngine(
-            dataset.network, dataset.corpus, scoring_mode=ScoringMode.LANGUAGE_MODEL,
-            default_algorithm="greedy",
-        ).query(["cafe", "restaurant"], delta=700.0)
+            dataset.network, dataset.corpus, scoring_mode=ScoringMode.LANGUAGE_MODEL
+        ).query(["cafe", "restaurant"], delta=700.0, algorithm="greedy")
         assert by_value.weight != language_model.weight
 
     def test_unknown_scoring_mode_rejected(self, tiny_ny_dataset):
@@ -103,17 +104,11 @@ class TestIndexBundle:
 
     def test_engines_share_one_bundle(self, tiny_ny_dataset):
         engine = LCMSREngine(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
-        sibling = LCMSREngine.from_bundle(engine.bundle, default_algorithm="greedy")
+        sibling = LCMSREngine.from_bundle(engine.bundle)
         assert sibling.bundle is engine.bundle
-        assert sibling.default_algorithm == "greedy"
         a = engine.query(["restaurant"], delta=1000.0, algorithm="tgen")
         b = sibling.query(["restaurant"], delta=1000.0, algorithm="tgen")
         assert a.region.nodes == b.region.nodes
-
-    def test_from_bundle_rejects_unknown_default(self, tiny_ny_dataset):
-        engine = LCMSREngine(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
-        with pytest.raises(QueryError):
-            LCMSREngine.from_bundle(engine.bundle, default_algorithm="nope")
 
 
 class TestScoringModeOf:

@@ -8,8 +8,7 @@ Covers the guarantees :mod:`repro.service.persist` documents:
   (corruption) are rejected with :class:`ArtifactError`,
 * the memory-mapped CSR arrays come back read-only,
 * two same-seed builds produce byte-identical artifacts (the determinism
-  regression test for the dataset generators and the serialisation layer),
-* the fingerprint-keyed artifact cache used by the evaluation runner.
+  regression test for the dataset generators and the serialisation layer).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import json
 import pickle
 import zipfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +33,6 @@ from repro.service import (
     IndexBundle,
     QueryRequest,
     QueryService,
-    cached_dataset_bundle,
     dataset_fingerprint,
     read_manifest,
     verify_artifact,
@@ -47,7 +44,7 @@ from repro.service.persist import (
     SCORING_NAME,
     VOCABULARY_NAME,
 )
-from repro.textindex.relevance import ScoringMode
+from repro.textindex.relevance import LM_SMOOTHING, ScoringMode
 
 
 def _tiny_dataset(seed: int = 3):
@@ -134,10 +131,11 @@ class TestRoundTrip:
         query = LCMSRQuery.create(["cafe"], delta=800.0)
         direct = ExperimentRunner.from_bundle(bundle)
         loaded = ExperimentRunner.from_bundle(IndexBundle.load(path))
-        _assert_same_result(
-            direct.run_single(query, TGENSolver()).result,
-            loaded.run_single(query, TGENSolver()).result,
+        [a], [b] = (
+            runner.run([query], [TGENSolver()])["TGEN"].outcomes
+            for runner in (direct, loaded)
         )
+        _assert_same_result(a.result, b.result)
 
 
 class TestIntegrity:
@@ -206,6 +204,21 @@ class TestIntegrity:
         manifest_path.write_text(json.dumps(raw))
         with pytest.raises(ArtifactError, match="unknown scoring mode"):
             IndexBundle.load(path)
+
+    def test_a_different_lm_smoothing_is_refused_with_a_rebuild_hint(self, tmp_path):
+        # The delta overlay values new objects with this build's λ, so
+        # language-model columns precomputed with another would disagree.
+        bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
+        path = tmp_path / "other-lambda"
+        bundle.save(path)
+        manifest_path = path / MANIFEST_NAME
+        raw = json.loads(manifest_path.read_text())
+        assert raw["lm_smoothing"] == LM_SMOOTHING
+        raw["lm_smoothing"] = 0.5
+        manifest_path.write_text(json.dumps(raw))
+        for verify in (True, False):
+            with pytest.raises(ArtifactError, match="smoothing 0.5.*rebuild the artifact"):
+                IndexBundle.load(path, verify=verify)
 
     def test_manifest_without_scoring_mode_is_malformed(self, tmp_path):
         bundle = IndexBundle.from_dataset(_tiny_dataset(seed=8))
@@ -448,42 +461,3 @@ class TestDeterminism:
         dataset_b = _tiny_dataset(seed=22)
         assert dataset_fingerprint(dataset_a.network, dataset_a.corpus) != \
             dataset_fingerprint(dataset_b.network, dataset_b.corpus)
-
-
-class TestArtifactCache:
-    def test_runner_cache_saves_then_reloads(self, tmp_path):
-        dataset = _tiny_dataset(seed=30)
-        cache = tmp_path / "cache"
-        runner_first = ExperimentRunner(dataset, artifact_cache_dir=cache)
-        [artifact_dir] = list(cache.iterdir())
-        manifest = read_manifest(artifact_dir)
-        assert manifest.fingerprint == dataset_fingerprint(dataset.network, dataset.corpus)
-
-        runner_second = ExperimentRunner(dataset, artifact_cache_dir=cache)
-        # The second runner's bundle came from disk.
-        assert "load" in runner_second.bundle.build_seconds
-
-        from repro.core.query import LCMSRQuery
-        from repro.core.greedy import GreedySolver
-
-        query = LCMSRQuery.create(["cafe"], delta=700.0)
-        _assert_same_result(
-            runner_first.run_single(query, GreedySolver()).result,
-            runner_second.run_single(query, GreedySolver()).result,
-        )
-
-    def test_stale_cache_entry_is_rebuilt(self, tmp_path):
-        dataset = _tiny_dataset(seed=31)
-        cache = tmp_path / "cache"
-        bundle = cached_dataset_bundle(dataset, cache)
-        [artifact_dir] = list(cache.iterdir())
-        # Sabotage the stored fingerprint: the cache must treat it as stale.
-        manifest_path = artifact_dir / MANIFEST_NAME
-        raw = json.loads(manifest_path.read_text())
-        raw["fingerprint"] = "0" * 64
-        manifest_path.write_text(json.dumps(raw))
-        rebuilt = cached_dataset_bundle(dataset, cache)
-        assert "load" not in rebuilt.build_seconds  # fresh build, not a load
-        assert read_manifest(artifact_dir).fingerprint == \
-            dataset_fingerprint(dataset.network, dataset.corpus)
-        assert bundle.describe().split(",")[0] == rebuilt.describe().split(",")[0]

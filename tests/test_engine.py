@@ -17,19 +17,12 @@ def engine(tiny_ny_dataset):
 
 
 class TestConfiguration:
-    def test_unknown_default_algorithm_rejected(self, tiny_ny_dataset):
-        with pytest.raises(QueryError):
-            LCMSREngine(tiny_ny_dataset.network, tiny_ny_dataset.corpus, default_algorithm="nope")
-
     def test_config_errors_raised_before_index_build(self, tiny_ny_dataset):
         # Fail-fast ordering proof: indexing without a network would raise
         # AttributeError, so getting QueryError shows validation ran before any
         # build work started.
         with pytest.raises(QueryError):
-            LCMSREngine(None, tiny_ny_dataset.corpus,
-                        scoring_mode="bogus", default_algorithm="tgen")
-        with pytest.raises(QueryError):
-            LCMSREngine(None, tiny_ny_dataset.corpus, default_algorithm="nope")
+            LCMSREngine(None, tiny_ny_dataset.corpus, scoring_mode="bogus")
 
     def test_default_algorithm_property(self, engine):
         assert engine.default_algorithm == "tgen"

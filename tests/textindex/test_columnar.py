@@ -21,7 +21,6 @@ from repro.core.greedy import GreedySolver
 from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
 from repro.core.tgen import TGENSolver
-from repro.exceptions import IndexError_
 from repro.network.builders import grid_network
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
@@ -223,16 +222,6 @@ class TestColumnarStructure:
         a = WeightPipeline(columnar, ScoringMode.TEXT_RELEVANCE)
         b = WeightPipeline(restored, ScoringMode.TEXT_RELEVANCE)
         assert a.node_weights(("cafe", "bar")) == b.node_weights(("cafe", "bar"))
-
-    def test_lm_smoothing_mismatch_rejected(self):
-        corpus, network, mapping, columnar = random_setup(8)
-        with pytest.raises(IndexError_):
-            WeightPipeline(columnar, ScoringMode.LANGUAGE_MODEL, lm_smoothing=0.5)
-
-    def test_invalid_smoothing_rejected_at_build(self):
-        corpus, network, mapping, _ = random_setup(8)
-        with pytest.raises(IndexError_):
-            ColumnarScoringIndex.build(corpus, mapping, network.coords, lm_smoothing=1.5)
 
 
 class TestQueryNormalisation:

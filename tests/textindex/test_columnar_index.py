@@ -156,7 +156,7 @@ class TestObjectScores:
 
     def test_language_model_scores_equal_the_scalar_scorer(self, small):
         corpus, _, _, index = small
-        scorer = LanguageModelScorer(corpus, smoothing=index.lm_smoothing)
+        scorer = LanguageModelScorer(corpus)
         keywords = ["cafe", "coffee", "zzz"]
         column = WeightPipeline(index, ScoringMode.LANGUAGE_MODEL).object_scores(keywords)
         for obj in corpus:
@@ -276,28 +276,24 @@ class TestConstruction:
         arrays = index.arrays()
         del arrays["post_tf"]
         with pytest.raises(IndexError_, match="missing array 'post_tf'"):
-            ColumnarScoringIndex.from_arrays(index.terms, arrays, index.lm_smoothing)
+            ColumnarScoringIndex.from_arrays(index.terms, arrays)
 
     def test_postings_indptr_must_match_the_vocabulary(self, small):
         _, _, _, index = small
         with pytest.raises(IndexError_, match="does not match"):
-            ColumnarScoringIndex.from_arrays(
-                index.terms[:-1], index.arrays(), index.lm_smoothing
-            )
+            ColumnarScoringIndex.from_arrays(index.terms[:-1], index.arrays())
 
     def test_node_indptr_must_match_the_node_table(self, small):
         _, _, _, index = small
         arrays = index.arrays()
         arrays["node_indptr"] = arrays["node_indptr"][:-1]
         with pytest.raises(IndexError_, match="node map indptr"):
-            ColumnarScoringIndex.from_arrays(index.terms, arrays, index.lm_smoothing)
+            ColumnarScoringIndex.from_arrays(index.terms, arrays)
 
     @pytest.mark.parametrize("mode", list(ScoringMode))
     def test_from_arrays_scores_identically(self, small, mode):
         _, _, _, index = small
-        restored = ColumnarScoringIndex.from_arrays(
-            index.terms, index.arrays(), index.lm_smoothing
-        )
+        restored = ColumnarScoringIndex.from_arrays(index.terms, index.arrays())
         keywords = ["cafe", "coffee", "restaurant"]
         original = WeightPipeline(index, mode).node_weights(keywords)
         assert list(WeightPipeline(restored, mode).node_weights(keywords).items()) == \

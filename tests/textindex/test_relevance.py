@@ -8,7 +8,7 @@ from repro.network.builders import grid_network
 from repro.objects.corpus import ObjectCorpus
 from repro.objects.geoobject import GeoTextualObject
 from repro.objects.mapping import map_objects_to_network
-from repro.textindex.relevance import LanguageModelScorer, RelevanceScorer, ScoringMode
+from repro.textindex.relevance import RelevanceScorer, ScoringMode
 
 from tests.conftest import make_small_corpus
 
@@ -64,11 +64,6 @@ class TestRatingMode:
 
 
 class TestLanguageModelMode:
-    def test_invalid_smoothing_rejected(self, mapped_small_corpus):
-        corpus, _, _ = mapped_small_corpus
-        with pytest.raises(ValueError):
-            LanguageModelScorer(corpus, smoothing=0.0)
-
     def test_irrelevant_objects_score_zero(self, mapped_small_corpus):
         corpus, _, mapping = mapped_small_corpus
         scorer = RelevanceScorer(corpus, mapping, mode=ScoringMode.LANGUAGE_MODEL)
