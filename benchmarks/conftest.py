@@ -90,7 +90,7 @@ def default_solvers(params: Dict[str, float]) -> list:
     tgen = TGENSolver()
     tgen.AUTO_BUCKETS = int(params["tgen_buckets"])
     return [
-        TGENSolver(alpha=None),
+        tgen,
         APPSolver(alpha=params["app_alpha"], beta=params["app_beta"]),
         GreedySolver(mu=params["greedy_mu"]),
     ]

@@ -17,9 +17,10 @@ class LCMSRQuery:
 
     Attributes:
         keywords: The query keyword set ``Q.ψ``. Normalised at construction —
-            stripped, lower-cased, de-duplicated, order preserved — whichever
+            stripped, lower-cased, de-duplicated and sorted — whichever
             constructor path is used, so scorers, cache keys and the columnar
-            weight pipeline never re-normalise per call.
+            weight pipeline never re-normalise per call, and every order of
+            one keyword list gives bit-identical weights.
         delta: The length constraint ``Q.∆``: the maximum total road-segment length of
             the returned region, in the same units as edge lengths (meters for the
             bundled datasets). Finite and non-negative.
@@ -38,8 +39,8 @@ class LCMSRQuery:
     def __post_init__(self) -> None:
         # Normalise ONCE, at construction: every downstream consumer (scorers,
         # the columnar weight pipeline, cache keys) trusts query keywords to be
-        # stripped, lower-cased and de-duplicated already.
-        normalised = normalize_keyword_set(self.keywords)
+        # stripped, lower-cased, de-duplicated and sorted already.
+        normalised = tuple(sorted(normalize_keyword_set(self.keywords)))
         if normalised != tuple(self.keywords) or not isinstance(self.keywords, tuple):
             object.__setattr__(self, "keywords", normalised)
         if not self.keywords:

@@ -14,8 +14,8 @@ cache and the instance cache agree on what "the same query" means:
   the node weights are identical across them, which is exactly why the instance cache
   can serve a ``∆``-sweep from one build.
 
-Keywords are sorted in keys (queries are sets in the paper, Definition 3) while the
-executed :class:`~repro.core.query.LCMSRQuery` preserves the caller's order.
+Keywords are sorted in keys (queries are sets in the paper, Definition 3), the same
+canonical order the executed :class:`~repro.core.query.LCMSRQuery` scores them in.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ def normalize_keywords(keywords: Iterable[str]) -> Tuple[str, ...]:
     """Lower-case, strip, de-duplicate and sort a keyword iterable.
 
     On the serving path the input is already normalised — the keywords come
-    from an :class:`~repro.core.query.LCMSRQuery`, which normalises at
-    construction — so this reduces to the canonical sort; the full
-    normalisation is kept for raw callers building keys directly.
+    from an :class:`~repro.core.query.LCMSRQuery`, which normalises and sorts
+    at construction; the full normalisation is kept for raw callers building
+    keys directly.
 
     Args:
         keywords: Keywords, normalised or raw.

@@ -66,8 +66,8 @@ class QueryRequest:
     """One LCMSR query as submitted to the service.
 
     Attributes:
-        keywords: Query keywords ``Q.ψ`` (caller order is preserved in execution;
-            cache keys normalize it away).
+        keywords: Query keywords ``Q.ψ`` in any order: execution and cache
+            keys both use the canonical (sorted) order.
         delta: Length constraint ``Q.∆``.
         region: Region of interest ``Q.Λ``; ``None`` means the whole network.
         algorithm: Solver name ("app", "tgen", "greedy", "exact"); the engine
@@ -243,17 +243,16 @@ class QueryService:
         """Serve one request and also return its recorded timing.
 
         The timing is the same :class:`~repro.service.stats.QueryTiming` that
-        :meth:`execute` records in this service's collector — process-pool
-        workers (:mod:`repro.service.sharding`) use this to ship both the answer
+        :meth:`execute` records in this service's collector — gateway worker
+        processes (:mod:`repro.service.sharding`) use this to ship both the answer
         and the accounting back to the gateway in one picklable pair.
         """
         start = time.perf_counter()
         self._invalidate_on_generation_change()
         algorithm = (request.algorithm or self._engine.default_algorithm).lower()
         # The query normalises its keywords at construction (strip / lower /
-        # de-duplicate) and rejects empty keyword sets; the cache keys are then
-        # built from the already-normalised tuple, so key construction only
-        # sorts — nothing on the serving path re-normalises.
+        # de-duplicate / sort) and rejects empty keyword sets; the cache keys
+        # are built from that canonical tuple, the order σ_v sums in.
         query = LCMSRQuery.create(
             request.keywords, delta=request.delta, region=request.region, k=request.k
         )

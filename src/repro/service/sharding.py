@@ -18,13 +18,17 @@ up the repo's byte-identity contract:
   tile lies fully inside that tile's extent.
 * :class:`ShardRouter` — maps a query window to the one shard whose extent
   contains it (the owning tile's shard first), or to the base artifact.
-* :class:`ShardedQueryService` — the routing gateway: a lazily created
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers open each
-  artifact directory on first use (fork-safe lazy init — nothing heavyweight
-  crosses the fork; requests, results and timings are plain picklable
-  dataclasses), and admission control via a bounded in-flight semaphore with
-  explicit rejection. A pool broken by a dead worker is replaced on the next
-  submit; the requests it held fail with a :class:`~repro.exceptions.QueryError`.
+* :class:`ShardedQueryService` — the routing gateway: ``N`` forked worker
+  processes, each joined to the gateway by one duplex pipe with one gateway
+  reader thread that resolves the callers' futures, and admission control via
+  a bounded in-flight semaphore with explicit rejection. Workers open each
+  artifact directory on first use (nothing heavyweight crosses the fork;
+  requests, results and timings are plain picklable dataclasses). A request
+  goes to the worker its result key hashes to, whose caches have seen it,
+  unless another worker holds fewer requests: then to the least-loaded one.
+  A dead worker fails only the requests it held, with a
+  :class:`~repro.exceptions.QueryError`, and the next request starts its
+  replacement.
 
 **Byte-identity routing contract.** A query is answered bit-identically to the
 unsharded service exactly when it is dispatched to ONE artifact whose extent
@@ -46,11 +50,15 @@ replicas from the serving front end.
 
 from __future__ import annotations
 
+import itertools
 import json
+import logging
 import math
+import multiprocessing
 import os
+import pickle
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -61,6 +69,7 @@ from repro.exceptions import ArtifactError, QueryError
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.service.bundle import IndexBundle
+from repro.service.keys import normalize_keywords, region_key
 from repro.service.persist import (
     MANIFEST_NAME,
     PathLike,
@@ -471,9 +480,9 @@ class WorkerConfig:
     Attributes:
         base_path: The served generation's base artifact directory.
         result_cache_size / instance_cache_size: Per-worker cache capacities.
-        preload_base: Open the base-artifact engine eagerly in the worker
-            initializer (benchmarks use it to keep engine loads out of the
-            timed window); every other artifact opens lazily on first use.
+        preload_base: Open the base-artifact engine eagerly when the worker
+            starts (benchmarks use it to keep engine loads out of the timed
+            window); every other artifact opens lazily on first use.
     """
 
     base_path: str
@@ -485,9 +494,16 @@ class WorkerConfig:
 _WORKER_CONFIG: Optional[WorkerConfig] = None
 _WORKER_SERVICES: Dict[str, QueryService] = {}
 
+# Fork, not spawn: a spawned worker would import the package again first.
+_FORK = multiprocessing.get_context("fork")
+_STOP = pickle.dumps(None)
+_CLOSED = "the sharded query service has been closed"
+
+logger = logging.getLogger(__name__)
+
 
 def _worker_init(config: WorkerConfig) -> None:
-    """Process-pool initializer: record the config, open nothing else eagerly."""
+    """Worker start-up: record the config, open nothing else eagerly."""
     global _WORKER_CONFIG
     _WORKER_CONFIG = config
     _WORKER_SERVICES.clear()
@@ -502,7 +518,7 @@ def _worker_service(path: str) -> QueryService:
         from repro.engine import LCMSREngine  # deferred: engine imports service
 
         config = _WORKER_CONFIG
-        if config is None:  # pragma: no cover - initializer always ran
+        if config is None:  # pragma: no cover - _worker_init always ran
             raise QueryError("worker process was not initialised with a WorkerConfig")
         # Load exactly the routed directory: no CURRENT pointer is followed
         # and no delta overlay is merged. The gateway already resolved the
@@ -510,7 +526,7 @@ def _worker_service(path: str) -> QueryService:
         # not others would break the byte-identity routing contract.
         engine = LCMSREngine.from_bundle(IndexBundle.load(path))
         # max_workers=1 and direct execute(): the worker never spawns threads
-        # of its own, keeping the process pool the only concurrency layer.
+        # of its own, keeping the worker processes the only concurrency layer.
         service = QueryService(
             engine,
             max_workers=1,
@@ -526,13 +542,62 @@ def _worker_execute(path: str, request: QueryRequest):
     return _worker_service(path).execute_timed(request)
 
 
-def _worker_died(exc: BrokenProcessPool) -> QueryError:
+def _sendable(exc: Exception) -> Exception:
+    """``exc`` when it survives a pickle round trip, else a QueryError with its repr."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # whatever a custom __reduce__ or __init__ raises
+        return QueryError(repr(exc))
+    return exc
+
+
+def _worker_main(conn, inherited, config: WorkerConfig) -> None:
+    """A worker process: answer ``(id, path, request)`` messages in arrival order.
+
+    ``inherited`` holds the gateway-side pipe ends this fork copied; closing
+    them leaves the gateway their only holder, so a dead gateway reaches every
+    worker as EOF.
+    """
+    for end in inherited:
+        end.close()
+    _worker_init(config)
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:  # the gateway is gone
+            return
+        if message is None:  # close(): every request sent before it is answered
+            return
+        rid, path, request = message
+        try:
+            outcome = _worker_execute(path, request)
+        except Exception as exc:  # the caller's future raises it
+            outcome = _sendable(exc)
+        try:
+            conn.send((rid, outcome))
+        except OSError:  # the gateway is gone
+            return
+
+
+def _worker_died(cause: BrokenProcessPool) -> QueryError:
     """The error a request gets when the worker serving it died."""
     error = QueryError(
-        f"a worker process died before answering this request; retry it ({exc})"
+        f"a worker process died before answering this request; retry it ({cause})"
     )
-    error.__cause__ = exc
+    error.__cause__ = cause
     return error
+
+
+class _Worker:
+    """One worker process, the gateway's end of its pipe and what it holds."""
+
+    def __init__(self, process, conn, read) -> None:
+        self.process = process
+        self.conn = conn
+        self.send_lock = threading.Lock()
+        self.pending: Dict[int, Future] = {}
+        self.alive = True
+        self.reader = threading.Thread(target=read, args=(self,), daemon=True)
 
 
 # ---------------------------------------------------------------------- gateway
@@ -607,8 +672,10 @@ class ShardedQueryService:
                     "degraded_policy must be approximate (anytime/sampled); "
                     "shedding to exact would be a no-op"
                 )
+        from repro.engine import DEFAULT_ALGORITHM  # deferred: cycle
         from repro.service.generations import resolve_generation  # deferred: cycle
 
+        self._default_algorithm = DEFAULT_ALGORITHM
         self._path = resolve_generation(artifact)
         read_manifest(self._path)
         shard_set = load_shard_set(self._path)
@@ -626,8 +693,12 @@ class ShardedQueryService:
         self._num_workers = num_workers
         self._max_in_flight = max_in_flight
         self._admission = threading.Semaphore(max_in_flight)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
+        # _lock guards the worker slots, each worker's pending map and
+        # _closed. A request that finds a slot empty or its worker dead
+        # forks the slot's worker first.
+        self._workers: List[Optional[_Worker]] = [None] * num_workers
+        self._lock = threading.Lock()
+        self._ids = itertools.count()
         self._collector = StatsCollector()
         self._rejected = 0
         self._closed = False
@@ -645,37 +716,113 @@ class ShardedQueryService:
         self.close()
 
     def close(self) -> None:
-        """Shut down the worker processes; later submissions raise ``QueryError``."""
-        with self._pool_lock:
+        """Stop the workers once they have answered every request sent to them.
+
+        Later submissions raise ``QueryError``.
+        """
+        with self._lock:
             self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+            workers = [worker for worker in self._workers if worker is not None]
+            self._workers = []
+        for worker in workers:
+            with worker.send_lock:
+                try:
+                    worker.conn.send_bytes(_STOP)
+                except OSError:  # dead already: its reader settles what it held
+                    pass
+        for worker in workers:
+            worker.reader.join()
 
-    def _submit(self, path: str, request: QueryRequest) -> "Future":
-        # Pool creation, replacement and the submit share one _pool_lock
-        # block, so a concurrent close() shuts down either no pool or the one
-        # this request was queued on.
-        with self._pool_lock:
-            if self._closed:
-                raise QueryError("the sharded query service has been closed")
-            if self._pool is None:
-                self._pool = self._new_pool()
-            try:
-                return self._pool.submit(_worker_execute, path, request)
-            except BrokenProcessPool:
-                # A worker died, and the executor refuses every later submit;
-                # the requests it held have failed already. Replace it.
-                self._pool.shutdown(wait=False)
-                self._pool = self._new_pool()
-                return self._pool.submit(_worker_execute, path, request)
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self._num_workers,
-            initializer=_worker_init,
-            initargs=(self._config,),
+    def _start_worker(self) -> _Worker:
+        """Fork one worker and start its reader thread; called under ``_lock``."""
+        gateway_end, worker_end = _FORK.Pipe()
+        inherited = [w.conn for w in self._workers if w is not None] + [gateway_end]
+        process = _FORK.Process(
+            target=_worker_main, args=(worker_end, inherited, self._config), daemon=True
         )
+        process.start()
+        worker_end.close()
+        worker = _Worker(process, gateway_end, self._read)
+        worker.reader.start()
+        return worker
+
+    def _read(self, worker: _Worker) -> None:
+        """Reader thread: settle each answered future, then what a dead worker held."""
+        try:
+            while True:
+                rid, outcome = worker.conn.recv()
+                with self._lock:
+                    future = worker.pending.pop(rid)
+                self._settle(future, outcome)
+        except (EOFError, OSError):  # the worker exited
+            pass
+        worker.process.join()
+        with self._lock, worker.send_lock:
+            worker.conn.close()
+            worker.alive = False
+            pending, worker.pending = worker.pending, {}
+        pid, code = worker.process.pid, worker.process.exitcode
+        if code != 0:
+            logger.warning(
+                "worker process %d exited with code %s; %d request(s) it held failed",
+                pid, code, len(pending),
+            )
+        cause = BrokenProcessPool(f"worker process {pid} exited with code {code}")
+        for future in pending.values():
+            # Exit code 0 is close()'s stop: these requests were sent after it.
+            self._settle(future, _worker_died(cause) if code else QueryError(_CLOSED))
+
+    def _settle(self, future: "Future", outcome) -> None:
+        """Free the request's admission slot, record its timing, resolve its future."""
+        with self._inflight_lock:
+            self._in_flight -= 1
+        self._admission.release()
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
+        else:
+            result, timing = outcome
+            self._collector.record(timing)
+            future.set_result(result)
+
+    def _owner(self, path: str, request: QueryRequest) -> int:
+        """The worker slot a request's result key hashes to: its cache home."""
+        policy = request.policy.cache_token() if request.policy is not None else "exact"
+        algorithm = (request.algorithm or self._default_algorithm).lower()
+        key = (path, normalize_keywords(request.keywords), float(request.delta),
+               region_key(request.region), request.k, algorithm, policy)
+        return hash(key) % self._num_workers
+
+    def _submit(self, path: str, request: QueryRequest) -> "Future[ServiceResult]":
+        owner = self._owner(path, request)
+        rid = next(self._ids)
+        payload = pickle.dumps((rid, path, request), pickle.HIGHEST_PROTOCOL)
+        future: "Future[ServiceResult]" = Future()
+        future.set_running_or_notify_cancel()  # a sent request cannot be withdrawn
+        with self._lock:
+            if self._closed:
+                raise QueryError(_CLOSED)
+            for index, slot in enumerate(self._workers):
+                if slot is None or not slot.alive:
+                    self._workers[index] = self._start_worker()
+                    if slot is not None:
+                        logger.info(
+                            "worker process %d replaces dead worker process %d",
+                            self._workers[index].process.pid, slot.process.pid,
+                        )
+            # The owner keeps its cache hits, unless another worker has fewer
+            # requests in flight: then the least-loaded worker (lowest slot on
+            # ties) takes it rather than queue it behind a busy owner.
+            worker = self._workers[owner]
+            least = min(self._workers, key=lambda w: len(w.pending))
+            if len(least.pending) < len(worker.pending):
+                worker = least
+            worker.pending[rid] = future
+        with worker.send_lock:
+            try:
+                worker.conn.send_bytes(payload)
+            except OSError:  # the worker died: its reader fails this future
+                pass
+        return future
 
     # ------------------------------------------------------------------ accessors
     @property
@@ -768,7 +915,7 @@ class ShardedQueryService:
         route = self._router.route(request.region)
         path = self._shard_dirs[route.shard] if route.shard >= 0 else str(self._path)
         if not self._admission.acquire(blocking=blocking):
-            with self._pool_lock:
+            with self._inflight_lock:
                 self._rejected += 1
             raise QueryError(
                 f"admission queue full ({self._max_in_flight} queries in flight); "
@@ -777,40 +924,12 @@ class ShardedQueryService:
         with self._inflight_lock:
             self._in_flight += 1
         try:
-            inner = self._submit(path, request)
+            return self._submit(path, request)
         except BaseException:
             with self._inflight_lock:
                 self._in_flight -= 1
             self._admission.release()
             raise
-        inner.add_done_callback(self._on_done)
-        return inner
-
-    def _on_done(self, inner: "Future") -> None:
-        with self._inflight_lock:
-            self._in_flight -= 1
-        self._admission.release()
-        if inner.cancelled() or inner.exception() is not None:
-            return
-        _, timing = inner.result()
-        self._collector.record(timing)
-
-    @staticmethod
-    def _unwrap(inner: "Future") -> "Future":
-        outer: "Future[ServiceResult]" = Future()
-        outer.set_running_or_notify_cancel()
-
-        def _complete(fut: "Future") -> None:
-            exc = fut.exception()
-            if exc is not None:
-                if isinstance(exc, BrokenProcessPool):
-                    exc = _worker_died(exc)
-                outer.set_exception(exc)
-            else:
-                outer.set_result(fut.result()[0])
-
-        inner.add_done_callback(_complete)
-        return outer
 
     def execute(self, request: QueryRequest) -> ServiceResult:
         """Serve one request synchronously (routed to one shard or the base).
@@ -824,11 +943,7 @@ class ShardedQueryService:
             QueryError: On a malformed request, a closed service, or a worker
                 that died before answering (the request may be retried).
         """
-        try:
-            result, _ = self._dispatch(request, blocking=True).result()
-        except BrokenProcessPool as exc:
-            raise _worker_died(exc) from exc
-        return result
+        return self._dispatch(request, blocking=True).result()
 
     def submit(self, request: QueryRequest) -> "Future[ServiceResult]":
         """Enqueue one request; rejects instead of queueing past the bound.
@@ -839,7 +954,7 @@ class ShardedQueryService:
                 service is closed. The future fails with one when the worker
                 serving the request died.
         """
-        return self._unwrap(self._dispatch(request, blocking=False))
+        return self._dispatch(request, blocking=False)
 
     def run_batch(self, requests: Sequence[QueryRequest]) -> List[ServiceResult]:
         """Execute a batch across the worker processes; results in request order.
@@ -853,10 +968,7 @@ class ShardedQueryService:
                 whose worker died.
         """
         futures = [self._dispatch(request, blocking=True) for request in requests]
-        try:
-            return [future.result()[0] for future in futures]
-        except BrokenProcessPool as exc:
-            raise _worker_died(exc) from exc
+        return [future.result() for future in futures]
 
 
 __all__ = [

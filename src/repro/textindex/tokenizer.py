@@ -19,9 +19,9 @@ def normalize_keyword_set(keywords: Iterable[str]) -> Tuple[str, ...]:
     """Strip, lower-case and de-duplicate keywords, preserving first-seen order.
 
     The ONE canonical keyword normalisation: :class:`~repro.core.query.LCMSRQuery`
-    applies it at construction, and the query-vector / batch-scoring entry points
-    that accept raw keywords share it, so the scoring backends and the cache keys
-    can never diverge on what "the same keywords" means.
+    applies it at construction and sorts the result, and the query-vector /
+    batch-scoring entry points that accept raw keywords share it, so the scoring
+    backends and the cache keys can never diverge on what "the same keywords" means.
     """
     return tuple(dict.fromkeys(k.strip().lower() for k in keywords if k.strip()))
 

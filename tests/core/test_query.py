@@ -14,7 +14,7 @@ from repro.network.subgraph import Rectangle
 class TestValidation:
     def test_create_normalises_keywords(self):
         query = LCMSRQuery.create(["Cafe", " cafe ", "BAR"], delta=5.0)
-        assert query.keywords == ("cafe", "bar")
+        assert query.keywords == ("bar", "cafe")
 
     def test_empty_keywords_rejected(self):
         with pytest.raises(QueryError):

@@ -55,6 +55,45 @@ class TestNormalization:
         assert isinstance(a.instance_key, InstanceKey)
 
 
+class TestKeywordOrder:
+    """Every order of one keyword list is one query, down to the last bit.
+
+    On this dataset the two orders below summed σ_v in different orders when
+    a query kept its caller's order: 57 node weights and Greedy's region
+    weight differed in the last bit, and a result-cache hit served the first
+    order's bits to the second.
+    """
+
+    FIRST = ["restaurant", "cafe", "pizza"]
+    SECOND = ["cafe", "pizza", "restaurant"]
+
+    @staticmethod
+    def _signature(result):
+        region = result.region
+        return (region.nodes, region.edges, region.weight.hex(), region.length.hex())
+
+    def test_permutations_give_bit_identical_weights_and_answers(self):
+        from repro.service.query_service import QueryRequest, QueryService
+
+        dataset = build_ny_like(rows=12, cols=12, block_size=120.0, num_objects=260,
+                                num_clusters=5, seed=3)
+        engine = LCMSREngine(dataset.network, dataset.corpus)
+        weights = [engine.build_instance(LCMSRQuery.create(keywords, delta=500.0)).weights
+                   for keywords in (self.FIRST, self.SECOND)]
+        assert {n: w.hex() for n, w in weights[0].items()} == {
+            n: w.hex() for n, w in weights[1].items()}
+        cold = [self._signature(engine.query(keywords, delta=500.0, algorithm="greedy"))
+                for keywords in (self.FIRST, self.SECOND)]
+        assert cold[0] == cold[1]
+
+        with QueryService(engine, max_workers=1) as service:
+            service.execute(QueryRequest.create(self.FIRST, 500.0, algorithm="greedy"))
+            hit, timing = service.execute_timed(
+                QueryRequest.create(self.SECOND, 500.0, algorithm="greedy"))
+        assert timing.result_cache_hit
+        assert self._signature(hit) == cold[1]
+
+
 class TestIndexBundle:
     def test_build_populates_every_component(self, tiny_ny_dataset):
         bundle = IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus)

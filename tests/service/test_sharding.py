@@ -11,13 +11,19 @@ backend and pruning parity suites.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import pickle
+import select
 import shutil
 import signal
+import subprocess
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -461,9 +467,22 @@ def _wait_for(condition, timeout=60.0):
         time.sleep(0.005)
 
 
-def _stopped(pid):
-    with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
-        return handle.read().rsplit(")", 1)[1].split()[0] == "T"
+def _state(pid):
+    """The process state letter of ``pid`` (``None`` once it is reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+def _alive(pid):
+    return _state(pid) not in (None, "Z")
+
+
+def _held(service):
+    """How many requests each worker holds."""
+    return [len(worker.pending) for worker in service._workers]
 
 
 _CALLS = {
@@ -475,14 +494,16 @@ _CALLS = {
 
 @pytest.mark.parametrize("call", list(_CALLS))
 def test_a_killed_worker_fails_its_request_and_the_gateway_recovers(
-        gateway_artifact, parity_queries, call):
-    """SIGKILL one of two workers while a request waits on them.
+        gateway_artifact, parity_queries, call, caplog):
+    """SIGKILL the worker that holds a pending request.
 
-    The workers are stopped first, so the request is still pending when its
-    pool breaks: it fails with a QueryError whose cause is the
-    BrokenProcessPool, it releases its admission slot, and later requests on
-    the same gateway run on a replacement pool.
+    Both workers are stopped first, and one request waits on each: the
+    request on the killed worker fails with a QueryError whose cause is a
+    BrokenProcessPool and releases its admission slot; the one on the other
+    worker completes once that worker continues; later requests on the same
+    gateway run on a replacement worker.
     """
+    caplog.set_level(logging.INFO, logger=sharding.__name__)
     keywords, delta, region = parity_queries[0]
     request = QueryRequest.create(keywords, delta=delta, region=region,
                                   algorithm="greedy")
@@ -493,32 +514,46 @@ def test_a_killed_worker_fails_its_request_and_the_gateway_recovers(
     pids = []
     try:
         assert _signature(serve(service, request)) == expected
-        pids = list(service._pool._processes)
+        pids = [worker.process.pid for worker in service._workers]
         assert len(pids) == 2
         for pid in pids:
             os.kill(pid, signal.SIGSTOP)
         for pid in pids:
-            _wait_for(lambda: _stopped(pid))
-        failures = []
+            _wait_for(lambda: _state(pid) == "T")
+        answers, failures = [], []
 
         def pending_request():
             try:
-                serve(service, request)
+                answers.append(serve(service, request))
             except Exception as exc:  # surfaced by the assertions below
                 failures.append(exc)
 
-        waiter = threading.Thread(target=pending_request)
-        waiter.start()
-        _wait_for(lambda: service.in_flight == 1)
-        os.kill(pids[0], signal.SIGKILL)
-        waiter.join(timeout=120)
-        assert not waiter.is_alive()
-        os.kill(pids[1], signal.SIGCONT)
+        # The same request twice: the first waits on its owner, the second
+        # on the other worker, which holds fewer.
+        waiters = [threading.Thread(target=pending_request) for _ in range(2)]
+        waiters[0].start()
+        _wait_for(lambda: sum(_held(service)) == 1)
+        killed = _held(service).index(1)
+        waiters[1].start()
+        _wait_for(lambda: _held(service) == [1, 1])
+        other = 1 - killed
+        os.kill(pids[killed], signal.SIGKILL)
+        waiters[0].join(timeout=120)
+        assert not waiters[0].is_alive()
+        os.kill(pids[other], signal.SIGCONT)
+        waiters[1].join(timeout=120)
+        assert not waiters[1].is_alive()
         assert len(failures) == 1
         assert isinstance(failures[0], QueryError)
         assert "worker process died" in str(failures[0])
         assert isinstance(failures[0].__cause__, BrokenProcessPool)
+        assert [_signature(answer) for answer in answers] == [expected]
         _wait_for(lambda: service.in_flight == 0)
+        events = [r for r in caplog.records if r.name == sharding.__name__]
+        assert [r.getMessage() for r in events if r.levelno == logging.WARNING] == [
+            f"worker process {pids[killed]} exited with code -9; "
+            f"1 request(s) it held failed"
+        ]
 
         answer = None
         for _ in range(3):
@@ -530,7 +565,13 @@ def test_a_killed_worker_fails_its_request_and_the_gateway_recovers(
         assert answer is not None
         assert _signature(answer) == expected
         assert _signature(service.execute(request)) == expected
-        assert not set(service._pool._processes) & set(pids)
+        now = [worker.process.pid for worker in service._workers]
+        assert pids[killed] not in now and not _alive(pids[killed])
+        assert now[other] == pids[other]
+        assert [r.getMessage() for r in caplog.records
+                if r.name == sharding.__name__ and r.levelno == logging.INFO] == [
+            f"worker process {now[killed]} replaces dead worker process {pids[killed]}"
+        ]
         assert service.in_flight == 0
     finally:
         for pid in pids:
@@ -539,6 +580,110 @@ def test_a_killed_worker_fails_its_request_and_the_gateway_recovers(
             except ProcessLookupError:
                 pass
         service.close()
+
+
+_GATEWAY = """
+import sys, time
+from repro.service.query_service import QueryRequest
+from repro.service.sharding import ShardedQueryService
+service = ShardedQueryService(sys.argv[1], num_workers=2)
+service.execute(QueryRequest.create(["cafe"], delta=500.0, algorithm="greedy"))
+print(*(worker.process.pid for worker in service._workers), flush=True)
+time.sleep(600)
+"""
+
+
+def test_workers_exit_when_the_gateway_dies(gateway_artifact):
+    """A SIGKILLed gateway reaches each worker as EOF on its pipe."""
+    src = str(Path(sharding.__file__).resolve().parents[2])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    gateway = subprocess.Popen([sys.executable, "-c", _GATEWAY, str(gateway_artifact)],
+                               stdout=subprocess.PIPE, text=True, env=env)
+    survivors = []
+    try:
+        ready, _, _ = select.select([gateway.stdout], [], [], 120)
+        assert ready, "the gateway printed no worker pids"
+        pids = [int(pid) for pid in gateway.stdout.readline().split()]
+        assert len(pids) == 2 and all(_alive(pid) for pid in pids)
+        gateway.kill()
+        gateway.wait(timeout=60)
+        deadline = time.monotonic() + 10.0
+        while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        survivors = [pid for pid in pids if _alive(pid)]
+        assert survivors == []
+    finally:
+        gateway.kill()
+        gateway.wait(timeout=60)
+        gateway.stdout.close()
+        for pid in survivors:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+def test_a_repeated_request_is_served_by_its_owner(gateway_artifact, parity_queries):
+    """Sequential repeats of one request reach the worker that cached it."""
+    keywords, delta, region = parity_queries[0]
+    request = QueryRequest.create(keywords, delta=delta, region=region,
+                                  algorithm="greedy")
+    with ShardedQueryService(gateway_artifact, num_workers=2) as service:
+        answers = {_signature(service.execute(request)) for _ in range(8)}
+        stats = service.stats()
+    assert len(answers) == 1
+    assert stats.result_cache.hits == 7
+
+
+def test_concurrent_submitters_settle_every_request(gateway_artifact, parity_queries):
+    """Four client threads, three workers, a thread switch every microsecond.
+
+    A lost update to a worker's pending map, the in-flight count or the
+    admission semaphore would hang a client, miscount, or leave a slot taken.
+    """
+    requests = [QueryRequest.create(keywords, delta=delta, region=region,
+                                    algorithm="greedy")
+                for keywords, delta, region in parity_queries]
+    full = QueryService(LCMSREngine.from_artifact(gateway_artifact), max_workers=1)
+    expected = [_signature(full.execute(request)) for request in requests]
+    rounds = 12
+
+    def client(offset):
+        return [(index, _signature(service.execute(requests[index])))
+                for index in ((offset + i) % len(requests) for i in range(rounds))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ShardedQueryService(gateway_artifact, num_workers=3,
+                                 max_in_flight=4) as service:
+            with ThreadPoolExecutor(max_workers=4) as clients:
+                answers = [future.result(timeout=120)
+                           for future in [clients.submit(client, n) for n in range(4)]]
+            assert service.in_flight == 0
+            assert service.stats().queries == 4 * rounds
+            assert all(service._admission.acquire(blocking=False) for _ in range(4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(signature == expected[index]
+               for batch in answers for index, signature in batch)
+
+
+def test_close_answers_every_request_sent_before_it(gateway_artifact, parity_queries):
+    """close() queues each worker's stop behind the requests it holds."""
+    requests = [QueryRequest.create(keywords, delta=delta, region=region, algorithm="tgen")
+                for keywords, delta, region in parity_queries]
+    full = QueryService(LCMSREngine.from_artifact(gateway_artifact), max_workers=1)
+    expected = [_signature(full.execute(request)) for request in requests]
+    service = ShardedQueryService(gateway_artifact, num_workers=2)
+    futures = [service.submit(request) for request in requests]
+    service.close()
+    assert all(future.done() for future in futures)
+    assert [_signature(future.result()) for future in futures] == expected
+    assert service.in_flight == 0
+    with pytest.raises(QueryError, match="closed"):
+        service.submit(requests[0])
 
 
 def test_a_corrupt_chunk_fails_only_the_request_that_decodes_it(dataset, tmp_path):

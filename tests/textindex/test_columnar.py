@@ -227,11 +227,11 @@ class TestColumnarStructure:
 class TestQueryNormalisation:
     def test_direct_construction_normalises(self):
         query = LCMSRQuery(keywords=("Cafe", " cafe ", "BAR"), delta=5.0)
-        assert query.keywords == ("cafe", "bar")
+        assert query.keywords == ("bar", "cafe")
 
     def test_create_normalises(self):
         query = LCMSRQuery.create(["Cafe", " cafe ", "BAR"], delta=5.0)
-        assert query.keywords == ("cafe", "bar")
+        assert query.keywords == ("bar", "cafe")
 
     def test_list_input_becomes_tuple(self):
         query = LCMSRQuery(keywords=["cafe"], delta=5.0)  # type: ignore[arg-type]
