@@ -40,7 +40,7 @@ class LCMSRQuery:
         # Normalise ONCE, at construction: every downstream consumer (scorers,
         # the columnar weight pipeline, cache keys) trusts query keywords to be
         # stripped, lower-cased, de-duplicated and sorted already.
-        normalised = tuple(sorted(normalize_keyword_set(self.keywords)))
+        normalised = normalize_keyword_set(self.keywords)
         if normalised != tuple(self.keywords) or not isinstance(self.keywords, tuple):
             object.__setattr__(self, "keywords", normalised)
         if not self.keywords:

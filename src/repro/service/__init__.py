@@ -21,11 +21,11 @@ into a high-throughput service:
   :func:`build_shards` partitions an artifact into tile shards with halo
   edges, :class:`ShardRouter` maps each window to the one shard whose extent
   contains it, and :class:`ShardedQueryService` is the gateway that
-  dispatches each query there over one pipe per worker process, to the worker
-  its result key hashes to unless another holds fewer requests, with
-  admission control — byte-identical to the unsharded engine. A gateway
-  serves the generation ``CURRENT`` names when it opens; a dead worker fails
-  only the requests it held and is replaced.
+  dispatches each query there over one pipe per worker process, to the
+  worker holding the fewest requests, with admission control —
+  byte-identical to the unsharded engine. A gateway serves the generation
+  ``CURRENT`` names when it opens; a dead worker fails only the requests it
+  held and is replaced.
 * :mod:`repro.service.generations` — the mutable world: :class:`DeltaOverlay`
   records add / update / remove / rating mutations over a frozen bundle and
   merges them into node weights at query time; :class:`Compactor` re-freezes

@@ -14,8 +14,9 @@ cache and the instance cache agree on what "the same query" means:
   the node weights are identical across them, which is exactly why the instance cache
   can serve a ``∆``-sweep from one build.
 
-Keywords are sorted in keys (queries are sets in the paper, Definition 3), the same
-canonical order the executed :class:`~repro.core.query.LCMSRQuery` scores them in.
+Keys hold the canonical keyword tuple of :func:`normalize_keywords` (sorted: queries
+are sets in the paper, Definition 3), the order the executed
+:class:`~repro.core.query.LCMSRQuery` scores them in.
 """
 
 from __future__ import annotations
@@ -25,26 +26,9 @@ from typing import Iterable, Optional, Tuple
 
 from repro.network.subgraph import Rectangle
 from repro.textindex.relevance import ScoringMode
-from repro.textindex.tokenizer import normalize_keyword_set
+from repro.textindex.tokenizer import normalize_keyword_set as normalize_keywords
 
 RegionTupleKey = Tuple[float, float, float, float]
-
-
-def normalize_keywords(keywords: Iterable[str]) -> Tuple[str, ...]:
-    """Lower-case, strip, de-duplicate and sort a keyword iterable.
-
-    On the serving path the input is already normalised — the keywords come
-    from an :class:`~repro.core.query.LCMSRQuery`, which normalises and sorts
-    at construction; the full normalisation is kept for raw callers building
-    keys directly.
-
-    Args:
-        keywords: Keywords, normalised or raw.
-
-    Returns:
-        The canonical (sorted) keyword tuple used in cache keys.
-    """
-    return tuple(sorted(normalize_keyword_set(keywords)))
 
 
 def region_key(region: Optional[Rectangle]) -> Optional[RegionTupleKey]:

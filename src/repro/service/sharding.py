@@ -24,11 +24,12 @@ up the repo's byte-identity contract:
   a bounded in-flight semaphore with explicit rejection. Workers open each
   artifact directory on first use (nothing heavyweight crosses the fork;
   requests, results and timings are plain picklable dataclasses). A request
-  goes to the worker its result key hashes to, whose caches have seen it,
-  unless another worker holds fewer requests: then to the least-loaded one.
-  A dead worker fails only the requests it held, with a
+  goes to the worker holding the fewest requests, the lowest slot on ties,
+  so it never queues behind a busy worker while another is idle. A dead
+  worker fails only the requests it held, with a
   :class:`~repro.exceptions.QueryError`, and the next request starts its
-  replacement.
+  replacement. The workers live until :meth:`~ShardedQueryService.close`:
+  close every gateway, or open it in a ``with`` block.
 
 **Byte-identity routing contract.** A query is answered bit-identically to the
 unsharded service exactly when it is dispatched to ONE artifact whose extent
@@ -69,7 +70,6 @@ from repro.exceptions import ArtifactError, QueryError
 from repro.network.subgraph import Rectangle
 from repro.objects.corpus import ObjectCorpus
 from repro.service.bundle import IndexBundle
-from repro.service.keys import normalize_keywords, region_key
 from repro.service.persist import (
     MANIFEST_NAME,
     PathLike,
@@ -604,6 +604,10 @@ class _Worker:
 class ShardedQueryService:
     """Multi-process routing front end over a (possibly sharded) artifact.
 
+    Call :meth:`close` when done, or use the gateway as a context manager:
+    each worker's reader thread holds the gateway, so dropping the last
+    reference stops nothing, and the workers live until the interpreter exits.
+
     Args:
         artifact: The artifact root. A ``CURRENT`` generation pointer written
             by ``python -m repro compact`` is followed automatically, and a
@@ -672,10 +676,8 @@ class ShardedQueryService:
                     "degraded_policy must be approximate (anytime/sampled); "
                     "shedding to exact would be a no-op"
                 )
-        from repro.engine import DEFAULT_ALGORITHM  # deferred: cycle
         from repro.service.generations import resolve_generation  # deferred: cycle
 
-        self._default_algorithm = DEFAULT_ALGORITHM
         self._path = resolve_generation(artifact)
         read_manifest(self._path)
         shard_set = load_shard_set(self._path)
@@ -690,7 +692,6 @@ class ShardedQueryService:
             instance_cache_size=instance_cache_size,
             preload_base=preload_base,
         )
-        self._num_workers = num_workers
         self._max_in_flight = max_in_flight
         self._admission = threading.Semaphore(max_in_flight)
         # _lock guards the worker slots, each worker's pending map and
@@ -718,7 +719,8 @@ class ShardedQueryService:
     def close(self) -> None:
         """Stop the workers once they have answered every request sent to them.
 
-        Later submissions raise ``QueryError``.
+        Required: nothing else stops the workers while the gateway's process
+        lives. Later submissions raise ``QueryError``.
         """
         with self._lock:
             self._closed = True
@@ -784,16 +786,7 @@ class ShardedQueryService:
             self._collector.record(timing)
             future.set_result(result)
 
-    def _owner(self, path: str, request: QueryRequest) -> int:
-        """The worker slot a request's result key hashes to: its cache home."""
-        policy = request.policy.cache_token() if request.policy is not None else "exact"
-        algorithm = (request.algorithm or self._default_algorithm).lower()
-        key = (path, normalize_keywords(request.keywords), float(request.delta),
-               region_key(request.region), request.k, algorithm, policy)
-        return hash(key) % self._num_workers
-
     def _submit(self, path: str, request: QueryRequest) -> "Future[ServiceResult]":
-        owner = self._owner(path, request)
         rid = next(self._ids)
         payload = pickle.dumps((rid, path, request), pickle.HIGHEST_PROTOCOL)
         future: "Future[ServiceResult]" = Future()
@@ -809,13 +802,8 @@ class ShardedQueryService:
                             "worker process %d replaces dead worker process %d",
                             self._workers[index].process.pid, slot.process.pid,
                         )
-            # The owner keeps its cache hits, unless another worker has fewer
-            # requests in flight: then the least-loaded worker (lowest slot on
-            # ties) takes it rather than queue it behind a busy owner.
-            worker = self._workers[owner]
-            least = min(self._workers, key=lambda w: len(w.pending))
-            if len(least.pending) < len(worker.pending):
-                worker = least
+            # The least-loaded worker takes it, the lowest slot on ties.
+            worker = min(self._workers, key=lambda w: len(w.pending))
             worker.pending[rid] = future
         with worker.send_lock:
             try:

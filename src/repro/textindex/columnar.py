@@ -974,7 +974,7 @@ class WeightPipeline:
         sums with overlay contributions before the positivity/ordering step.
 
         Args:
-            keywords: Normalised, de-duplicated query keywords.
+            keywords: Normalised (de-duplicated, sorted) query keywords.
             window: Optional ``Q.Λ`` masking the *objects* by coordinates.
             exclude_rows: Optional boolean mask over object rows; ``True`` rows
                 are dropped from the aggregation (used to mask base rows
@@ -1121,8 +1121,8 @@ class WeightPipeline:
         """Return σ_v for every node carrying a relevant object — as pure array ops.
 
         Args:
-            keywords: Normalised, de-duplicated query keywords
-            	(:class:`~repro.core.query.LCMSRQuery` normalises at construction).
+            keywords: Normalised (de-duplicated, sorted) query keywords
+                (:class:`~repro.core.query.LCMSRQuery` normalises at construction).
             window: Optional ``Q.Λ``. Masks the *objects* by a vectorised
                 coordinate comparison — exactly the reference scorer's ``window``
                 contract (an in-window object mapped to an out-of-window node
@@ -1295,7 +1295,7 @@ class WeightPipeline:
         consumed identically (see :meth:`_sampling_frame`).
 
         Args:
-            keywords: Normalised, de-duplicated query keywords.
+            keywords: Normalised (de-duplicated, sorted) query keywords.
             epsilon: Target relative-error scale; the total sample budget is
                 ``ceil(4 / ε²)`` rows (CLT sizing), capped at the frame size.
                 Exactly one of ``epsilon`` / ``rate`` must be given.

@@ -150,8 +150,8 @@ class RelevanceScorer:
 
         Args:
             keywords: Query keywords (normalised — lower-case, stripped,
-                de-duplicated; :class:`~repro.core.query.LCMSRQuery` guarantees
-                this for every query path).
+                de-duplicated, sorted; :class:`~repro.core.query.LCMSRQuery`
+                guarantees this for every query path).
             candidate_nodes: Optional restriction (e.g. the nodes inside ``Q.Λ``);
                 nodes outside it are skipped.
             window: Optional spatial restriction on the *objects* themselves; when

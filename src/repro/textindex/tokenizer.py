@@ -16,14 +16,16 @@ _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 
 
 def normalize_keyword_set(keywords: Iterable[str]) -> Tuple[str, ...]:
-    """Strip, lower-case and de-duplicate keywords, preserving first-seen order.
+    """Strip, lower-case, de-duplicate and sort keywords.
 
     The ONE canonical keyword normalisation: :class:`~repro.core.query.LCMSRQuery`
-    applies it at construction and sorts the result, and the query-vector /
+    applies it at construction, the cache keys use it, and the query-vector /
     batch-scoring entry points that accept raw keywords share it, so the scoring
     backends and the cache keys can never diverge on what "the same keywords" means.
+    Sorting makes every order of one keyword set sum σ_v in one order, so two
+    permutations score bit-identically (queries are sets, paper Definition 3).
     """
-    return tuple(dict.fromkeys(k.strip().lower() for k in keywords if k.strip()))
+    return tuple(sorted({k.strip().lower() for k in keywords if k.strip()}))
 
 DEFAULT_STOP_WORDS: Set[str] = {
     "a",

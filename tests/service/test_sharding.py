@@ -528,8 +528,8 @@ def test_a_killed_worker_fails_its_request_and_the_gateway_recovers(
             except Exception as exc:  # surfaced by the assertions below
                 failures.append(exc)
 
-        # The same request twice: the first waits on its owner, the second
-        # on the other worker, which holds fewer.
+        # The same request twice: the first waits on the lowest slot, the
+        # second on the other worker, which holds fewer.
         waiters = [threading.Thread(target=pending_request) for _ in range(2)]
         waiters[0].start()
         _wait_for(lambda: sum(_held(service)) == 1)
@@ -622,18 +622,6 @@ def test_workers_exit_when_the_gateway_dies(gateway_artifact):
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
-
-
-def test_a_repeated_request_is_served_by_its_owner(gateway_artifact, parity_queries):
-    """Sequential repeats of one request reach the worker that cached it."""
-    keywords, delta, region = parity_queries[0]
-    request = QueryRequest.create(keywords, delta=delta, region=region,
-                                  algorithm="greedy")
-    with ShardedQueryService(gateway_artifact, num_workers=2) as service:
-        answers = {_signature(service.execute(request)) for _ in range(8)}
-        stats = service.stats()
-    assert len(answers) == 1
-    assert stats.result_cache.hits == 7
 
 
 def test_concurrent_submitters_settle_every_request(gateway_artifact, parity_queries):

@@ -62,7 +62,9 @@ def random_setup(seed: int, num_objects: int = 240, rows: int = 6, cols: int = 6
 def random_keywords(rng: random.Random):
     count = rng.randint(1, 4)
     kws = [rng.choice(VOCAB + ["nosuchterm", "alsoabsent"]) for _ in range(count)]
-    return tuple(dict.fromkeys(kws))
+    # Normalised (sorted), the form LCMSRQuery hands every scorer: the
+    # pipeline and the language-model reference sum in the order given.
+    return normalize_keyword_set(kws)
 
 
 def random_window(rng: random.Random):
