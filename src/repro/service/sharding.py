@@ -802,7 +802,8 @@ class ShardedQueryService:
                             "worker process %d replaces dead worker process %d",
                             self._workers[index].process.pid, slot.process.pid,
                         )
-            # The least-loaded worker takes it, the lowest slot on ties.
+            # The least-loaded worker, lowest slot on ties: no request waits
+            # behind a busy worker while another is idle.
             worker = min(self._workers, key=lambda w: len(w.pending))
             worker.pending[rid] = future
         with worker.send_lock:
