@@ -22,21 +22,22 @@ test:
 # artifact and the sampled tier's probe; and the sampled tier's full-budget
 # read, which must equal the exact sums bit for bit (TestEscapeHatch). TGEN's
 # cases, with its dominance near-ties and edge-length ties (test_tgen.py),
-# and Greedy's, with its counters against the Python loop, its compaction, its
-# rebound substrates, its tie rules and boundaries (test_kernel.py's
-# TestGreedyTies and TestGreedyBoundaries) and test_greedy.py, run twice: on
-# the compiled kernel (kernel.c) and on the Python loops that run where no
-# compiler builds it, each against its reference twin, plus one
-# tgen-paper-scale instance. Every solver, on each of its paths, also solves
-# on a substrate served from an instance-cache hit and must leave each of its
-# slots as built (TestCachedSubstrate). The fast gate to run after touching a
-# solver hot loop, a skip branch or a scoring kernel.
+# and Greedy's, with its compaction, its rebound substrates, its tie rules and
+# boundaries (test_kernel.py's TestGreedyTies and TestGreedyBoundaries) and
+# test_greedy.py, run on the compiled kernel (kernel.c) against the reference
+# twins, plus one tgen-paper-scale instance; the counters the twins do not
+# keep are pinned to hand-derived values (test_kernel.py's TestCounters).
+# Every solver also solves on a substrate served from an instance-cache hit
+# and must leave each of its slots as built (TestCachedSubstrate). The fast
+# gate to run after touching a solver hot loop, a skip branch or a scoring
+# kernel.
 test-parity:
 	$(PYTHON) -m pytest tests/core/test_solver_backend_parity.py \
 		tests/core/test_tgen.py::TestDominanceTies \
 		tests/core/test_tgen.py::TestEdgeLengthTies \
 		tests/core/test_greedy.py tests/core/test_kernel.py::TestGreedyTies \
 		tests/core/test_kernel.py::TestGreedyBoundaries \
+		tests/core/test_kernel.py::TestCounters \
 		tests/core/test_solver_properties.py::TestBackendIdentity \
 		tests/core/test_pruning_parity.py tests/core/test_backend_parity.py \
 		tests/textindex/test_columnar.py tests/textindex/test_window_kernel.py \

@@ -18,7 +18,7 @@ from benchmarks.conftest import SMOKE_SCALE
 
 # Paper α values and the bucket resolutions they induce at the paper's window sizes
 # (|VQ| around 20k): 1600 -> ~12 buckets ... 50 -> ~400 buckets. We keep the same
-# resolution ladder, capped for pure-Python runtimes.
+# resolution ladder, capped at 96 buckets for the scaled-down windows.
 PAPER_ALPHAS = [50, 100, 200, 400, 800, 1600]
 BUCKETS = [96, 64, 48, 32, 16, 8]
 

@@ -16,18 +16,14 @@ Three checks:
    picture). The ≥2x bar is asserted for Greedy and TGEN on the largest
    configuration. Greedy solves in well under a millisecond, so its loop runs
    ``GREEDY_INNER`` passes per timing sample to get out of timer jitter.
-   Each solver is timed a third time on its Python loop (the kernel's
-   library handle set to ``None``, as where no compiler builds it), which
-   builds the lists it walks once per solve.
+   Greedy and TGEN solve in the compiled kernel (``kernel.c``).
 2. **Fidelity** — every timed query is first checked byte-identical between
-   solver, its Python loop and its twin (same region node/edge sets,
-   bit-equal weight and length); APP identity is enforced at tier-1 by the
-   solver parity suite.
+   solver and twin (same region node/edge sets, bit-equal weight and length);
+   APP identity is enforced at tier-1 by the solver parity suite.
 3. **Perf trajectory record** — set ``REPRO_BENCH_JSON=<path>`` (the
    ``make bench-json`` target does) to write the measured numbers as JSON, so
    the repo's performance history is recorded run over run. The ``dict``
-   fields time the twins, the ``dense`` fields the solvers (on the compiled
-   kernel where it is built) and the ``python`` fields their Python loops.
+   fields time the twins and the ``dense`` fields the solvers.
 
 Run with::
 
@@ -41,7 +37,6 @@ import os
 import time
 from typing import Dict, List
 
-from repro.core import kernel
 from repro.core.greedy import GreedySolver
 from repro.core.reference import twin
 from repro.core.tgen import TGENSolver
@@ -90,16 +85,6 @@ def _build_workload(dataset, num_queries: int, delta: float, area_km2: float):
     return windowed + [query.with_region(None) for query in windowed[: num_queries // 2]]
 
 
-def _on_python_loops(fn, *args):
-    """``fn(*args)`` with the kernel's library handle set to ``None``."""
-    library = kernel.LIBRARY
-    kernel.LIBRARY = None
-    try:
-        return fn(*args)
-    finally:
-        kernel.LIBRARY = library
-
-
 def _time_solves(solver, instances, inner: int) -> float:
     """Best-of-REPEATS total solve time over the instances (x inner passes)."""
     best = float("inf")
@@ -127,19 +112,18 @@ def test_bench_solver_backend_dense_2x():
         queries = _build_workload(dataset, num_queries, delta, area)
         instances = [runner.build(query) for query in queries]
 
-        # --- fidelity first (also warms every path) ---
+        # --- fidelity first (also warms both paths) ---
         solvers = [(GreedySolver(), GREEDY_INNER), (TGENSolver(), 1)]
         for solver, _ in solvers:
             reference = twin(solver)
             for instance in instances:
                 a = reference.solve(instance)
-                for b in (solver.solve(instance),
-                          _on_python_loops(solver.solve, instance)):
-                    assert a.region.nodes == b.region.nodes, (label, solver.name)
-                    assert a.region.edges == b.region.edges, (label, solver.name)
-                    assert a.weight == b.weight and a.length == b.length, (
-                        "solver results must be byte-identical to the reference twin"
-                    )
+                b = solver.solve(instance)
+                assert a.region.nodes == b.region.nodes, (label, solver.name)
+                assert a.region.edges == b.region.edges, (label, solver.name)
+                assert a.weight == b.weight and a.length == b.length, (
+                    "solver results must be byte-identical to the reference twin"
+                )
 
         config_record: Dict[str, object] = {
             "config": label,
@@ -153,7 +137,6 @@ def test_bench_solver_backend_dense_2x():
         for solver, inner in solvers:
             dict_seconds = _time_solves(twin(solver), instances, inner)
             dense_seconds = _time_solves(solver, instances, inner)
-            python_seconds = _on_python_loops(_time_solves, solver, instances, inner)
             speedup = dict_seconds / dense_seconds
             largest_speedups[solver.name] = speedup
             rows_out.append([
@@ -161,19 +144,16 @@ def test_bench_solver_backend_dense_2x():
                 solver.name,
                 dict_seconds,
                 dense_seconds,
-                python_seconds,
                 f"{speedup:.1f}x",
             ])
             config_record[f"{solver.name.lower()}_dict_seconds"] = dict_seconds
             config_record[f"{solver.name.lower()}_dense_seconds"] = dense_seconds
-            config_record[f"{solver.name.lower()}_python_seconds"] = python_seconds
             config_record[f"{solver.name.lower()}_speedup"] = speedup
         records.append(config_record)
 
     print()
     print(format_table(
-        ["configuration", "solver", "dict twin (s)", "dense (s)", "Python loop (s)",
-         "speedup"],
+        ["configuration", "solver", "dict twin (s)", "dense (s)", "speedup"],
         rows_out,
         title="solver time on shared instances: dict reference twin vs dense substrate",
     ))

@@ -2,9 +2,9 @@
 
 Every benchmark module regenerates one table or figure of the paper's Section 7. The
 paper runs on city-scale road networks in C++; this reproduction runs on scaled-down
-synthetic stand-ins in pure Python (see "Deviations from the paper" in
-``docs/ARCHITECTURE.md``), so the absolute axis values are mapped through a single
-scale factor:
+synthetic stand-ins, in Python with TGEN and Greedy in one compiled C kernel (see
+"Deviations from the paper" in ``docs/ARCHITECTURE.md``), so the absolute axis values
+are mapped through a single scale factor:
 
 * spatial scale ``SPATIAL_SCALE = 0.2`` — the paper's ``Q.∆ = 10 km`` becomes 2 km and
   its ``Q.Λ = 100 km²`` becomes 4 km² (0.2² × 100), keeping the ratio between the

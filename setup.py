@@ -7,7 +7,9 @@ unavailable), via ``pip install -e . --no-use-pep517`` or
 
 It ships the C source of the solvers' kernel as package data and compiles
 nothing: the first import of :mod:`repro.core.kernel` builds the kernel next to
-it, and without a compiler TGEN and Greedy run their Python loops.
+it (or, where the package cannot be written, into a private temporary
+directory), so a C99 compiler (``cc``) is required, and without one
+``import repro`` raises :class:`ImportError`.
 """
 
 import re

@@ -10,8 +10,8 @@ share one prebuilt artifact instead of each paying the full indexing pipeline:
   build from an object generator, with no object list beside the corpus);
 * ``python -m repro info artifacts/ny`` — print the manifest (format version,
   dataset fingerprint, checksums, per-file on-disk sizes and compression ratio)
-  without loading the indexes, and the compiled solver kernel this installation
-  runs (or why its solvers run their Python loops);
+  without loading the indexes, and the path of the compiled solver kernel this
+  installation runs;
 * ``python -m repro query artifacts/ny --keywords cafe,bar --delta 2000`` — load
   the artifact (CSR arrays memory-mapped) and answer one LCMSR query;
 * ``python -m repro serve-batch artifacts/ny --synthesize 32`` — run a batch of

@@ -42,9 +42,9 @@ stays exactly as built. They pickle down to their defining arrays (the serving
 layer caches them instead of full :class:`~repro.core.instance.ProblemInstance`
 objects — no per-entry weight dict and no per-entry graph), and a cache entry
 holds the arrays and ``__init__``'s aggregates only, whichever solver ran on
-it. The Python paths (the solvers' Python loops, APP's quota solver, Exact and
-the reference twins) walk the list mirrors of the instance's own window graph
-— the window a fresh build extracted, or the view
+it. The Python paths (APP's quota solver, Exact and the reference twins) walk
+the list mirrors of the instance's own window graph — the window a fresh
+build extracted, or the view
 :meth:`DenseInstance.to_problem_instance` makes for each rebind — or lists
 they build per solve, so what they build dies with the query.
 """

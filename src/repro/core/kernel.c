@@ -2,28 +2,30 @@
  * The solvers' compiled loops over a DenseInstance's arrays, called through
  * ctypes (see kernel.py, which builds and loads this one library):
  *
- *   - tgen_solve: TGEN's tuple loop (paper Section 5, Algorithm 2), the
- *     compiled form of TGENSolver._run_dense in tgen.py, once per solve;
- *   - greedy_grow: Greedy's expansion (paper Section 6.1), the compiled form
- *     of GreedySolver._grow_dense in greedy.py, once per grown region.
+ *   - tgen_solve: TGEN's tuple loop (paper Section 5, Algorithm 2), once per
+ *     solve of TGENSolver in tgen.py;
+ *   - greedy_grow: Greedy's expansion (paper Section 6.1), once per region
+ *     GreedySolver in greedy.py grows.
  *
- * TGEN's answers, floats and counters are those of its Python loop, because
- * it keeps the loop's decisions and their order:
+ * Their oracles are the dict-keyed reference twins in reference.py,
+ * ReferenceTGEN._run and ReferenceGreedy._grow. TGEN's answers and floats are
+ * its twin's, because it keeps the twin's decisions and their order:
  *
  *   - the traversal: the given seed order, a BFS over CSR slots, the visited
- *     edge set keyed by the position pair, the length and pruning tests, and
- *     each edge's pairs in i-major order over snapshots of the endpoint
- *     arrays in dict order;
+ *     edge set keyed by the position pair, the length test, and each edge's
+ *     pairs in i-major order over snapshots of the endpoint arrays in dict
+ *     order; it adds one skip the twin never takes (see solve);
  *   - the arithmetic: (l_i + l_j) + tau, w_i + w_j and the EPS tests, with
  *     each double operation rounded to double (built with
  *     -ffp-contract=off and no fast-math, and the FLT_EVAL_METHOD check
  *     below), which is how CPython evaluates them;
  *   - the dict semantics of a node's tuple array: insertion order, a
  *     replacement keeps its key's place, and an eviction re-inserts the kept
- *     keys in descending order (_keep_best).
+ *     keys in descending order (the twin's _evict_worst);
+ *   - the top-k pool's rules, reference.py's _pool_add and _rank_distinct.
  *
  * Greedy's rules are listed above greedy_grow. Each entry point polls a
- * budget through a callback where its Python loop polls. The library keeps
+ * budget through a callback where its twin polls. The library keeps
  * no static state: a call lives in records on the caller's stack and in
  * what it allocates, so concurrent calls (ctypes releases the GIL) are
  * independent. Every allocation is checked; a failure returns
@@ -255,9 +257,9 @@ static int array_append(const Solve *s, NodeArray *a, int32_t t)
     return 0;
 }
 
-/* _keep_best: keep the `keep` largest keys, in descending key order. Keys
- * are distinct; after the first eviction the array is sorted but for its
- * last key, so an insertion sort costs one pass. */
+/* The twin's _evict_worst: keep the `keep` largest keys, in descending key
+ * order. Keys are distinct; after the first eviction the array is sorted but
+ * for its last key, so an insertion sort costs one pass. */
 static int array_keep_best(const Solve *s, NodeArray *a, int32_t keep)
 {
     int32_t i, j;
@@ -346,8 +348,8 @@ static void sort_pool(const Solve *s, PoolEntry *entries, PoolEntry *tmp, int32_
     }
 }
 
-/* _pool_add: keep tuple t unless its node set is pooled already; past
- * 2 * pool_size entries, keep the best pool_size. */
+/* reference.py's _pool_add: keep tuple t unless its node set is pooled
+ * already; past 2 * pool_size entries, keep the best pool_size. */
 static void pool_add(Solve *s, int32_t t)
 {
     uint64_t hash = mask_hash(s, t);
@@ -364,7 +366,8 @@ static void pool_add(Solve *s, int32_t t)
     }
 }
 
-/* _rank_distinct: the best top_k tuples of distinct node sets, into roots. */
+/* reference.py's _rank_distinct: the best top_k tuples of distinct node
+ * sets, into roots. */
 static int32_t rank_distinct(Solve *s, int32_t *roots)
 {
     int32_t e, r, ranked = 0;
@@ -613,6 +616,14 @@ static int solve(Solve *s, TgenOutput *out)
                 el = in->lengths[slot];
                 if (el > in->delta)
                     continue;
+                /* With no pool, an edge between two arrays that hold only
+                 * zero-scaled tuples is skipped once the incumbent's scaled
+                 * weight is positive: all it generates is zero-scaled (a
+                 * scaled weight is a sum over members), cannot beat the
+                 * incumbent, and cannot displace a stored tuple (each member
+                 * is zero-scaled, so its key-0 slot holds its length-0
+                 * singleton). top only ever rises, so an eviction forgoes a
+                 * skip but never takes a wrong one. */
                 if (in->top_k == 0 && s->tup[best].scaled > 0 && s->arrays[vi].top == 0
                     && s->arrays[vj].top == 0) {
                     out->edges_skipped++;
@@ -722,8 +733,8 @@ static int candidate_dead(const GreedyInput *in, const uint8_t *in_region, const
     return in_region[c->pos] || in->excluded[c->pos] || total + c->length > in->delta_eps;
 }
 
-/* Grow one region as GreedySolver._grow_dense does, with its decisions in
- * its order:
+/* Grow one region as ReferenceGreedy._grow does, with its decisions in its
+ * order:
  *
  *   - the seed is the available relevant position of largest sigma, the
  *     largest id on ties, and sigma_max is that sigma;

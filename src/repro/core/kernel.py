@@ -3,12 +3,12 @@
 :func:`load` compiles the C source once per source, platform and flag set into
 the package's ``__pycache__`` directory, under a name keyed by a hash of them, and
 publishes the library by an atomic rename, so concurrent first imports each
-load a complete library and later imports only load it. Importing this module
-loads the one library both solvers call, :data:`LIBRARY`. Where no compiler
-runs, or the cache cannot be written, it is ``None``, :data:`FALLBACK` says
-why, and :class:`~repro.core.tgen.TGENSolver` and
-:class:`~repro.core.greedy.GreedySolver` run their Python loops, which give
-the same answers.
+load a complete library and later imports only load it. Where that directory
+cannot be written, as in a read-only install, the library is built into a
+private temporary directory that lives as long as the process. Importing this
+module loads the one library both solvers call, :data:`LIBRARY`; where it
+cannot be built, the import raises :class:`ImportError` naming the compiler
+command and quoting what the compiler printed.
 
 Each call runs on a :class:`~repro.core.dense.DenseInstance`'s arrays.
 :meth:`Kernel.tgen_solve` runs one whole TGEN traversal and returns the
@@ -23,8 +23,10 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shlex
 import subprocess
 import sysconfig
+import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
@@ -37,7 +39,8 @@ SOURCE = Path(__file__).with_name("kernel.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 COMPILER = "cc"
 #: No contraction and no fast-math: every double operation rounds as
-#: CPython's does, which keeps the kernel's floats bit-equal to the loops'.
+#: CPython's does, which keeps the kernel's floats bit-equal to the
+#: reference twins' (:mod:`repro.core.reference`).
 CFLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 COMPILE_TIMEOUT_S = 120
 
@@ -168,11 +171,14 @@ class Kernel:
         pool_size: int,
         budget: Any,
     ) -> Tuple[Tuple[Any, ...], List[Tuple[Any, ...]], Dict[str, float], Dict[int, int]]:
-        """Run the traversal of :meth:`TGENSolver._run_dense` on ``dense``.
+        """Run TGEN's traversal (:meth:`TGENSolver._run`) on ``dense``.
 
         Returns the incumbent, the ranked top-k tuples (none when ``top_k`` is
-        0) and the solver counters, as the Python loop does, and a map from
-        each position those tuples name to its node id.
+        0), the solver counters, and a map from each position those tuples
+        name to its node id. A tuple is ``(length, weight, scaled, left,
+        right, u, v)``: a combined tuple links its two parents and joins them
+        through the edge ``(u, v)``; a singleton has no parents and ``u == v``
+        is its position.
 
         Raises:
             ValueError: If the arrays do not describe a CSR graph over the
@@ -218,7 +224,7 @@ class Kernel:
         built: List[Tuple[Any, ...]] = []
         for length, weight, scaled_weight, left, right, u, v in rows:
             built.append((
-                length, weight, scaled_weight, None,
+                length, weight, scaled_weight,
                 built[left] if left >= 0 else None,
                 built[right] if right >= 0 else None,
                 u, v,
@@ -238,11 +244,11 @@ class Kernel:
         excluded: bytearray,
         budget: Any,
     ) -> Optional[Grown]:
-        """Grow one region as :meth:`GreedySolver._grow_dense` does on
-        ``dense``, avoiding the positions ``excluded`` marks.
+        """Grow one Greedy region on ``dense``, avoiding the positions
+        ``excluded`` marks.
 
-        Returns ``None`` where the Python loop returns ``None``: no relevant
-        position is available, or their largest σ is not positive.
+        Returns ``None`` when no region grows: no relevant position is
+        available, or their largest σ is not positive.
 
         Raises:
             ValueError: If the arrays do not describe a CSR graph over the
@@ -336,79 +342,88 @@ def _budget_poll(budget: Any, raised: List[BaseException]) -> Any:
     return _POLL(expired)
 
 
-def load(
-    cache_dir: Path = CACHE_DIR, compiler: str = COMPILER
-) -> Tuple[Optional[Kernel], str]:
-    """Load the kernel, compiling it into ``cache_dir`` first if no library
-    of this source and these flags is cached there.
+#: Private build directories of this process, each removed when it exits.
+_PRIVATE: List[tempfile.TemporaryDirectory] = []
 
-    Returns:
-        The kernel and ``""``, or ``None`` and why the Python loops run
-        instead: ``no compiler``, ``compile error``, ``cache not writable``,
-        ``load error`` or ``no kernel source``.
+
+def load(cache_dir: Path = CACHE_DIR, compiler: str = COMPILER) -> Kernel:
+    """Load the kernel, compiling it first if no library of this source and
+    these flags is cached in ``cache_dir``: into ``cache_dir``, or, where that
+    cannot be written, into a private temporary directory that lives as long
+    as the process.
+
+    Raises:
+        ImportError: If the library cannot be built or loaded. A failed build
+            names the compiler command and quotes what it printed.
     """
     command = [compiler, *CFLAGS]
     try:
         digest = hashlib.sha256(SOURCE.read_bytes())
-    except OSError:
-        return None, f"no kernel source: {SOURCE}"
+    except OSError as exc:
+        raise ImportError(f"cannot read the solver kernel's source: {exc}") from exc
     digest.update("\0".join([sysconfig.get_platform(), *command]).encode("utf-8"))
     library = cache_dir / f"kernel-{digest.hexdigest()[:16]}.so"
     if not library.is_file():
-        reason = _compile(command, library)
-        if reason is not None:
-            return None, reason
+        library = _compile(command, library)
     try:
-        return Kernel(library), ""
+        return Kernel(library)
     except OSError as exc:
-        return None, f"load error: {exc}"
+        raise ImportError(f"cannot load the solver kernel {library}: {exc}") from exc
 
 
-def _compile(command: List[str], library: Path) -> Optional[str]:
+def _compile(command: List[str], library: Path) -> Path:
     """Compile the source to ``library`` through a private temporary file
-    and an atomic rename; return why it failed, or ``None``."""
+    and an atomic rename, or, where its directory cannot be written, into a
+    private temporary directory; return where the library was built.
+
+    Raises:
+        ImportError: If the compiler cannot start, fails or times out, or the
+            library cannot be published.
+    """
     try:
         library.parent.mkdir(parents=True, exist_ok=True)
+        writable = os.access(library.parent, os.W_OK)
     except OSError:
-        return "cache not writable"
-    if not os.access(library.parent, os.W_OK):
-        return "cache not writable"
+        writable = False
+    if not writable:
+        private = tempfile.TemporaryDirectory(prefix="repro-kernel-")
+        _PRIVATE.append(private)
+        library = Path(private.name) / library.name
     staging = library.with_name(
         f"{library.name}.{os.getpid()}.{threading.get_ident()}.tmp"
     )
+    full = [*command, "-o", str(staging), str(SOURCE)]
+    failed = f"the solver kernel did not build: `{shlex.join(full)}`"
     try:
         try:
             done = subprocess.run(
-                [*command, "-o", str(staging), str(SOURCE)],
-                capture_output=True, text=True, timeout=COMPILE_TIMEOUT_S,
+                full, capture_output=True, text=True, timeout=COMPILE_TIMEOUT_S
             )
-        except OSError:
-            return f"no compiler: {command[0]}"
-        except subprocess.TimeoutExpired:
-            return "compile error: timed out"
+        except OSError as exc:
+            raise ImportError(f"{failed} could not start: {exc}") from exc
+        except subprocess.TimeoutExpired as exc:
+            raise ImportError(f"{failed} ran over {COMPILE_TIMEOUT_S} s") from exc
         if done.returncode != 0:
-            first = (done.stderr.strip().splitlines() or ["no output"])[0]
-            return f"compile error: {first}"
+            raise ImportError(
+                f"{failed} exited with status {done.returncode}:\n"
+                f"{done.stderr.strip() or '(no output)'}"
+            )
         try:
             os.replace(staging, library)
-        except OSError:
-            return "cache not writable"
+        except OSError as exc:
+            raise ImportError(f"{failed} built, but not into {library}: {exc}") from exc
     finally:
         try:
             staging.unlink(missing_ok=True)
         except OSError:
             pass
-    return None
+    return library
 
 
-#: The one library both solvers call, or ``None`` where it could not be
-#: built; then :data:`FALLBACK` says why and the solvers run their Python loops.
-LIBRARY, FALLBACK = load()
+#: The one library both solvers call.
+LIBRARY = load()
 
 
 def describe() -> str:
-    """The compiled library the solvers call, or ``python`` and why their
-    Python loops run instead."""
-    if LIBRARY is not None:
-        return str(LIBRARY.path)
-    return f"python ({FALLBACK})"
+    """The path of the compiled library the solvers call."""
+    return str(LIBRARY.path)

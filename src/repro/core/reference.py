@@ -13,7 +13,11 @@ branch-and-bound, so it always runs the exhaustive enumeration.
 
 The twins never prune: TGEN's twin skips no edge, Greedy's never compacts its
 candidates and Exact's enumerates every connected subset. They are the
-references the bound-licensed skips of :mod:`repro.core.bounds` are held to.
+references the bound-licensed skips of :mod:`repro.core.bounds` are held to,
+and the one oracle of the compiled kernel (``kernel.c``) that runs TGEN's
+traversal and Greedy's expansion: the kernel keeps their decisions, their
+order and their float expressions, and its top-k pool the rules of
+:func:`_pool_add` and :func:`_rank_distinct`.
 
 :func:`twin` maps a solver to its twin with the same parameters; the parity
 suites and the solver-time benchmarks compare the two on the same instances and
@@ -22,7 +26,6 @@ require byte-identical results. No serving module imports this one.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.app import APPSolver
@@ -32,7 +35,7 @@ from repro.core.instance import ProblemInstance
 from repro.core.kmst import QuotaTreeSolver
 from repro.core.region import Region
 from repro.core.scaling import ScalingContext
-from repro.core.tgen import TGENSolver, _pool_add, _rank_distinct
+from repro.core.tgen import TGENSolver
 from repro.core.tuples import RegionTuple, TupleArray
 from repro.exceptions import SolverError
 from repro.network.graph import edge_key
@@ -147,7 +150,7 @@ class ReferenceTGEN(TGENSolver):
             if singleton.better_than(best):
                 best = singleton
             if collect_pool and singleton.scaled_weight > 0:
-                _pool_add(pool, pool_keys, singleton, pool_size, _region_nodes, _region_rank)
+                _pool_add(pool, pool_keys, singleton, pool_size)
 
         processed_nodes: Set[int] = set()
         visited_edges: Set[Tuple[int, int]] = set()
@@ -197,9 +200,7 @@ class ReferenceTGEN(TGENSolver):
                         if combined.better_than(best):
                             best = combined
                         if collect_pool:
-                            _pool_add(
-                                pool, pool_keys, combined, pool_size, _region_nodes, _region_rank
-                            )
+                            _pool_add(pool, pool_keys, combined, pool_size)
                         for member in combined.nodes:
                             if member in processed_nodes:
                                 continue
@@ -211,7 +212,7 @@ class ReferenceTGEN(TGENSolver):
                             ):
                                 _evict_worst(array, self.max_tuples_per_node)
                 processed_nodes.add(vi)
-        return best, _rank_distinct(pool, top_k, _region_nodes, _region_rank), stats
+        return best, _rank_distinct(pool, top_k), stats
 
     def _start_nodes(self, instance: ProblemInstance) -> List[int]:
         """Traversal seeds: every node, relevant (weighted) nodes first."""
@@ -229,13 +230,42 @@ class ReferenceTGEN(TGENSolver):
         return items
 
 
-# Identity and rank keys of a RegionTuple in the top-k pool: deduplicated on the
-# node set, ranked by larger scaled weight, then larger weight, then shorter length.
-_region_nodes = attrgetter("nodes")
-
-
+# The top-k pool is deduplicated on the node set and ranked by larger scaled
+# weight, then larger weight, then shorter length.
 def _region_rank(t: RegionTuple) -> Tuple[int, float, float]:
     return (-t.scaled_weight, -t.weight, t.length)
+
+
+def _pool_add(
+    pool: List[RegionTuple],
+    pool_keys: Set[frozenset],
+    candidate: RegionTuple,
+    pool_size: int,
+) -> None:
+    """Keep a bounded pool of the best distinct tuples seen (top-k support)."""
+    if candidate.nodes in pool_keys:
+        return
+    pool.append(candidate)
+    pool_keys.add(candidate.nodes)
+    if len(pool) > 2 * pool_size:
+        pool.sort(key=_region_rank)
+        del pool[pool_size:]
+        pool_keys.clear()
+        pool_keys.update(t.nodes for t in pool)
+
+
+def _rank_distinct(pool: List[RegionTuple], k: int) -> List[RegionTuple]:
+    """Return the best ``k`` distinct (by node set) tuples of the pool."""
+    seen: Set[frozenset] = set()
+    ranked: List[RegionTuple] = []
+    for candidate in sorted(pool, key=_region_rank):
+        if candidate.nodes in seen:
+            continue
+        seen.add(candidate.nodes)
+        ranked.append(candidate)
+        if len(ranked) >= k:
+            break
+    return ranked
 
 
 def _evict_worst(array: TupleArray, keep: int) -> None:

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.core import LCMSRQuery, build_instance, kernel
+from repro.core import LCMSRQuery, build_instance
 from repro.datasets.ny import build_ny_like
 from repro.datasets.synthetic import SyntheticDataset, assemble_dataset, generate_objects_on_network
 from repro.datasets.usanw import build_usanw_like
@@ -49,8 +49,7 @@ class PollBudget:
     """A solve budget that expires after a fixed number of ``expired()`` polls.
 
     Unlike a deadline it truncates a run at the same point on every machine,
-    so two paths of a solver, or a solver and its twin, must stop after
-    exactly the same step.
+    so a solver and its twin must stop after exactly the same step.
     """
 
     def __init__(self, polls: int) -> None:
@@ -78,60 +77,6 @@ def assert_tgen_work_matches_twin(result, reference, context=None):
         assert (
             result.stats["tuples_generated"] == reference.stats["tuples_generated"]
         ), context
-
-
-class KernelPath:
-    """The solver loops a test runs on, with a count of kernel calls."""
-
-    def __init__(self, monkeypatch) -> None:
-        self.kernel_calls = 0
-        self._monkeypatch = monkeypatch
-
-    def on_python_loop(self, solve):
-        """Return ``solve()`` run on the Python loops, whichever path is active."""
-        with self._monkeypatch.context() as patch:
-            patch.setattr(kernel, "LIBRARY", None)
-            return solve()
-
-
-class _CountingKernel:
-    def __init__(self, library, path: KernelPath) -> None:
-        self._library = library
-        self._path = path
-
-    def tgen_solve(self, *args):
-        self._path.kernel_calls += 1
-        return self._library.tgen_solve(*args)
-
-    def greedy_grow(self, *args):
-        self._path.kernel_calls += 1
-        return self._library.greedy_grow(*args)
-
-
-@pytest.fixture(params=["kernel", "python"])
-def kernel_path(request, monkeypatch):
-    """Run a test on the compiled kernel, then on the solvers' Python loops.
-
-    The Python loops run with the kernel module's library handle set to
-    ``None``, as where no compiler builds it. The kernel case fails unless a
-    TGEN solve or a Greedy region reached the kernel, and skips only where no
-    compiler exists to build it. A test parametrized over several solvers
-    passes ``None`` for the solvers that have no compiled loop.
-    """
-    if request.param is None:
-        yield None
-        return
-    path = KernelPath(monkeypatch)
-    if request.param == "python":
-        monkeypatch.setattr(kernel, "LIBRARY", None)
-        yield path
-        return
-    if kernel.LIBRARY is None and kernel.FALLBACK.startswith("no compiler"):
-        pytest.skip(f"the kernel is not built here: {kernel.FALLBACK}")
-    assert kernel.LIBRARY is not None, kernel.FALLBACK
-    monkeypatch.setattr(kernel, "LIBRARY", _CountingKernel(kernel.LIBRARY, path))
-    yield path
-    assert path.kernel_calls > 0, "no solve reached the kernel"
 
 
 @pytest.fixture

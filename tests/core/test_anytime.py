@@ -42,15 +42,6 @@ from tests.conftest import (
 )
 
 SOLVERS = [GreedySolver(), TGENSolver(), ExactSolver(max_nodes=16)]
-# Greedy and TGEN on the compiled kernel and on their Python loops (the
-# ``kernel_path`` fixture); Exact has one path.
-SOLVER_PATHS = [
-    pytest.param(GreedySolver(), "kernel", id="Greedy"),
-    pytest.param(GreedySolver(), "python", id="Greedy-python"),
-    pytest.param(TGENSolver(), "kernel", id="TGEN"),
-    pytest.param(TGENSolver(), "python", id="TGEN-python"),
-    pytest.param(ExactSolver(max_nodes=16), None, id="Exact"),
-]
 
 
 def _assert_same_truncated_run(result, reference):
@@ -225,17 +216,15 @@ class TestRegionMassBound:
         assert ExactSolver(max_nodes=32).solve(instance).weight <= bound
 
     @pytest.mark.parametrize(
-        "solver, checks, kernel_path",
+        "solver, checks",
         [
-            pytest.param(solver, checks, path, id=f"{solver.name}{suffix}-{checks}")
+            pytest.param(solver, checks, id=f"{solver.name}-{checks}")
             for solver, checks in [(GreedySolver(), 1), (GreedySolver(), 2),
                                    (TGENSolver(), 1), (TGENSolver(), 3), (TGENSolver(), 12)]
-            for path, suffix in [("kernel", ""), ("python", "-python")]
         ],
-        indirect=["kernel_path"],
     )
     @pytest.mark.parametrize("seed", [2, 9, 23, 41])
-    def test_truncated_runs_stay_admissible(self, solver, checks, seed, kernel_path):
+    def test_truncated_runs_stay_admissible(self, solver, checks, seed):
         # The budget's clock read at the ``checks``-th checkpoint ends the run.
         network, weights = random_weighted_network(seed, num_nodes=15)
         instance = _instance(network, weights, delta=2.0)
@@ -274,9 +263,9 @@ class TestBudgetedSolvers:
         # The unbudgeted answer carries no quality entries at all.
         assert "quality_kind" not in plain.stats
 
-    @pytest.mark.parametrize("solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"])
+    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda s: s.name)
     @pytest.mark.parametrize("seed", [2, 9, 23])
-    def test_truncated_regret_bound_is_admissible(self, solver, seed, kernel_path):
+    def test_truncated_regret_bound_is_admissible(self, solver, seed):
         network, weights = random_weighted_network(seed)
         query = LCMSRQuery.create(["t"], delta=3.0)
         instance = build_instance(network, query, node_weights=weights)
@@ -285,13 +274,13 @@ class TestBudgetedSolvers:
         assert truncated.stats["quality_kind"] == 2.0
         bound = truncated.stats["quality_regret_bound"]
         assert optimum - truncated.weight <= bound + 1e-9
-        if kernel_path is not None:
+        if not isinstance(solver, ExactSolver):
             _assert_same_truncated_run(
                 truncated, twin(solver).solve(instance.with_budget(expired_budget()))
             )
 
-    @pytest.mark.parametrize("solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"])
-    def test_expired_budget_marks_the_run(self, paper_instance, solver, kernel_path):
+    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda s: s.name)
+    def test_expired_budget_marks_the_run(self, paper_instance, solver):
         truncated = solver.solve(paper_instance.with_budget(expired_budget()))
         assert truncated.stats.get("budget_expired") == 1.0
 
@@ -305,10 +294,8 @@ class TestBudgetedSolvers:
         assert [r.region.nodes for r in budgeted] == [r.region.nodes for r in plain]
         assert [r.weight for r in budgeted] == [r.weight for r in plain]
 
-    @pytest.mark.parametrize("solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"])
-    def test_topk_truncation_still_returns_a_result_object(
-        self, paper_instance, solver, kernel_path
-    ):
+    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda s: s.name)
+    def test_topk_truncation_still_returns_a_result_object(self, paper_instance, solver):
         truncated = solver.solve_topk(paper_instance.with_budget(expired_budget()), 3)
         assert truncated.stats.get("budget_expired") == 1.0
 

@@ -1,8 +1,8 @@
 """Tests for the Greedy expansion algorithm.
 
-The expansion tests run on the compiled kernel and on the Python loop (the
-``kernel_path`` fixture), and every answer must equal the dict loop of
-:class:`~repro.core.reference.ReferenceGreedy` on the same instance.
+The expansion runs in the compiled kernel, and every answer must equal the
+dict loop of :class:`~repro.core.reference.ReferenceGreedy` on the same
+instance.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class TestParameterValidation:
             GreedySolver(mu=1.5)
 
 
-@pytest.mark.usefixtures("kernel_path")
 class TestExpansion:
     def test_seed_is_heaviest_node(self, paper_graph):
         query = LCMSRQuery.create(["t"], delta=0.0)

@@ -1,9 +1,11 @@
-"""The compiled kernel: its build and cache, the Python fallback, concurrent
-use, its input checks and failures, and Greedy's tie rules.
+"""The compiled kernel: its build and cache, a build that fails, concurrent
+use, its input checks and failures, Greedy's tie rules, and the counters the
+reference twins do not keep.
 
-The answers themselves are checked in the parity suite, which runs every TGEN
-and Greedy case on the kernel and on the Python loops (the ``kernel_path``
-fixture).
+The answers themselves are checked against the reference twins in the parity
+suites. The twins never prune, so TGEN's ``edges_skipped`` and Greedy's
+``greedy_candidates_scanned`` and ``greedy_candidates_compacted`` are pinned
+here to values derived by hand.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from tests.conftest import PollBudget
 SRC = Path(kernel.__file__).resolve().parents[2]
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
-needs_kernel = pytest.mark.skipif(
-    kernel.LIBRARY is None, reason=f"the kernel is not built here: {kernel.FALLBACK}"
-)
-
 
 def _region(result):
     return (result.region.nodes, result.region.edges, result.weight, result.length,
@@ -69,40 +67,62 @@ def _run(*args, timeout=120):
     )
 
 
-class TestFallback:
-    @pytest.mark.parametrize(
-        "compiler, reason",
-        [("repro-no-such-compiler", "no compiler"), ("false", "compile error")],
-        ids=["missing", "failing"],
-    )
-    def test_a_missing_or_failing_compiler_leaves_the_python_loops(
-        self, tmp_path, monkeypatch, instances, compiler, reason
-    ):
-        library, fallback = kernel.load(tmp_path, compiler=compiler)
-        assert library is None and fallback.startswith(reason)
+class TestBuildAndCache:
+    def test_a_missing_compiler_raises_import_error(self, tmp_path):
+        with pytest.raises(ImportError) as raised:
+            kernel.load(tmp_path, compiler="repro-no-such-compiler")
+        message = str(raised.value)
+        command = "`repro-no-such-compiler -std=c99 -O2 -ffp-contract=off -fPIC -shared -o "
+        assert command in message
+        assert f"{kernel.SOURCE}` could not start" in message
+        assert "No such file or directory" in message
         assert list(tmp_path.iterdir()) == []
-        solvers = [TGENSolver(), GreedySolver()]
-        answers = [
-            (_region(solver.solve(instance)), _topk(solver.solve_topk(instance, k=3)))
-            for solver in solvers for instance in instances
-        ]
-        monkeypatch.setattr(kernel, "LIBRARY", library)
-        monkeypatch.setattr(kernel, "FALLBACK", fallback)
-        assert kernel.describe() == f"python ({fallback})"
-        assert answers == [
-            (_region(solver.solve(instance)), _topk(solver.solve_topk(instance, k=3)))
-            for solver in solvers for instance in instances
-        ]
 
-    def test_an_unwritable_cache_leaves_the_python_loops(self, tmp_path):
+    def test_a_failing_compiler_raises_import_error_quoting_its_output(self, tmp_path):
+        compiler = tmp_path / "bin" / "cc"
+        compiler.parent.mkdir()
+        compiler.write_text(
+            "#!/bin/sh\necho 'kernel.c:1:1: error: refused' >&2\nexit 3\n"
+        )
+        compiler.chmod(0o755)
+        cache = tmp_path / "cache"
+        with pytest.raises(ImportError) as raised:
+            kernel.load(cache, compiler=str(compiler))
+        message = str(raised.value)
+        assert f"`{compiler} -std=c99 -O2 -ffp-contract=off -fPIC -shared -o " in message
+        assert message.endswith(
+            f"{kernel.SOURCE}` exited with status 3:\nkernel.c:1:1: error: refused"
+        )
+        assert list(cache.iterdir()) == []
+
+    def test_an_unwritable_cache_builds_a_private_library(self, tmp_path):
+        # A file where the cache directory would go makes it unwritable, as
+        # a read-only install does. The child builds into a private
+        # directory, solves with that library, and removes it on exit.
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
-        library, fallback = kernel.load(blocker / "cache")
-        assert library is None and fallback == "cache not writable"
+        done = _run(
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from repro.core import LCMSRQuery, build_instance, kernel\n"
+            "from repro.core.tgen import TGENSolver\n"
+            "from repro.network.builders import paper_example_network\n"
+            "library = kernel.load(Path(sys.argv[1]) / 'cache')\n"
+            "assert library.path.is_file() and library.path != kernel.LIBRARY.path\n"
+            "kernel.LIBRARY = library\n"
+            "weights = {1: 0.2, 2: 0.3, 3: 0.4, 4: 0.2, 5: 0.2, 6: 0.4}\n"
+            "instance = build_instance(paper_example_network(),\n"
+            "    LCMSRQuery.create(['t'], delta=6.0), node_weights=weights)\n"
+            "result = TGENSolver(alpha=0.15).solve(instance)\n"
+            "print(library.path, sorted(result.region.nodes), result.scaled_weight)\n",
+            str(blocker),
+        )
+        assert done.returncode == 0, done.stderr
+        path, *answer = done.stdout.split()
+        assert answer == ["[2,", "4,", "5,", "6]", "110"]
+        assert not Path(path).exists(), "the private directory outlived the process"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["file"]
 
-
-@needs_kernel
-class TestBuildAndCache:
     def test_a_cached_library_loads_without_the_compiler(self):
         done = _run(
             "import subprocess\n"
@@ -128,8 +148,7 @@ class TestBuildAndCache:
             "go = Path(sys.argv[2])\n"
             "while not go.exists():\n"
             "    time.sleep(0.001)\n"
-            "library, fallback = kernel.load(Path(sys.argv[1]))\n"
-            "assert library is not None, fallback\n"
+            "library = kernel.load(Path(sys.argv[1]))\n"
             "kernel.LIBRARY = library\n"
             "weights = {1: 0.2, 2: 0.3, 3: 0.4, 4: 0.2, 5: 0.2, 6: 0.4}\n"
             "instance = build_instance(paper_example_network(),\n"
@@ -164,7 +183,6 @@ def _solve_all(solver, instances):
     return [_region(solver.solve(instance)) for instance in instances]
 
 
-@needs_kernel
 class TestKernelCalls:
     @pytest.mark.parametrize(
         "solver, repeats", [(TGENSolver(), 6), (GreedySolver(), 60)], ids=["tgen", "greedy"]
@@ -255,9 +273,7 @@ class TestKernelCalls:
     @pytest.mark.parametrize(
         "solver", [TGENSolver(alpha=0.15), GreedySolver()], ids=["tgen", "greedy"]
     )
-    def test_an_exception_raised_by_the_budget_propagates(
-        self, paper_instance, solver, kernel_path
-    ):
+    def test_an_exception_raised_by_the_budget_propagates(self, paper_instance, solver):
         class FailingBudget:
             def expired(self):
                 raise RuntimeError("the budget failed")
@@ -265,20 +281,17 @@ class TestKernelCalls:
         with pytest.raises(RuntimeError, match="the budget failed"):
             solver.solve(paper_instance.with_budget(FailingBudget()))
 
-    def test_a_poll_budget_stops_greedy_after_the_same_round(
-        self, instances, monkeypatch
-    ):
+    def test_a_poll_budget_stops_greedy_after_the_same_round(self, instances):
         solver = GreedySolver()
         truncated = 0
         for instance in instances:
             for polls in (0, 1, 3, 8, 1000):
                 kernel_answer = solver.solve(instance.with_budget(PollBudget(polls)))
-                with monkeypatch.context() as patch:
-                    patch.setattr(kernel, "LIBRARY", None)
-                    loop_answer = solver.solve(instance.with_budget(PollBudget(polls)))
                 reference = twin(solver).solve(instance.with_budget(PollBudget(polls)))
-                assert _region(kernel_answer) == _region(loop_answer), polls
                 assert _region(kernel_answer)[:4] == _region(reference)[:4], polls
+                assert kernel_answer.stats.get("budget_expired") == (
+                    reference.stats.get("budget_expired")
+                ), polls
                 truncated += kernel_answer.stats.get("budget_expired", 0.0) > 0.0
         assert 0 < truncated < 10, "some runs must be cut short, and some not"
 
@@ -311,9 +324,8 @@ class TestKernelCalls:
             )
 
     def test_kernel_solves_build_no_list_mirror(self, tiny_ny_dataset, monkeypatch):
-        # Every instance is built afresh, so no earlier solve left a mirror
-        # on it, and the window views keep the answers from the shared
-        # network's mirrors.
+        # Every instance is built afresh, so the twins' solves, which walk
+        # the list mirrors, leave none on the instances the kernel solves.
         engine = LCMSREngine.from_bundle(
             IndexBundle.build(tiny_ny_dataset.network, tiny_ny_dataset.corpus)
         )
@@ -322,26 +334,25 @@ class TestKernelCalls:
             seed=11,
         )
 
-        def answers():
+        def answers(oracle):
             found = []
             for query in queries:
                 instance = engine.build_instance(query)
                 for solver in (GreedySolver(), TGENSolver()):
+                    solver = twin(solver) if oracle else solver
                     found.append((
-                        _region(solver.solve(instance)),
-                        _topk(solver.solve_topk(instance, k=3)),
+                        _region(solver.solve(instance))[:5],
+                        [_region(r)[:5] for r in solver.solve_topk(instance, k=3)],
                     ))
             return found
 
-        with monkeypatch.context() as patch:
-            patch.setattr(kernel, "LIBRARY", None)
-            expected = answers()
+        expected = answers(oracle=True)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a kernel solve built a window-sized list")
 
         monkeypatch.setattr(CompactNetwork, "_materialize_lists", refuse)
-        assert answers() == expected
+        assert answers(oracle=False) == expected
 
     def test_forests_of_many_sizes_leave_nothing_behind(self):
         # On a path of 10 m edges with every node weighted, TGEN's region
@@ -398,10 +409,9 @@ def _network(nodes, edges):
     return network
 
 
-@pytest.mark.usefixtures("kernel_path")
 class TestGreedyTies:
-    """Greedy's tie rules on hand-built instances, on both paths and on the
-    reference twin."""
+    """Greedy's tie rules on hand-built instances, against the reference
+    twin."""
 
     def _answers(self, network, weights, delta, mu=0.2):
         instance = build_instance(
@@ -435,10 +445,23 @@ class TestGreedyTies:
         assert self._answers(network, weights, delta=1.0, mu=0.0) == [[5, 9], [2]]
 
 
-@pytest.mark.usefixtures("kernel_path")
+def _star(freeze=False):
+    """Seed 0 with 34 leaves at 1 m and 31 at 10 m, σ 1.0 at the seed and 0.5
+    at every leaf, and ∆ = 10.5 m. ``freeze`` builds on the star's CSR
+    freeze, which is what a served window is cut from."""
+    network = RoadNetwork()
+    network.add_node(0, 0.0, 0.0)
+    for leaf in range(1, 66):
+        network.add_node(leaf, float(leaf), 1.0)
+        network.add_edge(0, leaf, 1.0 if leaf <= 34 else 10.0)
+    weights = {node: 1.0 if node == 0 else 0.5 for node in network.node_ids()}
+    graph = CompactNetwork.from_network(network) if freeze else network
+    return build_instance(graph, LCMSRQuery.create(["t"], delta=10.5), node_weights=weights)
+
+
 class TestGreedyBoundaries:
     """The length test's 1e-12 slack and the compaction threshold, at their
-    boundaries, on both paths and against the reference twin."""
+    boundaries, against the reference twin."""
 
     @pytest.mark.parametrize("step", [0, 1], ids=["at-slack", "past-slack"])
     def test_an_edge_fits_up_to_delta_plus_1e12(self, step):
@@ -458,24 +481,85 @@ class TestGreedyBoundaries:
 
     @pytest.mark.parametrize("freeze", [False, True], ids=["road", "csr"])
     def test_compaction_needs_over_half_of_the_table_dead(self, freeze):
-        # Seed 0 has 34 leaves at 1 m and 31 at 10 m, and ∆ = 10.5 m. Once
-        # the first leaf joins, the second round's table holds 66 entries, of
+        # A short leaf ranks 0.2 · 0.9 + 0.8 · 0.5 = 0.58 and a long one 0.4,
+        # so short leaves join in id order. Round 1 appends the seed's 65
+        # entries and takes leaf 1. Round 2's table holds 66 entries, of
         # which exactly 33 are dead (the leaf both ways and the 31 long
-        # edges): half is not enough, so the third round compacts 36 entries.
-        # Ten short leaves then fill ∆. The CSR freeze of the star, which is
-        # what a served window is cut from, must count the same.
-        network = RoadNetwork()
-        network.add_node(0, 0.0, 0.0)
-        for leaf in range(1, 66):
-            network.add_node(leaf, float(leaf), 1.0)
-            network.add_edge(0, leaf, 1.0 if leaf <= 34 else 10.0)
-        weights = {node: 1.0 if node == 0 else 0.5 for node in network.node_ids()}
-        graph = CompactNetwork.from_network(network) if freeze else network
-        instance = build_instance(
-            graph, LCMSRQuery.create(["t"], delta=10.5), node_weights=weights
-        )
+        # edges, since 1 + 10 > 10.5): half is not enough. Round 3 scans 67
+        # with 35 dead, takes leaf 3 and then compacts 36 (leaf 3 joined),
+        # keeping leaves 4 to 34. Rounds 4 to 10 scan 32 to 38 entries and
+        # take leaves 4 to 10, filling ∆; round 11 scans 39 and takes none:
+        # 65 + 66 + 67 + (32 + ... + 39) = 482 scanned. The CSR freeze must
+        # count the same.
+        instance = _star(freeze)
         result = GreedySolver().solve(instance)
         assert _region(result)[:4] == _region(twin(GreedySolver()).solve(instance))[:4]
         assert sorted(result.region.nodes) == list(range(11))
         assert result.stats["greedy_candidates_scanned"] == 482.0
         assert result.stats["greedy_candidates_compacted"] == 36.0
+
+
+class TestCounters:
+    """The counters the twins do not keep, derived by hand."""
+
+    def test_greedy_counts_accumulate_over_top_k_regions(self):
+        # Region 1 is the star's {0, ..., 10}: 482 scanned, 36 compacted (see
+        # test_compaction_needs_over_half_of_the_table_dead). Region 2 seeds
+        # at the largest id of σ 0.5 left, the long leaf 65; its one entry,
+        # to the taken seed, is dead, so it scans 1 and stops. Region 3 does
+        # the same from leaf 64: 482 + 1 + 1 = 484.
+        instance = _star()
+        solver = GreedySolver()
+        result = solver.solve_topk(instance, k=3)
+        reference = twin(solver).solve_topk(instance, k=3)
+        assert [_region(r)[:4] for r in result] == [_region(r)[:4] for r in reference]
+        assert [sorted(r.region.nodes) for r in result] == [list(range(11)), [65], [64]]
+        assert result.stats["greedy_candidates_scanned"] == 484.0
+        assert result.stats["greedy_candidates_compacted"] == 36.0
+
+    @pytest.mark.parametrize(
+        "polls, nodes, scanned, compacted",
+        [(2, 3, 65 + 66, 0), (3, 4, 65 + 66 + 67, 36)],
+        ids=["before-compaction", "after-compaction"],
+    )
+    def test_greedy_counts_stop_with_the_budget(self, polls, nodes, scanned, compacted):
+        # Each round polls once before its scan, so a budget of p polls runs
+        # p rounds, each taking one short leaf, and expires at the next:
+        # rounds 1 to 3 scan 65, 66 and 67 entries, and only round 3
+        # compacts (see test_compaction_needs_over_half_of_the_table_dead).
+        instance = _star()
+        solver = GreedySolver()
+        result = solver.solve(instance.with_budget(PollBudget(polls)))
+        reference = twin(solver).solve(instance.with_budget(PollBudget(polls)))
+        assert _region(result)[:4] == _region(reference)[:4]
+        assert sorted(result.region.nodes) == list(range(nodes))
+        assert result.stats["budget_expired"] == 1.0
+        assert result.stats["greedy_candidates_scanned"] == float(scanned)
+        assert result.stats["greedy_candidates_compacted"] == float(compacted)
+
+    def test_tgen_skips_an_edge_between_zero_scaled_arrays(self):
+        # The path 1-2-3-4-5 of 1 m edges, σ 0.6 at 1 and 0.4 at 2, ∆ = 1 m.
+        # The BFS starts at 1, the heaviest node:
+        # - (1, 2) pairs the singletons into {1, 2}, the incumbent, stored
+        #   at both ends: 1 tuple;
+        # - (2, 3) pairs 2's {2} and {1, 2} with 3's {3}: {2, 3} is
+        #   generated and stored at 3 under σ 0.4's key, while {1, 2, 3}
+        #   would be 2 m long: 1 tuple;
+        # - (3, 4) pairs 3's {3} and {2, 3} with {4}: {3, 4} is generated
+        #   (its zero key is held at both ends by a singleton), {2, 3, 4}
+        #   would be 2 m long: 1 tuple;
+        # - (4, 5) joins two arrays that hold only zero-scaled tuples while
+        #   the incumbent's is positive, so it is skipped.
+        # The twin skips nothing and pairs {4} with {5} there too.
+        network = _network([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5)])
+        instance = build_instance(
+            network, LCMSRQuery.create(["t"], delta=1.0), node_weights={1: 0.6, 2: 0.4}
+        )
+        solver = TGENSolver()
+        result = solver.solve(instance)
+        reference = twin(solver).solve(instance)
+        assert _region(result)[:5] == _region(reference)[:5]
+        assert sorted(result.region.nodes) == [1, 2]
+        counters = ("tuples_generated", "edges_processed", "edges_skipped")
+        assert [result.stats[key] for key in counters] == [3.0, 3.0, 1.0]
+        assert [reference.stats[key] for key in counters[:2]] == [4.0, 4.0]

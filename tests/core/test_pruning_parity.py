@@ -15,9 +15,9 @@ bit-equal floats. Only skip counters and runtime may differ.
 
 This is the pruning counterpart of the dense-substrate suite in
 ``test_solver_backend_parity.py`` (same dataset, seeds and workload shape, so
-failures here isolate the pruning layer). Greedy runs on the compiled kernel
-and on its Python loop (the ``kernel_path`` fixture). Admissibility of the
-bounds themselves is covered separately in ``test_bounds.py``.
+failures here isolate the pruning layer). Greedy and TGEN run on the compiled
+kernel. Admissibility of the bounds themselves is covered separately in
+``test_bounds.py``.
 """
 
 from __future__ import annotations
@@ -109,20 +109,16 @@ def _assert_topk_identical(topk_a, topk_b, context):
         _assert_identical(result_a, result_b, (context, f"rank {rank}"))
 
 
-# Each heuristic; Greedy once on the kernel and once on its Python loop.
 HEURISTICS = [
-    pytest.param(GreedySolver, "kernel", id="greedy"),
-    pytest.param(GreedySolver, "python", id="greedy-python"),
-    pytest.param(TGENSolver, "kernel", id="tgen"),
-    pytest.param(APPSolver, None, id="app"),
+    pytest.param(GreedySolver, id="greedy"),
+    pytest.param(TGENSolver, id="tgen"),
+    pytest.param(APPSolver, id="app"),
 ]
 
 
 class TestHeuristicPruningParity:
-    @pytest.mark.parametrize(
-        "make_solver, kernel_path", HEURISTICS, indirect=["kernel_path"]
-    )
-    def test_solve_is_byte_identical(self, build, workload, make_solver, kernel_path):
+    @pytest.mark.parametrize("make_solver", HEURISTICS)
+    def test_solve_is_byte_identical(self, build, workload, make_solver):
         solver = make_solver()
         for query in workload:
             instance = build(query)
@@ -133,10 +129,8 @@ class TestHeuristicPruningParity:
             if isinstance(solver, TGENSolver):
                 assert_tgen_work_matches_twin(pruned, reference, context)
 
-    @pytest.mark.parametrize(
-        "make_solver, kernel_path", HEURISTICS, indirect=["kernel_path"]
-    )
-    def test_topk_is_byte_identical(self, build, workload, make_solver, kernel_path):
+    @pytest.mark.parametrize("make_solver", HEURISTICS)
+    def test_topk_is_byte_identical(self, build, workload, make_solver):
         solver = make_solver()
         for query in workload[:2]:
             instance = build(query)
@@ -233,7 +227,7 @@ class TestZeroMassWindowSkip:
 class TestDenseFirstRebindParity:
     """The serving layer's substrate-rebind path must prune like a fresh build."""
 
-    def test_rebound_instances_take_the_same_skips(self, build, workload, kernel_path):
+    def test_rebound_instances_take_the_same_skips(self, build, workload):
         query = workload[0]
         instance = build(query)
         rebound = instance.dense.to_problem_instance(query)

@@ -8,15 +8,14 @@ pre-substrate dict loops — same regions, same tie-breaks, bit-equal floats.
 This is the solver-layer counterpart of the network-backend and σ_v parity
 suites.
 
-TGEN runs its traversal, and Greedy each grown region, in a compiled kernel,
-or in a Python loop where no compiler builds the kernel, so every TGEN and
-Greedy test runs on both (the ``kernel_path`` fixture). TGEN must also do its
-twin's work: every edge the twin processes TGEN processes or skips, and where
-it skips none both generate the same tuples. The twins never prune, so
-Greedy's counters, ``greedy_candidates_scanned`` and
-``greedy_candidates_compacted``, must equal the Python loop's, including on an
-instance where the candidate table is compacted. A heavy instance at the
-perfbench ``tgen-paper`` scale checks the kernel where its arrays grow large.
+TGEN runs its traversal, and Greedy each grown region, in the compiled kernel,
+so the twins are the kernel's oracle. TGEN must also do its twin's work: every
+edge the twin processes TGEN processes or skips, and where it skips none both
+generate the same tuples. The twins never prune, so the counters they do not
+keep (TGEN's ``edges_skipped`` and Greedy's ``greedy_candidates_scanned`` and
+``greedy_candidates_compacted``) are pinned to hand-derived values in
+``test_kernel.py``. A heavy instance at the perfbench ``tgen-paper`` scale
+checks the kernel where its arrays grow large.
 
 The suite runs the full indexed path (dataset → ``IndexBundle`` → engine →
 ``build_instance`` with the columnar pipeline, which attaches the dense
@@ -25,7 +24,7 @@ substrate) and compares ``twin(solver).solve(x)`` / ``solve_topk`` with
 branch-and-bounds where its twin enumerates exhaustively, runs on a tiny
 window and exercises the dense-first route (an instance created from the
 substrate alone, with the dict view materialised lazily).
-Every solver, on each of its paths, also solves on a substrate served from a
+Every solver also solves on a substrate served from a
 :class:`~repro.service.query_service.QueryService` instance-cache hit, and
 must leave every slot of that substrate as it was.
 """
@@ -36,7 +35,6 @@ import random
 
 import pytest
 
-from repro.core import kernel
 from repro.core.app import APPSolver
 from repro.core.dense import DenseInstance
 from repro.core.exact import ExactSolver
@@ -58,8 +56,6 @@ from repro.textindex.relevance import ScoringMode
 from tests.conftest import PollBudget, assert_tgen_work_matches_twin
 
 SEED = 23
-# The kernel as loaded, before any test sets the module's handle to None.
-LOADED_KERNEL = kernel.LIBRARY
 MODES = [
     ScoringMode.TEXT_RELEVANCE,
     ScoringMode.RATING_IF_MATCH,
@@ -104,35 +100,16 @@ def _assert_topk_identical(topk_a, topk_b, context):
         _assert_identical(a, b, context)
 
 
-TGEN_COUNTERS = ("tuples_generated", "edges_processed", "edges_skipped")
-GREEDY_COUNTERS = ("greedy_candidates_scanned", "greedy_candidates_compacted")
-
-
-def _assert_same_as_the_python_loop(result, kernel_path, solve, context,
-                                    counters=TGEN_COUNTERS):
-    """The active path's answer and counters equal the Python loop's."""
-    loop = kernel_path.on_python_loop(solve)
-    _assert_identical(result, loop, context)
-    for key in counters:
-        assert result.stats[key] == loop.stats[key], (key, context)
-
-
-# Each heuristic; Greedy and TGEN once on the kernel and once on their
-# Python loops.
-SOLVER_PATHS = [
-    pytest.param(GreedySolver, "kernel", id="greedy"),
-    pytest.param(GreedySolver, "python", id="greedy-python"),
-    pytest.param(TGENSolver, "kernel", id="tgen"),
-    pytest.param(TGENSolver, "python", id="tgen-python"),
-    pytest.param(APPSolver, None, id="app"),
+HEURISTICS = [
+    pytest.param(GreedySolver, id="greedy"),
+    pytest.param(TGENSolver, id="tgen"),
+    pytest.param(APPSolver, id="app"),
 ]
 
 
 class TestHeuristicSolverParity:
-    @pytest.mark.parametrize(
-        "make_solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"]
-    )
-    def test_solve_is_byte_identical(self, engine, workload, make_solver, kernel_path):
+    @pytest.mark.parametrize("make_solver", HEURISTICS)
+    def test_solve_is_byte_identical(self, engine, workload, make_solver):
         solver = make_solver()
         for query in workload:
             instance = engine.build_instance(query)
@@ -143,10 +120,8 @@ class TestHeuristicSolverParity:
             b = solver.solve(instance)
             _assert_identical(a, b, (solver.name, query.keywords, query.region))
 
-    @pytest.mark.parametrize(
-        "make_solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"]
-    )
-    def test_topk_is_byte_identical(self, engine, workload, make_solver, kernel_path):
+    @pytest.mark.parametrize("make_solver", HEURISTICS)
+    def test_topk_is_byte_identical(self, engine, workload, make_solver):
         solver = make_solver()
         for query in workload[:3]:
             instance = engine.build_instance(query)
@@ -167,12 +142,12 @@ TGEN_SETTINGS = {
 class TestTGENParity:
     """The TGEN settings and paths that the dense tuple representation
     touches: per-node eviction, edge order, the edge skip, the top-k pool
-    and truncation, each on the kernel and on the Python loop."""
+    and truncation."""
 
     @pytest.mark.parametrize(
         "settings", list(TGEN_SETTINGS.values()), ids=list(TGEN_SETTINGS)
     )
-    def test_settings_are_byte_identical(self, engine, workload, settings, kernel_path):
+    def test_settings_are_byte_identical(self, engine, workload, settings):
         solver = TGENSolver(**settings)
         for query in workload:
             instance = engine.build_instance(query)
@@ -181,18 +156,13 @@ class TestTGENParity:
             context = (settings, query.keywords, query.region)
             _assert_identical(a, b, context)
             assert_tgen_work_matches_twin(b, a, context)
-            # The twin counts no skipped edge, so edges_skipped is checked
-            # against the Python loop.
-            _assert_same_as_the_python_loop(
-                b, kernel_path, lambda: solver.solve(instance), context
-            )
 
     @pytest.mark.parametrize(
         "settings",
         [{}] + list(TGEN_SETTINGS.values()),
         ids=["default"] + list(TGEN_SETTINGS),
     )
-    def test_topk_is_byte_identical(self, engine, workload, settings, kernel_path):
+    def test_topk_is_byte_identical(self, engine, workload, settings):
         solver = TGENSolver(**settings)
         for query in workload:
             instance = engine.build_instance(query)
@@ -203,7 +173,7 @@ class TestTGENParity:
             )
 
     @pytest.mark.parametrize("polls", [5, 40, 150])
-    def test_truncated_runs_are_identical(self, engine, workload, polls, kernel_path):
+    def test_truncated_runs_are_identical(self, engine, workload, polls):
         solver = TGENSolver()
         truncated = 0
         for query in workload:
@@ -239,40 +209,18 @@ def _compacting_instance(freeze):
 
 
 class TestGreedyParity:
-    """Greedy's counters, on the kernel and on the Python loop: the twin keeps
-    none, so they are checked against the loop."""
-
-    def test_counters_equal_the_python_loop(self, engine, workload, kernel_path):
-        solver = GreedySolver()
-        for query in workload:
-            instance = engine.build_instance(query)
-            context = (query.keywords, query.region)
-            result = solver.solve(instance)
-            _assert_identical(twin(solver).solve(instance), result, context)
-            _assert_same_as_the_python_loop(
-                result, kernel_path, lambda: solver.solve(instance), context,
-                GREEDY_COUNTERS,
-            )
-            topk = solver.solve_topk(instance, k=3)
-            loop = kernel_path.on_python_loop(lambda: solver.solve_topk(instance, k=3))
-            _assert_topk_identical(topk, loop, context)
-            assert topk.stats == loop.stats, context
+    """Greedy's compaction of its candidate table, which the twin never
+    compacts."""
 
     @pytest.mark.parametrize("freeze", [False, True], ids=["road", "csr"])
-    def test_a_compacted_table_keeps_the_answers(self, freeze, kernel_path):
+    def test_a_compacted_table_keeps_the_answers(self, freeze):
         solver = GreedySolver()
         instance = _compacting_instance(freeze)
         result = solver.solve(instance)
         _assert_identical(twin(solver).solve(instance), result, "compacted")
-        _assert_same_as_the_python_loop(
-            result, kernel_path, lambda: solver.solve(instance), "compacted",
-            GREEDY_COUNTERS,
-        )
         assert result.stats["greedy_candidates_compacted"] > 0
         topk = solver.solve_topk(instance, k=3)
         _assert_topk_identical(twin(solver).solve_topk(instance, k=3), topk, "compacted")
-        loop = kernel_path.on_python_loop(lambda: solver.solve_topk(instance, k=3))
-        assert topk.stats == loop.stats
 
 
 WIDE_SETTINGS = {"default": {}, **TGEN_SETTINGS}
@@ -300,7 +248,7 @@ class TestWideWindowParity:
     @pytest.mark.parametrize(
         "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
     )
-    def test_solve_is_byte_identical(self, wide_instance, settings, kernel_path):
+    def test_solve_is_byte_identical(self, wide_instance, settings):
         solver = TGENSolver(**settings)
         a = twin(solver).solve(wide_instance)
         b = solver.solve(wide_instance)
@@ -310,7 +258,7 @@ class TestWideWindowParity:
     @pytest.mark.parametrize(
         "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
     )
-    def test_topk_is_byte_identical(self, wide_instance, settings, kernel_path):
+    def test_topk_is_byte_identical(self, wide_instance, settings):
         solver = TGENSolver(**settings)
         _assert_topk_identical(
             twin(solver).solve_topk(wide_instance, k=3),
@@ -337,7 +285,7 @@ class TestHeavyInstanceParity:
         )[0]
         return engine.build_instance(query)
 
-    def test_solve_is_byte_identical(self, heavy_instance, kernel_path):
+    def test_solve_is_byte_identical(self, heavy_instance):
         solver = TGENSolver()
         a = twin(solver).solve(heavy_instance)
         b = solver.solve(heavy_instance)
@@ -380,12 +328,8 @@ class TestExactParity:
 class TestDenseFirstRebindParity:
     """The serving layer rebinding path: substrate → instance → solver."""
 
-    @pytest.mark.parametrize(
-        "make_solver, kernel_path", SOLVER_PATHS, indirect=["kernel_path"]
-    )
-    def test_rebound_instances_solve_identically(
-        self, engine, workload, make_solver, kernel_path
-    ):
+    @pytest.mark.parametrize("make_solver", HEURISTICS)
+    def test_rebound_instances_solve_identically(self, engine, workload, make_solver):
         solver = make_solver()
         for query in workload[:2]:
             instance = engine.build_instance(query)
@@ -399,21 +343,8 @@ class TestDenseFirstRebindParity:
 class TestCachedSubstrate:
     """A solve on an instance-cache hit leaves the cached substrate as built."""
 
-    @pytest.mark.parametrize(
-        "name, kernel_path",
-        [
-            pytest.param("greedy", "kernel", id="greedy"),
-            pytest.param("greedy", "python", id="greedy-python"),
-            pytest.param("tgen", "kernel", id="tgen"),
-            pytest.param("tgen", "python", id="tgen-python"),
-            pytest.param("app", None, id="app"),
-            pytest.param("exact", None, id="exact"),
-        ],
-        indirect=["kernel_path"],
-    )
-    def test_a_solve_on_a_cache_hit_keeps_every_slot(
-        self, engine, workload, name, kernel_path, monkeypatch
-    ):
+    @pytest.mark.parametrize("name", ["greedy", "tgen", "app", "exact"])
+    def test_a_solve_on_a_cache_hit_keeps_every_slot(self, engine, workload, name):
         query = _tiny_window_instance(engine).query if name == "exact" else workload[0]
 
         def request(algorithm, k=1):
@@ -423,11 +354,9 @@ class TestCachedSubstrate:
             )
 
         with QueryService(engine, max_workers=1, result_cache_size=0) as service:
-            # The entry is built by a kernel Greedy solve, which reads only
-            # the arrays.
-            with monkeypatch.context() as patch:
-                patch.setattr(kernel, "LIBRARY", LOADED_KERNEL)
-                service.execute(request("greedy"))
+            # The entry is built by a Greedy solve, which reads only the
+            # arrays.
+            service.execute(request("greedy"))
             (key,) = service._instance_cache.keys()
             substrate, _ = service._instance_cache.get(key)
             built = {slot: getattr(substrate, slot) for slot in DenseInstance.__slots__}

@@ -60,6 +60,27 @@ class TestParameterValidation:
         assert TGENSolver(max_tuples_per_node=1).max_tuples_per_node == 1
         assert TGENSolver(max_tuples_per_node=None).max_tuples_per_node is None
 
+    @pytest.mark.parametrize("cap", [2**31 - 1, 2**31, 2**32 + 1])
+    def test_tuple_cap_must_fit_the_kernels_int32(self, cap):
+        # The kernel reads the cap as an int32, so 2**32 + 1 used to wrap to
+        # 1: on this 6×6 grid at α = 1 and ∆ = 600 m it answered weight 33.0
+        # from 30 tuples where the uncapped twin finds 46.0 from 3,874. The
+        # largest int32 is kept and caps nothing here.
+        network = grid_network(6, 6, spacing=100.0)
+        weights = {node: 1.0 + node % 7 for node in network.node_ids()}
+        instance = build_instance(
+            network, LCMSRQuery.create(["t"], delta=600.0), node_weights=weights
+        )
+        if cap > 2**31 - 1:
+            with pytest.raises(SolverError, match=r"2\*\*31 - 1"):
+                TGENSolver(alpha=1.0, max_tuples_per_node=cap)
+            return
+        result = TGENSolver(alpha=1.0, max_tuples_per_node=cap).solve(instance)
+        reference = ReferenceTGEN(alpha=1.0).solve(instance)
+        assert result.region.nodes == reference.region.nodes
+        assert (result.weight, result.stats["tuples_generated"]) == (46.0, 3874.0)
+        assert reference.stats["tuples_generated"] == 3874.0
+
     def test_auto_alpha_scales_with_window(self, paper_instance):
         solver = TGENSolver()
         assert solver.alpha is None
@@ -165,8 +186,8 @@ class TestDominanceTies:
     zero-weight nodes share a scaled weight, and paths of edges 0.1 and 0.2
     compete with edges of 0.3. The stored regions feed later combinations, so
     a store that ignored ``EPS`` or let a tie replace would change the answers
-    and counters compared below. TGEN must keep what its reference twin keeps,
-    on its kernel and on its Python loop.
+    and counters compared below. TGEN's kernel must keep what its reference
+    twin keeps.
     """
 
     EDGES = [
@@ -217,7 +238,7 @@ class TestDominanceTies:
         assert seen == {"exact", "shorter-later", "longer-later"}
 
     @pytest.mark.parametrize("cap", [None, 2], ids=["uncapped", "cap2"])
-    def test_matches_the_reference(self, instance, cap, kernel_path):
+    def test_matches_the_reference(self, instance, cap):
         """Solve and answer top-5 with TGEN and its twin."""
         solver = TGENSolver(alpha=0.5, max_tuples_per_node=cap)
         reference = ReferenceTGEN(alpha=0.5, max_tuples_per_node=cap)
@@ -243,7 +264,7 @@ class TestEdgeLengthTies:
     sort that reorders ties visits the nodes in another order and generates
     other tuples."""
 
-    def test_ties_keep_csr_order(self, kernel_path):
+    def test_ties_keep_csr_order(self):
         network = grid_network(5, 5, spacing=100.0)
         rng = random.Random(4)
         weights = {

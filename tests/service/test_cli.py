@@ -60,15 +60,12 @@ class TestInfo:
             "vocabulary.json",
         }
 
-    def test_info_names_the_kernel(self, cli_artifact, capsys, monkeypatch):
+    def test_info_names_the_kernel(self, cli_artifact, capsys):
         assert main(["info", str(cli_artifact)]) == 0
-        assert f"kernel         : {kernel.describe()}" in capsys.readouterr().out
-        # Without a kernel, the Python loops and the reason.
-        monkeypatch.setattr(kernel, "LIBRARY", None)
-        monkeypatch.setattr(kernel, "FALLBACK", "no compiler: cc")
+        assert f"kernel         : {kernel.LIBRARY.path}" in capsys.readouterr().out
         assert main(["info", str(cli_artifact), "--json"]) == 0
         raw = json.loads(capsys.readouterr().out)
-        assert raw["kernel"] == "python (no compiler: cc)"
+        assert raw["kernel"] == str(kernel.LIBRARY.path)
 
     def test_info_on_missing_artifact_fails_cleanly(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "missing")]) == 2
