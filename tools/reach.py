@@ -9,7 +9,8 @@ caller runs under a profiling probe, then the tier-1 suite does:
    (each fixture is first built once under the probe, so a cached fixture
    does not hide the build path);
 2. ``make artifact-smoke compact-smoke anytime-smoke shard-smoke``;
-3. every ``examples/*.py``;
+3. every ``examples/*.py``, with the artifacts they saved on earlier runs
+   removed first, so each takes its build path;
 4. ``REPRO_BENCH_SMOKE=1 pytest benchmarks/ --benchmark-disable``;
 5. tier-1 (``pytest``).
 
@@ -208,6 +209,10 @@ def record(record_dir: Path) -> int:
         for smoke in SMOKES:
             run(f"make {smoke}", ["make", smoke, f"PYTHONPATH={pythonpath}",
                                   f"PYTHON={python}"], env, failures, logs)
+        # An example reuses the artifact an earlier run saved under
+        # examples/artifacts/, which would hide its build path from the probe;
+        # without it, each example builds and saves it again.
+        shutil.rmtree(ROOT / "examples" / "artifacts", ignore_errors=True)
         for example in sorted((ROOT / "examples").glob("*.py")):
             run(f"examples/{example.name}", [python, str(example)], env, failures, logs)
         run("benchmarks (smoke)",
