@@ -740,7 +740,7 @@ static int candidate_dead(const GreedyInput *in, const uint8_t *in_region, const
  *     largest id on ties, and sigma_max is that sigma;
  *   - each member, as it joins, appends its CSR row in order to one
  *     candidate table, ranked mu * (1.0 - l / tau_max)
- *     + (1.0 - mu) * sigma / sigma_max with the loop's expression tree;
+ *     + (1.0 - mu) * sigma / sigma_max with the twin's expression tree;
  *   - each round polls the budget once, then scans the whole table: the
  *     first live entry, then any of higher rank or of rank within 1e-12
  *     and a smaller id, wins;
