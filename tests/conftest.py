@@ -63,6 +63,31 @@ class PollBudget:
         return self.remaining < 0
 
 
+def rebind(instance):
+    """``instance`` as the serving layer's instance cache hands it to a solver.
+
+    A cache hit wraps the cached dense substrate alone for the query
+    (:meth:`~repro.core.dense.DenseInstance.to_problem_instance`): the kernel
+    reads the same arrays, while the window graph and the weight dict that
+    the reference twins read are rebuilt from the substrate. A budget
+    carries over.
+    """
+    rebound = instance.dense.to_problem_instance(instance.query, sampling=instance.sampling)
+    return rebound if instance.budget is None else rebound.with_budget(instance.budget)
+
+
+@pytest.fixture(params=["built", "rebound"])
+def route(request):
+    """Run a test on its instances as built, then as a cache hit rebinds them.
+
+    The fixture is a function a test passes every instance through before
+    it solves: the identity, then :func:`rebind`.
+    """
+    if request.param == "built":
+        return lambda instance: instance
+    return rebind
+
+
 def assert_tgen_work_matches_twin(result, reference, context=None):
     """TGEN's counters against its twin's, which never skips an edge.
 

@@ -10,6 +10,10 @@ Three contracts under test:
 * **Admissible regret** — for every truncated run, the true optimal weight
   (from an unbudgeted Exact run) minus the achieved weight never exceeds the
   reported ``quality_regret_bound``.
+
+The serving layer attaches each budget to an instance it may have rebound
+from a cached substrate, so the truncation and regret tests run on their
+instances as built and as rebound (the ``route`` fixture).
 """
 
 from __future__ import annotations
@@ -224,10 +228,10 @@ class TestRegionMassBound:
         ],
     )
     @pytest.mark.parametrize("seed", [2, 9, 23, 41])
-    def test_truncated_runs_stay_admissible(self, solver, checks, seed):
+    def test_truncated_runs_stay_admissible(self, solver, checks, seed, route):
         # The budget's clock read at the ``checks``-th checkpoint ends the run.
         network, weights = random_weighted_network(seed, num_nodes=15)
-        instance = _instance(network, weights, delta=2.0)
+        instance = route(_instance(network, weights, delta=2.0))
         optimum = ExactSolver(max_nodes=32).solve(instance).weight
 
         def budget():
@@ -265,10 +269,10 @@ class TestBudgetedSolvers:
 
     @pytest.mark.parametrize("solver", SOLVERS, ids=lambda s: s.name)
     @pytest.mark.parametrize("seed", [2, 9, 23])
-    def test_truncated_regret_bound_is_admissible(self, solver, seed):
+    def test_truncated_regret_bound_is_admissible(self, solver, seed, route):
         network, weights = random_weighted_network(seed)
         query = LCMSRQuery.create(["t"], delta=3.0)
-        instance = build_instance(network, query, node_weights=weights)
+        instance = route(build_instance(network, query, node_weights=weights))
         optimum = ExactSolver(max_nodes=32).solve(instance).weight
         truncated = solver.solve(instance.with_budget(expired_budget()))
         assert truncated.stats["quality_kind"] == 2.0
@@ -280,8 +284,8 @@ class TestBudgetedSolvers:
             )
 
     @pytest.mark.parametrize("solver", SOLVERS, ids=lambda s: s.name)
-    def test_expired_budget_marks_the_run(self, paper_instance, solver):
-        truncated = solver.solve(paper_instance.with_budget(expired_budget()))
+    def test_expired_budget_marks_the_run(self, paper_instance, solver, route):
+        truncated = solver.solve(route(paper_instance).with_budget(expired_budget()))
         assert truncated.stats.get("budget_expired") == 1.0
 
     @pytest.mark.parametrize(
@@ -295,8 +299,10 @@ class TestBudgetedSolvers:
         assert [r.weight for r in budgeted] == [r.weight for r in plain]
 
     @pytest.mark.parametrize("solver", SOLVERS, ids=lambda s: s.name)
-    def test_topk_truncation_still_returns_a_result_object(self, paper_instance, solver):
-        truncated = solver.solve_topk(paper_instance.with_budget(expired_budget()), 3)
+    def test_topk_truncation_still_returns_a_result_object(
+        self, paper_instance, solver, route
+    ):
+        truncated = solver.solve_topk(route(paper_instance).with_budget(expired_budget()), 3)
         assert truncated.stats.get("budget_expired") == 1.0
 
     @pytest.mark.parametrize("backend", ["dict", "dense"])

@@ -5,7 +5,9 @@ reference twins do not keep.
 The answers themselves are checked against the reference twins in the parity
 suites. The twins never prune, so TGEN's ``edges_skipped`` and Greedy's
 ``greedy_candidates_scanned`` and ``greedy_candidates_compacted`` are pinned
-here to values derived by hand.
+here to values derived by hand. The tie, boundary and counter tests run on
+each instance as built and as the serving layer's instance cache rebinds it
+(the ``route`` fixture).
 """
 
 from __future__ import annotations
@@ -273,13 +275,15 @@ class TestKernelCalls:
     @pytest.mark.parametrize(
         "solver", [TGENSolver(alpha=0.15), GreedySolver()], ids=["tgen", "greedy"]
     )
-    def test_an_exception_raised_by_the_budget_propagates(self, paper_instance, solver):
+    def test_an_exception_raised_by_the_budget_propagates(
+        self, paper_instance, solver, route
+    ):
         class FailingBudget:
             def expired(self):
                 raise RuntimeError("the budget failed")
 
         with pytest.raises(RuntimeError, match="the budget failed"):
-            solver.solve(paper_instance.with_budget(FailingBudget()))
+            solver.solve(route(paper_instance).with_budget(FailingBudget()))
 
     def test_a_poll_budget_stops_greedy_after_the_same_round(self, instances):
         solver = GreedySolver()
@@ -413,36 +417,35 @@ class TestGreedyTies:
     """Greedy's tie rules on hand-built instances, against the reference
     twin."""
 
-    def _answers(self, network, weights, delta, mu=0.2):
-        instance = build_instance(
-            network, LCMSRQuery.create(["t"], delta=delta), node_weights=weights
-        )
+    def _answers(self, route, network, weights, delta, mu=0.2):
+        query = LCMSRQuery.create(["t"], delta=delta)
+        instance = route(build_instance(network, query, node_weights=weights))
         solver = GreedySolver(mu=mu)
         answer = solver.solve_topk(instance, k=2)
         reference = twin(solver).solve_topk(instance, k=2)
         assert [_region(r)[:4] for r in answer] == [_region(r)[:4] for r in reference]
         return [sorted(r.region.nodes) for r in answer]
 
-    def test_a_sigma_tie_seeds_at_the_largest_id(self):
+    def test_a_sigma_tie_seeds_at_the_largest_id(self, route):
         # 3 and 7 share the largest σ; the first region seeds at 7, the
         # second, with 7 excluded, at 3.
         network = _network([1, 3, 5, 7], [(1, 3), (3, 5), (5, 7)])
         weights = {1: 0.2, 3: 0.9, 5: 0.4, 7: 0.9}
-        assert self._answers(network, weights, delta=0.0) == [[7], [3]]
+        assert self._answers(route, network, weights, delta=0.0) == [[7], [3]]
 
-    def test_a_rank_tie_within_1e12_goes_to_the_smaller_id(self):
+    def test_a_rank_tie_within_1e12_goes_to_the_smaller_id(self, route):
         # With µ = 0 a candidate's rank is σ / σ_max. Seed 9's row lists 5
         # first and then 2, whose rank is lower by 4e-13: within 1e-12, so
         # the smaller id 2 wins. The second region seeds at 5, whose only
         # neighbour 9 is taken.
         network = _network([2, 5, 9], [(9, 5), (9, 2)])
         weights = {9: 1.0, 5: 0.5 + 4e-13, 2: 0.5}
-        assert self._answers(network, weights, delta=1.0, mu=0.0) == [[2, 9], [5]]
+        assert self._answers(route, network, weights, delta=1.0, mu=0.0) == [[2, 9], [5]]
 
-    def test_a_rank_gap_over_1e12_goes_to_the_higher_rank(self):
+    def test_a_rank_gap_over_1e12_goes_to_the_higher_rank(self, route):
         network = _network([2, 5, 9], [(9, 5), (9, 2)])
         weights = {9: 1.0, 5: 0.5 + 4e-12, 2: 0.5}
-        assert self._answers(network, weights, delta=1.0, mu=0.0) == [[5, 9], [2]]
+        assert self._answers(route, network, weights, delta=1.0, mu=0.0) == [[5, 9], [2]]
 
 
 def _star(freeze=False):
@@ -464,7 +467,7 @@ class TestGreedyBoundaries:
     boundaries, against the reference twin."""
 
     @pytest.mark.parametrize("step", [0, 1], ids=["at-slack", "past-slack"])
-    def test_an_edge_fits_up_to_delta_plus_1e12(self, step):
+    def test_an_edge_fits_up_to_delta_plus_1e12(self, step, route):
         length = 1.0 + 1e-12
         if step:
             length = math.nextafter(length, math.inf)
@@ -472,15 +475,14 @@ class TestGreedyBoundaries:
         network.add_node(1, 0.0, 0.0)
         network.add_node(2, 1.0, 0.0)
         network.add_edge(1, 2, length)
-        instance = build_instance(
-            network, LCMSRQuery.create(["t"], delta=1.0), node_weights={1: 1.0, 2: 0.5}
-        )
+        query = LCMSRQuery.create(["t"], delta=1.0)
+        instance = route(build_instance(network, query, node_weights={1: 1.0, 2: 0.5}))
         result = GreedySolver().solve(instance)
         assert _region(result)[:4] == _region(twin(GreedySolver()).solve(instance))[:4]
         assert sorted(result.region.nodes) == ([1] if step else [1, 2])
 
     @pytest.mark.parametrize("freeze", [False, True], ids=["road", "csr"])
-    def test_compaction_needs_over_half_of_the_table_dead(self, freeze):
+    def test_compaction_needs_over_half_of_the_table_dead(self, freeze, route):
         # A short leaf ranks 0.2 · 0.9 + 0.8 · 0.5 = 0.58 and a long one 0.4,
         # so short leaves join in id order. Round 1 appends the seed's 65
         # entries and takes leaf 1. Round 2's table holds 66 entries, of
@@ -491,7 +493,7 @@ class TestGreedyBoundaries:
         # take leaves 4 to 10, filling ∆; round 11 scans 39 and takes none:
         # 65 + 66 + 67 + (32 + ... + 39) = 482 scanned. The CSR freeze must
         # count the same.
-        instance = _star(freeze)
+        instance = route(_star(freeze))
         result = GreedySolver().solve(instance)
         assert _region(result)[:4] == _region(twin(GreedySolver()).solve(instance))[:4]
         assert sorted(result.region.nodes) == list(range(11))
@@ -502,13 +504,13 @@ class TestGreedyBoundaries:
 class TestCounters:
     """The counters the twins do not keep, derived by hand."""
 
-    def test_greedy_counts_accumulate_over_top_k_regions(self):
+    def test_greedy_counts_accumulate_over_top_k_regions(self, route):
         # Region 1 is the star's {0, ..., 10}: 482 scanned, 36 compacted (see
         # test_compaction_needs_over_half_of_the_table_dead). Region 2 seeds
         # at the largest id of σ 0.5 left, the long leaf 65; its one entry,
         # to the taken seed, is dead, so it scans 1 and stops. Region 3 does
         # the same from leaf 64: 482 + 1 + 1 = 484.
-        instance = _star()
+        instance = route(_star())
         solver = GreedySolver()
         result = solver.solve_topk(instance, k=3)
         reference = twin(solver).solve_topk(instance, k=3)
@@ -522,12 +524,14 @@ class TestCounters:
         [(2, 3, 65 + 66, 0), (3, 4, 65 + 66 + 67, 36)],
         ids=["before-compaction", "after-compaction"],
     )
-    def test_greedy_counts_stop_with_the_budget(self, polls, nodes, scanned, compacted):
+    def test_greedy_counts_stop_with_the_budget(
+        self, polls, nodes, scanned, compacted, route
+    ):
         # Each round polls once before its scan, so a budget of p polls runs
         # p rounds, each taking one short leaf, and expires at the next:
         # rounds 1 to 3 scan 65, 66 and 67 entries, and only round 3
         # compacts (see test_compaction_needs_over_half_of_the_table_dead).
-        instance = _star()
+        instance = route(_star())
         solver = GreedySolver()
         result = solver.solve(instance.with_budget(PollBudget(polls)))
         reference = twin(solver).solve(instance.with_budget(PollBudget(polls)))
@@ -537,7 +541,7 @@ class TestCounters:
         assert result.stats["greedy_candidates_scanned"] == float(scanned)
         assert result.stats["greedy_candidates_compacted"] == float(compacted)
 
-    def test_tgen_skips_an_edge_between_zero_scaled_arrays(self):
+    def test_tgen_skips_an_edge_between_zero_scaled_arrays(self, route):
         # The path 1-2-3-4-5 of 1 m edges, σ 0.6 at 1 and 0.4 at 2, ∆ = 1 m.
         # The BFS starts at 1, the heaviest node:
         # - (1, 2) pairs the singletons into {1, 2}, the incumbent, stored
@@ -552,9 +556,8 @@ class TestCounters:
         #   the incumbent's is positive, so it is skipped.
         # The twin skips nothing and pairs {4} with {5} there too.
         network = _network([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5)])
-        instance = build_instance(
-            network, LCMSRQuery.create(["t"], delta=1.0), node_weights={1: 0.6, 2: 0.4}
-        )
+        query = LCMSRQuery.create(["t"], delta=1.0)
+        instance = route(build_instance(network, query, node_weights={1: 0.6, 2: 0.4}))
         solver = TGENSolver()
         result = solver.solve(instance)
         reference = twin(solver).solve(instance)

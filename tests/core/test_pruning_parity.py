@@ -16,7 +16,9 @@ bit-equal floats. Only skip counters and runtime may differ.
 This is the pruning counterpart of the dense-substrate suite in
 ``test_solver_backend_parity.py`` (same dataset, seeds and workload shape, so
 failures here isolate the pruning layer). Greedy and TGEN run on the compiled
-kernel. Admissibility of the bounds themselves is covered separately in
+kernel, and each heuristic case runs on the instance as built and again as
+the serving layer's instance cache rebinds it (the ``route`` fixture).
+Admissibility of the bounds themselves is covered separately in
 ``test_bounds.py``.
 """
 
@@ -118,10 +120,10 @@ HEURISTICS = [
 
 class TestHeuristicPruningParity:
     @pytest.mark.parametrize("make_solver", HEURISTICS)
-    def test_solve_is_byte_identical(self, build, workload, make_solver):
+    def test_solve_is_byte_identical(self, build, workload, make_solver, route):
         solver = make_solver()
         for query in workload:
-            instance = build(query)
+            instance = route(build(query))
             pruned = solver.solve(instance)
             reference = twin(solver).solve(instance)
             context = (solver.name, query.keywords, query.region)
@@ -130,10 +132,10 @@ class TestHeuristicPruningParity:
                 assert_tgen_work_matches_twin(pruned, reference, context)
 
     @pytest.mark.parametrize("make_solver", HEURISTICS)
-    def test_topk_is_byte_identical(self, build, workload, make_solver):
+    def test_topk_is_byte_identical(self, build, workload, make_solver, route):
         solver = make_solver()
         for query in workload[:2]:
-            instance = build(query)
+            instance = route(build(query))
             _assert_topk_identical(
                 solver.solve_topk(instance, k=3),
                 twin(solver).solve_topk(instance, k=3),

@@ -20,10 +20,13 @@ checks the kernel where its arrays grow large.
 The suite runs the full indexed path (dataset → ``IndexBundle`` → engine →
 ``build_instance`` with the columnar pipeline, which attaches the dense
 substrate) and compares ``twin(solver).solve(x)`` / ``solve_topk`` with
-``solver.solve(x)`` on the same built instance. Exact, whose one loop
-branch-and-bounds where its twin enumerates exhaustively, runs on a tiny
-window and exercises the dense-first route (an instance created from the
-substrate alone, with the dict view materialised lazily).
+``solver.solve(x)`` on the same instance. Each heuristic case runs on the
+instance as built and again as the serving layer's instance cache rebinds it
+(the ``route`` fixture): the kernel reads the same arrays, while the twin
+reads a window graph and a weight dict rebuilt from the substrate. Exact,
+whose one loop branch-and-bounds where its twin enumerates exhaustively, runs
+on a tiny window and exercises the dense-first route (an instance created
+from the substrate alone, with the dict view materialised lazily).
 Every solver also solves on a substrate served from a
 :class:`~repro.service.query_service.QueryService` instance-cache hit, and
 must leave every slot of that substrate as it was.
@@ -109,10 +112,10 @@ HEURISTICS = [
 
 class TestHeuristicSolverParity:
     @pytest.mark.parametrize("make_solver", HEURISTICS)
-    def test_solve_is_byte_identical(self, engine, workload, make_solver):
+    def test_solve_is_byte_identical(self, engine, workload, make_solver, route):
         solver = make_solver()
         for query in workload:
-            instance = engine.build_instance(query)
+            instance = route(engine.build_instance(query))
             assert instance.dense.indices is instance.graph.csr_index_arrays()[1], (
                 "the pipeline path must attach a substrate sharing the window"
             )
@@ -121,10 +124,10 @@ class TestHeuristicSolverParity:
             _assert_identical(a, b, (solver.name, query.keywords, query.region))
 
     @pytest.mark.parametrize("make_solver", HEURISTICS)
-    def test_topk_is_byte_identical(self, engine, workload, make_solver):
+    def test_topk_is_byte_identical(self, engine, workload, make_solver, route):
         solver = make_solver()
         for query in workload[:3]:
-            instance = engine.build_instance(query)
+            instance = route(engine.build_instance(query))
             topk_dict = twin(solver).solve_topk(instance, k=3)
             topk_dense = solver.solve_topk(instance, k=3)
             assert len(topk_dict.results) == len(topk_dense.results)
@@ -147,10 +150,10 @@ class TestTGENParity:
     @pytest.mark.parametrize(
         "settings", list(TGEN_SETTINGS.values()), ids=list(TGEN_SETTINGS)
     )
-    def test_settings_are_byte_identical(self, engine, workload, settings):
+    def test_settings_are_byte_identical(self, engine, workload, settings, route):
         solver = TGENSolver(**settings)
         for query in workload:
-            instance = engine.build_instance(query)
+            instance = route(engine.build_instance(query))
             a = twin(solver).solve(instance)
             b = solver.solve(instance)
             context = (settings, query.keywords, query.region)
@@ -162,10 +165,10 @@ class TestTGENParity:
         [{}] + list(TGEN_SETTINGS.values()),
         ids=["default"] + list(TGEN_SETTINGS),
     )
-    def test_topk_is_byte_identical(self, engine, workload, settings):
+    def test_topk_is_byte_identical(self, engine, workload, settings, route):
         solver = TGENSolver(**settings)
         for query in workload:
-            instance = engine.build_instance(query)
+            instance = route(engine.build_instance(query))
             _assert_topk_identical(
                 twin(solver).solve_topk(instance, k=3),
                 solver.solve_topk(instance, k=3),
@@ -173,11 +176,11 @@ class TestTGENParity:
             )
 
     @pytest.mark.parametrize("polls", [5, 40, 150])
-    def test_truncated_runs_are_identical(self, engine, workload, polls):
+    def test_truncated_runs_are_identical(self, engine, workload, polls, route):
         solver = TGENSolver()
         truncated = 0
         for query in workload:
-            instance = engine.build_instance(query)
+            instance = route(engine.build_instance(query))
             a = twin(solver).solve(instance.with_budget(PollBudget(polls)))
             b = solver.solve(instance.with_budget(PollBudget(polls)))
             context = (polls, query.keywords, query.region)
@@ -213,9 +216,9 @@ class TestGreedyParity:
     compacts."""
 
     @pytest.mark.parametrize("freeze", [False, True], ids=["road", "csr"])
-    def test_a_compacted_table_keeps_the_answers(self, freeze):
+    def test_a_compacted_table_keeps_the_answers(self, freeze, route):
         solver = GreedySolver()
-        instance = _compacting_instance(freeze)
+        instance = route(_compacting_instance(freeze))
         result = solver.solve(instance)
         _assert_identical(twin(solver).solve(instance), result, "compacted")
         assert result.stats["greedy_candidates_compacted"] > 0
@@ -248,21 +251,23 @@ class TestWideWindowParity:
     @pytest.mark.parametrize(
         "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
     )
-    def test_solve_is_byte_identical(self, wide_instance, settings):
+    def test_solve_is_byte_identical(self, wide_instance, settings, route):
         solver = TGENSolver(**settings)
-        a = twin(solver).solve(wide_instance)
-        b = solver.solve(wide_instance)
+        instance = route(wide_instance)
+        a = twin(solver).solve(instance)
+        b = solver.solve(instance)
         _assert_identical(a, b, ("wide", settings))
         assert_tgen_work_matches_twin(b, a, ("wide", settings))
 
     @pytest.mark.parametrize(
         "settings", list(WIDE_SETTINGS.values()), ids=list(WIDE_SETTINGS)
     )
-    def test_topk_is_byte_identical(self, wide_instance, settings):
+    def test_topk_is_byte_identical(self, wide_instance, settings, route):
         solver = TGENSolver(**settings)
+        instance = route(wide_instance)
         _assert_topk_identical(
-            twin(solver).solve_topk(wide_instance, k=3),
-            solver.solve_topk(wide_instance, k=3),
+            twin(solver).solve_topk(instance, k=3),
+            solver.solve_topk(instance, k=3),
             ("wide-topk", settings),
         )
 
@@ -285,10 +290,11 @@ class TestHeavyInstanceParity:
         )[0]
         return engine.build_instance(query)
 
-    def test_solve_is_byte_identical(self, heavy_instance):
+    def test_solve_is_byte_identical(self, heavy_instance, route):
         solver = TGENSolver()
-        a = twin(solver).solve(heavy_instance)
-        b = solver.solve(heavy_instance)
+        instance = route(heavy_instance)
+        a = twin(solver).solve(instance)
+        b = solver.solve(instance)
         _assert_identical(a, b, "heavy")
         assert_tgen_work_matches_twin(b, a, "heavy")
 

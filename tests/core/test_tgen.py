@@ -187,7 +187,7 @@ class TestDominanceTies:
     compete with edges of 0.3. The stored regions feed later combinations, so
     a store that ignored ``EPS`` or let a tie replace would change the answers
     and counters compared below. TGEN's kernel must keep what its reference
-    twin keeps.
+    twin keeps, on the instance as built and as a cache hit rebinds it.
     """
 
     EDGES = [
@@ -238,8 +238,9 @@ class TestDominanceTies:
         assert seen == {"exact", "shorter-later", "longer-later"}
 
     @pytest.mark.parametrize("cap", [None, 2], ids=["uncapped", "cap2"])
-    def test_matches_the_reference(self, instance, cap):
+    def test_matches_the_reference(self, instance, cap, route):
         """Solve and answer top-5 with TGEN and its twin."""
+        instance = route(instance)
         solver = TGENSolver(alpha=0.5, max_tuples_per_node=cap)
         reference = ReferenceTGEN(alpha=0.5, max_tuples_per_node=cap)
         a = reference.solve(instance)
@@ -264,7 +265,7 @@ class TestEdgeLengthTies:
     sort that reorders ties visits the nodes in another order and generates
     other tuples."""
 
-    def test_ties_keep_csr_order(self):
+    def test_ties_keep_csr_order(self, route):
         network = grid_network(5, 5, spacing=100.0)
         rng = random.Random(4)
         weights = {
@@ -273,7 +274,7 @@ class TestEdgeLengthTies:
             if rng.random() < 0.5
         }
         query = LCMSRQuery.create(["t"], delta=450.0)
-        instance = build_instance(network, query, node_weights=weights)
+        instance = route(build_instance(network, query, node_weights=weights))
         a = ReferenceTGEN(alpha=0.2, edge_order="length").solve(instance)
         b = TGENSolver(alpha=0.2, edge_order="length").solve(instance)
         assert a.region.nodes == b.region.nodes
