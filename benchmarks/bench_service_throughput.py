@@ -58,8 +58,9 @@ def _sequential_cold(engine: LCMSREngine, requests: Sequence[QueryRequest]):
     results = []
     start = time.perf_counter()
     for r in requests:
+        q = r.query
         results.append(
-            engine.query(r.keywords, r.delta, region=r.region, algorithm=r.algorithm)
+            engine.query(q.keywords, q.delta, region=q.region, algorithm=r.algorithm)
         )
     return results, time.perf_counter() - start
 
@@ -110,33 +111,46 @@ def test_bench_throughput_vs_batch_size(ny_dataset, ny_default_workload):
     engine = LCMSREngine(ny_dataset.network, ny_dataset.corpus)
     distinct = _distinct_requests(ny_default_workload)
 
+    workers = 4
     rows = []
     for batch_size in (4, 8, 16, 32, 64):
         requests = _tile(distinct, batch_size)
-        with QueryService(engine, max_workers=4) as service:
+        with QueryService(engine, max_workers=workers) as service:
             start = time.perf_counter()
             service.run_batch(requests)
             seconds = time.perf_counter() - start
             stats = service.stats()
+        misses = stats.queries - stats.result_hits
         rows.append([
             batch_size,
             batch_size / seconds,
             stats.result_hit_rate,
+            misses,
             stats.instance_hits,
             seconds,
         ])
+        # The service does not coalesce concurrent misses on one key, so how
+        # many copies of a query miss depends on thread timing. What holds
+        # for every interleaving: each distinct query misses at least once,
+        # and each worker misses it at most once, since a worker caches an
+        # answer before its next lookup and the 512-entry result cache evicts
+        # nothing at these batch sizes.
+        distinct_in_batch = len(set(requests))
+        assert distinct_in_batch <= misses <= workers * distinct_in_batch, (
+            f"batch of {batch_size}: {misses} misses on {distinct_in_batch} "
+            f"distinct queries through {workers} workers"
+        )
 
     print()
     print(format_table(
-        ["batch size", "queries/sec", "result hit rate", "instance hits", "seconds"],
+        ["batch size", "queries/sec", "result hit rate", "result misses",
+         "instance hits", "seconds"],
         rows,
         title="cold-start service throughput vs batch size "
               f"({len(distinct)} distinct queries, {ALGORITHM})",
     ))
-    # Larger batches repeat the same distinct queries, so the hit rate must
-    # rise monotonically with batch size and throughput with it.
-    hit_rates = [row[2] for row in rows]
-    assert hit_rates == sorted(hit_rates)
+    # Larger batches repeat the same distinct queries, so throughput rises
+    # with batch size.
     assert rows[-1][1] > rows[0][1]
 
 
@@ -207,7 +221,8 @@ def test_bench_process_scaling(ny_dataset, ny_default_workload, tmp_path):
     factors = (0.5, 0.75, 1.0, 1.25)
     requests = [
         QueryRequest.create(
-            r.keywords, r.delta * f, region=r.region, algorithm=ALGORITHM
+            r.query.keywords, r.query.delta * f, region=r.query.region,
+            algorithm=ALGORITHM,
         )
         for r in distinct
         for f in factors

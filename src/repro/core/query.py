@@ -20,7 +20,8 @@ class LCMSRQuery:
             stripped, lower-cased, de-duplicated and sorted — whichever
             constructor path is used, so scorers, cache keys and the columnar
             weight pipeline never re-normalise per call, and every order of
-            one keyword list gives bit-identical weights.
+            one keyword list gives bit-identical weights. A bare string is
+            refused rather than read as its letters.
         delta: The length constraint ``Q.∆``: the maximum total road-segment length of
             the returned region, in the same units as edge lengths (meters for the
             bundled datasets). Finite and non-negative.
@@ -37,11 +38,16 @@ class LCMSRQuery:
     k: int = 1
 
     def __post_init__(self) -> None:
+        # A string is an iterable of letters: "cafe" would query a, c, e, f.
+        if isinstance(self.keywords, str):
+            raise QueryError(
+                f"query keywords must be a list of words, not the string {self.keywords!r}"
+            )
         # Normalise ONCE, at construction: every downstream consumer (scorers,
         # the columnar weight pipeline, cache keys) trusts query keywords to be
         # stripped, lower-cased, de-duplicated and sorted already.
         normalised = normalize_keyword_set(self.keywords)
-        if normalised != tuple(self.keywords) or not isinstance(self.keywords, tuple):
+        if normalised != self.keywords:
             object.__setattr__(self, "keywords", normalised)
         if not self.keywords:
             raise QueryError("an LCMSR query needs at least one keyword")
@@ -59,8 +65,8 @@ class LCMSRQuery:
         region: Optional[Rectangle] = None,
         k: int = 1,
     ) -> "LCMSRQuery":
-        """Build a query from any keyword iterable (``__post_init__`` normalises)."""
-        return LCMSRQuery(keywords=tuple(keywords), delta=float(delta), region=region, k=k)
+        """Build a query from any keyword list (``__post_init__`` normalises)."""
+        return LCMSRQuery(keywords=keywords, delta=float(delta), region=region, k=k)
 
     def with_region(self, region: Optional[Rectangle]) -> "LCMSRQuery":
         """Return a copy with a different region of interest (used in sweeps)."""

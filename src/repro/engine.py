@@ -182,11 +182,6 @@ class LCMSREngine:
         return self._bundle.mapping
 
     @property
-    def scoring_mode(self) -> ScoringMode:
-        """The per-object weight definition queries are scored under."""
-        return self._bundle.scoring_mode
-
-    @property
     def default_algorithm(self) -> str:
         """The solver name used when a query does not specify one:
         :data:`DEFAULT_ALGORITHM`."""

@@ -133,8 +133,8 @@ def format_query_timings(
             outcome = "miss"
         rows.append(
             (
-                " ".join(timing.key.keywords),
-                timing.algorithm,
+                " ".join(timing.key.query.keywords),
+                timing.key.algorithm,
                 outcome,
                 timing.build_seconds,
                 timing.solve_seconds,

@@ -7,12 +7,15 @@ into a high-throughput service:
   network, corpus, columnar scoring index — which also holds the object
   mapping), built once and shared immutably across engines and worker threads.
 * :class:`QueryService` — the batch front end: ``submit`` / ``submit_many`` /
-  ``run_batch`` over a worker pool, an LRU result cache keyed on normalized query
-  parameters, and an LRU instance cache that lets repeated keyword sets skip
-  ``build_instance`` and subgraph extraction.
+  ``run_batch`` over a worker pool, an LRU result cache and an LRU instance
+  cache that lets repeated keyword sets skip ``build_instance`` and subgraph
+  extraction. Each :class:`QueryRequest` carries one validated
+  :class:`~repro.core.query.LCMSRQuery`, and both cache keys
+  (:class:`ResultKey`, :class:`InstanceKey`) hold it as it is.
 * :class:`LRUCache` / :class:`CacheStats` — the thread-safe cache primitive.
 * :class:`ServiceStats` / :class:`QueryTiming` — per-query timing and aggregate
-  accounting, rendered by :func:`repro.evaluation.reporting.format_service_stats`.
+  accounting, which a :class:`StatsCollector` counts in place, rendered by
+  :func:`repro.evaluation.reporting.format_service_stats`.
 * :mod:`repro.service.persist` — versioned on-disk index artifacts:
   :func:`save_bundle` / :func:`load_bundle` (mmap-backed), the
   :class:`ArtifactManifest` with checksums and a dataset fingerprint, behind
@@ -39,7 +42,7 @@ bundle generation that every cache key carries retires the old world's entries.
 
 from repro.service.bundle import IndexBundle
 from repro.service.cache import CacheStats, LRUCache
-from repro.service.keys import InstanceKey, ResultKey, normalize_keywords
+from repro.service.keys import InstanceKey, ResultKey
 from repro.service.persist import (
     FORMAT_VERSION,
     ArtifactManifest,
@@ -95,7 +98,6 @@ __all__ = [
     "CacheStats",
     "InstanceKey",
     "ResultKey",
-    "normalize_keywords",
     "QueryTiming",
     "ServiceStats",
     "StatsCollector",

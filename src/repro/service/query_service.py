@@ -7,9 +7,10 @@ front end:
 * **Batch API** — :meth:`QueryService.submit` / :meth:`QueryService.submit_many`
   hand queries to a worker pool and return futures; :meth:`QueryService.run_batch`
   is the blocking convenience that preserves request order.
-* **Result cache** — an LRU over normalized query keys
-  (:class:`~repro.service.keys.ResultKey`): a repeated query is answered without
-  touching the index or a solver.
+* **Result cache** — an LRU over :class:`~repro.service.keys.ResultKey`, which
+  holds the request's :class:`~repro.core.query.LCMSRQuery` as it is (the query
+  normalised itself when the request was created): a repeated query is answered
+  without touching the index or a solver.
 * **Instance cache** — an LRU over :class:`~repro.service.keys.InstanceKey`: queries
   that share a keyword set and window (e.g. a ``∆``-sweep, or the same query under
   two algorithms) skip ``build_instance`` — the windowed subgraph extraction and the
@@ -52,7 +53,7 @@ from repro.core.result import RegionResult, TopKResult
 from repro.exceptions import QueryError
 from repro.network.subgraph import Rectangle
 from repro.service.cache import LRUCache
-from repro.service.keys import InstanceKey, ResultKey
+from repro.service.keys import ResultKey
 from repro.service.stats import QueryTiming, ServiceStats, StatsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports the bundle)
@@ -66,14 +67,12 @@ class QueryRequest:
     """One LCMSR query as submitted to the service.
 
     Attributes:
-        keywords: Query keywords ``Q.ψ`` in any order: execution and cache
-            keys both use the canonical (sorted) order.
-        delta: Length constraint ``Q.∆``.
-        region: Region of interest ``Q.Λ``; ``None`` means the whole network.
+        query: The validated, normalised query ``Q = <ψ, ∆, Λ>`` with its
+            ``k``; ``k > 1`` routes to the top-k variant and yields a
+            :class:`~repro.core.result.TopKResult`. Execution and both cache
+            keys use it as it is.
         algorithm: Solver name ("app", "tgen", "greedy", "exact"); the engine
             default when ``None``.
-        k: Number of regions to return; ``k > 1`` routes to the top-k variant and
-            yields a :class:`~repro.core.result.TopKResult`.
         policy: Per-query service level
             (:class:`~repro.core.anytime.QueryPolicy`); ``None`` means exact —
             the byte-identical legacy path. The policy rides along in cache
@@ -81,11 +80,8 @@ class QueryRequest:
             from an approximate entry or vice versa.
     """
 
-    keywords: Tuple[str, ...]
-    delta: float
-    region: Optional[Rectangle] = None
+    query: LCMSRQuery
     algorithm: Optional[str] = None
-    k: int = 1
     policy: Optional[QueryPolicy] = None
 
     @staticmethod
@@ -97,13 +93,16 @@ class QueryRequest:
         k: int = 1,
         policy: Optional[QueryPolicy] = None,
     ) -> "QueryRequest":
-        """Build a request from any keyword iterable."""
+        """Build a request from any keyword list.
+
+        Raises:
+            QueryError: When the query is malformed (no keywords, a bare
+                string for the keyword list, ``∆`` negative or not finite,
+                ``k < 1``) — here, before any service sees the request.
+        """
         return QueryRequest(
-            keywords=tuple(keywords),
-            delta=float(delta),
-            region=region,
+            LCMSRQuery.create(keywords, delta=delta, region=region, k=int(k)),
             algorithm=algorithm,
-            k=int(k),
             policy=policy,
         )
 
@@ -233,8 +232,8 @@ class QueryService:
             for the same arguments.
 
         Raises:
-            QueryError: On a malformed request (empty keywords, negative ``∆``,
-                unknown algorithm).
+            QueryError: On an unknown algorithm. A malformed query never gets
+                here: :meth:`QueryRequest.create` refuses it.
         """
         result, _ = self.execute_timed(request)
         return result
@@ -249,78 +248,53 @@ class QueryService:
         """
         start = time.perf_counter()
         self._invalidate_on_generation_change()
-        algorithm = (request.algorithm or self._engine.default_algorithm).lower()
-        # The query normalises its keywords at construction (strip / lower /
-        # de-duplicate / sort) and rejects empty keyword sets; the cache keys
-        # are built from that canonical tuple, the order σ_v sums in.
-        query = LCMSRQuery.create(
-            request.keywords, delta=request.delta, region=request.region, k=request.k
-        )
+        query = request.query
         # The bundle generation (in bundle_cache_key) must be read BEFORE the
         # bundle is used: if a concurrent swap_bundle lands in between, the
         # old answer gets stored under the old generation (harmless, never
         # served again) instead of the new one (permanently stale).
         policy = request.policy if request.policy is not None else QueryPolicy.exact()
-        key = ResultKey.create(
-            keywords=query.keywords,
-            delta=request.delta,
-            region=request.region,
-            k=request.k,
-            algorithm=algorithm,
-            scoring_mode=self._engine.scoring_mode,
+        key = ResultKey(
+            query=query,
+            algorithm=(request.algorithm or self._engine.default_algorithm).lower(),
             bundle_key=self._engine.bundle_cache_key,
             policy=policy.cache_token(),
         )
         solver = self._engine.solver(request.algorithm)
 
-        cached = self._result_cache.get(key)
-        if cached is not None:
-            # A result hit never probes the instance cache, so it is not an
-            # instance hit.
-            timing = QueryTiming(
-                key=key,
-                algorithm=algorithm,
-                result_cache_hit=True,
-                instance_cache_hit=False,
-                build_seconds=0.0,
-                solve_seconds=0.0,
-                total_seconds=time.perf_counter() - start,
+        result = self._result_cache.get(key)
+        result_hit = result is not None
+        # A result hit never probes the instance cache, so it is not an
+        # instance hit.
+        instance_hit, build_seconds = False, 0.0
+        if not result_hit:
+            instance, instance_hit, build_seconds = self._instance_for(key, policy)
+            result = self._engine.solve(
+                solver, instance, policy, k=query.k if query.k > 1 else None
             )
-            self._collector.record(timing)
-            return cached, timing
-
-        instance, instance_hit, build_seconds = self._instance_for(
-            key.instance_key, query, policy
-        )
-
-        result: ServiceResult = self._engine.solve(
-            solver, instance, policy, k=request.k if request.k > 1 else None
-        )
-
-        self._result_cache.put(key, result)
-        # Close the insert-after-sweep race: an in-flight query that started
-        # before a generation swap stores its (never-servable) old-generation
-        # entry only to drop it here — so once every in-flight query has
-        # drained, no entry keyed to a retired generation survives.
-        if key.bundle_key != self._engine.bundle_cache_key:
-            self._result_cache.clear()
-            self._instance_cache.clear()
+            self._result_cache.put(key, result)
+            # Close the insert-after-sweep race: an in-flight query that started
+            # before a generation swap stores its (never-servable) old-generation
+            # entry only to drop it here — so once every in-flight query has
+            # drained, no entry keyed to a retired generation survives.
+            if key.bundle_key != self._engine.bundle_cache_key:
+                self._result_cache.clear()
+                self._instance_cache.clear()
         timing = QueryTiming(
             key=key,
-            algorithm=algorithm,
-            result_cache_hit=False,
+            result_cache_hit=result_hit,
             instance_cache_hit=instance_hit,
             build_seconds=build_seconds,
-            solve_seconds=result.runtime_seconds,
+            solve_seconds=0.0 if result_hit else result.runtime_seconds,
             total_seconds=time.perf_counter() - start,
         )
         self._collector.record(timing)
         return result, timing
 
     def _instance_for(
-        self, key: InstanceKey, query: LCMSRQuery, policy: Optional[QueryPolicy] = None
+        self, key: ResultKey, policy: QueryPolicy
     ) -> Tuple[ProblemInstance, bool, float]:
-        """Fetch or build the problem instance for a query.
+        """Fetch or build the problem instance for a query, by its instance key.
 
         Returns:
             ``(instance, was_cache_hit, build_seconds)``. A cached
@@ -329,16 +303,17 @@ class QueryService:
             a window graph and weights); the sampling record keeps the variances
             a sampled answer's CI is computed from.
         """
-        cached = self._instance_cache.get(key)
+        instance_key = key.instance_key
+        cached = self._instance_cache.get(instance_key)
         if cached is not None:
             substrate, sampling = cached
-            rebound = substrate.to_problem_instance(query, sampling=sampling)
+            rebound = substrate.to_problem_instance(key.query, sampling=sampling)
             return rebound, True, 0.0
         # Window-less instances already share the engine's graph view (the
         # instance builder stopped copying the network), so caching them pins no
         # extra graph memory; windowed instances carry their own (compact) view.
-        instance = self._engine.build_instance(query, policy=policy)
-        self._instance_cache.put(key, (instance.dense, instance.sampling))
+        instance = self._engine.build_instance(key.query, policy=policy)
+        self._instance_cache.put(instance_key, (instance.dense, instance.sampling))
         return instance, False, instance.build_seconds
 
     # ------------------------------------------------------------------ batch API

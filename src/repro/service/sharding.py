@@ -831,7 +831,8 @@ class ShardedQueryService:
 
     @property
     def shed(self) -> int:
-        """Number of requests downgraded to the degraded policy under load."""
+        """Number of admitted requests downgraded to the degraded policy under
+        load (a request that admission control rejects is not counted)."""
         return self._shed
 
     @property
@@ -848,30 +849,25 @@ class ShardedQueryService:
         """
         from repro.service.cache import CacheStats
 
-        snapshot = self._collector.snapshot(
-            result_cache=CacheStats(hits=0, misses=0, evictions=0, size=0, max_size=0),
-            instance_cache=CacheStats(hits=0, misses=0, evictions=0, size=0, max_size=0),
-        )
+        unseen = CacheStats(hits=0, misses=0, evictions=0, size=0, max_size=0)
+        snapshot = self._collector.snapshot(result_cache=unseen, instance_cache=unseen)
         totals = snapshot.totals
-        result_cache = CacheStats(
-            hits=totals.result_hits,
-            misses=totals.queries - totals.result_hits,
-            evictions=0,
-            size=0,
-            max_size=self._config.result_cache_size,
-        )
-        instance_cache = CacheStats(
-            hits=totals.instance_hits,
-            misses=totals.queries - totals.result_hits - totals.instance_hits,
-            evictions=0,
-            size=0,
-            max_size=self._config.instance_cache_size,
-        )
-        return ServiceStats(
-            timings=snapshot.timings,
-            result_cache=result_cache,
-            instance_cache=instance_cache,
-            totals=totals,
+        return replace(
+            snapshot,
+            result_cache=CacheStats(
+                hits=totals.result_hits,
+                misses=totals.queries - totals.result_hits,
+                evictions=0,
+                size=0,
+                max_size=self._config.result_cache_size,
+            ),
+            instance_cache=CacheStats(
+                hits=totals.instance_hits,
+                misses=totals.queries - totals.result_hits - totals.instance_hits,
+                evictions=0,
+                size=0,
+                max_size=self._config.instance_cache_size,
+            ),
         )
 
     def reset_stats(self) -> None:
@@ -884,24 +880,23 @@ class ShardedQueryService:
 
         The shedding rule reads the explicit in-flight counter *before* the
         admission acquire: once ``in_flight ≥ shed_threshold``, newly arriving
-        exact requests are rewritten to the configured degraded policy (and
-        counted in :attr:`shed`). Requests that already carry an approximate
-        policy pass through untouched — the caller opted into a specific
-        quality and the gateway must not change it.
+        exact requests are rewritten to the configured degraded policy
+        (:meth:`_dispatch` counts them in :attr:`shed` once admitted).
+        Requests that already carry an approximate policy pass through
+        untouched — the caller opted into a specific quality and the gateway
+        must not change it.
         """
         if self._shed_threshold is None or self._degraded_policy is None:
             return request
         if request.policy is not None and not request.policy.is_exact:
             return request
-        with self._inflight_lock:
-            if self._in_flight < self._shed_threshold:
-                return request
-            self._shed += 1
+        if self._in_flight < self._shed_threshold:
+            return request
         return replace(request, policy=self._degraded_policy)
 
     def _dispatch(self, request: QueryRequest, blocking: bool) -> "Future":
-        request = self._maybe_shed(request)
-        route = self._router.route(request.region)
+        served = self._maybe_shed(request)
+        route = self._router.route(served.query.region)
         path = self._shard_dirs[route.shard] if route.shard >= 0 else str(self._path)
         if not self._admission.acquire(blocking=blocking):
             with self._inflight_lock:
@@ -912,8 +907,10 @@ class ShardedQueryService:
             )
         with self._inflight_lock:
             self._in_flight += 1
+            if served is not request:
+                self._shed += 1
         try:
-            return self._submit(path, request)
+            return self._submit(path, served)
         except BaseException:
             with self._inflight_lock:
                 self._in_flight -= 1

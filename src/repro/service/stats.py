@@ -12,12 +12,14 @@ needs every record to be picklable: each worker returns a request's
 covers every worker's queries without combining per-worker snapshots.
 
 The aggregate totals are carried explicitly in :class:`StatTotals` rather than
-re-derived from the timing list: :class:`StatsCollector` accumulates them inside
-the same critical section that appends the timing record, so a snapshot can
-never observe a timing whose counts are missing (or vice versa). The collector
-keeps only the most recent :data:`TIMING_HISTORY` timing records, so a
-long-running service uses bounded memory; the totals and the latency histogram
-still count every query.
+re-derived from the timing list: :class:`StatsCollector` adds each timing's
+counters and its latency bucket to its own running counts, in place, inside the
+same critical section that appends the timing record, so a snapshot can never
+observe a timing whose counts are missing (or vice versa). A snapshot freezes
+those counts into a :class:`StatTotals` with its :class:`LatencyHistogram`. The
+collector keeps only the most recent :data:`TIMING_HISTORY` timing records, so
+a long-running service uses bounded memory; the totals and the latency
+histogram still count every query.
 """
 
 from __future__ import annotations
@@ -46,21 +48,17 @@ TIMING_HISTORY = 4096
 
 @dataclass(frozen=True)
 class LatencyHistogram:
-    """Fixed log-spaced latency buckets with an associative, lossless sum.
+    """Fixed log-spaced latency buckets: a percentile estimate of bounded size.
 
     Percentiles over every served query need an aggregate that grows without
-    holding every sample: fixed bucket edges make ``h1 + h2`` a plain
-    element-wise sum, associative and commutative, so a collector folds each
-    query's one-sample histogram into its totals and concurrent records land
-    in any order on the same aggregate (unlike reservoir sampling). The price
-    is quantisation: a reported percentile is the geometric midpoint of its
-    bucket, within ±6% of the true order statistic at 20 buckets per decade.
-
-    The empty histogram is represented by an empty ``counts`` tuple (the
-    additive identity), so zero-valued :class:`StatTotals` cost no allocation.
+    holding every sample: a collector adds one to a query's bucket, in place,
+    so concurrent records land in any order on the same counts (unlike
+    reservoir sampling). The price is quantisation: a reported percentile is
+    the geometric midpoint of its bucket, within ±6% of the true order
+    statistic at 20 buckets per decade.
     """
 
-    counts: Tuple[int, ...] = ()
+    counts: Tuple[int, ...] = (0,) * LATENCY_NUM_BUCKETS
 
     @staticmethod
     def bucket_index(seconds: float) -> int:
@@ -72,27 +70,6 @@ class LatencyHistogram:
             * LATENCY_BUCKETS_PER_DECADE
         )
         return min(index, LATENCY_NUM_BUCKETS - 1)
-
-    @classmethod
-    def of(cls, seconds: float) -> "LatencyHistogram":
-        """The one-sample histogram for a single latency."""
-        index = cls.bucket_index(seconds)
-        counts = [0] * (index + 1)
-        counts[index] = 1
-        return cls(counts=tuple(counts))
-
-    def __add__(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        if not self.counts:
-            return other
-        if not other.counts:
-            return self
-        longer, shorter = self.counts, other.counts
-        if len(longer) < len(shorter):
-            longer, shorter = shorter, longer
-        merged = list(longer)
-        for i, count in enumerate(shorter):
-            merged[i] += count
-        return LatencyHistogram(counts=tuple(merged))
 
     @property
     def total(self) -> int:
@@ -128,8 +105,8 @@ class QueryTiming:
     """The cost breakdown of one query served by the service.
 
     Attributes:
-        key: The normalized result key the query executed under.
-        algorithm: The resolved solver name.
+        key: The result key the query executed under (its query and resolved
+            solver name).
         result_cache_hit: ``True`` when the answer came straight from the result
             cache (build and solve times are then 0).
         instance_cache_hit: ``True`` when the problem instance was reused from the
@@ -138,11 +115,10 @@ class QueryTiming:
             window extraction); 0 on any cache hit.
         solve_seconds: Time spent inside the solver; 0 on a result-cache hit.
         total_seconds: End-to-end service time for this query, including key
-            normalization and cache probes.
+            construction and cache probes.
     """
 
     key: ResultKey
-    algorithm: str
     result_cache_hit: bool
     instance_cache_hit: bool
     build_seconds: float
@@ -154,9 +130,7 @@ class QueryTiming:
 class StatTotals:
     """Exact aggregate counters over a set of served queries.
 
-    Accumulated atomically by :class:`StatsCollector` (one lock-protected
-    read-modify-write per query, in the same critical section as the timing
-    append).
+    A :class:`StatsCollector` snapshot freezes its running counts into one.
     """
 
     queries: int = 0
@@ -166,30 +140,6 @@ class StatTotals:
     solve_seconds: float = 0.0
     total_seconds: float = 0.0
     latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-
-    def __add__(self, other: "StatTotals") -> "StatTotals":
-        return StatTotals(
-            queries=self.queries + other.queries,
-            result_hits=self.result_hits + other.result_hits,
-            instance_hits=self.instance_hits + other.instance_hits,
-            build_seconds=self.build_seconds + other.build_seconds,
-            solve_seconds=self.solve_seconds + other.solve_seconds,
-            total_seconds=self.total_seconds + other.total_seconds,
-            latency=self.latency + other.latency,
-        )
-
-    @classmethod
-    def of(cls, timing: QueryTiming) -> "StatTotals":
-        """The one-query totals contribution of a single timing record."""
-        return cls(
-            queries=1,
-            result_hits=1 if timing.result_cache_hit else 0,
-            instance_hits=1 if timing.instance_cache_hit else 0,
-            build_seconds=timing.build_seconds,
-            solve_seconds=timing.solve_seconds,
-            total_seconds=timing.total_seconds,
-            latency=LatencyHistogram.of(timing.total_seconds),
-        )
 
 
 @dataclass(frozen=True)
@@ -276,31 +226,40 @@ class ServiceStats:
 class StatsCollector:
     """Mutable, lock-protected accumulator behind a service's ``stats()`` call.
 
-    The timing append and the totals read-modify-write happen inside one
-    critical section, so concurrent :meth:`record` calls can never interleave a
-    partial update (the hammer tests in ``tests/service/test_service_stats.py``
-    pound on this). The totals count every recorded query; the timing records
-    are the most recent :data:`TIMING_HISTORY` of them, so while fewer have
-    been recorded every snapshot's ``totals`` match its ``timings`` exactly.
+    :meth:`record` appends the timing and adds its counters and its latency
+    bucket to the running counts inside one critical section, so concurrent
+    calls can never interleave a partial update (the hammer tests in
+    ``tests/service/test_service_stats.py`` pound on this). The counts cover
+    every recorded query; the timing records are the most recent
+    :data:`TIMING_HISTORY` of them, so while fewer have been recorded every
+    snapshot's ``totals`` match its ``timings`` exactly.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._timings: Deque[QueryTiming] = deque(maxlen=TIMING_HISTORY)
-        self._totals = StatTotals()
+        self.reset()
 
     def record(self, timing: QueryTiming) -> None:
-        """Record one query's timing and fold it into the totals (atomically)."""
-        contribution = StatTotals.of(timing)
+        """Record one query's timing and add it to the counts (atomically)."""
+        bucket = LatencyHistogram.bucket_index(timing.total_seconds)
         with self._lock:
             self._timings.append(timing)
-            self._totals = self._totals + contribution
+            self._queries += 1
+            self._result_hits += timing.result_cache_hit
+            self._instance_hits += timing.instance_cache_hit
+            self._build_seconds += timing.build_seconds
+            self._solve_seconds += timing.solve_seconds
+            self._total_seconds += timing.total_seconds
+            self._latency[bucket] += 1
 
     def reset(self) -> None:
-        """Drop all recorded timings and zero the totals."""
+        """Drop all recorded timings and zero the counts."""
         with self._lock:
             self._timings.clear()
-            self._totals = StatTotals()
+            self._queries = self._result_hits = self._instance_hits = 0
+            self._build_seconds = self._solve_seconds = self._total_seconds = 0.0
+            self._latency = [0] * LATENCY_NUM_BUCKETS
 
     def snapshot(
         self, result_cache: CacheStats, instance_cache: CacheStats
@@ -308,7 +267,15 @@ class StatsCollector:
         """Freeze the current state into an immutable :class:`ServiceStats`."""
         with self._lock:
             timings = list(self._timings)
-            totals = self._totals
+            totals = StatTotals(
+                queries=self._queries,
+                result_hits=self._result_hits,
+                instance_hits=self._instance_hits,
+                build_seconds=self._build_seconds,
+                solve_seconds=self._solve_seconds,
+                total_seconds=self._total_seconds,
+                latency=LatencyHistogram(tuple(self._latency)),
+            )
         return ServiceStats(
             timings=timings,
             result_cache=result_cache,

@@ -302,6 +302,18 @@ class TestServeBatch:
         ]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_a_bare_keyword_string_fails_cleanly(self, cli_artifact, tmp_path, capsys):
+        requests = tmp_path / "string-keywords.jsonl"
+        requests.write_text(
+            json.dumps({"keywords": ["cafe"], "delta": 800}) + "\n"
+            + json.dumps({"keywords": "cafe", "delta": 800}) + "\n"
+        )
+        assert main([
+            "serve-batch", str(cli_artifact), "--requests", str(requests),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "not the string 'cafe'" in err
+
     def test_non_finite_jsonl_region_fails_cleanly(
         self, cli_artifact, tmp_path, capsys
     ):

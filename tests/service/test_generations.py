@@ -974,8 +974,9 @@ def test_sharded_service_opened_after_compaction_serves_new_generation(
         assert service.shard_set == load_shard_set(root / "gen-0001")
         assert service.shard_set.num_shards == 2
         after = service.run_batch([request])[0]
+    query = request.query
     expected = LCMSREngine.from_artifact(root).query(
-        request.keywords, delta=request.delta, region=request.region)
+        query.keywords, delta=query.delta, region=query.region)
     assert _signature(after) == _signature(expected)
 
 
@@ -1051,6 +1052,7 @@ def test_concurrent_queries_during_generation_swap(dataset, base_bundles):
         expected_engine = LCMSREngine.from_bundle(engine.bundle)
         for request in requests[:3]:
             got = service.submit(request).result(timeout=30)
-            want = expected_engine.query(request.keywords, delta=request.delta,
-                                         region=request.region)
+            query = request.query
+            want = expected_engine.query(query.keywords, delta=query.delta,
+                                         region=query.region)
             assert _signature(got) == _signature(want)

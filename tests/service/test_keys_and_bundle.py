@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import LCMSREngine, build_ny_like
+from repro import LCMSREngine, QueryPolicy, QueryRequest, build_ny_like
 from repro.core.instance import build_instance
 from repro.core.query import LCMSRQuery
 from repro.exceptions import QueryError
@@ -13,46 +13,60 @@ from repro.network.subgraph import Rectangle
 from repro.objects.mapping import map_objects_to_network
 from repro.service.bundle import IndexBundle, scoring_mode_of
 from repro.service.generations import Compactor, DeltaOverlay, apply_ops
-from repro.service.keys import InstanceKey, ResultKey, normalize_keywords
+from repro.service.keys import InstanceKey, ResultKey
 from repro.textindex.relevance import ScoringMode
+from repro.textindex.tokenizer import normalize_keyword_set
 
 from tests.conftest import assert_same_rows
 
 
 class TestNormalization:
     def test_keywords_sorted_deduplicated_lowercased(self):
-        assert normalize_keywords([" Cafe", "restaurant", "CAFE", ""]) == (
+        assert normalize_keyword_set([" Cafe", "restaurant", "CAFE", ""]) == (
             "cafe",
             "restaurant",
         )
 
     def test_equivalent_queries_share_result_key(self):
-        window = Rectangle(0.0, 0.0, 100.0, 100.0)
-        a = ResultKey.create(["cafe", "bar"], 100.0, window, 1, "TGEN",
-                             ScoringMode.TEXT_RELEVANCE)
-        b = ResultKey.create(["Bar", "cafe", "bar"], 100, Rectangle(0, 0, 100, 100),
-                             1, "tgen", ScoringMode.TEXT_RELEVANCE)
-        assert a == b
-        assert hash(a) == hash(b)
+        """Keyword order, case, duplicates, whitespace and int bounds: one key."""
+        a = QueryRequest.create(["cafe", "bar"], 100.0,
+                                region=Rectangle(0.0, 0.0, 100.0, 100.0))
+        b = QueryRequest.create(["Bar", " cafe", "bar", "CAFE"], 100,
+                                region=Rectangle(0, 0, 100, 100))
+        key_a = ResultKey(a.query, "tgen")
+        key_b = ResultKey(b.query, "tgen")
+        assert key_a == key_b
+        assert hash(key_a) == hash(key_b)
+        assert key_a.instance_key == key_b.instance_key
 
     def test_distinct_parameters_distinct_keys(self):
-        base = dict(keywords=["cafe"], delta=100.0, region=None, k=1,
-                    algorithm="tgen", scoring_mode=ScoringMode.TEXT_RELEVANCE)
-        key = ResultKey.create(**base)
-        assert key != ResultKey.create(**{**base, "delta": 200.0})
-        assert key != ResultKey.create(**{**base, "algorithm": "greedy"})
-        assert key != ResultKey.create(**{**base, "k": 2})
-        assert key != ResultKey.create(
-            **{**base, "region": Rectangle(0.0, 0.0, 1.0, 1.0)}
-        )
+        query = QueryRequest.create(["cafe"], 100.0).query
+        key = ResultKey(query, "tgen")
+        assert key != ResultKey(QueryRequest.create(["cafe"], 200.0).query, "tgen")
+        assert key != ResultKey(query, "greedy")
+        assert key != ResultKey(query.with_k(2), "tgen")
+        assert key != ResultKey(query.with_region(Rectangle(0.0, 0.0, 1.0, 1.0)), "tgen")
+        assert key != ResultKey(query, "tgen", bundle_key="other:g1:o0")
+        assert key != ResultKey(query, "tgen", policy="anytime:100.0")
 
     def test_instance_key_ignores_delta_k_and_algorithm(self):
-        a = ResultKey.create(["cafe"], 100.0, None, 1, "tgen",
-                             ScoringMode.TEXT_RELEVANCE)
-        b = ResultKey.create(["cafe"], 900.0, None, 3, "greedy",
-                             ScoringMode.TEXT_RELEVANCE)
+        a = ResultKey(QueryRequest.create(["cafe"], 100.0).query, "tgen")
+        b = ResultKey(QueryRequest.create(["cafe"], 900.0, k=3).query, "greedy")
         assert a.instance_key == b.instance_key
         assert isinstance(a.instance_key, InstanceKey)
+
+    def test_a_sampled_policy_never_shares_an_exact_instance_key(self):
+        query = QueryRequest.create(["cafe"], 100.0).query
+        exact = ResultKey(query, "tgen", policy=QueryPolicy.exact().cache_token())
+        anytime = ResultKey(query, "tgen",
+                            policy=QueryPolicy.anytime(50.0).cache_token())
+        samples = [ResultKey(query, "tgen",
+                             policy=QueryPolicy.sampled(0.3, seed).cache_token())
+                   for seed in (0, 1)]
+        assert anytime.instance_key == exact.instance_key
+        for sampled in samples:
+            assert sampled.instance_key != exact.instance_key
+        assert samples[0].instance_key != samples[1].instance_key
 
 
 class TestKeywordOrder:

@@ -12,7 +12,8 @@ Four contracts under test:
   the process boundary and the worker honours it (quality stats come back).
 * **Load shedding** — above the in-flight threshold the gateway downgrades
   exact requests to the configured degraded policy, counts them in ``shed``
-  and never rewrites a request that already chose its own approximation.
+  once admission control admits them, and never rewrites a request that
+  already chose its own approximation.
 """
 
 from __future__ import annotations
@@ -267,16 +268,61 @@ class TestLoadShedding:
         try:
             with service._inflight_lock:
                 service._in_flight += 1  # simulate a busy gateway
-            shed = service._maybe_shed(QueryRequest.create(["cafe"], 700.0))
+            exact = QueryRequest.create(["cafe"], 700.0)
+            shed = service._maybe_shed(exact)
             assert shed.policy == degraded
-            assert service.shed == 1
             # A request that already chose its approximation is untouched.
             own = QueryRequest.create(["cafe"], 700.0,
                                       policy=QueryPolicy.anytime(100.0))
             assert service._maybe_shed(own) is own
+            # The count moves once a request is admitted: the exact one only.
+            assert service.shed == 0
+            service.submit(exact).result(timeout=60)
+            assert service.shed == 1
+            service.submit(own).result(timeout=60)
             assert service.shed == 1
             with service._inflight_lock:
                 service._in_flight -= 1
+        finally:
+            service.close()
+
+    def test_a_rejected_request_is_not_counted_as_shed(self, gateway_artifact):
+        service = ShardedQueryService(
+            gateway_artifact, num_workers=1, max_in_flight=1, shed_threshold=1,
+            degraded_policy=QueryPolicy.sampled(0.3, seed=1),
+        )
+        try:
+            # Hold the one admission slot, as an in-flight request would.
+            assert service._admission.acquire(blocking=False)
+            with service._inflight_lock:
+                service._in_flight += 1
+            with pytest.raises(QueryError, match="admission queue full"):
+                service.submit(QueryRequest.create(["cafe"], 700.0))
+            assert service.rejected == 1
+            assert service.shed == 0
+            with service._inflight_lock:
+                service._in_flight -= 1
+            service._admission.release()
+        finally:
+            service.close()
+
+    def test_a_malformed_request_never_reaches_admission(self, gateway_artifact):
+        """A malformed query fails in the caller: nothing is counted or held."""
+        service = ShardedQueryService(
+            gateway_artifact, num_workers=1, max_in_flight=1, shed_threshold=1,
+            degraded_policy=QueryPolicy.sampled(0.3, seed=1),
+        )
+        try:
+            # With the one slot held, a request that reached admission control
+            # would be rejected and counted.
+            assert service._admission.acquire(blocking=False)
+            for keywords, delta, k in (([], 700.0, 1), ("cafe", 700.0, 1),
+                                       (["cafe"], -1.0, 1), (["cafe"], float("nan"), 1),
+                                       (["cafe"], 700.0, 0)):
+                with pytest.raises(QueryError):
+                    service.submit(QueryRequest.create(keywords, delta, k=k))
+            assert (service.rejected, service.shed, service.in_flight) == (0, 0, 0)
+            service._admission.release()
         finally:
             service.close()
 

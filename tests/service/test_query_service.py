@@ -53,7 +53,8 @@ class TestBatchSemantics:
         requests = _mixed_requests(tiny_ny_dataset)
         batch = service.run_batch(requests)
         sequential = [
-            engine.query(r.keywords, r.delta, region=r.region, algorithm=r.algorithm)
+            engine.query(r.query.keywords, r.query.delta, region=r.query.region,
+                         algorithm=r.algorithm)
             for r in requests
         ]
         assert len(batch) == len(sequential)
@@ -91,6 +92,19 @@ class TestBatchSemantics:
     def test_empty_keywords_rejected(self, service):
         with pytest.raises(QueryError):
             service.execute(QueryRequest.create([], 700.0))
+
+    @pytest.mark.parametrize("keywords, delta, k", [
+        ([], 700.0, 1),
+        ([" ", ""], 700.0, 1),
+        ("cafe", 700.0, 1),
+        (["cafe"], -1.0, 1),
+        (["cafe"], float("nan"), 1),
+        (["cafe"], 700.0, 0),
+    ], ids=["empty", "blank", "bare-string", "negative-delta", "nan-delta", "k-zero"])
+    def test_create_refuses_a_malformed_query(self, keywords, delta, k):
+        """The request holds a validated query, so no service ever sees these."""
+        with pytest.raises(QueryError):
+            QueryRequest.create(keywords, delta, k=k)
 
     def test_closed_service_rejects_submissions(self, engine):
         service = QueryService(engine, max_workers=1)
@@ -262,7 +276,7 @@ class TestConcurrency:
     def test_concurrent_submit_many_smoke(self, engine, tiny_ny_dataset):
         base = _mixed_requests(tiny_ny_dataset)
         expected = {
-            id(r): engine.query(r.keywords, r.delta, region=r.region,
+            id(r): engine.query(r.query.keywords, r.query.delta, region=r.query.region,
                                 algorithm=r.algorithm).region.nodes
             for r in base
         }

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.core.query import LCMSRQuery
 from repro.service.cache import CacheStats
 from repro.service.keys import ResultKey
 from repro.service.stats import (
@@ -18,15 +19,12 @@ from repro.service.stats import (
     StatsCollector,
     StatTotals,
 )
-from repro.textindex.relevance import ScoringMode
 
 
 def _timing(index: int, result_hit: bool = False, instance_hit: bool = False,
             total_seconds: float = 1.0):
     return QueryTiming(
-        key=ResultKey.create((f"kw{index}",), 100.0 + index, None, 1, "tgen",
-                             ScoringMode.TEXT_RELEVANCE),
-        algorithm="tgen",
+        key=ResultKey(LCMSRQuery((f"kw{index}",), 100.0 + index), "tgen"),
         result_cache_hit=result_hit,
         instance_cache_hit=instance_hit,
         build_seconds=0.25,
@@ -40,11 +38,24 @@ def _cache(hits: int, misses: int) -> CacheStats:
 
 
 def _sequential_totals(timings) -> StatTotals:
-    """The totals of ``timings`` folded one at a time, in order: the oracle."""
-    totals = StatTotals()
+    """The totals of ``timings`` summed one at a time, in order: the oracle."""
+    hits = [0, 0]
+    seconds = [0.0, 0.0, 0.0]
+    counts = [0] * LATENCY_NUM_BUCKETS
     for timing in timings:
-        totals = totals + StatTotals.of(timing)
-    return totals
+        hits[0] += timing.result_cache_hit
+        hits[1] += timing.instance_cache_hit
+        seconds[0] += timing.build_seconds
+        seconds[1] += timing.solve_seconds
+        seconds[2] += timing.total_seconds
+        counts[LatencyHistogram.bucket_index(timing.total_seconds)] += 1
+    return StatTotals(len(timings), *hits, *seconds, LatencyHistogram(tuple(counts)))
+
+
+def _histogram(samples) -> LatencyHistogram:
+    """The latency histogram of a collector that recorded ``samples`` seconds."""
+    return _snapshot([_timing(i, total_seconds=s)
+                      for i, s in enumerate(samples)]).totals.latency
 
 
 def _snapshot(timings, result_cache=None, instance_cache=None) -> ServiceStats:
@@ -79,22 +90,6 @@ def test_stats_are_picklable():
 
 
 class TestLatencyHistogram:
-    def test_empty_tuple_is_the_additive_identity(self):
-        empty = LatencyHistogram()
-        one = LatencyHistogram.of(0.01)
-        assert (empty + one) == one
-        assert (one + empty) == one
-        assert empty.total == 0
-        assert empty.percentile(50.0) == 0.0
-
-    def test_merge_is_associative_and_commutative(self):
-        a = LatencyHistogram.of(0.001)
-        b = LatencyHistogram.of(0.1)
-        c = LatencyHistogram.of(10.0)
-        assert ((a + b) + c) == (a + (b + c))
-        assert (a + b) == (b + a)
-        assert (a + b + c).total == 3
-
     def test_bucket_index_clamps_both_ends(self):
         assert LatencyHistogram.bucket_index(0.0) == 0
         assert LatencyHistogram.bucket_index(1e-9) == 0
@@ -103,16 +98,14 @@ class TestLatencyHistogram:
     def test_percentile_is_within_bucket_resolution(self):
         """The reported percentile stays within ±6% of the true sample."""
         samples = [0.0005 * (i + 1) for i in range(200)]  # 0.5 ms … 100 ms
-        histogram = LatencyHistogram()
-        for s in samples:
-            histogram = histogram + LatencyHistogram.of(s)
+        histogram = _histogram(samples)
         assert histogram.total == len(samples)
         for q in (50.0, 95.0, 99.0):
             truth = sorted(samples)[max(0, int(q / 100.0 * len(samples)) - 1)]
             assert histogram.percentile(q) == pytest.approx(truth, rel=0.07)
 
     def test_percentile_rejects_out_of_range(self):
-        histogram = LatencyHistogram.of(0.01)
+        histogram = _histogram([0.01])
         for bad in (-1.0, 100.5):
             with pytest.raises(ValueError):
                 histogram.percentile(bad)
@@ -218,6 +211,8 @@ def test_collector_snapshot_is_consistent_under_reset():
     empty = collector.snapshot(result_cache=_cache(0, 0), instance_cache=_cache(0, 0))
     assert empty.queries == 0
     assert empty.timings == []
+    assert empty.totals == StatTotals()
+    assert empty.p50_latency_seconds == 0.0
     # The first snapshot froze its own copy: resetting did not mutate it.
     assert snapshot.queries == 5
 

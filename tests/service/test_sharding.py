@@ -390,9 +390,8 @@ def test_worker_config_and_requests_pickle_roundtrip(gateway_artifact):
     )
     assert pickle.loads(pickle.dumps(request)) == request
     timing = QueryTiming(
-        key=ResultKey.create(("cafe",), 800.0, None, 1, "tgen",
-                             ScoringMode.TEXT_RELEVANCE),
-        algorithm="tgen", result_cache_hit=False, instance_cache_hit=True,
+        key=ResultKey(request.query, "tgen"),
+        result_cache_hit=False, instance_cache_hit=True,
         build_seconds=0.1, solve_seconds=0.2, total_seconds=0.3,
     )
     assert pickle.loads(pickle.dumps(timing)) == timing

@@ -75,6 +75,12 @@ class TestQuerying:
         result = engine.query(["zzzz-not-a-term"], delta=1000.0, algorithm="tgen")
         assert result.is_empty
 
+    def test_a_bare_keyword_string_is_refused(self, engine):
+        # Read as an iterable, "cafe" would be the query {a, c, e, f}.
+        with pytest.raises(QueryError, match="not the string 'cafe'"):
+            engine.query("cafe", delta=800.0, algorithm="greedy")
+        assert not engine.query(["cafe"], delta=800.0, algorithm="greedy").is_empty
+
     def test_topk_query(self, engine):
         topk = engine.query_topk(["restaurant"], delta=1000.0, k=3, algorithm="tgen")
         assert 1 <= len(topk) <= 3
