@@ -890,8 +890,9 @@ class ShardedQueryService:
             return request
         if request.policy is not None and not request.policy.is_exact:
             return request
-        if self._in_flight < self._shed_threshold:
-            return request
+        with self._inflight_lock:
+            if self._in_flight < self._shed_threshold:
+                return request
         return replace(request, policy=self._degraded_policy)
 
     def _dispatch(self, request: QueryRequest, blocking: bool) -> "Future":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import sys
 import threading
 
 import pytest
@@ -215,6 +216,57 @@ def test_collector_snapshot_is_consistent_under_reset():
     assert empty.p50_latency_seconds == 0.0
     # The first snapshot froze its own copy: resetting did not mutate it.
     assert snapshot.queries == 5
+
+
+def test_collector_snapshots_never_see_a_partial_record():
+    """Snapshots taken while threads record always count exactly their timings.
+
+    A lost update is rare on CPython (nothing in ``record`` yields between a
+    counter's load and its store), but without the lock a snapshot can land
+    between the timing append and the counter updates; a short switch
+    interval and several rounds make that window likely to be hit.
+    """
+    collector = StatsCollector()
+    # Each round records fewer than TIMING_HISTORY queries, so every snapshot
+    # holds all of its round's timings.
+    threads_n, per_thread, rounds = 2, 2000, 10
+    watching = threading.Event()
+    watching.set()
+    torn = []
+
+    def pound(worker: int) -> None:
+        for i in range(per_thread):
+            collector.record(_timing(worker * per_thread + i))
+
+    def watch() -> None:
+        while watching.is_set():
+            snapshot = collector.snapshot(result_cache=_cache(0, 0),
+                                          instance_cache=_cache(0, 0))
+            if not snapshot.queries == snapshot.totals.latency.total == len(snapshot.timings):
+                torn.append((snapshot.queries, len(snapshot.timings)))
+
+    watcher = threading.Thread(target=watch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        watcher.start()
+        for _ in range(rounds):
+            workers = [threading.Thread(target=pound, args=(w,)) for w in range(threads_n)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in workers)
+            final = collector.snapshot(result_cache=_cache(0, 0),
+                                       instance_cache=_cache(0, 0))
+            assert final.queries == threads_n * per_thread
+            collector.reset()
+    finally:
+        watching.clear()
+        watcher.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not watcher.is_alive()
+    assert torn == []
 
 
 def test_collector_keeps_the_latest_timings_and_counts_every_query():
