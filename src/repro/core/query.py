@@ -21,7 +21,8 @@ class LCMSRQuery:
             constructor path is used, so scorers, cache keys and the columnar
             weight pipeline never re-normalise per call, and every order of
             one keyword list gives bit-identical weights. A bare string is
-            refused rather than read as its letters.
+            refused rather than read as its letters, and so is a list holding
+            anything but strings.
         delta: The length constraint ``Q.∆``: the maximum total road-segment length of
             the returned region, in the same units as edge lengths (meters for the
             bundled datasets). Finite and non-negative.
@@ -43,10 +44,14 @@ class LCMSRQuery:
             raise QueryError(
                 f"query keywords must be a list of words, not the string {self.keywords!r}"
             )
+        keywords = tuple(self.keywords)
+        for keyword in keywords:
+            if not isinstance(keyword, str):
+                raise QueryError(f"query keywords must be words, got {keyword!r}")
         # Normalise ONCE, at construction: every downstream consumer (scorers,
         # the columnar weight pipeline, cache keys) trusts query keywords to be
         # stripped, lower-cased, de-duplicated and sorted already.
-        normalised = normalize_keyword_set(self.keywords)
+        normalised = normalize_keyword_set(keywords)
         if normalised != self.keywords:
             object.__setattr__(self, "keywords", normalised)
         if not self.keywords:

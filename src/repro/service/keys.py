@@ -55,8 +55,8 @@ class InstanceKey:
 
     keywords: Tuple[str, ...]
     region: Optional[Rectangle]
-    bundle_key: str = ""
-    policy: str = "exact"
+    bundle_key: str
+    policy: str
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class ResultKey:
 
     query: LCMSRQuery
     algorithm: str
-    bundle_key: str = ""
-    policy: str = "exact"
+    bundle_key: str
+    policy: str
 
     @property
     def instance_key(self) -> InstanceKey:

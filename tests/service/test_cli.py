@@ -302,17 +302,23 @@ class TestServeBatch:
         ]) == 2
         assert "line 1" in capsys.readouterr().err
 
-    def test_a_bare_keyword_string_fails_cleanly(self, cli_artifact, tmp_path, capsys):
-        requests = tmp_path / "string-keywords.jsonl"
+    @pytest.mark.parametrize("keywords, message", [
+        ("cafe", "not the string 'cafe'"),
+        (["cafe", 3], "must be words, got 3"),
+    ], ids=["bare-string", "non-string-keyword"])
+    def test_keywords_that_are_not_words_fail_cleanly(
+        self, cli_artifact, tmp_path, capsys, keywords, message
+    ):
+        requests = tmp_path / "bad-keywords.jsonl"
         requests.write_text(
             json.dumps({"keywords": ["cafe"], "delta": 800}) + "\n"
-            + json.dumps({"keywords": "cafe", "delta": 800}) + "\n"
+            + json.dumps({"keywords": keywords, "delta": 800}) + "\n"
         )
         assert main([
             "serve-batch", str(cli_artifact), "--requests", str(requests),
         ]) == 2
         err = capsys.readouterr().err
-        assert "line 2" in err and "not the string 'cafe'" in err
+        assert "line 2" in err and message in err
 
     def test_non_finite_jsonl_region_fails_cleanly(
         self, cli_artifact, tmp_path, capsys

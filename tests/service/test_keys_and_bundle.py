@@ -20,6 +20,10 @@ from repro.textindex.tokenizer import normalize_keyword_set
 from tests.conftest import assert_same_rows
 
 
+def _key(query, algorithm="tgen", bundle_key="fp:g0:o0", policy="exact"):
+    return ResultKey(query, algorithm, bundle_key, policy)
+
+
 class TestNormalization:
     def test_keywords_sorted_deduplicated_lowercased(self):
         assert normalize_keyword_set([" Cafe", "restaurant", "CAFE", ""]) == (
@@ -28,40 +32,43 @@ class TestNormalization:
         )
 
     def test_equivalent_queries_share_result_key(self):
-        """Keyword order, case, duplicates, whitespace and int bounds: one key."""
+        """Keyword order, case, duplicates, whitespace and int bounds: one key.
+
+        The algorithm name's case is folded by the service before the key is
+        built; ``TestCaching::test_algorithm_name_case_shares_cache_entry``
+        covers it.
+        """
         a = QueryRequest.create(["cafe", "bar"], 100.0,
                                 region=Rectangle(0.0, 0.0, 100.0, 100.0))
         b = QueryRequest.create(["Bar", " cafe", "bar", "CAFE"], 100,
                                 region=Rectangle(0, 0, 100, 100))
-        key_a = ResultKey(a.query, "tgen")
-        key_b = ResultKey(b.query, "tgen")
+        key_a = _key(a.query)
+        key_b = _key(b.query)
         assert key_a == key_b
         assert hash(key_a) == hash(key_b)
         assert key_a.instance_key == key_b.instance_key
 
     def test_distinct_parameters_distinct_keys(self):
         query = QueryRequest.create(["cafe"], 100.0).query
-        key = ResultKey(query, "tgen")
-        assert key != ResultKey(QueryRequest.create(["cafe"], 200.0).query, "tgen")
-        assert key != ResultKey(query, "greedy")
-        assert key != ResultKey(query.with_k(2), "tgen")
-        assert key != ResultKey(query.with_region(Rectangle(0.0, 0.0, 1.0, 1.0)), "tgen")
-        assert key != ResultKey(query, "tgen", bundle_key="other:g1:o0")
-        assert key != ResultKey(query, "tgen", policy="anytime:100.0")
+        key = _key(query)
+        assert key != _key(QueryRequest.create(["cafe"], 200.0).query)
+        assert key != _key(query, algorithm="greedy")
+        assert key != _key(query.with_k(2))
+        assert key != _key(query.with_region(Rectangle(0.0, 0.0, 1.0, 1.0)))
+        assert key != _key(query, bundle_key="other:g1:o0")
+        assert key != _key(query, policy="anytime:100.0")
 
     def test_instance_key_ignores_delta_k_and_algorithm(self):
-        a = ResultKey(QueryRequest.create(["cafe"], 100.0).query, "tgen")
-        b = ResultKey(QueryRequest.create(["cafe"], 900.0, k=3).query, "greedy")
+        a = _key(QueryRequest.create(["cafe"], 100.0).query)
+        b = _key(QueryRequest.create(["cafe"], 900.0, k=3).query, algorithm="greedy")
         assert a.instance_key == b.instance_key
         assert isinstance(a.instance_key, InstanceKey)
 
     def test_a_sampled_policy_never_shares_an_exact_instance_key(self):
         query = QueryRequest.create(["cafe"], 100.0).query
-        exact = ResultKey(query, "tgen", policy=QueryPolicy.exact().cache_token())
-        anytime = ResultKey(query, "tgen",
-                            policy=QueryPolicy.anytime(50.0).cache_token())
-        samples = [ResultKey(query, "tgen",
-                             policy=QueryPolicy.sampled(0.3, seed).cache_token())
+        exact = _key(query, policy=QueryPolicy.exact().cache_token())
+        anytime = _key(query, policy=QueryPolicy.anytime(50.0).cache_token())
+        samples = [_key(query, policy=QueryPolicy.sampled(0.3, seed).cache_token())
                    for seed in (0, 1)]
         assert anytime.instance_key == exact.instance_key
         for sampled in samples:

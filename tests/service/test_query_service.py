@@ -99,8 +99,10 @@ class TestBatchSemantics:
         ("cafe", 700.0, 1),
         (["cafe"], -1.0, 1),
         (["cafe"], float("nan"), 1),
+        (["cafe", 3], 700.0, 1),
         (["cafe"], 700.0, 0),
-    ], ids=["empty", "blank", "bare-string", "negative-delta", "nan-delta", "k-zero"])
+    ], ids=["empty", "blank", "bare-string", "negative-delta", "nan-delta",
+            "non-string-keyword", "k-zero"])
     def test_create_refuses_a_malformed_query(self, keywords, delta, k):
         """The request holds a validated query, so no service ever sees these."""
         with pytest.raises(QueryError):
@@ -131,6 +133,18 @@ class TestCaching:
             a = service.execute(QueryRequest.create(["cafe", "Restaurant"], 1000.0))
             b = service.execute(QueryRequest.create(["restaurant", "cafe", "cafe"], 1000.0))
             assert b is a
+            assert service.stats().result_hits == 1
+
+    def test_algorithm_name_case_shares_cache_entry(self, engine):
+        # The engine picks a solver whatever the name's case, so the result
+        # key must not split on it either.
+        with QueryService(engine, max_workers=1) as service:
+            upper = service.execute(
+                QueryRequest.create(["restaurant"], 1000.0, algorithm="TGEN"))
+            lower, timing = service.execute_timed(
+                QueryRequest.create(["restaurant"], 1000.0, algorithm="tgen"))
+            assert lower is upper
+            assert timing.result_cache_hit
             assert service.stats().result_hits == 1
 
     def test_delta_sweep_reuses_instance(self, engine):

@@ -25,7 +25,8 @@ from repro.service.stats import (
 def _timing(index: int, result_hit: bool = False, instance_hit: bool = False,
             total_seconds: float = 1.0):
     return QueryTiming(
-        key=ResultKey(LCMSRQuery((f"kw{index}",), 100.0 + index), "tgen"),
+        key=ResultKey(LCMSRQuery((f"kw{index}",), 100.0 + index), "tgen",
+                      bundle_key="fp:g0:o0", policy="exact"),
         result_cache_hit=result_hit,
         instance_cache_hit=instance_hit,
         build_seconds=0.25,

@@ -390,7 +390,7 @@ def test_worker_config_and_requests_pickle_roundtrip(gateway_artifact):
     )
     assert pickle.loads(pickle.dumps(request)) == request
     timing = QueryTiming(
-        key=ResultKey(request.query, "tgen"),
+        key=ResultKey(request.query, "tgen", bundle_key="fp:g0:o0", policy="exact"),
         result_cache_hit=False, instance_cache_hit=True,
         build_seconds=0.1, solve_seconds=0.2, total_seconds=0.3,
     )
